@@ -31,6 +31,7 @@ from .hj import (
     critical_q0,
     gamma_conjugate,
     manufactured_rhs,
+    ms_cosine,
     solve_hj,
 )
 from .fp import (
@@ -344,22 +345,11 @@ def cmd_seminorm(args, params, chash):
 
 def cmd_verify_duality(args, params, chash):
     from .dual import bent_duality, duality_identity, ell_constant
-    from .grid import restrict_vector
-    from .hj import ManufacturedSolution, solve_hj
 
     g, s = params["gamma"], params["sigma"]
     A = args.amplitude
     T = params["tau"]
-    ms = ManufacturedSolution(
-        u=lambda x, t: A * np.cos(0.5 * np.pi * x[..., 0]) * (T - t),
-        u_t=lambda x, t: -A * np.cos(0.5 * np.pi * x[..., 0]) * np.ones_like(x[..., 0]),
-        grad=lambda x, t: np.stack(
-            [-A * 0.5 * np.pi * np.sin(0.5 * np.pi * x[..., 0]) * (T - t)]
-            + [np.zeros_like(x[..., 0])] * (x.shape[-1] - 1),
-            axis=-1,
-        ),
-        lap=lambda x, t: -A * 0.25 * np.pi ** 2 * np.cos(0.5 * np.pi * x[..., 0]) * (T - t),
-    )
+    ms = ms_cosine(T, A)
     f = manufactured_rhs(ms, g, s, params["h0"])
     rows = []
     dx = params["dx"]
@@ -372,7 +362,7 @@ def cmd_verify_duality(args, params, chash):
         )
         sol = solve_hj(prob, grid, gradient_bound=A * np.pi)
         fp_grid = make_grid(GridSpec(1, 1.0, dx, T, dx / 4))
-        b = restrict_vector(drift_from_solution(sol.u, params["h0"], g), 1.0)
+        b = drift_from_solution(sol.u, params["h0"], g)
         mm = solve_fp(FPProblem(sigma=s, R=1.0, tau=T, drift=b, source=0.0), fp_grid)
         rep = duality_identity(sol.u, f, mm, params["h0"], g)
         brep = bent_duality(sol.u, f, mm, np.array([1.0]), g, ell_constant(params["h0"], g))

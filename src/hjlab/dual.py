@@ -19,10 +19,10 @@ from .grid import (
     ScalarField,
     centered_cylinder,
     lq_norm,
-    quadrature_weights,
     sample_field,
     sample_points,
     space_integral,
+    spacetime_integral,
 )
 from .hj import _eval_on, alpha_zero, critical_q0, gamma_conjugate
 from .seminorm import space_quotient, time_quotient
@@ -35,19 +35,11 @@ def ell_constant(h: float, gamma: float) -> float:
 
 
 def _field_levels(grid: Grid, obj) -> np.ndarray:
-    if isinstance(obj, ScalarField) and obj.grid is grid:
-        return obj.values
-    if isinstance(obj, ScalarField):
-        return np.stack([_eval_on(grid, obj, t) for t in grid.ts])
-    return np.stack([_eval_on(grid, obj, t) for t in grid.ts])
-
-
-def _spacetime_dot(grid: Grid, a_levels, m_levels) -> float:
-    tw, sw = quadrature_weights(grid)
-    acc = 0.0
-    for k, w in enumerate(tw):
-        acc += w * float(np.sum(a_levels[k] * m_levels[k] * sw))
-    return acc
+    return (
+        obj.values
+        if isinstance(obj, ScalarField) and obj.grid is grid
+        else np.stack([_eval_on(grid, obj, t) for t in grid.ts])
+    )
 
 
 @dataclass
@@ -89,7 +81,7 @@ def duality_identity(w: ScalarField, f, sol: FPSolution, h: float, gamma: float)
     lhs = sample_field(w, sol.source, 0.0)
 
     f_levels = _field_levels(g, f)
-    running = _spacetime_dot(g, f_levels, sol.m.values)
+    running = spacetime_integral(g, f_levels * sol.m.values)
 
     tau = sol.tau
     w_tau = sample_points(w, g.coords.reshape(-1, g.dim), tau).reshape(g.shape)
@@ -148,25 +140,20 @@ def bent_duality(w: ScalarField, g_rhs, sol: FPSolution, y0, gamma: float, ell0:
     xi_rate = y0 / tau  # -xi'_s
     mag = np.sqrt(np.sum((sol.b.values + xi_rate) ** 2, axis=-1))
     gc = gamma_conjugate(gamma)
-    tw, sw = quadrature_weights(grid)
-    lagr = 0.0
-    for k, wt in enumerate(tw):
-        lagr += wt * float(np.sum(mag[k] ** gc * sol.m.values[k] * sw))
-    lagr *= ell0
+    lagr = ell0 * spacetime_integral(grid, mag ** gc * sol.m.values)
 
     pts = grid.coords.reshape(-1, grid.dim)
-    running = 0.0
-    g_is_field = isinstance(g_rhs, ScalarField)
-    for k, wt in enumerate(tw):
-        s = float(grid.ts[k])
+
+    def g_shifted(s):
         shift = (tau - s) / tau * y0
-        if g_is_field:
-            g_sh = sample_points(g_rhs, pts + shift, s).reshape(grid.shape)
-        elif callable(g_rhs):
-            g_sh = np.asarray(g_rhs(grid.coords + shift, s), dtype=float) * np.ones(grid.shape)
-        else:
-            g_sh = _eval_on(grid, g_rhs, s)
-        running += wt * float(np.sum(g_sh * sol.m.values[k] * sw))
+        if isinstance(g_rhs, ScalarField):
+            return sample_points(g_rhs, pts + shift, s).reshape(grid.shape)
+        if callable(g_rhs):
+            return np.asarray(g_rhs(grid.coords + shift, s), dtype=float) * np.ones(grid.shape)
+        return _eval_on(grid, g_rhs, s)
+
+    g_sh = np.stack([g_shifted(float(s)) for s in grid.ts])
+    running = spacetime_integral(grid, g_sh * sol.m.values)
 
     w_tau = sample_points(w, pts, tau).reshape(grid.shape)
     terminal = space_integral(grid, w_tau * sol.m.values[-1])
@@ -278,11 +265,10 @@ def oscillation_report(
     a0 = alpha_zero(gamma)
 
     # dual density driven by the drift extracted from w
-    from .grid import make_grid, restrict_vector
+    from .grid import make_grid
 
     fp_grid = make_grid(GridSpec(N, R, grid.dx, tau, grid.dt))
-    b_full = drift_from_solution(w, h1, gamma)
-    b = restrict_vector(b_full, R) if grid.spec.half_width > R + 1e-12 else b_full
+    b = drift_from_solution(w, h1, gamma)
     sol = solve_fp(FPProblem(sigma=sigma, R=R, tau=tau, drift=b, source=0.0), fp_grid)
     K = kinetic_energy(sol, gamma)
 

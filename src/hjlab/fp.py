@@ -22,8 +22,9 @@ from .grid import (
     ScalarField,
     VectorField,
     gradient_level,
-    quadrature_weights,
+    sample_points,
     space_integral,
+    spacetime_integral,
 )
 from .hj import gamma_conjugate
 
@@ -84,9 +85,19 @@ def _sample_drift(grid: Grid, drift) -> VectorField:
     if drift is None:
         return VectorField(grid, np.zeros(shape))
     if isinstance(drift, VectorField):
-        if drift.grid.shape != grid.shape or drift.grid.n_levels != grid.n_levels:
-            raise ValueError("drift VectorField must live on the FP grid")
-        return drift
+        if drift.grid.spec == grid.spec:
+            return drift
+        # resample multilinearly onto the FP nodes; the drift's grid must cover them
+        pts = grid.coords.reshape(-1, grid.dim)
+        vals = np.zeros(shape)
+        try:
+            for a in range(grid.dim):
+                comp = ScalarField(drift.grid, drift.values[..., a])
+                for k, t in enumerate(grid.ts):
+                    vals[k, ..., a] = sample_points(comp, pts, float(t)).reshape(grid.shape)
+        except ValueError as exc:
+            raise ValueError(f"drift VectorField does not cover the FP grid: {exc}") from exc
+        return VectorField(grid, vals)
     if callable(drift):
         vals = np.zeros(shape)
         for k, t in enumerate(grid.ts):
@@ -228,21 +239,11 @@ def drift_from_solution(w: ScalarField, h1: float, gamma: float) -> VectorField:
 def kinetic_energy(sol: FPSolution, gamma: float) -> float:
     """K = integral of |b|^gamma' m over the cylinder."""
     gc = gamma_conjugate(gamma)
-    tw, sw = quadrature_weights(sol.grid)
-    mag = sol.b.magnitude()
-    acc = 0.0
-    for k, w in enumerate(tw):
-        acc += w * float(np.sum(mag[k] ** gc * sol.m.values[k] * sw))
-    return acc
+    return spacetime_integral(sol.grid, sol.b.magnitude() ** gc * sol.m.values)
 
 
 def drift_l1(sol: FPSolution) -> float:
-    tw, sw = quadrature_weights(sol.grid)
-    mag = sol.b.magnitude()
-    acc = 0.0
-    for k, w in enumerate(tw):
-        acc += w * float(np.sum(mag[k] * sol.m.values[k] * sw))
-    return acc
+    return spacetime_integral(sol.grid, sol.b.magnitude() * sol.m.values)
 
 
 @dataclass

@@ -394,11 +394,6 @@ def gradient_central(u: ScalarField, k: int) -> np.ndarray:
     return gradient_level(u.level(k), u.grid.dx)
 
 
-def gradient_field(u: ScalarField) -> VectorField:
-    vals = np.stack([gradient_level(u.values[k], u.grid.dx) for k in range(u.grid.n_levels)])
-    return VectorField(u.grid, vals)
-
-
 def godunov_magnitude_level(values: np.ndarray, dx: float) -> np.ndarray:
     """Monotone upwind surrogate of |Du| per node.
 
@@ -484,17 +479,15 @@ def lq_norm(u: ScalarField, q: float, sub: Cylinder | None = None) -> float:
     """Space-time L^q norm by node-cell quadrature."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    tw, sw = quadrature_weights(u.grid, sub)
-    acc = 0.0
-    for k, w in enumerate(tw):
-        if w == 0.0:
-            continue
-        acc += w * float(np.sum(np.abs(u.values[k]) ** q * sw))
-    return acc ** (1.0 / q)
+    return spacetime_integral(u.grid, np.abs(u.values) ** q, sub) ** (1.0 / q)
 
 
 def spacetime_integral(grid: Grid, level_values, sub: Cylinder | None = None) -> float:
-    """Integral of a per-level array stack (levels, *shape) over sub."""
+    """Integral of a per-level array stack (levels, *shape) over sub.
+
+    The one quadrature loop over time levels: level k contributes
+    tw[k] * sum(level_values[k] * sw), and levels of zero weight are skipped.
+    """
     tw, sw = quadrature_weights(grid, sub)
     acc = 0.0
     for k, w in enumerate(tw):
@@ -515,41 +508,7 @@ def space_integral(grid: Grid, values: np.ndarray, sub: Cylinder | None = None) 
 
 def sample_field(u: ScalarField, x, t) -> float:
     """Multilinear in space, linear in time.  Exact at nodes."""
-    g = u.grid
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    eps = 1e-9 * g.dx
-    for a in range(g.dim):
-        if x[a] < g.axes[a][0] - eps or x[a] > g.axes[a][-1] + eps:
-            raise ValueError(f"sample point x={tuple(x)} outside the grid box")
-    if t < g.ts[0] - 1e-9 * g.dt or t > g.ts[-1] + 1e-9 * g.dt:
-        raise ValueError(f"sample time t={t} outside the grid horizon")
-
-    def axis_frac(val, nodes, h, nmax):
-        i = int(np.floor((val - nodes[0]) / h))
-        i = min(max(i, 0), nmax - 2)
-        f = (val - nodes[i]) / h
-        return i, min(max(f, 0.0), 1.0)
-
-    kt, ft = axis_frac(t, g.ts, g.dt, g.n_levels) if g.n_levels > 1 else (0, 0.0)
-
-    def space_interp(level):
-        if g.dim == 1:
-            i, f = axis_frac(x[0], g.axes[0], g.dx, g.shape[0])
-            return (1 - f) * level[i] + f * level[i + 1]
-        i, fx = axis_frac(x[0], g.axes[0], g.dx, g.shape[0])
-        j, fy = axis_frac(x[1], g.axes[1], g.dx, g.shape[1])
-        return (
-            (1 - fx) * (1 - fy) * level[i, j]
-            + fx * (1 - fy) * level[i + 1, j]
-            + (1 - fx) * fy * level[i, j + 1]
-            + fx * fy * level[i + 1, j + 1]
-        )
-
-    v0 = space_interp(u.values[kt])
-    if ft == 0.0:
-        return float(v0)
-    v1 = space_interp(u.values[kt + 1])
-    return float((1 - ft) * v0 + ft * v1)
+    return float(sample_points(u, [x], t)[0])
 
 
 def sample_points(u: ScalarField, pts, t: float) -> np.ndarray:
@@ -558,9 +517,9 @@ def sample_points(u: ScalarField, pts, t: float) -> np.ndarray:
     pts = np.asarray(pts, dtype=float).reshape(-1, g.dim)
     eps = 1e-9 * g.dx
     for a in range(g.dim):
-        if np.any(pts[:, a] < g.axes[a][0] - eps) or np.any(pts[:, a] > g.axes[a][-1] + eps):
-            bad = pts[np.argmax((pts[:, a] < g.axes[a][0] - eps) | (pts[:, a] > g.axes[a][-1] + eps))]
-            raise ValueError(f"sample point x={tuple(bad)} outside the grid box")
+        out = (pts[:, a] < g.axes[a][0] - eps) | (pts[:, a] > g.axes[a][-1] + eps)
+        if out.any():
+            raise ValueError(f"sample point x={tuple(pts[np.argmax(out)])} outside the grid box")
     if t < g.ts[0] - 1e-9 * g.dt or t > g.ts[-1] + 1e-9 * g.dt:
         raise ValueError(f"sample time t={t} outside the grid horizon")
 
@@ -602,15 +561,6 @@ def restrict_field(u: ScalarField, half_width: float) -> ScalarField:
         GridSpec(g.dim, half_width, g.dx, g.spec.horizon, g.dt, ball_mask=False)
     )
     return ScalarField(sub, u.values[(slice(None),) + sl].copy())
-
-
-def restrict_vector(b: VectorField, half_width: float) -> VectorField:
-    g = b.grid
-    sl = g.subgrid_slices(half_width)
-    sub = Grid(
-        GridSpec(g.dim, half_width, g.dx, g.spec.horizon, g.dt, ball_mask=False)
-    )
-    return VectorField(sub, b.values[(slice(None),) + sl + (slice(None),)].copy())
 
 
 # -- serialization ---------------------------------------------------------------

@@ -21,9 +21,9 @@ from .grid import (
     laplacian_level,
     lq_norm,
     make_grid,
-    quadrature_weights,
     sample_field,
     sample_points,
+    spacetime_integral,
     time_derivative,
 )
 from .hj import (
@@ -144,10 +144,7 @@ def blowup_transform(
         # preimage norm by change of variables on the mapped nodes:
         # dx dt = r^N * lambda * dy ds
         jac = params.r ** N * params.time_scale
-        tw, sw = quadrature_weights(tg)
-        acc = 0.0
-        for k, wt in enumerate(tw):
-            acc += wt * float(np.sum(np.abs(g_vals[k] / g_factor) ** q0 * sw))
+        acc = spacetime_integral(tg, np.abs(g_vals / g_factor) ** q0)
         f_norm_pre = (jac * acc) ** (1.0 / q0)
         pref = params.sigma_n ** (gc * (N + 1) / (N + 2))
         ident = {

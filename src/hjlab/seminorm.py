@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Cylinder, ScalarField, quadrature_weights
+from .grid import Cylinder, ScalarField, spacetime_integral
 
 PAIR_BUDGET = 10 ** 8
 _SAMPLE_PAIRS = 5 * 10 ** 6
@@ -180,28 +180,12 @@ def _result_from(nodes, best, best_ij, exact, seed=None):
     return SeminormResult(float(best), pair, exact=exact, seed=seed)
 
 
-def holder_seminorm(u, alpha, Q=None, pair_budget=PAIR_BUDGET, seed=0):
-    """Classical parabolic seminorm sup |du| / (|dx| + |dt|^(1/2))^alpha."""
-    if not (0 < alpha <= 1):
-        raise ValueError("alpha must lie in (0, 1] (alpha=1 diagnostic only)")
-    nodes = _Nodes(u, Q)
-    if nodes.n < 2:
-        return SeminormResult(0.0, None, degenerate=True)
-    npairs = nodes.n * (nodes.n - 1) // 2
-    fn = lambda nd, i, j: _pair_value_classical(nd, i, j, alpha)
-    if npairs <= pair_budget:
-        best, ij = _enumerate_max(nodes, fn, _all_pairs_stream(nodes.n))
-        return _result_from(nodes, best, ij, exact=True)
-    best, ij = _enumerate_max(nodes, fn, _sampled_pairs_stream(nodes.n, seed))
-    return _result_from(nodes, best, ij, exact=False, seed=seed)
-
-
-def weighted_holder(u, alpha, c, Q=None, pair_budget=PAIR_BUDGET, seed=0):
-    """Classical quotient weighted by min distance to the backward boundary ^ c."""
-    if c < 0:
+def _classical_scan(u, alpha, c, Q, pair_budget, seed):
+    """Sup of the classical quotient, weighted by min boundary distance ^ c unless c is None."""
+    if c is not None and c < 0:
         raise ValueError("c must be >= 0")
     if not (0 < alpha <= 1):
-        raise ValueError("alpha must lie in (0, 1]")
+        raise ValueError("alpha must lie in (0, 1] (alpha=1 diagnostic only)")
     nodes = _Nodes(u, Q)
     if nodes.n < 2:
         return SeminormResult(0.0, None, degenerate=True)
@@ -212,6 +196,16 @@ def weighted_holder(u, alpha, c, Q=None, pair_budget=PAIR_BUDGET, seed=0):
         return _result_from(nodes, best, ij, exact=True)
     best, ij = _enumerate_max(nodes, fn, _sampled_pairs_stream(nodes.n, seed))
     return _result_from(nodes, best, ij, exact=False, seed=seed)
+
+
+def holder_seminorm(u, alpha, Q=None, pair_budget=PAIR_BUDGET, seed=0):
+    """Classical parabolic seminorm sup |du| / (|dx| + |dt|^(1/2))^alpha."""
+    return _classical_scan(u, alpha, None, Q, pair_budget, seed)
+
+
+def weighted_holder(u, alpha, c, Q=None, pair_budget=PAIR_BUDGET, seed=0):
+    """Classical quotient weighted by min distance to the backward boundary ^ c."""
+    return _classical_scan(u, alpha, c, Q, pair_budget, seed)
 
 
 def _same_level_pairs(nodes):
@@ -455,14 +449,8 @@ def w21q_norms(u: ScalarField, q: float, gamma: float, Qp: Cylinder) -> dict:
             for k in range(g.n_levels)
         ]
     )
-    tw, sw = quadrature_weights(g, Qp)
 
     def norm_of(stack):
-        acc = 0.0
-        for k, w in enumerate(tw):
-            if w == 0.0:
-                continue
-            acc += w * float(np.sum(np.abs(stack[k]) ** q * sw))
-        return acc ** (1.0 / q)
+        return spacetime_integral(g, np.abs(stack) ** q, Qp) ** (1.0 / q)
 
     return {"dt": norm_of(ut), "hessian": norm_of(hess), "grad_gamma": norm_of(gradg)}

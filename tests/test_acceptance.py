@@ -12,7 +12,6 @@ from hjlab.grid import (
     GridSpec,
     ScalarField,
     make_grid,
-    restrict_vector,
 )
 from hjlab.hj import (
     alpha_zero,
@@ -21,6 +20,7 @@ from hjlab.hj import (
     legendre_gap,
     linf_error,
     manufactured_rhs,
+    ms_cosine,
     ms_sine,
     solve_manufactured,
     time_pair_exponent,
@@ -102,20 +102,13 @@ def test_criterion_03_heat_kernel_regression():
 
 
 def _manufactured_pair(A, dx, gamma=3.0, sigma=1.0):
-    from hjlab.hj import ManufacturedSolution
-
     T = 1.0
-    ms = ManufacturedSolution(
-        u=lambda x, t: A * np.cos(0.5 * np.pi * x[..., 0]) * (T - t),
-        u_t=lambda x, t: -A * np.cos(0.5 * np.pi * x[..., 0]) * np.ones_like(x[..., 0]),
-        grad=lambda x, t: np.stack([-A * 0.5 * np.pi * np.sin(0.5 * np.pi * x[..., 0]) * (T - t)], axis=-1),
-        lap=lambda x, t: -A * 0.25 * np.pi ** 2 * np.cos(0.5 * np.pi * x[..., 0]) * (T - t),
-    )
+    ms = ms_cosine(T, A)
     f = manufactured_rhs(ms, gamma, sigma, 1.0)
     gw = make_grid(GridSpec(1, 2.0, dx, T, dx / 4))
     hs = solve_manufactured(ms, gamma, sigma, gw, gradient_bound=A * np.pi)
     gfp = make_grid(GridSpec(1, 1.0, dx, T, dx / 4))
-    b = restrict_vector(drift_from_solution(hs.u, 1.0, gamma), 1.0)
+    b = drift_from_solution(hs.u, 1.0, gamma)
     sol = solve_fp(FPProblem(sigma=sigma, R=1.0, tau=T, drift=b, source=0.0), gfp)
     return hs.u, f, sol
 

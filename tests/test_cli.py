@@ -180,22 +180,42 @@ class TestCliRuns:
         assert (tmp_path / "vo_oscillation.csv").exists()
 
     def test_pipeline_hj_to_fp_from_solution(self, tmp_path):
-        # solve-hj output feeds solve-fp's from-solution drift through files
+        # solve-hj output feeds solve-fp's from-solution drift through files;
+        # the second input is the README pair, whose HJ grid is finer than the FP grid
+        for tag, hj_grid, ms in (
+            ("a", "1,1,1/16,1,1/64", "cosine"),
+            ("readme", "1,1,1/64,1,1/256", "sine"),
+        ):
+            code = self.run(
+                ["solve-hj", "--grid", hj_grid, "--manufactured", ms,
+                 "--out", str(tmp_path / f"w{tag}")]
+            )
+            assert code == 0
+            sol_file = tmp_path / f"w{tag}_solution.csv"
+            code = self.run(
+                ["solve-fp", "--grid", "1,1/16,1/64", "--R", "1", "--tau", "1",
+                 "--drift", f"from-solution:{sol_file},3,1", "--source", "0",
+                 "--out", str(tmp_path / f"m{tag}")]
+            )
+            assert code == 0
+            series = [
+                l.split(",") for l in (tmp_path / f"m{tag}_mass.csv").read_text().splitlines()
+                if l and not l.startswith("#")
+            ][1:]
+            for row in series:
+                assert abs(float(row[1]) + float(row[2]) - 1.0) <= 1e-8
+            func = (tmp_path / f"m{tag}_functionals.csv").read_text().splitlines()
+            header, values = func[-2].split(","), func[-1].split(",")
+            assert float(values[header.index("min_density")]) >= 0.0
+
+    def test_f_file_on_other_grid_exits_2(self, tmp_path):
+        g = make_grid(GridSpec(1, 2.0, 0.5, 1.0, 0.25))
+        write_field_csv(ScalarField.constant(g, 1.0), str(tmp_path / "f.csv"))
         code = self.run(
-            ["solve-hj", "--grid", "1,1,1/16,1,1/64", "--manufactured", "cosine",
+            ["solve-hj", "--grid", "1,1,1/4,1,1/4", "--f-file", str(tmp_path / "f.csv"),
              "--out", str(tmp_path / "w")]
         )
-        assert code == 0
-        sol_file = tmp_path / "w_solution.csv"
-        code = self.run(
-            ["solve-fp", "--grid", "1,1/16,1/64", "--R", "1", "--tau", "1",
-             "--drift", f"from-solution:{sol_file},3,1", "--source", "0",
-             "--out", str(tmp_path / "m")]
-        )
-        assert code == 0
-        series = (tmp_path / "m_mass.csv").read_text().splitlines()
-        last = series[-1].split(",")
-        assert abs(float(last[1]) + float(last[2]) - 1.0) <= 1e-8
+        assert code == 2
 
     def test_liouville_probe_subcommand(self, tmp_path):
         code = self.run(

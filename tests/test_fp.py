@@ -38,6 +38,22 @@ class TestValidation:
         with pytest.raises(ValueError, match="source"):
             solve_fp(FPProblem(sigma=1.0, R=1.0, tau=1.0, source=0.95), g)
 
+    def test_drift_field_must_cover_the_fp_grid(self):
+        small = make_grid(GridSpec(1, 0.5, 0.125, 1.0, 0.25))
+        b = VectorField(small, np.zeros((small.n_levels,) + small.shape + (1,)))
+        g = make_grid(GridSpec(1, 1.0, 0.125, 1.0, 0.25))
+        with pytest.raises(ValueError, match="does not cover"):
+            solve_fp(FPProblem(sigma=1.0, R=1.0, tau=1.0, drift=b), g)
+
+    def test_drift_field_resampled_onto_the_fp_nodes(self):
+        # a finer, wider dyadic grid: resampling picks the coinciding nodes exactly
+        fine = make_grid(GridSpec(1, 2.0, 0.0625, 1.0, 0.125))
+        rng = np.random.default_rng(0)
+        b = VectorField(fine, rng.normal(size=(fine.n_levels,) + fine.shape + (1,)))
+        g = make_grid(GridSpec(1, 1.0, 0.125, 1.0, 0.25))
+        sol = solve_fp(FPProblem(sigma=1.0, R=1.0, tau=1.0, drift=b), g)
+        assert np.array_equal(sol.b.values, b.values[::2, 16:49:2])
+
 
 class TestConservation:
     @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hjlab.grid import (
     Cylinder,
@@ -17,6 +18,7 @@ from hjlab.grid import (
     read_field_csv,
     restrict_field,
     sample_field,
+    sample_points,
     write_field_csv,
 )
 
@@ -227,3 +229,17 @@ class TestSamplingAndIO:
         back = read_field_csv(buf)
         assert back.grid.spec == u.grid.spec
         np.testing.assert_array_equal(back.values[:, g.active], u.values[:, g.active])
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2]),
+    seed=st.integers(0, 2 ** 32 - 1),
+    x=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    t=st.floats(0.0, 1.0),
+)
+def test_sample_field_is_a_one_point_sample(dim, seed, x, t):
+    g = make_grid(GridSpec(dim, 1.0, 0.25, 1.0, 0.25))
+    u = random_field(g, seed)
+    x = list(x[:dim])
+    assert sample_field(u, x, t) == sample_points(u, [x], t)[0]

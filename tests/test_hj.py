@@ -38,6 +38,15 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="bounds"):
             p.h_level(g, 0.0)
 
+    def test_forcing_field_from_other_grid_rejected(self):
+        # same node count and levels, different coordinates
+        g = make_grid(GridSpec(1, 1.0, 0.25, 1.0, 0.25))
+        other = make_grid(GridSpec(1, 2.0, 0.5, 1.0, 0.25))
+        f = ScalarField.constant(other, 1.0)
+        p = HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=1.0, f=f)
+        with pytest.raises(ValueError, match="half_width=2.0.*half_width=1.0"):
+            solve_hj(p, g)
+
     def test_derived_exponents(self):
         p = HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=1.0)
         assert p.gamma_conj == 1.5

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hjlab.grid import Cylinder, GridSpec, ScalarField, make_grid
 from hjlab.seminorm import (
@@ -227,3 +228,39 @@ class TestW21qNorms:
         vol = 1.0 * 1.0 * 0.5
         assert abs(n["hessian"] - np.sqrt(2.0) * vol ** (1 / q)) < 1e-10
         assert n["dt"] < 1e-12
+
+
+@st.composite
+def fields_on_subcylinders(draw):
+    """Random 1D/2D field (box or ball) with a random sub-cylinder, small enough for the oracles."""
+    dim = draw(st.sampled_from([1, 2]))
+    dx = draw(st.sampled_from([0.25, 0.5] if dim == 1 else [0.5]))
+    dt = draw(st.sampled_from([0.25, 0.5]))
+    g = make_grid(GridSpec(dim, 1.0, dx, 1.0, dt, ball_mask=draw(st.booleans())))
+    u = random_field(g, draw(st.integers(0, 2 ** 32 - 1)))
+    coord = st.floats(-1.0, 1.0)
+    box = [sorted(draw(st.tuples(coord, coord))) for _ in range(dim)]
+    t0, t1 = sorted(draw(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))))
+    Q = Cylinder(
+        xmin=tuple(lo for lo, _ in box),
+        xmax=tuple(hi for _, hi in box),
+        t0=t0,
+        t1=t1,
+        radius=draw(st.one_of(st.none(), st.floats(0.1, 1.0))),
+    )
+    return u, Q
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=fields_on_subcylinders(), alpha=st.floats(0.05, 1.0), c=st.floats(0.0, 2.0))
+def test_classical_and_weighted_match_oracles_bitwise(case, alpha, c):
+    u, Q = case
+    classical = holder_seminorm(u, alpha, Q)
+    weighted = weighted_holder(u, alpha, c, Q)
+    for fast, oracle in (
+        (classical, oracle_classical(u, alpha, Q)),
+        (weighted, oracle_weighted(u, alpha, c, Q)),
+        (classical, weighted_holder(u, alpha, 0.0, Q)),
+    ):
+        assert fast.value == oracle.value
+        assert fast.pair == oracle.pair
