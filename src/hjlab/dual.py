@@ -67,6 +67,24 @@ class DualityReport:
         return self.lhs - sum(self.rhs_terms.values())
 
 
+def _boundary_sum(w: ScalarField, sol: FPSolution, shift=lambda s: 0.0) -> float:
+    """Sum of w(boundary node + shift(s), s) * outflux increment over faces and levels.
+
+    One interpolation call per level over the faces with a nonzero increment;
+    the terms are added one by one in level and face order.
+    """
+    g = sol.grid
+    bnd = np.array([g.coords[b] for _, b in sol.faces])
+    total = 0.0
+    for k in range(1, g.n_levels):
+        s = float(g.ts[k])
+        incr = sol.boundary_flux[k]
+        hit = incr != 0.0
+        for term in sample_points(w, bnd[hit] + shift(s), s) * incr[hit]:
+            total += term
+    return total
+
+
 def duality_identity(w: ScalarField, f, sol: FPSolution, h: float, gamma: float) -> DualityReport:
     """w(x0, 0) against Lagrangian + running cost + terminal + boundary terms.
 
@@ -87,20 +105,12 @@ def duality_identity(w: ScalarField, f, sol: FPSolution, h: float, gamma: float)
     w_tau = sample_points(w, g.coords.reshape(-1, g.dim), tau).reshape(g.shape)
     terminal = space_integral(g, w_tau * sol.m.values[-1])
 
-    boundary = 0.0
-    for k in range(1, g.n_levels):
-        t = float(g.ts[k])
-        for fi, (int_idx, bnd_idx) in enumerate(sol.faces):
-            incr = sol.boundary_flux[k, fi]
-            if incr != 0.0:
-                boundary += sample_field(w, g.coords[bnd_idx], t) * incr
-
     return DualityReport(
         lhs=lhs,
         lagrangian=ell * K,
         running_cost=running,
         terminal=terminal,
-        boundary=boundary,
+        boundary=_boundary_sum(w, sol),
         ell0=ell,
         ell1=ell,
         kinetic=K,
@@ -158,14 +168,7 @@ def bent_duality(w: ScalarField, g_rhs, sol: FPSolution, y0, gamma: float, ell0:
     w_tau = sample_points(w, pts, tau).reshape(grid.shape)
     terminal = space_integral(grid, w_tau * sol.m.values[-1])
 
-    boundary = 0.0
-    for k in range(1, grid.n_levels):
-        s = float(grid.ts[k])
-        shift = (tau - s) / tau * y0
-        for fi, (int_idx, bnd_idx) in enumerate(sol.faces):
-            incr = sol.boundary_flux[k, fi]
-            if incr != 0.0:
-                boundary += sample_field(w, grid.coords[bnd_idx] + shift, s) * incr
+    boundary = _boundary_sum(w, sol, lambda s: (tau - s) / tau * y0)
 
     lhs = sample_field(w, y0, 0.0)
     rhs = lagr + running + terminal + boundary

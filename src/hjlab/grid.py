@@ -236,10 +236,6 @@ class Grid:
             idx.append(int(np.clip(i, 0, self.shape[a] - 1)))
         return tuple(idx)
 
-    def nearest_level(self, t):
-        k = int(round(t / self.dt))
-        return int(np.clip(k, 0, self.spec.nt))
-
     def subgrid_slices(self, half_width):
         """Index slices selecting the centered sub-box of given half width."""
         m = half_width / self.dx
@@ -568,7 +564,10 @@ def restrict_field(u: ScalarField, half_width: float) -> ScalarField:
 
 def write_field_csv(u: ScalarField, path_or_buf):
     """CSV per spec: '# grid: N,R,dx,T,dt,mask' then rows t,x1[,x2],value."""
-    s = u.grid.spec
+    g = u.grid
+    s = g.spec
+    xs = g.coords[g.active]
+    row = ",".join(["%.17g"] * (g.dim + 2)) + "\n"
     own = isinstance(path_or_buf, (str,))
     fh = open(path_or_buf, "w") if own else path_or_buf
     try:
@@ -576,21 +575,21 @@ def write_field_csv(u: ScalarField, path_or_buf):
             "# grid: %d,%.17g,%.17g,%.17g,%.17g,%d\n"
             % (s.dim, s.half_width, s.dx, s.horizon, s.dt, int(s.ball_mask))
         )
-        act = np.argwhere(u.grid.active)
-        for k, t in enumerate(u.grid.ts):
-            lev = u.values[k]
-            for idx in act:
-                idx = tuple(int(i) for i in idx)
-                x = u.grid.coords[idx]
-                cols = ["%.17g" % t] + ["%.17g" % xi for xi in x]
-                cols.append("%.17g" % lev[idx])
-                fh.write(",".join(cols) + "\n")
+        for t, lev in zip(g.ts, u.values):
+            cols = np.column_stack([np.full(len(xs), t), xs, lev[g.active]])
+            fh.write((row * len(xs)) % tuple(cols.ravel().tolist()))
     finally:
         if own:
             fh.close()
 
 
 def read_field_csv(path_or_buf) -> ScalarField:
+    """Inverse of write_field_csv; every active node exactly once, finite.
+
+    Rows off the lattice (beyond 1e-9 of a step), at inactive or repeated
+    nodes, with non-finite entries, and nodes without a row raise ValueError
+    naming the row (data rows counted from 1) or the missing node.
+    """
     own = isinstance(path_or_buf, (str,))
     fh = open(path_or_buf, "r") if own else path_or_buf
     try:
@@ -609,19 +608,46 @@ def read_field_csv(path_or_buf) -> ScalarField:
             ball_mask=bool(int(parts[5])),
         )
         grid = Grid(spec)
-        vals = np.zeros((grid.n_levels,) + grid.shape)
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            cols = line.split(",")
-            t = float(cols[0])
-            x = [float(c) for c in cols[1 : 1 + grid.dim]]
-            v = float(cols[1 + grid.dim])
-            k = grid.nearest_level(t)
-            idx = grid.nearest_node(x)
-            vals[(k,) + idx] = v
-        return ScalarField(grid, vals)
+        rows = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)
     finally:
         if own:
             fh.close()
+    ncol = grid.dim + 2
+    if rows.size == 0:
+        rows = rows.reshape(0, ncol)
+    if rows.shape[1] != ncol:
+        raise ValueError(f"{rows.shape[1]} columns per row, expected {ncol} (t, x..., value)")
+
+    def bad_row(mask, what):
+        i = int(np.argmax(mask))
+        return ValueError(f"row {i + 1} (t={rows[i, 0]:.17g}, x={rows[i, 1:-1].tolist()}): {what}")
+
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise bad_row(~finite, "non-finite entry")
+    index = []
+    steps = (spec.dt,) + (spec.dx,) * grid.dim
+    for col, axis, h in zip(rows[:, :-1].T, (grid.ts,) + grid.axes, steps):
+        i = np.clip(np.rint((col - axis[0]) / h), 0, len(axis) - 1).astype(np.int64)
+        off = np.abs(col - axis[i]) > 1e-9 * h
+        if off.any():
+            raise bad_row(off, "not a grid node")
+        index.append(i)
+    index = tuple(index)
+    inactive = ~grid.active[index[1:]]
+    if inactive.any():
+        raise bad_row(inactive, "inactive node")
+    full_shape = (grid.n_levels,) + grid.shape
+    repeat = np.ones(len(rows), dtype=bool)
+    repeat[np.unique(np.ravel_multi_index(index, full_shape), return_index=True)[1]] = False
+    if repeat.any():
+        raise bad_row(repeat, "node given more than once")
+    vals = np.zeros(full_shape)
+    vals[index] = rows[:, -1]
+    seen = np.zeros(full_shape, dtype=bool)
+    seen[index] = True
+    missing = ~seen & grid.active
+    if missing.any():
+        k, *idx = (int(i) for i in np.argwhere(missing)[0])
+        raise ValueError(f"no row for node t={grid.ts[k]:.17g}, x={grid.coords[tuple(idx)].tolist()}")
+    return ScalarField(grid, vals)

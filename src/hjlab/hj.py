@@ -8,7 +8,9 @@ constants are exact fixed points of the scheme.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -155,22 +157,25 @@ def solve_hj(
     """March the backward equation from the terminal level.
 
     Diffusion is implicit (direct sparse solve per step), the Hamiltonian
-    h * (Godunov |Du|)^gamma explicit.  Each macro step is subdivided so that
-    dt <= dx / (gamma*h1*P^(gamma-1) + eps) holds for the realized Godunov
-    gradient P; a step whose realized gradient invalidates its own dt is
-    retried with halved dt, at most max_halvings times, and a macro step may
-    not need more than max_substeps subdivisions.
+    h * (Godunov |Du|)^gamma explicit.  Every substep length is a dyadic rung
+    grid.dt / 2**j: the largest rung that fits in what is left of the macro
+    step and satisfies dt <= cfl_safety * dx / (gamma*h1*P^(gamma-1) + eps)
+    for the current Godunov gradient P.  A step whose realized gradient
+    invalidates its own dt is retried one rung down, at most max_halvings
+    times, and a macro step may not need more than max_substeps substeps.
+    The time left in a macro step is kept as an exact dyadic fraction, so
+    round-off never opens an extra rung, and the diffusion matrix is
+    LU-factored once per rung used.
     """
     L, B, int_idx, _ = grid.laplacian_ops()
     int_mask = grid.interior
     eye = sp.identity(len(int_idx), format="csc")
-    lu_cache: dict[float, object] = {}
+    lu_cache: dict[int, object] = {}
 
-    def factor(dt):
-        key = float(dt)
-        if key not in lu_cache:
-            lu_cache[key] = spla.splu((eye - problem.sigma * dt * L).tocsc())
-        return lu_cache[key]
+    def factor(j):
+        if j not in lu_cache:
+            lu_cache[j] = spla.splu((eye - problem.sigma * math.ldexp(grid.dt, -j) * L).tocsc())
+        return lu_cache[j]
 
     def blowup_at(arr, t):
         bad = np.argwhere(~np.isfinite(arr))
@@ -189,11 +194,12 @@ def solve_hj(
     log = []
     P_user = gradient_bound if gradient_bound is not None else 0.0
     v = levels[nt].copy()
-    t_cur = grid.ts[-1]
+    t_cur = float(grid.ts[-1])
     for k in range(nt - 1, -1, -1):
-        t_target = grid.ts[k]
+        t_target = float(grid.ts[k])
+        left = Fraction(1)  # time left in this macro step, in units of grid.dt
         substeps = 0
-        while t_cur > t_target + 1e-14:
+        while left > 0:
             substeps += 1
             if substeps > max_substeps:
                 raise NumericalFailure(
@@ -201,16 +207,21 @@ def solve_hj(
                 )
             G = godunov_magnitude_level(v, grid.dx)
             Pmax = max(float(np.max(G[int_mask])), P_user)
-            dt = min(t_cur - t_target, cfl_safety * cfl_dt(Pmax))
+            limit = cfl_safety * cfl_dt(Pmax)
+            j = 0
+            while left * 2 ** j < 1 or math.ldexp(grid.dt, -j) > limit:
+                j += 1
             halvings = 0
             while True:
-                t_new = t_cur - dt
+                dt = math.ldexp(grid.dt, -j)
+                left_new = left - Fraction(1, 2 ** j)
+                t_new = t_target + float(left_new) * grid.dt
                 h_arr = problem.h_level(grid, t_new)
                 f_arr = problem.f_level(grid, t_new)
                 expl = v[int_mask] + dt * (f_arr[int_mask] - h_arr[int_mask] * G[int_mask] ** problem.gamma)
                 bnd_new = problem.lateral_values(grid, t_new)
                 rhs = expl + problem.sigma * dt * (B @ bnd_new)
-                sol = factor(dt).solve(rhs)
+                sol = factor(j).solve(rhs)
                 if not np.all(np.isfinite(sol)):
                     full = np.zeros(grid.shape)
                     full[int_mask] = sol
@@ -229,22 +240,22 @@ def solve_hj(
                     raise NumericalFailure(
                         f"CFL retry limit exceeded at node x={tuple(grid.coords[idx])}, t={t_new}"
                     )
-                dt = 0.5 * dt
+                j += 1
             lin_res = float(np.max(np.abs(sol - problem.sigma * dt * (L @ sol) - rhs)))
             scale = max(1.0, float(np.max(np.abs(rhs))))
             log.append(
                 {
-                    "t_from": float(t_cur),
-                    "t_to": float(t_cur - dt),
-                    "dt": float(dt),
+                    "t_from": t_cur,
+                    "t_to": t_new,
+                    "dt": dt,
                     "halvings": halvings,
                     "linear_residual": lin_res / scale,
                     "godunov_max": G_new_max,
                 }
             )
             v = v_new
-            t_cur = t_cur - dt
-        t_cur = t_target  # kill residual round-off in the time ladder
+            t_cur = t_new
+            left = left_new
         levels[k] = v
 
     u = ScalarField(grid, levels)

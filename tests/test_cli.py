@@ -217,6 +217,17 @@ class TestCliRuns:
         )
         assert code == 2
 
+    def test_f_file_with_nonfinite_row_exits_2(self, tmp_path):
+        g = make_grid(GridSpec(1, 1.0, 0.25, 1.0, 0.25))
+        path = tmp_path / "f.csv"
+        write_field_csv(ScalarField.constant(g, 1.0), str(path))
+        path.write_text(path.read_text().replace("0,0,1\n", "0,0,nan\n"))
+        code = self.run(
+            ["solve-hj", "--grid", "1,1,1/4,1,1/4", "--f-file", str(path),
+             "--out", str(tmp_path / "w")]
+        )
+        assert code == 2
+
     def test_liouville_probe_subcommand(self, tmp_path):
         code = self.run(
             ["liouville-probe", "--R-list", "4", "--tau-list", "2,8", "--dx", "0.25",

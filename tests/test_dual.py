@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hjlab.grid import GridSpec, ScalarField, make_grid
+from hjlab.grid import GridSpec, ScalarField, make_grid, sample_field
 from hjlab.hj import manufactured_rhs, ms_cosine, solve_hj, HJProblem, solve_manufactured
 from hjlab.fp import FPProblem, drift_from_solution, solve_fp
 from hjlab.dual import (
@@ -79,6 +79,21 @@ class TestDualityIdentity:
 
 
 class TestBentDuality:
+    def test_boundary_terms_are_the_per_face_sums(self):
+        # reference: one interpolation per face and level, added in that order
+        w, f, sol = manufactured_pair(2.0, 1 / 16)
+        g, y0 = sol.grid, np.array([1.0])
+        ref = {0.0: 0.0, 1.0: 0.0}
+        for k in range(1, g.n_levels):
+            s = float(g.ts[k])
+            for fi, (_, b) in enumerate(sol.faces):
+                incr = sol.boundary_flux[k, fi]
+                if incr != 0.0:
+                    for y in ref:
+                        ref[y] += sample_field(w, g.coords[b] + (1.0 - s) * y * y0, s) * incr
+        assert duality_identity(w, f, sol, 1.0, 3.0).boundary == ref[0.0]
+        assert bent_duality(w, f, sol, y0, 3.0, ell_constant(1.0, 3.0)).boundary == ref[1.0]
+
     def test_zero_bend_matches_identity_direction(self):
         w, f, sol = manufactured_pair(0.5, 1 / 16)
         ell0 = ell_constant(1.0, 3.0)

@@ -220,6 +220,19 @@ class TestSamplingAndIO:
         first = buf.getvalue().splitlines()[0]
         assert first.startswith("# grid: 1,1,0.25,1,0.25,0")
 
+    def test_csv_writer_matches_per_node_format(self):
+        # reference: the row format applied node by node, levels outermost
+        g = make_grid(GridSpec(2, 1.0, 0.25, 1.0, 0.5, ball_mask=True))
+        u = random_field(g, seed=23, scale=1e-7)
+        buf = io.StringIO()
+        write_field_csv(u, buf)
+        rows = [
+            "%.17g,%.17g,%.17g,%.17g\n" % (t, *g.coords[tuple(idx)], u.values[k][tuple(idx)])
+            for k, t in enumerate(g.ts)
+            for idx in np.argwhere(g.active)
+        ]
+        assert buf.getvalue() == "# grid: 2,1,0.25,1,0.5,1\n" + "".join(rows)
+
     def test_csv_round_trip_2d_ball(self):
         g = make_grid(GridSpec(2, 1.0, 0.25, 1.0, 0.5, ball_mask=True))
         u = random_field(g, seed=19)
@@ -230,6 +243,33 @@ class TestSamplingAndIO:
         assert back.grid.spec == u.grid.spec
         np.testing.assert_array_equal(back.values[:, g.active], u.values[:, g.active])
 
+
+def _edit_row(text, row, edit):
+    """CSV text with data row `row` (counted from 1) replaced by edit(columns)."""
+    lines = text.splitlines(keepends=True)
+    cols = lines[row].rstrip("\n").split(",")
+    lines[row] = "".join(line + "\n" for line in edit(cols))
+    return "".join(lines)
+
+
+@pytest.mark.parametrize(
+    "ball, edit, match",
+    [
+        (False, lambda c: [], r"no row for node t=0, x=\[-0.5\]"),
+        (False, lambda c: [",".join([c[0], "-0.49", c[2]])], r"row 3 \(t=0, x=\[-0.49\]\): not a grid node"),
+        (False, lambda c: [",".join(["0.1"] + c[1:])], r"row 3 \(t=0.1.*not a grid node"),
+        (False, lambda c: [",".join(c[:2] + ["nan"])], r"row 3 .*non-finite"),
+        (False, lambda c: [",".join(c), ",".join(c)], r"row 4 .*more than once"),
+        (True, lambda c: [",".join(c), "0,-1,-1,0"], r"row 4 \(t=0, x=\[-1.0, -1.0\]\): inactive node"),
+    ],
+    ids=["missing", "off_node_x", "off_node_t", "non_finite", "duplicate", "inactive"],
+)
+def test_csv_reader_rejects_bad_rows(grid_1d, ball, edit, match):
+    g = make_grid(GridSpec(2, 1.0, 0.25, 1.0, 0.5, ball_mask=True)) if ball else grid_1d
+    buf = io.StringIO()
+    write_field_csv(random_field(g, seed=3), buf)
+    with pytest.raises(ValueError, match=match):
+        read_field_csv(io.StringIO(_edit_row(buf.getvalue(), 3, edit)))
 
 @settings(max_examples=50, deadline=None)
 @given(

@@ -1,6 +1,12 @@
+import math
+from fractions import Fraction
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import hjlab.hj
 from hjlab.grid import GridSpec, NumericalFailure, ScalarField, make_grid
 from hjlab.hj import (
     HJProblem,
@@ -10,6 +16,7 @@ from hjlab.hj import (
     gamma_conjugate,
     legendre_gap,
     linf_error,
+    manufactured_problem,
     manufactured_rhs,
     ms_linear_time,
     ms_sine,
@@ -175,6 +182,69 @@ class TestSolver:
         p = HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=2.0, h=h, f=1.0)
         sol = solve_hj(p, g)
         assert np.all(np.isfinite(sol.u.values))
+
+
+def solve_counting_splu(problem, grid, **kwargs):
+    """solve_hj with the number of sparse LU factorizations it made."""
+    calls = []
+    real = hjlab.hj.spla.splu
+
+    def splu(A, *args, **kw):
+        calls.append(A.shape)
+        return real(A, *args, **kw)
+
+    with mock.patch.object(hjlab.hj.spla, "splu", splu):
+        sol = solve_hj(problem, grid, **kwargs)
+    return sol, len(calls)
+
+
+def rung_of(grid, dt):
+    """j with dt == grid.dt / 2**j exactly, or None."""
+    j = round(math.log2(grid.dt / dt))
+    return j if j >= 0 and dt == math.ldexp(grid.dt, -j) else None
+
+
+class TestDyadicLadder:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        dim=st.sampled_from([1, 2]),
+        ball=st.booleans(),
+        dx=st.sampled_from([0.25, 0.125]),
+        dt=st.sampled_from([0.1, 0.125, 0.25, 1 / 3]),
+        amplitude=st.floats(0.0, 4.0),
+        c=st.floats(-10.0, 10.0),
+    )
+    @example(dim=1, ball=False, dx=0.125, dt=0.1, amplitude=3.0, c=1.0)
+    @example(dim=2, ball=True, dx=0.125, dt=0.1, amplitude=3.0, c=-2.5)
+    def test_substeps_are_rungs_factored_once(self, dim, ball, dx, dt, amplitude, c):
+        g = make_grid(GridSpec(dim, 1.0, dx, 2 * dt, dt, ball_mask=ball))
+
+        const = HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=1.0, terminal=c, lateral=c)
+        sol, n_lu = solve_counting_splu(const, g)
+        assert np.max(np.abs(sol.u.values[:, g.active] - c)) <= 1e-12 * max(1.0, abs(c))
+        assert n_lu == 1 and all(row["dt"] == g.dt for row in sol.log)
+
+        bump = lambda x: amplitude * np.prod(np.cos(0.5 * np.pi * x), axis=-1)
+        p = HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=1.0, terminal=bump, lateral=0.0)
+        sol, n_lu = solve_counting_splu(p, g)
+        rungs = [rung_of(g, row["dt"]) for row in sol.log]
+        assert None not in rungs
+        tried = {j - h for j, row in zip(rungs, sol.log) for h in range(row["halvings"] + 1)}
+        assert n_lu == len(tried)
+        # the rungs of each macro step add up to grid.dt exactly
+        ends, done = [], Fraction(0)
+        for j, row in zip(rungs, sol.log):
+            done += Fraction(1, 2 ** j)
+            if done.denominator == 1:
+                ends.append(row["t_to"])
+        assert done == g.spec.nt and ends == list(g.ts[-2::-1])
+
+    def test_readme_1d_solve_factors_at_most_15_times(self):
+        g = make_grid(GridSpec(1, 1.0, 1 / 64, 1.0, 1 / 256))
+        p = manufactured_problem(ms_sine(1.0), 3.0, 1.0, 1.0, 1.0)
+        p.terminal = ms_sine(1.0).terminal(1.0)
+        sol, n_lu = solve_counting_splu(p, g)
+        assert n_lu <= 15
 
 
 class TestManufacturedRhs:
