@@ -4,7 +4,15 @@ Discrete seminorms: the continuum sup over point pairs is replaced by the sup
 over active grid-node pairs of the same quotient (convergent from below under
 refinement).  Every optimized evaluator has a naive double-loop oracle
 (oracle_*) computing the identical arithmetic expression pair by pair; the two
-agree bit-for-bit and tests assert exact equality.
+agree bit-for-bit, value and argmax pair, and tests assert exact equality.
+
+Every seminorm is exact: no pair is ever sampled.  The classical and weighted
+sups over all node pairs are found by a block branch-and-bound
+(_BranchAndBound): a bound on a pair of node blocks covers every node pair
+between them, so block pairs that cannot reach the best value are pruned and
+only the node pairs of the others are evaluated.  Ties go, as in the oracles,
+to the lexicographically first pair (i, j), i < j, in node order (level-major,
+spatial-lex).
 """
 
 from __future__ import annotations
@@ -15,17 +23,14 @@ import numpy as np
 
 from .grid import Cylinder, ScalarField, spacetime_integral
 
-PAIR_BUDGET = 10 ** 8
-_SAMPLE_PAIRS = 5 * 10 ** 6
-
 
 @dataclass
 class SeminormResult:
     value: float
     pair: tuple | None = None  # ((x, t), (x_bar, t_bar)) achieving the sup
-    exact: bool = True
+    exact: bool = True  # every node pair is covered; no pair is ever sampled
     degenerate: bool = False
-    seed: int | None = None
+    pairs_evaluated: int = 0  # node pairs whose quotient was computed
 
 
 @dataclass
@@ -74,6 +79,7 @@ class _Nodes:
         self.n = n
         self.m_space = m
         self.n_levels = len(levels)
+        self.dx, self.dt = g.dx, g.dt
 
         # distances to the backward parabolic boundary of Q
         if Q.radius is not None:
@@ -130,57 +136,255 @@ def _scan_best(values, ii, jj, best, best_ij):
 
 
 def _enumerate_max(nodes, pair_fn, index_pairs):
-    """Chunked vectorized sup over the given (i_array, j_array) pair stream."""
+    """Chunked vectorized sup over the given (i_array, j_array) pair stream.
+
+    Returns (sup, argmax pair, number of pairs evaluated).
+    """
     best = -np.inf
     best_ij = None
+    count = 0
     for ii, jj in index_pairs:
         vals = pair_fn(nodes, ii, jj)
+        count += vals.size
         best, best_ij = _scan_best(vals, ii, jj, best, best_ij)
-    return best, best_ij
+    return best, best_ij, count
 
 
-def _all_pairs_stream(n, chunk_rows=None):
-    """Yield (i, j) index arrays covering all i < j in lexicographic order."""
-    if n < 2:
-        return
-    if chunk_rows is None:
-        chunk_rows = max(1, int(4_000_000 // max(n, 1)))
-    for i0 in range(0, n - 1, chunk_rows):
-        i1 = min(i0 + chunk_rows, n - 1)
-        ii_list, jj_list = [], []
-        for i in range(i0, i1):
-            jj = np.arange(i + 1, n, dtype=np.int64)
-            ii_list.append(np.full(len(jj), i, dtype=np.int64))
-            jj_list.append(jj)
-        yield np.concatenate(ii_list), np.concatenate(jj_list)
-
-
-def _sampled_pairs_stream(n, seed, n_samples=_SAMPLE_PAIRS):
-    rng = np.random.default_rng(seed)
-    done = 0
-    while done < n_samples:
-        k = min(1_000_000, n_samples - done)
-        a = rng.integers(0, n, k)
-        b = rng.integers(0, n, k)
-        keep = a != b
-        ii = np.minimum(a[keep], b[keep])
-        jj = np.maximum(a[keep], b[keep])
-        done += k
-        yield ii, jj
-
-
-def _result_from(nodes, best, best_ij, exact, seed=None):
+def _result_from(nodes, best, best_ij, pairs_evaluated):
     if best_ij is None:
-        return SeminormResult(0.0, None, exact=exact, degenerate=True, seed=seed)
+        return SeminormResult(0.0, None, degenerate=True, pairs_evaluated=pairs_evaluated)
     i, j = best_ij
     pair = (
         (tuple(nodes.x[i]), float(nodes.t[i])),
         (tuple(nodes.x[j]), float(nodes.t[j])),
     )
-    return SeminormResult(float(best), pair, exact=exact, seed=seed)
+    return SeminormResult(float(best), pair, pairs_evaluated=pairs_evaluated)
 
 
-def _classical_scan(u, alpha, c, Q, pair_budget, seed):
+# -- exact classical / weighted sup by block branch-and-bound --------------------
+
+# Bounds are inflated by this factor so that they dominate the *rounded* pair
+# values: the array power is not correctly rounded, so a node pair's computed
+# quotient may exceed the same expression formed from the block gaps by an ulp.
+_MARGIN = 1.0 + 1e-9
+_LEAF_NODES = 16  # nodes per tile at the deepest depth
+_BLOCK_BATCH = 1 << 14  # parent block pairs refined together
+_PAIR_BATCH = 1 << 18  # node pairs evaluated together
+
+
+def _spatial_order(nodes):
+    """Spatial positions along a Z-order curve, so that a range of them is compact.
+
+    In 1D this is the node order itself.
+    """
+    if nodes.x.shape[1] == 1:
+        return np.arange(nodes.m_space)
+    xs = nodes.x[: nodes.m_space]
+    k = np.rint((xs - xs.min(axis=0)) / nodes.dx).astype(np.int64)
+    key = np.zeros(nodes.m_space, dtype=np.int64)
+    for bit in range(int(k.max()).bit_length()):
+        for a in range(2):
+            key |= ((k[:, a] >> bit) & 1) << (2 * bit + (1 - a))
+    return np.argsort(key, kind="stable")
+
+
+def _tile_rows(arr, lt, st, fill):
+    """(levels, positions, ...) array -> (tiles, lt * st, ...), padded with fill.
+
+    Tile (bl, bs) covers levels [bl*lt, (bl+1)*lt) and positions [bs*st, (bs+1)*st);
+    its id is bl * n_space_tiles + bs.
+    """
+    L, m = arr.shape[:2]
+    nl, ns = -(-L // lt), -(-m // st)
+    pad = np.full((nl * lt, ns * st) + arr.shape[2:], fill, dtype=arr.dtype)
+    pad[:L, :m] = arr
+    pad = pad.reshape((nl, lt, ns, st) + arr.shape[2:]).swapaxes(1, 2)
+    return pad.reshape((nl * ns, lt * st) + arr.shape[2:])
+
+
+class _Tiles:
+    """Summary of every tile at one depth of the block hierarchy."""
+
+    def __init__(self, idx, v, dist, xs, ts, lt, st, n):
+        L, m = idx.shape
+        self.idx, self.lt, self.st = idx, lt, st
+        self.nl, self.ns = -(-L // lt), -(-m // st)
+        members = self.members()
+        rows = np.arange(len(members))
+        vmax = _tile_rows(v, lt, st, -np.inf)
+        vmin = _tile_rows(v, lt, st, np.inf)
+        self.imax = members[rows, np.argmax(vmax, axis=1)]
+        self.imin = members[rows, np.argmin(vmin, axis=1)]
+        self.vmax = vmax.max(axis=1)
+        self.vmin = vmin.min(axis=1)
+        self.dmax = _tile_rows(dist, lt, st, -np.inf).max(axis=1)
+        # the two smallest node indices of each tile (n when there is no second)
+        order = np.sort(np.where(members >= 0, members, n), axis=1)
+        self.first = order[:, 0]
+        self.second = order[:, 1] if lt * st > 1 else np.full(len(members), n)
+        self.xlo = _tile_rows(xs[None], 1, st, np.inf).min(axis=1)
+        self.xhi = _tile_rows(xs[None], 1, st, -np.inf).max(axis=1)
+        self.tlo = _tile_rows(ts[:, None], lt, 1, np.inf).min(axis=1)
+        self.thi = _tile_rows(ts[:, None], lt, 1, -np.inf).max(axis=1)
+
+    def members(self):
+        """Node indices of each tile, -1 padded: (tiles, lt * st)."""
+        return _tile_rows(self.idx, self.lt, self.st, -1)
+
+
+class _BranchAndBound:
+    """Exact sup of the classical (c None) or weighted quotient over all node pairs.
+
+    Tiles are ranges of levels x ranges of spatial positions (see
+    _spatial_order).  Depth 0 is one tile; each deeper depth halves the tiles
+    along levels or along positions, whichever spans the larger parabolic
+    distance, down to _LEAF_NODES nodes.  For tiles A, B every node pair
+    between them has a quotient at most
+
+        max(vmax_A - vmin_B, vmax_B - vmin_A) / (boxgap + sqrt(tgap))^alpha
+
+    times min(maxdist_A, maxdist_B)^c when weighted, because the parabolic
+    separation is a metric.  Block pairs are refined depth first, highest
+    bound first, in batches (so the frontier stays a few batches per depth),
+    and at the deepest depth their node pairs are evaluated with
+    _pair_value_classical, exactly as the oracles do.  A block pair is
+    dropped when its bound is below the best value found, or equal to it and
+    its lexicographically first pair comes after the best pair; so the result
+    is the oracle's first strict maximum, value and pair.
+    """
+
+    def __init__(self, nodes, alpha, c):
+        self.nodes, self.alpha, self.c = nodes, alpha, c
+        self.best = -np.inf
+        self.best_key = nodes.n * nodes.n  # i * n + j of the best pair
+        self.evaluated = 0
+        L, m, n = nodes.n_levels, nodes.m_space, nodes.n
+        order = _spatial_order(nodes)
+        idx = np.arange(L)[:, None] * m + order[None, :]
+        v = nodes.v[idx]
+        dist = nodes.dist[idx]
+        xs = nodes.x[order]
+        ts = nodes.t[::m]
+        lt = 1 << (L - 1).bit_length()
+        st = 1 << (m - 1).bit_length()
+        dim = nodes.x.shape[1]
+        self.depths = [_Tiles(idx, v, dist, xs, ts, lt, st, n)]
+        self.split_levels = []
+        while lt * st > _LEAF_NODES:
+            time_extent = np.sqrt(lt * nodes.dt)
+            space_extent = (st if dim == 1 else np.sqrt(st)) * nodes.dx
+            split_levels = st == 1 or (lt > 1 and time_extent >= space_extent)
+            if split_levels:
+                lt //= 2
+            else:
+                st //= 2
+            self.split_levels.append(split_levels)
+            self.depths.append(_Tiles(idx, v, dist, xs, ts, lt, st, n))
+        self.leaf_members = self.depths[-1].members()
+
+    def run(self):
+        root = np.zeros(1, dtype=np.int64)
+        self._descend(0, root, root)
+        n = self.nodes.n
+        return self.best, divmod(int(self.best_key), n), self.evaluated
+
+    def _alive(self, bound, key):
+        return (bound > self.best) | ((bound == self.best) & (key < self.best_key))
+
+    def _bound(self, T, a, b):
+        la, sa = np.divmod(a, T.ns)
+        lb, sb = np.divmod(b, T.ns)
+        dv = np.maximum(T.vmax[a] - T.vmin[b], T.vmax[b] - T.vmin[a])
+        gap = np.maximum(np.maximum(T.xlo[sb] - T.xhi[sa], T.xlo[sa] - T.xhi[sb]), 0.0)
+        if gap.shape[1] == 1:
+            space = gap[:, 0]
+        else:
+            space = np.sqrt(gap[:, 0] ** 2 + gap[:, 1] ** 2)
+        tgap = np.maximum(np.maximum(T.tlo[lb] - T.thi[la], T.tlo[la] - T.thi[lb]), 0.0)
+        den = (space + np.sqrt(tgap)) ** self.alpha
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = dv / den  # overlapping tiles: gap 0, bound inf
+            q[dv == 0] = 0.0  # constant block pair: 0/0 is 0
+            if self.c is not None:
+                w = np.minimum(T.dmax[a], T.dmax[b]) ** self.c
+                q = np.where(w == 0, 0.0, q * w)  # zero weight: 0 * inf is 0
+        return q * _MARGIN
+
+    def _first_key(self, T, a, b):
+        """i * n + j of the lexicographically first pair between tiles a and b."""
+        lo = np.minimum(T.first[a], T.first[b])
+        hi = np.where(a == b, T.second[a], np.maximum(T.first[a], T.first[b]))
+        return lo * self.nodes.n + hi
+
+    def _offer(self, lo, hi):
+        """Evaluate the node pairs (lo < hi) and keep the first strict maximum."""
+        if lo.size == 0:
+            return
+        vals = _pair_value_classical(self.nodes, lo, hi, self.alpha, c=self.c)
+        self.evaluated += vals.size
+        top = vals.max()
+        key = (lo * self.nodes.n + hi)[vals == top].min()
+        if top > self.best or (top == self.best and key < self.best_key):
+            self.best, self.best_key = float(top), key
+
+    def _children(self, d, t):
+        """Child tile ids of the tiles t, shape (len(t), 2); -1 where there is none."""
+        T, C = self.depths[d], self.depths[d + 1]
+        l, s = np.divmod(t, T.ns)
+        k = np.arange(2)
+        if self.split_levels[d]:
+            cl, cs = 2 * l[:, None] + k, np.repeat(s[:, None], 2, axis=1)
+        else:
+            cl, cs = np.repeat(l[:, None], 2, axis=1), 2 * s[:, None] + k
+        return np.where((cl < C.nl) & (cs < C.ns), cl * C.ns + cs, -1)
+
+    def _descend(self, d, a, b):
+        T = self.depths[d]
+        bound = self._bound(T, a, b)
+        key = self._first_key(T, a, b)
+        order = np.lexsort((key, -bound))
+        keep = order[self._alive(bound[order], key[order])]
+        a, b, bound, key = a[keep], b[keep], bound[keep], key[keep]
+        if d == len(self.depths) - 1:
+            self._leaves(a, b, bound, key)
+            return
+        # the extreme nodes of each block pair give real pairs to raise the best early
+        lo = np.concatenate([np.minimum(T.imax[a], T.imin[b]), np.minimum(T.imax[b], T.imin[a])])
+        hi = np.concatenate([np.maximum(T.imax[a], T.imin[b]), np.maximum(T.imax[b], T.imin[a])])
+        self._offer(lo[lo != hi], hi[lo != hi])
+        C = self.depths[d + 1]
+        for s in range(0, len(a), _BLOCK_BATCH):
+            sl = slice(s, s + _BLOCK_BATCH)
+            alive = self._alive(bound[sl], key[sl])
+            pa, pb = a[sl][alive], b[sl][alive]
+            ca = self._children(d, pa)[:, :, None]
+            cb = self._children(d, pb)[:, None, :]
+            ok = (ca >= 0) & (cb >= 0)
+            self_pair = (pa == pb)[:, None, None]
+            # a self pair splits into two child self pairs and one cross pair;
+            # a child self pair of a single node holds no pair
+            ok &= ~self_pair | ((ca <= cb) & ((ca != cb) | (C.second[ca] < self.nodes.n)))
+            ca, cb = np.broadcast_arrays(ca, cb)
+            if ok.any():
+                self._descend(d + 1, ca[ok], cb[ok])
+
+    def _leaves(self, a, b, bound, key):
+        members = self.leaf_members
+        width = members.shape[1]
+        step = max(1, _PAIR_BATCH // (width * width))
+        for s in range(0, len(a), step):
+            sl = slice(s, s + step)
+            alive = self._alive(bound[sl], key[sl])
+            pa, pb = a[sl][alive], b[sl][alive]
+            ii = members[pa][:, :, None]
+            jj = members[pb][:, None, :]
+            ok = (ii >= 0) & (jj >= 0) & ((pa != pb)[:, None, None] | (ii < jj))
+            ii, jj = np.broadcast_arrays(ii, jj)
+            ii, jj = ii[ok], jj[ok]
+            self._offer(np.minimum(ii, jj), np.maximum(ii, jj))
+
+
+def _classical_scan(u, alpha, c, Q):
     """Sup of the classical quotient, weighted by min boundary distance ^ c unless c is None."""
     if c is not None and c < 0:
         raise ValueError("c must be >= 0")
@@ -189,23 +393,20 @@ def _classical_scan(u, alpha, c, Q, pair_budget, seed):
     nodes = _Nodes(u, Q)
     if nodes.n < 2:
         return SeminormResult(0.0, None, degenerate=True)
-    npairs = nodes.n * (nodes.n - 1) // 2
-    fn = lambda nd, i, j: _pair_value_classical(nd, i, j, alpha, c=c)
-    if npairs <= pair_budget:
-        best, ij = _enumerate_max(nodes, fn, _all_pairs_stream(nodes.n))
-        return _result_from(nodes, best, ij, exact=True)
-    best, ij = _enumerate_max(nodes, fn, _sampled_pairs_stream(nodes.n, seed))
-    return _result_from(nodes, best, ij, exact=False, seed=seed)
+    if not np.all(np.isfinite(nodes.v)):
+        raise ValueError("field has non-finite values on the cylinder")
+    best, ij, evaluated = _BranchAndBound(nodes, alpha, c).run()
+    return _result_from(nodes, best, ij, evaluated)
 
 
-def holder_seminorm(u, alpha, Q=None, pair_budget=PAIR_BUDGET, seed=0):
+def holder_seminorm(u, alpha, Q=None):
     """Classical parabolic seminorm sup |du| / (|dx| + |dt|^(1/2))^alpha."""
-    return _classical_scan(u, alpha, None, Q, pair_budget, seed)
+    return _classical_scan(u, alpha, None, Q)
 
 
-def weighted_holder(u, alpha, c, Q=None, pair_budget=PAIR_BUDGET, seed=0):
+def weighted_holder(u, alpha, c, Q=None):
     """Classical quotient weighted by min distance to the backward boundary ^ c."""
-    return _classical_scan(u, alpha, c, Q, pair_budget, seed)
+    return _classical_scan(u, alpha, c, Q)
 
 
 def _same_level_pairs(nodes):
@@ -242,8 +443,7 @@ def nonlinear_space(u, alpha, gamma, Q=None):
     if nodes.m_space < 2:
         return SeminormResult(0.0, None, degenerate=True)
     fn = lambda nd, i, j: _pair_value_nl_space(nd, i, j, alpha)
-    best, ij = _enumerate_max(nodes, fn, _same_level_pairs(nodes))
-    return _result_from(nodes, best, ij, exact=True)
+    return _result_from(nodes, *_enumerate_max(nodes, fn, _same_level_pairs(nodes)))
 
 
 def nonlinear_time(u, alpha, gamma, Q=None):
@@ -254,8 +454,7 @@ def nonlinear_time(u, alpha, gamma, Q=None):
     if nodes.n_levels < 2:
         return SeminormResult(0.0, None, degenerate=True)
     fn = lambda nd, i, j: _pair_value_nl_time(nd, i, j, alpha, gamma)
-    best, ij = _enumerate_max(nodes, fn, _same_space_pairs(nodes))
-    return _result_from(nodes, best, ij, exact=True)
+    return _result_from(nodes, *_enumerate_max(nodes, fn, _same_space_pairs(nodes)))
 
 
 def nonlinear_combined(u, alpha, z, gamma, Q=None):
@@ -271,9 +470,9 @@ def combine_nonlinear(space_value, time_value, z, gamma):
     return float(max(space_value, (time_value / z) ** (2.0 / gamma)))
 
 
-def seminorm_set(u, alpha, gamma, z, c, Q=None, pair_budget=PAIR_BUDGET, seed=0):
-    classical = holder_seminorm(u, alpha, Q, pair_budget, seed)
-    weighted = weighted_holder(u, alpha, c, Q, pair_budget, seed)
+def seminorm_set(u, alpha, gamma, z, c, Q=None):
+    classical = holder_seminorm(u, alpha, Q)
+    weighted = weighted_holder(u, alpha, c, Q)
     nl_s = nonlinear_space(u, alpha, gamma, Q)
     nl_t = nonlinear_time(u, alpha, gamma, Q)
     return SeminormSet(
@@ -294,7 +493,7 @@ def space_quotient(u, alpha, Q=None):
     if nodes.m_space < 2:
         return 0.0
     fn = lambda nd, i, j: np.abs(nd.v[i] - nd.v[j]) / nd.spatial_sep(i, j) ** alpha
-    best, ij = _enumerate_max(nodes, fn, _same_level_pairs(nodes))
+    best, ij, _ = _enumerate_max(nodes, fn, _same_level_pairs(nodes))
     return 0.0 if ij is None else float(best)
 
 
@@ -306,7 +505,7 @@ def time_quotient(u, alpha, Q=None):
     fn = lambda nd, i, j: np.abs(nd.v[i] - nd.v[j]) / np.abs(nd.t[i] - nd.t[j]) ** (
         alpha / 2
     )
-    best, ij = _enumerate_max(nodes, fn, _same_space_pairs(nodes))
+    best, ij, _ = _enumerate_max(nodes, fn, _same_space_pairs(nodes))
     return 0.0 if ij is None else float(best)
 
 
@@ -318,16 +517,18 @@ def _oracle_scan(nodes, pairs, value_fn):
     # (numpy scalar ** can differ from the array loop in the last ulp)
     best = -np.inf
     best_ij = None
+    count = 0
     ii = np.zeros(1, dtype=np.int64)
     jj = np.zeros(1, dtype=np.int64)
     for i, j in pairs:
         ii[0] = i
         jj[0] = j
         val = value_fn(nodes, ii, jj)[0]
+        count += 1
         if val > best:
             best = val
             best_ij = (i, j)
-    return _result_from(nodes, best, best_ij, exact=True)
+    return _result_from(nodes, best, best_ij, count)
 
 
 def _oracle_all_pairs(n):

@@ -1,3 +1,4 @@
+import csv
 import subprocess
 import sys
 
@@ -139,6 +140,30 @@ class TestCliRuns:
             l.split(",")[:2] for l in p.read_text().splitlines() if not l.startswith("#")
         ]
         assert strip(tmp_path / "sn_seminorms.csv") == strip(tmp_path / "sn_o_seminorms.csv")
+
+    def test_readme_seminorm_examples(self, tmp_path):
+        # the README solve-hj, its seminorm example, and the fast and --oracle
+        # runs on the README sub-cylinder
+        def rows(tag):
+            lines = (tmp_path / f"{tag}_seminorms.csv").read_text().splitlines()
+            return list(csv.DictReader(l for l in lines if not l.startswith("#")))
+
+        out = str(tmp_path / "run")
+        assert self.run(["solve-hj", "--grid", "1,1,1/64,1,1/256", "--manufactured", "sine",
+                         "--out", out]) == 0
+        field = f"{out}_solution.csv"
+        flags = ["--field", field, "--alpha", "0.5", "--gamma", "3", "--z", "1", "--c", "1"]
+        assert self.run(["seminorm", *flags, "--out", str(tmp_path / "sn")]) == 0
+        assert all(r["exact"] == "1" for r in rows("sn"))
+        sub = ["--sub-cylinder", "0.25,0.5,0.25,0.3125"]
+        assert self.run(["seminorm", *flags, *sub, "--out", str(tmp_path / "sn_sub")]) == 0
+        assert self.run(
+            ["seminorm", *flags, *sub, "--oracle", "--out", str(tmp_path / "sn_oracle")]
+        ) == 0
+        cols = ("seminorm", "value", "x", "t", "x_bar", "t_bar")
+        fast = [[r[c] for c in cols] for r in rows("sn_sub")]
+        assert fast == [[r[c] for c in cols] for r in rows("sn_oracle")]
+        assert all(r["degenerate"] == "0" for r in rows("sn_sub"))
 
     def test_solve_hj_outputs(self, tmp_path):
         code = self.run(
