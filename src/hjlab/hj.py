@@ -134,13 +134,7 @@ class HJProblem:
 @dataclass
 class HJSolution:
     u: ScalarField
-    residual: ScalarField
     log: list = field(default_factory=list)
-
-    @property
-    def max_interior_residual(self) -> float:
-        g = self.u.grid
-        return float(np.max(np.abs(self.residual.values[:, g.interior]))) if g.interior.any() else 0.0
 
 
 # -- solver -----------------------------------------------------------------------
@@ -258,9 +252,7 @@ def solve_hj(
             left = left_new
         levels[k] = v
 
-    u = ScalarField(grid, levels)
-    res = discrete_residual(u, problem)
-    return HJSolution(u=u, residual=res, log=log)
+    return HJSolution(u=ScalarField(grid, levels), log=log)
 
 
 def discrete_residual(u: ScalarField, problem: HJProblem) -> ScalarField:

@@ -6,18 +6,23 @@ refinement).  Every optimized evaluator has a naive double-loop oracle
 (oracle_*) computing the identical arithmetic expression pair by pair; the two
 agree bit-for-bit, value and argmax pair, and tests assert exact equality.
 
-Every seminorm is exact: no pair is ever sampled.  The classical and weighted
-sups over all node pairs are found by a block branch-and-bound
-(_BranchAndBound): a bound on a pair of node blocks covers every node pair
-between them, so block pairs that cannot reach the best value are pruned and
-only the node pairs of the others are evaluated.  Ties go, as in the oracles,
-to the lexicographically first pair (i, j), i < j, in node order (level-major,
-spatial-lex).
+Every seminorm is exact: no pair is ever sampled.  Every member (classical and
+weighted over all node pairs, nl_space over the pairs on one level, nl_time
+over the pairs at one position) and both plain quotients (space_quotient,
+time_quotient) are found by one block branch-and-bound (_BranchAndBound): a
+bound on a pair of node blocks covers every node pair between them, so block
+pairs that cannot reach the best value are pruned and only the node pairs of
+the others are evaluated.  Ties go, as in the oracles, to the first pair in
+the oracle's order: the lexicographically first pair (i, j), i < j, in node
+order (level-major, spatial-lex), except for nl_time and time_quotient, whose
+pairs run position-major: the first position, then the first level pair
+(a, b), a < b, at it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -58,27 +63,16 @@ class _Nodes:
         if Q.radius is not None:
             sel &= np.sum(g.coords ** 2, axis=-1) < Q.radius ** 2 + tol
         tsel = (g.ts >= Q.t0 - tol) & (g.ts <= Q.t1 + tol)
-        sp_idx = np.argwhere(sel)
         xs = g.coords[sel]  # (m, dim)
         levels = np.nonzero(tsel)[0]
-
-        m = len(sp_idx)
-        n = m * len(levels)
-        self.x = np.zeros((n, g.dim))
-        self.t = np.zeros(n)
-        self.v = np.zeros(n)
-        self.level_of = np.zeros(n, dtype=np.int64)
-        self.space_of = np.zeros(n, dtype=np.int64)
-        for li, k in enumerate(levels):
-            s = slice(li * m, (li + 1) * m)
-            self.x[s] = xs
-            self.t[s] = g.ts[k]
-            self.v[s] = u.values[k][sel]
-            self.level_of[s] = li
-            self.space_of[s] = np.arange(m)
+        m, L = len(xs), len(levels)
+        n = m * L
+        self.x = np.tile(xs, (L, 1))
+        self.t = np.repeat(g.ts[levels], m)
+        self.v = u.values[levels][:, sel].reshape(n)
         self.n = n
         self.m_space = m
-        self.n_levels = len(levels)
+        self.n_levels = L
         self.dx, self.dt = g.dx, g.dt
 
         # distances to the backward parabolic boundary of Q
@@ -115,39 +109,22 @@ def _pair_value_classical(nodes, i, j, alpha, c=None):
     return np.minimum(nodes.dist[i], nodes.dist[j]) ** c * q
 
 
+def _pair_value_space(nodes, i, j, alpha):
+    return np.abs(nodes.v[i] - nodes.v[j]) / nodes.spatial_sep(i, j) ** alpha
+
+
+def _pair_value_time(nodes, i, j, alpha):
+    return np.abs(nodes.v[i] - nodes.v[j]) / np.abs(nodes.t[i] - nodes.t[j]) ** (alpha / 2)
+
+
 def _pair_value_nl_space(nodes, i, j, alpha):
-    q = np.abs(nodes.v[i] - nodes.v[j]) / nodes.spatial_sep(i, j) ** alpha
+    q = _pair_value_space(nodes, i, j, alpha)
     return np.minimum(nodes.dist_alpha[i], nodes.dist_alpha[j]) * q
 
 
 def _pair_value_nl_time(nodes, i, j, alpha, gamma):
-    q = np.abs(nodes.v[i] - nodes.v[j]) / np.abs(nodes.t[i] - nodes.t[j]) ** (alpha / 2)
+    q = _pair_value_time(nodes, i, j, alpha)
     return np.minimum(nodes.dist_alpha[i], nodes.dist_alpha[j]) ** (gamma / 2) * q
-
-
-def _scan_best(values, ii, jj, best, best_ij):
-    """First strict maximum in the supplied (lex-ordered) pair list."""
-    if values.size == 0:
-        return best, best_ij
-    k = int(np.argmax(values))
-    if values[k] > best:
-        return float(values[k]), (int(ii[k]), int(jj[k]))
-    return best, best_ij
-
-
-def _enumerate_max(nodes, pair_fn, index_pairs):
-    """Chunked vectorized sup over the given (i_array, j_array) pair stream.
-
-    Returns (sup, argmax pair, number of pairs evaluated).
-    """
-    best = -np.inf
-    best_ij = None
-    count = 0
-    for ii, jj in index_pairs:
-        vals = pair_fn(nodes, ii, jj)
-        count += vals.size
-        best, best_ij = _scan_best(vals, ii, jj, best, best_ij)
-    return best, best_ij, count
 
 
 def _result_from(nodes, best, best_ij, pairs_evaluated):
@@ -161,7 +138,10 @@ def _result_from(nodes, best, best_ij, pairs_evaluated):
     return SeminormResult(float(best), pair, pairs_evaluated=pairs_evaluated)
 
 
-# -- exact classical / weighted sup by block branch-and-bound --------------------
+# -- exact sup over a pair family by block branch-and-bound ----------------------
+
+# Pair families: every node pair, the pairs on one level, the pairs at one position.
+_ALL_PAIRS, _SAME_LEVEL, _SAME_POSITION = "all pairs", "same level", "same position"
 
 # Bounds are inflated by this factor so that they dominate the *rounded* pair
 # values: the array power is not correctly rounded, so a node pair's computed
@@ -203,90 +183,141 @@ def _tile_rows(arr, lt, st, fill):
 
 
 class _Tiles:
-    """Summary of every tile at one depth of the block hierarchy."""
+    """Summary of every tile at one depth of the block hierarchy.
 
-    def __init__(self, idx, v, dist, xs, ts, lt, st, n):
-        L, m = idx.shape
-        self.idx, self.lt, self.st = idx, lt, st
-        self.nl, self.ns = -(-L // lt), -(-m // st)
-        members = self.members()
-        rows = np.arange(len(members))
-        vmax = _tile_rows(v, lt, st, -np.inf)
-        vmin = _tile_rows(v, lt, st, np.inf)
-        self.imax = members[rows, np.argmax(vmax, axis=1)]
-        self.imin = members[rows, np.argmin(vmin, axis=1)]
-        self.vmax = vmax.max(axis=1)
-        self.vmin = vmin.min(axis=1)
-        self.dmax = _tile_rows(dist, lt, st, -np.inf).max(axis=1)
-        # the two smallest node indices of each tile (n when there is no second)
-        order = np.sort(np.where(members >= 0, members, n), axis=1)
-        self.first = order[:, 0]
-        self.second = order[:, 1] if lt * st > 1 else np.full(len(members), n)
-        self.xlo = _tile_rows(xs[None], 1, st, np.inf).min(axis=1)
-        self.xhi = _tile_rows(xs[None], 1, st, -np.inf).max(axis=1)
-        self.tlo = _tile_rows(ts[:, None], lt, 1, np.inf).min(axis=1)
-        self.thi = _tile_rows(ts[:, None], lt, 1, -np.inf).max(axis=1)
+    Tiles of lt levels x st positions, formed by grouping the tiles of a finer
+    summary `base` (the single nodes, or the leaf tiles), so each depth costs
+    its number of tiles, not of nodes.  tmax / tmin are places in the tiled
+    (level, position) order, and ties go to the first, as np.argmax would
+    give over the tile's members.  first / second are the two smallest ranks
+    of the tile, n where there is no such node.
+    """
 
-    def members(self):
-        """Node indices of each tile, -1 padded: (tiles, lt * st)."""
-        return _tile_rows(self.idx, self.lt, self.st, -1)
+    def __init__(self, base, lt, st, n):
+        self.lt, self.st = lt, st
+        kl, ks = lt // base.lt, st // base.st
+        self.nl, self.ns = -(-base.nl // kl), -(-base.ns // ks)
+
+        def rows(arr, fill):
+            return _tile_rows(arr.reshape(base.nl, base.ns), kl, ks, fill)
+
+        last = np.iinfo(np.int64).max
+        vmax, vmin = rows(base.vmax, -np.inf), rows(base.vmin, np.inf)
+        self.vmax, self.vmin = vmax.max(axis=1), vmin.min(axis=1)
+        self.tmax = np.where(vmax == self.vmax[:, None], rows(base.tmax, last), last).min(axis=1)
+        self.tmin = np.where(vmin == self.vmin[:, None], rows(base.tmin, last), last).min(axis=1)
+        self.dmax = None if base.dmax is None else rows(base.dmax, -np.inf).max(axis=1)
+        # the two smallest ranks of each tile
+        firsts = np.sort(rows(base.first, n), axis=1)
+        self.first = firsts[:, 0]
+        self.second = np.minimum(firsts[:, 1], rows(base.second, n).min(axis=1))
+        self.xlo = _tile_rows(base.xlo[None], 1, ks, np.inf).min(axis=1)
+        self.xhi = _tile_rows(base.xhi[None], 1, ks, -np.inf).max(axis=1)
+        self.tlo = _tile_rows(base.tlo[:, None], kl, 1, np.inf).min(axis=1)
+        self.thi = _tile_rows(base.thi[:, None], kl, 1, -np.inf).max(axis=1)
 
 
 class _BranchAndBound:
-    """Exact sup of the classical (c None) or weighted quotient over all node pairs.
+    """Exact sup of a pair quotient over one family of node pairs.
 
-    Tiles are ranges of levels x ranges of spatial positions (see
-    _spatial_order).  Depth 0 is one tile; each deeper depth halves the tiles
-    along levels or along positions, whichever spans the larger parabolic
-    distance, down to _LEAF_NODES nodes.  For tiles A, B every node pair
-    between them has a quotient at most
+    `pair_value(nodes, i, j)` gives the quotients of the node pairs (i, j):
+    a value difference over a parabolic separation raised to alpha, times
+    min(weight_i, weight_j)^power when a weight is given.  Tiles are ranges of levels x
+    ranges of spatial positions (see _spatial_order).  Depth 0 has one tile
+    for all pairs, one per level for the same-level family and one per
+    position for the same-position family; each deeper depth halves the tiles,
+    along levels or positions, whichever spans the larger parabolic distance,
+    for all pairs, and along the other axis for the restricted families, down
+    to _LEAF_NODES nodes.  So the search starts from the self pairs of the
+    depth-0 tiles, every tile pair it meets holds only pairs of the family,
+    and its leaves evaluate every member pair without a family mask.  For
+    tiles A, B every node pair between them has a quotient at most
 
-        max(vmax_A - vmin_B, vmax_B - vmin_A) / (boxgap + sqrt(tgap))^alpha
+        max(vmax_A - vmin_B, vmax_B - vmin_A) / max(boxgap + sqrt(tgap), floor)^alpha
 
-    times min(maxdist_A, maxdist_B)^c when weighted, because the parabolic
-    separation is a metric.  Block pairs are refined depth first, highest
+    times min(maxweight_A, maxweight_B)^power, because the parabolic
+    separation is a metric (on one level it is the spatial distance, at one
+    position the square root of the time gap) and no family pair is closer
+    than the family's floor.  Block pairs are refined depth first, highest
     bound first, in batches (so the frontier stays a few batches per depth),
-    and at the deepest depth their node pairs are evaluated with
-    _pair_value_classical, exactly as the oracles do.  A block pair is
-    dropped when its bound is below the best value found, or equal to it and
-    its lexicographically first pair comes after the best pair; so the result
-    is the oracle's first strict maximum, value and pair.
+    and at the deepest depth their node pairs are evaluated with pair_value,
+    exactly as the oracles do.  A block pair is dropped when its bound is
+    below the best value found, or equal to it and its first pair in the
+    family's order comes after the best pair; so the result is the oracle's
+    first strict maximum, value and pair.  That order is lexicographic in the
+    node indices (level-major), except for the same-position family, whose
+    oracle runs position-major: (position, level, level).  Each node has a
+    rank in that order, and pairs compare by (rank_i, rank_j).
     """
 
-    def __init__(self, nodes, alpha, c):
-        self.nodes, self.alpha, self.c = nodes, alpha, c
+    def __init__(self, nodes, family, pair_value, alpha, weight=None, power=None):
+        self.nodes, self.family, self.pair_value = nodes, family, pair_value
+        self.alpha, self.power = alpha, power
         self.best = -np.inf
-        self.best_key = nodes.n * nodes.n  # i * n + j of the best pair
+        self.best_key = nodes.n * nodes.n  # rank_i * n + rank_j of the best pair
+        self.best_ij = None
         self.evaluated = 0
+        # No two distinct nodes of a family are closer than this floor: dx on one
+        # level, sqrt(dt) at one position.  All pairs could use min(dx, sqrt(dt)),
+        # but then self pairs no longer sort first, and a 65 x 129 HJ solution
+        # took 35% more pairs; so overlapping tiles keep an infinite bound there.
+        self.floor = {
+            _ALL_PAIRS: 0.0, _SAME_LEVEL: nodes.dx, _SAME_POSITION: np.sqrt(nodes.dt)
+        }[family]
         L, m, n = nodes.n_levels, nodes.m_space, nodes.n
         order = _spatial_order(nodes)
-        idx = np.arange(L)[:, None] * m + order[None, :]
-        v = nodes.v[idx]
-        dist = nodes.dist[idx]
-        xs = nodes.x[order]
-        ts = nodes.t[::m]
-        lt = 1 << (L - 1).bit_length()
-        st = 1 << (m - 1).bit_length()
+        self.idx = np.arange(L)[:, None] * m + order[None, :]
+        if family == _SAME_POSITION:
+            i = np.arange(n)
+            self.rank = (i % m) * L + i // m
+        else:
+            self.rank = None  # the node index itself
+        # the split schedule, root to leaves
+        lt = 1 if family == _SAME_LEVEL else 1 << (L - 1).bit_length()
+        st = 1 if family == _SAME_POSITION else 1 << (m - 1).bit_length()
         dim = nodes.x.shape[1]
-        self.depths = [_Tiles(idx, v, dist, xs, ts, lt, st, n)]
+        sizes = [(lt, st)]
         self.split_levels = []
         while lt * st > _LEAF_NODES:
-            time_extent = np.sqrt(lt * nodes.dt)
-            space_extent = (st if dim == 1 else np.sqrt(st)) * nodes.dx
-            split_levels = st == 1 or (lt > 1 and time_extent >= space_extent)
+            if family == _ALL_PAIRS:
+                time_extent = np.sqrt(lt * nodes.dt)
+                space_extent = (st if dim == 1 else np.sqrt(st)) * nodes.dx
+                split_levels = st == 1 or (lt > 1 and time_extent >= space_extent)
+            else:
+                split_levels = family == _SAME_POSITION
             if split_levels:
                 lt //= 2
             else:
                 st //= 2
             self.split_levels.append(split_levels)
-            self.depths.append(_Tiles(idx, v, dist, xs, ts, lt, st, n))
-        self.leaf_members = self.depths[-1].members()
+            sizes.append((lt, st))
+        tiled = self.idx.reshape(-1)
+        v = nodes.v[tiled]
+        node_tiles = SimpleNamespace(
+            lt=1, st=1, nl=L, ns=m, vmax=v, vmin=v,
+            tmax=np.arange(n), tmin=np.arange(n),
+            dmax=None if weight is None else weight[tiled],
+            first=tiled if self.rank is None else self.rank[tiled],
+            second=np.full(n, n),
+            xlo=nodes.x[order], xhi=nodes.x[order], tlo=nodes.t[::m], thi=nodes.t[::m],
+        )
+        leaf = _Tiles(node_tiles, lt, st, n)
+        self.depths = [_Tiles(leaf, lt, st, n) for lt, st in sizes[:-1]] + [leaf]
+        for T in self.depths:
+            T.imax, T.imin = tiled[T.tmax], tiled[T.tmin]
+        self.leaf_members = self.members(len(self.depths) - 1)
+
+    def members(self, d):
+        """Node indices of each tile at depth d, -1 padded: (tiles, lt * st)."""
+        T = self.depths[d]
+        return _tile_rows(self.idx, T.lt, T.st, -1)
 
     def run(self):
-        root = np.zeros(1, dtype=np.int64)
-        self._descend(0, root, root)
-        n = self.nodes.n
-        return self.best, divmod(int(self.best_key), n), self.evaluated
+        """(sup, argmax pair (i, j) with i < j, node pairs evaluated)."""
+        T = self.depths[0]
+        roots = np.arange(T.nl * T.ns)
+        self._descend(0, roots, roots)
+        return self.best, self.best_ij, self.evaluated
 
     def _alive(self, bound, key):
         return (bound > self.best) | ((bound == self.best) & (key < self.best_key))
@@ -301,31 +332,39 @@ class _BranchAndBound:
         else:
             space = np.sqrt(gap[:, 0] ** 2 + gap[:, 1] ** 2)
         tgap = np.maximum(np.maximum(T.tlo[lb] - T.thi[la], T.tlo[la] - T.thi[lb]), 0.0)
-        den = (space + np.sqrt(tgap)) ** self.alpha
+        den = np.maximum(space + np.sqrt(tgap), self.floor) ** self.alpha
         with np.errstate(divide="ignore", invalid="ignore"):
-            q = dv / den  # overlapping tiles: gap 0, bound inf
+            q = dv / den  # overlapping tiles of all pairs: gap 0, bound inf
             q[dv == 0] = 0.0  # constant block pair: 0/0 is 0
-            if self.c is not None:
-                w = np.minimum(T.dmax[a], T.dmax[b]) ** self.c
+            if self.power is not None:
+                w = np.minimum(T.dmax[a], T.dmax[b]) ** self.power
                 q = np.where(w == 0, 0.0, q * w)  # zero weight: 0 * inf is 0
         return q * _MARGIN
 
     def _first_key(self, T, a, b):
-        """i * n + j of the lexicographically first pair between tiles a and b."""
+        """rank_i * n + rank_j of the first pair, in rank order, between tiles a and b."""
         lo = np.minimum(T.first[a], T.first[b])
         hi = np.where(a == b, T.second[a], np.maximum(T.first[a], T.first[b]))
         return lo * self.nodes.n + hi
 
-    def _offer(self, lo, hi):
-        """Evaluate the node pairs (lo < hi) and keep the first strict maximum."""
-        if lo.size == 0:
+    def _offer(self, ii, jj):
+        """Evaluate the node pairs (ii, jj) and keep the first strict maximum."""
+        if ii.size == 0:
             return
-        vals = _pair_value_classical(self.nodes, lo, hi, self.alpha, c=self.c)
+        vals = self.pair_value(self.nodes, ii, jj)  # symmetric in i, j bit for bit
         self.evaluated += vals.size
         top = vals.max()
-        key = (lo * self.nodes.n + hi)[vals == top].min()
-        if top > self.best or (top == self.best and key < self.best_key):
-            self.best, self.best_key = float(top), key
+        if top < self.best:
+            return
+        top_at = np.flatnonzero(vals == top)
+        lo = np.minimum(ii[top_at], jj[top_at])
+        hi = np.maximum(ii[top_at], jj[top_at])
+        rank = (lo, hi) if self.rank is None else (self.rank[lo], self.rank[hi])
+        keys = rank[0] * self.nodes.n + rank[1]
+        k = int(np.argmin(keys))
+        if top > self.best or keys[k] < self.best_key:
+            self.best, self.best_key = float(top), keys[k]
+            self.best_ij = (int(lo[k]), int(hi[k]))
 
     def _children(self, d, t):
         """Child tile ids of the tiles t, shape (len(t), 2); -1 where there is none."""
@@ -349,9 +388,9 @@ class _BranchAndBound:
             self._leaves(a, b, bound, key)
             return
         # the extreme nodes of each block pair give real pairs to raise the best early
-        lo = np.concatenate([np.minimum(T.imax[a], T.imin[b]), np.minimum(T.imax[b], T.imin[a])])
-        hi = np.concatenate([np.maximum(T.imax[a], T.imin[b]), np.maximum(T.imax[b], T.imin[a])])
-        self._offer(lo[lo != hi], hi[lo != hi])
+        ii = np.concatenate([T.imax[a], T.imax[b]])
+        jj = np.concatenate([T.imin[b], T.imin[a]])
+        self._offer(ii[ii != jj], jj[ii != jj])
         C = self.depths[d + 1]
         for s in range(0, len(a), _BLOCK_BATCH):
             sl = slice(s, s + _BLOCK_BATCH)
@@ -371,17 +410,42 @@ class _BranchAndBound:
     def _leaves(self, a, b, bound, key):
         members = self.leaf_members
         width = members.shape[1]
+        # local (p, q) member pairs of a self pair (p < q) and of a cross pair
+        own = np.triu_indices(width, 1)
+        cross = np.divmod(np.arange(width * width), width)
         step = max(1, _PAIR_BATCH // (width * width))
         for s in range(0, len(a), step):
             sl = slice(s, s + step)
             alive = self._alive(bound[sl], key[sl])
             pa, pb = a[sl][alive], b[sl][alive]
-            ii = members[pa][:, :, None]
-            jj = members[pb][:, None, :]
-            ok = (ii >= 0) & (jj >= 0) & ((pa != pb)[:, None, None] | (ii < jj))
-            ii, jj = np.broadcast_arrays(ii, jj)
-            ii, jj = ii[ok], jj[ok]
-            self._offer(np.minimum(ii, jj), np.maximum(ii, jj))
+            same = pa == pb
+            ii = np.concatenate([
+                members[pa[same]][:, own[0]].ravel(), members[pa[~same]][:, cross[0]].ravel()
+            ])
+            jj = np.concatenate([
+                members[pb[same]][:, own[1]].ravel(), members[pb[~same]][:, cross[1]].ravel()
+            ])
+            ok = (ii >= 0) & (jj >= 0)  # padding of the last tiles
+            self._offer(ii[ok], jj[ok])
+
+
+def _family_pairs(nodes, family):
+    n, m, L = nodes.n, nodes.m_space, nodes.n_levels
+    if family == _SAME_LEVEL:
+        return L * (m * (m - 1) // 2)
+    if family == _SAME_POSITION:
+        return m * (L * (L - 1) // 2)
+    return n * (n - 1) // 2
+
+
+def _scan(nodes, family, pair_value, alpha, weight=None, power=None):
+    """Sup of pair_value over the family's node pairs; degenerate when there is none."""
+    if _family_pairs(nodes, family) == 0:
+        return SeminormResult(0.0, None, degenerate=True)
+    if not np.all(np.isfinite(nodes.v)):
+        raise ValueError("field has non-finite values on the cylinder")
+    search = _BranchAndBound(nodes, family, pair_value, alpha, weight, power)
+    return _result_from(nodes, *search.run())
 
 
 def _classical_scan(u, alpha, c, Q):
@@ -391,12 +455,14 @@ def _classical_scan(u, alpha, c, Q):
     if not (0 < alpha <= 1):
         raise ValueError("alpha must lie in (0, 1] (alpha=1 diagnostic only)")
     nodes = _Nodes(u, Q)
-    if nodes.n < 2:
-        return SeminormResult(0.0, None, degenerate=True)
-    if not np.all(np.isfinite(nodes.v)):
-        raise ValueError("field has non-finite values on the cylinder")
-    best, ij, evaluated = _BranchAndBound(nodes, alpha, c).run()
-    return _result_from(nodes, best, ij, evaluated)
+    return _scan(
+        nodes,
+        _ALL_PAIRS,
+        lambda nd, i, j: _pair_value_classical(nd, i, j, alpha, c=c),
+        alpha,
+        None if c is None else nodes.dist,
+        c,
+    )
 
 
 def holder_seminorm(u, alpha, Q=None):
@@ -409,41 +475,19 @@ def weighted_holder(u, alpha, c, Q=None):
     return _classical_scan(u, alpha, c, Q)
 
 
-def _same_level_pairs(nodes):
-    """All (i, j), i < j sharing a time level, level-major lex order."""
-    m = nodes.m_space
-    if m < 2:
-        return
-    local = [(i, j) for i in range(m - 1) for j in range(i + 1, m)]
-    li = np.array([p[0] for p in local], dtype=np.int64)
-    lj = np.array([p[1] for p in local], dtype=np.int64)
-    for lev in range(nodes.n_levels):
-        off = lev * m
-        yield li + off, lj + off
-
-
-def _same_space_pairs(nodes):
-    """All (i, j), i < j sharing a spatial node; spatial-major lex order."""
-    L = nodes.n_levels
-    if L < 2:
-        return
-    local = [(a, b) for a in range(L - 1) for b in range(a + 1, L)]
-    la = np.array([p[0] for p in local], dtype=np.int64)
-    lb = np.array([p[1] for p in local], dtype=np.int64)
-    m = nodes.m_space
-    for s in range(m):
-        yield la * m + s, lb * m + s
-
-
 def nonlinear_space(u, alpha, gamma, Q=None):
     """Same-time quotient weighted by min d_alpha to the backward boundary."""
     if not (0 < alpha < 1):
         raise ValueError("alpha must lie in (0, 1)")
     nodes = _Nodes(u, Q, alpha=alpha, gamma=gamma)
-    if nodes.m_space < 2:
-        return SeminormResult(0.0, None, degenerate=True)
-    fn = lambda nd, i, j: _pair_value_nl_space(nd, i, j, alpha)
-    return _result_from(nodes, *_enumerate_max(nodes, fn, _same_level_pairs(nodes)))
+    return _scan(
+        nodes,
+        _SAME_LEVEL,
+        lambda nd, i, j: _pair_value_nl_space(nd, i, j, alpha),
+        alpha,
+        nodes.dist_alpha,
+        1.0,
+    )
 
 
 def nonlinear_time(u, alpha, gamma, Q=None):
@@ -451,10 +495,14 @@ def nonlinear_time(u, alpha, gamma, Q=None):
     if not (0 < alpha < 1):
         raise ValueError("alpha must lie in (0, 1)")
     nodes = _Nodes(u, Q, alpha=alpha, gamma=gamma)
-    if nodes.n_levels < 2:
-        return SeminormResult(0.0, None, degenerate=True)
-    fn = lambda nd, i, j: _pair_value_nl_time(nd, i, j, alpha, gamma)
-    return _result_from(nodes, *_enumerate_max(nodes, fn, _same_space_pairs(nodes)))
+    return _scan(
+        nodes,
+        _SAME_POSITION,
+        lambda nd, i, j: _pair_value_nl_time(nd, i, j, alpha, gamma),
+        alpha,
+        nodes.dist_alpha,
+        gamma / 2,
+    )
 
 
 def nonlinear_combined(u, alpha, z, gamma, Q=None):
@@ -490,23 +538,15 @@ def seminorm_set(u, alpha, gamma, z, c, Q=None):
 def space_quotient(u, alpha, Q=None):
     """sup over same-time pairs of |du| / |dx|^alpha, no weight."""
     nodes = _Nodes(u, Q)
-    if nodes.m_space < 2:
-        return 0.0
-    fn = lambda nd, i, j: np.abs(nd.v[i] - nd.v[j]) / nd.spatial_sep(i, j) ** alpha
-    best, ij, _ = _enumerate_max(nodes, fn, _same_level_pairs(nodes))
-    return 0.0 if ij is None else float(best)
+    fn = lambda nd, i, j: _pair_value_space(nd, i, j, alpha)
+    return _scan(nodes, _SAME_LEVEL, fn, alpha).value
 
 
 def time_quotient(u, alpha, Q=None):
     """sup over same-position pairs of |du| / |dt|^(alpha/2), no weight."""
     nodes = _Nodes(u, Q)
-    if nodes.n_levels < 2:
-        return 0.0
-    fn = lambda nd, i, j: np.abs(nd.v[i] - nd.v[j]) / np.abs(nd.t[i] - nd.t[j]) ** (
-        alpha / 2
-    )
-    best, ij, _ = _enumerate_max(nodes, fn, _same_space_pairs(nodes))
-    return 0.0 if ij is None else float(best)
+    fn = lambda nd, i, j: _pair_value_time(nd, i, j, alpha)
+    return _scan(nodes, _SAME_POSITION, fn, alpha).value
 
 
 # -- naive double-loop oracles --------------------------------------------------

@@ -1,6 +1,9 @@
 import csv
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,19 @@ from hjlab.cli import config_hash, main, parse_config, parse_number
 from hjlab.grid import GridSpec, ScalarField, make_grid, write_field_csv
 
 from conftest import random_field
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands():
+    """argv of every `hjlab ...` line in the README's sh blocks, continuations joined."""
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["hjlab"]:
+                commands.append(argv[1:])
+    return commands
 
 
 class TestParseConfig:
@@ -164,6 +180,14 @@ class TestCliRuns:
         fast = [[r[c] for c in cols] for r in rows("sn_sub")]
         assert fast == [[r[c] for c in cols] for r in rows("sn_oracle")]
         assert all(r["degenerate"] == "0" for r in rows("sn_sub"))
+
+    def test_readme_cli_examples_exit_0(self, tmp_path, monkeypatch):
+        # in README order, in one directory: later examples read earlier outputs
+        monkeypatch.chdir(tmp_path)
+        commands = readme_commands()
+        assert len(commands) >= 13
+        for argv in commands:
+            assert self.run(argv) == 0, f"hjlab {shlex.join(argv)}"
 
     def test_solve_hj_outputs(self, tmp_path):
         code = self.run(

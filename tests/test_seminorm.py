@@ -5,10 +5,21 @@ from hypothesis import given, settings, strategies as st
 from hjlab.cli import main
 from hjlab.grid import Cylinder, GridSpec, ScalarField, make_grid, read_field_csv
 from hjlab.seminorm import (
+    _ALL_PAIRS,
+    _SAME_LEVEL,
+    _SAME_POSITION,
     _BranchAndBound,
     _classical_scan,
     _Nodes,
+    _oracle_same_level,
+    _oracle_same_space,
+    _oracle_scan,
     _pair_value_classical,
+    _pair_value_nl_space,
+    _pair_value_nl_time,
+    _pair_value_space,
+    _pair_value_time,
+    _scan,
     combine_nonlinear,
     holder_seminorm,
     nonlinear_combined,
@@ -171,31 +182,55 @@ class TestOracleEquivalence:
             assert 0 < res.pairs_evaluated < nodes.n * (nodes.n - 1) // 200
 
     def test_block_bounds_dominate_pair_values(self):
-        # at every depth, each block pair's bound is >= every computed pair value
-        # between its tiles, and its first-pair key is that of its first pair
-        g = make_grid(GridSpec(1, 1.0, 1 / 16, 1.0, 0.25))
-        fields = [random_field(g, seed=11)]
-        for k in range(0, g.shape[0], 3):  # spikes: bounds as tight as they get
-            vals = np.zeros((g.n_levels,) + g.shape)
-            vals[2, k] = 1.0
-            fields.append(ScalarField(g, vals))
-        for u in fields:
-            nodes = _Nodes(u, None)
-            for c in (None, 1.0):
-                search = _BranchAndBound(nodes, 0.5, c)
-                for T in search.depths:
-                    members = T.members()
-                    a, b = np.triu_indices(len(members))
-                    bound = search._bound(T, a, b)
-                    key = search._first_key(T, a, b)
-                    for k in range(len(a)):
-                        ii, jj = members[a[k]], members[b[k]]
-                        I, J = np.meshgrid(ii[ii >= 0], jj[jj >= 0], indexing="ij")
-                        lo, hi = np.minimum(I, J)[I != J], np.maximum(I, J)[I != J]
-                        if lo.size:
-                            vals = _pair_value_classical(nodes, lo, hi, 0.5, c=c)
-                            assert vals.max() <= bound[k]
-                            assert key[k] == (lo * nodes.n + hi).min()
+        # at every depth, each block pair's bound is >= every computed value of
+        # a family pair between its tiles, and its first-pair key is that of its
+        # first family pair, for every scan of each pair family
+        cases = (
+            (GridSpec(1, 1.0, 1 / 16, 1.0, 0.25), [(2, k) for k in range(0, 33, 3)],
+             (_ALL_PAIRS, _SAME_LEVEL, _SAME_POSITION)),
+            # 65 levels: a deep same-position hierarchy
+            (GridSpec(1, 1.0, 0.25, 1.0, 1 / 64), [(k, 2) for k in range(0, 65, 8)],
+             (_SAME_LEVEL, _SAME_POSITION)),
+        )
+        for spec, spikes, families in cases:
+            g = make_grid(spec)
+            fields = [random_field(g, seed=11)]
+            for at in spikes:  # spikes: bounds as tight as they get
+                vals = np.zeros((g.n_levels,) + g.shape)
+                vals[at] = 1.0
+                fields.append(ScalarField(g, vals))
+            for u in fields:
+                nodes = _Nodes(u, None, alpha=0.5, gamma=3.0)
+                for family, fn, weight, power in _scans(nodes, 0.5, 1.0, 3.0):
+                    if family in families:
+                        _check_block_bounds(_BranchAndBound(nodes, family, fn, 0.5, weight, power))
+
+    def test_same_position_ties_go_position_major(self):
+        # unweighted time quotients of {0, 1, 2} fields tie across positions and
+        # level pairs: the first pair in (position, level, level) order wins
+        g = make_grid(GridSpec(1, 1.0, 0.25, 1.0, 0.25))
+        fn = lambda nd, i, j: _pair_value_time(nd, i, j, 0.5)
+        for seed in range(5):
+            nodes = _Nodes(_field_of_kind(g, "quantized", seed), None)
+            fast = _scan(nodes, _SAME_POSITION, fn, 0.5)
+            oracle = _oracle_scan(nodes, _oracle_same_space(nodes), fn)
+            assert (fast.value, fast.pair) == (oracle.value, oracle.pair)
+
+    def test_non_finite_field_rejected_by_every_scan(self):
+        # no block bound holds for a NaN, so every scan refuses the field
+        g = make_grid(GridSpec(1, 1.0, 0.25, 1.0, 0.25))
+        u = random_field(g, seed=3)
+        u.values[2, 4] = np.nan
+        for scan in (
+            lambda: holder_seminorm(u, 0.5),
+            lambda: weighted_holder(u, 0.5, 1.0),
+            lambda: nonlinear_space(u, 0.5, 3.0),
+            lambda: nonlinear_time(u, 0.5, 3.0),
+            lambda: space_quotient(u, 0.5),
+            lambda: time_quotient(u, 0.5),
+        ):
+            with pytest.raises(ValueError, match="non-finite"):
+                scan()
 
     def test_zero_weight_everywhere(self):
         # both nodes sit on the cylinder's rim at its top level: every weight is 0
@@ -214,6 +249,50 @@ class TestOracleEquivalence:
         for res in (holder_seminorm(u, 0.5), weighted_holder(u, 0.5, 1.0)):
             assert res.value == 0.0 and res.pair == first
             assert res.pairs_evaluated < nodes.n * (nodes.n - 1) // 2 // 1000
+
+
+def _scans(nodes, alpha, c, gamma):
+    """(family, pair value, weight, power) of each scan that runs through _BranchAndBound."""
+    return [
+        (_ALL_PAIRS, lambda nd, i, j: _pair_value_classical(nd, i, j, alpha), None, None),
+        (_ALL_PAIRS, lambda nd, i, j: _pair_value_classical(nd, i, j, alpha, c=c), nodes.dist, c),
+        (_SAME_LEVEL, lambda nd, i, j: _pair_value_nl_space(nd, i, j, alpha),
+         nodes.dist_alpha, 1.0),
+        (_SAME_LEVEL, lambda nd, i, j: _pair_value_space(nd, i, j, alpha), None, None),
+        (_SAME_POSITION, lambda nd, i, j: _pair_value_nl_time(nd, i, j, alpha, gamma),
+         nodes.dist_alpha, gamma / 2),
+        (_SAME_POSITION, lambda nd, i, j: _pair_value_time(nd, i, j, alpha), None, None),
+    ]
+
+
+def _check_block_bounds(search):
+    """Every tile pair's bound and first key against its family pairs, at every depth."""
+    nodes, fn = search.nodes, search.pair_value
+    m, n = nodes.m_space, nodes.n
+    rank = np.arange(n) if search.rank is None else search.rank
+    for d, T in enumerate(search.depths):
+        members = search.members(d)
+        a, b = np.triu_indices(len(members))
+        # the tiles of one depth share their whole level (position) range or none of it
+        if search.family == _SAME_LEVEL:
+            a, b = a[a // T.ns == b // T.ns], b[a // T.ns == b // T.ns]
+        elif search.family == _SAME_POSITION:
+            a, b = a[a % T.ns == b % T.ns], b[a % T.ns == b % T.ns]
+        I, J = np.broadcast_arrays(members[a][:, :, None], members[b][:, None, :])
+        pairs = (I >= 0) & (J >= 0) & (I != J)
+        if search.family == _SAME_LEVEL:
+            pairs &= I // m == J // m
+        elif search.family == _SAME_POSITION:
+            pairs &= I % m == J % m
+        lo, hi = np.minimum(I, J)[pairs], np.maximum(I, J)[pairs]
+        vals = np.full(I.shape, -np.inf)
+        vals[pairs] = fn(nodes, lo, hi)
+        keys = np.full(I.shape, n * n)
+        keys[pairs] = rank[lo] * n + rank[hi]
+        held = pairs.any(axis=(1, 2))
+        assert held.any()
+        assert np.all(vals.max(axis=(1, 2))[held] <= search._bound(T, a, b)[held])
+        assert np.array_equal(keys.min(axis=(1, 2))[held], search._first_key(T, a, b)[held])
 
 
 class TestScalingCovariance:
@@ -308,11 +387,11 @@ def _field_of_kind(g, kind, seed):
 
 
 @st.composite
-def fields_on_subcylinders(draw):
+def fields_on_subcylinders(draw, dxs_1d=(0.125, 0.25, 0.5), dts=(0.25, 0.5)):
     """Random 1D/2D field (box or ball) with a random sub-cylinder, small enough for the oracles."""
     dim = draw(st.sampled_from([1, 2]))
-    dx = draw(st.sampled_from([0.125, 0.25, 0.5] if dim == 1 else [0.5]))
-    dt = draw(st.sampled_from([0.25, 0.5]))
+    dx = draw(st.sampled_from(dxs_1d if dim == 1 else [0.5]))
+    dt = draw(st.sampled_from(dts))
     g = make_grid(GridSpec(dim, 1.0, dx, 1.0, dt, ball_mask=draw(st.booleans())))
     kind = draw(st.sampled_from(["normal", "quantized", "constant", "affine", "rim"]))
     u = _field_of_kind(g, kind, draw(st.integers(0, 2 ** 32 - 1)))
@@ -348,3 +427,34 @@ def test_classical_and_weighted_match_oracles_bitwise(case, alpha, c):
     ):
         assert fast.value == oracle.value
         assert fast.pair == oracle.pair
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    # up to 33 positions or 33 levels, so both restricted hierarchies go deeper than a leaf
+    case=fields_on_subcylinders(dxs_1d=(1 / 16, 0.125, 0.25), dts=(1 / 32, 0.25, 0.5)),
+    alpha=st.floats(0.05, 0.95),
+    gamma=st.floats(2.1, 4.0),
+)
+def test_restricted_families_match_oracles_bitwise(case, alpha, gamma):
+    u, Q = case
+    for fast, oracle in (
+        (nonlinear_space(u, alpha, gamma, Q), oracle_nl_space(u, alpha, gamma, Q)),
+        (nonlinear_time(u, alpha, gamma, Q), oracle_nl_time(u, alpha, gamma, Q)),
+    ):
+        assert (fast.value, fast.pair) == (oracle.value, oracle.pair)
+        assert fast.degenerate == oracle.degenerate
+    # the plain quotients report values only; their unweighted pairs tie across
+    # level pairs on quantized fields, so the pairs of their scans test the
+    # position-major tie rule of the same-position family
+    nodes = _Nodes(u, Q)
+    for family, oracle_pairs, fn, quotient in (
+        (_SAME_LEVEL, _oracle_same_level, _pair_value_space, space_quotient),
+        (_SAME_POSITION, _oracle_same_space, _pair_value_time, time_quotient),
+    ):
+        scan = lambda nd, i, j: fn(nd, i, j, alpha)
+        fast = _scan(nodes, family, scan, alpha)
+        oracle = _oracle_scan(nodes, oracle_pairs(nodes), scan)
+        assert (fast.value, fast.pair) == (oracle.value, oracle.pair)
+        assert fast.degenerate == oracle.degenerate
+        assert quotient(u, alpha, Q) == oracle.value
