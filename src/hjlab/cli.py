@@ -45,14 +45,14 @@ from .fp import (
 from .dual import ldiff_cap, ldiff_constant, oscillation_report
 from .scalelab import liouville_probe, maxreg_sweep, normalization_check, worst_pair_selection
 from .seminorm import (
-    holder_seminorm,
-    nonlinear_space,
-    nonlinear_time,
+    SeminormSet,
     combine_nonlinear,
+    holder_seminorm,
     oracle_classical,
     oracle_nl_space,
     oracle_nl_time,
     oracle_weighted,
+    seminorm_set,
     weighted_holder,
 )
 
@@ -293,25 +293,24 @@ def cmd_seminorm(args, params, chash):
     Q = _sub_cyl(args.sub_cylinder, u.grid.dim)
     a, z, g, c = params["alpha"], params["z"], params["gamma"], params["c"]
     if args.oracle:
-        classical = oracle_classical(u, a, Q)
-        weighted = oracle_weighted(u, a, c, Q)
         nl_s = oracle_nl_space(u, a, g, Q)
         nl_t = oracle_nl_time(u, a, g, Q)
+        members = SeminormSet(
+            classical=oracle_classical(u, a, Q),
+            weighted=oracle_weighted(u, a, c, Q),
+            nl_space=nl_s,
+            nl_time=nl_t,
+            nl_combined=combine_nonlinear(nl_s.value, nl_t.value, z, g),
+        )
     else:
-        classical = holder_seminorm(u, a, Q)
-        weighted = weighted_holder(u, a, c, Q)
-        nl_s = nonlinear_space(u, a, g, Q)
-        nl_t = nonlinear_time(u, a, g, Q)
+        members = seminorm_set(u, a, g, z, c, Q)
+
     def coord(xs):
         return ";".join("%.17g" % v for v in xs)
 
     rows = []
-    for name, res in (
-        ("classical", classical),
-        ("weighted", weighted),
-        ("nl_space", nl_s),
-        ("nl_time", nl_t),
-    ):
+    for name in ("classical", "weighted", "nl_space", "nl_time"):
+        res = getattr(members, name)
         pair = res.pair or (((np.nan,) * u.grid.dim, np.nan), ((np.nan,) * u.grid.dim, np.nan))
         rows.append(
             {
@@ -329,7 +328,7 @@ def cmd_seminorm(args, params, chash):
     rows.append(
         {
             "seminorm": "nl_combined",
-            "value": combine_nonlinear(nl_s.value, nl_t.value, z, g),
+            "value": members.nl_combined,
             "exact": 1,
             "degenerate": 0,
             "x": "",
@@ -532,10 +531,15 @@ def cmd_selftest(args, params, chash):
         assert float(np.max(np.abs(sol.u.values - 5.0))) < 1e-12
 
     def fp_conservation():
-        grid = make_grid(GridSpec(1, 2.0, 0.125, 0.5, 0.0625))
-        sol = solve_fp(FPProblem(sigma=1.0, R=2.0, tau=0.5, drift=(0.5,), source=0.0), grid)
-        assert sol.conservation_defect <= 1e-8
-        assert sol.min_density() >= 0.0
+        # the second solve runs at transport CFL |b|*dt/dx = 512
+        for spec, drift in (
+            (GridSpec(1, 2.0, 0.125, 0.5, 0.0625), (0.5,)),
+            (GridSpec(1, 1.0, 1 / 64, 1.0, 0.5), (16.0,)),
+        ):
+            R, tau = spec.half_width, spec.horizon
+            sol = solve_fp(FPProblem(sigma=1.0, R=R, tau=tau, drift=drift, source=0.0), make_grid(spec))
+            assert sol.conservation_defect <= 1e-8
+            assert sol.min_density() >= 0.0
 
     def seminorm_oracle():
         grid = make_grid(GridSpec(1, 1.0, 0.25, 1.0, 0.25))

@@ -1,15 +1,16 @@
 """Dual Fokker-Planck solver and its densities' functionals.
 
 dm/ds - sigma*Lap(m) - div(b m) = 0 on the grid cylinder, m(0) a single-node
-Dirac, absorbing lateral boundary.  Conservative finite-volume update:
-explicit upwind drift fluxes (sub-cycled under the drift CFL), implicit
-diffusion, exact per-face accounting of the diffusive boundary loss so that
-mass(s) + outflux(s) = 1 holds to solver precision at every level.
+Dirac, absorbing lateral boundary.  Conservative finite-volume update: one
+implicit upwind drift-and-diffusion solve per level (an M-matrix for every
+dt, so no transport CFL bound), exact per-face accounting of the diffusive
+boundary loss so that mass(s) + outflux(s) = 1 holds to solver precision at
+every level.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -66,7 +67,11 @@ class FPSolution:
     outflux: np.ndarray  # cumulative per level
     boundary_flux: np.ndarray  # (levels, n_faces) per-step increments
     faces: list
-    subcycles: list = field(default_factory=list)
+
+    @property
+    def subcycles(self):
+        """Solves per level: always one."""
+        return [1] * self.grid.spec.nt
 
     @property
     def tau(self):
@@ -109,55 +114,31 @@ def _sample_drift(grid: Grid, drift) -> VectorField:
     return VectorField(grid, vals)
 
 
-def _advect(m, b_level, grid, dt, subcycle_cap):
-    """Explicit conservative upwind drift step; returns (m_new, n_sub)."""
-    dim = grid.dim
-    dx = grid.dx
-    interior = grid.interior
+def solve_fp(problem: FPProblem, grid: Grid) -> FPSolution:
+    """Solve the FP problem; verifies mass accounting and nonnegativity.
 
-    v_faces = []
-    rate = np.zeros(grid.shape)
-    for a in range(dim):
-        sl_l = [slice(None)] * dim
-        sl_r = [slice(None)] * dim
-        sl_l[a] = slice(0, -1)
-        sl_r[a] = slice(1, None)
-        sl_l, sl_r = tuple(sl_l), tuple(sl_r)
-        ba = b_level[..., a]
-        v = -0.5 * (ba[sl_l] + ba[sl_r])
-        valid = interior[sl_l] & interior[sl_r]  # boundary-face drift flux vanishes
-        v = np.where(valid, v, 0.0)
-        v_faces.append((v, sl_l, sl_r))
-        rate[sl_l] += np.maximum(v, 0.0) / dx
-        rate[sl_r] += np.maximum(-v, 0.0) / dx
-
-    peak = float(np.max(rate[interior])) if interior.any() else 0.0
-    n_sub = max(1, int(np.ceil(dt * peak / 0.95))) if peak > 0 else 1
-    if n_sub > subcycle_cap:
-        raise NumericalFailure(f"drift CFL subcycle limit exceeded: {n_sub} > {subcycle_cap}")
-    dts = dt / n_sub
-    out = m.copy()
-    for _ in range(n_sub):
-        div = np.zeros(grid.shape)
-        for v, sl_l, sl_r in v_faces:
-            flux = np.maximum(v, 0.0) * out[sl_l] + np.minimum(v, 0.0) * out[sl_r]
-            div[sl_l] += flux / dx
-            div[sl_r] -= flux / dx
-        nxt = out - dts * div
-        nxt[~interior] = 0.0
-        out = nxt
-    return out, n_sub
-
-
-def solve_fp(problem: FPProblem, grid: Grid, subcycle_cap: int = 100000) -> FPSolution:
-    """Solve the FP problem; verifies mass accounting and nonnegativity."""
+    Each level is one implicit solve (I - sigma*dt*L + dt*U(b_k)) m^{k+1} = m^k.
+    U is upwind transport with face velocity -(b_l + b_r)/2 between interior
+    nodes and no drift flux on faces that touch a non-interior node; its
+    off-diagonals are <= 0 and its columns sum to 0, so the matrix is an
+    M-matrix for every dt.  It is LU-factored once per distinct drift level.
+    """
     x0 = problem.validate(grid)
     b = _sample_drift(grid, problem.drift)
-    L, B, int_idx, bnd_idx = grid.laplacian_ops()
+    L, _, int_idx, _ = grid.laplacian_ops()
     interior = grid.interior
     n_int = len(int_idx)
     eye = sp.identity(n_int, format="csc")
-    lu = spla.splu((eye - problem.sigma * grid.dt * L).tocsc())
+    A = (eye - problem.sigma * grid.dt * L).tocsc()
+    base = A.data.copy()
+    # every off-diagonal entry (r, c) joins two interior nodes across one face
+    rows = A.indices
+    cols = np.repeat(np.arange(n_int), np.diff(A.indptr))
+    off = np.flatnonzero(rows != cols)
+    diag = np.flatnonzero(rows == cols)  # in column order
+    r, c = rows[off], cols[off]
+    lo, hi = np.minimum(r, c), np.maximum(r, c)  # C order: lo is on the face's lower side
+    axis = np.argmax(int_idx[lo] != int_idx[hi], axis=1)
 
     faces = grid.boundary_faces()
     face_int = np.array([np.ravel_multi_index(f[0], grid.shape) for f in faces])
@@ -175,28 +156,29 @@ def solve_fp(problem: FPProblem, grid: Grid, subcycle_cap: int = 100000) -> FPSo
     outflux = np.zeros(nt + 1)
     bflux = np.zeros((nt + 1, len(faces)))
     mass[0] = float(np.sum(levels[0])) * cell
-    subcycles = []
 
-    m_cur = levels[0].copy()
+    b_lu = None
     for k in range(nt):
-        m_adv, n_sub = _advect(m_cur, b.values[k], grid, grid.dt, subcycle_cap)
-        subcycles.append(n_sub)
-        sol = lu.solve(m_adv[interior])
-        m_new = np.zeros(grid.shape)
+        b_int = b.values[k][interior]
+        if b_lu is None or not np.array_equal(b_int, b_lu):
+            v = -0.5 * (b_int[lo, axis] + b_int[hi, axis])
+            # U[lo, hi] = min(v, 0)/dx, U[hi, lo] = -max(v, 0)/dx, U[c, c] = -sum_r U[r, c]
+            u_off = np.where(r < c, np.minimum(v, 0.0), -np.maximum(v, 0.0)) / grid.dx
+            A.data[off] = base[off] + grid.dt * u_off
+            A.data[diag] = base[diag] - grid.dt * np.bincount(c, weights=u_off, minlength=n_int)
+            lu = spla.splu(A)
+            b_lu = b_int
+        sol = lu.solve(levels[k][interior])
+        m_new = levels[k + 1]
         m_new[interior] = sol
         low = float(np.min(sol)) if len(sol) else 0.0
         scale = max(1.0, float(np.max(np.abs(sol)))) if len(sol) else 1.0
         if low < -_NEG_TOL * scale:
-            raise NumericalFailure(
-                f"negative density {low} after diffusion step {k}: internal scheme bug"
-            )
+            raise NumericalFailure(f"negative density {low} after FP step {k}: internal scheme bug")
         np.maximum(m_new, 0.0, out=m_new)
-        flat = m_new.reshape(-1)
-        bflux[k + 1] = face_factor * flat[face_int]
+        bflux[k + 1] = face_factor * m_new.reshape(-1)[face_int]
         outflux[k + 1] = outflux[k] + float(np.sum(bflux[k + 1]))
         mass[k + 1] = float(np.sum(m_new)) * cell
-        levels[k + 1] = m_new
-        m_cur = m_new
 
     sol = FPSolution(
         grid=grid,
@@ -209,7 +191,6 @@ def solve_fp(problem: FPProblem, grid: Grid, subcycle_cap: int = 100000) -> FPSo
         outflux=outflux,
         boundary_flux=bflux,
         faces=faces,
-        subcycles=subcycles,
     )
     if sol.conservation_defect > 1e-8:
         raise NumericalFailure(

@@ -188,6 +188,7 @@ def solve_hj(
     log = []
     P_user = gradient_bound if gradient_bound is not None else 0.0
     v = levels[nt].copy()
+    G = godunov_magnitude_level(v, grid.dx)  # then the accepted G_new of the last substep
     t_cur = float(grid.ts[-1])
     for k in range(nt - 1, -1, -1):
         t_target = float(grid.ts[k])
@@ -199,7 +200,6 @@ def solve_hj(
                 raise NumericalFailure(
                     f"CFL subcycle limit exceeded: > {max_substeps} substeps in one macro step"
                 )
-            G = godunov_magnitude_level(v, grid.dx)
             Pmax = max(float(np.max(G[int_mask])), P_user)
             limit = cfl_safety * cfl_dt(Pmax)
             j = 0
@@ -247,7 +247,7 @@ def solve_hj(
                     "godunov_max": G_new_max,
                 }
             )
-            v = v_new
+            v, G = v_new, G_new
             t_cur = t_new
             left = left_new
         levels[k] = v

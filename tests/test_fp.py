@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hjlab.grid import GridSpec, ScalarField, VectorField, make_grid
 from hjlab.fp import (
@@ -14,6 +17,8 @@ from hjlab.fp import (
     moment_alpha,
     solve_fp,
 )
+
+from conftest import counting_splu
 
 
 def driftless(sigma, R, tau, dx, dt, dim=1, source=0.0, ball=False):
@@ -79,6 +84,103 @@ class TestConservation:
     def test_initial_mass_is_one(self):
         sol = driftless(1.0, 2.0, 1.0, 0.125, 0.0625)
         assert abs(sol.mass[0] - 1.0) < 1e-14
+
+
+class TestImplicitTransport:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.sampled_from([1, 2]),
+        ball=st.booleans(),
+        dx=st.sampled_from([0.125, 0.0625]),
+        dt=st.sampled_from([1 / 256, 1 / 16, 0.25]),
+        levels=st.integers(2, 4),
+        kind=st.sampled_from(["zero", "uniform", "callable", "field"]),
+        cfl=st.floats(0.0, 1000.0),
+        sigma=st.floats(0.01, 2.0),
+        seed=st.integers(0, 2 ** 16),
+    )
+    @example(dim=1, ball=False, dx=0.0625, dt=0.25, levels=4, kind="uniform", cfl=1000.0, sigma=0.01, seed=0)
+    @example(dim=2, ball=True, dx=0.0625, dt=0.25, levels=3, kind="field", cfl=1000.0, sigma=0.01, seed=1)
+    def test_mass_outflux_nonnegativity_and_one_lu_per_drift_level(
+        self, dim, ball, dx, dt, levels, kind, cfl, sigma, seed
+    ):
+        # drift magnitude set by the transport CFL |b| dt / dx, up to 1e3
+        rng = np.random.default_rng(seed)
+        speed = cfl * dx / dt
+        g = make_grid(GridSpec(dim, 1.0, dx, levels * dt, dt, ball_mask=ball))
+        n = round(1.0 / dx)  # the source sits at least 2*dx inside the box
+        x0 = rng.integers(2 - n, n - 1, size=dim) * dx
+        assume(g.interior[g.nearest_node(x0)])
+        direction = rng.normal(size=dim)
+        direction /= np.linalg.norm(direction)
+        if kind == "zero":
+            drift = None
+        elif kind == "uniform":
+            drift = tuple(speed * direction)
+        elif kind == "callable":
+            drift = lambda x, t: speed * np.sin(np.pi * x + 3.0 * t) * direction
+        else:
+            cover = make_grid(GridSpec(dim, 1.5, dx / 2, levels * dt, dt / 2))
+            drift = VectorField(cover, speed * rng.normal(size=(cover.n_levels,) + cover.shape + (dim,)))
+        sol, n_lu = counting_splu(
+            solve_fp, FPProblem(sigma=sigma, R=1.0, tau=levels * dt, drift=drift, source=x0), g
+        )
+
+        assert sol.conservation_defect <= 1e-10
+        assert sol.min_density() >= 0.0
+        b_int = sol.b.values[:-1, g.interior]
+        distinct = 1 + sum(not np.array_equal(b_int[k], b_int[k - 1]) for k in range(1, len(b_int)))
+        assert n_lu == distinct
+        if kind in ("zero", "uniform"):
+            assert n_lu == 1
+
+    @pytest.mark.parametrize("dim,ball", [(1, False), (2, False), (2, True)])
+    def test_each_level_solves_the_per_face_scheme(self, dim, ball):
+        # m^{k+1} - m^k = dt*(sigma*Lap m^{k+1} - div F), F the upwind flux of m^{k+1}
+        # with face velocity -(b_l + b_r)/2 and none across faces touching the boundary
+        g = make_grid(GridSpec(dim, 1.0, 0.125, 0.5, 0.25, ball_mask=ball))
+        rng = np.random.default_rng(dim + 2 * ball)
+        b = VectorField(g, 20.0 * rng.normal(size=(g.n_levels,) + g.shape + (dim,)))
+        sol = solve_fp(FPProblem(sigma=0.3, R=1.0, tau=0.5, drift=b, source=(0.25,) * dim), g)
+        dt, dx = g.dt, g.dx
+        for k in range(g.spec.nt):
+            m_old, m, bk = sol.m.values[k], sol.m.values[k + 1], b.values[k]
+            for idx in map(tuple, np.argwhere(g.interior)):
+                res = m[idx] - m_old[idx]
+                for a in range(dim):
+                    for step in (-1, 1):
+                        nb = list(idx)
+                        nb[a] += step
+                        nb = tuple(nb)
+                        res -= 0.3 * dt * (m[nb] - m[idx]) / dx ** 2
+                        if g.interior[nb]:
+                            lo, hi = (idx, nb) if step == 1 else (nb, idx)
+                            v = -0.5 * (bk[lo][a] + bk[hi][a])
+                            flux = max(v, 0.0) * m[lo] + min(v, 0.0) * m[hi]
+                            res += step * dt * flux / dx
+                assert abs(res) <= 1e-12 * np.max(m_old)
+
+    def test_zero_drift_is_the_diffusion_solve(self):
+        # no drift: each level is exactly (I - sigma*dt*L)^{-1} applied to the last
+        g = make_grid(GridSpec(2, 1.0, 0.125, 0.25, 1 / 16, ball_mask=True))
+        sol = solve_fp(FPProblem(sigma=0.7, R=1.0, tau=0.25, source=(0.25, 0.0)), g)
+        L = g.laplacian_ops()[0]
+        n = L.shape[0]
+        lu = spla.splu((sp.identity(n, format="csc") - 0.7 * g.dt * L).tocsc())
+        for k in range(g.spec.nt):
+            m = sol.m.values[k][g.interior]
+            assert np.array_equal(np.maximum(lu.solve(m), 0.0), sol.m.values[k + 1][g.interior])
+
+    def test_first_order_in_dt_at_high_transport_cfl(self):
+        # backward Euler smears transport at CFL 512 (n = 8); the error halves with dt
+        ks = []
+        for n in (8, 16, 32, 64):
+            g = make_grid(GridSpec(1, 1.0, 1 / 256, 8.0, 1 / n))
+            sol = solve_fp(FPProblem(sigma=1.0, R=1.0, tau=8.0, drift=(16.0,)), g)
+            ks.append(kinetic_energy(sol, 3.0))
+        diffs = np.abs(np.diff(ks))
+        ratios = diffs[1:] / diffs[:-1]
+        assert np.all((0.4 <= ratios) & (ratios <= 0.6)), (ks, ratios)
 
 
 class TestAgainstKernels:

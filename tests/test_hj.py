@@ -1,12 +1,10 @@
 import math
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import hjlab.hj
 from hjlab.grid import GridSpec, NumericalFailure, ScalarField, make_grid
 from hjlab.hj import (
     HJProblem,
@@ -24,6 +22,8 @@ from hjlab.hj import (
     solve_manufactured,
     time_pair_exponent,
 )
+
+from conftest import counting_splu
 
 
 class TestProblemValidation:
@@ -184,20 +184,6 @@ class TestSolver:
         assert np.all(np.isfinite(sol.u.values))
 
 
-def solve_counting_splu(problem, grid, **kwargs):
-    """solve_hj with the number of sparse LU factorizations it made."""
-    calls = []
-    real = hjlab.hj.spla.splu
-
-    def splu(A, *args, **kw):
-        calls.append(A.shape)
-        return real(A, *args, **kw)
-
-    with mock.patch.object(hjlab.hj.spla, "splu", splu):
-        sol = solve_hj(problem, grid, **kwargs)
-    return sol, len(calls)
-
-
 def rung_of(grid, dt):
     """j with dt == grid.dt / 2**j exactly, or None."""
     j = round(math.log2(grid.dt / dt))
@@ -220,13 +206,13 @@ class TestDyadicLadder:
         g = make_grid(GridSpec(dim, 1.0, dx, 2 * dt, dt, ball_mask=ball))
 
         const = HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=1.0, terminal=c, lateral=c)
-        sol, n_lu = solve_counting_splu(const, g)
+        sol, n_lu = counting_splu(solve_hj, const, g)
         assert np.max(np.abs(sol.u.values[:, g.active] - c)) <= 1e-12 * max(1.0, abs(c))
         assert n_lu == 1 and all(row["dt"] == g.dt for row in sol.log)
 
         bump = lambda x: amplitude * np.prod(np.cos(0.5 * np.pi * x), axis=-1)
         p = HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=1.0, terminal=bump, lateral=0.0)
-        sol, n_lu = solve_counting_splu(p, g)
+        sol, n_lu = counting_splu(solve_hj, p, g)
         rungs = [rung_of(g, row["dt"]) for row in sol.log]
         assert None not in rungs
         tried = {j - h for j, row in zip(rungs, sol.log) for h in range(row["halvings"] + 1)}
@@ -243,7 +229,7 @@ class TestDyadicLadder:
         g = make_grid(GridSpec(1, 1.0, 1 / 64, 1.0, 1 / 256))
         p = manufactured_problem(ms_sine(1.0), 3.0, 1.0, 1.0, 1.0)
         p.terminal = ms_sine(1.0).terminal(1.0)
-        sol, n_lu = solve_counting_splu(p, g)
+        sol, n_lu = counting_splu(solve_hj, p, g)
         assert n_lu <= 15
 
 
