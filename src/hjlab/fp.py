@@ -98,8 +98,7 @@ def _sample_drift(grid: Grid, drift) -> VectorField:
         try:
             for a in range(grid.dim):
                 comp = ScalarField(drift.grid, drift.values[..., a])
-                for k, t in enumerate(grid.ts):
-                    vals[k, ..., a] = sample_points(comp, pts, float(t)).reshape(grid.shape)
+                vals[..., a] = sample_points(comp, pts, grid.ts).reshape(shape[:-1])
         except ValueError as exc:
             raise ValueError(f"drift VectorField does not cover the FP grid: {exc}") from exc
         return VectorField(grid, vals)

@@ -380,9 +380,14 @@ class VectorField:
 # -- discrete calculus --------------------------------------------------------
 
 
-def gradient_level(values: np.ndarray, dx: float) -> np.ndarray:
-    """Central differences interior, one-sided at the rim; exact for affine."""
-    comps = [np.gradient(values, dx, axis=a, edge_order=1) for a in range(values.ndim)]
+def gradient_level(values: np.ndarray, dx: float, dim: int | None = None) -> np.ndarray:
+    """Central differences interior, one-sided at the rim; exact for affine.
+
+    The last dim axes are space (all axes by default); a leading axis, such
+    as the levels of a field, is carried along.
+    """
+    lead = values.ndim - (values.ndim if dim is None else dim)
+    comps = [np.gradient(values, dx, axis=a, edge_order=1) for a in range(lead, values.ndim)]
     return np.stack(comps, axis=-1)
 
 
@@ -395,41 +400,48 @@ def godunov_magnitude_level(values: np.ndarray, dx: float) -> np.ndarray:
 
     Per axis max(backward-diff^+, -forward-diff^-): the Godunov selection for
     a convex Hamiltonian increasing in |p| under backward-in-time marching.
+    Edge nodes keep only the one-sided branch that exists.
     """
-    total = np.zeros_like(values)
+    total = None
     with np.errstate(over="ignore"):  # inf is a valid surrogate while probing CFL
         for a in range(values.ndim):
-            dminus = np.zeros_like(values)
-            dplus = np.zeros_like(values)
-            sl_c = [slice(None)] * values.ndim
-            sl_m = [slice(None)] * values.ndim
-            sl_c[a] = slice(1, None)
-            sl_m[a] = slice(0, -1)
-            diff = (values[tuple(sl_c)] - values[tuple(sl_m)]) / dx
-            dminus[tuple(sl_c)] = diff
-            dplus[tuple(sl_m)] = diff
-            # edge nodes keep only the available one-sided branch (zero filled)
-            g = np.maximum(np.maximum(dminus, 0.0), np.maximum(-dplus, 0.0))
-            total += g * g
-    return np.sqrt(total)
+            pre = (slice(None),) * a
+            diff = (values[pre + (slice(1, None),)] - values[pre + (slice(None, -1),)]) / dx
+            back = np.maximum(diff, 0.0)  # backward branch of nodes 1..n-1
+            fwd = np.maximum(-diff, 0.0)  # forward branch of nodes 0..n-2
+            g = np.empty_like(values)
+            np.maximum(back[pre + (slice(None, -1),)], fwd[pre + (slice(1, None),)], out=g[pre + (slice(1, -1),)])
+            g[pre + (0,)] = fwd[pre + (0,)]
+            g[pre + (-1,)] = back[pre + (-1,)]
+            g *= g
+            if total is None:
+                total = g
+            else:
+                total += g
+    return np.sqrt(total, out=total)
 
 
 def gradient_godunov(u: ScalarField, k: int) -> np.ndarray:
     return godunov_magnitude_level(u.level(k), u.grid.dx)
 
 
-def laplacian_level(values: np.ndarray, dx: float) -> np.ndarray:
-    """(2N+1)-point stencil at interior nodes; rim entries set to 0."""
+def laplacian_level(values: np.ndarray, dx: float, dim: int | None = None) -> np.ndarray:
+    """(2N+1)-point stencil at interior nodes; rim entries set to 0.
+
+    The last dim axes are space (all axes by default); a leading axis, such
+    as the levels of a field, is carried along.
+    """
+    nd = values.ndim
+    space = range(nd - (nd if dim is None else dim), nd)
+    inner = (slice(None),) * space.start + (slice(1, -1),) * len(space)
     out = np.zeros_like(values)
-    inner = tuple([slice(1, -1)] * values.ndim)
     acc = np.zeros_like(values[inner])
-    for a in range(values.ndim):
-        sl_c = [slice(1, -1)] * values.ndim
-        sl_p = [slice(1, -1)] * values.ndim
-        sl_m = [slice(1, -1)] * values.ndim
+    for a in space:
+        sl_p = list(inner)
+        sl_m = list(inner)
         sl_p[a] = slice(2, None)
         sl_m[a] = slice(0, -2)
-        acc += values[tuple(sl_p)] - 2.0 * values[tuple(sl_c)] + values[tuple(sl_m)]
+        acc += values[tuple(sl_p)] - 2.0 * values[inner] + values[tuple(sl_m)]
     out[inner] = acc / dx ** 2
     return out
 
@@ -481,16 +493,18 @@ def lq_norm(u: ScalarField, q: float, sub: Cylinder | None = None) -> float:
 def spacetime_integral(grid: Grid, level_values, sub: Cylinder | None = None) -> float:
     """Integral of a per-level array stack (levels, *shape) over sub.
 
-    The one quadrature loop over time levels: level k contributes
-    tw[k] * sum(level_values[k] * sw), and levels of zero weight are skipped.
+    The one quadrature: level k contributes tw[k] * sum(level_values[k] * sw),
+    the per-level sums come from one reduction over the levels of nonzero
+    weight (a contiguous run), and the contributions are added in level
+    order to a running sum that starts at 0.
     """
     tw, sw = quadrature_weights(grid, sub)
-    acc = 0.0
-    for k, w in enumerate(tw):
-        if w == 0.0:
-            continue
-        acc += w * float(np.sum(level_values[k] * sw))
-    return acc
+    run = np.flatnonzero(tw)
+    if len(run) == 0:
+        return 0.0
+    k0, k1 = run[0], run[-1] + 1
+    sums = (level_values[k0:k1] * sw).reshape(k1 - k0, -1).sum(axis=1)
+    return float(np.cumsum(np.concatenate(([0.0], tw[k0:k1] * sums)))[-1])
 
 
 def space_integral(grid: Grid, values: np.ndarray, sub: Cylinder | None = None) -> float:
@@ -507,8 +521,13 @@ def sample_field(u: ScalarField, x, t) -> float:
     return float(sample_points(u, [x], t)[0])
 
 
-def sample_points(u: ScalarField, pts, t: float) -> np.ndarray:
-    """Vectorized multilinear sampling of many spatial points at one time."""
+def sample_points(u: ScalarField, pts, t) -> np.ndarray:
+    """Vectorized multilinear sampling of many spatial points.
+
+    t is one time (one value per point back) or a 1-D array of times (one
+    row per time back); each time blends the two levels around it, or takes
+    the lower level alone when it falls on it.
+    """
     g = u.grid
     pts = np.asarray(pts, dtype=float).reshape(-1, g.dim)
     eps = 1e-9 * g.dx
@@ -516,11 +535,15 @@ def sample_points(u: ScalarField, pts, t: float) -> np.ndarray:
         out = (pts[:, a] < g.axes[a][0] - eps) | (pts[:, a] > g.axes[a][-1] + eps)
         if out.any():
             raise ValueError(f"sample point x={tuple(pts[np.argmax(out)])} outside the grid box")
-    if t < g.ts[0] - 1e-9 * g.dt or t > g.ts[-1] + 1e-9 * g.dt:
-        raise ValueError(f"sample time t={t} outside the grid horizon")
+    times = np.asarray(t, dtype=float)
+    tt = times.reshape(-1)
+    lo, hi = g.ts[0] - 1e-9 * g.dt, g.ts[-1] + 1e-9 * g.dt
+    if not (lo <= tt.min() and tt.max() <= hi):
+        bad = float(tt[~((tt >= lo) & (tt <= hi))][0])
+        raise ValueError(f"sample time t={bad} outside the grid horizon")
 
-    kt = int(np.clip(np.floor(t / g.dt), 0, g.n_levels - 2))
-    ft = min(max((t - g.ts[kt]) / g.dt, 0.0), 1.0)
+    kt = np.minimum(np.maximum(np.floor(tt / g.dt), 0), g.n_levels - 2).astype(int)
+    ft = np.minimum(np.maximum((tt - g.ts[kt]) / g.dt, 0.0), 1.0)
 
     idx = []
     frac = []
@@ -530,23 +553,27 @@ def sample_points(u: ScalarField, pts, t: float) -> np.ndarray:
         idx.append(i)
         frac.append(f)
 
-    def space_interp(level):
+    def space_interp(k):
+        lev = u.values
+        k = k[:, None]
         if g.dim == 1:
             i, f = idx[0], frac[0]
-            return (1 - f) * level[i] + f * level[i + 1]
+            return (1 - f) * lev[k, i] + f * lev[k, i + 1]
         i, fx = idx[0], frac[0]
         j, fy = idx[1], frac[1]
         return (
-            (1 - fx) * (1 - fy) * level[i, j]
-            + fx * (1 - fy) * level[i + 1, j]
-            + (1 - fx) * fy * level[i, j + 1]
-            + fx * fy * level[i + 1, j + 1]
+            (1 - fx) * (1 - fy) * lev[k, i, j]
+            + fx * (1 - fy) * lev[k, i + 1, j]
+            + (1 - fx) * fy * lev[k, i, j + 1]
+            + fx * fy * lev[k, i + 1, j + 1]
         )
 
-    v0 = space_interp(u.values[kt])
-    if ft == 0.0:
-        return v0
-    return (1 - ft) * v0 + ft * space_interp(u.values[kt + 1])
+    vals = space_interp(kt)
+    rows = np.flatnonzero(ft)  # the times that blend in the level above
+    if len(rows):
+        fr = ft[rows, None]
+        vals[rows] = (1 - fr) * vals[rows] + fr * space_interp(kt[rows] + 1)
+    return vals[0] if times.ndim == 0 else vals
 
 
 def restrict_field(u: ScalarField, half_width: float) -> ScalarField:

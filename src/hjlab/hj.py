@@ -8,9 +8,10 @@ constants are exact fixed points of the scheme.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -56,21 +57,71 @@ def time_pair_exponent(M: float, gamma: float) -> float:
 # -- problem definition ----------------------------------------------------------
 
 
+def _bracket(ts, t: float):
+    """(k, f): t lies a fraction f of the way from level k to level k + 1 of ts."""
+    k = min(max(bisect.bisect_left(ts, t) - 1, 0), len(ts) - 2)
+    f = (t - ts[k]) / (ts[k + 1] - ts[k])
+    return k, min(max(f, 0.0), 1.0)
+
+
+def _same_grid(field: ScalarField, grid: Grid) -> None:
+    if field.grid.spec != grid.spec:
+        raise ValueError(f"field lives on {field.grid.spec}, not on the solve grid {grid.spec}")
+
+
 def _eval_on(grid: Grid, obj, t: float) -> np.ndarray:
     """Sample a constant / callable / ScalarField at one time level."""
     if obj is None:
         return np.zeros(grid.shape)
     if isinstance(obj, ScalarField):
-        if obj.grid.spec != grid.spec:
-            raise ValueError(f"field lives on {obj.grid.spec}, not on the solve grid {grid.spec}")
-        ts = obj.grid.ts
-        k = int(np.clip(np.searchsorted(ts, t) - 1, 0, len(ts) - 2))
-        f = (t - ts[k]) / (ts[k + 1] - ts[k])
-        f = min(max(f, 0.0), 1.0)
+        _same_grid(obj, grid)
+        k, f = _bracket(obj.grid.ts, t)
         return (1 - f) * obj.values[k] + f * obj.values[k + 1]
     if callable(obj):
         return np.asarray(obj(grid.coords, float(t)), dtype=float) * np.ones(grid.shape)
     return np.full(grid.shape, float(obj))
+
+
+def _interior_sampler(grid: Grid, obj, check=None):
+    """t -> obj at the interior nodes, prepared once per solve.
+
+    Values are those of _eval_on restricted to the interior.  A constant
+    comes back as a float.  A ScalarField blends the interior nodes of the
+    two levels around t, gathered once per pair of levels.  A callable is
+    evaluated through _eval_on at every call.  check(grid, levels, ts), if
+    given, sees every value that can come back: a constant's or a field's
+    once, here, and a callable's at each call.
+    """
+    interior = grid.interior
+    if isinstance(obj, ScalarField):
+        _same_grid(obj, grid)
+        if check is not None:
+            check(grid, obj.values, grid.ts)
+        ts = grid.ts.tolist()
+
+        @functools.lru_cache(maxsize=1)  # a backward march changes k once per macro step
+        def pair(k):
+            return obj.values[k][interior], obj.values[k + 1][interior]
+
+        def at(t):
+            k, f = _bracket(ts, t)
+            lo, hi = pair(k)
+            return (1 - f) * lo + f * hi
+
+        return at
+    if callable(obj):
+
+        def at(t):
+            arr = _eval_on(grid, obj, t)
+            if check is not None:
+                check(grid, arr[None], [t])
+            return arr[interior]
+
+        return at
+    c = 0.0 if obj is None else float(obj)
+    if check is not None:
+        check(grid, np.full((1,) + grid.shape, c), grid.ts[:1])
+    return lambda t: c
 
 
 @dataclass
@@ -106,12 +157,25 @@ class HJProblem:
     def q0(self, dim: int) -> float:
         return critical_q0(self.gamma, dim)
 
+    def check_h(self, grid: Grid, levels: np.ndarray, ts) -> None:
+        """Raise ValueError if h leaves [h0, h1] (up to 1e-9*max(1, h1)).
+
+        levels holds h at the times ts, shape (len(ts), *grid.shape); the
+        message names the first offending active node in level, then C order.
+        """
+        tol = 1e-9 * max(1.0, self.h1)
+        ok = (levels >= self.h0 - tol) & (levels <= self.h1 + tol)
+        bad = np.argwhere(grid.active & ~ok)
+        if len(bad):
+            k, *idx = (int(i) for i in bad[0])
+            raise ValueError(
+                f"h(x,t) leaves the [h0, h1] bounds: h = {float(levels[(k, *idx)])!r} "
+                f"at x={tuple(grid.coords[tuple(idx)].tolist())}, t={float(ts[k])!r}"
+            )
+
     def h_level(self, grid: Grid, t: float) -> np.ndarray:
         arr = _eval_on(grid, self.h, t)
-        act = grid.active
-        tol = 1e-9 * max(1.0, self.h1)
-        if np.min(arr[act]) < self.h0 - tol or np.max(arr[act]) > self.h1 + tol:
-            raise ValueError("h(x,t) leaves the [h0, h1] bounds")
+        self.check_h(grid, arr[None], [t])
         return arr
 
     def f_level(self, grid: Grid, t: float) -> np.ndarray:
@@ -160,11 +224,32 @@ def solve_hj(
     The time left in a macro step is kept as an exact dyadic fraction, so
     round-off never opens an extra rung, and the diffusion matrix is
     LU-factored once per rung used.
+
+    What cannot change within the solve is prepared before the march: a
+    constant or ScalarField h is checked against [h0, h1] once, on all its
+    nodes (ValueError naming the node, before any factorization), constant
+    h, f and lateral data become scalars or one vector, and a field's two
+    bracketing levels are gathered once per macro step.  A callable h is
+    checked each time it is evaluated.
     """
     L, B, int_idx, _ = grid.laplacian_ops()
     int_mask = grid.interior
     eye = sp.identity(len(int_idx), format="csc")
     lu_cache: dict[int, object] = {}
+    h_at = _interior_sampler(grid, problem.h, problem.check_h)
+    f_at = _interior_sampler(grid, problem.f)
+    if callable(problem.lateral):
+
+        def lateral_at(t):
+            bnd = problem.lateral_values(grid, t)
+            return bnd, B @ bnd
+
+    else:
+        bnd_const = problem.lateral_values(grid, grid.ts[-1])
+        lateral_const = (bnd_const, B @ bnd_const)
+
+        def lateral_at(t):
+            return lateral_const
 
     def factor(j):
         if j not in lu_cache:
@@ -187,12 +272,15 @@ def solve_hj(
 
     log = []
     P_user = gradient_bound if gradient_bound is not None else 0.0
-    v = levels[nt].copy()
-    G = godunov_magnitude_level(v, grid.dx)  # then the accepted G_new of the last substep
+    v = levels[nt].copy()  # every attempt overwrites its active nodes
+    v_int = v[int_mask]  # then the interior of the accepted attempt, and likewise
+    G_int = godunov_magnitude_level(v, grid.dx)[int_mask]
+    G_max = float(G_int.max())
     t_cur = float(grid.ts[-1])
     for k in range(nt - 1, -1, -1):
         t_target = float(grid.ts[k])
-        left = Fraction(1)  # time left in this macro step, in units of grid.dt
+        # time left in this macro step: left / 2**e units of grid.dt
+        left, e = 1, 0
         substeps = 0
         while left > 0:
             substeps += 1
@@ -200,43 +288,43 @@ def solve_hj(
                 raise NumericalFailure(
                     f"CFL subcycle limit exceeded: > {max_substeps} substeps in one macro step"
                 )
-            Pmax = max(float(np.max(G[int_mask])), P_user)
-            limit = cfl_safety * cfl_dt(Pmax)
+            limit = cfl_safety * cfl_dt(max(G_max, P_user))
             j = 0
-            while left * 2 ** j < 1 or math.ldexp(grid.dt, -j) > limit:
+            while (left << j) < (1 << e) or math.ldexp(grid.dt, -j) > limit:
                 j += 1
+            hamiltonian = G_int ** problem.gamma
             halvings = 0
             while True:
                 dt = math.ldexp(grid.dt, -j)
-                left_new = left - Fraction(1, 2 ** j)
-                t_new = t_target + float(left_new) * grid.dt
-                h_arr = problem.h_level(grid, t_new)
-                f_arr = problem.f_level(grid, t_new)
-                expl = v[int_mask] + dt * (f_arr[int_mask] - h_arr[int_mask] * G[int_mask] ** problem.gamma)
-                bnd_new = problem.lateral_values(grid, t_new)
-                rhs = expl + problem.sigma * dt * (B @ bnd_new)
+                if j > e:
+                    left, e = left << (j - e), j
+                left_new = left - (1 << (e - j))
+                t_new = t_target + (left_new / (1 << e)) * grid.dt
+                expl = v_int + dt * (f_at(t_new) - h_at(t_new) * hamiltonian)
+                bnd_new, B_bnd = lateral_at(t_new)
+                rhs = expl + problem.sigma * dt * B_bnd
                 sol = factor(j).solve(rhs)
-                if not np.all(np.isfinite(sol)):
+                if not np.isfinite(sol).all():
                     full = np.zeros(grid.shape)
                     full[int_mask] = sol
                     blowup_at(full, t_new)
-                v_new = np.zeros(grid.shape)
-                v_new[int_mask] = sol
-                v_new[grid.boundary] = bnd_new
-                G_new = godunov_magnitude_level(v_new, grid.dx)
-                G_new_max = float(np.max(G_new[int_mask]))
+                v[int_mask] = sol
+                v[grid.boundary] = bnd_new
+                G_new = godunov_magnitude_level(v, grid.dx)
+                G_new_int = G_new[int_mask]
+                G_new_max = float(G_new_int.max())
                 if dt <= cfl_dt(G_new_max) * (1.0 + 1e-12):
                     break
                 halvings += 1
                 if halvings > max_halvings:
-                    worst = np.argwhere(G_new == np.max(G_new[int_mask]))
+                    worst = np.argwhere(G_new == np.max(G_new_int))
                     idx = tuple(int(i) for i in worst[0])
                     raise NumericalFailure(
                         f"CFL retry limit exceeded at node x={tuple(grid.coords[idx])}, t={t_new}"
                     )
                 j += 1
-            lin_res = float(np.max(np.abs(sol - problem.sigma * dt * (L @ sol) - rhs)))
-            scale = max(1.0, float(np.max(np.abs(rhs))))
+            lin_res = float(np.abs(sol - problem.sigma * dt * (L @ sol) - rhs).max())
+            scale = max(1.0, float(np.abs(rhs).max()))
             log.append(
                 {
                     "t_from": t_cur,
@@ -247,7 +335,7 @@ def solve_hj(
                     "godunov_max": G_new_max,
                 }
             )
-            v, G = v_new, G_new
+            v_int, G_int, G_max = sol, G_new_int, G_new_max
             t_cur = t_new
             left = left_new
         levels[k] = v
@@ -457,14 +545,12 @@ def differential_inequality_check(w: ScalarField, g_field, sigma, h0, h1, gamma)
         if isinstance(g_field, ScalarField)
         else np.stack([_eval_on(grid, g_field, t) for t in grid.ts])
     )
-    lo = np.inf
-    hi = np.inf
-    for k in range(1, grid.spec.nt):
-        lap = laplacian_level(w.values[k], grid.dx)
-        mag = np.sqrt(np.sum(gradient_level(w.values[k], grid.dx) ** 2, axis=-1))
-        base = -wt[k] - sigma * lap
-        e0 = base + h0 * mag ** gamma
-        e1 = base + h1 * mag ** gamma
-        lo = min(lo, float(np.min((g_vals[k] - e0)[grid.interior])))
-        hi = min(hi, float(np.min((e1 - g_vals[k])[grid.interior])))
+    mid = slice(1, grid.spec.nt)  # the levels with a central time difference
+    lap = laplacian_level(w.values[mid], grid.dx, grid.dim)
+    mag = np.sqrt(np.sum(gradient_level(w.values[mid], grid.dx, grid.dim) ** 2, axis=-1))
+    base = -wt[mid] - sigma * lap
+    e0 = base + h0 * mag ** gamma
+    e1 = base + h1 * mag ** gamma
+    lo = float(np.min((g_vals[mid] - e0)[:, grid.interior]))
+    hi = float(np.min((e1 - g_vals[mid])[:, grid.interior]))
     return lo, hi

@@ -99,8 +99,9 @@ class BlowupResult:
 
 
 def _map_points(params: BlowupParams, ys, s):
+    """(xbar + r y, tbar + lambda s) for points ys and an array of times s."""
     xs = params.basepoint_x + params.r * np.asarray(ys, dtype=float)
-    t = params.basepoint_t + params.time_scale * float(s)
+    t = params.basepoint_t + params.time_scale * np.asarray(s, dtype=float)
     return xs, t
 
 
@@ -116,22 +117,19 @@ def blowup_transform(
     tg = make_grid(target_spec)
     if tg.dim != u.grid.dim:
         raise ValueError("target grid dimension mismatch")
-    pts = tg.coords.reshape(-1, tg.dim)
-    w_vals = np.zeros((tg.n_levels,) + tg.shape)
-    g_vals = np.zeros_like(w_vals) if f is not None else None
+    stack = (tg.n_levels,) + tg.shape
+    xs, ts = _map_points(params, tg.coords.reshape(-1, tg.dim), tg.ts)
     if params.variant == "alpha0":
         g_factor = params.r ** params.gamma / params.M ** params.gamma
     else:
         g_factor = params.r ** 2 / params.M
-    for k, s in enumerate(tg.ts):
-        xs, t = _map_points(params, pts, s)
-        w_vals[k] = (sample_points(u, xs, t) / params.M).reshape(tg.shape)
-        if f is not None:
-            if isinstance(f, ScalarField):
-                fv = sample_points(f, xs, t)
-            else:
-                fv = np.asarray(f(xs.reshape(tg.shape + (tg.dim,)), t), dtype=float).reshape(-1)
-            g_vals[k] = (g_factor * fv).reshape(tg.shape)
+    w_vals = (sample_points(u, xs, ts) / params.M).reshape(stack)
+    g_vals = None
+    if isinstance(f, ScalarField):
+        g_vals = (g_factor * sample_points(f, xs, ts)).reshape(stack)
+    elif f is not None:
+        x_grid = xs.reshape(tg.shape + (tg.dim,))
+        g_vals = np.stack([g_factor * np.asarray(f(x_grid, float(t)), dtype=float) for t in ts]).reshape(stack)
     w = ScalarField(tg, w_vals)
     g = ScalarField(tg, g_vals) if f is not None else None
 
@@ -159,14 +157,10 @@ def blowup_transform(
 
 def inverse_blowup_transform(w: ScalarField, params: BlowupParams, u_grid: Grid) -> ScalarField:
     """u(x, t) = M * w((x - xbar)/r, (t - tbar)/lambda) sampled on u_grid."""
-    lam = params.time_scale
-    pts = u_grid.coords.reshape(-1, u_grid.dim)
-    vals = np.zeros((u_grid.n_levels,) + u_grid.shape)
-    for k, t in enumerate(u_grid.ts):
-        ys = (pts - params.basepoint_x) / params.r
-        s = (float(t) - params.basepoint_t) / lam
-        vals[k] = (params.M * sample_points(w, ys, s)).reshape(u_grid.shape)
-    return ScalarField(u_grid, vals)
+    ys = (u_grid.coords.reshape(-1, u_grid.dim) - params.basepoint_x) / params.r
+    s = (u_grid.ts - params.basepoint_t) / params.time_scale
+    vals = params.M * sample_points(w, ys, s)
+    return ScalarField(u_grid, vals.reshape((u_grid.n_levels,) + u_grid.shape))
 
 
 def rescaled_residual(w: ScalarField, g: ScalarField, params: BlowupParams, h_sample: float) -> ScalarField:
@@ -447,10 +441,12 @@ def maxreg_sweep(
         for q in q_list:
             for eps in eps_list:
                 f_raw, beta = singular_family(q, eps, dim, x_star, beta_frac)
-                raw_field = ScalarField.from_function(grid, f_raw)
-                raw_norm = lq_norm(raw_field, q)
+                raw = np.asarray(f_raw(grid.coords, 0.0), dtype=float)  # the same on every level
+                raw[~grid.active] = 0.0
+                stack = (grid.n_levels,) + grid.shape
+                raw_norm = lq_norm(ScalarField(grid, np.broadcast_to(raw, stack)), q)
                 c_eps = norm_target / raw_norm
-                f_field = ScalarField(grid, c_eps * raw_field.values)
+                f_field = ScalarField(grid, np.broadcast_to(c_eps * raw, stack))
                 prob = HJProblem(
                     gamma=gamma, sigma=1.0, h0=1.0, h1=1.0, h=1.0, f=f_field
                 )
@@ -527,16 +523,12 @@ def interpolation_bound_check(v: ScalarField, g_rhs, q: float, gamma: float, R: 
     sem = holder_seminorm(v, alpha, big)
     c1 = lq_norm(g_field, q, big) + sem.value
 
-    vt = time_derivative(v)
-    c2 = 0.0
-    for k in range(1, grid.spec.nt):
-        lap = laplacian_level(v.values[k], grid.dx)
-        mag = np.sqrt(np.sum(gradient_level(v.values[k], grid.dx) ** 2, axis=-1))
-        lhs = np.abs(-vt[k] - lap) - g_field.values[k]
-        mask = grid.interior & (mag ** gamma > 1e-14)
-        if mask.any():
-            c2 = max(c2, float(np.max(lhs[mask] / mag[mask] ** gamma)))
-    c2 = max(c2, 0.0)
+    mid = slice(1, grid.spec.nt)  # the levels with a central time difference
+    lap = laplacian_level(v.values[mid], grid.dx, grid.dim)
+    mag = np.sqrt(np.sum(gradient_level(v.values[mid], grid.dx, grid.dim) ** 2, axis=-1))
+    lhs = np.abs(-time_derivative(v)[mid] - lap) - g_field.values[mid]
+    mask = grid.interior & (mag ** gamma > 1e-14)
+    c2 = max(float(np.max(lhs[mask] / mag[mask] ** gamma)), 0.0) if mask.any() else 0.0
 
     norms = w21q_norms(v, q, gamma, inner)
     return InterpolationBound(

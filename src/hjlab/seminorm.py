@@ -641,25 +641,30 @@ def oracle_nl_time(u, alpha, gamma, Q=None):
 # -- parabolic Sobolev-type norms -----------------------------------------------
 
 
-def hessian_frobenius_level(values: np.ndarray, dx: float) -> np.ndarray:
-    """Frobenius norm of the full second-difference Hessian; rim entries 0."""
-    out = np.zeros_like(values)
+def hessian_frobenius_level(values: np.ndarray, dx: float, dim: int | None = None) -> np.ndarray:
+    """Frobenius norm of the full second-difference Hessian; rim entries 0.
+
+    The last dim axes are space (all axes by default); a leading axis, such
+    as the levels of a field, is carried along.
+    """
     nd = values.ndim
-    inner = tuple([slice(1, -1)] * nd)
+    space = range(nd - (nd if dim is None else dim), nd)
+    lead = (slice(None),) * space.start
+    inner = lead + (slice(1, -1),) * len(space)
+    out = np.zeros_like(values)
     acc = np.zeros_like(values[inner])
-    for a in range(nd):
-        sl_c = [slice(1, -1)] * nd
-        sl_p = [slice(1, -1)] * nd
-        sl_m = [slice(1, -1)] * nd
+    for a in space:
+        sl_p = list(inner)
+        sl_m = list(inner)
         sl_p[a] = slice(2, None)
         sl_m[a] = slice(0, -2)
-        d2 = (values[tuple(sl_p)] - 2 * values[tuple(sl_c)] + values[tuple(sl_m)]) / dx ** 2
+        d2 = (values[tuple(sl_p)] - 2 * values[inner] + values[tuple(sl_m)]) / dx ** 2
         acc += d2 ** 2
-    if nd == 2:
-        pp = values[2:, 2:]
-        pm = values[2:, :-2]
-        mp = values[:-2, 2:]
-        mm = values[:-2, :-2]
+    if len(space) == 2:
+        pp = values[lead + (slice(2, None), slice(2, None))]
+        pm = values[lead + (slice(2, None), slice(None, -2))]
+        mp = values[lead + (slice(None, -2), slice(2, None))]
+        mm = values[lead + (slice(None, -2), slice(None, -2))]
         dxy = (pp - pm - mp + mm) / (4 * dx ** 2)
         acc += 2 * dxy ** 2
     out[inner] = np.sqrt(acc)
@@ -667,7 +672,13 @@ def hessian_frobenius_level(values: np.ndarray, dx: float) -> np.ndarray:
 
 
 def w21q_norms(u: ScalarField, q: float, gamma: float, Qp: Cylinder) -> dict:
-    """{'dt': ||du/dt||_q, 'hessian': ||D^2 u||_q, 'grad_gamma': || |Du|^g ||_q} on Qp."""
+    """{'dt': ||du/dt||_q, 'hessian': ||D^2 u||_q, 'grad_gamma': || |Du|^g ||_q} on Qp.
+
+    Each integrand is formed on all levels at once by one stacked operator
+    call and integrated by grid.spacetime_integral; the stacks are built one
+    at a time and worked on in place, so at most two field-sized arrays are
+    alive beside u.
+    """
     g = u.grid
     full = g.cylinder()
     margin_x = 2 * g.dx - 1e-12
@@ -680,18 +691,22 @@ def w21q_norms(u: ScalarField, q: float, gamma: float, Qp: Cylinder) -> dict:
 
     from .grid import gradient_level, time_derivative
 
-    ut = time_derivative(u)
-    hess = np.stack(
-        [hessian_frobenius_level(u.values[k], g.dx) for k in range(g.n_levels)]
-    )
-    gradg = np.stack(
-        [
-            np.sqrt(np.sum(gradient_level(u.values[k], g.dx) ** 2, axis=-1)) ** gamma
-            for k in range(g.n_levels)
-        ]
-    )
-
     def norm_of(stack):
-        return spacetime_integral(g, np.abs(stack) ** q, Qp) ** (1.0 / q)
+        np.abs(stack, out=stack)
+        stack **= q
+        return spacetime_integral(g, stack, Qp) ** (1.0 / q)
 
-    return {"dt": norm_of(ut), "hessian": norm_of(hess), "grad_gamma": norm_of(gradg)}
+    def grad_gamma():
+        grad = gradient_level(u.values, g.dx, g.dim)
+        grad *= grad
+        mag = np.sum(grad, axis=-1)
+        del grad
+        np.sqrt(mag, out=mag)
+        mag **= gamma
+        return mag
+
+    return {
+        "dt": norm_of(time_derivative(u)),
+        "hessian": norm_of(hessian_frobenius_level(u.values, g.dx, g.dim)),
+        "grad_gamma": norm_of(grad_gamma()),
+    }

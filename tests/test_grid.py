@@ -9,20 +9,30 @@ from hjlab.grid import (
     GridSpec,
     ScalarField,
     centered_cylinder,
+    godunov_magnitude_level,
     gradient_central,
     gradient_godunov,
+    gradient_level,
     laplacian,
+    laplacian_level,
     lq_norm,
     make_grid,
     parabolic_distance,
+    quadrature_weights,
     read_field_csv,
     restrict_field,
     sample_field,
     sample_points,
+    spacetime_integral,
     write_field_csv,
 )
+from hjlab.seminorm import hessian_frobenius_level
 
-from conftest import random_field
+from conftest import oracle_godunov, random_field
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestMakeGrid:
@@ -283,3 +293,74 @@ def test_sample_field_is_a_one_point_sample(dim, seed, x, t):
     u = random_field(g, seed)
     x = list(x[:dim])
     assert sample_field(u, x, t) == sample_points(u, [x], t)[0]
+
+
+class TestStackedOperators:
+    @pytest.mark.parametrize("dim, ball", [(1, False), (2, False), (2, True)])
+    def test_a_stack_of_levels_is_the_per_level_calls(self, dim, ball):
+        g = make_grid(GridSpec(dim, 1.0, 0.125, 1.0, 0.25, ball_mask=ball))
+        u = random_field(g, 11)
+        for op in (gradient_level, laplacian_level, hessian_frobenius_level):
+            per_level = np.stack([op(lev, g.dx) for lev in u.values])
+            assert same_bits(op(u.values, g.dx, dim), per_level), op.__name__
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GridSpec(1, 1.0, 1 / 64, 1.0, 1 / 16),
+            GridSpec(2, 1.0, 1 / 64, 0.5, 1 / 8),  # 16641 nodes per level
+            GridSpec(2, 1.0, 0.125, 1.0, 0.125, ball_mask=True),
+        ],
+    )
+    def test_spacetime_integral_is_the_per_level_sum(self, spec):
+        g = make_grid(spec)
+        vals = random_field(g, 12, scale=1e3).values
+        subs = [
+            None,
+            centered_cylinder(0.5, 0.3, g.dim),
+            Cylinder(xmin=(-0.3,) * g.dim, xmax=(0.6,) * g.dim, t0=0.2, t1=0.45, radius=0.5),
+            Cylinder(xmin=(-1.0,) * g.dim, xmax=(1.0,) * g.dim, t0=0.1, t1=0.1),
+        ]
+        for sub in subs:
+            tw, sw = quadrature_weights(g, sub)
+            acc = 0.0
+            for k, w in enumerate(tw):
+                if w == 0.0:
+                    continue
+                acc += w * float(np.sum(vals[k] * sw))
+            assert spacetime_integral(g, vals, sub) == acc
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.sampled_from([(5,), (33,), (5, 7), (17, 17)]),
+        seed=st.integers(0, 2 ** 32 - 1),
+        special=st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308]),
+    )
+    def test_godunov_matches_the_zero_padded_kernel(self, shape, seed, special):
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3)
+        v[rng.random(shape) < 0.2] = special
+        with np.errstate(invalid="ignore"):  # inf - inf
+            assert same_bits(godunov_magnitude_level(v, 0.125), oracle_godunov(v, 0.125))
+
+
+class TestSampleTimes:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_an_array_of_times_is_the_per_time_calls(self, dim):
+        g = make_grid(GridSpec(dim, 1.0, 0.125, 1.0, 0.125, ball_mask=dim == 2))
+        u = random_field(g, 13)
+        rng = np.random.default_rng(14)
+        pts = np.concatenate([rng.uniform(-1.0, 1.0, (30, dim)), g.coords.reshape(-1, dim)[:5]])
+        times = np.concatenate([g.ts, rng.uniform(0.0, 1.0, 10), [1.0 + 1e-12]])
+        rows = sample_points(u, pts, times)
+        assert rows.shape == (len(times), len(pts))
+        for t, row in zip(times, rows):
+            assert same_bits(row, sample_points(u, pts, float(t)))
+
+    def test_an_out_of_horizon_time_in_the_array_raises(self):
+        g = make_grid(GridSpec(1, 1.0, 0.25, 1.0, 0.25))
+        u = random_field(g, 15)
+        with pytest.raises(ValueError, match=r"^sample time t=1\.5 outside the grid horizon$"):
+            sample_points(u, [[0.0]], 1.5)
+        with pytest.raises(ValueError, match=r"^sample time t=1\.5 outside the grid horizon$"):
+            sample_points(u, [[0.0]], np.array([0.0, 1.5, 0.5, -1.0]))

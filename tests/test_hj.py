@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hjlab.grid import GridSpec, NumericalFailure, ScalarField, make_grid
+from hjlab.grid import (
+    GridSpec,
+    NumericalFailure,
+    ScalarField,
+    gradient_level,
+    laplacian_level,
+    make_grid,
+    time_derivative,
+)
 from hjlab.hj import (
     HJProblem,
     alpha_zero,
@@ -23,7 +31,7 @@ from hjlab.hj import (
     time_pair_exponent,
 )
 
-from conftest import counting_splu
+from conftest import counting_splu, oracle_solve_hj, random_field
 
 
 class TestProblemValidation:
@@ -44,6 +52,35 @@ class TestProblemValidation:
         p = HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=2.0, h=lambda x, t: 3.0 + 0 * x[..., 0])
         with pytest.raises(ValueError, match="bounds"):
             p.h_level(g, 0.0)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_bad_field_h_fails_before_the_march(self, dim):
+        g = make_grid(GridSpec(dim, 1.0, 0.25, 1.0, 0.25))
+        vals = np.full((g.n_levels,) + g.shape, 1.5)
+        node = (2,) + (6,) * dim  # one interior node at one interior level
+        vals[node] = 2.5
+        p = HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=2.0, h=ScalarField(g, vals))
+        at = r"h = 2\.5 at x=\(" + ", ".join([r"0\.5"] * dim) + r",?\), t=0\.5"
+        with pytest.raises(ValueError, match="bounds: " + at) as info:
+            counting_splu(solve_hj, p, g)
+        assert info.value.splu_calls == 0
+
+    def test_bad_constant_h_fails_before_the_march(self):
+        g = make_grid(GridSpec(1, 1.0, 0.25, 1.0, 0.25))
+        p = HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=2.0, h=2.0 + 1e-8)
+        with pytest.raises(ValueError, match=r"bounds: h = 2\.00000001 at x=\(-1\.0,\), t=0\.0") as info:
+            counting_splu(solve_hj, p, g)
+        assert info.value.splu_calls == 0
+        p.h = 2.0 + 1e-10  # within the tolerance 1e-9 * max(1, h1)
+        solve_hj(p, g)
+
+    def test_bad_callable_h_fails_where_it_is_evaluated(self):
+        g = make_grid(GridSpec(1, 1.0, 0.25, 1.0, 0.25))
+        h = lambda x, t: np.where((x[..., 0] > 0.4) & (t < 0.5), 0.5, 1.0)
+        p = HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=1.0, h=h)
+        with pytest.raises(ValueError, match=r"bounds: h = 0\.5 at x=\(0\.5,\), t=0\.25") as info:
+            counting_splu(solve_hj, p, g)
+        assert info.value.splu_calls == 1  # the march reached t = 0.25
 
     def test_forcing_field_from_other_grid_rejected(self):
         # same node count and levels, different coordinates
@@ -276,6 +313,21 @@ class TestLegendre:
 
 
 class TestDifferentialInequality:
+    @pytest.mark.parametrize("dim, ball", [(1, False), (2, True)])
+    def test_slacks_are_those_of_a_per_level_loop(self, dim, ball):
+        g = make_grid(GridSpec(dim, 1.0, 0.125, 1.0, 0.125, ball_mask=ball))
+        w, gf = random_field(g, 21), random_field(g, 22, scale=5.0)
+        sigma, h0, h1, gamma = 0.7, 1.0, 2.0, 2.5
+        wt = time_derivative(w)
+        lo = hi = np.inf
+        for k in range(1, g.spec.nt):
+            lap = laplacian_level(w.values[k], g.dx)
+            mag = np.sqrt(np.sum(gradient_level(w.values[k], g.dx) ** 2, axis=-1))
+            base = -wt[k] - sigma * lap
+            lo = min(lo, float(np.min((gf.values[k] - (base + h0 * mag ** gamma))[g.interior])))
+            hi = min(hi, float(np.min((base + h1 * mag ** gamma - gf.values[k])[g.interior])))
+        assert differential_inequality_check(w, gf, sigma, h0, h1, gamma) == (lo, hi)
+
     def test_constant_w_zero_g(self):
         g = make_grid(GridSpec(1, 1.0, 0.25, 1.0, 0.25))
         w = ScalarField.constant(g, 2.0)
@@ -304,3 +356,63 @@ class TestDifferentialInequality:
         zero_g = ScalarField.from_function(g, lambda x, t: 0.5 * np.ones_like(x[..., 0]))
         lo, hi = differential_inequality_check(sol.u, zero_g, 1.0, 1.0, 1.5, 3.0)
         assert lo >= -5 * g.dx and hi >= -5 * g.dx
+
+
+class TestMarchMatchesOracle:
+    """solve_hj against the plain substep loop kept in conftest, bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        dim=st.sampled_from([1, 2]),
+        ball=st.booleans(),
+        dx=st.sampled_from([0.25, 0.125]),
+        dt=st.sampled_from([0.1, 0.125, 0.25]),
+        gamma=st.sampled_from([2.5, 3.0]),
+        h_kind=st.sampled_from(["constant", "callable", "field"]),
+        f_kind=st.sampled_from(["constant", "callable", "field"]),
+        lateral_kind=st.sampled_from(["constant", "callable"]),
+        forced=st.booleans(),
+        amplitude=st.floats(0.0, 2.0),
+        seed=st.integers(0, 2 ** 16),
+    )
+    @example(dim=2, ball=True, dx=0.125, dt=0.1, gamma=3.0, h_kind="field", f_kind="field",
+             lateral_kind="callable", forced=True, amplitude=2.0, seed=0)
+    @example(dim=1, ball=False, dx=0.125, dt=0.25, gamma=2.5, h_kind="callable", f_kind="callable",
+             lateral_kind="constant", forced=False, amplitude=2.0, seed=1)
+    def test_bit_for_bit(self, dim, ball, dx, dt, gamma, h_kind, f_kind, lateral_kind, forced, amplitude, seed):
+        g = make_grid(GridSpec(dim, 1.0, dx, 2 * dt, dt, ball_mask=ball))
+        rng = np.random.default_rng(seed)
+        a, b, c = rng.uniform(-1.0, 1.0, 3)
+        stack = (g.n_levels,) + g.shape
+        h = {
+            "constant": float(rng.uniform(1.0, 2.0)),
+            "callable": lambda x, t: 1.5 + 0.5 * np.sin(3 * x[..., 0] + t) * np.cos(x[..., -1]),
+            "field": ScalarField(g, rng.uniform(1.0, 2.0, stack)),
+        }[h_kind]
+        f = {
+            "constant": 3.0 * a,
+            "callable": lambda x, t: 3.0 * a * np.cos(np.pi * x[..., 0]) + b * t,
+            "field": ScalarField(g, 2.0 * rng.normal(size=stack)),
+        }[f_kind]
+        lateral = {
+            "constant": c,
+            "callable": lambda x, t: c + b * t * x[..., 0],
+        }[lateral_kind]
+        terminal = lambda x: c + amplitude * np.prod(np.cos(0.5 * np.pi * x), axis=-1)
+        p = HJProblem(gamma=gamma, sigma=0.75, h0=1.0, h1=2.0, h=h, f=f, terminal=terminal, lateral=lateral)
+        kw = dict(gradient_bound=4.0, cfl_safety=0.5) if forced else {}
+
+        def run(solve):
+            try:
+                return counting_splu(solve, p, g, **kw), None
+            except (NumericalFailure, ValueError) as exc:
+                return None, (type(exc), str(exc), exc.splu_calls)
+
+        got, got_err = run(solve_hj)
+        want, want_err = run(oracle_solve_hj)
+        assert got_err == want_err
+        if want is not None:
+            (sol, n_lu), (ref, ref_lu) = got, want
+            assert np.array_equal(sol.u.values, ref.u.values)
+            assert sol.log == ref.log
+            assert n_lu == ref_lu

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from hjlab.grid import GridSpec, ScalarField, make_grid
+from hjlab.grid import (
+    GridSpec,
+    ScalarField,
+    gradient_level,
+    laplacian_level,
+    make_grid,
+    sample_points,
+    time_derivative,
+)
 from hjlab.hj import alpha_zero, manufactured_rhs, solve_manufactured
 from hjlab.scalelab import (
     BlowupParams,
@@ -48,6 +56,23 @@ class TestBlowupTransform:
         p = BlowupParams(basepoint_x=[0.0], basepoint_t=0.0, M=1.0, r=1.0, variant="alpha0", gamma=3.0)
         res = blowup_transform(u, p, g.spec)
         assert np.array_equal(res.w.values, u.values)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_each_level_is_one_sample_at_its_time(self, dim):
+        g = make_grid(GridSpec(dim, 1.0, 0.125, 1.0, 0.125))
+        u, f = random_field(g, seed=3), random_field(g, seed=4)
+        fn = lambda x, t: np.sin(x[..., 0]) * (1.0 + t)
+        p = BlowupParams(basepoint_x=[0.1] * dim, basepoint_t=0.25, M=0.5, r=0.5, variant="alpha", gamma=3.0)
+        tg = make_grid(GridSpec(dim, 0.5, 0.0625, 0.25, 1 / 32))
+        by_field = blowup_transform(u, p, tg.spec, f=f)
+        by_callable = blowup_transform(u, p, tg.spec, f=fn)
+        xs = p.basepoint_x + p.r * tg.coords.reshape(-1, dim)
+        for k, s in enumerate(tg.ts):
+            t = p.basepoint_t + p.time_scale * float(s)
+            assert np.array_equal(by_field.w.values[k].ravel(), sample_points(u, xs, t) / p.M)
+            assert np.array_equal(by_field.g.values[k].ravel(), p.r ** 2 / p.M * sample_points(f, xs, t))
+            fv = p.r ** 2 / p.M * fn(xs.reshape(tg.shape + (dim,)), t)
+            assert np.array_equal(by_callable.g.values[k], fv)
 
     def test_round_trip_aligned(self):
         g = make_grid(GridSpec(1, 2.0, 0.125, 2.0, 0.125))
@@ -329,6 +354,23 @@ class TestInterpolationBound:
         v = ScalarField.constant(g, 0.0)
         rep = interpolation_bound_check(v, 0.0, 2.5, 3.0, 0.5)
         assert rep.k_fit == 0.0
+
+    @pytest.mark.parametrize("dim, q", [(1, 2.5), (2, 3.0)])
+    def test_c2_is_that_of_a_per_level_loop(self, dim, q):
+        g = make_grid(GridSpec(dim, 1.0, 0.125, 1.0, 0.125))
+        v, gf = random_field(g, 31), random_field(g, 32)
+        gamma = 3.0
+        vt = time_derivative(v)
+        c2 = 0.0
+        for k in range(1, g.spec.nt):
+            lap = laplacian_level(v.values[k], g.dx)
+            mag = np.sqrt(np.sum(gradient_level(v.values[k], g.dx) ** 2, axis=-1))
+            lhs = np.abs(-vt[k] - lap) - gf.values[k]
+            mask = g.interior & (mag ** gamma > 1e-14)
+            if mask.any():
+                c2 = max(c2, float(np.max(lhs[mask] / mag[mask] ** gamma)))
+        rep = interpolation_bound_check(v, gf, q, gamma, 0.5)
+        assert rep.c2_effective == max(c2, 0.0) > 0.0
 
     def test_exponent_relation_enforced(self):
         g = make_grid(GridSpec(1, 1.0, 0.0625, 1.0, 0.0625))
