@@ -204,13 +204,11 @@ def solve_fp(problem: FPProblem, grid: Grid) -> FPSolution:
 def drift_from_solution(w: ScalarField, h1: float, gamma: float) -> VectorField:
     """b = h1 * gamma * |Dw|^(gamma-2) Dw with the central gradient; 0 where Dw = 0."""
     g = w.grid
-    vals = np.zeros((g.n_levels,) + g.shape + (g.dim,))
-    for k in range(g.n_levels):
-        grad = gradient_level(w.values[k], g.dx)
-        mag = np.sqrt(np.sum(grad ** 2, axis=-1))
-        fac = h1 * gamma * mag ** (gamma - 2.0)  # gamma > 2 extends continuously by 0
-        vals[k] = fac[..., None] * grad
-    return VectorField(g, vals)
+    grad = gradient_level(w.values, g.dx, g.dim)
+    mag = np.sqrt(np.sum(grad ** 2, axis=-1))
+    fac = h1 * gamma * mag ** (gamma - 2.0)  # gamma > 2 extends continuously by 0
+    grad *= fac[..., None]
+    return VectorField(g, grad)
 
 
 # -- functionals of the density -----------------------------------------------------

@@ -350,10 +350,6 @@ class ScalarField:
     def level(self, k: int) -> np.ndarray:
         return self.values[k]
 
-    def check_finite(self):
-        if not np.all(np.isfinite(self.values[:, self.grid.active])):
-            raise ValueError("field has non-finite values at active nodes")
-
     def copy(self) -> "ScalarField":
         return ScalarField(self.grid, self.values.copy())
 

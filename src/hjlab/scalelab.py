@@ -21,6 +21,7 @@ from .grid import (
     laplacian_level,
     lq_norm,
     make_grid,
+    parabolic_distance,
     sample_field,
     sample_points,
     spacetime_integral,
@@ -202,19 +203,6 @@ def normalization_check(w: ScalarField, params: BlowupParams) -> float:
 # -- worst-pair selection ------------------------------------------------------------
 
 
-def _pair_distances(Q: Cylinder, pair, alpha, gamma):
-    """(d_alpha weights, kind-d weights, spatial boundary distances) per endpoint."""
-    out_da, out_d, out_ds = [], [], []
-    for (x, t) in pair:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        ds = max(Q.space_distance(x), 0.0)
-        dtb = abs(Q.t1 - t)
-        out_da.append(ds ** alpha + dtb ** (alpha / gamma))
-        out_d.append(ds + np.sqrt(dtb))
-        out_ds.append(ds)
-    return out_da, out_d, out_ds
-
-
 def worst_pair_selection(u: ScalarField, kind: str, alpha: float, z: float, gamma: float, Q=None) -> BlowupParams:
     """Argmax pair of the requested seminorm turned into ready blow-up data.
 
@@ -237,7 +225,7 @@ def worst_pair_selection(u: ScalarField, kind: str, alpha: float, z: float, gamm
         if res.degenerate or res.value == 0.0:
             raise ValueError("u is constant on Q: no blow-up pair")
         (xa, ta), (xb, tb) = res.pair
-        da, _, _ = _pair_distances(Q, res.pair, alpha, gamma)
+        da = [parabolic_distance(p, Q, "d_alpha", alpha, gamma) for p in res.pair]
         base, other = (0, 1) if da[0] <= da[1] else (1, 0)
         pts = [np.atleast_1d(np.asarray(p[0], dtype=float)) for p in res.pair]
         x_base, x_other = pts[base], pts[other]
@@ -274,7 +262,7 @@ def worst_pair_selection(u: ScalarField, kind: str, alpha: float, z: float, gamm
         dt_pair = late[1] - early[1]
         M = abs(sample_field(u, x_base, late[1]) - sample_field(u, x_base, early[1])) / z
         r = dt_pair ** (1.0 / gamma) * M ** ((gamma - 1.0) / gamma)
-        da, _, _ = _pair_distances(Q, ((early[0], early[1]), (late[0], late[1])), alpha, gamma)
+        da = [parabolic_distance(p, Q, "d_alpha", alpha, gamma) for p in (early, late)]
         quotient = min(da) * M / r ** alpha
         L = quotient / 2.0
         return BlowupParams(
@@ -301,7 +289,7 @@ def worst_pair_selection(u: ScalarField, kind: str, alpha: float, z: float, gamm
         early, late = ((xa, ta), (xb, tb)) if ta <= tb else ((xb, tb), (xa, ta))
         x_base = np.atleast_1d(np.asarray(early[0], dtype=float))
         x_other = np.atleast_1d(np.asarray(late[0], dtype=float))
-        _, dd, _ = _pair_distances(Q, (early, late), alpha, gamma)
+        dd = [parabolic_distance(p, Q, "d") for p in (early, late)]
         M = abs(sample_field(u, x_other, late[1]) - sample_field(u, x_base, early[1]))
         r = float(np.linalg.norm(x_other - x_base)) + np.sqrt(late[1] - early[1])
         quotient = min(dd) ** (alpha - a0) * M / r ** alpha

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from hjlab.acceptance import random_field  # noqa: F401 - shared with the test modules
 from hjlab.grid import Grid, GridSpec, NumericalFailure, ScalarField, make_grid
 from hjlab.hj import CFL_EPS, HJSolution
 
@@ -19,13 +20,6 @@ def grid_1d() -> Grid:
 @pytest.fixture
 def grid_1d_fine() -> Grid:
     return make_grid(GridSpec(1, 1.0, 0.0625, 1.0, 0.125))
-
-
-def random_field(grid: Grid, seed: int, scale: float = 1.0) -> ScalarField:
-    rng = np.random.default_rng(seed)
-    vals = scale * rng.normal(size=(grid.n_levels,) + grid.shape)
-    vals[:, ~grid.active] = 0.0
-    return ScalarField(grid, vals)
 
 
 def counting_splu(solve, *args, **kwargs):

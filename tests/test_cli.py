@@ -63,8 +63,17 @@ class TestCliRuns:
     def run(self, argv):
         return main(argv)
 
-    def test_selftest_green(self, tmp_path):
-        assert self.run(["selftest", "--out", str(tmp_path / "st")]) == 0
+    def test_selftest_runs_every_criterion_and_exits_1_on_failure(self, tmp_path, monkeypatch, capsys):
+        import hjlab.acceptance
+
+        def fails():
+            raise AssertionError("broken on purpose")
+
+        registry = [(1, "passes", lambda: "ok"), (2, "fails", fails), (3, "after", lambda: "ok")]
+        monkeypatch.setattr(hjlab.acceptance, "CRITERIA", registry)
+        assert self.run(["selftest", "--out", str(tmp_path / "st")]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["PASS passes", "FAIL fails: broken on purpose", "PASS after"]
 
     def test_determinism_byte_identical(self, tmp_path):
         for tag in ("a", "b"):

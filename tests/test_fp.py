@@ -4,7 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import assume, example, given, settings, strategies as st
 
-from hjlab.grid import GridSpec, ScalarField, VectorField, make_grid
+from hjlab.grid import GridSpec, ScalarField, VectorField, gradient_level, make_grid
 from hjlab.fp import (
     FPProblem,
     boundary_loss_check,
@@ -18,7 +18,7 @@ from hjlab.fp import (
     solve_fp,
 )
 
-from conftest import counting_splu
+from conftest import counting_splu, random_field
 
 
 def driftless(sigma, R, tau, dx, dt, dim=1, source=0.0, ball=False):
@@ -241,6 +241,17 @@ class TestDriftFromSolution:
         np.testing.assert_allclose(mags, 16.0, rtol=1e-12)
         direction = b.values[0, 2, 2] / mags[1, 1]
         np.testing.assert_allclose(direction, np.array([1.0, 1.0]) / np.sqrt(2), rtol=1e-12)
+
+    @pytest.mark.parametrize("dim,ball", [(1, False), (2, False), (2, True)])
+    def test_is_the_per_level_drift(self, dim, ball):
+        g = make_grid(GridSpec(dim, 1.0, 0.125, 0.5, 0.125, ball_mask=ball))
+        w = random_field(g, seed=dim + 2 * ball)
+        ref = np.zeros((g.n_levels,) + g.shape + (g.dim,))
+        for k in range(g.n_levels):
+            grad = gradient_level(w.values[k], g.dx)
+            fac = 0.75 * 2.5 * np.sqrt(np.sum(grad ** 2, axis=-1)) ** 0.5
+            ref[k] = fac[..., None] * grad
+        assert np.array_equal(drift_from_solution(w, 0.75, 2.5).values, ref)
 
 
 class TestKineticEnergy:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -117,12 +118,6 @@ class TestExponentIdentities:
 
 
 class TestSolver:
-    def test_constants_fixed_point(self):
-        g = make_grid(GridSpec(1, 1.0, 0.25, 1.0, 0.25))
-        p = HJProblem(gamma=3, sigma=1.0, h0=1.0, h1=1.0, f=0.0, terminal=5.0, lateral=5.0)
-        sol = solve_hj(p, g)
-        assert np.max(np.abs(sol.u.values - 5.0)) < 1e-12
-
     def test_linear_time_exact(self):
         # f = c with compatible data: u = c(T - t), gradient term inactive
         g = make_grid(GridSpec(1, 1.0, 0.25, 1.0, 0.25))
@@ -219,6 +214,49 @@ class TestSolver:
         p = HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=2.0, h=h, f=1.0)
         sol = solve_hj(p, g)
         assert np.all(np.isfinite(sol.u.values))
+
+
+class TestComparison:
+    """Ordered data give ordered solutions: each step of the scheme is monotone
+    (Barles & Souganidis 1991) when both solves take the same rungs, and the
+    shared gradient_bound, above both realized gradients, fixes the rungs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.sampled_from([1, 2]),
+        ball=st.booleans(),
+        dx=st.sampled_from([0.25, 0.125]),
+        dt=st.sampled_from([0.1, 0.125, 0.25]),
+        gamma=st.sampled_from([2.5, 3.0]),
+        sigma=st.sampled_from([0.05, 1.0]),
+        amplitude=st.floats(0.0, 0.5),
+        a=st.floats(-1.0, 1.0),
+        c=st.floats(-1.0, 1.0),
+        lateral_gap=st.floats(0.0, 0.1),
+        seed=st.integers(0, 2 ** 16),
+    )
+    def test_ordered_data_give_ordered_solutions(self, dim, ball, dx, dt, gamma, sigma, amplitude, a, c, lateral_gap, seed):
+        g = make_grid(GridSpec(dim, 1.0, dx, 2 * dt, dt, ball_mask=ball))
+        rng = np.random.default_rng(seed)
+        stack = (g.n_levels,) + g.shape
+        noise = lambda: 0.1 * dx * rng.normal(size=stack)
+        terminal = ScalarField(g, c + amplitude * np.prod(np.cos(0.5 * np.pi * g.coords), axis=-1) + noise())
+        f = ScalarField(g, a * np.cos(np.pi * g.coords[..., 0]) + noise())
+        lateral = lambda x, t: c + 0.1 * t * x[..., 0]
+        h = ScalarField(g, rng.uniform(1.0, 2.0, stack))
+        low = HJProblem(gamma=gamma, sigma=sigma, h0=1.0, h1=2.0, h=h, f=f, terminal=terminal, lateral=lateral)
+        gap = lambda: np.abs(noise()) * (rng.random(stack) < 0.1)  # sparse gaps expose a non-monotone step
+        high = replace(
+            low, terminal=ScalarField(g, terminal.values + gap()), f=ScalarField(g, f.values + gap()),
+            lateral=lambda x, t: lateral(x, t) + lateral_gap,
+        )
+        # realized gradients stay below about 2.3 on these data
+        sols = [solve_hj(p, g, gradient_bound=4.0) for p in (low, high)]
+        assert max(row["godunov_max"] for sol in sols for row in sol.log) < 4.0
+        assert [row["dt"] for row in sols[0].log] == [row["dt"] for row in sols[1].log]
+        u1, u2 = (sol.u.values[:, g.active] for sol in sols)
+        scale = max(1.0, float(np.max(np.abs(u1))), float(np.max(np.abs(u2))))
+        assert np.all(u1 <= u2 + 1e-12 * scale)
 
 
 def rung_of(grid, dt):
