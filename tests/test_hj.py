@@ -118,6 +118,12 @@ class TestExponentIdentities:
 
 
 class TestSolver:
+    def test_constants_fixed_point(self):
+        g = make_grid(GridSpec(1, 1.0, 0.25, 1.0, 0.25))
+        p = HJProblem(gamma=3, sigma=1.0, h0=1.0, h1=1.0, f=0.0, terminal=5.0, lateral=5.0)
+        sol = solve_hj(p, g)
+        assert np.max(np.abs(sol.u.values - 5.0)) < 1e-12
+
     def test_linear_time_exact(self):
         # f = c with compatible data: u = c(T - t), gradient term inactive
         g = make_grid(GridSpec(1, 1.0, 0.25, 1.0, 0.25))
