@@ -3,7 +3,8 @@
 CRITERIA is an ordered list of (number, name, check).  Each check runs at
 the stated tolerances with fixed seeds, raises on failure and returns a
 detail string.  tests/test_acceptance.py runs them under pytest and
-`hjlab selftest` runs them from the command line.
+`hjlab selftest` runs them from the command line.  The checks raise through
+check(), not assert, so that `python -O` cannot strip them.
 """
 
 import time
@@ -49,6 +50,12 @@ from .seminorm import (
 )
 
 
+def check(cond, msg: str) -> None:
+    """Raise AssertionError(msg) unless cond holds; unlike assert, kept under -O."""
+    if not cond:
+        raise AssertionError(msg)
+
+
 def random_field(grid: Grid, seed: int, scale: float = 1.0) -> ScalarField:
     """Seeded standard-normal values (times scale) at active nodes, 0 elsewhere."""
     rng = np.random.default_rng(seed)
@@ -68,13 +75,13 @@ def manufactured_hj_convergence():
         errs.append(linf_error(sol.u, ms.u))
     slope = np.polyfit(np.log(dxs), np.log(errs), 1)[0]
     elapsed = time.time() - t0
-    assert slope >= 0.9, f"fitted order {slope} < 0.9 (errors {errs})"
-    assert elapsed < 120.0, f"runtime {elapsed}s exceeds 2 minutes"
+    check(slope >= 0.9, f"fitted order {slope} < 0.9 (errors {errs})")
+    check(elapsed < 120.0, f"runtime {elapsed}s exceeds 2 minutes")
     # zeroth order: constants are exact fixed points of the scheme
     grid = make_grid(GridSpec(1, 1.0, 0.25, 1.0, 0.25))
     prob = HJProblem(gamma=3, sigma=1.0, h0=1.0, h1=1.0, f=0.0, terminal=5.0, lateral=5.0)
     const_err = float(np.max(np.abs(solve_hj(prob, grid).u.values - 5.0)))
-    assert const_err < 1e-12, f"constant 5 moved by {const_err}"
+    check(const_err < 1e-12, f"constant 5 moved by {const_err}")
     return f"order {slope:.3f}, {elapsed:.1f}s; constant error {const_err:.1e}"
 
 
@@ -96,8 +103,8 @@ def fp_conservation_battery():
         sol = solve_fp(FPProblem(**kw), make_grid(spec))
         defect = sol.conservation_defect
         worst_defect = max(worst_defect, defect)
-        assert defect <= 1e-8, f"mass accounting defect {defect} in {kw}"
-        assert sol.min_density() >= 0.0, f"negative density {sol.min_density()} in {kw}"
+        check(defect <= 1e-8, f"mass accounting defect {defect} in {kw}")
+        check(sol.min_density() >= 0.0, f"negative density {sol.min_density()} in {kw}")
     return f"worst defect {worst_defect:.2e}"
 
 
@@ -106,7 +113,7 @@ def heat_kernel_regression():
     sol = solve_fp(FPProblem(sigma=1.0, R=8.0, tau=1.0, drift=None, source=0.0), grid)
     ker = interval_kernel(grid.coords[..., 0], 0.0, 8.0, 1.0, 1.0)
     gap = float(np.sum(np.abs(sol.m.values[-1] - ker)) / np.sum(ker))
-    assert gap <= 0.02, f"relative L1 gap {gap} > 2%"
+    check(gap <= 0.02, f"relative L1 gap {gap} > 2%")
     return f"gap {gap:.4f}"
 
 
@@ -133,10 +140,10 @@ def duality_identity_and_bent_slack():
         brep = bent_duality(w, f, sol, [1.0], 3.0, ell0)
         slack_c.append(max(0.0, -brep.slack) / (dx + dx / 4))
     slope = np.polyfit(np.log(dxs), np.log(resids), 1)[0]
-    assert slope >= 0.9, f"duality residual slope {slope} < 0.9 (residuals {resids})"
+    check(slope >= 0.9, f"duality residual slope {slope} < 0.9 (residuals {resids})")
     # bent slack >= -C(dx + dt) with refinement-stable C
     cap = max(slack_c[0], 1e-6)
-    assert all(c <= 2.0 * cap for c in slack_c), f"bent slack constants unstable: {slack_c}"
+    check(all(c <= 2.0 * cap for c in slack_c), f"bent slack constants unstable: {slack_c}")
     return f"residual slope {slope:.3f}; bent slack constants {slack_c}"
 
 
@@ -152,7 +159,7 @@ def seminorm_oracle_equivalence():
     for i in range(20):
         g = make_grid(specs[i % len(specs)])
         n_nodes = int(g.active.sum()) * g.n_levels
-        assert n_nodes <= 10 ** 4
+        check(n_nodes <= 10 ** 4, f"{n_nodes} space-time nodes exceed the oracle budget of 1e4")
         u = random_field(g, seed=500 + i)
         alpha = (0.3, 0.5, 0.7)[i % 3]
         gamma = (2.5, 3.0, 4.0)[i % 3]
@@ -163,11 +170,12 @@ def seminorm_oracle_equivalence():
             (nonlinear_space(u, alpha, gamma), oracle_nl_space(u, alpha, gamma)),
             (nonlinear_time(u, alpha, gamma), oracle_nl_time(u, alpha, gamma)),
         ):
-            assert (fast.value, fast.pair) == (oracle.value, oracle.pair), (
-                f"field {i}: fast {fast.value} at {fast.pair} != oracle {oracle.value} at {oracle.pair}"
+            check(
+                (fast.value, fast.pair) == (oracle.value, oracle.pair),
+                f"field {i}: fast {fast.value} at {fast.pair} != oracle {oracle.value} at {oracle.pair}",
             )
         checked += 1
-    assert checked >= 20
+    check(checked >= 20, f"only {checked} random fields checked")
     return f"{checked} random fields"
 
 
@@ -176,9 +184,9 @@ def ldiff_cap_check():
     for gc in (1.1, 1.3, 1.5, 1.7, 1.9):
         fitted = ldiff_constant(gc, 100000, seed=0)
         cap = ldiff_cap(gc)
-        assert fitted <= cap, f"gamma'={gc}: fitted {fitted} > cap {cap}"
+        check(fitted <= cap, f"gamma'={gc}: fitted {fitted} > cap {cap}")
     elapsed = time.time() - t0
-    assert elapsed < 10.0, f"ldiff runtime {elapsed}s >= 10s"
+    check(elapsed < 10.0, f"ldiff runtime {elapsed}s >= 10s")
     return f"{elapsed:.2f}s"
 
 
@@ -187,7 +195,7 @@ def legendre_gap_check():
     ps = rng.normal(scale=1.5, size=(100, 1))
     for h, g in ((1.0, 3.0), (1.0, 4.0), (2.0, 3.0)):
         gap = legendre_gap(h, g, ps)
-        assert gap < 1e-6, f"(h={h}, gamma={g}): gap {gap}"
+        check(gap < 1e-6, f"(h={h}, gamma={g}): gap {gap}")
     return "gap < 1e-6"
 
 
@@ -196,11 +204,11 @@ def liouville_decay():
     for a in np.linspace(0.1, 0.9, 5):
         for g in np.linspace(2.2, 6.0, 5):
             vals = [closed_form_decay_budget(t, a, g) for t in (4.0, 16.0, 64.0)]
-            assert vals[0] > vals[1] > vals[2], f"budget not decreasing at alpha={a}, gamma={g}"
+            check(vals[0] > vals[1] > vals[2], f"budget not decreasing at alpha={a}, gamma={g}")
     # measured oscillation of the homogeneous solve at R = 8
     rows = liouville_probe(1.0, 3.0, 0.5, [8.0], [4.0, 16.0, 64.0], dx=1 / 8, dt=1 / 16, amplitude=1.0)
     osc = [r["measured_osc"] for r in rows]
-    assert osc[1] <= 1.05 * osc[0] and osc[2] <= 1.05 * osc[1], f"oscillation ladder {osc}"
+    check(osc[1] <= 1.05 * osc[0] and osc[2] <= 1.05 * osc[1], f"oscillation ladder {osc}")
     return f"measured oscillation {['%.2e' % o for o in osc]}"
 
 
@@ -211,25 +219,25 @@ def exponent_identities():
         N = int(rng.integers(1, 3))
         gc = gamma_conjugate(g)
         q0 = critical_q0(g, N)
-        assert abs(q0 * gc - (N + 2)) <= 1e-12 * (N + 2), f"q0 * gamma' = {q0 * gc} at gamma={g}, N={N}"
-        assert abs(alpha_zero(g) - (2.0 - gc)) <= 1e-12, f"alpha0 = {alpha_zero(g)} at gamma={g}"
+        check(abs(q0 * gc - (N + 2)) <= 1e-12 * (N + 2), f"q0 * gamma' = {q0 * gc} at gamma={g}, N={N}")
+        check(abs(alpha_zero(g) - (2.0 - gc)) <= 1e-12, f"alpha0 = {alpha_zero(g)} at gamma={g}")
     for _ in range(20):
         M = 10.0 ** rng.uniform(-6, 6)
         g = 2.0 + 1e-9 + 8.0 * rng.random()
-        assert abs(time_pair_exponent(M, g) - M) <= 1e-12 * M, f"time-pair exponent at M={M}, gamma={g}"
+        check(abs(time_pair_exponent(M, g) - M) <= 1e-12 * M, f"time-pair exponent at M={M}, gamma={g}")
     return "at 1e-12 relative"
 
 
 def maxreg_sweep_smoke():
     t0 = time.time()
-    assert critical_q0(3.0, 1) == 2.0
+    check(critical_q0(3.0, 1) == 2.0, f"critical_q0(3, 1) = {critical_q0(3.0, 1)}, want 2")
     rows = maxreg_sweep([1.6, 2.4], [1 / 4, 1 / 8, 1 / 16], 3.0, [1 / 64, 1 / 128])
     elapsed = time.time() - t0
-    assert elapsed < 600.0, f"sweep runtime {elapsed}s exceeds 10 minutes"
-    assert len(rows) == 12, f"{len(rows)} sweep rows, want 12"
-    assert all(r["status"] == "ok" for r in rows), f"statuses {[r['status'] for r in rows]}"
+    check(elapsed < 600.0, f"sweep runtime {elapsed}s exceeds 10 minutes")
+    check(len(rows) == 12, f"{len(rows)} sweep rows, want 12")
+    check(all(r["status"] == "ok" for r in rows), f"statuses {[r['status'] for r in rows]}")
     above = [r["ratio"] for r in rows if r["q"] == 2.4]
-    assert max(above) / min(above) <= 2.0, f"q=2.4 ratio spread {max(above)/min(above)}"
+    check(max(above) / min(above) <= 2.0, f"q=2.4 ratio spread {max(above)/min(above)}")
     below = [(r["epsilon"], r["dx"], r["ratio"]) for r in rows if r["q"] == 1.6]
     # sub-q0 column: emitted and its growth trend flagged, not asserted
     by_dx = {}
@@ -254,7 +262,7 @@ def blowup_roundtrip_and_normalization():
     sl = g.subgrid_slices(1.0)
     ref = u.values[(slice(0, back_grid.n_levels),) + sl]
     rt_err = float(np.max(np.abs(back.values - ref)))
-    assert rt_err <= 1e-10, f"round-trip error {rt_err}"
+    check(rt_err <= 1e-10, f"round-trip error {rt_err}")
 
     # selection sandwich and driven normalization
     gb = make_grid(GridSpec(1, 2.0, 0.125, 4.0, 0.125))
@@ -265,13 +273,13 @@ def blowup_roundtrip_and_normalization():
     for kind, target in (("space", 1.0), ("time", z)):
         bp = worst_pair_selection(ub, kind, a0, z, 3.0)
         L, quot, twoL = bp.sandwich
-        assert L <= quot <= twoL and quot == twoL, "sandwich not exact"
+        check(L <= quot <= twoL and quot == twoL, "sandwich not exact")
         n = max(2, int(round(1.0 / (0.125 / bp.r))))
         smax = 1.0 if kind == "time" else min(1.0, (gb.spec.horizon - bp.basepoint_t) / bp.time_scale)
         tspec = GridSpec(1, 1.0, 1.0 / n, smax, smax / 2)
         w = blowup_transform(ub, bp, tspec).w
         val = normalization_check(w, bp)
-        assert abs(val - target) <= 1e-12 * max(1.0, target), f"{kind}: {val} != {target}"
+        check(abs(val - target) <= 1e-12 * max(1.0, target), f"{kind}: {val} != {target}")
         norms[kind] = val
     return f"round trip {rt_err:.1e}; normalization {norms}"
 

@@ -5,7 +5,9 @@ Dirac, absorbing lateral boundary.  Conservative finite-volume update: one
 implicit upwind drift-and-diffusion solve per level (an M-matrix for every
 dt, so no transport CFL bound), exact per-face accounting of the diffusive
 boundary loss so that mass(s) + outflux(s) = 1 holds to solver precision at
-every level.
+every level.  The matrix is factored once per distinct drift level: by
+LAPACK's tridiagonal LU on 1D grids, by SuperLU otherwise.  A drift that is
+not finite somewhere is rejected before the march.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .grid import (
     Cylinder,
@@ -30,6 +33,7 @@ from .grid import (
 from .hj import gamma_conjugate
 
 _NEG_TOL = 1e-12
+_BLOCK = 64  # distinct drift levels whose matrix entries are formed together
 
 
 @dataclass
@@ -86,31 +90,41 @@ class FPSolution:
 
 
 def _sample_drift(grid: Grid, drift) -> VectorField:
+    """The drift on every node and level of grid; raises at a non-finite value."""
     shape = (grid.n_levels,) + grid.shape + (grid.dim,)
     if drift is None:
         return VectorField(grid, np.zeros(shape))
     if isinstance(drift, VectorField):
         if drift.grid.spec == grid.spec:
-            return drift
-        # resample multilinearly onto the FP nodes; the drift's grid must cover them
-        pts = grid.coords.reshape(-1, grid.dim)
-        vals = np.zeros(shape)
-        try:
-            for a in range(grid.dim):
-                comp = ScalarField(drift.grid, drift.values[..., a])
-                vals[..., a] = sample_points(comp, pts, grid.ts).reshape(shape[:-1])
-        except ValueError as exc:
-            raise ValueError(f"drift VectorField does not cover the FP grid: {exc}") from exc
-        return VectorField(grid, vals)
-    if callable(drift):
+            b = drift
+        else:
+            # resample multilinearly onto the FP nodes; the drift's grid must cover them
+            pts = grid.coords.reshape(-1, grid.dim)
+            vals = np.zeros(shape)
+            try:
+                for a in range(grid.dim):
+                    comp = ScalarField(drift.grid, drift.values[..., a])
+                    vals[..., a] = sample_points(comp, pts, grid.ts).reshape(shape[:-1])
+            except ValueError as exc:
+                raise ValueError(f"drift VectorField does not cover the FP grid: {exc}") from exc
+            b = VectorField(grid, vals)
+    elif callable(drift):
         vals = np.zeros(shape)
         for k, t in enumerate(grid.ts):
             vals[k] = np.asarray(drift(grid.coords, float(t)), dtype=float)
-        return VectorField(grid, vals)
-    vec = np.atleast_1d(np.asarray(drift, dtype=float))
-    vals = np.zeros(shape)
-    vals[...] = vec
-    return VectorField(grid, vals)
+        b = VectorField(grid, vals)
+    else:
+        vals = np.zeros(shape)
+        vals[...] = np.atleast_1d(np.asarray(drift, dtype=float))
+        b = VectorField(grid, vals)
+    bad = np.argwhere(~np.all(np.isfinite(b.values), axis=-1))
+    if len(bad):
+        k, *idx = (int(i) for i in bad[0])
+        raise ValueError(
+            f"drift is not finite: b = {tuple(b.values[(k, *idx)].tolist())} "
+            f"at x={tuple(grid.coords[tuple(idx)].tolist())}, t={float(grid.ts[k])!r}"
+        )
+    return b
 
 
 def solve_fp(problem: FPProblem, grid: Grid) -> FPSolution:
@@ -120,7 +134,13 @@ def solve_fp(problem: FPProblem, grid: Grid) -> FPSolution:
     U is upwind transport with face velocity -(b_l + b_r)/2 between interior
     nodes and no drift flux on faces that touch a non-interior node; its
     off-diagonals are <= 0 and its columns sum to 0, so the matrix is an
-    M-matrix for every dt.  It is LU-factored once per distinct drift level.
+    M-matrix for every dt.  The matrix entries of the distinct drift levels
+    (a level whose interior drift differs from the previous level's) are
+    formed with stacked array operations, _BLOCK levels at a time, and each
+    is LU-factored once: by LAPACK's tridiagonal dgttrf when the matrix is
+    tridiagonal (every 1D grid), by SuperLU otherwise.  The march solves,
+    checks the new level for negative density and clamps it; the boundary
+    fluxes, outflux and mass of all levels follow from the stacked densities.
     """
     x0 = problem.validate(grid)
     b = _sample_drift(grid, problem.drift)
@@ -139,45 +159,75 @@ def solve_fp(problem: FPProblem, grid: Grid) -> FPSolution:
     lo, hi = np.minimum(r, c), np.maximum(r, c)  # C order: lo is on the face's lower side
     axis = np.argmax(int_idx[lo] != int_idx[hi], axis=1)
 
-    faces = grid.boundary_faces()
-    face_int = np.array([np.ravel_multi_index(f[0], grid.shape) for f in faces])
-    cell = grid.dx ** grid.dim
-    face_factor = problem.sigma * grid.dt * grid.dx ** (grid.dim - 2)
-
+    # a level factors anew unless its interior drift equals the previous level's
     nt = grid.spec.nt
+    new = np.ones(nt, dtype=bool)
+    new[1:] = np.any((b.values[1:nt] != b.values[: nt - 1])[:, interior], axis=(1, 2))
+    steps = np.flatnonzero(new)
+    tridiagonal = bool(np.all(np.abs(r - c) == 1))
+    sub = r > c  # tridiagonal: A[c + 1, c] lies below the diagonal, A[r, r + 1] above it
+
+    def factorizations():
+        """A solve function per distinct drift level, the entries formed _BLOCK levels at a time."""
+        for start in range(0, len(steps), _BLOCK):
+            block = steps[start : start + _BLOCK]
+            bd = b.values[block][:, interior]
+            v = -0.5 * (bd[:, lo, axis] + bd[:, hi, axis])
+            # U[lo, hi] = min(v, 0)/dx, U[hi, lo] = -max(v, 0)/dx, U[c, c] = -sum_r U[r, c]
+            u_off = np.where(r < c, np.minimum(v, 0.0), -np.maximum(v, 0.0))
+            u_off /= grid.dx
+            col_sums = np.bincount(
+                (c + n_int * np.arange(len(block))[:, None]).ravel(),
+                weights=u_off.ravel(),
+                minlength=len(block) * n_int,
+            ).reshape(len(block), n_int)
+            off_data = base[off] + grid.dt * u_off
+            diag_data = base[diag] - grid.dt * col_sums
+            if tridiagonal:
+                dl = np.zeros((len(block), n_int - 1))
+                du = np.zeros((len(block), n_int - 1))
+                dl[:, c[sub]] = off_data[:, sub]
+                du[:, r[~sub]] = off_data[:, ~sub]
+            for i, k in enumerate(block):
+                if tridiagonal:
+                    *lu, info = lapack.dgttrf(dl[i], diag_data[i], du[i])
+                    if info != 0:
+                        raise NumericalFailure(f"tridiagonal LU failed (info={info}) at FP step {k}")
+                    # dgttrs reports only illegal arguments, which f2py's checks exclude
+                    yield lambda rhs, lu=lu: lapack.dgttrs(*lu, rhs)[0]
+                else:
+                    A.data[off] = off_data[i]
+                    A.data[diag] = diag_data[i]
+                    yield spla.splu(A).solve
+
+    cell = grid.dx ** grid.dim
     levels = np.zeros((nt + 1,) + grid.shape)
     src_idx = grid.nearest_node(x0)
     if not grid.interior[src_idx]:
         raise ValueError("source node is not interior")
     levels[0][src_idx] = 1.0 / cell
 
-    mass = np.zeros(nt + 1)
-    outflux = np.zeros(nt + 1)
-    bflux = np.zeros((nt + 1, len(faces)))
-    mass[0] = float(np.sum(levels[0])) * cell
-
-    b_lu = None
+    factors = factorizations()
     for k in range(nt):
-        b_int = b.values[k][interior]
-        if b_lu is None or not np.array_equal(b_int, b_lu):
-            v = -0.5 * (b_int[lo, axis] + b_int[hi, axis])
-            # U[lo, hi] = min(v, 0)/dx, U[hi, lo] = -max(v, 0)/dx, U[c, c] = -sum_r U[r, c]
-            u_off = np.where(r < c, np.minimum(v, 0.0), -np.maximum(v, 0.0)) / grid.dx
-            A.data[off] = base[off] + grid.dt * u_off
-            A.data[diag] = base[diag] - grid.dt * np.bincount(c, weights=u_off, minlength=n_int)
-            lu = spla.splu(A)
-            b_lu = b_int
-        sol = lu.solve(levels[k][interior])
+        if new[k]:
+            solve = next(factors)
+        sol = solve(levels[k][interior])
         m_new = levels[k + 1]
         m_new[interior] = sol
         low = float(np.min(sol)) if len(sol) else 0.0
         scale = max(1.0, float(np.max(np.abs(sol)))) if len(sol) else 1.0
-        if low < -_NEG_TOL * scale:
+        if not (low >= -_NEG_TOL * scale):
             raise NumericalFailure(f"negative density {low} after FP step {k}: internal scheme bug")
         np.maximum(m_new, 0.0, out=m_new)
-        bflux[k + 1] = face_factor * m_new.reshape(-1)[face_int]
-        outflux[k + 1] = outflux[k] + float(np.sum(bflux[k + 1]))
-        mass[k + 1] = float(np.sum(m_new)) * cell
+
+    faces = grid.boundary_faces()
+    face_int = np.array([np.ravel_multi_index(f[0], grid.shape) for f in faces])
+    face_factor = problem.sigma * grid.dt * grid.dx ** (grid.dim - 2)
+    flat = levels.reshape(nt + 1, -1)
+    bflux = np.zeros((nt + 1, len(faces)))
+    bflux[1:] = face_factor * flat[1:, face_int]
+    outflux = np.cumsum(bflux.sum(axis=1))  # bflux[0] = 0
+    mass = flat.sum(axis=1) * cell
 
     sol = FPSolution(
         grid=grid,
@@ -191,7 +241,7 @@ def solve_fp(problem: FPProblem, grid: Grid) -> FPSolution:
         boundary_flux=bflux,
         faces=faces,
     )
-    if sol.conservation_defect > 1e-8:
+    if not (sol.conservation_defect <= 1e-8):
         raise NumericalFailure(
             f"mass accounting broke: max |mass + outflux - 1| = {sol.conservation_defect}"
         )

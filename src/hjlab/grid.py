@@ -522,17 +522,29 @@ def sample_points(u: ScalarField, pts, t) -> np.ndarray:
 
     t is one time (one value per point back) or a 1-D array of times (one
     row per time back); each time blends the two levels around it, or takes
-    the lower level alone when it falls on it.
+    the lower level alone when it falls on it.  With an array of times, pts
+    of shape (len(t), n, dim) gives each time its own n points; row i is
+    then what sampling pts[i] at t[i] alone gives, bit for bit.  A point set
+    that every time shares is then passed flat, as (n, dim).
     """
     g = u.grid
-    pts = np.asarray(pts, dtype=float).reshape(-1, g.dim)
-    eps = 1e-9 * g.dx
-    for a in range(g.dim):
-        out = (pts[:, a] < g.axes[a][0] - eps) | (pts[:, a] > g.axes[a][-1] + eps)
-        if out.any():
-            raise ValueError(f"sample point x={tuple(pts[np.argmax(out)])} outside the grid box")
     times = np.asarray(t, dtype=float)
     tt = times.reshape(-1)
+    pts = np.asarray(pts, dtype=float)
+    if times.ndim == 1 and pts.ndim == 3:
+        if pts.shape[0] != len(tt) or pts.shape[2] != g.dim:
+            raise ValueError(f"per-time points of shape {pts.shape} do not match {len(tt)} times in {g.dim}D")
+    else:
+        pts = pts.reshape(1, -1, g.dim)  # one point set shared by every time
+    eps = 1e-9 * g.dx
+    first = np.array([ax[0] for ax in g.axes])
+    last = np.array([ax[-1] for ax in g.axes])
+    out = (pts < first - eps) | (pts > last + eps)
+    if out.any():
+        # name the first point outside: first row, then first axis, then point order
+        r = int(np.argmax(out.any(axis=(1, 2))))
+        a = int(np.argmax(out[r].any(axis=0)))
+        raise ValueError(f"sample point x={tuple(pts[r, np.argmax(out[r, :, a])])} outside the grid box")
     lo, hi = g.ts[0] - 1e-9 * g.dt, g.ts[-1] + 1e-9 * g.dt
     if not (lo <= tt.min() and tt.max() <= hi):
         bad = float(tt[~((tt >= lo) & (tt <= hi))][0])
@@ -544,19 +556,20 @@ def sample_points(u: ScalarField, pts, t) -> np.ndarray:
     idx = []
     frac = []
     for a in range(g.dim):
-        i = np.clip(np.floor((pts[:, a] - g.axes[a][0]) / g.dx).astype(int), 0, g.shape[a] - 2)
-        f = np.clip((pts[:, a] - g.axes[a][i]) / g.dx, 0.0, 1.0)
+        i = np.clip(np.floor((pts[..., a] - g.axes[a][0]) / g.dx).astype(int), 0, g.shape[a] - 2)
+        f = np.clip((pts[..., a] - g.axes[a][i]) / g.dx, 0.0, 1.0)
         idx.append(i)
         frac.append(f)
 
-    def space_interp(k):
+    def space_interp(k, rows=slice(None)):
+        # idx and frac hold one row per time, or one row that every time shares
+        at = [(i, f) if len(i) == 1 else (i[rows], f[rows]) for i, f in zip(idx, frac)]
         lev = u.values
         k = k[:, None]
         if g.dim == 1:
-            i, f = idx[0], frac[0]
+            ((i, f),) = at
             return (1 - f) * lev[k, i] + f * lev[k, i + 1]
-        i, fx = idx[0], frac[0]
-        j, fy = idx[1], frac[1]
+        (i, fx), (j, fy) = at
         return (
             (1 - fx) * (1 - fy) * lev[k, i, j]
             + fx * (1 - fy) * lev[k, i + 1, j]
@@ -568,7 +581,7 @@ def sample_points(u: ScalarField, pts, t) -> np.ndarray:
     rows = np.flatnonzero(ft)  # the times that blend in the level above
     if len(rows):
         fr = ft[rows, None]
-        vals[rows] = (1 - fr) * vals[rows] + fr * space_interp(kt[rows] + 1)
+        vals[rows] = (1 - fr) * vals[rows] + fr * space_interp(kt[rows] + 1, rows)
     return vals[0] if times.ndim == 0 else vals
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from hjlab.acceptance import random_field  # noqa: F401 - shared with the test modules
 from hjlab.grid import Grid, GridSpec, NumericalFailure, ScalarField, make_grid
@@ -22,23 +23,29 @@ def grid_1d_fine() -> Grid:
     return make_grid(GridSpec(1, 1.0, 0.0625, 1.0, 0.125))
 
 
-def counting_splu(solve, *args, **kwargs):
-    """solve(*args, **kwargs) and the number of sparse LU factorizations it made.
+def counting_lu(solve, *args, **kwargs):
+    """solve(*args, **kwargs) and the number of LU factorizations it made.
 
-    An exception from solve propagates with the count as its splu_calls.
+    Counts SuperLU (scipy.sparse.linalg.splu) and LAPACK tridiagonal
+    (scipy.linalg.lapack.dgttrf) factorizations alike.  An exception from
+    solve propagates with the count as its lu_calls.
     """
     calls = []
-    real = spla.splu
 
-    def splu(A, *a, **kw):
-        calls.append(A.shape)
-        return real(A, *a, **kw)
+    def counted(real):
+        def factor(*a, **kw):
+            calls.append(real.__name__)
+            return real(*a, **kw)
 
-    with mock.patch.object(spla, "splu", splu):
+        return factor
+
+    with mock.patch.object(spla, "splu", counted(spla.splu)), mock.patch.object(
+        lapack, "dgttrf", counted(lapack.dgttrf)
+    ):
         try:
             res = solve(*args, **kwargs)
         except Exception as exc:
-            exc.splu_calls = len(calls)
+            exc.lu_calls = len(calls)
             raise
     return res, len(calls)
 

@@ -75,6 +75,29 @@ class TestCliRuns:
         lines = capsys.readouterr().out.splitlines()
         assert lines == ["PASS passes", "FAIL fails: broken on purpose", "PASS after"]
 
+    def test_selftest_under_python_O_still_fails(self, tmp_path):
+        # a real criterion fed a failing gap; an assert-based check would vanish under -O
+        import hjlab
+
+        script = (
+            "import sys\n"
+            "import hjlab.acceptance as acc\n"
+            "from hjlab.cli import main\n"
+            "print('debug', __debug__)\n"
+            "acc.legendre_gap = lambda h, gamma, ps: 1.0\n"
+            "acc.CRITERIA[:] = [(7, 'legendre_gap', acc.legendre_gap_check)]\n"
+            "sys.exit(main(['selftest', '--out', sys.argv[1]]))\n"
+        )
+        env = {"PYTHONPATH": str(Path(hjlab.__file__).resolve().parents[1]), "PATH": ""}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script, str(tmp_path / "st")],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.stdout.splitlines() == [
+            "debug False", "FAIL legendre_gap: (h=1.0, gamma=3.0): gap 1.0"
+        ], proc.stderr
+        assert proc.returncode == 1
+
     def test_determinism_byte_identical(self, tmp_path):
         for tag in ("a", "b"):
             code = self.run(

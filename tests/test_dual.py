@@ -5,6 +5,8 @@ from hjlab.grid import GridSpec, ScalarField, make_grid, sample_field
 from hjlab.hj import manufactured_rhs, ms_cosine, solve_hj, HJProblem, solve_manufactured
 from hjlab.fp import FPProblem, drift_from_solution, solve_fp
 from hjlab.dual import (
+    _boundary_sum,
+    _ldiff_samples,
     bent_duality,
     duality_identity,
     ell_constant,
@@ -93,6 +95,27 @@ class TestBentDuality:
                         ref[y] += sample_field(w, g.coords[b] + (1.0 - s) * y * y0, s) * incr
         assert duality_identity(w, f, sol, 1.0, 3.0).boundary == ref[0.0]
         assert bent_duality(w, f, sol, y0, 3.0, ell_constant(1.0, 3.0)).boundary == ref[1.0]
+
+    def test_faces_without_increment_are_not_sampled(self):
+        # the shift carries the x = +1 face out of w's box; it has no outflux
+        # increment, so the sum ignores it until a level gives it one
+        gw = make_grid(GridSpec(1, 1.5, 0.125, 1.0, 0.0625))
+        w = ScalarField.from_function(gw, lambda x, t: np.cos(x[..., 0]) + t)
+        g = make_grid(GridSpec(1, 1.0, 0.125, 1.0, 0.0625))
+        sol = solve_fp(FPProblem(sigma=1.0, R=1.0, tau=1.0, drift=(0.5,), source=0.0), g)
+        plus = [fi for fi, (_, b) in enumerate(sol.faces) if g.coords[b][0] > 0]
+        sol.boundary_flux[:, plus] = 0.0
+        shift = lambda s: np.array([0.75])
+        ref = 0.0
+        for k in range(1, g.n_levels):
+            for fi, (_, b) in enumerate(sol.faces):
+                incr = sol.boundary_flux[k, fi]
+                if incr != 0.0:
+                    ref += sample_field(w, g.coords[b] + 0.75, float(g.ts[k])) * incr
+        assert _boundary_sum(w, sol, shift) == ref != 0.0
+        sol.boundary_flux[3, plus] = 1e-3
+        with pytest.raises(ValueError, match=r"^sample point x=\(np.float64\(1.75\),\) outside the grid box$"):
+            _boundary_sum(w, sol, shift)
 
     def test_zero_bend_matches_identity_direction(self):
         w, f, sol = manufactured_pair(0.5, 1 / 16)
@@ -319,6 +342,20 @@ class TestLdiff:
 
     def test_deterministic_in_seed(self):
         assert ldiff_constant(1.5, 5000, seed=3) == ldiff_constant(1.5, 5000, seed=3)
+
+    def test_a_gamma_conj_list_in_either_order_is_the_fresh_single_calls(self):
+        gcs = [1.1, 1.3, 1.5, 1.7, 1.9]
+        fresh = {}
+        for gc in gcs:
+            _ldiff_samples.cache_clear()
+            fresh[gc] = ldiff_constant(gc, 20000, seed=4)
+        for order in (gcs, gcs[::-1]):
+            _ldiff_samples.cache_clear()
+            assert [ldiff_constant(gc, 20000, seed=4) for gc in order] == [fresh[gc] for gc in order]
+        # another seed or sample count draws afresh
+        assert ldiff_constant(1.5, 20000, seed=5) != fresh[1.5]
+        _ldiff_samples.cache_clear()
+        assert ldiff_constant(1.5, 20000, seed=5) == ldiff_constant(1.5, 20000, seed=5)
 
     def test_gamma_conj_domain(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 from hypothesis import assume, example, given, settings, strategies as st
 
-from hjlab.grid import GridSpec, ScalarField, VectorField, gradient_level, make_grid
+from hjlab import fp
+from hjlab.grid import GridSpec, NumericalFailure, ScalarField, VectorField, gradient_level, make_grid
 from hjlab.fp import (
     FPProblem,
     boundary_loss_check,
@@ -18,7 +22,7 @@ from hjlab.fp import (
     solve_fp,
 )
 
-from conftest import counting_splu, random_field
+from conftest import counting_lu, random_field
 
 
 def driftless(sigma, R, tau, dx, dt, dim=1, source=0.0, ball=False):
@@ -58,6 +62,38 @@ class TestValidation:
         g = make_grid(GridSpec(1, 1.0, 0.125, 1.0, 0.25))
         sol = solve_fp(FPProblem(sigma=1.0, R=1.0, tau=1.0, drift=b), g)
         assert np.array_equal(sol.b.values, b.values[::2, 16:49:2])
+
+
+class TestNonFiniteDrift:
+    """A NaN or inf drift fails at the boundary, naming the first bad node in
+    level, then C order, whichever form the drift takes."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("form", ["constant", "callable", "field", "resampled"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_rejected_naming_node_and_time(self, dim, form, bad):
+        g = make_grid(GridSpec(dim, 1.0, 0.125, 0.5, 0.125))
+        at = (2,) + (5,) * dim  # level 2 (t = 0.25), node x = (-0.375, ...)
+        b_at = np.zeros(dim)
+        b_at[-1] = bad
+        if form == "constant":
+            drift, at, b_at = (bad,) * dim, (0,) * (dim + 1), np.full(dim, bad)
+        elif form == "callable":
+            def drift(x, t):
+                b = np.zeros(x.shape)
+                b[at[1:]] = b_at if t == 0.25 else 0.0
+                return b
+        else:
+            # the resampled field's node (2, 10, ...) is the FP node (2, 5, ...)
+            cover = g if form == "field" else make_grid(GridSpec(dim, 1.0, 0.0625, 0.5, 0.125))
+            vals = np.zeros((cover.n_levels,) + cover.shape + (dim,))
+            vals[(2,) + (5 if form == "field" else 10,) * dim] = b_at
+            drift = VectorField(cover, vals)
+        x = tuple(g.coords[at[1:]].tolist())
+        msg = f"drift is not finite: b = {tuple(b_at.tolist())} at x={x}, t={float(g.ts[at[0]])!r}"
+        with pytest.raises(ValueError) as info:
+            solve_fp(FPProblem(sigma=1.0, R=1.0, tau=0.5, drift=drift, source=(0.0,) * dim), g)
+        assert str(info.value) == msg
 
 
 class TestConservation:
@@ -122,7 +158,7 @@ class TestImplicitTransport:
         else:
             cover = make_grid(GridSpec(dim, 1.5, dx / 2, levels * dt, dt / 2))
             drift = VectorField(cover, speed * rng.normal(size=(cover.n_levels,) + cover.shape + (dim,)))
-        sol, n_lu = counting_splu(
+        sol, n_lu = counting_lu(
             solve_fp, FPProblem(sigma=sigma, R=1.0, tau=levels * dt, drift=drift, source=x0), g
         )
 
@@ -170,6 +206,90 @@ class TestImplicitTransport:
         for k in range(g.spec.nt):
             m = sol.m.values[k][g.interior]
             assert np.array_equal(np.maximum(lu.solve(m), 0.0), sol.m.values[k + 1][g.interior])
+
+    def test_zero_drift_1d_is_the_superlu_diffusion_solve(self):
+        # the tridiagonal LAPACK path solves the same matrix as SuperLU, to round-off
+        g = make_grid(GridSpec(1, 1.0, 1 / 32, 0.25, 1 / 16))
+        sol = solve_fp(FPProblem(sigma=0.7, R=1.0, tau=0.25, source=0.25), g)
+        L = g.laplacian_ops()[0]
+        lu = spla.splu((sp.identity(L.shape[0], format="csc") - 0.7 * g.dt * L).tocsc())
+        for k in range(g.spec.nt):
+            want = np.maximum(lu.solve(sol.m.values[k][g.interior]), 0.0)
+            got = sol.m.values[k + 1][g.interior]
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("block", [1, 3])
+    @pytest.mark.parametrize("dim,ball", [(1, False), (2, False), (2, True)])
+    def test_tridiagonal_lapack_in_1d_superlu_otherwise(self, dim, ball, block):
+        # matrix entries formed a few levels at a time factor the same matrices
+        g = make_grid(GridSpec(dim, 1.0, 0.125, 1.0, 0.125, ball_mask=ball))
+        rng = np.random.default_rng(dim + 2 * ball)
+        b = VectorField(g, rng.normal(size=(g.n_levels,) + g.shape + (dim,)))
+        b.values[3] = b.values[2]  # step 3 reuses step 2's factorization: 7 of 8 distinct
+        prob = FPProblem(sigma=0.5, R=1.0, tau=1.0, drift=b, source=(0.0,) * dim)
+        ref = solve_fp(prob, g)
+        with mock.patch.object(spla, "splu", wraps=spla.splu) as splu, mock.patch.object(
+            lapack, "dgttrf", wraps=lapack.dgttrf
+        ) as dgttrf, mock.patch.object(fp, "_BLOCK", block):
+            sol = solve_fp(prob, g)
+        assert (dgttrf.call_count, splu.call_count) == ((7, 0) if dim == 1 else (0, 7))
+        assert np.array_equal(sol.m.values, ref.m.values)
+
+    @pytest.mark.parametrize("dim,ball", [(1, False), (2, False), (2, True)])
+    def test_stacked_accounting_is_the_per_level_loop(self, dim, ball):
+        g = make_grid(GridSpec(dim, 1.0, 0.125, 0.5, 1 / 16, ball_mask=ball))
+        rng = np.random.default_rng(5 + dim + 2 * ball)
+        b = VectorField(g, 4.0 * rng.normal(size=(g.n_levels,) + g.shape + (dim,)))
+        sol = solve_fp(FPProblem(sigma=0.4, R=1.0, tau=0.5, drift=b, source=(0.25,) * dim), g)
+        cell = g.dx ** dim
+        factor = 0.4 * g.dt * g.dx ** (dim - 2)
+        mass, outflux = [float(np.sum(sol.m.values[0])) * cell], [0.0]
+        bflux = [np.zeros(len(sol.faces))]
+        for k in range(1, g.n_levels):
+            m = sol.m.values[k]
+            bflux.append(np.array([factor * m[i] for i, _ in sol.faces]))
+            outflux.append(outflux[-1] + float(np.sum(bflux[-1])))
+            mass.append(float(np.sum(m)) * cell)
+        assert np.array_equal(sol.boundary_flux, np.array(bflux))
+        assert np.array_equal(sol.outflux, np.array(outflux))
+        assert np.array_equal(sol.mass, np.array(mass))
+
+    def test_failed_tridiagonal_factorization_names_the_step(self):
+        g = make_grid(GridSpec(1, 1.0, 0.125, 0.5, 0.125))
+        drift = lambda x, t: np.full(x.shape, 1.0 + (t >= 0.25))  # changes at step 2
+
+        real, calls = lapack.dgttrf, []
+
+        def dgttrf(dl, d, du):  # the second factorization reports a zero pivot
+            calls.append(None)
+            *lu, _ = real(dl, d, du)
+            return (*lu, 0 if len(calls) == 1 else 3)
+
+        with mock.patch.object(lapack, "dgttrf", dgttrf):
+            with pytest.raises(NumericalFailure, match=r"^tridiagonal LU failed \(info=3\) at FP step 2$"):
+                solve_fp(FPProblem(sigma=1.0, R=1.0, tau=0.5, drift=drift), g)
+
+    @pytest.mark.parametrize(
+        "bad,match",
+        [(np.nan, r"^negative density nan after FP step 0"), (np.inf, r"^mass accounting broke: .* = inf$")],
+    )
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_a_non_finite_density_raises(self, dim, bad, match):
+        # NaN compares false both ways, so the checks are written to fail on it;
+        # inf passes the relative negativity check and breaks the accounting
+        g = make_grid(GridSpec(dim, 1.0, 0.125, 0.5, 0.125))
+
+        class BadLU:
+            def solve(self, rhs):
+                return np.full(len(rhs), bad)
+
+        if dim == 1:
+            target = (lapack, "dgttrs", lambda *a: (BadLU().solve(a[-1]), 0))
+        else:
+            target = (spla, "splu", lambda A: BadLU())
+        with mock.patch.object(*target):
+            with pytest.raises(NumericalFailure, match=match):
+                solve_fp(FPProblem(sigma=1.0, R=1.0, tau=0.5, source=(0.0,) * dim), g)
 
     def test_first_order_in_dt_at_high_transport_cfl(self):
         # backward Euler smears transport at CFL 512 (n = 8); the error halves with dt

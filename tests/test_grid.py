@@ -364,3 +364,28 @@ class TestSampleTimes:
             sample_points(u, [[0.0]], 1.5)
         with pytest.raises(ValueError, match=r"^sample time t=1\.5 outside the grid horizon$"):
             sample_points(u, [[0.0]], np.array([0.0, 1.5, 0.5, -1.0]))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_a_point_set_per_time_is_the_per_time_calls(self, dim):
+        g = make_grid(GridSpec(dim, 1.0, 0.125, 1.0, 0.125, ball_mask=dim == 2))
+        u = random_field(g, 16)
+        rng = np.random.default_rng(17)
+        times = np.concatenate([g.ts, rng.uniform(0.0, 1.0, 10)])
+        pts = rng.uniform(-1.0, 1.0, (len(times), 12, dim))
+        pts[:, :3] = g.coords.reshape(-1, dim)[rng.integers(0, g.coords.size // dim, 3)]
+        rows = sample_points(u, pts, times)
+        assert rows.shape == (len(times), 12)
+        for t, p, row in zip(times, pts, rows):
+            assert same_bits(row, sample_points(u, p, float(t)))
+
+    def test_a_point_set_per_time_names_the_first_point_outside(self):
+        g = make_grid(GridSpec(2, 1.0, 0.25, 1.0, 0.25))
+        u = random_field(g, 18)
+        pts = np.zeros((3, 2, 2))
+        pts[2, 0] = (1.5, 0.0)  # the later time, first axis
+        pts[1, 1] = (0.0, -1.5)  # the earlier time, second axis: reported first
+        with pytest.raises(ValueError, match=r"^sample point x=\(np.float64\(0.0\), np.float64\(-1.5\)\) outside"):
+            sample_points(u, pts, np.array([0.0, 0.5, 1.0]))
+        with pytest.raises(ValueError, match="do not match 2 times"):
+            sample_points(u, pts, np.array([0.0, 0.5]))
+

@@ -32,7 +32,7 @@ from hjlab.hj import (
     time_pair_exponent,
 )
 
-from conftest import counting_splu, oracle_solve_hj, random_field
+from conftest import counting_lu, oracle_solve_hj, random_field
 
 
 class TestProblemValidation:
@@ -63,15 +63,15 @@ class TestProblemValidation:
         p = HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=2.0, h=ScalarField(g, vals))
         at = r"h = 2\.5 at x=\(" + ", ".join([r"0\.5"] * dim) + r",?\), t=0\.5"
         with pytest.raises(ValueError, match="bounds: " + at) as info:
-            counting_splu(solve_hj, p, g)
-        assert info.value.splu_calls == 0
+            counting_lu(solve_hj, p, g)
+        assert info.value.lu_calls == 0
 
     def test_bad_constant_h_fails_before_the_march(self):
         g = make_grid(GridSpec(1, 1.0, 0.25, 1.0, 0.25))
         p = HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=2.0, h=2.0 + 1e-8)
         with pytest.raises(ValueError, match=r"bounds: h = 2\.00000001 at x=\(-1\.0,\), t=0\.0") as info:
-            counting_splu(solve_hj, p, g)
-        assert info.value.splu_calls == 0
+            counting_lu(solve_hj, p, g)
+        assert info.value.lu_calls == 0
         p.h = 2.0 + 1e-10  # within the tolerance 1e-9 * max(1, h1)
         solve_hj(p, g)
 
@@ -80,8 +80,8 @@ class TestProblemValidation:
         h = lambda x, t: np.where((x[..., 0] > 0.4) & (t < 0.5), 0.5, 1.0)
         p = HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=1.0, h=h)
         with pytest.raises(ValueError, match=r"bounds: h = 0\.5 at x=\(0\.5,\), t=0\.25") as info:
-            counting_splu(solve_hj, p, g)
-        assert info.value.splu_calls == 1  # the march reached t = 0.25
+            counting_lu(solve_hj, p, g)
+        assert info.value.lu_calls == 1  # the march reached t = 0.25
 
     def test_forcing_field_from_other_grid_rejected(self):
         # same node count and levels, different coordinates
@@ -265,6 +265,39 @@ class TestComparison:
         assert np.all(u1 <= u2 + 1e-12 * scale)
 
 
+class TestConstantFixedPoints:
+    """Constant data with f = 0 stay constant whatever h does: the Godunov
+    gradient of a constant is 0, so h multiplies 0 at every substep."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dim=st.sampled_from([1, 2]),
+        ball=st.booleans(),
+        dx=st.sampled_from([0.25, 0.125]),
+        dt=st.sampled_from([0.1, 0.125, 0.25]),
+        gamma=st.sampled_from([2.5, 3.0, 4.0]),
+        sigma=st.sampled_from([0.05, 1.0]),
+        h0=st.floats(0.1, 2.0),
+        spread=st.floats(0.1, 3.0),
+        field_h=st.booleans(),
+        c=st.floats(-100.0, 100.0),
+        seed=st.integers(0, 2 ** 16),
+    )
+    def test_constants_are_fixed_points_under_an_h_varying_in_x_and_t(
+        self, dim, ball, dx, dt, gamma, sigma, h0, spread, field_h, c, seed
+    ):
+        g = make_grid(GridSpec(dim, 1.0, dx, 2 * dt, dt, ball_mask=ball))
+        rng = np.random.default_rng(seed)
+        if field_h:
+            h = ScalarField(g, rng.uniform(h0, h0 + spread, (g.n_levels,) + g.shape))
+        else:
+            k, w = rng.normal(size=dim), rng.uniform(0.5, 5.0)
+            h = lambda x, t: h0 + 0.5 * spread * (1.0 + np.sin(x @ k + w * t))
+        p = HJProblem(gamma=gamma, sigma=sigma, h0=h0, h1=h0 + spread, h=h, f=0.0, terminal=c, lateral=c)
+        u = solve_hj(p, g).u.values[:, g.active]
+        assert np.all(np.abs(u - c) < 1e-12 * max(1.0, abs(c)))
+
+
 def rung_of(grid, dt):
     """j with dt == grid.dt / 2**j exactly, or None."""
     j = round(math.log2(grid.dt / dt))
@@ -287,13 +320,13 @@ class TestDyadicLadder:
         g = make_grid(GridSpec(dim, 1.0, dx, 2 * dt, dt, ball_mask=ball))
 
         const = HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=1.0, terminal=c, lateral=c)
-        sol, n_lu = counting_splu(solve_hj, const, g)
+        sol, n_lu = counting_lu(solve_hj, const, g)
         assert np.max(np.abs(sol.u.values[:, g.active] - c)) <= 1e-12 * max(1.0, abs(c))
         assert n_lu == 1 and all(row["dt"] == g.dt for row in sol.log)
 
         bump = lambda x: amplitude * np.prod(np.cos(0.5 * np.pi * x), axis=-1)
         p = HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=1.0, terminal=bump, lateral=0.0)
-        sol, n_lu = counting_splu(solve_hj, p, g)
+        sol, n_lu = counting_lu(solve_hj, p, g)
         rungs = [rung_of(g, row["dt"]) for row in sol.log]
         assert None not in rungs
         tried = {j - h for j, row in zip(rungs, sol.log) for h in range(row["halvings"] + 1)}
@@ -310,7 +343,7 @@ class TestDyadicLadder:
         g = make_grid(GridSpec(1, 1.0, 1 / 64, 1.0, 1 / 256))
         p = manufactured_problem(ms_sine(1.0), 3.0, 1.0, 1.0, 1.0)
         p.terminal = ms_sine(1.0).terminal(1.0)
-        sol, n_lu = counting_splu(solve_hj, p, g)
+        sol, n_lu = counting_lu(solve_hj, p, g)
         assert n_lu <= 15
 
 
@@ -448,9 +481,9 @@ class TestMarchMatchesOracle:
 
         def run(solve):
             try:
-                return counting_splu(solve, p, g, **kw), None
+                return counting_lu(solve, p, g, **kw), None
             except (NumericalFailure, ValueError) as exc:
-                return None, (type(exc), str(exc), exc.splu_calls)
+                return None, (type(exc), str(exc), exc.lu_calls)
 
         got, got_err = run(solve_hj)
         want, want_err = run(oracle_solve_hj)

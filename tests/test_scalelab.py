@@ -7,6 +7,7 @@ from hjlab.grid import (
     gradient_level,
     laplacian_level,
     make_grid,
+    parabolic_distance,
     sample_points,
     time_derivative,
 )
@@ -24,6 +25,8 @@ from hjlab.scalelab import (
     singular_family,
     worst_pair_selection,
 )
+
+from hjlab.seminorm import nonlinear_space, nonlinear_time, weighted_holder
 
 from conftest import random_field
 
@@ -269,6 +272,52 @@ class TestWorstPairSelection:
         if bp.basepoint_t + lam * 2.0 <= 1.0 + 1e-12:
             res = blowup_transform(u, bp, tspec)
             assert abs(normalization_check(res.w, bp) - 1.0) <= 1e-12
+
+
+    @pytest.mark.parametrize("dim,ball,seed", [(1, False, 31), (1, False, 32), (2, False, 33), (2, True, 34)])
+    def test_sandwich_and_basepoint_use_the_documented_distances(self, dim, ball, seed):
+        # space and time kinds weigh by d_alpha, the weighted kind by d; the
+        # basepoint is the endpoint of smaller d_alpha (space) or the earlier one
+        g = make_grid(GridSpec(dim, 1.0, 0.25 if dim == 2 else 0.125, 1.0, 0.25, ball_mask=ball))
+        u = random_field(g, seed=seed)
+        Q = g.cylinder()
+        gamma, z, a0 = 3.0, 1.5, alpha_zero(3.0)
+
+        def at(p):
+            x, t = np.atleast_1d(np.asarray(p[0], dtype=float)), p[1]
+            idx = tuple(int(i) for i in np.rint((x + 1.0) / g.dx))
+            return u.values[(int(round(t / g.dt)),) + idx]
+
+        def d_alpha(p, alpha):
+            return parabolic_distance(p, Q, "d_alpha", alpha, gamma)
+
+        def same(a, b):
+            return abs(a - b) <= 1e-12 * abs(b)
+
+        p, q = nonlinear_space(u, a0, gamma, Q).pair
+        base, other = (p, q) if d_alpha(p, a0) <= d_alpha(q, a0) else (q, p)
+        r = np.linalg.norm(np.subtract(other[0], base[0]))
+        want = min(d_alpha(p, a0), d_alpha(q, a0)) * abs(at(other) - at(base)) / r ** a0
+        bp = worst_pair_selection(u, "space", a0, z, gamma)
+        assert same(bp.sandwich[1], want)
+        assert np.array_equal(bp.basepoint_x, np.atleast_1d(base[0])) and bp.basepoint_t == base[1]
+
+        early, late = sorted(nonlinear_time(u, a0, gamma, Q).pair, key=lambda e: e[1])
+        M = abs(at(late) - at(early)) / z
+        r = (late[1] - early[1]) ** (1 / gamma) * M ** ((gamma - 1) / gamma)
+        want = min(d_alpha(early, a0), d_alpha(late, a0)) * M / r ** a0
+        bp = worst_pair_selection(u, "time", a0, z, gamma)
+        assert same(bp.sandwich[1], want)
+        assert np.array_equal(bp.basepoint_x, np.atleast_1d(early[0])) and bp.basepoint_t == early[1]
+
+        alpha = 0.8
+        early, late = sorted(weighted_holder(u, alpha, alpha - a0, Q).pair, key=lambda e: e[1])
+        d = min(parabolic_distance(e, Q, "d") for e in (early, late))
+        r = np.linalg.norm(np.subtract(late[0], early[0])) + np.sqrt(late[1] - early[1])
+        want = d ** (alpha - a0) * abs(at(late) - at(early)) / r ** alpha
+        bp = worst_pair_selection(u, "weighted", alpha, z, gamma)
+        assert same(bp.sandwich[1], want) and bp.d == d
+        assert np.array_equal(bp.basepoint_x, np.atleast_1d(early[0])) and bp.basepoint_t == early[1]
 
 
 class TestNormalizationByConstruction:
