@@ -19,15 +19,13 @@ from .hj import (
     gamma_conjugate,
     legendre_gap,
     linf_error,
-    manufactured_rhs,
-    ms_cosine,
     ms_sine,
     solve_hj,
     solve_manufactured,
     time_pair_exponent,
 )
-from .fp import FPProblem, drift_from_solution, interval_kernel, solve_fp
-from .dual import bent_duality, duality_identity, ell_constant, ldiff_cap, ldiff_constant
+from .fp import FPProblem, interval_kernel, solve_fp
+from .dual import bent_duality, duality_identity, ell_constant, ldiff_cap, ldiff_constant, manufactured_pair
 from .scalelab import (
     BlowupParams,
     blowup_transform,
@@ -117,24 +115,12 @@ def heat_kernel_regression():
     return f"gap {gap:.4f}"
 
 
-def _manufactured_pair(A, dx, gamma=3.0, sigma=1.0):
-    T = 1.0
-    ms = ms_cosine(T, A)
-    f = manufactured_rhs(ms, gamma, sigma, 1.0)
-    gw = make_grid(GridSpec(1, 2.0, dx, T, dx / 4))
-    hs = solve_manufactured(ms, gamma, sigma, gw, gradient_bound=A * np.pi)
-    gfp = make_grid(GridSpec(1, 1.0, dx, T, dx / 4))
-    b = drift_from_solution(hs.u, 1.0, gamma)
-    sol = solve_fp(FPProblem(sigma=sigma, R=1.0, tau=T, drift=b, source=0.0), gfp)
-    return hs.u, f, sol
-
-
 def duality_identity_and_bent_slack():
     dxs = [1 / 16, 1 / 32, 1 / 64]
     resids, slack_c = [], []
     ell0 = ell_constant(1.0, 3.0)
     for dx in dxs:
-        w, f, sol = _manufactured_pair(0.5, dx)
+        w, f, sol = manufactured_pair(0.5, dx)
         rep = duality_identity(w, f, sol, 1.0, 3.0)
         resids.append(abs(rep.residual))
         brep = bent_duality(w, f, sol, [1.0], 3.0, ell0)

@@ -30,7 +30,6 @@ from .hj import (
     critical_q0,
     gamma_conjugate,
     manufactured_rhs,
-    ms_cosine,
     solve_hj,
 )
 from .fp import (
@@ -41,7 +40,15 @@ from .fp import (
     moment_alpha,
     solve_fp,
 )
-from .dual import ldiff_cap, ldiff_constant, oscillation_report
+from .dual import (
+    bent_duality,
+    duality_identity,
+    ell_constant,
+    ldiff_cap,
+    ldiff_constant,
+    manufactured_pair,
+    oscillation_report,
+)
 from .scalelab import liouville_probe, maxreg_sweep, normalization_check, worst_pair_selection
 from .seminorm import (
     SeminormSet,
@@ -338,28 +345,13 @@ def cmd_seminorm(args, params, chash):
 
 
 def cmd_verify_duality(args, params, chash):
-    from .dual import bent_duality, duality_identity, ell_constant
-
-    g, s = params["gamma"], params["sigma"]
-    A = args.amplitude
-    T = params["tau"]
-    ms = ms_cosine(T, A)
-    f = manufactured_rhs(ms, g, s, params["h0"])
+    g, s, h = params["gamma"], params["sigma"], params["h0"]
     rows = []
     dx = params["dx"]
     for level in range(args.refinements + 1):
-        spec = GridSpec(1, 2.0, dx, T, dx / 4)
-        grid = make_grid(spec)
-        prob = HJProblem(
-            gamma=g, sigma=s, h0=params["h0"], h1=params["h0"], h=params["h0"],
-            f=f, terminal=ms.terminal(T), lateral=ms.lateral(),
-        )
-        sol = solve_hj(prob, grid, gradient_bound=A * np.pi)
-        fp_grid = make_grid(GridSpec(1, 1.0, dx, T, dx / 4))
-        b = drift_from_solution(sol.u, params["h0"], g)
-        mm = solve_fp(FPProblem(sigma=s, R=1.0, tau=T, drift=b, source=0.0), fp_grid)
-        rep = duality_identity(sol.u, f, mm, params["h0"], g)
-        brep = bent_duality(sol.u, f, mm, np.array([1.0]), g, ell_constant(params["h0"], g))
+        w, f, mm = manufactured_pair(args.amplitude, dx, g, s, h, params["tau"])
+        rep = duality_identity(w, f, mm, h, g)
+        brep = bent_duality(w, f, mm, np.array([1.0]), g, ell_constant(h, g))
         rows.append(
             {
                 "level": level,

@@ -20,12 +20,22 @@ from .grid import (
     ScalarField,
     centered_cylinder,
     lq_norm,
+    make_grid,
     sample_field,
     sample_points,
     space_integral,
     spacetime_integral,
 )
-from .hj import _eval_on, alpha_zero, critical_q0, gamma_conjugate
+from .hj import (
+    HJProblem,
+    _eval_on,
+    alpha_zero,
+    critical_q0,
+    gamma_conjugate,
+    manufactured_rhs,
+    ms_cosine,
+    solve_hj,
+)
 from .seminorm import space_quotient, time_quotient
 
 
@@ -68,6 +78,23 @@ class DualityReport:
         return self.lhs - sum(self.rhs_terms.values())
 
 
+def manufactured_pair(A: float, dx: float, gamma: float = 3.0, sigma: float = 1.0, h: float = 1.0, T: float = 1.0):
+    """(w, f, sol): a solved HJ/FP pair whose duality terms are all nonzero.
+
+    w solves the HJ problem of the cosine manufactured solution of amplitude A
+    (its f, terminal and lateral data, constant h) on [-2, 2] x [0, T]; sol is
+    the dual density on [-1, 1] driven by the drift taken from w, source at 0.
+    Both grids have the step dx and dt = dx/4.
+    """
+    ms = ms_cosine(T, A)
+    f = manufactured_rhs(ms, gamma, sigma, h)
+    prob = HJProblem(gamma=gamma, sigma=sigma, h0=h, h1=h, f=f, terminal=ms.terminal(T), lateral=ms.lateral())
+    w = solve_hj(prob, make_grid(GridSpec(1, 2.0, dx, T, dx / 4)), gradient_bound=A * np.pi).u
+    b = drift_from_solution(w, h, gamma)
+    sol = solve_fp(FPProblem(sigma=sigma, R=1.0, tau=T, drift=b, source=0.0), make_grid(GridSpec(1, 1.0, dx, T, dx / 4)))
+    return w, f, sol
+
+
 def _boundary_sum(w: ScalarField, sol: FPSolution, shift=lambda s: 0.0) -> float:
     """Sum of w(boundary node + shift(s), s) * outflux increment over faces and levels.
 
@@ -77,7 +104,7 @@ def _boundary_sum(w: ScalarField, sol: FPSolution, shift=lambda s: 0.0) -> float
     added one by one in level and face order.
     """
     g = sol.grid
-    bnd = np.array([g.coords[b] for _, b in sol.faces])
+    bnd = g.coords.reshape(-1, g.dim)[g.boundary_face_nodes()[1]]
     ts = g.ts[1:]
     incr = sol.boundary_flux[1:]
     hit = incr != 0.0
@@ -270,8 +297,6 @@ def oscillation_report(
     a0 = alpha_zero(gamma)
 
     # dual density driven by the drift extracted from w
-    from .grid import make_grid
-
     fp_grid = make_grid(GridSpec(N, R, grid.dx, tau, grid.dt))
     b = drift_from_solution(w, h1, gamma)
     sol = solve_fp(FPProblem(sigma=sigma, R=R, tau=tau, drift=b, source=0.0), fp_grid)
@@ -348,8 +373,6 @@ class ExitMeasureReport:
 
 
 def exit_measure_report(sigma, R, tau, dx, dt, alpha, gamma, dim=1) -> ExitMeasureReport:
-    from .grid import make_grid
-
     grid = make_grid(GridSpec(dim, R, dx, tau, dt))
     sol = solve_fp(FPProblem(sigma=sigma, R=R, tau=tau, drift=None, source=0.0), grid)
     q0 = critical_q0(gamma, dim)

@@ -131,10 +131,10 @@ def solve_fp(problem: FPProblem, grid: Grid) -> FPSolution:
     """Solve the FP problem; verifies mass accounting and nonnegativity.
 
     Each level is one implicit solve (I - sigma*dt*L + dt*U(b_k)) m^{k+1} = m^k.
-    U is upwind transport with face velocity -(b_l + b_r)/2 between interior
-    nodes and no drift flux on faces that touch a non-interior node; its
-    off-diagonals are <= 0 and its columns sum to 0, so the matrix is an
-    M-matrix for every dt.  The matrix entries of the distinct drift levels
+    U is upwind transport over the grid's faces between interior nodes, with
+    face velocity -(b_l + b_r)/2, and no drift flux on the faces that touch a
+    non-interior node; its off-diagonals are <= 0 and its columns sum to 0,
+    so the matrix is an M-matrix for every dt.  The matrix entries of the distinct drift levels
     (a level whose interior drift differs from the previous level's) are
     formed with stacked array operations, _BLOCK levels at a time, and each
     is LU-factored once: by LAPACK's tridiagonal dgttrf when the matrix is
@@ -144,50 +144,51 @@ def solve_fp(problem: FPProblem, grid: Grid) -> FPSolution:
     """
     x0 = problem.validate(grid)
     b = _sample_drift(grid, problem.drift)
-    L, _, int_idx, _ = grid.laplacian_ops()
     interior = grid.interior
-    n_int = len(int_idx)
-    eye = sp.identity(n_int, format="csc")
-    A = (eye - problem.sigma * grid.dt * L).tocsc()
-    base = A.data.copy()
-    # every off-diagonal entry (r, c) joins two interior nodes across one face
-    rows = A.indices
-    cols = np.repeat(np.arange(n_int), np.diff(A.indptr))
-    off = np.flatnonzero(rows != cols)
-    diag = np.flatnonzero(rows == cols)  # in column order
-    r, c = rows[off], cols[off]
-    lo, hi = np.minimum(r, c), np.maximum(r, c)  # C order: lo is on the face's lower side
-    axis = np.argmax(int_idx[lo] != int_idx[hi], axis=1)
+    n_int = int(interior.sum())
+    flo, fhi, faxis = grid.interior_faces()
+    number = np.cumsum(interior.ravel()) - 1  # of each interior node, in C order
+    lo, hi = number[flo], number[fhi]
+    n_face = len(lo)
+    # the matrix entries: (lo, hi) and (hi, lo) of each face, then the diagonal;
+    # CSC storage takes them column by column, rows ascending
+    rows = np.concatenate((lo, hi, np.arange(n_int)))
+    cols = np.concatenate((hi, lo, np.arange(n_int)))
+    csc = np.lexsort((rows, cols))
+    by_column = csc[csc < 2 * n_face]  # the off-diagonal entries in CSC order
+    # the diffusion matrix I - sigma*dt*L at the face entries and on the diagonal
+    D = sp.identity(n_int, format="csr") - problem.sigma * grid.dt * grid.laplacian_ops()[0]
+    off_base = np.asarray(D[rows[: 2 * n_face], cols[: 2 * n_face]]).ravel()
+    diag_base = D.diagonal()
 
     # a level factors anew unless its interior drift equals the previous level's
     nt = grid.spec.nt
     new = np.ones(nt, dtype=bool)
     new[1:] = np.any((b.values[1:nt] != b.values[: nt - 1])[:, interior], axis=(1, 2))
     steps = np.flatnonzero(new)
-    tridiagonal = bool(np.all(np.abs(r - c) == 1))
-    sub = r > c  # tridiagonal: A[c + 1, c] lies below the diagonal, A[r, r + 1] above it
+    tridiagonal = bool(np.all(hi - lo == 1))
+    if not tridiagonal:
+        indptr = np.searchsorted(cols[csc], np.arange(n_int + 1))
+        A = sp.csc_matrix((np.zeros(len(csc)), rows[csc], indptr), shape=(n_int, n_int))
 
     def factorizations():
         """A solve function per distinct drift level, the entries formed _BLOCK levels at a time."""
         for start in range(0, len(steps), _BLOCK):
             block = steps[start : start + _BLOCK]
-            bd = b.values[block][:, interior]
-            v = -0.5 * (bd[:, lo, axis] + bd[:, hi, axis])
+            bd = b.values[block].reshape(len(block), -1, grid.dim)
+            v = -0.5 * (bd[:, flo, faxis] + bd[:, fhi, faxis])
             # U[lo, hi] = min(v, 0)/dx, U[hi, lo] = -max(v, 0)/dx, U[c, c] = -sum_r U[r, c]
-            u_off = np.where(r < c, np.minimum(v, 0.0), -np.maximum(v, 0.0))
-            u_off /= grid.dx
+            u_off = np.concatenate((np.minimum(v, 0.0), -np.maximum(v, 0.0)), axis=1) / grid.dx
             col_sums = np.bincount(
-                (c + n_int * np.arange(len(block))[:, None]).ravel(),
-                weights=u_off.ravel(),
+                (cols[by_column] + n_int * np.arange(len(block))[:, None]).ravel(),
+                weights=u_off[:, by_column].ravel(),
                 minlength=len(block) * n_int,
             ).reshape(len(block), n_int)
-            off_data = base[off] + grid.dt * u_off
-            diag_data = base[diag] - grid.dt * col_sums
+            off_data = off_base + grid.dt * u_off
+            diag_data = diag_base - grid.dt * col_sums
             if tridiagonal:
-                dl = np.zeros((len(block), n_int - 1))
-                du = np.zeros((len(block), n_int - 1))
-                dl[:, c[sub]] = off_data[:, sub]
-                du[:, r[~sub]] = off_data[:, ~sub]
+                du, dl = np.zeros((2, len(block), n_int - 1))
+                du[:, lo], dl[:, lo] = off_data[:, :n_face], off_data[:, n_face:]
             for i, k in enumerate(block):
                 if tridiagonal:
                     *lu, info = lapack.dgttrf(dl[i], diag_data[i], du[i])
@@ -196,8 +197,7 @@ def solve_fp(problem: FPProblem, grid: Grid) -> FPSolution:
                     # dgttrs reports only illegal arguments, which f2py's checks exclude
                     yield lambda rhs, lu=lu: lapack.dgttrs(*lu, rhs)[0]
                 else:
-                    A.data[off] = off_data[i]
-                    A.data[diag] = diag_data[i]
+                    A.data[:] = np.concatenate((off_data[i], diag_data[i]))[csc]
                     yield spla.splu(A).solve
 
     cell = grid.dx ** grid.dim
@@ -221,7 +221,7 @@ def solve_fp(problem: FPProblem, grid: Grid) -> FPSolution:
         np.maximum(m_new, 0.0, out=m_new)
 
     faces = grid.boundary_faces()
-    face_int = np.array([np.ravel_multi_index(f[0], grid.shape) for f in faces])
+    face_int, _ = grid.boundary_face_nodes()
     face_factor = problem.sigma * grid.dt * grid.dx ** (grid.dim - 2)
     flat = levels.reshape(nt + 1, -1)
     bflux = np.zeros((nt + 1, len(faces)))

@@ -1,9 +1,14 @@
 """Space-time grids, discrete calculus and quadrature.
 
 Everything downstream works on a uniform vertex-centered lattice over the
-box [-R, R]^N x [0, T], optionally masked to the ball {|x| < R}.  Fields are
-stored one array per time level; all operators here are pure functions of
-field snapshots.
+box [-R, R]^N x [0, T], optionally masked to the ball {|x| < R}.  One face
+table, every face between two active face neighbours, holds the lattice's
+connectivity.  The interior is the active nodes with all 2N faces; the
+boundary layer, the nodes that carry Dirichlet/absorbing values, is the rest
+of the active set (the rim of the box, the stair-step shell of the ball).
+The Dirichlet Laplacian, the boundary faces and the Fokker-Planck transport
+are all read from the table.  Fields are stored one array per time level;
+all operators here are pure functions of field snapshots.
 """
 
 from __future__ import annotations
@@ -54,11 +59,6 @@ class GridSpec:
         k = self.horizon / self.dt
         if not _is_integer(k) or round(k) < 2:
             raise ValueError("horizon/dt must be an integer >= 2")
-
-    @property
-    def nx(self) -> int:
-        """Nodes per axis."""
-        return 2 * int(round(self.half_width / self.dx)) + 1
 
     @property
     def nt(self) -> int:
@@ -133,7 +133,7 @@ def parabolic_distance(point, Q: Cylinder, kind="d", alpha=None, gamma=None):
 
 
 class Grid:
-    """Realized lattice: node coordinates, active mask, boundary layer."""
+    """Realized lattice: node coordinates, active mask, face table, interior and boundary layer."""
 
     def __init__(self, spec: GridSpec):
         spec.validate()
@@ -152,37 +152,24 @@ class Grid:
         else:
             self.active = np.ones(self.shape, dtype=bool)
 
-        # Boundary layer: the nodes that carry Dirichlet/absorbing values.
-        # Box: the rim.  Ball: active nodes with an inactive face neighbor
-        # (stair-step shell); rim nodes of the hull are never active there.
-        boundary = np.zeros(self.shape, dtype=bool)
+        # The face table: every face between two active face neighbours, as
+        # the flat (C-order) indices lo < hi of its ends and its axis.  The
+        # interior is the active nodes with all 2N faces; the rest of the
+        # active set is the boundary layer.
+        flat = np.arange(self.active.size).reshape(self.shape)
+        per_axis = []
         for a in range(spec.dim):
-            sl_lo = [slice(None)] * spec.dim
-            sl_hi = [slice(None)] * spec.dim
-            sl_lo[a] = 0
-            sl_hi[a] = -1
-            boundary[tuple(sl_lo)] = True
-            boundary[tuple(sl_hi)] = True
-        if spec.ball_mask:
-            near_inactive = np.zeros(self.shape, dtype=bool)
-            for a in range(spec.dim):
-                pad = np.ones(self.shape, dtype=bool)
-                sl_c = [slice(None)] * spec.dim
-                sl_n = [slice(None)] * spec.dim
-                sl_c[a] = slice(0, -1)
-                sl_n[a] = slice(1, None)
-                nb = np.ones(self.shape, dtype=bool)
-                nb[tuple(sl_c)] &= self.active[tuple(sl_n)]
-                nb2 = np.ones(self.shape, dtype=bool)
-                nb2[tuple(sl_n)] &= self.active[tuple(sl_c)]
-                pad &= nb & nb2
-                near_inactive |= ~pad
-            boundary = self.active & (near_inactive | boundary)
-        self.boundary = boundary & self.active
-        self.interior = self.active & ~self.boundary
+            below = (slice(None),) * a + (slice(None, -1),)
+            above = (slice(None),) * a + (slice(1, None),)
+            both = self.active[below] & self.active[above]
+            per_axis.append((flat[below][both], flat[above][both], np.full(int(both.sum()), a)))
+        self.faces = tuple(np.concatenate(c) for c in zip(*per_axis))
+        lo, hi, _ = self.faces
+        degree = np.bincount(np.concatenate((lo, hi)), minlength=self.active.size)
+        self.interior = degree.reshape(self.shape) == 2 * spec.dim
+        self.boundary = self.active & ~self.interior
 
         self._laplacian_ops = None
-        self._faces = None
 
     # -- basic geometry ----------------------------------------------------
 
@@ -206,28 +193,6 @@ class Grid:
         R = self.spec.half_width
         return centered_cylinder(R, self.spec.horizon, self.dim, self.spec.ball_mask)
 
-    def boundary_normals(self):
-        """List of (multi-index, coordinates, outward unit normal)."""
-        R = self.spec.half_width
-        out = []
-        for idx in np.argwhere(self.boundary):
-            idx = tuple(int(i) for i in idx)
-            x = self.coords[idx]
-            if self.spec.ball_mask:
-                nrm = np.linalg.norm(x)
-                nu = x / nrm if nrm > 0 else np.zeros(self.dim)
-            else:
-                nu = np.zeros(self.dim)
-                for a in range(self.dim):
-                    if abs(x[a] - R) < 1e-12:
-                        nu[a] = 1.0
-                    elif abs(x[a] + R) < 1e-12:
-                        nu[a] = -1.0
-                n = np.linalg.norm(nu)
-                nu = nu / n if n > 0 else nu
-            out.append((idx, x.copy(), nu))
-        return out
-
     def nearest_node(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         idx = []
@@ -247,70 +212,62 @@ class Grid:
             raise ValueError("sub half_width exceeds the grid")
         return tuple([slice(n - m, n + m + 1)] * self.dim)
 
+    # -- the face table -----------------------------------------------------
+
+    def interior_faces(self):
+        """(lo, hi, axis) of the faces between two interior nodes, in table order."""
+        lo, hi, axis = self.faces
+        inner = self.interior.ravel()
+        both = inner[lo] & inner[hi]
+        return lo[both], hi[both], axis[both]
+
+    def boundary_face_nodes(self):
+        """(inner, outer): flat indices of the interior and boundary ends of each face between the two.
+
+        In the order of boundary_faces: interior node in C order, then axis,
+        then the lower side first.
+        """
+        lo, hi, axis = self.faces
+        inner_lo = self.interior.ravel()[lo]
+        cross = inner_lo != self.interior.ravel()[hi]
+        lo, hi, axis, inner_lo = lo[cross], hi[cross], axis[cross], inner_lo[cross]
+        inner, outer = np.where(inner_lo, lo, hi), np.where(inner_lo, hi, lo)
+        order = np.argsort((inner * self.dim + axis) * 2 + inner_lo)
+        return inner[order], outer[order]
+
     # -- Dirichlet Laplacian machinery --------------------------------------
 
     def laplacian_ops(self):
-        """(L_int, B, int_flat, bnd_flat): Delta u|int = L_int u_int + B u_bnd."""
-        if self._laplacian_ops is not None:
-            return self._laplacian_ops
-        shape = self.shape
-        flat_of = -np.ones(shape, dtype=np.int64)
-        int_idx = np.argwhere(self.interior)
-        for k, idx in enumerate(int_idx):
-            flat_of[tuple(idx)] = k
-        bnd_of = -np.ones(shape, dtype=np.int64)
-        bnd_idx = np.argwhere(self.boundary)
-        for k, idx in enumerate(bnd_idx):
-            bnd_of[tuple(idx)] = k
-        n_int, n_bnd = len(int_idx), len(bnd_idx)
-        inv_dx2 = 1.0 / self.dx ** 2
+        """(L_int, B, int_flat, bnd_flat): Delta u|int = L_int u_int + B u_bnd.
 
-        rows, cols, vals = [], [], []
-        browz, bcolz, bvalz = [], [], []
-        for k, idx in enumerate(int_idx):
-            idx = tuple(int(i) for i in idx)
+        Each face between interior nodes gives L its two off-diagonal 1/dx^2,
+        each face from an interior to a boundary node one 1/dx^2 of B; the
+        diagonal is 2N subtractions of 1/dx^2 in sequence.
+        """
+        if self._laplacian_ops is None:
+            int_idx = np.argwhere(self.interior)
+            bnd_idx = np.argwhere(self.boundary)
+            n_int, n_bnd = len(int_idx), len(bnd_idx)
+            # each interior node's number among the interior, each boundary node's among the boundary
+            is_int, is_bnd = self.interior.ravel(), self.boundary.ravel()
+            number = np.where(is_int, np.cumsum(is_int), np.cumsum(is_bnd)) - 1
+            inv_dx2 = 1.0 / self.dx ** 2
             diag = 0.0
-            for a in range(self.dim):
-                for step in (-1, 1):
-                    nb = list(idx)
-                    nb[a] += step
-                    nb = tuple(nb)
-                    # interior nodes have all face neighbors active by construction
-                    j = flat_of[nb]
-                    diag -= inv_dx2
-                    if j >= 0:
-                        rows.append(k)
-                        cols.append(int(j))
-                        vals.append(inv_dx2)
-                    else:
-                        jb = bnd_of[nb]
-                        browz.append(k)
-                        bcolz.append(int(jb))
-                        bvalz.append(inv_dx2)
-            rows.append(k)
-            cols.append(k)
-            vals.append(diag)
-        L = sp.csr_matrix((vals, (rows, cols)), shape=(n_int, n_int))
-        B = sp.csr_matrix((bvalz, (browz, bcolz)), shape=(n_int, n_bnd))
-        self._laplacian_ops = (L, B, int_idx, bnd_idx)
+            for _ in range(2 * self.dim):
+                diag -= inv_dx2
+            lo, hi, _ = self.interior_faces()
+            r, c, k = number[lo], number[hi], np.arange(n_int)
+            vals = np.concatenate((np.full(2 * len(r), inv_dx2), np.full(n_int, diag)))
+            L = sp.csr_matrix((vals, (np.concatenate((r, c, k)), np.concatenate((c, r, k)))), shape=(n_int, n_int))
+            inner, outer = self.boundary_face_nodes()
+            B = sp.csr_matrix((np.full(len(inner), inv_dx2), (number[inner], number[outer])), shape=(n_int, n_bnd))
+            self._laplacian_ops = (L, B, int_idx, bnd_idx)
         return self._laplacian_ops
 
     def boundary_faces(self):
-        """Faces (interior node, boundary node) carrying the diffusive outflux."""
-        if self._faces is not None:
-            return self._faces
-        faces = []
-        for idx in np.argwhere(self.interior):
-            idx = tuple(int(i) for i in idx)
-            for a in range(self.dim):
-                for step in (-1, 1):
-                    nb = list(idx)
-                    nb[a] += step
-                    nb = tuple(nb)
-                    if self.boundary[nb]:
-                        faces.append((idx, nb))
-        self._faces = faces
-        return faces
+        """Faces (interior node, boundary node) carrying the diffusive outflux, as index tuples."""
+        inner, outer = (np.stack(np.unravel_index(f, self.shape), axis=-1).tolist() for f in self.boundary_face_nodes())
+        return list(zip(map(tuple, inner), map(tuple, outer)))
 
 
 def make_grid(spec: GridSpec) -> Grid:
@@ -387,10 +344,6 @@ def gradient_level(values: np.ndarray, dx: float, dim: int | None = None) -> np.
     return np.stack(comps, axis=-1)
 
 
-def gradient_central(u: ScalarField, k: int) -> np.ndarray:
-    return gradient_level(u.level(k), u.grid.dx)
-
-
 def godunov_magnitude_level(values: np.ndarray, dx: float) -> np.ndarray:
     """Monotone upwind surrogate of |Du| per node.
 
@@ -417,10 +370,6 @@ def godunov_magnitude_level(values: np.ndarray, dx: float) -> np.ndarray:
     return np.sqrt(total, out=total)
 
 
-def gradient_godunov(u: ScalarField, k: int) -> np.ndarray:
-    return godunov_magnitude_level(u.level(k), u.grid.dx)
-
-
 def laplacian_level(values: np.ndarray, dx: float, dim: int | None = None) -> np.ndarray:
     """(2N+1)-point stencil at interior nodes; rim entries set to 0.
 
@@ -440,10 +389,6 @@ def laplacian_level(values: np.ndarray, dx: float, dim: int | None = None) -> np
         acc += values[tuple(sl_p)] - 2.0 * values[inner] + values[tuple(sl_m)]
     out[inner] = acc / dx ** 2
     return out
-
-
-def laplacian(u: ScalarField, k: int) -> np.ndarray:
-    return laplacian_level(u.level(k), u.grid.dx)
 
 
 def time_derivative(u: ScalarField) -> np.ndarray:
@@ -525,14 +470,17 @@ def sample_points(u: ScalarField, pts, t) -> np.ndarray:
     the lower level alone when it falls on it.  With an array of times, pts
     of shape (len(t), n, dim) gives each time its own n points; row i is
     then what sampling pts[i] at t[i] alone gives, bit for bit.  A point set
-    that every time shares is then passed flat, as (n, dim).
+    that every time shares is then passed flat, as (n, dim).  Points whose
+    last axis is not of length dim raise ValueError.
     """
     g = u.grid
     times = np.asarray(t, dtype=float)
     tt = times.reshape(-1)
     pts = np.asarray(pts, dtype=float)
+    if pts.shape[-1:] != (g.dim,):
+        raise ValueError(f"points of shape {pts.shape} do not fit the grid of shape {g.shape}: the last axis must have length {g.dim}")
     if times.ndim == 1 and pts.ndim == 3:
-        if pts.shape[0] != len(tt) or pts.shape[2] != g.dim:
+        if pts.shape[0] != len(tt):
             raise ValueError(f"per-time points of shape {pts.shape} do not match {len(tt)} times in {g.dim}D")
     else:
         pts = pts.reshape(1, -1, g.dim)  # one point set shared by every time
@@ -585,16 +533,6 @@ def sample_points(u: ScalarField, pts, t) -> np.ndarray:
     return vals[0] if times.ndim == 0 else vals
 
 
-def restrict_field(u: ScalarField, half_width: float) -> ScalarField:
-    """Restriction to the centered sub-box of given half width (node-aligned)."""
-    g = u.grid
-    sl = g.subgrid_slices(half_width)
-    sub = Grid(
-        GridSpec(g.dim, half_width, g.dx, g.spec.horizon, g.dt, ball_mask=False)
-    )
-    return ScalarField(sub, u.values[(slice(None),) + sl].copy())
-
-
 # -- serialization ---------------------------------------------------------------
 
 
@@ -634,16 +572,16 @@ def read_field_csv(path_or_buf) -> ScalarField:
             header = fh.readline().strip()
         if not header.startswith("# grid:"):
             raise ValueError("missing '# grid:' header")
-        parts = header.split(":", 1)[1].split(",")
-        spec = GridSpec(
-            dim=int(parts[0]),
-            half_width=float(parts[1]),
-            dx=float(parts[2]),
-            horizon=float(parts[3]),
-            dt=float(parts[4]),
-            ball_mask=bool(int(parts[5])),
-        )
-        grid = Grid(spec)
+        fields = header.split(":", 1)[1].split(",")
+        try:
+            if len(fields) != 6:
+                raise ValueError(f"{len(fields)} fields, expected 6")
+            if fields[5].strip() not in ("0", "1"):
+                raise ValueError(f"mask {fields[5].strip()!r} is neither 0 nor 1")
+            spec = GridSpec(int(fields[0]), *map(float, fields[1:5]), ball_mask=fields[5].strip() == "1")
+            grid = Grid(spec)
+        except ValueError as exc:
+            raise ValueError(f"bad header {header!r} (expected '# grid: N,R,dx,T,dt,mask'): {exc}") from None
         rows = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)
     finally:
         if own:

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -48,6 +49,88 @@ def counting_lu(solve, *args, **kwargs):
             exc.lu_calls = len(calls)
             raise
     return res, len(calls)
+
+
+# -- oracle lattice ---------------------------------------------------------------
+# The lattice as Grid built it node by node before the face table: the box rim
+# and the ball's stair-step shell as the boundary layer, then L, B and the
+# boundary faces from the face neighbours of each interior node in C order.
+
+
+def oracle_lattice(grid):
+    """SimpleNamespace(interior, boundary, L, B, int_idx, bnd_idx, faces) of grid."""
+    spec, shape = grid.spec, grid.shape
+    boundary = np.zeros(shape, dtype=bool)
+    for a in range(spec.dim):
+        sl_lo = [slice(None)] * spec.dim
+        sl_hi = [slice(None)] * spec.dim
+        sl_lo[a] = 0
+        sl_hi[a] = -1
+        boundary[tuple(sl_lo)] = True
+        boundary[tuple(sl_hi)] = True
+    if spec.ball_mask:
+        near_inactive = np.zeros(shape, dtype=bool)
+        for a in range(spec.dim):
+            pad = np.ones(shape, dtype=bool)
+            sl_c = [slice(None)] * spec.dim
+            sl_n = [slice(None)] * spec.dim
+            sl_c[a] = slice(0, -1)
+            sl_n[a] = slice(1, None)
+            nb = np.ones(shape, dtype=bool)
+            nb[tuple(sl_c)] &= grid.active[tuple(sl_n)]
+            nb2 = np.ones(shape, dtype=bool)
+            nb2[tuple(sl_n)] &= grid.active[tuple(sl_c)]
+            pad &= nb & nb2
+            near_inactive |= ~pad
+        boundary = grid.active & (near_inactive | boundary)
+    boundary = boundary & grid.active
+    interior = grid.active & ~boundary
+
+    flat_of = -np.ones(shape, dtype=np.int64)
+    int_idx = np.argwhere(interior)
+    for k, idx in enumerate(int_idx):
+        flat_of[tuple(idx)] = k
+    bnd_of = -np.ones(shape, dtype=np.int64)
+    bnd_idx = np.argwhere(boundary)
+    for k, idx in enumerate(bnd_idx):
+        bnd_of[tuple(idx)] = k
+    n_int, n_bnd = len(int_idx), len(bnd_idx)
+    inv_dx2 = 1.0 / grid.dx ** 2
+    rows, cols, vals = [], [], []
+    browz, bcolz, bvalz = [], [], []
+    faces = []
+    for k, idx in enumerate(int_idx):
+        idx = tuple(int(i) for i in idx)
+        diag = 0.0
+        for a in range(spec.dim):
+            for step in (-1, 1):
+                nb = list(idx)
+                nb[a] += step
+                nb = tuple(nb)
+                j = flat_of[nb]
+                diag -= inv_dx2
+                if j >= 0:
+                    rows.append(k)
+                    cols.append(int(j))
+                    vals.append(inv_dx2)
+                else:
+                    browz.append(k)
+                    bcolz.append(int(bnd_of[nb]))
+                    bvalz.append(inv_dx2)
+                if boundary[nb]:
+                    faces.append((idx, nb))
+        rows.append(k)
+        cols.append(k)
+        vals.append(diag)
+    return SimpleNamespace(
+        interior=interior,
+        boundary=boundary,
+        L=sp.csr_matrix((vals, (rows, cols)), shape=(n_int, n_int)),
+        B=sp.csr_matrix((bvalz, (browz, bcolz)), shape=(n_int, n_bnd)),
+        int_idx=int_idx,
+        bnd_idx=bnd_idx,
+        faces=faces,
+    )
 
 
 # -- oracle HJ march -------------------------------------------------------------

@@ -309,6 +309,19 @@ class TestCliRuns:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("header", ["# grid: 1,1,0.25,1", "# grid: 1,1,0.25,1,0.25,2", "# grid: 1,1,0.25,1,0.25,0,7"])
+    def test_f_file_with_bad_header_exits_2(self, tmp_path, capsys, header):
+        g = make_grid(GridSpec(1, 1.0, 0.25, 1.0, 0.25))
+        path = tmp_path / "f.csv"
+        write_field_csv(ScalarField.constant(g, 1.0), str(path))
+        path.write_text(header + "\n" + path.read_text().split("\n", 1)[1])
+        code = self.run(
+            ["solve-hj", "--grid", "1,1,1/4,1,1/4", "--f-file", str(path),
+             "--out", str(tmp_path / "w")]
+        )
+        assert code == 2
+        assert f"bad header {header!r}" in capsys.readouterr().err
+
     def test_liouville_probe_subcommand(self, tmp_path):
         code = self.run(
             ["liouville-probe", "--R-list", "4", "--tau-list", "2,8", "--dx", "0.25",

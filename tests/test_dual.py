@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hjlab.grid import GridSpec, ScalarField, make_grid, sample_field
-from hjlab.hj import manufactured_rhs, ms_cosine, solve_hj, HJProblem, solve_manufactured
+from hjlab.hj import manufactured_rhs, ms_cosine, solve_hj, HJProblem
 from hjlab.fp import FPProblem, drift_from_solution, solve_fp
 from hjlab.dual import (
     _boundary_sum,
@@ -13,21 +13,10 @@ from hjlab.dual import (
     exit_measure_report,
     ldiff_cap,
     ldiff_constant,
+    manufactured_pair,
     normalize_amplitude,
     oscillation_report,
 )
-
-
-def manufactured_pair(A, dx, gamma=3.0, sigma=1.0):
-    """Solved w on the padded box and its dual density on the unit box."""
-    ms = ms_cosine(1.0, A)
-    f = manufactured_rhs(ms, gamma, sigma, 1.0)
-    gw = make_grid(GridSpec(1, 2.0, dx, 1.0, dx / 4))
-    hs = solve_manufactured(ms, gamma, sigma, gw, gradient_bound=A * np.pi)
-    gfp = make_grid(GridSpec(1, 1.0, dx, 1.0, dx / 4))
-    b = drift_from_solution(hs.u, 1.0, gamma)
-    sol = solve_fp(FPProblem(sigma=sigma, R=1.0, tau=1.0, drift=b, source=0.0), gfp)
-    return hs.u, f, sol
 
 
 class TestEll:

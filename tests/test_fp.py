@@ -196,6 +196,50 @@ class TestImplicitTransport:
                             res += step * dt * flux / dx
                 assert abs(res) <= 1e-12 * np.max(m_old)
 
+    @pytest.mark.parametrize("dim,ball", [(1, False), (2, False), (2, True)])
+    def test_factored_entries_are_the_per_node_assembly(self, dim, ball):
+        # every factored matrix, bit for bit: the diffusion matrix I - sigma*dt*L plus
+        # dt*U(b_k), U's entries per face neighbour and its column sums added in row order
+        g = make_grid(GridSpec(dim, 1.0, 0.1, 0.5, 0.1, ball_mask=ball))
+        rng = np.random.default_rng(11 + dim + 2 * ball)
+        b = VectorField(g, 3.0 * rng.normal(size=(g.n_levels,) + g.shape + (dim,)))
+        factored = []
+
+        def keep(real):
+            def factor(*args):
+                factored.append([arg.copy() for arg in args])  # splu's matrix is refilled per level
+                return real(*args)
+
+            return factor
+
+        with mock.patch.object(spla, "splu", keep(spla.splu)), mock.patch.object(lapack, "dgttrf", keep(lapack.dgttrf)):
+            solve_fp(FPProblem(sigma=0.6, R=1.0, tau=0.5, drift=b, source=(0.0,) * dim), g)
+        L = g.laplacian_ops()[0]
+        diffusion = (sp.identity(L.shape[0], format="csc") - 0.6 * g.dt * L).toarray()
+        number = {tuple(idx): n for n, idx in enumerate(np.argwhere(g.interior))}
+        assert len(factored) == g.spec.nt  # every level's drift differs from the last
+        for k, args in enumerate(factored):
+            want = diffusion.copy()
+            for idx, c in number.items():
+                col = []
+                for a in range(dim):
+                    for step in (-1, 1):
+                        nb = list(idx)
+                        nb[a] += step
+                        r = number.get(tuple(nb))
+                        if r is not None:
+                            v = -0.5 * (b.values[k][idx][a] + b.values[k][tuple(nb)][a])
+                            col.append((r, min(v, 0.0) / g.dx if r < c else -max(v, 0.0) / g.dx))
+                total = 0.0
+                for r, u in sorted(col):
+                    want[r, c] += g.dt * u
+                    total += u
+                want[c, c] -= g.dt * total
+            if dim == 1:
+                assert all(np.array_equal(got, np.diag(want, d)) for got, d in zip(args, (-1, 0, 1)))
+            else:
+                assert np.array_equal(args[0].toarray(), want)
+
     def test_zero_drift_is_the_diffusion_solve(self):
         # no drift: each level is exactly (I - sigma*dt*L)^{-1} applied to the last
         g = make_grid(GridSpec(2, 1.0, 0.125, 0.25, 1 / 16, ball_mask=True))

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -10,17 +11,13 @@ from hjlab.grid import (
     ScalarField,
     centered_cylinder,
     godunov_magnitude_level,
-    gradient_central,
-    gradient_godunov,
     gradient_level,
-    laplacian,
     laplacian_level,
     lq_norm,
     make_grid,
     parabolic_distance,
     quadrature_weights,
     read_field_csv,
-    restrict_field,
     sample_field,
     sample_points,
     spacetime_integral,
@@ -28,7 +25,7 @@ from hjlab.grid import (
 )
 from hjlab.seminorm import hessian_frobenius_level
 
-from conftest import oracle_godunov, random_field
+from conftest import oracle_godunov, oracle_lattice, random_field
 
 
 def same_bits(a, b):
@@ -56,20 +53,6 @@ class TestMakeGrid:
         with pytest.raises(ValueError, match="horizon/dt"):
             make_grid(GridSpec(1, 1.0, 0.25, 1.0, 0.3))
 
-    def test_boundary_normals_box(self):
-        g = make_grid(GridSpec(1, 1.0, 0.25, 1.0, 0.5))
-        normals = g.boundary_normals()
-        assert len(normals) == 2
-        nus = sorted(nu[0] for _, _, nu in normals)
-        assert nus == [-1.0, 1.0]
-
-    def test_boundary_normals_ball_radial(self):
-        g = make_grid(GridSpec(2, 1.0, 0.25, 1.0, 0.5, ball_mask=True))
-        for idx, x, nu in g.boundary_normals():
-            r = np.linalg.norm(x)
-            assert r > 0
-            np.testing.assert_allclose(nu, x / r, atol=1e-14)
-
     def test_interior_disjoint_from_boundary(self):
         for spec in (GridSpec(1, 1.0, 0.25, 1.0, 0.5), GridSpec(2, 1.0, 0.25, 1.0, 0.5, True)):
             g = make_grid(spec)
@@ -77,40 +60,62 @@ class TestMakeGrid:
             assert np.all(g.active == (g.interior | g.boundary))
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2]),
+    ball=st.booleans(),
+    n=st.integers(2, 12),
+    dx=st.one_of(st.sampled_from([0.25, 0.125, 0.1, 1 / 3]), st.floats(0.01, 2.0)),
+)
+def test_face_table_gives_the_per_node_lattice(dim, ball, n, dx):
+    g = make_grid(GridSpec(dim, n * dx, dx, 2 * dx, dx, ball_mask=ball))
+    ref = oracle_lattice(g)
+    assert np.array_equal(g.interior, ref.interior)
+    assert np.array_equal(g.boundary, ref.boundary)
+    L, B, int_idx, bnd_idx = g.laplacian_ops()
+    for got, want in ((L, ref.L), (B, ref.B)):
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, part), getattr(want, part))
+    assert np.array_equal(int_idx, ref.int_idx)
+    assert np.array_equal(bnd_idx, ref.bnd_idx)
+    assert np.array_equal(g.boundary_faces(), ref.faces)
+    assert g.boundary_faces() == ref.faces
+
+
 class TestCalculus:
     def test_gradient_affine_exact(self, grid_1d_fine):
         u = ScalarField.from_function(grid_1d_fine, lambda x, t: 3.0 * x[..., 0])
-        grad = gradient_central(u, 0)
+        grad = gradient_level(u.level(0), u.grid.dx)
         np.testing.assert_allclose(grad[:, 0], 3.0, rtol=1e-12)
 
     def test_gradient_constant_zero(self, grid_1d_fine):
         u = ScalarField.constant(grid_1d_fine, 4.0)
-        assert np.all(gradient_central(u, 1) == 0.0)
+        assert np.all(gradient_level(u.level(1), u.grid.dx) == 0.0)
 
     def test_gradient_quadratic_interior(self):
         g = make_grid(GridSpec(1, 1.0, 0.1, 1.0, 0.5))
         u = ScalarField.from_function(g, lambda x, t: x[..., 0] ** 2)
         i = g.nearest_node([0.5])[0]
-        assert abs(gradient_central(u, 0)[i, 0] - 1.0) < 1e-12
+        assert abs(gradient_level(u.level(0), u.grid.dx)[i, 0] - 1.0) < 1e-12
 
     def test_polynomial_exactness_2d(self):
         g = make_grid(GridSpec(2, 1.0, 0.25, 1.0, 0.5))
         u = ScalarField.from_function(g, lambda x, t: x[..., 0] ** 2 + x[..., 1] ** 2)
-        lap = laplacian(u, 0)
+        lap = laplacian_level(u.level(0), u.grid.dx)
         np.testing.assert_allclose(lap[1:-1, 1:-1], 4.0, rtol=1e-10)
         v = ScalarField.from_function(g, lambda x, t: 2.0 * x[..., 0] - x[..., 1])
-        grad = gradient_central(v, 0)
+        grad = gradient_level(v.level(0), v.grid.dx)
         np.testing.assert_allclose(grad[..., 0], 2.0, rtol=1e-12)
         np.testing.assert_allclose(grad[..., 1], -1.0, rtol=1e-12)
 
     def test_laplacian_quadratic_1d(self):
         g = make_grid(GridSpec(1, 1.0, 0.125, 1.0, 0.5))
         u = ScalarField.from_function(g, lambda x, t: x[..., 0] ** 2)
-        np.testing.assert_allclose(laplacian(u, 0)[1:-1], 2.0, rtol=1e-10)
+        np.testing.assert_allclose(laplacian_level(u.level(0), u.grid.dx)[1:-1], 2.0, rtol=1e-10)
 
     def test_laplacian_affine_zero(self, grid_1d_fine):
         u = ScalarField.from_function(grid_1d_fine, lambda x, t: 1.0 - 2.0 * x[..., 0])
-        np.testing.assert_allclose(laplacian(u, 0)[1:-1], 0.0, atol=1e-11)
+        np.testing.assert_allclose(laplacian_level(u.level(0), u.grid.dx)[1:-1], 0.0, atol=1e-11)
 
 
 class TestGodunov:
@@ -118,32 +123,32 @@ class TestGodunov:
         # both selected branches clip to zero at the bottom kink of |x|
         g = make_grid(GridSpec(1, 1.0, 0.1, 1.0, 0.5))
         u = ScalarField.from_function(g, lambda x, t: np.abs(x[..., 0]))
-        assert gradient_godunov(u, 0)[g.nearest_node([0.0])[0]] == 0.0
+        assert godunov_magnitude_level(u.level(0), u.grid.dx)[g.nearest_node([0.0])[0]] == 0.0
 
     def test_peak_kink_selects_one(self):
         g = make_grid(GridSpec(1, 1.0, 0.1, 1.0, 0.5))
         u = ScalarField.from_function(g, lambda x, t: -np.abs(x[..., 0]))
-        assert abs(gradient_godunov(u, 0)[g.nearest_node([0.0])[0]] - 1.0) < 1e-12
+        assert abs(godunov_magnitude_level(u.level(0), u.grid.dx)[g.nearest_node([0.0])[0]] - 1.0) < 1e-12
 
     def test_constant_zero(self, grid_1d):
         u = ScalarField.constant(grid_1d, 2.5)
-        assert np.all(gradient_godunov(u, 0) == 0.0)
+        assert np.all(godunov_magnitude_level(u.level(0), u.grid.dx) == 0.0)
 
     def test_smooth_monotone_matches_central(self):
         g = make_grid(GridSpec(1, 1.0, 0.05, 1.0, 0.5))
         u = ScalarField.from_function(g, lambda x, t: 3.0 * x[..., 0])
         interior = slice(1, -1)
-        assert np.allclose(gradient_godunov(u, 0)[interior], 3.0, rtol=1e-12)
+        assert np.allclose(godunov_magnitude_level(u.level(0), u.grid.dx)[interior], 3.0, rtol=1e-12)
         # C^2 monotone profile: agreement within 2*dx
         v = ScalarField.from_function(g, lambda x, t: np.sin(x[..., 0]))
-        gm = gradient_godunov(v, 0)[interior]
-        gc = np.abs(gradient_central(v, 0)[interior, 0])
+        gm = godunov_magnitude_level(v.level(0), v.grid.dx)[interior]
+        gc = np.abs(gradient_level(v.level(0), v.grid.dx)[interior, 0])
         assert np.max(np.abs(gm - gc)) <= 2 * g.dx
 
     def test_nonnegative_everywhere(self, grid_1d):
         u = random_field(grid_1d, seed=3)
         for k in range(grid_1d.n_levels):
-            assert np.all(gradient_godunov(u, k) >= 0.0)
+            assert np.all(godunov_magnitude_level(u.level(k), u.grid.dx) >= 0.0)
 
 
 class TestLqNorm:
@@ -208,12 +213,6 @@ class TestSamplingAndIO:
     def test_sample_linear_between_nodes(self, grid_1d):
         u = ScalarField.from_function(grid_1d, lambda x, t: 2.0 * x[..., 0] + t)
         assert abs(sample_field(u, [0.1], 0.3) - (0.2 + 0.3)) < 1e-12
-
-    def test_restrict_field_aligns(self, grid_1d_fine):
-        u = random_field(grid_1d_fine, seed=9)
-        sub = restrict_field(u, 0.5)
-        sl = grid_1d_fine.subgrid_slices(0.5)
-        assert np.array_equal(sub.values, u.values[(slice(None),) + sl])
 
     def test_csv_round_trip(self, grid_1d):
         u = random_field(grid_1d, seed=13)
@@ -280,6 +279,40 @@ def test_csv_reader_rejects_bad_rows(grid_1d, ball, edit, match):
     write_field_csv(random_field(g, seed=3), buf)
     with pytest.raises(ValueError, match=match):
         read_field_csv(io.StringIO(_edit_row(buf.getvalue(), 3, edit)))
+
+@pytest.mark.parametrize(
+    "header, what",
+    [
+        ("# grid: 1,1,0.25,1", "4 fields, expected 6"),
+        ("# grid: 1,1,0.25,1,0.25,0,7", "7 fields, expected 6"),
+        ("# grid: 1,1,0.25,1,0.25,2", "mask '2' is neither 0 nor 1"),
+        ("# grid: 1,1,0.25,1,0.25,x", "mask 'x' is neither 0 nor 1"),
+        ("# grid: 3,1,0.25,1,0.25,0", "dim must be 1 or 2"),
+    ],
+    ids=["short", "seventh_field", "mask_2", "mask_x", "dim_3"],
+)
+def test_csv_reader_rejects_bad_header(grid_1d, header, what):
+    buf = io.StringIO()
+    write_field_csv(random_field(grid_1d, seed=3), buf)
+    text = header + "\n" + buf.getvalue().split("\n", 1)[1]
+    with pytest.raises(ValueError) as exc:
+        read_field_csv(io.StringIO(text))
+    assert str(exc.value) == f"bad header {header!r} (expected '# grid: N,R,dx,T,dt,mask'): {what}"
+
+
+@pytest.mark.parametrize(
+    "dim, pts, shape",
+    [(1, [[0.25, 0.75]], (1, 2)), (1, [0.25, 0.75], (2,)), (2, [[0.25]], (1, 1)), (2, [[[0.0, 0.0, 0.0]]], (1, 1, 3))],
+)
+def test_sample_points_reject_points_of_another_dimension(dim, pts, shape):
+    u = random_field(make_grid(GridSpec(dim, 1.0, 0.25, 1.0, 0.25)), seed=1)
+    grid_shape = u.grid.shape
+    with pytest.raises(ValueError, match=re.escape(f"points of shape {shape} do not fit the grid of shape {grid_shape}")):
+        sample_points(u, pts, 0.5)
+    if len(shape) == 2 and shape[0] == 1:
+        with pytest.raises(ValueError, match=re.escape(f"points of shape {shape}")):
+            sample_field(u, pts[0], 0.5)
+
 
 @settings(max_examples=50, deadline=None)
 @given(
