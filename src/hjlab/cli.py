@@ -120,10 +120,12 @@ def validate_params(p: dict):
 
 
 def parse_number(s: str) -> float:
-    """Decimal or a/b fraction."""
+    """Decimal or a/b fraction; ValueError naming the token otherwise, b = 0 included."""
     s = s.strip()
     if "/" in s:
         a, b = s.split("/", 1)
+        if float(b) == 0:
+            raise ValueError(f"zero denominator in {s!r}")
         return float(a) / float(b)
     return float(s)
 

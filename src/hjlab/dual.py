@@ -15,10 +15,10 @@ import numpy as np
 
 from .fp import FPProblem, FPSolution, drift_from_solution, kinetic_energy, solve_fp
 from .grid import (
-    Grid,
     GridSpec,
     ScalarField,
     centered_cylinder,
+    evaluate,
     lq_norm,
     make_grid,
     sample_field,
@@ -28,7 +28,6 @@ from .grid import (
 )
 from .hj import (
     HJProblem,
-    _eval_on,
     alpha_zero,
     critical_q0,
     gamma_conjugate,
@@ -43,14 +42,6 @@ def ell_constant(h: float, gamma: float) -> float:
     """Legendre prefactor h(gamma-1)/(h*gamma)^gamma'."""
     gc = gamma_conjugate(gamma)
     return h * (gamma - 1.0) / (h * gamma) ** gc
-
-
-def _field_levels(grid: Grid, obj) -> np.ndarray:
-    return (
-        obj.values
-        if isinstance(obj, ScalarField) and obj.grid is grid
-        else np.stack([_eval_on(grid, obj, t) for t in grid.ts])
-    )
 
 
 @dataclass
@@ -114,32 +105,61 @@ def _boundary_sum(w: ScalarField, sol: FPSolution, shift=lambda s: 0.0) -> float
     return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
 
+def _duality_terms(w: ScalarField, g_rhs, sol: FPSolution, y0: np.ndarray, gamma: float):
+    """(lhs, kinetic, running, terminal, boundary) along xi_s = ((tau - s)/tau) y0.
+
+    The comparison density is sol.m shifted by xi_s: it starts at
+    source + y0 and ends on sol's grid at s = tau.  lhs = w(source + y0, 0),
+    kinetic = iint |b - xi'_s|^gamma' m, running = iint g(x + xi_s, s) m
+    (g read by evaluate at the shifted nodes), terminal = int w(x, tau)
+    m(x, tau) and the boundary sum of w at the shifted faces.  y0 = 0 gives
+    the terms of the duality identity.  w (and g if a field) must cover the
+    R + |y0| padded box.
+    """
+    grid = sol.grid
+    tau = sol.tau
+    pad_needed = grid.spec.half_width + float(np.max(np.abs(y0)))
+    wR = w.grid.spec.half_width
+    if wR < pad_needed - 1e-12:
+        raise ValueError(
+            f"insufficient padding: w lives on half-width {wR}, shift needs {pad_needed}"
+        )
+
+    xi_rate = y0 / tau  # -xi'_s
+    mag = np.sqrt(np.sum((sol.b.values + xi_rate) ** 2, axis=-1))
+    kinetic = spacetime_integral(grid, mag ** gamma_conjugate(gamma) * sol.m.values)
+
+    def shift(s):
+        return (tau - s) / tau * y0
+
+    g_sh = np.stack([evaluate(g_rhs, grid, s, grid.coords + shift(s)) for s in grid.ts])
+    running = spacetime_integral(grid, g_sh * sol.m.values)
+
+    w_tau = sample_points(w, grid.coords.reshape(-1, grid.dim), tau).reshape(grid.shape)
+    terminal = space_integral(grid, w_tau * sol.m.values[-1])
+
+    lhs = sample_field(w, sol.source + y0, 0.0)
+    return lhs, kinetic, running, terminal, _boundary_sum(w, sol, shift)
+
+
 def duality_identity(w: ScalarField, f, sol: FPSolution, h: float, gamma: float) -> DualityReport:
     """w(x0, 0) against Lagrangian + running cost + terminal + boundary terms.
 
     h constant here (the identity is exact only for h0 = h1); the Lagrangian
-    term is ell(h) * K = h(gamma-1) * iint |Dw|^gamma m.
+    term is ell(h) * K = h(gamma-1) * iint |Dw|^gamma m.  The terms are
+    those of bent_duality at y0 = 0.
     """
     g = sol.grid
     if w.grid.dim != g.dim or abs(w.grid.dt - g.dt) > 1e-14 or abs(w.grid.dx - g.dx) > 1e-14:
         raise ValueError("w and the FP solution must share dx and dt")
     ell = ell_constant(h, gamma)
-    K = kinetic_energy(sol, gamma)
-    lhs = sample_field(w, sol.source, 0.0)
-
-    f_levels = _field_levels(g, f)
-    running = spacetime_integral(g, f_levels * sol.m.values)
-
-    tau = sol.tau
-    w_tau = sample_points(w, g.coords.reshape(-1, g.dim), tau).reshape(g.shape)
-    terminal = space_integral(g, w_tau * sol.m.values[-1])
-
+    lhs, K, running, terminal, boundary = _duality_terms(w, f, sol, np.zeros(g.dim), gamma)
     return DualityReport(
         lhs=lhs,
         lagrangian=ell * K,
         running_cost=running,
         terminal=terminal,
-        boundary=_boundary_sum(w, sol),
+        boundary=boundary,
         ell0=ell,
         ell1=ell,
         kinetic=K,
@@ -159,47 +179,16 @@ class BentReport:
 def bent_duality(w: ScalarField, g_rhs, sol: FPSolution, y0, gamma: float, ell0: float) -> BentReport:
     """Suboptimal-drift inequality with the straightened trajectory shift.
 
-    xi_s = ((tau - s)/tau) y0 bends the comparison density from y0 back to the
-    source; shifted evaluations of g and w use multilinear interpolation, so w
-    (and g if a field) must cover the R + |y0| padded box.
+    xi_s = ((tau - s)/tau) y0 bends the comparison density from source + y0
+    back to the source; shifted evaluations of g and w use multilinear
+    interpolation, so w (and g if a field) must cover the R + |y0| padded
+    box.
     """
-    grid = sol.grid
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     if np.linalg.norm(y0) > 1 + 1e-12:
         raise ValueError("|y0| must be <= 1")
-    tau = sol.tau
-    R = grid.spec.half_width
-    pad_needed = R + float(np.max(np.abs(y0)))
-    wR = w.grid.spec.half_width
-    if wR < pad_needed - 1e-12:
-        raise ValueError(
-            f"insufficient padding: w lives on half-width {wR}, shift needs {pad_needed}"
-        )
-
-    xi_rate = y0 / tau  # -xi'_s
-    mag = np.sqrt(np.sum((sol.b.values + xi_rate) ** 2, axis=-1))
-    gc = gamma_conjugate(gamma)
-    lagr = ell0 * spacetime_integral(grid, mag ** gc * sol.m.values)
-
-    pts = grid.coords.reshape(-1, grid.dim)
-
-    def g_shifted(s):
-        shift = (tau - s) / tau * y0
-        if isinstance(g_rhs, ScalarField):
-            return sample_points(g_rhs, pts + shift, s).reshape(grid.shape)
-        if callable(g_rhs):
-            return np.asarray(g_rhs(grid.coords + shift, s), dtype=float) * np.ones(grid.shape)
-        return _eval_on(grid, g_rhs, s)
-
-    g_sh = np.stack([g_shifted(float(s)) for s in grid.ts])
-    running = spacetime_integral(grid, g_sh * sol.m.values)
-
-    w_tau = sample_points(w, pts, tau).reshape(grid.shape)
-    terminal = space_integral(grid, w_tau * sol.m.values[-1])
-
-    boundary = _boundary_sum(w, sol, lambda s: (tau - s) / tau * y0)
-
-    lhs = sample_field(w, y0, 0.0)
+    lhs, kinetic, running, terminal, boundary = _duality_terms(w, g_rhs, sol, y0, gamma)
+    lagr = ell0 * kinetic
     rhs = lagr + running + terminal + boundary
     return BentReport(
         lhs=lhs,
@@ -303,16 +292,10 @@ def oscillation_report(
     K = kinetic_energy(sol, gamma)
 
     # conditions
-    g_is_none = g_rhs is None
-    if g_is_none:
-        g_norm_R = g_norm_R1 = 0.0
-    else:
-        g_field = g_rhs if isinstance(g_rhs, ScalarField) else ScalarField(
-            grid, _field_levels(grid, g_rhs)
-        )
-        g_norm_R = lq_norm(g_field, q0, centered_cylinder(R, tau, N))
-        R1 = min(R + 1.0, grid.spec.half_width)
-        g_norm_R1 = lq_norm(g_field, q0, centered_cylinder(R1, tau, N))
+    g_field = ScalarField(grid, evaluate(g_rhs, grid))
+    g_norm_R = lq_norm(g_field, q0, centered_cylinder(R, tau, N))
+    R1 = min(R + 1.0, grid.spec.half_width)
+    g_norm_R1 = lq_norm(g_field, q0, centered_cylinder(R1, tau, N))
     pref = sigma ** (-gc * (N + 1) / (N + 2))
     fnorm_value = pref * g_norm_R
     shape_value = z * (R ** alpha + tau ** (alpha / 2.0)) / R

@@ -25,8 +25,8 @@ from .grid import (
     NumericalFailure,
     ScalarField,
     VectorField,
+    evaluate,
     gradient_level,
-    sample_points,
     space_integral,
     spacetime_integral,
 )
@@ -90,33 +90,12 @@ class FPSolution:
 
 
 def _sample_drift(grid: Grid, drift) -> VectorField:
-    """The drift on every node and level of grid; raises at a non-finite value."""
-    shape = (grid.n_levels,) + grid.shape + (grid.dim,)
-    if drift is None:
-        return VectorField(grid, np.zeros(shape))
-    if isinstance(drift, VectorField):
-        if drift.grid.spec == grid.spec:
-            b = drift
-        else:
-            # resample multilinearly onto the FP nodes; the drift's grid must cover them
-            pts = grid.coords.reshape(-1, grid.dim)
-            vals = np.zeros(shape)
-            try:
-                for a in range(grid.dim):
-                    comp = ScalarField(drift.grid, drift.values[..., a])
-                    vals[..., a] = sample_points(comp, pts, grid.ts).reshape(shape[:-1])
-            except ValueError as exc:
-                raise ValueError(f"drift VectorField does not cover the FP grid: {exc}") from exc
-            b = VectorField(grid, vals)
-    elif callable(drift):
-        vals = np.zeros(shape)
-        for k, t in enumerate(grid.ts):
-            vals[k] = np.asarray(drift(grid.coords, float(t)), dtype=float)
-        b = VectorField(grid, vals)
-    else:
-        vals = np.zeros(shape)
-        vals[...] = np.atleast_1d(np.asarray(drift, dtype=float))
-        b = VectorField(grid, vals)
+    """The drift on every node and level of grid (evaluate; None is no drift).
+
+    A VectorField on another grid is resampled when it covers the FP grid;
+    a value that is not finite raises, naming the node and time.
+    """
+    b = VectorField(grid, evaluate(np.zeros(grid.dim) if drift is None else drift, grid))
     bad = np.argwhere(~np.all(np.isfinite(b.values), axis=-1))
     if len(bad):
         k, *idx = (int(i) for i in bad[0])

@@ -9,10 +9,19 @@ of the active set (the rim of the box, the stair-step shell of the ball).
 The Dirichlet Laplacian, the boundary faces and the Fokker-Planck transport
 are all read from the table.  Fields are stored one array per time level;
 all operators here are pure functions of field snapshots.
+
+Problem data (a coefficient h, a right-hand side f or g, a drift b) are
+None, a number, callable(x, t) or a ScalarField/VectorField, and evaluate()
+is the one place that reads them: at a set of points (a grid's nodes by
+default) and times, linear in time between levels and multilinear in space,
+with one bracketing rule (bracket) that takes a node or level exactly.  A
+field on another grid is resampled when its grid covers the points and
+times asked for, and is a ValueError naming both grids otherwise.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -292,9 +301,8 @@ class ScalarField:
 
     @classmethod
     def from_function(cls, grid: Grid, fn: Callable) -> "ScalarField":
-        vals = np.zeros((grid.n_levels,) + grid.shape)
-        for k, t in enumerate(grid.ts):
-            vals[k] = np.asarray(fn(grid.coords, float(t)), dtype=float)
+        """fn(x, t) on every node and level (evaluate), 0 on inactive nodes."""
+        vals = evaluate(fn, grid)
         vals[:, ~grid.active] = 0.0
         return cls(grid, vals)
 
@@ -344,16 +352,19 @@ def gradient_level(values: np.ndarray, dx: float, dim: int | None = None) -> np.
     return np.stack(comps, axis=-1)
 
 
-def godunov_magnitude_level(values: np.ndarray, dx: float) -> np.ndarray:
+def godunov_magnitude_level(values: np.ndarray, dx: float, dim: int | None = None) -> np.ndarray:
     """Monotone upwind surrogate of |Du| per node.
 
     Per axis max(backward-diff^+, -forward-diff^-): the Godunov selection for
     a convex Hamiltonian increasing in |p| under backward-in-time marching.
-    Edge nodes keep only the one-sided branch that exists.
+    Edge nodes keep only the one-sided branch that exists.  The last dim
+    axes are space (all axes by default); a leading axis, such as the levels
+    of a field, is carried along.
     """
+    nd = values.ndim
     total = None
     with np.errstate(over="ignore"):  # inf is a valid surrogate while probing CFL
-        for a in range(values.ndim):
+        for a in range(nd - (nd if dim is None else dim), nd):
             pre = (slice(None),) * a
             diff = (values[pre + (slice(1, None),)] - values[pre + (slice(None, -1),)]) / dx
             back = np.maximum(diff, 0.0)  # backward branch of nodes 1..n-1
@@ -457,6 +468,37 @@ def space_integral(grid: Grid, values: np.ndarray, sub: Cylinder | None = None) 
 # -- interpolation --------------------------------------------------------------
 
 
+def bracket(nodes, x, step: float):
+    """(i, f): x lies the fraction f of the way from nodes[i] to nodes[i + 1].
+
+    The one bracketing rule of every sampled datum, in time and on each
+    space axis of a uniform lattice nodes[0] + k * step.  A coordinate equal
+    to a node takes it exactly: f = 0 there, or f = 1 of the last interval
+    at the last node.  Any other x takes the interval of
+    floor((x - nodes[0]) / step), clamped to the first and the last one, and
+    f = (x - nodes[i]) / step clamped to [0, 1].  x is one number (i and f
+    come back as an int and a float, in scalar arithmetic, as a march asks
+    for one time per substep) or an ndarray (i and f are arrays of its
+    shape).
+    """
+    last = len(nodes) - 1
+    if not isinstance(x, np.ndarray) or x.ndim == 0:
+        x = float(x)
+        r = (x - nodes[0]) / step
+        j = min(max(round(r), 0), last)
+        if x == nodes[j]:
+            i = min(j, last - 1)
+            return i, float(j - i)
+        i = min(max(math.floor(r), 0), last - 1)
+        return i, min(max((x - nodes[i]) / step, 0.0), 1.0)
+    x = np.asarray(x, dtype=float)
+    r = (x - nodes[0]) / step
+    j = np.minimum(np.maximum(np.rint(r), 0), last).astype(int)
+    on = x == nodes[j]
+    i = np.where(on, np.minimum(j, last - 1), np.clip(np.floor(r), 0, last - 1)).astype(int)
+    return i, np.where(on, j - i, np.clip((x - nodes[i]) / step, 0.0, 1.0))
+
+
 def sample_field(u: ScalarField, x, t) -> float:
     """Multilinear in space, linear in time.  Exact at nodes."""
     return float(sample_points(u, [x], t)[0])
@@ -465,10 +507,10 @@ def sample_field(u: ScalarField, x, t) -> float:
 def sample_points(u: ScalarField, pts, t) -> np.ndarray:
     """Vectorized multilinear sampling of many spatial points.
 
-    t is one time (one value per point back) or a 1-D array of times (one
-    row per time back); each time blends the two levels around it, or takes
-    the lower level alone when it falls on it.  With an array of times, pts
-    of shape (len(t), n, dim) gives each time its own n points; row i is
+    Coordinates and times are bracketed by bracket(), so nodes and levels
+    give u.values bit for bit.  t is one time (one value per point back) or
+    a 1-D array of times (one row per time back).  With an array of times,
+    pts of shape (len(t), n, dim) gives each time its own n points; row i is
     then what sampling pts[i] at t[i] alone gives, bit for bit.  A point set
     that every time shares is then passed flat, as (n, dim).  Points whose
     last axis is not of length dim raise ValueError.
@@ -498,16 +540,8 @@ def sample_points(u: ScalarField, pts, t) -> np.ndarray:
         bad = float(tt[~((tt >= lo) & (tt <= hi))][0])
         raise ValueError(f"sample time t={bad} outside the grid horizon")
 
-    kt = np.minimum(np.maximum(np.floor(tt / g.dt), 0), g.n_levels - 2).astype(int)
-    ft = np.minimum(np.maximum((tt - g.ts[kt]) / g.dt, 0.0), 1.0)
-
-    idx = []
-    frac = []
-    for a in range(g.dim):
-        i = np.clip(np.floor((pts[..., a] - g.axes[a][0]) / g.dx).astype(int), 0, g.shape[a] - 2)
-        f = np.clip((pts[..., a] - g.axes[a][i]) / g.dx, 0.0, 1.0)
-        idx.append(i)
-        frac.append(f)
+    kt, ft = bracket(g.ts, tt, g.dt)
+    idx, frac = zip(*(bracket(g.axes[a], pts[..., a], g.dx) for a in range(g.dim)))
 
     def space_interp(k, rows=slice(None)):
         # idx and frac hold one row per time, or one row that every time shares
@@ -531,6 +565,47 @@ def sample_points(u: ScalarField, pts, t) -> np.ndarray:
         fr = ft[rows, None]
         vals[rows] = (1 - fr) * vals[rows] + fr * space_interp(kt[rows] + 1, rows)
     return vals[0] if times.ndim == 0 else vals
+
+
+def evaluate(datum, grid: Grid | None, ts=None, points=None) -> np.ndarray:
+    """A problem datum at points and times: the one reader of h, f, g and drifts.
+
+    datum is None (zero), a number or constant vector, callable(x, t), or a
+    ScalarField/VectorField.  points (..., dim) default to the nodes of grid,
+    ts to its levels; a single time gives one set of values back, a 1-D
+    array one per time, shape (*times, *points) plus a vector's last axis.
+    A callable is called once per time with the points as given.  A field
+    on grid at all its nodes and levels is its values; otherwise a field is
+    sampled by sample_points: exact on its nodes and levels, and a
+    ValueError naming both GridSpecs when its grid does not cover the points
+    and times.  grid may be None when points and ts are given.
+    """
+    times = grid.ts if ts is None else np.asarray(ts, dtype=float)
+    pts = grid.coords if points is None else np.asarray(points, dtype=float)
+    base = times.shape + pts.shape[:-1]
+    if isinstance(datum, (ScalarField, VectorField)):
+        if ts is None and points is None and datum.grid.spec == grid.spec:
+            return datum.values
+        comps = datum.values[..., None] if isinstance(datum, ScalarField) else datum.values
+        flat = pts.reshape(-1, pts.shape[-1])
+        try:
+            vals = [sample_points(ScalarField(datum.grid, comps[..., a]), flat, times) for a in range(comps.shape[-1])]
+        except ValueError as exc:
+            if grid is None or datum.grid.spec == grid.spec:
+                raise
+            raise ValueError(f"a field on {datum.grid.spec} does not cover {grid.spec}: {exc}") from None
+        vals = np.stack(vals, axis=-1).reshape(base + comps.shape[-1:])
+        return vals[..., 0] if isinstance(datum, ScalarField) else vals
+    if callable(datum):
+
+        def at(t):
+            val = np.asarray(datum(pts, float(t)), dtype=float)
+            shape = pts.shape[:-1] + val.shape[pts.ndim - 1 :]
+            return val if val.shape == shape else np.broadcast_to(val, shape)
+
+        return at(times) if times.ndim == 0 else np.stack([at(t) for t in times])
+    c = np.asarray(0.0 if datum is None else datum, dtype=float)
+    return np.full(base + c.shape, c)
 
 
 # -- serialization ---------------------------------------------------------------

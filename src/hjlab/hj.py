@@ -3,12 +3,14 @@
 Solves -du/dt - sigma*Lap(u) + h(x,t)|Du|^gamma = f(x,t) on the grid cylinder,
 gamma > 2, marching from the terminal level with implicit diffusion and an
 explicit Godunov Hamiltonian.  The time step adapts to the realized gradient;
-constants are exact fixed points of the scheme.
+constants are exact fixed points of the scheme.  The data h and f are read
+as grid.evaluate reads them, at the solve grid's nodes and at each
+substep's time (linear between levels, exact on them); a field h, f or
+terminal datum must live on the solve grid itself.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -22,6 +24,8 @@ from .grid import (
     Grid,
     NumericalFailure,
     ScalarField,
+    bracket,
+    evaluate,
     godunov_magnitude_level,
     gradient_level,
     laplacian_level,
@@ -29,6 +33,9 @@ from .grid import (
 )
 
 CFL_EPS = 1e-12
+CFL_SAFETY = 1.0  # substeps satisfy dt <= CFL_SAFETY * dx / (gamma h1 P^(gamma-1) + CFL_EPS)
+MAX_HALVINGS = 10  # retries one rung down per substep
+MAX_SUBSTEPS = 100000  # substeps per macro step
 
 
 # -- derived exponents ---------------------------------------------------------
@@ -57,44 +64,19 @@ def time_pair_exponent(M: float, gamma: float) -> float:
 # -- problem definition ----------------------------------------------------------
 
 
-def _bracket(ts, t: float):
-    """(k, f): t lies a fraction f of the way from level k to level k + 1 of ts."""
-    k = min(max(bisect.bisect_left(ts, t) - 1, 0), len(ts) - 2)
-    f = (t - ts[k]) / (ts[k + 1] - ts[k])
-    return k, min(max(f, 0.0), 1.0)
-
-
-def _same_grid(field: ScalarField, grid: Grid) -> None:
-    if field.grid.spec != grid.spec:
-        raise ValueError(f"field lives on {field.grid.spec}, not on the solve grid {grid.spec}")
-
-
-def _eval_on(grid: Grid, obj, t: float) -> np.ndarray:
-    """Sample a constant / callable / ScalarField at one time level."""
-    if obj is None:
-        return np.zeros(grid.shape)
-    if isinstance(obj, ScalarField):
-        _same_grid(obj, grid)
-        k, f = _bracket(obj.grid.ts, t)
-        return (1 - f) * obj.values[k] + f * obj.values[k + 1]
-    if callable(obj):
-        return np.asarray(obj(grid.coords, float(t)), dtype=float) * np.ones(grid.shape)
-    return np.full(grid.shape, float(obj))
-
-
 def _interior_sampler(grid: Grid, obj, check=None):
     """t -> obj at the interior nodes, prepared once per solve.
 
-    Values are those of _eval_on restricted to the interior.  A constant
-    comes back as a float.  A ScalarField blends the interior nodes of the
-    two levels around t, gathered once per pair of levels.  A callable is
-    evaluated through _eval_on at every call.  check(grid, levels, ts), if
-    given, sees every value that can come back: a constant's or a field's
-    once, here, and a callable's at each call.
+    Values are those of evaluate(obj, grid, t) restricted to the interior.
+    A constant comes back as a float.  A ScalarField (on grid) takes the
+    level pair that bracket gives for t, its interior nodes gathered once
+    per pair, and blends them unless t is a level.  A callable is evaluated
+    at every call.  check(grid, levels, ts), if given, sees every value that
+    can come back: a constant's or a field's once, here, and a callable's at
+    each call.
     """
     interior = grid.interior
     if isinstance(obj, ScalarField):
-        _same_grid(obj, grid)
         if check is not None:
             check(grid, obj.values, grid.ts)
         ts = grid.ts.tolist()
@@ -104,15 +86,15 @@ def _interior_sampler(grid: Grid, obj, check=None):
             return obj.values[k][interior], obj.values[k + 1][interior]
 
         def at(t):
-            k, f = _bracket(ts, t)
+            k, f = bracket(ts, t, grid.dt)
             lo, hi = pair(k)
-            return (1 - f) * lo + f * hi
+            return lo if f == 0 else (1 - f) * lo + f * hi
 
         return at
     if callable(obj):
 
         def at(t):
-            arr = _eval_on(grid, obj, t)
+            arr = evaluate(obj, grid, t)
             if check is not None:
                 check(grid, arr[None], [t])
             return arr[interior]
@@ -130,9 +112,9 @@ class HJProblem:
     sigma: float
     h0: float
     h1: float
-    h: object = None  # constant, callable(x, t) or ScalarField; default h0
-    f: object = 0.0  # constant, callable(x, t) or ScalarField
-    terminal: object = 0.0  # constant or callable(x) for u(., T)
+    h: object = None  # number, callable(x, t) or ScalarField; default h0
+    f: object = 0.0  # None (zero), number, callable(x, t) or ScalarField
+    terminal: object = 0.0  # constant, callable(x) or ScalarField for u(., T)
     lateral: object = 0.0  # constant or callable(x, t) on the boundary layer
     q: float | None = None  # integrability exponent of f (metadata)
 
@@ -173,19 +155,10 @@ class HJProblem:
                 f"at x={tuple(grid.coords[tuple(idx)].tolist())}, t={float(ts[k])!r}"
             )
 
-    def h_level(self, grid: Grid, t: float) -> np.ndarray:
-        arr = _eval_on(grid, self.h, t)
-        self.check_h(grid, arr[None], [t])
-        return arr
-
-    def f_level(self, grid: Grid, t: float) -> np.ndarray:
-        return _eval_on(grid, self.f, t)
-
     def terminal_level(self, grid: Grid) -> np.ndarray:
-        T = grid.ts[-1]
         if callable(self.terminal):
             return np.asarray(self.terminal(grid.coords), dtype=float) * np.ones(grid.shape)
-        return _eval_on(grid, self.terminal, T)
+        return evaluate(self.terminal, grid, grid.ts[-1])
 
     def lateral_values(self, grid: Grid, t: float) -> np.ndarray:
         """Lateral data on the boundary layer, nodes in C order."""
@@ -204,34 +177,31 @@ class HJSolution:
 # -- solver -----------------------------------------------------------------------
 
 
-def solve_hj(
-    problem: HJProblem,
-    grid: Grid,
-    gradient_bound: float | None = None,
-    cfl_safety: float = 1.0,
-    max_halvings: int = 10,
-    max_substeps: int = 100000,
-) -> HJSolution:
+def solve_hj(problem: HJProblem, grid: Grid, gradient_bound: float | None = None) -> HJSolution:
     """March the backward equation from the terminal level.
 
     Diffusion is implicit (direct sparse solve per step), the Hamiltonian
     h * (Godunov |Du|)^gamma explicit.  Every substep length is a dyadic rung
     grid.dt / 2**j: the largest rung that fits in what is left of the macro
-    step and satisfies dt <= cfl_safety * dx / (gamma*h1*P^(gamma-1) + eps)
-    for the current Godunov gradient P.  A step whose realized gradient
-    invalidates its own dt is retried one rung down, at most max_halvings
-    times, and a macro step may not need more than max_substeps substeps.
-    The time left in a macro step is kept as an exact dyadic fraction, so
-    round-off never opens an extra rung, and the diffusion matrix is
-    LU-factored once per rung used.
+    step and satisfies dt <= CFL_SAFETY * dx / (gamma*h1*P^(gamma-1) + eps)
+    for P the larger of the current Godunov gradient and gradient_bound.  A
+    step whose realized gradient invalidates its own dt is retried one rung
+    down, at most MAX_HALVINGS times, and a macro step may not need more
+    than MAX_SUBSTEPS substeps.  The time left in a macro step is kept as an
+    exact dyadic fraction, so round-off never opens an extra rung, and the
+    diffusion matrix is LU-factored once per rung used.
 
-    What cannot change within the solve is prepared before the march: a
-    constant or ScalarField h is checked against [h0, h1] once, on all its
-    nodes (ValueError naming the node, before any factorization), constant
-    h, f and lateral data become scalars or one vector, and a field's two
-    bracketing levels are gathered once per macro step.  A callable h is
-    checked each time it is evaluated.
+    A field h, f or terminal datum must live on grid (ValueError naming both
+    GridSpecs otherwise).  What cannot change within the solve is prepared
+    before the march: a constant or ScalarField h is checked against
+    [h0, h1] once, on all its nodes (ValueError naming the node, before any
+    factorization), constant h, f and lateral data become scalars or one
+    vector, and a field's two bracketing levels are gathered once per macro
+    step.  A callable h is checked each time it is evaluated.
     """
+    for datum in (problem.h, problem.f, problem.terminal):
+        if isinstance(datum, ScalarField) and datum.grid.spec != grid.spec:
+            raise ValueError(f"field lives on {datum.grid.spec}, not on the solve grid {grid.spec}")
     L, B, int_idx, _ = grid.laplacian_ops()
     int_mask = grid.interior
     eye = sp.identity(len(int_idx), format="csc")
@@ -284,11 +254,11 @@ def solve_hj(
         substeps = 0
         while left > 0:
             substeps += 1
-            if substeps > max_substeps:
+            if substeps > MAX_SUBSTEPS:
                 raise NumericalFailure(
-                    f"CFL subcycle limit exceeded: > {max_substeps} substeps in one macro step"
+                    f"CFL subcycle limit exceeded: > {MAX_SUBSTEPS} substeps in one macro step"
                 )
-            limit = cfl_safety * cfl_dt(max(G_max, P_user))
+            limit = CFL_SAFETY * cfl_dt(max(G_max, P_user))
             j = 0
             while (left << j) < (1 << e) or math.ldexp(grid.dt, -j) > limit:
                 j += 1
@@ -316,7 +286,7 @@ def solve_hj(
                 if dt <= cfl_dt(G_new_max) * (1.0 + 1e-12):
                     break
                 halvings += 1
-                if halvings > max_halvings:
+                if halvings > MAX_HALVINGS:
                     worst = np.argwhere(G_new == np.max(G_new_int))
                     idx = tuple(int(i) for i in worst[0])
                     raise NumericalFailure(
@@ -346,27 +316,24 @@ def solve_hj(
 def discrete_residual(u: ScalarField, problem: HJProblem) -> ScalarField:
     """Defect of the stored-level scheme equation at interior nodes.
 
-    -(u^{k+1}-u^k)/dt - sigma*Lap(u^k) + h(t_k)*Godunov(u^{k+1})^gamma - f(t_k);
-    zero when the marching needed no substepping, otherwise it carries the
-    splitting/substep consistency error.
+    -(u^{k+1}-u^k)/dt - sigma*Lap(u^k) + h(t_k)*Godunov(u^{k+1})^gamma - f(t_k),
+    all levels k < nt at once (the last level is 0); zero when the marching
+    needed no substepping, otherwise it carries the splitting/substep
+    consistency error.  h is checked against [h0, h1] on every level used.
     """
     g = u.grid
+    ts = g.ts[:-1]
+    h = evaluate(problem.h, g, ts)
+    problem.check_h(g, h, ts)
+    now, after = u.values[:-1], u.values[1:]
+    r = (
+        -(after - now) / g.dt
+        - problem.sigma * laplacian_level(now, g.dx, g.dim)
+        + h * godunov_magnitude_level(after, g.dx, g.dim) ** problem.gamma
+        - evaluate(problem.f, g, ts)
+    )
     out = np.zeros_like(u.values)
-    for k in range(g.spec.nt):
-        t_k = g.ts[k]
-        lap = laplacian_level(u.values[k], g.dx)
-        G = godunov_magnitude_level(u.values[k + 1], g.dx)
-        h_arr = problem.h_level(g, t_k)
-        f_arr = problem.f_level(g, t_k)
-        r = (
-            -(u.values[k + 1] - u.values[k]) / g.dt
-            - problem.sigma * lap
-            + h_arr * G ** problem.gamma
-            - f_arr
-        )
-        lev = np.zeros(g.shape)
-        lev[g.interior] = r[g.interior]
-        out[k] = lev
+    out[:-1] = np.where(g.interior, r, 0.0)
     return ScalarField(g, out)
 
 
@@ -452,8 +419,7 @@ def manufactured_rhs(ms: ManufacturedSolution, gamma: float, sigma: float, h) ->
 
     def f(x, t):
         gmag = np.sqrt(np.sum(ms.grad(x, t) ** 2, axis=-1))
-        h_arr = h(x, t) if callable(h) else h
-        return -ms.u_t(x, t) - sigma * ms.lap(x, t) + h_arr * gmag ** gamma
+        return -ms.u_t(x, t) - sigma * ms.lap(x, t) + evaluate(h, None, t, x) * gmag ** gamma
 
     return f
 
@@ -536,15 +502,12 @@ def differential_inequality_check(w: ScalarField, g_field, sigma, h0, h1, gamma)
 
     Returns (low, high): low = min(g - [-dw/ds - sigma*Lap w + h0|Dw|^g]),
     high = min([-dw/ds - sigma*Lap w + h1|Dw|^g] - g).  Nonnegative values
-    certify the sub/supersolution pair; negative slack is a finding.
+    certify the sub/supersolution pair; negative slack is a finding.  g is
+    read on w's grid by evaluate: a field on a covering grid is resampled.
     """
     grid = w.grid
     wt = time_derivative(w)
-    g_vals = (
-        g_field.values
-        if isinstance(g_field, ScalarField)
-        else np.stack([_eval_on(grid, g_field, t) for t in grid.ts])
-    )
+    g_vals = evaluate(g_field, grid)
     mid = slice(1, grid.spec.nt)  # the levels with a central time difference
     lap = laplacian_level(w.values[mid], grid.dx, grid.dim)
     mag = np.sqrt(np.sum(gradient_level(w.values[mid], grid.dx, grid.dim) ** 2, axis=-1))

@@ -18,6 +18,7 @@ from .grid import (
     GridSpec,
     NumericalFailure,
     ScalarField,
+    evaluate,
     laplacian_level,
     lq_norm,
     make_grid,
@@ -113,7 +114,8 @@ def blowup_transform(
 
     w(y, s) = u(xbar + r y, tbar + lambda s)/M with lambda the variant time
     scale; g picks up r^g/M^g (alpha0) or r^2/M (alpha).  Sampling is
-    multilinear; points leaving u's grid raise, naming the offending node.
+    multilinear; points leaving u's grid raise, naming the offending node,
+    and f is read at the mapped nodes and times by evaluate.
     """
     tg = make_grid(target_spec)
     if tg.dim != u.grid.dim:
@@ -125,14 +127,8 @@ def blowup_transform(
     else:
         g_factor = params.r ** 2 / params.M
     w_vals = (sample_points(u, xs, ts) / params.M).reshape(stack)
-    g_vals = None
-    if isinstance(f, ScalarField):
-        g_vals = (g_factor * sample_points(f, xs, ts)).reshape(stack)
-    elif f is not None:
-        x_grid = xs.reshape(tg.shape + (tg.dim,))
-        g_vals = np.stack([g_factor * np.asarray(f(x_grid, float(t)), dtype=float) for t in ts]).reshape(stack)
     w = ScalarField(tg, w_vals)
-    g = ScalarField(tg, g_vals) if f is not None else None
+    g = None if f is None else ScalarField(tg, g_factor * evaluate(f, tg, ts, xs.reshape(tg.shape + (tg.dim,))))
 
     ident = None
     if params.variant == "alpha0" and g is not None:
@@ -143,7 +139,7 @@ def blowup_transform(
         # preimage norm by change of variables on the mapped nodes:
         # dx dt = r^N * lambda * dy ds
         jac = params.r ** N * params.time_scale
-        acc = spacetime_integral(tg, np.abs(g_vals / g_factor) ** q0)
+        acc = spacetime_integral(tg, np.abs(g.values / g_factor) ** q0)
         f_norm_pre = (jac * acc) ** (1.0 / q0)
         pref = params.sigma_n ** (gc * (N + 1) / (N + 2))
         ident = {
@@ -173,20 +169,10 @@ def rescaled_residual(w: ScalarField, g: ScalarField, params: BlowupParams, h_sa
     if params.variant == "alpha0":
         if params.sigma_n > 1.0:
             raise ValueError("sigma_n > 1: not a vanishing-viscosity zoom")
-        prob = HJProblem(
-            gamma=params.gamma,
-            sigma=params.sigma_n,
-            h0=h_sample,
-            h1=h_sample,
-            h=h_sample,
-            f=g if g is not None else 0.0,
-        )
+        sigma, h = params.sigma_n, h_sample
     else:
-        heff = params.theta_n * h_sample
-        prob = HJProblem(
-            gamma=params.gamma, sigma=1.0, h0=heff, h1=heff, h=heff, f=g if g is not None else 0.0
-        )
-    return discrete_residual(w, prob)
+        sigma, h = 1.0, params.theta_n * h_sample
+    return discrete_residual(w, HJProblem(gamma=params.gamma, sigma=sigma, h0=h, h1=h, f=g))
 
 
 def normalization_check(w: ScalarField, params: BlowupParams) -> float:
@@ -503,11 +489,7 @@ def interpolation_bound_check(v: ScalarField, g_rhs, q: float, gamma: float, R: 
         t0=2 * grid.dt,
         t1=T - 2 * grid.dt,
     )
-    g_field = (
-        g_rhs
-        if isinstance(g_rhs, ScalarField)
-        else ScalarField.from_function(grid, g_rhs if callable(g_rhs) else (lambda x, t: np.full(x.shape[:-1], float(g_rhs))))
-    )
+    g_field = ScalarField(grid, evaluate(g_rhs, grid))
     sem = holder_seminorm(v, alpha, big)
     c1 = lq_norm(g_field, q, big) + sem.value
 

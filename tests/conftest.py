@@ -10,8 +10,8 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from hjlab.acceptance import random_field  # noqa: F401 - shared with the test modules
-from hjlab.grid import Grid, GridSpec, NumericalFailure, ScalarField, make_grid
-from hjlab.hj import CFL_EPS, HJSolution
+from hjlab.grid import Grid, GridSpec, NumericalFailure, ScalarField, evaluate, make_grid
+from hjlab.hj import CFL_EPS, CFL_SAFETY, MAX_HALVINGS, MAX_SUBSTEPS, HJSolution
 
 
 @pytest.fixture
@@ -135,9 +135,10 @@ def oracle_lattice(grid):
 
 # -- oracle HJ march -------------------------------------------------------------
 # The substep loop of solve_hj as it was before per-solve preparation: every
-# attempt evaluates h, f and the lateral data afresh (h_level re-checks the
-# bounds), the time left is a Fraction, and the Godunov kernel pads with
-# zero-filled one-sided differences.  solve_hj must match it bit for bit.
+# attempt evaluates h, f and the lateral data afresh (through grid.evaluate,
+# and h's bounds are re-checked), the time left is a Fraction, and the
+# Godunov kernel pads with zero-filled one-sided differences.  solve_hj must
+# match it bit for bit.
 
 
 def oracle_godunov(values, dx):
@@ -158,7 +159,7 @@ def oracle_godunov(values, dx):
     return np.sqrt(total)
 
 
-def oracle_solve_hj(problem, grid, gradient_bound=None, cfl_safety=1.0, max_halvings=10, max_substeps=100000):
+def oracle_solve_hj(problem, grid, gradient_bound=None):
     L, B, int_idx, _ = grid.laplacian_ops()
     int_mask = grid.interior
     eye = sp.identity(len(int_idx), format="csc")
@@ -194,12 +195,12 @@ def oracle_solve_hj(problem, grid, gradient_bound=None, cfl_safety=1.0, max_halv
         substeps = 0
         while left > 0:
             substeps += 1
-            if substeps > max_substeps:
+            if substeps > MAX_SUBSTEPS:
                 raise NumericalFailure(
-                    f"CFL subcycle limit exceeded: > {max_substeps} substeps in one macro step"
+                    f"CFL subcycle limit exceeded: > {MAX_SUBSTEPS} substeps in one macro step"
                 )
             Pmax = max(float(np.max(G[int_mask])), P_user)
-            limit = cfl_safety * cfl_dt(Pmax)
+            limit = CFL_SAFETY * cfl_dt(Pmax)
             j = 0
             while left * 2 ** j < 1 or math.ldexp(grid.dt, -j) > limit:
                 j += 1
@@ -208,8 +209,9 @@ def oracle_solve_hj(problem, grid, gradient_bound=None, cfl_safety=1.0, max_halv
                 dt = math.ldexp(grid.dt, -j)
                 left_new = left - Fraction(1, 2 ** j)
                 t_new = t_target + float(left_new) * grid.dt
-                h_arr = problem.h_level(grid, t_new)
-                f_arr = problem.f_level(grid, t_new)
+                h_arr = evaluate(problem.h, grid, t_new)
+                problem.check_h(grid, h_arr[None], [t_new])
+                f_arr = evaluate(problem.f, grid, t_new)
                 expl = v[int_mask] + dt * (f_arr[int_mask] - h_arr[int_mask] * G[int_mask] ** problem.gamma)
                 bnd_new = problem.lateral_values(grid, t_new)
                 rhs = expl + problem.sigma * dt * (B @ bnd_new)
@@ -226,7 +228,7 @@ def oracle_solve_hj(problem, grid, gradient_bound=None, cfl_safety=1.0, max_halv
                 if dt <= cfl_dt(G_new_max) * (1.0 + 1e-12):
                     break
                 halvings += 1
-                if halvings > max_halvings:
+                if halvings > MAX_HALVINGS:
                     worst = np.argwhere(G_new == np.max(G_new[int_mask]))
                     idx = tuple(int(i) for i in worst[0])
                     raise NumericalFailure(

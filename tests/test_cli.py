@@ -298,6 +298,23 @@ class TestCliRuns:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve-hj", "--grid", "1,1,1/0,1,1/4"],
+            ["verify-oscillation", "--dx", "1/0"],
+            ["verify-oscillation", "--config", "{cfg}"],
+            ["ldiff", "--gamma-conj", "1.1,1/0"],
+        ],
+        ids=["grid", "flag", "config", "list"],
+    )
+    def test_zero_denominator_exits_2_naming_the_token(self, argv, tmp_path, capsys):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text("dx=1/0\n")
+        argv = [a.format(cfg=cfg) for a in argv] + ["--out", str(tmp_path / "z")]
+        assert self.run(argv) == 2
+        assert "'1/0'" in capsys.readouterr().err
+
     def test_f_file_with_nonfinite_row_exits_2(self, tmp_path):
         g = make_grid(GridSpec(1, 1.0, 0.25, 1.0, 0.25))
         path = tmp_path / "f.csv"

@@ -111,8 +111,8 @@ class TestBentDuality:
         ell0 = ell_constant(1.0, 3.0)
         brep = bent_duality(w, f, sol, [0.0], 3.0, ell0)
         rep = duality_identity(w, f, sol, 1.0, 3.0)
-        # with y0 = 0 the bent terms reduce to the identity's terms
-        assert abs(brep.slack - (-rep.residual)) < 1e-12 * max(1.0, abs(rep.lhs))
+        # with y0 = 0 the bent terms are the identity's terms, to the last digit
+        assert brep.slack == -rep.residual
 
     def test_constant_w_collapses_to_bookkeeping(self):
         g = make_grid(GridSpec(1, 2.0, 0.125, 1.0, 0.0625))

@@ -10,16 +10,19 @@ from hjlab.grid import (
     GridSpec,
     NumericalFailure,
     ScalarField,
+    godunov_magnitude_level,
     gradient_level,
     laplacian_level,
     make_grid,
     time_derivative,
 )
+from hjlab import hj
 from hjlab.hj import (
     HJProblem,
     alpha_zero,
     critical_q0,
     differential_inequality_check,
+    discrete_residual,
     gamma_conjugate,
     legendre_gap,
     linf_error,
@@ -51,8 +54,8 @@ class TestProblemValidation:
             HJProblem(gamma=3.0, sigma=1.0, h0=0.0, h1=1.0)
         g = make_grid(GridSpec(1, 1.0, 0.25, 1.0, 0.25))
         p = HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=2.0, h=lambda x, t: 3.0 + 0 * x[..., 0])
-        with pytest.raises(ValueError, match="bounds"):
-            p.h_level(g, 0.0)
+        with pytest.raises(ValueError, match=r"bounds: h = 3\.0 at x=\(-1\.0,\), t=0\.0"):
+            discrete_residual(ScalarField.constant(g, 0.0), p)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_bad_field_h_fails_before_the_march(self, dim):
@@ -159,14 +162,15 @@ class TestSolver:
         u2 = solve_hj(HJProblem(f=f2, **base), g, gradient_bound=2.0).u
         assert np.min(u2.values - u1.values) >= -1e-10
 
-    def test_cfl_retry_limit_error(self):
+    def test_cfl_retry_limit_error(self, monkeypatch):
+        # flat terminal data take the full step; the forcing's gradient then breaks its CFL bound
         g = make_grid(GridSpec(1, 1.0, 0.25, 1.0, 0.25))
         p = HJProblem(
-            gamma=3.0, sigma=1.0, h0=1.0, h1=1.0, f=0.0,
-            terminal=lambda x: 50.0 * np.sin(3 * np.pi * x[..., 0]),
+            gamma=3.0, sigma=1.0, h0=1.0, h1=1.0, f=lambda x, t: 50.0 * np.sin(3 * np.pi * x[..., 0]),
         )
-        with pytest.raises(NumericalFailure, match="CFL|blow-up"):
-            solve_hj(p, g, max_halvings=0, cfl_safety=1e6, gradient_bound=1e-6)
+        monkeypatch.setattr(hj, "MAX_HALVINGS", 0)
+        with pytest.raises(NumericalFailure, match=r"^CFL retry limit exceeded at node x=\(.*\), t=0\.75$"):
+            solve_hj(p, g)
 
     def test_constants_on_2d_ball(self):
         g = make_grid(GridSpec(2, 1.0, 0.25, 0.5, 0.125, ball_mask=True))
@@ -435,6 +439,23 @@ class TestDifferentialInequality:
         assert lo >= -5 * g.dx and hi >= -5 * g.dx
 
 
+class TestDiscreteResidual:
+    @pytest.mark.parametrize("dim, ball", [(1, False), (2, True)])
+    def test_residual_is_that_of_a_per_level_loop(self, dim, ball):
+        g = make_grid(GridSpec(dim, 1.0, 0.125, 1.0, 0.1, ball_mask=ball))
+        u, f = random_field(g, 51), random_field(g, 52)
+        h = lambda x, t: 1.5 + 0.5 * np.sin(3 * x[..., 0] + t)
+        p = HJProblem(gamma=2.5, sigma=0.7, h0=1.0, h1=2.0, h=h, f=f)
+        want = np.zeros_like(u.values)
+        for k in range(g.spec.nt):
+            lap = laplacian_level(u.values[k], g.dx)
+            G = godunov_magnitude_level(u.values[k + 1], g.dx)
+            r = -(u.values[k + 1] - u.values[k]) / g.dt - p.sigma * lap + h(g.coords, g.ts[k]) * G ** p.gamma - f.values[k]
+            want[k][g.interior] = r[g.interior]
+        got = discrete_residual(u, p).values
+        assert got.tobytes() == want.tobytes()
+
+
 class TestMarchMatchesOracle:
     """solve_hj against the plain substep loop kept in conftest, bit for bit."""
 
@@ -477,7 +498,7 @@ class TestMarchMatchesOracle:
         }[lateral_kind]
         terminal = lambda x: c + amplitude * np.prod(np.cos(0.5 * np.pi * x), axis=-1)
         p = HJProblem(gamma=gamma, sigma=0.75, h0=1.0, h1=2.0, h=h, f=f, terminal=terminal, lateral=lateral)
-        kw = dict(gradient_bound=4.0, cfl_safety=0.5) if forced else {}
+        kw = dict(gradient_bound=4.0) if forced else {}
 
         def run(solve):
             try:
@@ -493,3 +514,4 @@ class TestMarchMatchesOracle:
             assert np.array_equal(sol.u.values, ref.u.values)
             assert sol.log == ref.log
             assert n_lu == ref_lu
+            assert len(sol.log) > g.spec.nt or not forced  # the bound forces substeps
