@@ -1,5 +1,7 @@
 """Batch CLI: subcommand dispatch, key=value configs, manifests, CSV emission.
 
+`COMMANDS` declares, for each subcommand, the run parameters (`PARAMS`) it
+reads: they alone are its flags, its config keys and its manifest lines.
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
 failure.  Identical config + seed reproduce byte-identical CSVs; every data
 row carries the config hash.
@@ -11,6 +13,8 @@ import argparse
 import hashlib
 import sys
 import time
+from dataclasses import asdict
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,7 +31,6 @@ from .hj import (
     MANUFACTURED,
     HJProblem,
     alpha_zero,
-    critical_q0,
     gamma_conjugate,
     manufactured_rhs,
     solve_hj,
@@ -60,64 +63,6 @@ from .seminorm import (
     seminorm_set,
 )
 
-_DEFAULTS = {
-    "gamma": 3.0,
-    "sigma": 1.0,
-    "h0": 1.0,
-    "h1": 1.0,
-    "alpha": 0.5,
-    "z": 1.0,
-    "c": 0.0,
-    "dim": 1,
-    "R": 1.0,
-    "tau": 1.0,
-    "dx": 0.125,
-    "dt": 0.03125,
-    "seed": 0,
-    "q": 2.0,
-}
-
-_INT_KEYS = {"dim", "seed"}
-
-
-def parse_config(text: str) -> dict:
-    """key=value lines -> fully resolved parameter set with derived exponents."""
-    params = dict(_DEFAULTS)
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, val = (s.strip() for s in line.split("=", 1))
-        if key not in _DEFAULTS:
-            raise ValueError(f"unknown key {key!r}")
-        params[key] = int(val) if key in _INT_KEYS else parse_number(val)
-    validate_params(params)
-    params["gamma_conj"] = gamma_conjugate(params["gamma"])
-    params["q0"] = critical_q0(params["gamma"], params["dim"])
-    params["alpha0"] = alpha_zero(params["gamma"])
-    return params
-
-
-def validate_params(p: dict):
-    if p["gamma"] <= 2:
-        raise ValueError("gamma must exceed 2")
-    if p["h0"] <= 0:
-        raise ValueError("h0 must be positive")
-    if p["h1"] < p["h0"]:
-        raise ValueError("h1 must be >= h0")
-    if not (0 < p["sigma"] <= 1):
-        raise ValueError("sigma must lie in (0, 1]")
-    if not (0 < p["alpha"] <= 1):
-        raise ValueError("alpha must lie in (0, 1]")
-    if p["z"] <= 0:
-        raise ValueError("z must be positive")
-    if p["dx"] <= 0:
-        raise ValueError("dx must be positive")
-    if p["dt"] <= 0:
-        raise ValueError("dt must be positive")
-
 
 def parse_number(s: str) -> float:
     """Decimal or a/b fraction; ValueError naming the token otherwise, b = 0 included."""
@@ -134,6 +79,73 @@ def parse_list(s: str) -> list[float]:
     return [parse_number(tok) for tok in s.split(",") if tok.strip()]
 
 
+def number_list(s: str) -> list[float]:
+    """argparse type of the list options: a bad or empty list exits 2 naming the flag."""
+    try:
+        vals = parse_list(s)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not vals:
+        raise argparse.ArgumentTypeError("expected a comma-separated list of numbers")
+    return vals
+
+
+class Param(NamedTuple):
+    """A run parameter: its default, its parser, and the check on the resolved values."""
+
+    default: float | int
+    parse: Callable[[str], float] = parse_number
+    ok: Callable[[dict], bool] | None = None
+    rule: str = ""
+
+
+# Every run parameter a subcommand can read, as `--<name>` flag and `<name>=` config key.
+PARAMS = {
+    "gamma": Param(3.0, ok=lambda p: p["gamma"] > 2, rule="gamma must exceed 2"),
+    "sigma": Param(1.0, ok=lambda p: 0 < p["sigma"] <= 1, rule="sigma must lie in (0, 1]"),
+    "h0": Param(1.0, ok=lambda p: p["h0"] > 0, rule="h0 must be positive"),
+    # every subcommand that reads h1 reads h0 too
+    "h1": Param(1.0, ok=lambda p: p["h1"] >= p["h0"], rule="h1 must be >= h0"),
+    "alpha": Param(0.5, ok=lambda p: 0 < p["alpha"] <= 1, rule="alpha must lie in (0, 1]"),
+    "z": Param(1.0, ok=lambda p: p["z"] > 0, rule="z must be positive"),
+    "c": Param(0.0),
+    "R": Param(1.0),
+    "tau": Param(1.0),
+    "dx": Param(0.125, ok=lambda p: p["dx"] > 0, rule="dx must be positive"),
+    "dt": Param(0.03125, ok=lambda p: p["dt"] > 0, rule="dt must be positive"),
+    "seed": Param(0, parse=int),
+}
+
+
+def resolve(sub: str, config: str = "", flags: dict | None = None) -> dict:
+    """The parameters `sub` reads: defaults, then `config` lines, then `flags`.
+
+    The values are checked once, after every override, and `gamma_conj` and
+    `alpha0` are derived wherever `gamma` is read.  A config key that `sub`
+    does not read is an error naming the key and the subcommand.
+    """
+    names = COMMANDS[sub].params
+    params = {k: PARAMS[k].default for k in names}
+    for lineno, raw in enumerate(config.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
+        key, val = (s.strip() for s in line.split("=", 1))
+        if key not in params:
+            raise ValueError(f"unknown key {key!r}: {sub} reads {' '.join(names) or 'no parameters'}")
+        params[key] = PARAMS[key].parse(val)
+    params.update((k, flags[k]) for k in names if flags and flags.get(k) is not None)
+    for k in names:
+        if PARAMS[k].ok is not None and not PARAMS[k].ok(params):
+            raise ValueError(PARAMS[k].rule)
+    if "gamma" in params:
+        params["gamma_conj"] = gamma_conjugate(params["gamma"])
+        params["alpha0"] = alpha_zero(params["gamma"])
+    return params
+
+
 def config_hash(params: dict) -> str:
     canon = "\n".join(f"{k}={params[k]!r}" for k in sorted(params))
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
@@ -145,22 +157,29 @@ def fmt(v) -> str:
     return str(v)
 
 
-def write_rows(path, colnames, rows, chash, comments=()):
+def write_rows(path, rows, chash, columns=None):
+    """A table CSV: `# config:`, the header (default: the first row's keys), one line a row."""
+    columns = list(columns or rows[0])
     with open(path, "w") as fh:
-        for c in comments:
-            fh.write(f"# {c}\n")
         fh.write(f"# config: {chash}\n")
-        fh.write(",".join(list(colnames) + ["config"]) + "\n")
+        fh.write(",".join(columns + ["config"]) + "\n")
         for row in rows:
-            vals = [fmt(row[c]) for c in colnames]
-            fh.write(",".join(vals + [chash]) + "\n")
+            fh.write(",".join([fmt(row[c]) for c in columns] + [chash]) + "\n")
+    return path
 
 
-def write_manifest(path, sub, params, chash, seed, outputs, elapsed):
+def write_field(path, u, chash):
+    """A field CSV: `# config:`, then the `write_field_csv` format."""
+    with open(path, "w") as fh:
+        fh.write(f"# config: {chash}\n")
+        write_field_csv(u, fh)
+    return path
+
+
+def write_manifest(path, sub, params, chash, outputs, elapsed):
     with open(path, "w") as fh:
         fh.write(f"subcommand={sub}\n")
         fh.write(f"config_hash={chash}\n")
-        fh.write(f"seed={seed}\n")
         fh.write(f"version={__version__}\n")
         fh.write(f"numpy={np.__version__}\n")
         for k in sorted(params):
@@ -208,14 +227,10 @@ def cmd_solve_hj(args, params, chash):
     else:
         prob = HJProblem(gamma=g, sigma=s, h0=h0, h1=h1, h=h, f=0.0)
     sol = solve_hj(prob, grid)
-    out_field = f"{args.out}_solution.csv"
-    with open(out_field, "w") as fh:
-        fh.write(f"# config: {chash}\n")
-        write_field_csv(sol.u, fh)
-    out_log = f"{args.out}_iterations.csv"
-    cols = ["t_from", "t_to", "dt", "halvings", "linear_residual", "godunov_max"]
-    write_rows(out_log, cols, sol.log, chash)
-    return [out_field, out_log]
+    return [
+        write_field(f"{args.out}_solution.csv", sol.u, chash),
+        write_rows(f"{args.out}_iterations.csv", sol.log, chash),
+    ]
 
 
 def _parse_drift(spec: str):
@@ -242,41 +257,29 @@ def cmd_solve_fp(args, params, chash):
     )
     grid = make_grid(spec)
     drift = _parse_drift(args.drift)
-    source = parse_list(args.source)
-    prob = FPProblem(sigma=params["sigma"], R=params["R"], tau=params["tau"], drift=drift, source=source)
+    prob = FPProblem(sigma=params["sigma"], R=params["R"], tau=params["tau"], drift=drift, source=args.source)
     sol = solve_fp(prob, grid)
-    outputs = []
-    out_density = f"{args.out}_density.csv"
-    with open(out_density, "w") as fh:
-        fh.write(f"# config: {chash}\n")
-        write_field_csv(sol.m, fh)
-    outputs.append(out_density)
     series = [
         {"s": float(t), "mass": float(sol.mass[k]), "outflux": float(sol.outflux[k])}
         for k, t in enumerate(grid.ts)
     ]
-    out_series = f"{args.out}_mass.csv"
-    write_rows(out_series, ["s", "mass", "outflux"], series, chash)
-    outputs.append(out_series)
     g = params["gamma"]
-    K = kinetic_energy(sol, g)
     mom = moment_alpha(sol, params["alpha"])
     bl = boundary_loss_check(sol, g)
-    func_rows = [
-        {
-            "kinetic": K,
-            "moment": mom.moment,
-            "moment_fitted_c": mom.fitted_c,
-            "outflux": bl.outflux,
-            "boundary_fitted_c": bl.fitted_c,
-            "conservation_defect": sol.conservation_defect,
-            "min_density": sol.min_density(),
-        }
+    functionals = {
+        "kinetic": kinetic_energy(sol, g),
+        "moment": mom.moment,
+        "moment_fitted_c": mom.fitted_c,
+        "outflux": bl.outflux,
+        "boundary_fitted_c": bl.fitted_c,
+        "conservation_defect": sol.conservation_defect,
+        "min_density": sol.min_density(),
+    }
+    return [
+        write_field(f"{args.out}_density.csv", sol.m, chash),
+        write_rows(f"{args.out}_mass.csv", series, chash),
+        write_rows(f"{args.out}_functionals.csv", [functionals], chash),
     ]
-    out_func = f"{args.out}_functionals.csv"
-    write_rows(out_func, list(func_rows[0].keys()), func_rows, chash)
-    outputs.append(out_func)
-    return outputs
 
 
 def _sub_cyl(arg: str, dim: int) -> Cylinder | None:
@@ -340,13 +343,12 @@ def cmd_seminorm(args, params, chash):
             "pairs_evaluated": 0,  # formed from the two nonlinear members
         }
     )
-    out = f"{args.out}_seminorms.csv"
-    cols = ["seminorm", "value", "exact", "degenerate", "x", "t", "x_bar", "t_bar", "pairs_evaluated"]
-    write_rows(out, cols, rows, chash)
-    return [out]
+    return [write_rows(f"{args.out}_seminorms.csv", rows, chash)]
 
 
 def cmd_verify_duality(args, params, chash):
+    if args.refinements < 0:
+        raise ValueError("--refinements must be >= 0")
     g, s, h = params["gamma"], params["sigma"], params["h0"]
     rows = []
     dx = params["dx"]
@@ -368,14 +370,7 @@ def cmd_verify_duality(args, params, chash):
             }
         )
         dx /= 2
-    out = f"{args.out}_duality.csv"
-    write_rows(
-        out,
-        ["level", "dx", "lhs", "lagrangian", "running_cost", "terminal", "boundary", "residual", "bent_slack"],
-        rows,
-        chash,
-    )
-    return [out]
+    return [write_rows(f"{args.out}_duality.csv", rows, chash)]
 
 
 def cmd_verify_oscillation(args, params, chash):
@@ -394,26 +389,18 @@ def cmd_verify_oscillation(args, params, chash):
         sol.u, None, params["sigma"], params["h0"], params["h1"], g,
         params["alpha"], params["z"], params["R"], params["tau"], np.array([1.0]),
     )
-    cols = [
-        "fnorm_value", "shape_value", "r2_ok", "space_quotient", "time_quotient",
-        "test0_lhs", "test0_rhs", "xest0_lhs", "xest0_rhs", "kinetic",
-        "fitted_c2", "fitted_c3", "ell0", "ell1", "ell_gap",
-    ]
-    row = {c: getattr(rep, c) for c in cols}
-    row["r2_ok"] = int(row["r2_ok"])
-    out = f"{args.out}_oscillation.csv"
-    write_rows(out, cols, [row], chash)
-    return [out]
+    row = asdict(rep)
+    row["r2_ok"] = int(rep.r2_ok)
+    return [write_rows(f"{args.out}_oscillation.csv", [row], chash)]
 
 
 def cmd_ldiff(args, params, chash):
     rows = []
-    for gc in parse_list(args.gamma_conj):
+    for gc in args.gamma_conj:
         c = ldiff_constant(gc, args.samples, params["seed"])
         cap = ldiff_cap(gc)
         rows.append({"gamma_conj": gc, "fitted_c": c, "cap": cap, "within_cap": int(c <= cap)})
-    out = f"{args.out}_ldiff.csv"
-    write_rows(out, ["gamma_conj", "fitted_c", "cap", "within_cap"], rows, chash)
+    out = write_rows(f"{args.out}_ldiff.csv", rows, chash)
     if any(r["within_cap"] == 0 for r in rows):
         raise VerificationFailure("ldiff fitted constant exceeded the analytic cap")
     return [out]
@@ -426,13 +413,6 @@ def cmd_blowup(args, params, chash):
     bp = worst_pair_selection(u, args.kind, params["alpha"], params["z"], params["gamma"])
     tg = _grid_from_arg(args.target)
     res = blowup_transform(u, bp, tg)
-    norm = normalization_check(res.w, bp)
-    outputs = []
-    out_field = f"{args.out}_rescaled.csv"
-    with open(out_field, "w") as fh:
-        fh.write(f"# config: {chash}\n")
-        write_field_csv(res.w, fh)
-    outputs.append(out_field)
     row = {
         "kind": args.kind,
         "x_bar": bp.basepoint_x[0],
@@ -445,38 +425,27 @@ def cmd_blowup(args, params, chash):
         "d": bp.d,
         "sandwich_L": bp.sandwich[0],
         "sandwich_quotient": bp.sandwich[1],
-        "normalization": norm,
+        "normalization": normalization_check(res.w, bp),
     }
-    out_params = f"{args.out}_blowup.csv"
-    write_rows(out_params, list(row.keys()), [row], chash)
-    outputs.append(out_params)
-    return outputs
+    return [
+        write_field(f"{args.out}_rescaled.csv", res.w, chash),
+        write_rows(f"{args.out}_blowup.csv", [row], chash),
+    ]
 
 
 def cmd_liouville(args, params, chash):
     rows = liouville_probe(
-        params["h0"], params["gamma"], params["alpha"],
-        parse_list(args.R_list), parse_list(args.tau_list),
+        params["h0"], params["gamma"], params["alpha"], args.R_list, args.tau_list,
         params["dx"], params["dt"], amplitude=args.amplitude, z=params["z"],
     )
-    cols = [
-        "R", "tau", "kinetic", "test0_lhs", "test0_rhs", "xest0_lhs", "xest0_rhs",
-        "fitted_c2", "fitted_c3", "measured_osc", "closed_budget",
-        "space_quotient", "time_quotient",
-    ]
-    out = f"{args.out}_liouville.csv"
-    write_rows(out, cols, rows, chash)
-    return [out]
+    return [write_rows(f"{args.out}_liouville.csv", rows, chash)]
 
 
 def cmd_sweep(args, params, chash):
-    rows = maxreg_sweep(
-        parse_list(args.q_list), parse_list(args.eps_list), params["gamma"], parse_list(args.dx_list)
-    )
+    rows = maxreg_sweep(args.q_list, args.eps_list, params["gamma"], args.dx_list)
+    # the rows also carry beta and c_eps
     cols = ["q", "epsilon", "dx", "f_norm", "dt_norm", "hessian_norm", "grad_gamma_norm", "ratio", "status"]
-    out = f"{args.out}_sweep.csv"
-    write_rows(out, cols, rows, chash)
-    return [out]
+    return [write_rows(f"{args.out}_sweep.csv", rows, chash, cols)]
 
 
 class VerificationFailure(Exception):
@@ -500,109 +469,117 @@ def cmd_selftest(args, params, chash):
     return []
 
 
+# -- the declaration table -----------------------------------------------------------
+
+
+class Command(NamedTuple):
+    fn: Callable
+    help: str
+    params: tuple[str, ...]  # the PARAMS it reads: its flags, config keys and manifest lines
+    options: tuple = ()  # its own (flag, argparse keywords): not config keys, not in the manifest
+
+
+COMMANDS = {
+    "solve-hj": Command(
+        cmd_solve_hj, "solve the backward HJ equation", ("gamma", "sigma", "h0", "h1"), (
+            ("--grid", {"required": True, "help": "N,R,dx,T,dt"}),
+            ("--h-profile", {"choices": ["const", "cosine"], "default": "const"}),
+            ("--f-file", {}),
+            ("--manufactured", {"choices": sorted(MANUFACTURED)}),
+        ),
+    ),
+    "solve-fp": Command(
+        cmd_solve_fp, "solve the dual Fokker-Planck problem", ("sigma", "R", "tau", "gamma", "alpha"), (
+            ("--grid", {"required": True, "help": "N,dx,dt"}),
+            ("--drift", {"default": "zero", "help": "zero | uniform:vx[,vy] | from-solution:file,gamma,h1"}),
+            ("--source", {"type": number_list, "default": "0"}),
+        ),
+    ),
+    "seminorm": Command(
+        cmd_seminorm, "evaluate the seminorm family on a field", ("alpha", "z", "gamma", "c"), (
+            ("--field", {"required": True}),
+            ("--sub-cylinder", {"default": ""}),
+            ("--oracle", {"action": "store_true", "help": "force the double-loop oracle"}),
+        ),
+    ),
+    "verify-duality": Command(
+        cmd_verify_duality, "duality residual refinement study", ("gamma", "sigma", "h0", "dx", "tau"), (
+            ("--refinements", {"type": int, "default": 2}),
+            ("--amplitude", {"type": parse_number, "default": 0.5}),
+        ),
+    ),
+    "verify-oscillation": Command(
+        cmd_verify_oscillation, "oscillation budgets on a homogeneous solve",
+        ("gamma", "R", "dx", "tau", "dt", "sigma", "h0", "h1", "alpha", "z"), (
+            ("--amplitude", {"type": parse_number, "default": 1.0}),
+        ),
+    ),
+    "ldiff": Command(
+        cmd_ldiff, "power-inequality fitted constant", ("seed",), (
+            ("--gamma-conj", {"type": number_list, "default": "1.1,1.3,1.5,1.7,1.9"}),
+            ("--samples", {"type": int, "default": 100000}),
+        ),
+    ),
+    "blowup": Command(
+        cmd_blowup, "worst-pair selection and rescaling", ("alpha", "z", "gamma"), (
+            ("--field", {"required": True}),
+            ("--kind", {"choices": ["space", "time", "weighted"], "required": True}),
+            ("--target", {"required": True, "help": "N,R,dy,S,ds target grid"}),
+        ),
+    ),
+    "liouville-probe": Command(
+        cmd_liouville, "decay of the oscillation budget", ("h0", "gamma", "alpha", "dx", "dt", "z"), (
+            ("--R-list", {"type": number_list, "default": "8"}),
+            ("--tau-list", {"type": number_list, "default": "4,16,64"}),
+            ("--amplitude", {"type": parse_number, "default": 1.0}),
+        ),
+    ),
+    "sweep-maxreg": Command(
+        cmd_sweep, "maximal-regularity ratio table", ("gamma",), (
+            ("--q-list", {"type": number_list, "default": "1.6,2.4"}),
+            ("--eps-list", {"type": number_list, "default": "1/4,1/8,1/16"}),
+            ("--dx-list", {"type": number_list, "default": "1/64,1/128"}),
+        ),
+    ),
+    "selftest": Command(cmd_selftest, "run the acceptance gate (11 criteria)", ()),
+}
+
+
 # -- entry point ------------------------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per COMMANDS entry: --config, --out, its parameters' flags, its options."""
     ap = argparse.ArgumentParser(prog="hjlab", description=__doc__)
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
         p.add_argument("--config", help="key=value config file")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default="hjlab_run")
-        for key in ("gamma", "sigma", "h0", "h1", "alpha", "z", "c", "R", "tau", "dx", "dt", "q"):
-            p.add_argument(f"--{key}", type=parse_number, default=None)
-        return p
-
-    p = common(sub.add_parser("solve-hj", help="solve the backward HJ equation"))
-    p.add_argument("--grid", required=True, help="N,R,dx,T,dt")
-    p.add_argument("--h-profile", choices=["const", "cosine"], default="const")
-    p.add_argument("--f-file")
-    p.add_argument("--manufactured", choices=sorted(MANUFACTURED))
-    p.set_defaults(fn=cmd_solve_hj)
-
-    p = common(sub.add_parser("solve-fp", help="solve the dual Fokker-Planck problem"))
-    p.add_argument("--grid", required=True, help="N,dx,dt")
-    p.add_argument("--drift", default="zero", help="zero | uniform:vx[,vy] | from-solution:file,gamma,h1")
-    p.add_argument("--source", default="0")
-    p.set_defaults(fn=cmd_solve_fp)
-
-    p = common(sub.add_parser("seminorm", help="evaluate the seminorm family on a field"))
-    p.add_argument("--field", required=True)
-    p.add_argument("--sub-cylinder", default="")
-    p.add_argument("--oracle", action="store_true", help="force the double-loop oracle")
-    p.set_defaults(fn=cmd_seminorm)
-
-    p = common(sub.add_parser("verify-duality", help="duality residual refinement study"))
-    p.add_argument("--refinements", type=int, default=2)
-    p.add_argument("--amplitude", type=parse_number, default=0.5)
-    p.set_defaults(fn=cmd_verify_duality)
-
-    p = common(sub.add_parser("verify-oscillation", help="oscillation budgets on a homogeneous solve"))
-    p.add_argument("--amplitude", type=parse_number, default=1.0)
-    p.set_defaults(fn=cmd_verify_oscillation)
-
-    p = common(sub.add_parser("ldiff", help="power-inequality fitted constant"))
-    p.add_argument("--gamma-conj", default="1.1,1.3,1.5,1.7,1.9")
-    p.add_argument("--samples", type=int, default=100000)
-    p.set_defaults(fn=cmd_ldiff)
-
-    p = common(sub.add_parser("blowup", help="worst-pair selection and rescaling"))
-    p.add_argument("--field", required=True)
-    p.add_argument("--kind", choices=["space", "time", "weighted"], required=True)
-    p.add_argument("--target", required=True, help="N,R,dy,S,ds target grid")
-    p.set_defaults(fn=cmd_blowup)
-
-    p = common(sub.add_parser("liouville-probe", help="decay of the oscillation budget"))
-    p.add_argument("--R-list", default="8")
-    p.add_argument("--tau-list", default="4,16,64")
-    p.add_argument("--amplitude", type=parse_number, default=1.0)
-    p.set_defaults(fn=cmd_liouville)
-
-    p = common(sub.add_parser("sweep-maxreg", help="maximal-regularity ratio table"))
-    p.add_argument("--q-list", default="1.6,2.4")
-    p.add_argument("--eps-list", default="1/4,1/8,1/16")
-    p.add_argument("--dx-list", default="1/64,1/128")
-    p.set_defaults(fn=cmd_sweep)
-
-    p = common(sub.add_parser("selftest", help="run the acceptance gate (11 criteria)"))
-    p.set_defaults(fn=cmd_selftest)
+        for key in cmd.params:
+            p.add_argument(f"--{key}", type=PARAMS[key].parse, help=f"default {fmt(PARAMS[key].default)}")
+        for flag, kwargs in cmd.options:
+            p.add_argument(flag, **kwargs)
     return ap
 
 
-def resolve_params(args) -> dict:
-    text = ""
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            text = fh.read()
-    params = parse_config(text)
-    for key in ("gamma", "sigma", "h0", "h1", "alpha", "z", "c", "R", "tau", "dx", "dt", "q"):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
-    if getattr(args, "seed", None) is not None:
-        params["seed"] = args.seed
-    validate_params(params)
-    return params
-
-
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        params = resolve_params(args)
+        config = ""
+        if args.config:
+            with open(args.config) as fh:
+                config = fh.read()
+        params = resolve(args.subcommand, config, vars(args))
         chash = config_hash(params)
         t0 = time.perf_counter()
-        outputs = args.fn(args, params, chash)
+        outputs = COMMANDS[args.subcommand].fn(args, params, chash)
         elapsed = time.perf_counter() - t0
-        write_manifest(
-            f"{args.out}_manifest.txt", args.subcommand, params, chash, params["seed"], outputs, elapsed
-        )
+        write_manifest(f"{args.out}_manifest.txt", args.subcommand, params, chash, outputs, elapsed)
         return 0
     except VerificationFailure as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

@@ -116,7 +116,6 @@ class HJProblem:
     f: object = 0.0  # None (zero), number, callable(x, t) or ScalarField
     terminal: object = 0.0  # constant, callable(x) or ScalarField for u(., T)
     lateral: object = 0.0  # constant or callable(x, t) on the boundary layer
-    q: float | None = None  # integrability exponent of f (metadata)
 
     def __post_init__(self):
         if not self.gamma > 2:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import re
 import shlex
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hjlab.cli import config_hash, main, parse_config, parse_number
+from hjlab.cli import PARAMS, build_parser, config_hash, main, parse_number, resolve
 from hjlab.grid import GridSpec, ScalarField, make_grid, write_field_csv
 
 from conftest import random_field
@@ -27,36 +28,104 @@ def readme_commands():
     return commands
 
 
+def readme_parameters():
+    """{subcommand: {parameter: default}} from the README's table of run parameters."""
+    table = {}
+    for sub, cell in re.findall(r"^\| `([a-z-]+)` \| (.*?) \|$", README.read_text(), re.M):
+        table[sub] = dict(tok.split("=") for tok in re.findall(r"`(\w+=[^`]+)`", cell))
+    return table
+
+
+def manifest(path):
+    return dict(line.split("=", 1) for line in Path(path).read_text().splitlines())
+
+
 class TestParseConfig:
     def test_minimal_resolves_derived_exponents(self):
-        p = parse_config("gamma=3\nsigma=1")
+        p = resolve("solve-hj", "gamma=3\nsigma=1")
         assert p["gamma_conj"] == 1.5
-        assert p["q0"] == (p["dim"] + 2) / 1.5
         assert p["alpha0"] == 0.5
 
     def test_gamma_two_rejected(self):
         with pytest.raises(ValueError, match="gamma must exceed 2"):
-            parse_config("gamma=2")
+            resolve("solve-hj", "gamma=2")
 
     def test_empty_gives_defaults(self):
-        p = parse_config("")
-        assert p["gamma"] == 3.0 and p["sigma"] == 1.0 and p["seed"] == 0
+        p = resolve("solve-hj")
+        assert p["gamma"] == 3.0 and p["sigma"] == 1.0
+        assert resolve("ldiff") == {"seed": 0}
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown key"):
-            parse_config("nonsense=1")
+            resolve("solve-hj", "nonsense=1")
 
     def test_invalid_value_names_invariant(self):
         with pytest.raises(ValueError, match="h0 must be positive"):
-            parse_config("h0=0")
+            resolve("solve-hj", "h0=0")
 
     def test_fractions(self):
         assert parse_number("1/64") == 1 / 64
 
     def test_hash_stable(self):
-        a = parse_config("gamma=3")
-        b = parse_config("gamma=3")
+        a = resolve("solve-hj", "gamma=3")
+        b = resolve("solve-hj", "gamma=3")
         assert config_hash(a) == config_hash(b)
+
+    def test_readme_parameter_table_matches_the_parser(self):
+        subparsers = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ).choices
+        declared = {
+            name: {a.dest: a.help.removeprefix("default ") for a in p._actions if a.dest in PARAMS}
+            for name, p in subparsers.items()
+        }
+        assert readme_parameters() == declared
+
+
+class TestDeclaredParameters:
+    """Each subcommand reads, checks and records only the parameters it declares."""
+
+    def test_flag_gamma_derives_the_exponents(self, tmp_path):
+        out = str(tmp_path / "hj")
+        assert main(["solve-hj", "--gamma", "4", "--grid", "1,1,1/8,1,1/32", "--out", out]) == 0
+        m = manifest(f"{out}_manifest.txt")
+        assert float(m["gamma_conj"]) == 4 / 3 and float(m["alpha0"]) == 2 / 3
+        read = {"gamma", "sigma", "h0", "h1", "gamma_conj", "alpha0"}
+        assert {k for k in m if k not in ("subcommand", "config_hash", "version", "numpy",
+                                          "elapsed_s", "output")} == read
+
+    def test_flag_overrides_config_before_the_check(self, tmp_path):
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text("gamma=1\n")
+        out = str(tmp_path / "hj")
+        argv = ["solve-hj", "--config", str(cfg), "--gamma", "3", "--grid", "1,1,1/8,1,1/32"]
+        assert main(argv + ["--out", out]) == 0
+        assert manifest(f"{out}_manifest.txt")["gamma"] == "3"
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["solve-hj", "--grid", "1,1,1/8,1,1/32", "--dx", "1/8"], "--dx"),
+            (["verify-duality", "--dt", "1/8"], "--dt"),
+            (["solve-fp", "--grid", "1,1/4,1/4", "--seed", "7"], "--seed"),
+            (["ldiff", "--gamma-conj", ""], "--gamma-conj"),
+            (["liouville-probe", "--R-list", ""], "--R-list"),
+            (["verify-duality", "--refinements", "-1"], "--refinements"),
+        ],
+        ids=["solve-hj-dx", "verify-duality-dt", "solve-fp-seed", "empty-gamma-conj", "empty-R-list",
+             "no-levels"],
+    )
+    def test_unread_flag_or_empty_list_exits_2(self, argv, named, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+        assert named in capsys.readouterr().err
+
+    def test_unread_config_key_exits_2_naming_key_and_subcommand(self, tmp_path, capsys):
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text("dx=1/8\n")
+        argv = ["solve-hj", "--config", str(cfg), "--grid", "1,1,1/8,1,1/32"]
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "'dx'" in err and "solve-hj" in err
 
 
 class TestCliRuns:
@@ -103,7 +172,7 @@ class TestCliRuns:
             code = self.run(
                 [
                     "solve-fp", "--grid", "1,0.125,0.0625", "--R", "2", "--tau", "0.5",
-                    "--drift", "uniform:0.5", "--source", "0", "--seed", "7",
+                    "--drift", "uniform:0.5", "--source", "0",
                     "--out", str(tmp_path / tag),
                 ]
             )
@@ -135,10 +204,11 @@ class TestCliRuns:
         )
         assert proc.returncode == 2
 
-    def test_bad_config_exit_2(self, tmp_path):
+    def test_bad_config_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("gamma=2\n")
-        assert self.run(["selftest", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert self.run(["verify-oscillation", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert "gamma must exceed 2" in capsys.readouterr().err
 
     def test_numerical_failure_exit_3(self, tmp_path, monkeypatch):
         import hjlab.cli as cli_mod
