@@ -43,7 +43,6 @@ from .dual import (
 )
 from .seminorm import (
     holder_seminorm,
-    nonlinear_combined,
     nonlinear_space,
     nonlinear_time,
     w21q_norms,

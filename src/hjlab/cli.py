@@ -53,15 +53,7 @@ from .dual import (
     oscillation_report,
 )
 from .scalelab import liouville_probe, maxreg_sweep, normalization_check, worst_pair_selection
-from .seminorm import (
-    SeminormSet,
-    combine_nonlinear,
-    oracle_classical,
-    oracle_nl_space,
-    oracle_nl_time,
-    oracle_weighted,
-    seminorm_set,
-)
+from .seminorm import combine_nonlinear, oracle, seminorm_set
 
 
 def parse_number(s: str) -> float:
@@ -297,25 +289,14 @@ def cmd_seminorm(args, params, chash):
     u = read_field_csv(args.field)
     Q = _sub_cyl(args.sub_cylinder, u.grid.dim)
     a, z, g, c = params["alpha"], params["z"], params["gamma"], params["c"]
-    if args.oracle:
-        nl_s = oracle_nl_space(u, a, g, Q)
-        nl_t = oracle_nl_time(u, a, g, Q)
-        members = SeminormSet(
-            classical=oracle_classical(u, a, Q),
-            weighted=oracle_weighted(u, a, c, Q),
-            nl_space=nl_s,
-            nl_time=nl_t,
-            nl_combined=combine_nonlinear(nl_s.value, nl_t.value, z, g),
-        )
-    else:
-        members = seminorm_set(u, a, g, z, c, Q)
+    fast = None if args.oracle else seminorm_set(u, a, g, z, c, Q)
 
     def coord(xs):
         return ";".join("%.17g" % v for v in xs)
 
-    rows = []
+    rows, members = [], {}
     for name in ("classical", "weighted", "nl_space", "nl_time"):
-        res = getattr(members, name)
+        res = members[name] = oracle(name, u, a, g, c, Q) if args.oracle else getattr(fast, name)
         pair = res.pair or (((np.nan,) * u.grid.dim, np.nan), ((np.nan,) * u.grid.dim, np.nan))
         rows.append(
             {
@@ -333,7 +314,7 @@ def cmd_seminorm(args, params, chash):
     rows.append(
         {
             "seminorm": "nl_combined",
-            "value": members.nl_combined,
+            "value": combine_nonlinear(members["nl_space"].value, members["nl_time"].value, z, g),
             "exact": 1,
             "degenerate": 0,
             "x": "",

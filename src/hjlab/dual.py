@@ -416,6 +416,8 @@ def ldiff_constant(gamma_conj: float, n_samples: int = 100000, seed: int = 0) ->
     """
     if not (1.0 < gamma_conj < 2.0):
         raise ValueError("gamma' must lie in (1, 2)")
+    if n_samples < 1:
+        raise ValueError(f"samples must be >= 1, got {n_samples}")
     rz, rx, sum_sq = _ldiff_samples(int(n_samples), int(seed))
     num = sum_sq ** (gamma_conj / 2.0) - rz ** gamma_conj
     den = rz ** (gamma_conj - 1.0) * rx + rx ** gamma_conj

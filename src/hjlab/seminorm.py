@@ -2,27 +2,35 @@
 
 Discrete seminorms: the continuum sup over point pairs is replaced by the sup
 over active grid-node pairs of the same quotient (convergent from below under
-refinement).  Every optimized evaluator has a naive double-loop oracle
-(oracle_*) computing the identical arithmetic expression pair by pair; the two
-agree bit-for-bit, value and argmax pair, and tests assert exact equality.
+refinement).  Each member is declared once, in MEMBERS: its pair family
+(every node pair, the pairs on one level, or the pairs at one position), its
+weight (none, the distance `dist` or `dist_alpha` to the backward boundary)
+and that weight's exponent.  The members are classical and weighted (all
+pairs), nl_space (one level) and nl_time (one position) of the paper, and
+the plain space_quotient and time_quotient of the oscillation budgets.  One
+pair expression (_pair_value) serves every member: the value difference over
+the family's separation to the alpha, times min(w_i, w_j)^power when
+weighted.
 
-Every seminorm is exact: no pair is ever sampled.  Every member (classical and
-weighted over all node pairs, nl_space over the pairs on one level, nl_time
-over the pairs at one position) and both plain quotients (space_quotient,
-time_quotient) are found by one block branch-and-bound (_BranchAndBound): a
-bound on a pair of node blocks covers every node pair between them, so block
-pairs that cannot reach the best value are pruned and only the node pairs of
-the others are evaluated.  Ties go, as in the oracles, to the first pair in
-the oracle's order: the lexicographically first pair (i, j), i < j, in node
-order (level-major, spatial-lex), except for nl_time and time_quotient, whose
-pairs run position-major: the first position, then the first level pair
-(a, b), a < b, at it.
+Every member is exact: no pair is ever sampled.  member_scan finds its sup
+by one block branch-and-bound (_BranchAndBound): a bound on a pair of node
+blocks covers every node pair between them, so block pairs that cannot reach
+the best value are pruned and only the node pairs of the others are
+evaluated.  oracle(name, ...) is the naive double loop over the same pairs;
+the two agree bit-for-bit, value and argmax pair, and tests assert exact
+equality.  Ties go to the first pair in the oracle's order: the
+lexicographically first pair (i, j), i < j, in node order (level-major,
+spatial-lex), except for the same-position family (nl_time, time_quotient),
+whose pairs run position-major: the first position, then the first level
+pair (a, b), a < b, at it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -100,31 +108,38 @@ class _Nodes:
         )
 
 
-def _pair_value_classical(nodes, i, j, alpha, c=None):
-    """Canonical per-pair expression; the oracle and the fast path both use it."""
-    sep = nodes.spatial_sep(i, j) + np.sqrt(np.abs(nodes.t[i] - nodes.t[j]))
-    q = np.abs(nodes.v[i] - nodes.v[j]) / sep ** alpha
-    if c is None:
+# Pair families: every node pair, the pairs on one level, the pairs at one position.
+_ALL_PAIRS, _SAME_LEVEL, _SAME_POSITION = "all pairs", "same level", "same position"
+
+
+class Member(NamedTuple):
+    family: str  # the node pairs the sup runs over
+    weight: str | None  # the _Nodes weight whose minimum over the pair multiplies the quotient
+    power: Callable[[float, float], float] | None  # that weight's exponent, from (gamma, c)
+
+
+MEMBERS = {
+    "classical": Member(_ALL_PAIRS, None, None),
+    "weighted": Member(_ALL_PAIRS, "dist", lambda gamma, c: c),
+    "nl_space": Member(_SAME_LEVEL, "dist_alpha", lambda gamma, c: 1.0),
+    "nl_time": Member(_SAME_POSITION, "dist_alpha", lambda gamma, c: gamma / 2),
+    "space_quotient": Member(_SAME_LEVEL, None, None),
+    "time_quotient": Member(_SAME_POSITION, None, None),
+}
+
+
+def _pair_value(nodes, i, j, family, alpha, weight=None, power=None):
+    """Quotients of the node pairs (i, j); the oracle and the fast path both use it."""
+    if family == _SAME_LEVEL:
+        den = nodes.spatial_sep(i, j) ** alpha
+    elif family == _SAME_POSITION:
+        den = np.abs(nodes.t[i] - nodes.t[j]) ** (alpha / 2)
+    else:
+        den = (nodes.spatial_sep(i, j) + np.sqrt(np.abs(nodes.t[i] - nodes.t[j]))) ** alpha
+    q = np.abs(nodes.v[i] - nodes.v[j]) / den
+    if weight is None:
         return q
-    return np.minimum(nodes.dist[i], nodes.dist[j]) ** c * q
-
-
-def _pair_value_space(nodes, i, j, alpha):
-    return np.abs(nodes.v[i] - nodes.v[j]) / nodes.spatial_sep(i, j) ** alpha
-
-
-def _pair_value_time(nodes, i, j, alpha):
-    return np.abs(nodes.v[i] - nodes.v[j]) / np.abs(nodes.t[i] - nodes.t[j]) ** (alpha / 2)
-
-
-def _pair_value_nl_space(nodes, i, j, alpha):
-    q = _pair_value_space(nodes, i, j, alpha)
-    return np.minimum(nodes.dist_alpha[i], nodes.dist_alpha[j]) * q
-
-
-def _pair_value_nl_time(nodes, i, j, alpha, gamma):
-    q = _pair_value_time(nodes, i, j, alpha)
-    return np.minimum(nodes.dist_alpha[i], nodes.dist_alpha[j]) ** (gamma / 2) * q
+    return np.minimum(weight[i], weight[j]) ** power * q
 
 
 def _result_from(nodes, best, best_ij, pairs_evaluated):
@@ -139,9 +154,6 @@ def _result_from(nodes, best, best_ij, pairs_evaluated):
 
 
 # -- exact sup over a pair family by block branch-and-bound ----------------------
-
-# Pair families: every node pair, the pairs on one level, the pairs at one position.
-_ALL_PAIRS, _SAME_LEVEL, _SAME_POSITION = "all pairs", "same level", "same position"
 
 # Bounds are inflated by this factor so that they dominate the *rounded* pair
 # values: the array power is not correctly rounded, so a node pair's computed
@@ -220,8 +232,8 @@ class _Tiles:
 class _BranchAndBound:
     """Exact sup of a pair quotient over one family of node pairs.
 
-    `pair_value(nodes, i, j)` gives the quotients of the node pairs (i, j):
-    a value difference over a parabolic separation raised to alpha, times
+    `_pair_value` gives the quotients of the node pairs (i, j): a value
+    difference over the family's parabolic separation raised to alpha, times
     min(weight_i, weight_j)^power when a weight is given.  Tiles are ranges of levels x
     ranges of spatial positions (see _spatial_order).  Depth 0 has one tile
     for all pairs, one per level for the same-level family and one per
@@ -240,8 +252,8 @@ class _BranchAndBound:
     position the square root of the time gap) and no family pair is closer
     than the family's floor.  Block pairs are refined depth first, highest
     bound first, in batches (so the frontier stays a few batches per depth),
-    and at the deepest depth their node pairs are evaluated with pair_value,
-    exactly as the oracles do.  A block pair is dropped when its bound is
+    and at the deepest depth their node pairs are evaluated with _pair_value,
+    exactly as the oracle does.  A block pair is dropped when its bound is
     below the best value found, or equal to it and its first pair in the
     family's order comes after the best pair; so the result is the oracle's
     first strict maximum, value and pair.  That order is lexicographic in the
@@ -250,9 +262,9 @@ class _BranchAndBound:
     rank in that order, and pairs compare by (rank_i, rank_j).
     """
 
-    def __init__(self, nodes, family, pair_value, alpha, weight=None, power=None):
-        self.nodes, self.family, self.pair_value = nodes, family, pair_value
-        self.alpha, self.power = alpha, power
+    def __init__(self, nodes, family, alpha, weight=None, power=None):
+        self.nodes, self.family = nodes, family
+        self.alpha, self.weight, self.power = alpha, weight, power
         self.best = -np.inf
         self.best_key = nodes.n * nodes.n  # rank_i * n + rank_j of the best pair
         self.best_ij = None
@@ -351,7 +363,8 @@ class _BranchAndBound:
         """Evaluate the node pairs (ii, jj) and keep the first strict maximum."""
         if ii.size == 0:
             return
-        vals = self.pair_value(self.nodes, ii, jj)  # symmetric in i, j bit for bit
+        # symmetric in i, j bit for bit
+        vals = _pair_value(self.nodes, ii, jj, self.family, self.alpha, self.weight, self.power)
         self.evaluated += vals.size
         top = vals.max()
         if top < self.best:
@@ -438,83 +451,69 @@ def _family_pairs(nodes, family):
     return n * (n - 1) // 2
 
 
-def _scan(nodes, family, pair_value, alpha, weight=None, power=None):
-    """Sup of pair_value over the family's node pairs; degenerate when there is none."""
+def _member(name, u, alpha, gamma, c, Q):
+    """(nodes of Q, pair family, weight array, power) of a member, after its checks."""
+    family, weight, power = MEMBERS[name]
+    if weight == "dist_alpha":
+        if not (0 < alpha < 1):
+            raise ValueError("alpha must lie in (0, 1)")
+        if gamma is None:
+            raise ValueError(f"{name} needs gamma")
+    elif not (0 < alpha <= 1):
+        raise ValueError("alpha must lie in (0, 1] (alpha=1 diagnostic only)")
+    if weight == "dist" and (c is None or c < 0):
+        raise ValueError("c must be >= 0")
+    nodes = _Nodes(u, Q, alpha=alpha, gamma=gamma)
+    if weight is None:
+        return nodes, family, None, None
+    return nodes, family, getattr(nodes, weight), power(gamma, c)
+
+
+def member_scan(name, u, alpha, gamma=None, c=None, Q=None):
+    """Exact sup of a member's quotient on Q by branch-and-bound; degenerate when no pair."""
+    nodes, family, weight, power = _member(name, u, alpha, gamma, c, Q)
     if _family_pairs(nodes, family) == 0:
         return SeminormResult(0.0, None, degenerate=True)
     if not np.all(np.isfinite(nodes.v)):
         raise ValueError("field has non-finite values on the cylinder")
-    search = _BranchAndBound(nodes, family, pair_value, alpha, weight, power)
+    search = _BranchAndBound(nodes, family, alpha, weight, power)
     return _result_from(nodes, *search.run())
-
-
-def _classical_scan(u, alpha, c, Q):
-    """Sup of the classical quotient, weighted by min boundary distance ^ c unless c is None."""
-    if c is not None and c < 0:
-        raise ValueError("c must be >= 0")
-    if not (0 < alpha <= 1):
-        raise ValueError("alpha must lie in (0, 1] (alpha=1 diagnostic only)")
-    nodes = _Nodes(u, Q)
-    return _scan(
-        nodes,
-        _ALL_PAIRS,
-        lambda nd, i, j: _pair_value_classical(nd, i, j, alpha, c=c),
-        alpha,
-        None if c is None else nodes.dist,
-        c,
-    )
 
 
 def holder_seminorm(u, alpha, Q=None):
     """Classical parabolic seminorm sup |du| / (|dx| + |dt|^(1/2))^alpha."""
-    return _classical_scan(u, alpha, None, Q)
+    return member_scan("classical", u, alpha, Q=Q)
 
 
 def weighted_holder(u, alpha, c, Q=None):
     """Classical quotient weighted by min distance to the backward boundary ^ c."""
-    return _classical_scan(u, alpha, c, Q)
+    return member_scan("weighted", u, alpha, c=c, Q=Q)
 
 
 def nonlinear_space(u, alpha, gamma, Q=None):
     """Same-time quotient weighted by min d_alpha to the backward boundary."""
-    if not (0 < alpha < 1):
-        raise ValueError("alpha must lie in (0, 1)")
-    nodes = _Nodes(u, Q, alpha=alpha, gamma=gamma)
-    return _scan(
-        nodes,
-        _SAME_LEVEL,
-        lambda nd, i, j: _pair_value_nl_space(nd, i, j, alpha),
-        alpha,
-        nodes.dist_alpha,
-        1.0,
-    )
+    return member_scan("nl_space", u, alpha, gamma, Q=Q)
 
 
 def nonlinear_time(u, alpha, gamma, Q=None):
     """Same-position quotient weighted by (min d_alpha)^(gamma/2)."""
-    if not (0 < alpha < 1):
-        raise ValueError("alpha must lie in (0, 1)")
-    nodes = _Nodes(u, Q, alpha=alpha, gamma=gamma)
-    return _scan(
-        nodes,
-        _SAME_POSITION,
-        lambda nd, i, j: _pair_value_nl_time(nd, i, j, alpha, gamma),
-        alpha,
-        nodes.dist_alpha,
-        gamma / 2,
-    )
+    return member_scan("nl_time", u, alpha, gamma, Q=Q)
 
 
-def nonlinear_combined(u, alpha, z, gamma, Q=None):
-    """max(space part, (time part / z)^(2/gamma))."""
-    if z <= 0:
-        raise ValueError("z must be positive")
-    s = nonlinear_space(u, alpha, gamma, Q)
-    t = nonlinear_time(u, alpha, gamma, Q)
-    return combine_nonlinear(s.value, t.value, z, gamma), s, t
+def space_quotient(u, alpha, Q=None):
+    """sup over same-time pairs of |du| / |dx|^alpha, no weight."""
+    return member_scan("space_quotient", u, alpha, Q=Q).value
+
+
+def time_quotient(u, alpha, Q=None):
+    """sup over same-position pairs of |du| / |dt|^(alpha/2), no weight."""
+    return member_scan("time_quotient", u, alpha, Q=Q).value
 
 
 def combine_nonlinear(space_value, time_value, z, gamma):
+    """max(space part, (time part / z)^(2/gamma))."""
+    if z <= 0:
+        raise ValueError("z must be positive")
     return float(max(space_value, (time_value / z) ** (2.0 / gamma)))
 
 
@@ -532,110 +531,33 @@ def seminorm_set(u, alpha, gamma, z, c, Q=None):
     )
 
 
-# -- plain (unweighted) quotients used by the oscillation estimates ------------
+# -- naive double-loop oracle ---------------------------------------------------
 
 
-def space_quotient(u, alpha, Q=None):
-    """sup over same-time pairs of |du| / |dx|^alpha, no weight."""
-    nodes = _Nodes(u, Q)
-    fn = lambda nd, i, j: _pair_value_space(nd, i, j, alpha)
-    return _scan(nodes, _SAME_LEVEL, fn, alpha).value
-
-
-def time_quotient(u, alpha, Q=None):
-    """sup over same-position pairs of |du| / |dt|^(alpha/2), no weight."""
-    nodes = _Nodes(u, Q)
-    fn = lambda nd, i, j: _pair_value_time(nd, i, j, alpha)
-    return _scan(nodes, _SAME_POSITION, fn, alpha).value
-
-
-# -- naive double-loop oracles --------------------------------------------------
-
-
-def _oracle_scan(nodes, pairs, value_fn):
+def oracle(name, u, alpha, gamma=None, c=None, Q=None):
+    """A member's sup by a double loop over its family's pairs, in the family's order."""
+    nodes, family, weight, power = _member(name, u, alpha, gamma, c, Q)
+    if _family_pairs(nodes, family) == 0:
+        return SeminormResult(0.0, None, degenerate=True)
+    m, L = nodes.m_space, nodes.n_levels
+    if family == _SAME_LEVEL:
+        pairs = ((k * m + i, k * m + j) for k in range(L) for i, j in combinations(range(m), 2))
+    elif family == _SAME_POSITION:
+        pairs = ((a * m + s, b * m + s) for s in range(m) for a, b in combinations(range(L), 2))
+    else:
+        pairs = combinations(range(nodes.n), 2)
     # one pair at a time, but through the same array ufuncs as the fast path
     # (numpy scalar ** can differ from the array loop in the last ulp)
-    best = -np.inf
-    best_ij = None
-    count = 0
+    best, best_ij, count = -np.inf, None, 0
     ii = np.zeros(1, dtype=np.int64)
     jj = np.zeros(1, dtype=np.int64)
     for i, j in pairs:
-        ii[0] = i
-        jj[0] = j
-        val = value_fn(nodes, ii, jj)[0]
+        ii[0], jj[0] = i, j
+        val = _pair_value(nodes, ii, jj, family, alpha, weight, power)[0]
         count += 1
         if val > best:
-            best = val
-            best_ij = (i, j)
+            best, best_ij = val, (i, j)
     return _result_from(nodes, best, best_ij, count)
-
-
-def _oracle_all_pairs(n):
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            yield i, j
-
-
-def _oracle_same_level(nodes):
-    m = nodes.m_space
-    for lev in range(nodes.n_levels):
-        off = lev * m
-        for i in range(m - 1):
-            for j in range(i + 1, m):
-                yield off + i, off + j
-
-
-def _oracle_same_space(nodes):
-    m = nodes.m_space
-    for s in range(m):
-        for a in range(nodes.n_levels - 1):
-            for b in range(a + 1, nodes.n_levels):
-                yield a * m + s, b * m + s
-
-
-def oracle_classical(u, alpha, Q=None):
-    nodes = _Nodes(u, Q)
-    if nodes.n < 2:
-        return SeminormResult(0.0, None, degenerate=True)
-    return _oracle_scan(
-        nodes,
-        _oracle_all_pairs(nodes.n),
-        lambda nd, i, j: _pair_value_classical(nd, i, j, alpha),
-    )
-
-
-def oracle_weighted(u, alpha, c, Q=None):
-    nodes = _Nodes(u, Q)
-    if nodes.n < 2:
-        return SeminormResult(0.0, None, degenerate=True)
-    return _oracle_scan(
-        nodes,
-        _oracle_all_pairs(nodes.n),
-        lambda nd, i, j: _pair_value_classical(nd, i, j, alpha, c=c),
-    )
-
-
-def oracle_nl_space(u, alpha, gamma, Q=None):
-    nodes = _Nodes(u, Q, alpha=alpha, gamma=gamma)
-    if nodes.m_space < 2:
-        return SeminormResult(0.0, None, degenerate=True)
-    return _oracle_scan(
-        nodes,
-        _oracle_same_level(nodes),
-        lambda nd, i, j: _pair_value_nl_space(nd, i, j, alpha),
-    )
-
-
-def oracle_nl_time(u, alpha, gamma, Q=None):
-    nodes = _Nodes(u, Q, alpha=alpha, gamma=gamma)
-    if nodes.n_levels < 2:
-        return SeminormResult(0.0, None, degenerate=True)
-    return _oracle_scan(
-        nodes,
-        _oracle_same_space(nodes),
-        lambda nd, i, j: _pair_value_nl_time(nd, i, j, alpha, gamma),
-    )
 
 
 # -- parabolic Sobolev-type norms -----------------------------------------------

@@ -385,6 +385,13 @@ class TestCliRuns:
         assert self.run(argv) == 2
         assert "'1/0'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_ldiff_without_samples_exits_2_naming_samples(self, samples, tmp_path, capsys):
+        # numpy's errors on an empty or negative sample count named neither the flag nor the rule
+        argv = ["ldiff", "--gamma-conj", "1.5", "--samples", samples, "--out", str(tmp_path / "ld")]
+        assert self.run(argv) == 2
+        assert "samples must be >= 1" in capsys.readouterr().err
+
     def test_f_file_with_nonfinite_row_exits_2(self, tmp_path):
         g = make_grid(GridSpec(1, 1.0, 0.25, 1.0, 0.25))
         path = tmp_path / "f.csv"

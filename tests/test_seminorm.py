@@ -8,27 +8,17 @@ from hjlab.seminorm import (
     _ALL_PAIRS,
     _SAME_LEVEL,
     _SAME_POSITION,
+    MEMBERS,
     _BranchAndBound,
-    _classical_scan,
+    _member,
     _Nodes,
-    _oracle_same_level,
-    _oracle_same_space,
-    _oracle_scan,
-    _pair_value_classical,
-    _pair_value_nl_space,
-    _pair_value_nl_time,
-    _pair_value_space,
-    _pair_value_time,
-    _scan,
+    _pair_value,
     combine_nonlinear,
     holder_seminorm,
-    nonlinear_combined,
+    member_scan,
     nonlinear_space,
     nonlinear_time,
-    oracle_classical,
-    oracle_nl_space,
-    oracle_nl_time,
-    oracle_weighted,
+    oracle,
     seminorm_set,
     space_quotient,
     time_quotient,
@@ -52,7 +42,7 @@ class TestClassical:
         u = ScalarField.from_function(g, lambda x, t: x[..., 0])
         Q = Cylinder(xmin=(-0.5,), xmax=(0.5,), t0=0.0, t1=0.0)
         res = holder_seminorm(u, 0.5, Q)
-        expect = oracle_classical(u, 0.5, Q)
+        expect = oracle("classical", u, 0.5, Q=Q)
         assert res.value == expect.value
         assert abs(res.value - 1.0) < 1e-12
         (xa, _), (xb, _) = res.pair
@@ -90,7 +80,7 @@ class TestWeighted:
         g = make_grid(GridSpec(1, 1.0, 0.125, 1.0, 0.25))
         u = ScalarField.from_function(g, lambda x, t: x[..., 0])
         res = weighted_holder(u, 0.5, 1.0)
-        exp = oracle_weighted(u, 0.5, 1.0)
+        exp = oracle("weighted", u, 0.5, c=1.0)
         assert res.value == exp.value
         assert res.pair == exp.pair
 
@@ -109,13 +99,22 @@ class TestNonlinear:
 
     def test_large_z_limit_is_space_part(self, grid_1d):
         u = random_field(grid_1d, seed=6)
-        val, s, t = nonlinear_combined(u, 0.5, 1e12, 3.0)
-        assert val == s.value
+        s = nonlinear_space(u, 0.5, 3.0).value
+        assert combine_nonlinear(s, nonlinear_time(u, 0.5, 3.0).value, 1e12, 3.0) == s
 
     def test_monotone_as_z_decreases(self, grid_1d):
         u = random_field(grid_1d, seed=7)
-        vals = [nonlinear_combined(u, 0.5, z, 3.0)[0] for z in (8.0, 4.0, 2.0, 1.0, 0.5)]
+        s, t = nonlinear_space(u, 0.5, 3.0).value, nonlinear_time(u, 0.5, 3.0).value
+        vals = [combine_nonlinear(s, t, z, 3.0) for z in (8.0, 4.0, 2.0, 1.0, 0.5)]
         assert all(vals[i] <= vals[i + 1] + 1e-15 for i in range(len(vals) - 1))
+
+    @pytest.mark.parametrize("z", [0, -1])
+    def test_nonpositive_z_rejected(self, grid_1d, z):
+        # z = 0 divided by zero and z = -1 raised a negative number to 2/gamma
+        with pytest.raises(ValueError, match="z must be positive"):
+            combine_nonlinear(0.5, 0.125, z, 3.0)
+        with pytest.raises(ValueError, match="z must be positive"):
+            seminorm_set(random_field(grid_1d, seed=9), 0.5, 3, z=z, c=1)
 
     def test_degenerate_grids_flagged(self, grid_1d):
         u = random_field(grid_1d, seed=8)
@@ -152,15 +151,21 @@ class TestOracleEquivalence:
         g = make_grid(specs[seed % len(specs)])
         u = random_field(g, seed=100 + seed)
         alpha, gamma, c = 0.5, 3.0, 1.0
-        assert holder_seminorm(u, alpha).value == oracle_classical(u, alpha).value
-        assert weighted_holder(u, alpha, c).value == oracle_weighted(u, alpha, c).value
-        assert nonlinear_space(u, alpha, gamma).value == oracle_nl_space(u, alpha, gamma).value
-        assert nonlinear_time(u, alpha, gamma).value == oracle_nl_time(u, alpha, gamma).value
+        # the public functions against the oracle of the member each one scans
+        for name, value in (
+            ("classical", holder_seminorm(u, alpha).value),
+            ("weighted", weighted_holder(u, alpha, c).value),
+            ("nl_space", nonlinear_space(u, alpha, gamma).value),
+            ("nl_time", nonlinear_time(u, alpha, gamma).value),
+            ("space_quotient", space_quotient(u, alpha)),
+            ("time_quotient", time_quotient(u, alpha)),
+        ):
+            assert value == oracle(name, u, alpha, gamma, c).value
 
     def test_argmax_pairs_agree(self, grid_1d):
         u = random_field(grid_1d, seed=42)
         a = holder_seminorm(u, 0.3)
-        b = oracle_classical(u, 0.3)
+        b = oracle("classical", u, 0.3)
         assert a.pair == b.pair
 
     def test_readme_field_above_old_pair_budget_is_exact(self, tmp_path):
@@ -172,12 +177,13 @@ class TestOracleEquivalence:
         nodes = _Nodes(u, None)
         assert nodes.n * (nodes.n - 1) // 2 > 10 ** 8
         index = {(tuple(x), t): k for k, (x, t) in enumerate(zip(nodes.x, nodes.t))}
-        for c in (None, 1.0):
-            res = _classical_scan(u, 0.5, c, None)
+        for name in ("classical", "weighted"):
+            res = member_scan(name, u, 0.5, c=1.0)
             assert res.exact and not res.degenerate
             i, j = (index[(tuple(x), t)] for x, t in res.pair)
             assert i < j
-            one = _pair_value_classical(nodes, np.array([i]), np.array([j]), 0.5, c=c)
+            _, family, weight, power = _member(name, u, 0.5, None, 1.0, None)
+            one = _pair_value(nodes, np.array([i]), np.array([j]), family, 0.5, weight, power)
             assert res.value == one[0]
             assert 0 < res.pairs_evaluated < nodes.n * (nodes.n - 1) // 200
 
@@ -200,46 +206,37 @@ class TestOracleEquivalence:
                 vals[at] = 1.0
                 fields.append(ScalarField(g, vals))
             for u in fields:
-                nodes = _Nodes(u, None, alpha=0.5, gamma=3.0)
-                for family, fn, weight, power in _scans(nodes, 0.5, 1.0, 3.0):
+                for name in MEMBERS:
+                    nodes, family, weight, power = _member(name, u, 0.5, 3.0, 1.0, None)
                     if family in families:
-                        _check_block_bounds(_BranchAndBound(nodes, family, fn, 0.5, weight, power))
+                        _check_block_bounds(_BranchAndBound(nodes, family, 0.5, weight, power))
 
     def test_same_position_ties_go_position_major(self):
         # unweighted time quotients of {0, 1, 2} fields tie across positions and
         # level pairs: the first pair in (position, level, level) order wins
         g = make_grid(GridSpec(1, 1.0, 0.25, 1.0, 0.25))
-        fn = lambda nd, i, j: _pair_value_time(nd, i, j, 0.5)
         for seed in range(5):
-            nodes = _Nodes(_field_of_kind(g, "quantized", seed), None)
-            fast = _scan(nodes, _SAME_POSITION, fn, 0.5)
-            oracle = _oracle_scan(nodes, _oracle_same_space(nodes), fn)
-            assert (fast.value, fast.pair) == (oracle.value, oracle.pair)
+            u = _field_of_kind(g, "quantized", seed)
+            fast, slow = member_scan("time_quotient", u, 0.5), oracle("time_quotient", u, 0.5)
+            assert (fast.value, fast.pair) == (slow.value, slow.pair)
 
     def test_non_finite_field_rejected_by_every_scan(self):
         # no block bound holds for a NaN, so every scan refuses the field
         g = make_grid(GridSpec(1, 1.0, 0.25, 1.0, 0.25))
         u = random_field(g, seed=3)
         u.values[2, 4] = np.nan
-        for scan in (
-            lambda: holder_seminorm(u, 0.5),
-            lambda: weighted_holder(u, 0.5, 1.0),
-            lambda: nonlinear_space(u, 0.5, 3.0),
-            lambda: nonlinear_time(u, 0.5, 3.0),
-            lambda: space_quotient(u, 0.5),
-            lambda: time_quotient(u, 0.5),
-        ):
+        for name in MEMBERS:
             with pytest.raises(ValueError, match="non-finite"):
-                scan()
+                member_scan(name, u, 0.5, 3.0, 1.0)
 
     def test_zero_weight_everywhere(self):
         # both nodes sit on the cylinder's rim at its top level: every weight is 0
         g = make_grid(GridSpec(1, 1.0, 0.25, 1.0, 0.25))
         Q = Cylinder(xmin=(0.0,), xmax=(0.25,), t0=1.0, t1=1.0)
         u = random_field(g, seed=5)
-        fast, oracle = weighted_holder(u, 0.5, 1.0, Q), oracle_weighted(u, 0.5, 1.0, Q)
+        fast, slow = weighted_holder(u, 0.5, 1.0, Q), oracle("weighted", u, 0.5, c=1.0, Q=Q)
         assert fast.value == 0.0 and not fast.degenerate
-        assert (fast.value, fast.pair) == (oracle.value, oracle.pair)
+        assert (fast.value, fast.pair) == (slow.value, slow.pair)
 
     def test_constant_field_prunes_without_scanning(self):
         g = make_grid(GridSpec(1, 1.0, 1 / 32, 1.0, 1 / 64))
@@ -251,23 +248,9 @@ class TestOracleEquivalence:
             assert res.pairs_evaluated < nodes.n * (nodes.n - 1) // 2 // 1000
 
 
-def _scans(nodes, alpha, c, gamma):
-    """(family, pair value, weight, power) of each scan that runs through _BranchAndBound."""
-    return [
-        (_ALL_PAIRS, lambda nd, i, j: _pair_value_classical(nd, i, j, alpha), None, None),
-        (_ALL_PAIRS, lambda nd, i, j: _pair_value_classical(nd, i, j, alpha, c=c), nodes.dist, c),
-        (_SAME_LEVEL, lambda nd, i, j: _pair_value_nl_space(nd, i, j, alpha),
-         nodes.dist_alpha, 1.0),
-        (_SAME_LEVEL, lambda nd, i, j: _pair_value_space(nd, i, j, alpha), None, None),
-        (_SAME_POSITION, lambda nd, i, j: _pair_value_nl_time(nd, i, j, alpha, gamma),
-         nodes.dist_alpha, gamma / 2),
-        (_SAME_POSITION, lambda nd, i, j: _pair_value_time(nd, i, j, alpha), None, None),
-    ]
-
-
 def _check_block_bounds(search):
     """Every tile pair's bound and first key against its family pairs, at every depth."""
-    nodes, fn = search.nodes, search.pair_value
+    nodes = search.nodes
     m, n = nodes.m_space, nodes.n
     rank = np.arange(n) if search.rank is None else search.rank
     for d, T in enumerate(search.depths):
@@ -286,7 +269,7 @@ def _check_block_bounds(search):
             pairs &= I % m == J % m
         lo, hi = np.minimum(I, J)[pairs], np.maximum(I, J)[pairs]
         vals = np.full(I.shape, -np.inf)
-        vals[pairs] = fn(nodes, lo, hi)
+        vals[pairs] = _pair_value(nodes, lo, hi, search.family, search.alpha, search.weight, search.power)
         keys = np.full(I.shape, n * n)
         keys[pairs] = rank[lo] * n + rank[hi]
         held = pairs.any(axis=(1, 2))
@@ -386,26 +369,37 @@ def _field_of_kind(g, kind, seed):
     return ScalarField(g, vals)
 
 
+# (dx, dt) of the 1D grids: up to 33 positions or 33 levels, so both restricted
+# hierarchies go deeper than a leaf, but never both, so the all-pairs oracle stays small
+_STEPS_1D = [(1 / 16, 0.5), (0.125, 0.25), (0.25, 0.5), (0.5, 1 / 32)]
+
+
 @st.composite
-def fields_on_subcylinders(draw, dxs_1d=(0.125, 0.25, 0.5), dts=(0.25, 0.5)):
-    """Random 1D/2D field (box or ball) with a random sub-cylinder, small enough for the oracles."""
+def fields_on_subcylinders(draw):
+    """Random 1D/2D field (box or ball) with a random sub-cylinder, small enough for the oracle."""
     dim = draw(st.sampled_from([1, 2]))
-    dx = draw(st.sampled_from(dxs_1d if dim == 1 else [0.5]))
-    dt = draw(st.sampled_from(dts))
+    dx, dt = draw(st.sampled_from(_STEPS_1D if dim == 1 else [(0.5, 0.25), (0.5, 0.5)]))
     g = make_grid(GridSpec(dim, 1.0, dx, 1.0, dt, ball_mask=draw(st.booleans())))
     kind = draw(st.sampled_from(["normal", "quantized", "constant", "affine", "rim"]))
     u = _field_of_kind(g, kind, draw(st.integers(0, 2 ** 32 - 1)))
     if kind == "rim" and draw(st.booleans()):
         return u, None  # the whole cylinder, whose rim at t = T has weight 0
-    coord = st.floats(-1.0, 1.0)
-    box = [sorted(draw(st.tuples(coord, coord))) for _ in range(dim)]
-    t0, t1 = sorted(draw(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))))
+
+    def span(coords, step):
+        # all nodes, or a random range of them; the ends widened by up to a quarter step
+        i, j = 0, len(coords) - 1
+        if draw(st.booleans()):
+            i, j = sorted(draw(st.tuples(st.integers(i, j), st.integers(i, j))))
+        return coords[i] - draw(st.floats(0.0, 0.25)) * step, coords[j] + draw(st.floats(0.0, 0.25)) * step
+
+    box = [span(ax, dx) for ax in g.axes]
+    t0, t1 = span(g.ts, dt)
     Q = Cylinder(
         xmin=tuple(lo for lo, _ in box),
         xmax=tuple(hi for _, hi in box),
         t0=t0,
         t1=t1,
-        radius=draw(st.one_of(st.none(), st.floats(0.1, 1.0))),
+        radius=draw(st.one_of(st.none(), st.floats(0.3, 1.5))),
     )
     return u, Q
 
@@ -413,48 +407,22 @@ def fields_on_subcylinders(draw, dxs_1d=(0.125, 0.25, 0.5), dts=(0.25, 0.5)):
 @settings(max_examples=60, deadline=None)
 @given(
     case=fields_on_subcylinders(),
-    alpha=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+    alpha=st.one_of(st.just(1.0), st.floats(0.05, 0.95)),
+    gamma=st.floats(2.1, 4.0),
     c=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
 )
-def test_classical_and_weighted_match_oracles_bitwise(case, alpha, c):
+def test_every_member_matches_its_oracle_bitwise(case, alpha, gamma, c):
+    # unweighted quotients tie across pairs on quantized and affine fields, so the
+    # pairs test each family's tie rule, position-major for the same-position family
     u, Q = case
-    classical = holder_seminorm(u, alpha, Q)
-    weighted = weighted_holder(u, alpha, c, Q)
-    for fast, oracle in (
-        (classical, oracle_classical(u, alpha, Q)),
-        (weighted, oracle_weighted(u, alpha, c, Q)),
-        (classical, weighted_holder(u, alpha, 0.0, Q)),
-    ):
-        assert fast.value == oracle.value
-        assert fast.pair == oracle.pair
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    # up to 33 positions or 33 levels, so both restricted hierarchies go deeper than a leaf
-    case=fields_on_subcylinders(dxs_1d=(1 / 16, 0.125, 0.25), dts=(1 / 32, 0.25, 0.5)),
-    alpha=st.floats(0.05, 0.95),
-    gamma=st.floats(2.1, 4.0),
-)
-def test_restricted_families_match_oracles_bitwise(case, alpha, gamma):
-    u, Q = case
-    for fast, oracle in (
-        (nonlinear_space(u, alpha, gamma, Q), oracle_nl_space(u, alpha, gamma, Q)),
-        (nonlinear_time(u, alpha, gamma, Q), oracle_nl_time(u, alpha, gamma, Q)),
-    ):
-        assert (fast.value, fast.pair) == (oracle.value, oracle.pair)
-        assert fast.degenerate == oracle.degenerate
-    # the plain quotients report values only; their unweighted pairs tie across
-    # level pairs on quantized fields, so the pairs of their scans test the
-    # position-major tie rule of the same-position family
-    nodes = _Nodes(u, Q)
-    for family, oracle_pairs, fn, quotient in (
-        (_SAME_LEVEL, _oracle_same_level, _pair_value_space, space_quotient),
-        (_SAME_POSITION, _oracle_same_space, _pair_value_time, time_quotient),
-    ):
-        scan = lambda nd, i, j: fn(nd, i, j, alpha)
-        fast = _scan(nodes, family, scan, alpha)
-        oracle = _oracle_scan(nodes, oracle_pairs(nodes), scan)
-        assert (fast.value, fast.pair) == (oracle.value, oracle.pair)
-        assert fast.degenerate == oracle.degenerate
-        assert quotient(u, alpha, Q) == oracle.value
+    for name, member in MEMBERS.items():
+        if alpha == 1.0 and member.weight == "dist_alpha":  # d_alpha wants alpha < 1
+            for scan in (member_scan, oracle):
+                with pytest.raises(ValueError, match=r"\(0, 1\)"):
+                    scan(name, u, alpha, gamma, c, Q)
+            continue
+        fast, slow = member_scan(name, u, alpha, gamma, c, Q), oracle(name, u, alpha, gamma, c, Q)
+        assert (fast.value, fast.pair, fast.degenerate) == (slow.value, slow.pair, slow.degenerate)
+    # a weight to the power 0 is 1: weighted at c = 0 is classical, value and pair
+    classical, weighted = (member_scan(name, u, alpha, c=0.0, Q=Q) for name in ("classical", "weighted"))
+    assert (weighted.value, weighted.pair) == (classical.value, classical.pair)
