@@ -22,6 +22,7 @@ times asked for, and is a ValueError naming both grids otherwise.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -230,6 +231,19 @@ class Grid:
         both = inner[lo] & inner[hi]
         return lo[both], hi[both], axis[both]
 
+    def interior_neighbours(self) -> np.ndarray:
+        """Flat indices of each interior node's face neighbours, shape (dim, 2, n_interior).
+
+        [a, 0] is the neighbour below along axis a and [a, 1] the one above;
+        interior nodes in C order.  Read from the face table, in which every
+        interior node has one face on each side along each axis.
+        """
+        lo, hi, axis = self.faces
+        out = np.empty((self.dim, 2, self.active.size), dtype=np.intp)
+        out[axis, 0, hi] = lo
+        out[axis, 1, lo] = hi
+        return out[..., self.interior.ravel()]
+
     def boundary_face_nodes(self):
         """(inner, outer): flat indices of the interior and boundary ends of each face between the two.
 
@@ -378,6 +392,30 @@ def godunov_magnitude_level(values: np.ndarray, dx: float, dim: int | None = Non
                 total = g
             else:
                 total += g
+    return np.sqrt(total, out=total)
+
+
+def godunov_magnitude_gather(centre: np.ndarray, values: np.ndarray, neighbours: np.ndarray, dx: float) -> np.ndarray:
+    """godunov_magnitude_level at chosen nodes, gathered from their face neighbours.
+
+    centre holds the nodes' values; neighbours, shape (dim, 2, len(centre)),
+    indexes each node's neighbours below and above along each axis in
+    values.  The arithmetic is that of godunov_magnitude_level node for
+    node, so at the interior nodes (centre = level[grid.interior], values =
+    level.ravel(), neighbours = grid.interior_neighbours()) the two agree
+    bit for bit.  A NaN or an infinity in values gives a non-finite
+    magnitude at the node or at the nodes it neighbours, without a warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        # backward difference and negated forward difference, each at least 0
+        diff = centre - values.take(neighbours)
+        diff /= dx
+        np.maximum(diff, 0.0, out=diff)
+        g = np.maximum(diff[:, 0], diff[:, 1])
+        g *= g
+        total = g[0]
+        for a in range(1, len(g)):
+            total += g[a]
     return np.sqrt(total, out=total)
 
 
@@ -612,21 +650,27 @@ def evaluate(datum, grid: Grid | None, ts=None, points=None) -> np.ndarray:
 
 
 def write_field_csv(u: ScalarField, path_or_buf):
-    """CSV per spec: '# grid: N,R,dx,T,dt,mask' then rows t,x1[,x2],value."""
+    """CSV per spec: '# grid: N,R,dx,T,dt,mask' then rows t,x1[,x2],value.
+
+    One row per active node and level, levels in order, nodes in C order,
+    every number as '%.17g'.  The coordinates are formatted once and each
+    level's time once; only the values are formatted per row.
+    path_or_buf is a path (str or os.PathLike) or a text buffer.
+    """
     g = u.grid
     s = g.spec
-    xs = g.coords[g.active]
-    row = ",".join(["%.17g"] * (g.dim + 2)) + "\n"
-    own = isinstance(path_or_buf, (str,))
+    # the text of each row after its time, with a slot for its value
+    tails = ["," + ",".join(["%.17g" % c for c in x]) + ",%.17g\n" for x in g.coords[g.active].tolist()]
+    tails.insert(0, "")  # so that joining on a time puts the time before each tail
+    own = isinstance(path_or_buf, (str, os.PathLike))
     fh = open(path_or_buf, "w") if own else path_or_buf
     try:
         fh.write(
             "# grid: %d,%.17g,%.17g,%.17g,%.17g,%d\n"
             % (s.dim, s.half_width, s.dx, s.horizon, s.dt, int(s.ball_mask))
         )
-        for t, lev in zip(g.ts, u.values):
-            cols = np.column_stack([np.full(len(xs), t), xs, lev[g.active]])
-            fh.write((row * len(xs)) % tuple(cols.ravel().tolist()))
+        for t, lev in zip(g.ts.tolist(), u.values):
+            fh.write(("%.17g" % t).join(tails) % tuple(lev[g.active].tolist()))
     finally:
         if own:
             fh.close()
@@ -638,8 +682,9 @@ def read_field_csv(path_or_buf) -> ScalarField:
     Rows off the lattice (beyond 1e-9 of a step), at inactive or repeated
     nodes, with non-finite entries, and nodes without a row raise ValueError
     naming the row (data rows counted from 1) or the missing node.
+    path_or_buf is a path (str or os.PathLike) or a text buffer.
     """
-    own = isinstance(path_or_buf, (str,))
+    own = isinstance(path_or_buf, (str, os.PathLike))
     fh = open(path_or_buf, "r") if own else path_or_buf
     try:
         header = fh.readline().strip()

@@ -26,6 +26,7 @@ from .grid import (
     ScalarField,
     bracket,
     evaluate,
+    godunov_magnitude_gather,
     godunov_magnitude_level,
     gradient_level,
     laplacian_level,
@@ -36,6 +37,7 @@ CFL_EPS = 1e-12
 CFL_SAFETY = 1.0  # substeps satisfy dt <= CFL_SAFETY * dx / (gamma h1 P^(gamma-1) + CFL_EPS)
 MAX_HALVINGS = 10  # retries one rung down per substep
 MAX_SUBSTEPS = 100000  # substeps per macro step
+RESIDUAL_BLOCK = 32  # accepted substeps whose linear residuals one sparse product forms
 
 
 # -- derived exponents ---------------------------------------------------------
@@ -64,13 +66,33 @@ def time_pair_exponent(M: float, gamma: float) -> float:
 # -- problem definition ----------------------------------------------------------
 
 
+def _reject(grid: Grid, levels: np.ndarray, ts, ok: np.ndarray, what: str) -> None:
+    """ValueError naming the first active node (level, then C order) where ok fails, if any."""
+    bad = np.argwhere(grid.active & ~ok)
+    if len(bad):
+        k, *idx = (int(i) for i in bad[0])
+        raise ValueError(
+            f"{what} = {float(levels[(k, *idx)])!r} "
+            f"at x={tuple(grid.coords[tuple(idx)].tolist())}, t={float(ts[k])!r}"
+        )
+
+
+def _finite(name: str):
+    """A check for _interior_sampler: ValueError at the first active node where datum name is not finite."""
+
+    def check(grid, levels, ts):
+        _reject(grid, levels, ts, np.isfinite(levels), f"{name} is not finite: {name}")
+
+    return check
+
+
 def _interior_sampler(grid: Grid, obj, check=None):
     """t -> obj at the interior nodes, prepared once per solve.
 
     Values are those of evaluate(obj, grid, t) restricted to the interior.
     A constant comes back as a float.  A ScalarField (on grid) takes the
-    level pair that bracket gives for t, its interior nodes gathered once
-    per pair, and blends them unless t is a level.  A callable is evaluated
+    level pair that bracket gives for t, and blends them unless t is a
+    level; a backward march gathers each level's interior nodes once.  A callable is evaluated
     at every call.  check(grid, levels, ts), if given, sees every value that
     can come back: a constant's or a field's once, here, and a callable's at
     each call.
@@ -81,14 +103,14 @@ def _interior_sampler(grid: Grid, obj, check=None):
             check(grid, obj.values, grid.ts)
         ts = grid.ts.tolist()
 
-        @functools.lru_cache(maxsize=1)  # a backward march changes k once per macro step
-        def pair(k):
-            return obj.values[k][interior], obj.values[k + 1][interior]
+        @functools.lru_cache(maxsize=2)  # a backward march reads levels k and k + 1, k falling
+        def level(k):
+            return obj.values[k][interior]
 
         def at(t):
             k, f = bracket(ts, t, grid.dt)
-            lo, hi = pair(k)
-            return lo if f == 0 else (1 - f) * lo + f * hi
+            lo = level(k)
+            return lo if f == 0 else (1 - f) * lo + f * level(k + 1)
 
         return at
     if callable(obj):
@@ -146,13 +168,7 @@ class HJProblem:
         """
         tol = 1e-9 * max(1.0, self.h1)
         ok = (levels >= self.h0 - tol) & (levels <= self.h1 + tol)
-        bad = np.argwhere(grid.active & ~ok)
-        if len(bad):
-            k, *idx = (int(i) for i in bad[0])
-            raise ValueError(
-                f"h(x,t) leaves the [h0, h1] bounds: h = {float(levels[(k, *idx)])!r} "
-                f"at x={tuple(grid.coords[tuple(idx)].tolist())}, t={float(ts[k])!r}"
-            )
+        _reject(grid, levels, ts, ok, "h(x,t) leaves the [h0, h1] bounds: h")
 
     def terminal_level(self, grid: Grid) -> np.ndarray:
         if callable(self.terminal):
@@ -190,61 +206,113 @@ def solve_hj(problem: HJProblem, grid: Grid, gradient_bound: float | None = None
     exact dyadic fraction, so round-off never opens an extra rung, and the
     diffusion matrix is LU-factored once per rung used.
 
+    A substep is the explicit update, one LU solve and one Godunov pass over
+    the interior nodes, gathered from their face neighbours.  A non-finite
+    solve is a NumericalFailure naming the first non-finite node and the
+    time.  Each accepted substep's relative linear residual
+    max|(I - sigma dt L) sol - rhs| / max(1, max|rhs|) is logged; the
+    residuals are formed after the solves, RESIDUAL_BLOCK substeps per
+    sparse product, and equal those of one mat-vec per substep.
+
     A field h, f or terminal datum must live on grid (ValueError naming both
     GridSpecs otherwise).  What cannot change within the solve is prepared
-    before the march: a constant or ScalarField h is checked against
-    [h0, h1] once, on all its nodes (ValueError naming the node, before any
-    factorization), constant h, f and lateral data become scalars or one
-    vector, and a field's two bracketing levels are gathered once per macro
-    step.  A callable h is checked each time it is evaluated.
+    and checked before the march, before any factorization: a constant or
+    ScalarField h against [h0, h1] on all its nodes; the terminal level, a
+    constant or ScalarField f and constant lateral data for finiteness
+    (ValueError naming the datum, its value, the first offending node and
+    its time).  Constant h, f and lateral data become scalars or one vector
+    (the lateral term once per rung), and a field's two bracketing levels
+    are gathered once per macro step.  A callable h is checked each time it
+    is evaluated; a callable f or lateral datum that is not finite shows as
+    a blow-up.
     """
     for datum in (problem.h, problem.f, problem.terminal):
         if isinstance(datum, ScalarField) and datum.grid.spec != grid.spec:
             raise ValueError(f"field lives on {datum.grid.spec}, not on the solve grid {grid.spec}")
-    L, B, int_idx, _ = grid.laplacian_ops()
-    int_mask = grid.interior
-    eye = sp.identity(len(int_idx), format="csc")
-    lu_cache: dict[int, object] = {}
     h_at = _interior_sampler(grid, problem.h, problem.check_h)
-    f_at = _interior_sampler(grid, problem.f)
+    f_at = _interior_sampler(grid, problem.f, None if callable(problem.f) else _finite("f"))
+    nt = grid.spec.nt
+    levels = np.zeros((nt + 1,) + grid.shape)
+    levels[nt] = problem.terminal_level(grid)
+    _finite("terminal")(grid, levels[nt:], grid.ts[nt:])
+    levels[nt][~grid.active] = 0.0
+
+    L, B, int_idx, _ = grid.laplacian_ops()
+    dx, macro_dt = grid.dx, grid.dt
+    sigma = problem.sigma
+    int_mask, bnd_mask = grid.interior, grid.boundary
+    n_int = len(int_idx)
+    eye = sp.identity(n_int, format="csc")
+    lu_cache: dict[int, object] = {}
     if callable(problem.lateral):
 
-        def lateral_at(t):
+        def lateral_at(t, j):
             bnd = problem.lateral_values(grid, t)
-            return bnd, B @ bnd
+            return bnd, sigma * math.ldexp(macro_dt, -j) * (B @ bnd)
 
     else:
+        _finite("lateral")(grid, np.full((1,) + grid.shape, float(problem.lateral)), grid.ts[:1])
         bnd_const = problem.lateral_values(grid, grid.ts[-1])
-        lateral_const = (bnd_const, B @ bnd_const)
+        B_bnd = B @ bnd_const
+        per_rung = {}
 
-        def lateral_at(t):
-            return lateral_const
+        def lateral_at(t, j):  # the same on every substep of a rung
+            if j not in per_rung:
+                per_rung[j] = bnd_const, sigma * math.ldexp(macro_dt, -j) * B_bnd
+            return per_rung[j]
 
     def factor(j):
         if j not in lu_cache:
-            lu_cache[j] = spla.splu((eye - problem.sigma * math.ldexp(grid.dt, -j) * L).tocsc())
+            lu_cache[j] = spla.splu((eye - sigma * math.ldexp(macro_dt, -j) * L).tocsc())
         return lu_cache[j]
 
     def blowup_at(arr, t):
         bad = np.argwhere(~np.isfinite(arr))
         idx = tuple(int(i) for i in bad[0]) if len(bad) else None
-        x = grid.coords[idx] if idx is not None else None
+        x = grid.coords[idx].tolist() if idx is not None else None
         raise NumericalFailure(f"blow-up detected at (x={None if x is None else tuple(x)}, t={t})")
 
     def cfl_dt(P):
-        return grid.dx / (problem.gamma * problem.h1 * max(P, 0.0) ** (problem.gamma - 1.0) + CFL_EPS)
+        return dx / (problem.gamma * problem.h1 * max(P, 0.0) ** (problem.gamma - 1.0) + CFL_EPS)
 
-    nt = grid.spec.nt
-    levels = np.zeros((nt + 1,) + grid.shape)
-    levels[nt] = problem.terminal_level(grid)
-    levels[nt][~grid.active] = 0.0
+    # The march state: the interior values, then the boundary layer's, and
+    # each interior node's face neighbours as positions in it.
+    v_int = levels[nt][int_mask]  # the interior of the accepted substep
+    state = np.concatenate((v_int, levels[nt][bnd_mask]))
+    slot = np.empty(grid.active.size, dtype=np.intp)
+    slot[int_mask.ravel()] = np.arange(n_int)
+    slot[bnd_mask.ravel()] = np.arange(n_int, len(state))
+    neighbours = slot[grid.interior_neighbours()]
+    # A -inf solve value turns the Godunov magnitude non-finite only at its
+    # interior neighbours; an interior node without one needs its own check.
+    lone = not (neighbours < n_int).any(axis=(0, 1)).all()
 
     log = []
+    pending = []  # accepted substeps whose linear residuals are not formed yet
+
+    def log_pending():
+        t_from, t_to, dts, halvings, g_max, sols, rhss = zip(*pending)
+        sols, rhss = np.array(sols), np.array(rhss)
+        res = np.abs(sols - (sigma * np.array(dts))[:, None] * (L @ sols.T).T - rhss).max(axis=1)
+        scales = np.abs(rhss).max(axis=1)
+        for t0, t1, dt, n, r, scale, g in zip(t_from, t_to, dts, halvings, res.tolist(), scales.tolist(), g_max):
+            log.append(
+                {
+                    "t_from": t0,
+                    "t_to": t1,
+                    "dt": dt,
+                    "halvings": n,
+                    "linear_residual": r / max(1.0, scale),
+                    "godunov_max": g,
+                }
+            )
+        pending.clear()
+
     P_user = gradient_bound if gradient_bound is not None else 0.0
-    v = levels[nt].copy()  # every attempt overwrites its active nodes
-    v_int = v[int_mask]  # then the interior of the accepted attempt, and likewise
-    G_int = godunov_magnitude_level(v, grid.dx)[int_mask]
+    cfl_user = cfl_dt(P_user)
+    G_int = godunov_magnitude_gather(v_int, state, neighbours, dx)
     G_max = float(G_int.max())
+    cfl_cur = cfl_dt(max(G_max, P_user))
     t_cur = float(grid.ts[-1])
     for k in range(nt - 1, -1, -1):
         t_target = float(grid.ts[k])
@@ -257,57 +325,55 @@ def solve_hj(problem: HJProblem, grid: Grid, gradient_bound: float | None = None
                 raise NumericalFailure(
                     f"CFL subcycle limit exceeded: > {MAX_SUBSTEPS} substeps in one macro step"
                 )
-            limit = CFL_SAFETY * cfl_dt(max(G_max, P_user))
+            limit = CFL_SAFETY * cfl_cur
             j = 0
-            while (left << j) < (1 << e) or math.ldexp(grid.dt, -j) > limit:
+            while (left << j) < (1 << e) or math.ldexp(macro_dt, -j) > limit:
                 j += 1
             hamiltonian = G_int ** problem.gamma
             halvings = 0
             while True:
-                dt = math.ldexp(grid.dt, -j)
+                dt = math.ldexp(macro_dt, -j)
                 if j > e:
                     left, e = left << (j - e), j
                 left_new = left - (1 << (e - j))
-                t_new = t_target + (left_new / (1 << e)) * grid.dt
-                expl = v_int + dt * (f_at(t_new) - h_at(t_new) * hamiltonian)
-                bnd_new, B_bnd = lateral_at(t_new)
-                rhs = expl + problem.sigma * dt * B_bnd
+                t_new = t_target + (left_new / (1 << e)) * macro_dt
+                rhs = v_int + dt * (f_at(t_new) - h_at(t_new) * hamiltonian)
+                bnd_new, lateral_term = lateral_at(t_new, j)
+                rhs += lateral_term
                 sol = factor(j).solve(rhs)
-                if not np.isfinite(sol).all():
+                state[:n_int] = sol
+                state[n_int:] = bnd_new
+                G_new_int = godunov_magnitude_gather(sol, state, neighbours, dx)
+                G_new_max = float(G_new_int.max())
+                if (lone or not math.isfinite(G_new_max)) and not np.isfinite(sol).all():
                     full = np.zeros(grid.shape)
                     full[int_mask] = sol
                     blowup_at(full, t_new)
-                v[int_mask] = sol
-                v[grid.boundary] = bnd_new
-                G_new = godunov_magnitude_level(v, grid.dx)
-                G_new_int = G_new[int_mask]
-                G_new_max = float(G_new_int.max())
-                if dt <= cfl_dt(G_new_max) * (1.0 + 1e-12):
+                cfl_new = cfl_dt(G_new_max)
+                if dt <= cfl_new * (1.0 + 1e-12):
                     break
                 halvings += 1
                 if halvings > MAX_HALVINGS:
-                    worst = np.argwhere(G_new == np.max(G_new_int))
+                    v = np.zeros(grid.shape)
+                    v[int_mask] = sol
+                    v[bnd_mask] = bnd_new
+                    worst = np.argwhere(godunov_magnitude_level(v, dx) == G_new_max)
                     idx = tuple(int(i) for i in worst[0])
                     raise NumericalFailure(
-                        f"CFL retry limit exceeded at node x={tuple(grid.coords[idx])}, t={t_new}"
+                        f"CFL retry limit exceeded at node x={tuple(grid.coords[idx].tolist())}, t={t_new}"
                     )
                 j += 1
-            lin_res = float(np.abs(sol - problem.sigma * dt * (L @ sol) - rhs).max())
-            scale = max(1.0, float(np.abs(rhs).max()))
-            log.append(
-                {
-                    "t_from": t_cur,
-                    "t_to": t_new,
-                    "dt": dt,
-                    "halvings": halvings,
-                    "linear_residual": lin_res / scale,
-                    "godunov_max": G_new_max,
-                }
-            )
-            v_int, G_int, G_max = sol, G_new_int, G_new_max
+            pending.append((t_cur, t_new, dt, halvings, G_new_max, sol, rhs))
+            if len(pending) == RESIDUAL_BLOCK:
+                log_pending()
+            v_int, G_int = sol, G_new_int
+            cfl_cur = cfl_user if P_user > G_new_max else cfl_new
             t_cur = t_new
             left = left_new
-        levels[k] = v
+        levels[k][int_mask] = sol
+        levels[k][bnd_mask] = bnd_new
+    if pending:
+        log_pending()
 
     return HJSolution(u=ScalarField(grid, levels), log=log)
 

@@ -133,6 +133,31 @@ def oracle_lattice(grid):
     )
 
 
+# -- oracle field-CSV writer ------------------------------------------------------
+# write_field_csv as it was before it formatted each coordinate once: every row
+# formatted whole.  write_field_csv must give the same text.
+
+
+def oracle_write_field_csv(u, path_or_buf):
+    g = u.grid
+    s = g.spec
+    xs = g.coords[g.active]
+    row = ",".join(["%.17g"] * (g.dim + 2)) + "\n"
+    own = isinstance(path_or_buf, (str,))
+    fh = open(path_or_buf, "w") if own else path_or_buf
+    try:
+        fh.write(
+            "# grid: %d,%.17g,%.17g,%.17g,%.17g,%d\n"
+            % (s.dim, s.half_width, s.dx, s.horizon, s.dt, int(s.ball_mask))
+        )
+        for t, lev in zip(g.ts, u.values):
+            cols = np.column_stack([np.full(len(xs), t), xs, lev[g.active]])
+            fh.write((row * len(xs)) % tuple(cols.ravel().tolist()))
+    finally:
+        if own:
+            fh.close()
+
+
 # -- oracle HJ march -------------------------------------------------------------
 # The substep loop of solve_hj as it was before per-solve preparation: every
 # attempt evaluates h, f and the lateral data afresh (through grid.evaluate,
@@ -173,7 +198,7 @@ def oracle_solve_hj(problem, grid, gradient_bound=None):
     def blowup_at(arr, t):
         bad = np.argwhere(~np.isfinite(arr))
         idx = tuple(int(i) for i in bad[0]) if len(bad) else None
-        x = grid.coords[idx] if idx is not None else None
+        x = grid.coords[idx].tolist() if idx is not None else None
         raise NumericalFailure(f"blow-up detected at (x={None if x is None else tuple(x)}, t={t})")
 
     def cfl_dt(P):
@@ -232,7 +257,7 @@ def oracle_solve_hj(problem, grid, gradient_bound=None):
                     worst = np.argwhere(G_new == np.max(G_new[int_mask]))
                     idx = tuple(int(i) for i in worst[0])
                     raise NumericalFailure(
-                        f"CFL retry limit exceeded at node x={tuple(grid.coords[idx])}, t={t_new}"
+                        f"CFL retry limit exceeded at node x={tuple(grid.coords[idx].tolist())}, t={t_new}"
                     )
                 j += 1
             lin_res = float(np.max(np.abs(sol - problem.sigma * dt * (L @ sol) - rhs)))

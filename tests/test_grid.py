@@ -10,6 +10,7 @@ from hjlab.grid import (
     GridSpec,
     ScalarField,
     centered_cylinder,
+    godunov_magnitude_gather,
     godunov_magnitude_level,
     gradient_level,
     laplacian_level,
@@ -25,7 +26,7 @@ from hjlab.grid import (
 )
 from hjlab.seminorm import hessian_frobenius_level
 
-from conftest import oracle_godunov, oracle_lattice, random_field
+from conftest import oracle_godunov, oracle_lattice, oracle_write_field_csv, random_field
 
 
 def same_bits(a, b):
@@ -242,6 +243,38 @@ class TestSamplingAndIO:
         ]
         assert buf.getvalue() == "# grid: 2,1,0.25,1,0.5,1\n" + "".join(rows)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dim=st.sampled_from([1, 2]),
+        ball=st.booleans(),
+        dx=st.sampled_from([0.5, 0.25, 1 / 3]),
+        dt=st.sampled_from([0.5, 0.1]),
+        data=st.data(),
+    )
+    def test_csv_writer_matches_the_per_row_writer(self, dim, ball, dx, dt, data):
+        g = make_grid(GridSpec(dim, 1.0, dx, 1.0, dt, ball_mask=ball))
+        size = g.n_levels * int(np.prod(g.shape))
+        special = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0 / 3.0])
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        vals = data.draw(st.lists(st.one_of(special, finite), min_size=size, max_size=size))
+        u = ScalarField(g, np.array(vals).reshape((g.n_levels,) + g.shape))
+        got, want = io.StringIO(), io.StringIO()
+        write_field_csv(u, got)
+        oracle_write_field_csv(u, want)
+        assert got.getvalue() == want.getvalue()
+
+    def test_csv_paths_round_trip(self, tmp_path):
+        g = make_grid(GridSpec(2, 1.0, 0.25, 1.0, 0.5, ball_mask=True))
+        u = random_field(g, seed=29)
+        path = tmp_path / "field.csv"
+        write_field_csv(u, path)
+        buf = io.StringIO()
+        write_field_csv(u, buf)
+        assert path.read_text() == buf.getvalue()
+        back = read_field_csv(path)
+        assert back.grid.spec == g.spec
+        assert same_bits(back.values, u.values)
+
     def test_csv_round_trip_2d_ball(self):
         g = make_grid(GridSpec(2, 1.0, 0.25, 1.0, 0.5, ball_mask=True))
         u = random_field(g, seed=19)
@@ -375,6 +408,38 @@ class TestStackedOperators:
         v[rng.random(shape) < 0.2] = special
         with np.errstate(invalid="ignore"):  # inf - inf
             assert same_bits(godunov_magnitude_level(v, 0.125), oracle_godunov(v, 0.125))
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.sampled_from([1, 2]),
+        ball=st.booleans(),
+        n=st.sampled_from([2, 3, 8]),
+        seed=st.integers(0, 2 ** 32 - 1),
+        scale=st.floats(0.0, 300.0),
+        flat=st.floats(0.0, 0.5),
+    )
+    def test_interior_godunov_gather_is_the_level_kernel(self, dim, ball, n, seed, scale, flat):
+        # steep values overflow the differences and their squares to inf
+        g = make_grid(GridSpec(dim, 1.0, 1.0 / n, 1.0, 0.5, ball_mask=ball))
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=g.shape) * 10.0 ** scale
+        v[rng.random(g.shape) < flat] = 1.0  # runs of zero differences
+        v[~g.active] = 0.0
+        got = godunov_magnitude_gather(v[g.interior], v.ravel(), g.interior_neighbours(), g.dx)
+        assert same_bits(got, godunov_magnitude_level(v, g.dx)[g.interior])
+
+    @pytest.mark.parametrize("dim, ball", [(1, False), (2, False), (2, True)])
+    def test_interior_neighbours_are_the_face_neighbours(self, dim, ball):
+        g = make_grid(GridSpec(dim, 1.0, 0.125, 1.0, 0.5, ball_mask=ball))
+        nb = g.interior_neighbours()
+        assert nb.shape == (dim, 2, int(g.interior.sum()))
+        for k, idx in enumerate(np.argwhere(g.interior)):
+            for a in range(dim):
+                for side, step in enumerate((-1, 1)):
+                    near = idx.copy()
+                    near[a] += step
+                    assert nb[a, side, k] == np.ravel_multi_index(tuple(near), g.shape)
 
 
 class TestSampleTimes:

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -86,6 +87,28 @@ class TestProblemValidation:
             counting_lu(solve_hj, p, g)
         assert info.value.lu_calls == 1  # the march reached t = 0.25
 
+    @pytest.mark.parametrize(
+        "datum, value, at",
+        [
+            ("f", np.nan, "f = nan at x=(-1.0,), t=0.0"),
+            ("f", "field", "f = -inf at x=(-0.375,), t=0.5"),
+            ("lateral", np.inf, "lateral = inf at x=(-1.0,), t=0.0"),
+            ("terminal", np.nan, "terminal = nan at x=(-1.0,), t=1.0"),
+        ],
+    )
+    def test_non_finite_data_fail_before_the_march(self, datum, value, at):
+        g = make_grid(GridSpec(1, 1.0, 1 / 8, 1.0, 1 / 4))
+        if value == "field":
+            vals = np.zeros((g.n_levels,) + g.shape)
+            vals[2, 5] = -np.inf  # one interior node at one interior level
+            vals[3, 6] = np.nan  # a later level: not the first
+            value = ScalarField(g, vals)
+        p = HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=1.0, **{datum: value})
+        with pytest.raises(ValueError) as info:
+            counting_lu(solve_hj, p, g)
+        assert str(info.value) == f"{datum} is not finite: {at}"
+        assert info.value.lu_calls == 0
+
     def test_forcing_field_from_other_grid_rejected(self):
         # same node count and levels, different coordinates
         g = make_grid(GridSpec(1, 1.0, 0.25, 1.0, 0.25))
@@ -169,7 +192,7 @@ class TestSolver:
             gamma=3.0, sigma=1.0, h0=1.0, h1=1.0, f=lambda x, t: 50.0 * np.sin(3 * np.pi * x[..., 0]),
         )
         monkeypatch.setattr(hj, "MAX_HALVINGS", 0)
-        with pytest.raises(NumericalFailure, match=r"^CFL retry limit exceeded at node x=\(.*\), t=0\.75$"):
+        with pytest.raises(NumericalFailure, match=r"^CFL retry limit exceeded at node x=\(-0\.5,\), t=0\.75$"):
             solve_hj(p, g)
 
     def test_constants_on_2d_ball(self):
@@ -209,7 +232,20 @@ class TestSolver:
         g = make_grid(GridSpec(1, 1.0, 0.25, 1.0, 0.25))
         bomb = lambda x, t: np.where(t < 0.5, np.nan, 0.0) * np.ones_like(x[..., 0])
         p = HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=1.0, f=bomb, terminal=0.0, lateral=0.0)
-        with pytest.raises(NumericalFailure, match="blow-up detected"):
+        with pytest.raises(NumericalFailure, match=r"^blow-up detected at \(x=\(-0\.75,\), t=0\.25\)$"):
+            solve_hj(p, g)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_blowup_detected_at_a_lone_interior_node(self, dim):
+        # the ball of two steps has one interior node, all of whose face
+        # neighbours are boundary nodes: a -inf there leaves every Godunov
+        # magnitude at 0
+        g = make_grid(GridSpec(dim, 1.0, 0.5, 1.0, 0.25, ball_mask=True))
+        assert g.interior.sum() == 1
+        sink = lambda x, t: np.where(t < 0.5, -np.inf, 0.0) * np.ones_like(x[..., 0])
+        p = HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=1.0, f=sink)
+        at = ", ".join(["0.0"] * dim) + ("," if dim == 1 else "")
+        with pytest.raises(NumericalFailure, match=re.escape(f"blow-up detected at (x=({at}), t=0.25)")):
             solve_hj(p, g)
 
     def test_overflowing_rhs_is_a_numerical_failure(self):
@@ -467,7 +503,7 @@ class TestMarchMatchesOracle:
         dt=st.sampled_from([0.1, 0.125, 0.25]),
         gamma=st.sampled_from([2.5, 3.0]),
         h_kind=st.sampled_from(["constant", "callable", "field"]),
-        f_kind=st.sampled_from(["constant", "callable", "field"]),
+        f_kind=st.sampled_from(["constant", "callable", "field", "nan_late"]),
         lateral_kind=st.sampled_from(["constant", "callable"]),
         forced=st.booleans(),
         amplitude=st.floats(0.0, 2.0),
@@ -477,6 +513,12 @@ class TestMarchMatchesOracle:
              lateral_kind="callable", forced=True, amplitude=2.0, seed=0)
     @example(dim=1, ball=False, dx=0.125, dt=0.25, gamma=2.5, h_kind="callable", f_kind="callable",
              lateral_kind="constant", forced=False, amplitude=2.0, seed=1)
+    # 512 substeps, more than two blocks of linear residuals (hj.RESIDUAL_BLOCK)
+    @example(dim=1, ball=False, dx=0.125, dt=0.25, gamma=3.0, h_kind="field", f_kind="field",
+             lateral_kind="constant", forced=True, amplitude=2.0, seed=2)
+    # blows up at substep 257, after the first block of linear residuals
+    @example(dim=2, ball=False, dx=0.125, dt=0.25, gamma=3.0, h_kind="constant", f_kind="nan_late",
+             lateral_kind="callable", forced=True, amplitude=1.0, seed=3)
     def test_bit_for_bit(self, dim, ball, dx, dt, gamma, h_kind, f_kind, lateral_kind, forced, amplitude, seed):
         g = make_grid(GridSpec(dim, 1.0, dx, 2 * dt, dt, ball_mask=ball))
         rng = np.random.default_rng(seed)
@@ -491,6 +533,7 @@ class TestMarchMatchesOracle:
             "constant": 3.0 * a,
             "callable": lambda x, t: 3.0 * a * np.cos(np.pi * x[..., 0]) + b * t,
             "field": ScalarField(g, 2.0 * rng.normal(size=stack)),
+            "nan_late": lambda x, t: np.where(t < dt, np.nan, 3.0 * a) * np.ones_like(x[..., 0]),
         }[f_kind]
         lateral = {
             "constant": c,
