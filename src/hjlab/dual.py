@@ -222,31 +222,6 @@ class OscillationBudget:
     ell_gap: float
 
 
-def normalize_amplitude(w: ScalarField, g_rhs, h0, h1, gamma, z, alpha, Q=None):
-    """Divide w by a constant so the oscillation-estimate normalization holds.
-
-    Rescales the coefficient bounds and the right-hand side accordingly
-    (w/k solves the inequalities with h_i k^(gamma-1) and g/k), the same
-    renormalization used to reduce entire solutions to unit quotients.
-    """
-    sq = space_quotient(w, alpha, Q)
-    tq = time_quotient(w, alpha, Q)
-    kappa = max(1.0, sq / 3.0, tq / (3.0 ** (gamma / 2.0) * z))
-    if kappa == 1.0:
-        return w, g_rhs, h0, h1, 1.0
-    w2 = ScalarField(w.grid, w.values / kappa)
-    if g_rhs is None:
-        g2 = None
-    elif isinstance(g_rhs, ScalarField):
-        g2 = ScalarField(g_rhs.grid, g_rhs.values / kappa)
-    elif callable(g_rhs):
-        g2 = lambda x, t, _f=g_rhs, _k=kappa: np.asarray(_f(x, t)) / _k
-    else:
-        g2 = float(g_rhs) / kappa
-    scale = kappa ** (gamma - 1.0)
-    return w2, g2, h0 * scale, h1 * scale, kappa
-
-
 def oscillation_report(
     w: ScalarField,
     g_rhs,
@@ -341,32 +316,6 @@ def oscillation_report(
         ell0=ell0,
         ell1=ell1,
         ell_gap=ell0 - ell1,
-    )
-
-
-# -- exit measure (driftless dual density) --------------------------------------------
-
-
-@dataclass
-class ExitMeasureReport:
-    moment: float  # integral |y|^alpha mu(y, tau) dy
-    norm_q0p: float  # ||mu||_{q0'}
-    outflux: float
-    sol: FPSolution
-
-
-def exit_measure_report(sigma, R, tau, dx, dt, alpha, gamma, dim=1) -> ExitMeasureReport:
-    grid = make_grid(GridSpec(dim, R, dx, tau, dt))
-    sol = solve_fp(FPProblem(sigma=sigma, R=R, tau=tau, drift=None, source=0.0), grid)
-    q0 = critical_q0(gamma, dim)
-    q0p = q0 / (q0 - 1.0)
-    r = np.sqrt(np.sum(grid.coords ** 2, axis=-1))
-    moment = space_integral(grid, r ** alpha * sol.m.values[-1])
-    return ExitMeasureReport(
-        moment=moment,
-        norm_q0p=lq_norm(sol.m, q0p),
-        outflux=float(sol.outflux[-1]),
-        sol=sol,
     )
 
 

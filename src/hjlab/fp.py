@@ -20,7 +20,6 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .grid import (
-    Cylinder,
     Grid,
     NumericalFailure,
     ScalarField,
@@ -297,73 +296,7 @@ def boundary_loss_check(sol: FPSolution, gamma: float) -> BoundaryLossReport:
     return BoundaryLossReport(out, t_drift, t_diff, out / denom if denom > 0 else 0.0, K)
 
 
-@dataclass
-class MNormReport:
-    lhs: float  # sigma^(gamma'(N+1)/(N+2)) ||m||_{q0'}
-    kinetic: float
-    sigma_term: float  # sigma^(gamma'/2) tau^(alpha0/2)
-    fitted_c: float
-    tail_lhs: float  # same norm restricted to s in (fraction*tau, tau)
-    tail_fitted_c: float
-    initial_layer_share: float
-    initial_layer_dominates: bool
-
-
-def m_norm_bound_check(sol: FPSolution, q0: float, layer_fraction: float = 0.1) -> MNormReport:
-    """Both sides of the dual L^{q0'} density bound, with the initial-layer caveat.
-
-    The single-node Dirac makes ||m||_{q0'} near s = 0 resolution-dependent;
-    the share of the norm carried by s < layer_fraction*tau is reported and
-    flagged, never hidden.
-    """
-    g = sol.grid
-    N = g.dim
-    gc = (N + 2) / q0  # q0 = (N+2)/gamma' inverted
-    if not (1 < gc < 2):
-        raise ValueError("q0 must correspond to gamma' in (1, 2)")
-    gamma = gc / (gc - 1.0)
-    alpha0 = 2.0 - gc
-    R, tau = g.spec.half_width, sol.tau
-    if R ** 2 < tau * sol.sigma - 1e-12:
-        raise ValueError("requires R^2 >= tau*sigma")
-    q0p = q0 / (q0 - 1.0)
-
-    from .grid import lq_norm
-
-    full = lq_norm(sol.m, q0p)
-    cut = layer_fraction * tau
-    tail_cyl = Cylinder(
-        xmin=tuple([-R] * N), xmax=tuple([R] * N), t0=cut, t1=tau, radius=None
-    )
-    tail = lq_norm(sol.m, q0p, tail_cyl)
-
-    K = kinetic_energy(sol, gamma)
-    pref = sol.sigma ** (gc * (N + 1) / (N + 2))
-    s_term = sol.sigma ** (gc / 2.0) * tau ** (alpha0 / 2.0)
-    rhs = K + s_term
-    share = 1.0 - (tail / full) ** q0p if full > 0 else 0.0
-    return MNormReport(
-        lhs=pref * full,
-        kinetic=K,
-        sigma_term=s_term,
-        fitted_c=pref * full / rhs if rhs > 0 else 0.0,
-        tail_lhs=pref * tail,
-        tail_fitted_c=pref * tail / rhs if rhs > 0 else 0.0,
-        initial_layer_share=share,
-        initial_layer_dominates=bool(share > 0.5),
-    )
-
-
-# -- reference kernels ----------------------------------------------------------------
-
-
-def gaussian_kernel(coords, x0, sigma, t):
-    """Free heat kernel (4 pi sigma t)^(-N/2) exp(-|x-x0|^2 / 4 sigma t)."""
-    coords = np.asarray(coords, dtype=float)
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    N = coords.shape[-1]
-    r2 = np.sum((coords - x0) ** 2, axis=-1)
-    return (4 * np.pi * sigma * t) ** (-N / 2.0) * np.exp(-r2 / (4 * sigma * t))
+# -- reference kernel -----------------------------------------------------------------
 
 
 def interval_kernel(x, x0, R, sigma, t, images=12):
@@ -376,14 +309,4 @@ def interval_kernel(x, x0, R, sigma, t, images=12):
     out = np.zeros_like(x)
     for n in range(-images, images + 1):
         out += phi(x - x0 - 4 * R * n) - phi(x + x0 + 2 * R - 4 * R * n)
-    return out
-
-
-def box_kernel(coords, x0, R, sigma, t, images=12):
-    """Product of interval kernels: absorbing box (-R, R)^N."""
-    coords = np.asarray(coords, dtype=float)
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    out = np.ones(coords.shape[:-1])
-    for a in range(coords.shape[-1]):
-        out *= interval_kernel(coords[..., a], x0[a], R, sigma, t, images)
     return out

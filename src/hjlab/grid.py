@@ -130,7 +130,7 @@ def parabolic_distance(point, Q: Cylinder, kind="d", alpha=None, gamma=None):
     x, t = point
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not Q.contains(x, t):
-        raise ValueError(f"point {tuple(x)}, t={t} lies outside the cylinder")
+        raise ValueError(f"point {tuple(x.tolist())}, t={t} lies outside the cylinder")
     ds = max(Q.space_distance(x), 0.0)
     dtb = abs(Q.t1 - t)
     if kind == "d":
@@ -326,12 +326,6 @@ class ScalarField:
         vals[:, ~grid.active] = 0.0
         return cls(grid, vals)
 
-    def level(self, k: int) -> np.ndarray:
-        return self.values[k]
-
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
-
 
 @dataclass
 class VectorField:
@@ -344,9 +338,6 @@ class VectorField:
         expect = (self.grid.n_levels,) + self.grid.shape + (self.grid.dim,)
         if self.values.shape != expect:
             raise ValueError(f"values shape {self.values.shape} != {expect}")
-
-    def level(self, k: int) -> np.ndarray:
-        return self.values[k]
 
     def magnitude(self) -> np.ndarray:
         return np.sqrt(np.sum(self.values ** 2, axis=-1))
@@ -572,7 +563,7 @@ def sample_points(u: ScalarField, pts, t) -> np.ndarray:
         # name the first point outside: first row, then first axis, then point order
         r = int(np.argmax(out.any(axis=(1, 2))))
         a = int(np.argmax(out[r].any(axis=0)))
-        raise ValueError(f"sample point x={tuple(pts[r, np.argmax(out[r, :, a])])} outside the grid box")
+        raise ValueError(f"sample point x={tuple(pts[r, np.argmax(out[r, :, a])].tolist())} outside the grid box")
     lo, hi = g.ts[0] - 1e-9 * g.dt, g.ts[-1] + 1e-9 * g.dt
     if not (lo <= tt.min() and tt.max() <= hi):
         bad = float(tt[~((tt >= lo) & (tt <= hi))][0])

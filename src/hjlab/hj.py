@@ -28,9 +28,7 @@ from .grid import (
     evaluate,
     godunov_magnitude_gather,
     godunov_magnitude_level,
-    gradient_level,
     laplacian_level,
-    time_derivative,
 )
 
 CFL_EPS = 1e-12
@@ -149,17 +147,6 @@ class HJProblem:
         if self.h is None:
             self.h = self.h0
 
-    @property
-    def gamma_conj(self) -> float:
-        return gamma_conjugate(self.gamma)
-
-    @property
-    def alpha0(self) -> float:
-        return alpha_zero(self.gamma)
-
-    def q0(self, dim: int) -> float:
-        return critical_q0(self.gamma, dim)
-
     def check_h(self, grid: Grid, levels: np.ndarray, ts) -> None:
         """Raise ValueError if h leaves [h0, h1] (up to 1e-9*max(1, h1)).
 
@@ -175,9 +162,8 @@ class HJProblem:
             return np.asarray(self.terminal(grid.coords), dtype=float) * np.ones(grid.shape)
         return evaluate(self.terminal, grid, grid.ts[-1])
 
-    def lateral_values(self, grid: Grid, t: float) -> np.ndarray:
-        """Lateral data on the boundary layer, nodes in C order."""
-        xs = grid.coords[grid.boundary]
+    def lateral_values(self, xs: np.ndarray, t: float) -> np.ndarray:
+        """Lateral data at the points xs, shape (n, dim): a grid's boundary layer in C order."""
         if callable(self.lateral):
             return np.asarray(self.lateral(xs, float(t)), dtype=float) * np.ones(len(xs))
         return np.full(len(xs), float(self.lateral))
@@ -221,10 +207,11 @@ def solve_hj(problem: HJProblem, grid: Grid, gradient_bound: float | None = None
     constant or ScalarField f and constant lateral data for finiteness
     (ValueError naming the datum, its value, the first offending node and
     its time).  Constant h, f and lateral data become scalars or one vector
-    (the lateral term once per rung), and a field's two bracketing levels
-    are gathered once per macro step.  A callable h is checked each time it
-    is evaluated; a callable f or lateral datum that is not finite shows as
-    a blow-up.
+    (the lateral term once per rung), a callable lateral datum is evaluated
+    at boundary-layer coordinates gathered once, and a field's two
+    bracketing levels are gathered once per macro step.  A callable h is
+    checked each time it is evaluated; a callable f or lateral datum that is
+    not finite shows as a blow-up.
     """
     for datum in (problem.h, problem.f, problem.terminal):
         if isinstance(datum, ScalarField) and datum.grid.spec != grid.spec:
@@ -244,15 +231,16 @@ def solve_hj(problem: HJProblem, grid: Grid, gradient_bound: float | None = None
     n_int = len(int_idx)
     eye = sp.identity(n_int, format="csc")
     lu_cache: dict[int, object] = {}
+    bnd_xs = grid.coords[bnd_mask]
     if callable(problem.lateral):
 
         def lateral_at(t, j):
-            bnd = problem.lateral_values(grid, t)
+            bnd = problem.lateral_values(bnd_xs, t)
             return bnd, sigma * math.ldexp(macro_dt, -j) * (B @ bnd)
 
     else:
         _finite("lateral")(grid, np.full((1,) + grid.shape, float(problem.lateral)), grid.ts[:1])
-        bnd_const = problem.lateral_values(grid, grid.ts[-1])
+        bnd_const = problem.lateral_values(bnd_xs, grid.ts[-1])
         B_bnd = B @ bnd_const
         per_rung = {}
 
@@ -557,28 +545,3 @@ def legendre_gap(h: float, gamma: float, p_samples, grid_points: int = 33, refin
             hi = ts[min(kk + 1, grid_points - 1)]
         worst = max(worst, abs(best - target))
     return worst
-
-
-# -- differential inequality certificates ----------------------------------------------
-
-
-def differential_inequality_check(w: ScalarField, g_field, sigma, h0, h1, gamma):
-    """Min slacks of the two-sided inequalities over interior nodes/levels.
-
-    Returns (low, high): low = min(g - [-dw/ds - sigma*Lap w + h0|Dw|^g]),
-    high = min([-dw/ds - sigma*Lap w + h1|Dw|^g] - g).  Nonnegative values
-    certify the sub/supersolution pair; negative slack is a finding.  g is
-    read on w's grid by evaluate: a field on a covering grid is resampled.
-    """
-    grid = w.grid
-    wt = time_derivative(w)
-    g_vals = evaluate(g_field, grid)
-    mid = slice(1, grid.spec.nt)  # the levels with a central time difference
-    lap = laplacian_level(w.values[mid], grid.dx, grid.dim)
-    mag = np.sqrt(np.sum(gradient_level(w.values[mid], grid.dx, grid.dim) ** 2, axis=-1))
-    base = -wt[mid] - sigma * lap
-    e0 = base + h0 * mag ** gamma
-    e1 = base + h1 * mag ** gamma
-    lo = float(np.min((g_vals[mid] - e0)[:, grid.interior]))
-    hi = float(np.min((e1 - g_vals[mid])[:, grid.interior]))
-    return lo, hi

@@ -19,14 +19,12 @@ from .grid import (
     NumericalFailure,
     ScalarField,
     evaluate,
-    laplacian_level,
     lq_norm,
     make_grid,
     parabolic_distance,
     sample_field,
     sample_points,
     spacetime_integral,
-    time_derivative,
 )
 from .hj import (
     HJProblem,
@@ -34,11 +32,9 @@ from .hj import (
     critical_q0,
     discrete_residual,
     gamma_conjugate,
-    gradient_level,
     solve_hj,
 )
 from .seminorm import (
-    holder_seminorm,
     nonlinear_space,
     nonlinear_time,
     w21q_norms,
@@ -457,55 +453,3 @@ def maxreg_sweep(
                     )
                 rows.append(row)
     return rows
-
-
-# -- Hölder-to-Sobolev interpolation check -------------------------------------------------
-
-
-@dataclass
-class InterpolationBound:
-    alpha: float
-    c1: float  # ||g||_q + [v]_alpha on the large cylinder
-    c2_effective: float
-    k_fit: float  # ||dv/dt||_q + ||D^2 v||_q on the inner cylinder
-    dt_norm: float
-    hessian_norm: float
-
-
-def interpolation_bound_check(v: ScalarField, g_rhs, q: float, gamma: float, R: float) -> InterpolationBound:
-    """Fitted constant of the Hölder-to-W^{2,1}_q step at alpha = 2 - (N+2)/q."""
-    grid = v.grid
-    N = grid.dim
-    alpha = 2.0 - (N + 2) / q
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"exponent relation gives alpha={alpha}, needs 0 < alpha < 1")
-    if grid.spec.half_width < R + 2 * grid.dx - 1e-12:
-        raise ValueError("grid must pad the inner cylinder by 2 nodes")
-    big = grid.cylinder()
-    T = grid.spec.horizon
-    inner = Cylinder(
-        xmin=tuple([-R] * N),
-        xmax=tuple([R] * N),
-        t0=2 * grid.dt,
-        t1=T - 2 * grid.dt,
-    )
-    g_field = ScalarField(grid, evaluate(g_rhs, grid))
-    sem = holder_seminorm(v, alpha, big)
-    c1 = lq_norm(g_field, q, big) + sem.value
-
-    mid = slice(1, grid.spec.nt)  # the levels with a central time difference
-    lap = laplacian_level(v.values[mid], grid.dx, grid.dim)
-    mag = np.sqrt(np.sum(gradient_level(v.values[mid], grid.dx, grid.dim) ** 2, axis=-1))
-    lhs = np.abs(-time_derivative(v)[mid] - lap) - g_field.values[mid]
-    mask = grid.interior & (mag ** gamma > 1e-14)
-    c2 = max(float(np.max(lhs[mask] / mag[mask] ** gamma)), 0.0) if mask.any() else 0.0
-
-    norms = w21q_norms(v, q, gamma, inner)
-    return InterpolationBound(
-        alpha=alpha,
-        c1=c1,
-        c2_effective=c2,
-        k_fit=norms["dt"] + norms["hessian"],
-        dt_norm=norms["dt"],
-        hessian_norm=norms["hessian"],
-    )

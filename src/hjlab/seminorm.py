@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .grid import Cylinder, ScalarField, spacetime_integral
+from .grid import Cylinder, ScalarField, gradient_level, spacetime_integral, time_derivative
 
 
 @dataclass
@@ -610,8 +610,6 @@ def w21q_norms(u: ScalarField, q: float, gamma: float, Qp: Cylinder) -> dict:
             raise ValueError("Qp must keep a 2-node spatial margin from the boundary")
     if Qp.t0 < full.t0 + margin_t or Qp.t1 > full.t1 - margin_t:
         raise ValueError("Qp must keep a 2-level temporal margin from the boundary")
-
-    from .grid import gradient_level, time_derivative
 
     def norm_of(stack):
         np.abs(stack, out=stack)

@@ -238,7 +238,7 @@ def oracle_solve_hj(problem, grid, gradient_bound=None):
                 problem.check_h(grid, h_arr[None], [t_new])
                 f_arr = evaluate(problem.f, grid, t_new)
                 expl = v[int_mask] + dt * (f_arr[int_mask] - h_arr[int_mask] * G[int_mask] ** problem.gamma)
-                bnd_new = problem.lateral_values(grid, t_new)
+                bnd_new = problem.lateral_values(grid.coords[grid.boundary], t_new)
                 rhs = expl + problem.sigma * dt * (B @ bnd_new)
                 sol = factor(j).solve(rhs)
                 if not np.all(np.isfinite(sol)):

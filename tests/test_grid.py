@@ -86,37 +86,37 @@ def test_face_table_gives_the_per_node_lattice(dim, ball, n, dx):
 class TestCalculus:
     def test_gradient_affine_exact(self, grid_1d_fine):
         u = ScalarField.from_function(grid_1d_fine, lambda x, t: 3.0 * x[..., 0])
-        grad = gradient_level(u.level(0), u.grid.dx)
+        grad = gradient_level(u.values[0], u.grid.dx)
         np.testing.assert_allclose(grad[:, 0], 3.0, rtol=1e-12)
 
     def test_gradient_constant_zero(self, grid_1d_fine):
         u = ScalarField.constant(grid_1d_fine, 4.0)
-        assert np.all(gradient_level(u.level(1), u.grid.dx) == 0.0)
+        assert np.all(gradient_level(u.values[1], u.grid.dx) == 0.0)
 
     def test_gradient_quadratic_interior(self):
         g = make_grid(GridSpec(1, 1.0, 0.1, 1.0, 0.5))
         u = ScalarField.from_function(g, lambda x, t: x[..., 0] ** 2)
         i = g.nearest_node([0.5])[0]
-        assert abs(gradient_level(u.level(0), u.grid.dx)[i, 0] - 1.0) < 1e-12
+        assert abs(gradient_level(u.values[0], u.grid.dx)[i, 0] - 1.0) < 1e-12
 
     def test_polynomial_exactness_2d(self):
         g = make_grid(GridSpec(2, 1.0, 0.25, 1.0, 0.5))
         u = ScalarField.from_function(g, lambda x, t: x[..., 0] ** 2 + x[..., 1] ** 2)
-        lap = laplacian_level(u.level(0), u.grid.dx)
+        lap = laplacian_level(u.values[0], u.grid.dx)
         np.testing.assert_allclose(lap[1:-1, 1:-1], 4.0, rtol=1e-10)
         v = ScalarField.from_function(g, lambda x, t: 2.0 * x[..., 0] - x[..., 1])
-        grad = gradient_level(v.level(0), v.grid.dx)
+        grad = gradient_level(v.values[0], v.grid.dx)
         np.testing.assert_allclose(grad[..., 0], 2.0, rtol=1e-12)
         np.testing.assert_allclose(grad[..., 1], -1.0, rtol=1e-12)
 
     def test_laplacian_quadratic_1d(self):
         g = make_grid(GridSpec(1, 1.0, 0.125, 1.0, 0.5))
         u = ScalarField.from_function(g, lambda x, t: x[..., 0] ** 2)
-        np.testing.assert_allclose(laplacian_level(u.level(0), u.grid.dx)[1:-1], 2.0, rtol=1e-10)
+        np.testing.assert_allclose(laplacian_level(u.values[0], u.grid.dx)[1:-1], 2.0, rtol=1e-10)
 
     def test_laplacian_affine_zero(self, grid_1d_fine):
         u = ScalarField.from_function(grid_1d_fine, lambda x, t: 1.0 - 2.0 * x[..., 0])
-        np.testing.assert_allclose(laplacian_level(u.level(0), u.grid.dx)[1:-1], 0.0, atol=1e-11)
+        np.testing.assert_allclose(laplacian_level(u.values[0], u.grid.dx)[1:-1], 0.0, atol=1e-11)
 
 
 class TestGodunov:
@@ -124,32 +124,32 @@ class TestGodunov:
         # both selected branches clip to zero at the bottom kink of |x|
         g = make_grid(GridSpec(1, 1.0, 0.1, 1.0, 0.5))
         u = ScalarField.from_function(g, lambda x, t: np.abs(x[..., 0]))
-        assert godunov_magnitude_level(u.level(0), u.grid.dx)[g.nearest_node([0.0])[0]] == 0.0
+        assert godunov_magnitude_level(u.values[0], u.grid.dx)[g.nearest_node([0.0])[0]] == 0.0
 
     def test_peak_kink_selects_one(self):
         g = make_grid(GridSpec(1, 1.0, 0.1, 1.0, 0.5))
         u = ScalarField.from_function(g, lambda x, t: -np.abs(x[..., 0]))
-        assert abs(godunov_magnitude_level(u.level(0), u.grid.dx)[g.nearest_node([0.0])[0]] - 1.0) < 1e-12
+        assert abs(godunov_magnitude_level(u.values[0], u.grid.dx)[g.nearest_node([0.0])[0]] - 1.0) < 1e-12
 
     def test_constant_zero(self, grid_1d):
         u = ScalarField.constant(grid_1d, 2.5)
-        assert np.all(godunov_magnitude_level(u.level(0), u.grid.dx) == 0.0)
+        assert np.all(godunov_magnitude_level(u.values[0], u.grid.dx) == 0.0)
 
     def test_smooth_monotone_matches_central(self):
         g = make_grid(GridSpec(1, 1.0, 0.05, 1.0, 0.5))
         u = ScalarField.from_function(g, lambda x, t: 3.0 * x[..., 0])
         interior = slice(1, -1)
-        assert np.allclose(godunov_magnitude_level(u.level(0), u.grid.dx)[interior], 3.0, rtol=1e-12)
+        assert np.allclose(godunov_magnitude_level(u.values[0], u.grid.dx)[interior], 3.0, rtol=1e-12)
         # C^2 monotone profile: agreement within 2*dx
         v = ScalarField.from_function(g, lambda x, t: np.sin(x[..., 0]))
-        gm = godunov_magnitude_level(v.level(0), v.grid.dx)[interior]
-        gc = np.abs(gradient_level(v.level(0), v.grid.dx)[interior, 0])
+        gm = godunov_magnitude_level(v.values[0], v.grid.dx)[interior]
+        gc = np.abs(gradient_level(v.values[0], v.grid.dx)[interior, 0])
         assert np.max(np.abs(gm - gc)) <= 2 * g.dx
 
     def test_nonnegative_everywhere(self, grid_1d):
         u = random_field(grid_1d, seed=3)
         for k in range(grid_1d.n_levels):
-            assert np.all(godunov_magnitude_level(u.level(k), u.grid.dx) >= 0.0)
+            assert np.all(godunov_magnitude_level(u.values[k], u.grid.dx) >= 0.0)
 
 
 class TestLqNorm:
@@ -198,8 +198,10 @@ class TestParabolicDistance:
 
     def test_outside_rejected(self):
         Q = centered_cylinder(1.0, 1.0, dim=1)
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match=r"^point \(2\.0,\), t=0\.5 lies outside the cylinder$"):
             parabolic_distance(([2.0], 0.5), Q, "d")
+        with pytest.raises(ValueError, match=r"^point \(0\.0, -1\.5\), t=0\.5 lies outside the cylinder$"):
+            parabolic_distance((np.array([0.0, -1.5]), 0.5), centered_cylinder(1.0, 1.0, dim=2), "d")
 
 
 class TestSamplingAndIO:
@@ -482,7 +484,7 @@ class TestSampleTimes:
         pts = np.zeros((3, 2, 2))
         pts[2, 0] = (1.5, 0.0)  # the later time, first axis
         pts[1, 1] = (0.0, -1.5)  # the earlier time, second axis: reported first
-        with pytest.raises(ValueError, match=r"^sample point x=\(np.float64\(0.0\), np.float64\(-1.5\)\) outside"):
+        with pytest.raises(ValueError, match=r"^sample point x=\(0\.0, -1\.5\) outside the grid box$"):
             sample_points(u, pts, np.array([0.0, 0.5, 1.0]))
         with pytest.raises(ValueError, match="do not match 2 times"):
             sample_points(u, pts, np.array([0.0, 0.5]))

@@ -1,20 +1,87 @@
 """Module boundaries of hjlab, checked on the source."""
 
 import ast
-import importlib
-import inspect
-import pkgutil
+import pathlib
+from collections import Counter
 
 import hjlab
+
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "hjbench"
+
+# Public names that only tests call: the references the tests compare solvers and rescalings against.
+TEST_REFERENCES = ["hj.ms_constant", "hj.ms_linear_time", "scalelab.rescaled_residual"]
+
+
+def parsed(directory):
+    """{module name: parsed source} of the .py files in directory; hjlab's package module is __init__."""
+    return {p.stem: ast.parse(p.read_text()) for p in sorted(pathlib.Path(directory).glob("*.py"))}
+
+
+def names_in(node):
+    """Every name node mentions: identifiers, attributes, imported names and strings (hjbench names functions by string)."""
+    out = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            out[n.name] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out[n.value] += 1
+    return out
+
+
+def defined_in(tree):
+    """The names a module binds at top level by def, class or assignment (not by import)."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return out
 
 
 def test_no_module_imports_a_private_name_of_another():
     # an underscore name belongs to its module; importing it elsewhere makes a second owner
-    modules = [hjlab] + [importlib.import_module(f"hjlab.{m.name}") for m in pkgutil.iter_modules(hjlab.__path__)]
     found = []
-    for module in modules:
-        for node in ast.walk(ast.parse(inspect.getsource(module))):
+    for name, tree in parsed(pathlib.Path(hjlab.__file__).parent).items():
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").split(".")[0] == "hjlab"):
                 private = [a.name for a in node.names if a.name.startswith("_") and not a.name.endswith("__")]
-                found += [f"{module.__name__}:{node.lineno} imports {name}" for name in private]
+                found += [f"{name}:{node.lineno} imports {a}" for a in private]
     assert found == []
+
+
+def test_each_relative_import_names_what_its_module_defines():
+    # a name taken from a module that only imports it hides its owner
+    trees = parsed(pathlib.Path(hjlab.__file__).parent)
+    defined = {name: defined_in(tree) for name, tree in trees.items()}
+    found = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                source = node.module or "__init__"
+                found += [
+                    f"{name}:{node.lineno} imports {a.name} from {source}, which does not define it"
+                    for a in node.names
+                    if a.name not in defined[source]
+                ]
+    assert found == []
+
+
+def test_every_public_function_and_class_is_named_outside_its_definition():
+    # code that no module, export or benchmark names is reached only from tests
+    trees = parsed(pathlib.Path(hjlab.__file__).parent)
+    everywhere = sum((names_in(t) for t in [*trees.values(), *parsed(BENCH).values()]), Counter())
+    unnamed = [
+        f"{name}.{node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and everywhere[node.name] == names_in(node)[node.name]
+    ]
+    assert sorted(unnamed) == TEST_REFERENCES

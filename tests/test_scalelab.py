@@ -4,19 +4,15 @@ import pytest
 from hjlab.grid import (
     GridSpec,
     ScalarField,
-    gradient_level,
-    laplacian_level,
     make_grid,
     parabolic_distance,
     sample_points,
-    time_derivative,
 )
 from hjlab.hj import alpha_zero, manufactured_rhs, solve_manufactured
 from hjlab.scalelab import (
     BlowupParams,
     blowup_transform,
     closed_form_decay_budget,
-    interpolation_bound_check,
     inverse_blowup_transform,
     liouville_probe,
     maxreg_sweep,
@@ -395,49 +391,3 @@ class TestMaxregSweep:
         assert alpha_zero(3.0) == 0.5
         _, beta = singular_family(2.0, 0.25, 1)
         assert abs(beta - 0.95 * 3.0 / 2.0) < 1e-15
-
-
-class TestInterpolationBound:
-    def test_zero_field(self):
-        g = make_grid(GridSpec(1, 1.0, 0.0625, 1.0, 0.0625))
-        v = ScalarField.constant(g, 0.0)
-        rep = interpolation_bound_check(v, 0.0, 2.5, 3.0, 0.5)
-        assert rep.k_fit == 0.0
-
-    @pytest.mark.parametrize("dim, q", [(1, 2.5), (2, 3.0)])
-    def test_c2_is_that_of_a_per_level_loop(self, dim, q):
-        g = make_grid(GridSpec(dim, 1.0, 0.125, 1.0, 0.125))
-        v, gf = random_field(g, 31), random_field(g, 32)
-        gamma = 3.0
-        vt = time_derivative(v)
-        c2 = 0.0
-        for k in range(1, g.spec.nt):
-            lap = laplacian_level(v.values[k], g.dx)
-            mag = np.sqrt(np.sum(gradient_level(v.values[k], g.dx) ** 2, axis=-1))
-            lhs = np.abs(-vt[k] - lap) - gf.values[k]
-            mask = g.interior & (mag ** gamma > 1e-14)
-            if mask.any():
-                c2 = max(c2, float(np.max(lhs[mask] / mag[mask] ** gamma)))
-        rep = interpolation_bound_check(v, gf, q, gamma, 0.5)
-        assert rep.c2_effective == max(c2, 0.0) > 0.0
-
-    def test_exponent_relation_enforced(self):
-        g = make_grid(GridSpec(1, 1.0, 0.0625, 1.0, 0.0625))
-        v = ScalarField.constant(g, 0.0)
-        with pytest.raises(ValueError, match="alpha"):
-            interpolation_bound_check(v, 0.0, 3.0, 3.0, 0.5)  # alpha = 1 boundary case
-        rep = interpolation_bound_check(v, 0.0, 2.5, 3.0, 0.5)  # alpha = 0.8
-        assert abs(rep.alpha - 0.8) < 1e-14
-
-    def test_manufactured_stability_one_refinement(self):
-        from hjlab.hj import ms_sine
-
-        ms = ms_sine(1.0)
-        fits = []
-        for dx in (1 / 16, 1 / 32):
-            g = make_grid(GridSpec(1, 1.0, dx, 1.0, dx))
-            v = ScalarField.from_function(g, ms.u)
-            f = manufactured_rhs(ms, 3.0, 1.0, 1.0)
-            rep = interpolation_bound_check(v, f, 2.5, 3.0, 0.5)
-            fits.append(rep.k_fit)
-        assert 0.5 <= fits[0] / fits[1] <= 2.0
