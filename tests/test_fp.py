@@ -352,6 +352,17 @@ class TestAgainstKernels:
         gap = np.sum(np.abs(sol.m.values[-1] - ker)) / np.sum(ker)
         assert gap <= 0.02
 
+    def test_2d_box_kernel_product(self):
+        # the absorbing kernel of the square is the product of two interval kernels
+        R, tau = 2.0, 0.5
+        sol = driftless(1.0, R, tau, 0.125, 1 / 256, dim=2)
+        g = sol.grid
+        ker = interval_kernel(g.coords[..., 0], 0.0, R, 1.0, tau) * interval_kernel(g.coords[..., 1], 0.0, R, 1.0, tau)
+        gap = np.sum(np.abs(sol.m.values[-1] - ker)) / np.sum(ker)
+        assert gap <= 0.02
+        lost = 1.0 - np.sum(ker) * g.dx ** 2  # about 17% of the mass leaves by tau
+        assert abs(sol.outflux[-1] - lost) <= 0.02 * lost
+
     def test_kernel_vanishes_on_wall(self):
         x = np.array([-8.0, 8.0])
         np.testing.assert_allclose(interval_kernel(x, 0.3, 8.0, 1.0, 1.0), 0.0, atol=1e-15)
@@ -491,6 +502,11 @@ class TestDriftlessExit:
 
         gauss = (4.0) ** 0.25 * g_fn(0.75) / sqrt(pi)  # E|X|^1/2, X ~ N(0, 2)
         assert abs(moment_alpha(sol, 0.5).moment - gauss) / gauss < 0.20
+
+    def test_moment_stable_under_refinement(self):
+        # halving dx and dt moves the alpha = 1/2 moment at s = tau by under 1%
+        a, b = (moment_alpha(driftless(1.0, 8.0, 1.0, dx, dx / 16), 0.5).moment for dx in (0.125, 0.0625))
+        assert abs(a - b) <= 0.01 * b
 
     def test_outflux_monotone_in_R_and_tau(self):
         out_R = [driftless(1.0, R, 2.0, 0.25, 1 / 16).outflux[-1] for R in (4.0, 6.0, 8.0)]

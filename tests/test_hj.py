@@ -26,6 +26,7 @@ from hjlab.hj import (
     linf_error,
     manufactured_problem,
     manufactured_rhs,
+    ms_cosine,
     ms_linear_time,
     ms_sine,
     solve_hj,
@@ -117,6 +118,16 @@ class TestProblemValidation:
 
 
 class TestExponentIdentities:
+    @pytest.mark.parametrize(
+        "gamma, dim, gc, a0, q0",
+        [(3.0, 1, "3/2", "1/2", "2"), (4.0, 2, "4/3", "2/3", "3"), (2.5, 3, "5/3", "1/3", "3"), (5.0, 1, "5/4", "3/4", "12/5")],
+    )
+    def test_derived_exponents(self, gamma, dim, gc, a0, q0):
+        # gamma' = gamma/(gamma-1), alpha0 = (gamma-2)/(gamma-1), q0 = (N+2)(gamma-1)/gamma
+        assert math.isclose(gamma_conjugate(gamma), Fraction(gc), rel_tol=1e-15)
+        assert math.isclose(alpha_zero(gamma), Fraction(a0), rel_tol=1e-15)
+        assert math.isclose(critical_q0(gamma, dim), Fraction(q0), rel_tol=1e-15)
+
     def test_q0_gammaconj_product(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -435,6 +446,29 @@ class TestDiscreteResidual:
             want[k][g.interior] = r[g.interior]
         got = discrete_residual(u, p).values
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim, ball", [(1, False), (2, True)])
+    def test_constant_with_zero_forcing_has_zero_residual(self, dim, ball):
+        g = make_grid(GridSpec(dim, 1.0, 0.25, 1.0, 0.25, ball_mask=ball))
+        h = lambda x, t: 1.5 + 0.5 * np.sin(3 * x[..., 0] + t)
+        p = HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=2.0, h=h, f=0.0)
+        assert not np.any(discrete_residual(ScalarField.constant(g, 2.0), p).values)
+
+    @pytest.mark.parametrize("ms", [ms_sine(1.0), ms_cosine(1.0)], ids=["sine", "cosine"])
+    def test_sampled_exact_solution_has_first_order_residual(self, ms):
+        # one-sided differences in x and t: the defect of the exact solution halves with dx and dt
+        p = HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=1.0, f=manufactured_rhs(ms, 3.0, 1.0, 1.0))
+        res = []
+        for dx in (1 / 16, 1 / 32, 1 / 64):
+            g = make_grid(GridSpec(1, 1.0, dx, 1.0, dx / 4))
+            res.append(np.max(np.abs(discrete_residual(ScalarField.from_function(g, ms.u), p).values)))
+        assert all(1.6 <= a / b <= 2.4 for a, b in zip(res, res[1:]))
+
+    def test_sampled_linear_time_solution_solves_the_scheme(self):
+        ms = ms_linear_time(2.0, 1.0)
+        g = make_grid(GridSpec(2, 1.0, 0.125, 1.0, 1 / 16, ball_mask=True))
+        p = HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=1.0, f=manufactured_rhs(ms, 3.0, 1.0, 1.0))
+        assert np.max(np.abs(discrete_residual(ScalarField.from_function(g, ms.u), p).values)) <= 1e-12
 
     def test_solver_output_with_varying_h(self):
         g = make_grid(GridSpec(1, 1.0, 1 / 32, 1.0, 1 / 128))

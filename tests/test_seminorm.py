@@ -292,6 +292,17 @@ class TestScalingCovariance:
         b = holder_seminorm(v, alpha).value
         assert abs(a - b) < 1e-12 * max(1.0, a)
 
+    @pytest.mark.parametrize("name", list(MEMBERS))
+    def test_every_member_is_absolutely_homogeneous(self, name):
+        # scaling u by a power of two scales every quotient exactly, so the sup and its pair follow
+        g = make_grid(GridSpec(2, 1.0, 0.25, 1.0, 0.25, ball_mask=True))
+        u = random_field(g, 61)
+        base = member_scan(name, u, 0.5, gamma=3.0, c=1.0)
+        for lam in (4.0, -0.5):
+            got = member_scan(name, ScalarField(g, lam * u.values), 0.5, gamma=3.0, c=1.0)
+            assert (got.value, got.pair) == (abs(lam) * base.value, base.pair)
+        assert base.value > 0.0
+
 
 class TestQuotients:
     def test_space_quotient_linear(self):
