@@ -32,6 +32,7 @@ from .hj import (
     legendre_gap,
     manufactured_rhs,
     solve_hj,
+    solve_hj_many,
 )
 from .fp import FPProblem, FPSolution, drift_from_solution, kinetic_energy, solve_fp
 from .dual import (

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 import time
 from dataclasses import asdict
@@ -112,7 +113,8 @@ PARAMS = {
 def resolve(sub: str, config: str = "", flags: dict | None = None) -> dict:
     """The parameters `sub` reads: defaults, then `config` lines, then `flags`.
 
-    The values are checked once, after every override, and `gamma_conj` and
+    The values are checked once, after every override (a float must be
+    finite, flag or config key alike), and `gamma_conj` and
     `alpha0` are derived wherever `gamma` is read.  A config key that `sub`
     does not read is an error naming the key and the subcommand.
     """
@@ -129,6 +131,9 @@ def resolve(sub: str, config: str = "", flags: dict | None = None) -> dict:
             raise ValueError(f"unknown key {key!r}: {sub} reads {' '.join(names) or 'no parameters'}")
         params[key] = PARAMS[key].parse(val)
     params.update((k, flags[k]) for k in names if flags and flags.get(k) is not None)
+    for k in names:
+        if isinstance(params[k], float) and not math.isfinite(params[k]):
+            raise ValueError(f"--{k} must be a finite number, got {params[k]!r}")
     for k in names:
         if PARAMS[k].ok is not None and not PARAMS[k].ok(params):
             raise ValueError(PARAMS[k].rule)

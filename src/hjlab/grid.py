@@ -391,22 +391,25 @@ def godunov_magnitude_gather(centre: np.ndarray, values: np.ndarray, neighbours:
 
     centre holds the nodes' values; neighbours, shape (dim, 2, len(centre)),
     indexes each node's neighbours below and above along each axis in
-    values.  The arithmetic is that of godunov_magnitude_level node for
-    node, so at the interior nodes (centre = level[grid.interior], values =
-    level.ravel(), neighbours = grid.interior_neighbours()) the two agree
-    bit for bit.  A NaN or an infinity in values gives a non-finite
-    magnitude at the node or at the nodes it neighbours, without a warning.
+    values.  centre (n, k) and values (m, k) may hold k fields as columns,
+    each gathered as if alone.  The arithmetic is that of
+    godunov_magnitude_level node for node, so at the interior nodes
+    (centre = level[grid.interior], values = level.ravel(), neighbours =
+    grid.interior_neighbours()) the two agree bit for bit.  A NaN or an
+    infinity in values gives a non-finite magnitude at the node or at the
+    nodes it neighbours.  Steep or non-finite values make numpy warn of
+    overflow and invalid operations unless the caller silences them, as a
+    march does once for all its substeps.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        # backward difference and negated forward difference, each at least 0
-        diff = centre - values.take(neighbours)
-        diff /= dx
-        np.maximum(diff, 0.0, out=diff)
-        g = np.maximum(diff[:, 0], diff[:, 1])
-        g *= g
-        total = g[0]
-        for a in range(1, len(g)):
-            total += g[a]
+    # backward difference and negated forward difference, each at least 0
+    diff = centre - values.take(neighbours, axis=0)
+    diff /= dx
+    np.maximum(diff, 0.0, out=diff)
+    g = np.maximum(diff[:, 0], diff[:, 1])
+    g *= g
+    total = g[0]
+    for a in range(1, len(g)):
+        total += g[a]
     return np.sqrt(total, out=total)
 
 

@@ -567,29 +567,41 @@ def hessian_frobenius_level(values: np.ndarray, dx: float, dim: int | None = Non
     """Frobenius norm of the full second-difference Hessian; rim entries 0.
 
     The last dim axes are space (all axes by default); a leading axis, such
-    as the levels of a field, is carried along.
+    as the levels of a field, is carried along.  Each second difference is
+    formed in one buffer and summed into the result, so two field-sized
+    arrays are alive beside values.
     """
     nd = values.ndim
     space = range(nd - (nd if dim is None else dim), nd)
     lead = (slice(None),) * space.start
     inner = lead + (slice(1, -1),) * len(space)
     out = np.zeros_like(values)
-    acc = np.zeros_like(values[inner])
+    acc = out[inner]
+    d2 = np.empty_like(acc)
     for a in space:
         sl_p = list(inner)
         sl_m = list(inner)
         sl_p[a] = slice(2, None)
         sl_m[a] = slice(0, -2)
-        d2 = (values[tuple(sl_p)] - 2 * values[inner] + values[tuple(sl_m)]) / dx ** 2
-        acc += d2 ** 2
+        np.multiply(values[inner], 2, out=d2)
+        np.subtract(values[tuple(sl_p)], d2, out=d2)
+        d2 += values[tuple(sl_m)]
+        d2 /= dx ** 2
+        d2 *= d2
+        acc += d2
     if len(space) == 2:
         pp = values[lead + (slice(2, None), slice(2, None))]
         pm = values[lead + (slice(2, None), slice(None, -2))]
         mp = values[lead + (slice(None, -2), slice(2, None))]
         mm = values[lead + (slice(None, -2), slice(None, -2))]
-        dxy = (pp - pm - mp + mm) / (4 * dx ** 2)
-        acc += 2 * dxy ** 2
-    out[inner] = np.sqrt(acc)
+        np.subtract(pp, pm, out=d2)
+        d2 -= mp
+        d2 += mm
+        d2 /= 4 * dx ** 2
+        d2 *= d2
+        d2 *= 2
+        acc += d2
+    np.sqrt(acc, out=acc)
     return out
 
 

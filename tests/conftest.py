@@ -278,3 +278,59 @@ def oracle_solve_hj(problem, grid, gradient_bound=None):
         levels[k] = v
 
     return HJSolution(u=ScalarField(grid, levels), log=log)
+
+
+# -- oracle manufactured solutions ---------------------------------------------------
+# The manufactured families as closed-form lambdas of (x, t), and the right-hand
+# side formed from them at every call, as they were before ManufacturedSolution
+# was written as phi(x) psi(t).  The separable members must give the same values.
+
+
+def oracle_manufactured(name, *args):
+    """SimpleNamespace(u, u_t, grad, lap) of the family name with its parameters."""
+    if name == "sine":
+        (T,) = args
+        return SimpleNamespace(
+            u=lambda x, t: np.sin(np.pi * x[..., 0]) * (T - t),
+            u_t=lambda x, t: -np.sin(np.pi * x[..., 0]) * np.ones_like(x[..., 0]),
+            grad=lambda x, t: np.stack(
+                [np.pi * np.cos(np.pi * x[..., 0]) * (T - t)] + [np.zeros_like(x[..., 0])] * (x.shape[-1] - 1),
+                axis=-1,
+            ),
+            lap=lambda x, t: -np.pi ** 2 * np.sin(np.pi * x[..., 0]) * (T - t),
+        )
+    if name == "cosine":
+        T, A = args
+        return SimpleNamespace(
+            u=lambda x, t: A * np.cos(0.5 * np.pi * x[..., 0]) * (T - t),
+            u_t=lambda x, t: -A * np.cos(0.5 * np.pi * x[..., 0]) * np.ones_like(x[..., 0]),
+            grad=lambda x, t: np.stack(
+                [-A * 0.5 * np.pi * np.sin(0.5 * np.pi * x[..., 0]) * (T - t)]
+                + [np.zeros_like(x[..., 0])] * (x.shape[-1] - 1),
+                axis=-1,
+            ),
+            lap=lambda x, t: -A * 0.25 * np.pi ** 2 * np.cos(0.5 * np.pi * x[..., 0]) * (T - t),
+        )
+    if name == "linear_time":
+        c, T = args
+        return SimpleNamespace(
+            u=lambda x, t: c * (T - t) * np.ones_like(x[..., 0]),
+            u_t=lambda x, t: -c * np.ones_like(x[..., 0]),
+            grad=lambda x, t: np.zeros_like(x),
+            lap=lambda x, t: np.zeros_like(x[..., 0]),
+        )
+    (c,) = args
+    return SimpleNamespace(
+        u=lambda x, t: c * np.ones_like(x[..., 0]),
+        u_t=lambda x, t: np.zeros_like(x[..., 0]),
+        grad=lambda x, t: np.zeros_like(x),
+        lap=lambda x, t: np.zeros_like(x[..., 0]),
+    )
+
+
+def oracle_manufactured_rhs(ms, gamma, sigma, h):
+    def f(x, t):
+        gmag = np.sqrt(np.sum(ms.grad(x, t) ** 2, axis=-1))
+        return -ms.u_t(x, t) - sigma * ms.lap(x, t) + evaluate(h, None, t, x) * gmag ** gamma
+
+    return f

@@ -119,6 +119,18 @@ class TestDeclaredParameters:
         assert main(argv + ["--out", str(tmp_path / "x")]) == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--h1", "inf"), ("--gamma", "inf"), ("--gamma", "nan"), ("--sigma", "-inf")])
+    def test_non_finite_flag_exits_2_naming_it(self, flag, value, tmp_path, capsys):
+        argv = ["solve-hj", "--grid", "1,1,1/8,1,1/32", f"{flag}={value}", "--out", str(tmp_path / "x")]
+        assert main(argv) == 2
+        assert f"{flag} must be a finite number" in capsys.readouterr().err
+
+    def test_non_finite_config_value_exits_2_naming_the_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text("h1=inf\n")
+        assert main(["solve-hj", "--config", str(cfg), "--grid", "1,1,1/8,1,1/32", "--out", str(tmp_path / "x")]) == 2
+        assert "--h1 must be a finite number, got inf" in capsys.readouterr().err
+
     def test_unread_config_key_exits_2_naming_key_and_subcommand(self, tmp_path, capsys):
         cfg = tmp_path / "lab.cfg"
         cfg.write_text("dx=1/8\n")

@@ -428,7 +428,8 @@ class TestStackedOperators:
         v = rng.normal(size=g.shape) * 10.0 ** scale
         v[rng.random(g.shape) < flat] = 1.0  # runs of zero differences
         v[~g.active] = 0.0
-        got = godunov_magnitude_gather(v[g.interior], v.ravel(), g.interior_neighbours(), g.dx)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = godunov_magnitude_gather(v[g.interior], v.ravel(), g.interior_neighbours(), g.dx)
         assert same_bits(got, godunov_magnitude_level(v, g.dx)[g.interior])
 
     @pytest.mark.parametrize("dim, ball", [(1, False), (2, False), (2, True)])

@@ -30,11 +30,12 @@ from hjlab.hj import (
     ms_linear_time,
     ms_sine,
     solve_hj,
+    solve_hj_many,
     solve_manufactured,
     time_pair_exponent,
 )
 
-from conftest import counting_lu, oracle_solve_hj, random_field
+from conftest import counting_lu, oracle_manufactured, oracle_manufactured_rhs, oracle_solve_hj, random_field
 
 
 class TestProblemValidation:
@@ -47,6 +48,19 @@ class TestProblemValidation:
             HJProblem(gamma=3.0, sigma=1.5, h0=1.0, h1=1.0)
         with pytest.raises(ValueError, match="sigma"):
             HJProblem(gamma=3.0, sigma=0.0, h0=1.0, h1=1.0)
+
+    @pytest.mark.parametrize("name", ["gamma", "h0", "h1"])
+    def test_infinite_parameters_rejected(self, name):
+        kw = {**dict(gamma=3.0, sigma=1.0, h0=1.0, h1=1.0), name: math.inf}
+        if name == "h0":
+            kw["h1"] = math.inf  # h0 <= h1 holds, finiteness does not
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got inf$"):
+            HJProblem(**kw)
+
+    @pytest.mark.parametrize("name", ["gamma", "sigma", "h0", "h1"])
+    def test_nan_parameters_rejected(self, name):
+        with pytest.raises(ValueError):
+            HJProblem(**{**dict(gamma=3.0, sigma=1.0, h0=1.0, h1=1.0), name: math.nan})
 
     def test_h_bounds(self):
         with pytest.raises(ValueError, match="h0"):
@@ -407,6 +421,33 @@ class TestManufacturedRhs:
         val = f(np.array([[0.5]]), 0.0)[0]
         assert abs(val - (1.0 + np.pi ** 2)) < 1e-12
 
+    @pytest.mark.parametrize(
+        "name, args",
+        [("sine", (1.0,)), ("sine", (0.75,)), ("cosine", (1.0, 1.0)), ("cosine", (0.5, -3.0)),
+         ("linear_time", (2.0, 1.0)), ("linear_time", (-1.5, 0.5)), ("constant", (4.0,)), ("constant", (-2.0,))],
+    )
+    def test_separable_members_equal_the_closed_forms(self, name, args):
+        """u, u_t, grad and lap equal the closed forms; f and the lateral data have their bits.
+
+        The point sets alternate, so the spatial factors that f and lateral()
+        keep are formed anew whenever the points change.  A zero may differ
+        in sign only (ms_constant's u_t for c < 0), which f does not see.
+        """
+        ms = {"sine": ms_sine, "cosine": ms_cosine, "linear_time": ms_linear_time, "constant": hj.ms_constant}[name](*args)
+        ref = oracle_manufactured(name, *args)
+        h = lambda x, t: 1.5 + 0.5 * np.sin(x[..., 0] + t)
+        f, f_ref = manufactured_rhs(ms, 2.5, 0.75, h), oracle_manufactured_rhs(ref, 2.5, 0.75, h)
+        lateral = ms.lateral()
+        rng = np.random.default_rng(0)
+        grids = [make_grid(GridSpec(1, 1.0, 0.125, 1.0, 0.25)).coords, make_grid(GridSpec(2, 1.0, 0.25, 1.0, 0.25)).coords,
+                 rng.uniform(-1.0, 1.0, (9, 2))]
+        for x in grids + grids[::-1] + [grids[0].copy()]:
+            for t in (0.0, 0.3, 0.5):
+                for member in ("u", "u_t", "grad", "lap"):
+                    assert np.array_equal(getattr(ms, member)(x, t), getattr(ref, member)(x, t))
+                assert f(x, t).tobytes() == f_ref(x, t).tobytes()
+                assert lateral(x, t).tobytes() == ref.u(x, t).tobytes()
+
 
 class TestLegendre:
     def test_zero_momentum(self):
@@ -549,3 +590,143 @@ class TestMarchMatchesOracle:
             assert sol.log == ref.log
             assert n_lu == ref_lu
             assert len(sol.log) > g.spec.nt or not forced  # the bound forces substeps
+
+
+def _batch_problem(g, seed, gamma, h_kind, f_kind, lateral_kind, amplitude):
+    """An HJ problem on g with h, f and lateral data of the given kinds, drawn from seed."""
+    rng = np.random.default_rng(seed)
+    a, b, c = rng.uniform(-1.0, 1.0, 3)
+    stack = (g.n_levels,) + g.shape
+    h = {
+        "constant": float(rng.uniform(1.0, 2.0)),
+        "callable": lambda x, t: 1.5 + 0.5 * np.sin(3 * x[..., 0] + t) * np.cos(x[..., -1]),
+        "field": ScalarField(g, rng.uniform(1.0, 2.0, stack)),
+    }[h_kind]
+    f = {
+        "constant": 3.0 * a,
+        "callable": lambda x, t: 3.0 * a * np.cos(np.pi * x[..., 0]) + b * t,
+        "field": ScalarField(g, 2.0 * rng.normal(size=stack)),
+        "nan_late": lambda x, t: np.where(t < g.dt, np.nan, 3.0 * a) * np.ones_like(x[..., 0]),
+    }[f_kind]
+    lateral = {"constant": c, "callable": lambda x, t: c + b * t * x[..., 0]}[lateral_kind]
+    terminal = lambda x: c + amplitude * np.prod(np.cos(0.5 * np.pi * x), axis=-1)
+    return HJProblem(gamma=gamma, sigma=0.75, h0=1.0, h1=2.0, h=h, f=f, terminal=terminal, lateral=lateral)
+
+
+def _outcome(solve, *args):
+    """(values, log) of a solution, or (type, message) of the NumericalFailure it raised or returned."""
+    try:
+        res = solve(*args)
+    except NumericalFailure as exc:
+        res = exc
+    if isinstance(res, NumericalFailure):
+        return type(res), str(res)
+    return res.u.values, res.log
+
+
+def _same(got, want):
+    if isinstance(want[0], np.ndarray):
+        return np.array_equal(got[0], want[0]) and got[1] == want[1]
+    return got == want
+
+
+class TestSolveMany:
+    """solve_hj_many: each column as the plain substep loop solves it alone, bit for bit."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        dim=st.sampled_from([1, 2]),
+        ball=st.booleans(),
+        dx=st.sampled_from([0.25, 0.125]),
+        dt=st.sampled_from([0.125, 0.25]),
+        columns=st.lists(
+            st.tuples(
+                st.sampled_from([2.5, 3.0]),
+                st.sampled_from(["constant", "callable", "field"]),
+                st.sampled_from(["constant", "callable", "field", "nan_late"]),
+                st.sampled_from(["constant", "callable"]),
+                st.sampled_from([None, 4.0, 8.0]),
+                st.floats(0.0, 2.0),
+                st.integers(0, 2 ** 16),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    # groups that split on their rungs and on the CFL check, with a blow-up among them
+    @example(dim=1, ball=False, dx=0.125, dt=0.25, columns=[
+        (3.0, "constant", "constant", "constant", None, 2.0, 0),
+        (3.0, "constant", "field", "constant", 4.0, 2.0, 1),
+        (3.0, "field", "constant", "callable", None, 0.5, 2),
+        (3.0, "callable", "nan_late", "constant", 8.0, 1.0, 3),
+        (2.5, "constant", "callable", "callable", None, 2.0, 4),
+    ])
+    @example(dim=2, ball=True, dx=0.125, dt=0.125, columns=[
+        (3.0, "field", "field", "callable", None, 2.0, 5),
+        (3.0, "field", "field", "constant", None, 2.0, 6),
+        (3.0, "constant", "nan_late", "constant", 4.0, 1.0, 7),
+    ])
+    def test_each_column_is_its_solo_march(self, dim, ball, dx, dt, columns):
+        g = make_grid(GridSpec(dim, 1.0, dx, 2 * dt, dt, ball_mask=ball))
+        problems = [_batch_problem(g, seed, gamma, hk, fk, lk, amp) for gamma, hk, fk, lk, _, amp, seed in columns]
+        bounds = [col[4] for col in columns]
+        results = solve_hj_many(problems, g, bounds)
+        assert len(results) == len(problems)
+        for res, p, bound in zip(results, problems, bounds):
+            assert _same(_outcome(lambda: res), _outcome(oracle_solve_hj, p, g, bound))
+
+    def test_permuting_the_problems_permutes_the_results(self):
+        g = make_grid(GridSpec(1, 1.0, 0.125, 0.5, 0.25))
+        kinds = [("constant", "field", "constant"), ("callable", "nan_late", "callable"),
+                 ("field", "callable", "constant"), ("constant", "constant", "callable")]
+        problems = [_batch_problem(g, i, 3.0, *k, 1.5) for i, k in enumerate(kinds)]
+        bounds = [None, 4.0, 8.0, None]
+        base = [_outcome(lambda r=r: r) for r in solve_hj_many(problems, g, bounds)]
+        assert {type(r[0]) for r in base} == {np.ndarray, type}  # solutions and a failure
+        for perm in ([3, 2, 1, 0], [1, 3, 0, 2]):
+            got = solve_hj_many([problems[i] for i in perm], g, [bounds[i] for i in perm])
+            for res, i in zip(got, perm):
+                assert _same(_outcome(lambda: res), base[i])
+
+    def test_sweep_rows_share_one_factorization(self, monkeypatch):
+        """The six rows of a dx = 1/64 sweep factor once; marched one by one they factor six times."""
+        from hjlab import scalelab
+
+        kw = dict(q_list=[1.6, 2.4], eps_list=[1 / 4, 1 / 8, 1 / 16], gamma=3.0, dx_list=[1 / 64])
+        rows, n_lu = counting_lu(scalelab.maxreg_sweep, **kw)
+        monkeypatch.setattr(scalelab, "solve_hj_many", lambda problems, grid: [solve_hj(p, grid) for p in problems])
+        solo_rows, solo_lu = counting_lu(scalelab.maxreg_sweep, **kw)
+        assert (n_lu, solo_lu) == (1, 6)
+        assert repr(rows) == repr(solo_rows)
+
+    def test_data_errors_come_before_any_factorization(self):
+        g = make_grid(GridSpec(1, 1.0, 0.25, 0.5, 0.25))
+        good = HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=1.0, f=1.0)
+        bad = HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=1.0, f=math.inf)
+        with pytest.raises(ValueError, match="f is not finite") as info:
+            counting_lu(solve_hj_many, [good, bad], g)
+        assert info.value.lu_calls == 0
+
+    def test_empty_and_mismatched_bounds(self):
+        g = make_grid(GridSpec(1, 1.0, 0.25, 0.5, 0.25))
+        p = HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=1.0)
+        assert solve_hj_many([], g) == []
+        with pytest.raises(ValueError, match="2 gradient bounds for 1 problems"):
+            solve_hj_many([p], g, [None, 4.0])
+
+    def test_limits_fail_their_columns_only(self, monkeypatch):
+        g = make_grid(GridSpec(1, 1.0, 0.25, 1.0, 0.25))
+        calm = HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=1.0, terminal=lambda x: 0.1 * np.cos(0.5 * np.pi * x[..., 0]))
+        # flat terminal data take the full step; the forcing's gradient then breaks its CFL bound
+        steep = HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=1.0, f=lambda x, t: 50.0 * np.sin(3 * np.pi * x[..., 0]))
+        alone = solve_hj(calm, g)
+        monkeypatch.setattr(hj, "MAX_HALVINGS", 0)
+        first, failed, last = solve_hj_many([calm, steep, calm], g)
+        assert str(failed) == "CFL retry limit exceeded at node x=(-0.5,), t=0.75"
+        for res in (first, last):
+            assert np.array_equal(res.u.values, alone.u.values) and res.log == alone.log
+        monkeypatch.setattr(hj, "MAX_HALVINGS", 10)
+        monkeypatch.setattr(hj, "MAX_SUBSTEPS", 1)
+        kept, failed = solve_hj_many([calm, calm], g, [None, 40.0])  # the bound forces substeps
+        assert str(failed) == "CFL subcycle limit exceeded: > 1 substeps in one macro step"
+        assert np.array_equal(kept.u.values, alone.u.values) and kept.log == alone.log

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -343,6 +345,19 @@ class TestW21qNorms:
         n = w21q_norms(u, q, 3.0, Qp)
         vol = 1.0 * 0.5
         assert abs(n["hessian"] - vol ** (1 / q)) < 1e-10
+
+    def test_at_most_two_fields_beside_u(self):
+        """The docstring's memory bound: tracemalloc's peak stays within 2.2 field sizes."""
+        g = make_grid(GridSpec(1, 1.0, 1 / 128, 1.0, 1 / 512))
+        u = ScalarField(g, np.random.default_rng(0).normal(size=(g.n_levels,) + g.shape))
+        Qp = Cylinder(xmin=(-0.5,), xmax=(0.5,), t0=0.25, t1=0.75)
+        tracemalloc.start()
+        try:
+            w21q_norms(u, 2.0, 3.0, Qp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * u.values.nbytes
 
     def test_margin_enforced(self):
         g = make_grid(GridSpec(1, 1.0, 0.125, 1.0, 0.125))
