@@ -73,13 +73,16 @@ def parse_list(s: str) -> list[float]:
 
 
 def number_list(s: str) -> list[float]:
-    """argparse type of the list options: a bad or empty list exits 2 naming the flag."""
+    """argparse type of the list options: a bad, empty or non-finite list exits 2 naming the flag."""
     try:
         vals = parse_list(s)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     if not vals:
         raise argparse.ArgumentTypeError("expected a comma-separated list of numbers")
+    for v in vals:
+        if not math.isfinite(v):
+            raise argparse.ArgumentTypeError(f"entries must be finite numbers, got {v!r}")
     return vals
 
 

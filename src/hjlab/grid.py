@@ -59,9 +59,9 @@ class GridSpec:
             raise ValueError("dx must be positive")
         if not np.isfinite(self.dt) or self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.half_width <= 0:
+        if not np.isfinite(self.half_width) or self.half_width <= 0:
             raise ValueError("half_width must be positive")
-        if self.horizon <= 0:
+        if not np.isfinite(self.horizon) or self.horizon <= 0:
             raise ValueError("horizon must be positive")
         r = self.half_width / self.dx
         if not _is_integer(r) or round(r) < 2:
@@ -389,9 +389,10 @@ def godunov_magnitude_level(values: np.ndarray, dx: float, dim: int | None = Non
 def godunov_magnitude_gather(centre: np.ndarray, values: np.ndarray, neighbours: np.ndarray, dx: float) -> np.ndarray:
     """godunov_magnitude_level at chosen nodes, gathered from their face neighbours.
 
-    centre holds the nodes' values; neighbours, shape (dim, 2, len(centre)),
+    centre holds the nodes' values; neighbours, shape (dim, 2) + centre.shape,
     indexes each node's neighbours below and above along each axis in
-    values.  centre (n, k) and values (m, k) may hold k fields as columns,
+    values, flattened.  centre (k, n) may so hold k fields as rows, read
+    from the rows of a (k, m) values with neighbours offset by m per row,
     each gathered as if alone.  The arithmetic is that of
     godunov_magnitude_level node for node, so at the interior nodes
     (centre = level[grid.interior], values = level.ravel(), neighbours =
@@ -402,7 +403,7 @@ def godunov_magnitude_gather(centre: np.ndarray, values: np.ndarray, neighbours:
     march does once for all its substeps.
     """
     # backward difference and negated forward difference, each at least 0
-    diff = centre - values.take(neighbours, axis=0)
+    diff = centre - values.take(neighbours)
     diff /= dx
     np.maximum(diff, 0.0, out=diff)
     g = np.maximum(diff[:, 0], diff[:, 1])

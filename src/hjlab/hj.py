@@ -35,7 +35,7 @@ CFL_EPS = 1e-12
 CFL_SAFETY = 1.0  # substeps satisfy dt <= CFL_SAFETY * dx / (gamma h1 P^(gamma-1) + CFL_EPS)
 MAX_HALVINGS = 10  # retries one rung down per substep
 MAX_SUBSTEPS = 100000  # substeps per macro step
-RESIDUAL_BLOCK = 32  # accepted group substeps whose linear residuals one sparse product forms
+RESIDUAL_BLOCK = 32  # accepted batch substeps whose linear residuals one sparse product forms
 
 
 # -- derived exponents ---------------------------------------------------------
@@ -92,17 +92,16 @@ class _Sampler(NamedTuple):
     levels: np.ndarray | None = None
 
 
-def _level_blend(grid: Grid, level: Callable) -> Callable:
-    """t -> level(k), blended with level(k + 1) as grid.bracket places t unless t is level k.
+def _level_blend(ts: list, dt: float, level: Callable) -> Callable:
+    """t -> level(k), blended with level(k + 1) as grid.bracket places t on the levels ts unless t is level k.
 
     level(k) is formed at most once per backward march, which reads levels
     k and k + 1 with k falling.
     """
-    ts = grid.ts.tolist()
     level = functools.lru_cache(maxsize=2)(level)
 
     def at(t):
-        k, f = bracket(ts, t, grid.dt)
+        k, f = bracket(ts, t, dt)
         lo = level(k)
         return lo if f == 0 else (1 - f) * lo + f * level(k + 1)
 
@@ -123,7 +122,7 @@ def _interior_sampler(grid: Grid, obj, check=None) -> _Sampler:
     if isinstance(obj, ScalarField):
         if check is not None:
             check(grid, obj.values, grid.ts)
-        return _Sampler(_level_blend(grid, lambda k: obj.values[k][interior]), levels=obj.values)
+        return _Sampler(_level_blend(grid.ts.tolist(), grid.dt, lambda k: obj.values[k][interior]), levels=obj.values)
     if callable(obj):
 
         def at(t):
@@ -139,23 +138,29 @@ def _interior_sampler(grid: Grid, obj, check=None) -> _Sampler:
     return _Sampler(lambda t: c, const=c)
 
 
-def _stacked(grid: Grid, samplers: list) -> Callable:
-    """t -> the data of a group's columns at the interior nodes, column i with the bits of samplers[i].at(t).
+def _batched(grid: Grid, samplers: list) -> Callable:
+    """idx -> t -> the data of the columns idx at the interior nodes, one row per column with the bits of its at(t).
 
-    A group of one column reads its own sampler; constants become one row,
-    fields are stacked once per level and blended as one, and any other
-    mix is gathered column by column.
+    A column alone reads its own sampler.  Constants are one column of
+    values, fields are stacked once per level for all the columns and a
+    batch copies its rows once per level, and other mixes go row by row.
     """
-    if len(samplers) == 1:
-        return samplers[0].at
-    if all(s.const is not None for s in samplers):
-        c = np.array([s.const for s in samplers])
-        return lambda t: c
-    interior = grid.interior
-    if all(s.levels is not None for s in samplers):
-        return _level_blend(grid, lambda k: np.stack([s.levels[k][interior] for s in samplers], axis=1))
-    n = int(interior.sum())
-    return lambda t: np.stack([np.broadcast_to(s.at(t), n) for s in samplers], axis=1)
+    const = np.array([[np.nan if s.const is None else s.const] for s in samplers])
+    fields = all(s.levels is not None for s in samplers)
+    stacked = functools.lru_cache(maxsize=2)(lambda k: np.stack([s.levels[k][grid.interior] for s in samplers]))
+    n, ts = int(grid.interior.sum()), grid.ts.tolist()
+
+    def bind(idx):
+        ss = [samplers[i] for i in idx]
+        if len(ss) == 1:
+            return ss[0].at
+        if all(s.const is not None for s in ss):
+            return lambda t, c=const[idx]: c
+        if fields:
+            return _level_blend(ts, grid.dt, lambda k: stacked(k)[idx])
+        return lambda t: np.stack([np.broadcast_to(s.at(t), n) for s in ss])
+
+    return bind
 
 
 @dataclass
@@ -228,70 +233,62 @@ def solve_hj_many(problems, grid: Grid, gradient_bounds=None) -> list:
     """March several problems on one grid: an HJSolution or a NumericalFailure for each.
 
     Each problem (a column) is marched as if alone, with its own
-    gradient_bounds entry (default None).  Diffusion is implicit (direct
-    sparse solve per step), the Hamiltonian h * (Godunov |Du|)^gamma
-    explicit.  Every substep length is a dyadic rung grid.dt / 2**j: the
-    largest rung that fits in what is left of the macro step and satisfies
-    dt <= CFL_SAFETY * dx / (gamma*h1*P^(gamma-1) + eps) for P the larger
-    of the column's current Godunov gradient and its gradient bound.  A step
-    whose realized gradient invalidates its own dt is retried one rung down,
-    at most MAX_HALVINGS times, and a macro step may not need more than
-    MAX_SUBSTEPS substeps.  The time left in a macro step is kept as an
-    exact dyadic fraction, so round-off never opens an extra rung.
+    gradient_bounds entry (default None; else a finite number >= 0).
+    Diffusion is implicit (direct sparse solve per step), the Hamiltonian
+    h * (Godunov |Du|)^gamma explicit.  Every substep length is a dyadic
+    rung grid.dt / 2**j: the largest rung that fits in what is left of the
+    macro step and satisfies dt <= CFL_SAFETY * dx / (gamma*h1*P^(gamma-1) + eps)
+    for P the larger of the column's current Godunov gradient and its
+    gradient bound.  A step whose realized gradient invalidates its own dt
+    is retried one rung down, at most MAX_HALVINGS times, and a macro step
+    may not need more than MAX_SUBSTEPS substeps.  The time left in a macro
+    step is kept as an exact dyadic fraction, so round-off never opens an
+    extra rung.
 
     A substep is the explicit update, one LU solve and one Godunov pass over
     the interior nodes, gathered from their face neighbours.  A non-finite
     solve is a NumericalFailure naming the first non-finite node and the
     time.  Each accepted substep's relative linear residual
     max|(I - sigma dt L) sol - rhs| / max(1, max|rhs|) is logged; the
-    residuals are formed after the solves, RESIDUAL_BLOCK group substeps
-    per sparse product, and equal those of one mat-vec per substep.  A column
-    that fails drops out and the others go on.
+    residuals are formed RESIDUAL_BLOCK batch substeps per sparse product,
+    and equal those of one mat-vec per substep.  A column that fails drops
+    out and the others go on.
 
-    Columns that share sigma, gamma and h1 and stand at the same place on
-    the ladder march as one group: each group substep makes one explicit
-    update, one LU solve and one Godunov gather on (nodes, columns) arrays,
-    and a group splits where its columns pick different rungs or the CFL
-    check accepts some of them only.  In 1D one solve serves the group's
-    right-hand sides together; in 2D SuperLU's multi-right-hand-side solve
-    rounds differently from single solves, so each column is solved alone.
-    The diffusion matrix is LU-factored once per sigma and rung used.
-    Every column's values, log and failure are those of its solo march, bit
-    for bit.
+    Columns with the same sigma, gamma and h1 that take the same substep
+    take it as one batch (_March.family), with one LU solve (in 2D, where
+    SuperLU's multi-right-hand-side solve rounds differently, one per
+    column).  The diffusion matrix is LU-factored once per sigma and rung
+    used.  Every column's values, log and failure are those of its solo
+    march, bit for bit.
 
     A field h, f or terminal datum must live on grid (ValueError naming both
-    GridSpecs otherwise).  What cannot change within the march is prepared
-    and checked for every column before any factorization: a constant or
-    ScalarField h against [h0, h1] on all its nodes; the terminal level, a
-    constant or ScalarField f and constant lateral data for finiteness
-    (ValueError naming the datum, its value, the first offending node and
-    its time).  Constant h, f and lateral data become scalars or one vector
-    (the lateral term once per rung), a callable lateral datum is evaluated
-    at boundary-layer coordinates gathered once, and a field's two
-    bracketing levels are gathered once per macro step.  A callable h is
-    checked each time it is evaluated, and its ValueError ends the march; a
-    callable f or lateral datum that is not finite shows as a blow-up.
+    GridSpecs otherwise).  Before any factorization, a ValueError names a
+    bad gradient bound and its problem's position, a constant or ScalarField
+    h that leaves [h0, h1], or a terminal level, constant or ScalarField f
+    or constant lateral datum that is not finite (with the value, the first
+    offending node and its time).  A callable h is checked each time it is
+    evaluated, and its ValueError ends the march; a callable f or lateral
+    datum that is not finite shows as a blow-up.
     """
     problems = list(problems)
     bounds = [None] * len(problems) if gradient_bounds is None else list(gradient_bounds)
     if len(bounds) != len(problems):
         raise ValueError(f"{len(bounds)} gradient bounds for {len(problems)} problems")
+    for i, b in enumerate(bounds):
+        if b is not None and not 0.0 <= b < math.inf:
+            raise ValueError(f"gradient bound of problem {i} must be a finite number >= 0, got {b!r}")
     march = _March(grid)
     cols = [_Column(i, p, b, march) for i, p, b in zip(range(len(problems)), problems, bounds)]
     nt = grid.spec.nt
     march.levels = np.zeros((len(cols), nt + 1, grid.active.size))
-    for c in cols:
-        march.levels[c.index, nt] = c.terminal.ravel()
     families = {}
     for c in cols:
+        march.levels[c.index, nt] = c.terminal.ravel()
         families.setdefault((c.problem.sigma, c.problem.gamma, c.problem.h1), []).append(c)
     # a blow-up shows as non-finite values, checked after each solve, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
-        groups = [march.start(fam) for fam in families.values()]
-        while groups:  # groups that split march on from the level they split at, merged per family
-            k = max(g.k for g in groups)
-            ready = march.regroup([g for g in groups if g.k == k])
-            groups = [g for g in groups if g.k != k] + [part for g in ready for part in march.advance(g)]
+        for family in families.values():
+            march.family(family)
         march.log_pending()
     shape = (nt + 1,) + grid.shape
     return [
@@ -316,23 +313,15 @@ class _Column:
         _finite("terminal")(grid, self.terminal[None], grid.ts[-1:])
         self.terminal[~grid.active] = 0.0
         sigma, macro_dt, B, bnd_xs = problem.sigma, grid.dt, march.B, march.bnd_xs
-        self.lateral_varies = callable(problem.lateral)
-        if self.lateral_varies:
-
-            def lateral_at(t, j):
-                bnd = problem.lateral_values(bnd_xs, t)
-                return bnd, sigma * math.ldexp(macro_dt, -j) * (B @ bnd)
-
-        else:
+        self.lateral_varies = varies = callable(problem.lateral)
+        if not varies:
             _finite("lateral")(grid, np.full((1,) + grid.shape, float(problem.lateral)), grid.ts[:1])
             bnd_const = problem.lateral_values(bnd_xs, grid.ts[-1])
-            B_bnd = B @ bnd_const
-            per_rung = {}
 
-            def lateral_at(t, j):  # the same on every substep of a rung
-                if j not in per_rung:
-                    per_rung[j] = bnd_const, sigma * math.ldexp(macro_dt, -j) * B_bnd
-                return per_rung[j]
+        def lateral_at(t, j):
+            """The boundary values at t and the lateral term of a substep on rung j."""
+            bnd = problem.lateral_values(bnd_xs, t) if varies else bnd_const
+            return bnd, sigma * math.ldexp(macro_dt, -j) * (B @ bnd)
 
         self.lateral_at = lateral_at
         self.P_user = gradient_bound if gradient_bound is not None else 0.0
@@ -341,65 +330,56 @@ class _Column:
         self.failure = None
 
 
-def _stacked_lateral(cols) -> Callable:
-    """(t, j) -> (boundary values, lateral term) of a group's columns, one column each."""
-    if len(cols) == 1:
-        return cols[0].lateral_at
+def _batched_lateral(cols) -> Callable:
+    """idx -> (t, j) -> (boundary values, lateral term) of the columns idx, one row per column with the bits of its lateral_at(t, j).
 
-    def columns(t, j):
-        pairs = [c.lateral_at(t, j) for c in cols]
-        return _columns([b for b, _ in pairs]), _columns([x for _, x in pairs])
-
-    if any(c.lateral_varies for c in cols):
-        return columns
-    per_rung = {}
-
-    def at(t, j):  # the same on every substep of a rung
-        if j not in per_rung:
-            per_rung[j] = columns(t, j)
-        return per_rung[j]
-
-    return at
-
-
-class _Group:
-    """Columns of one (sigma, gamma, h1) at one place on the ladder, marching together.
-
-    V and G hold the columns' interior values and Godunov magnitudes, one
-    column each, or vectors in a group of one column, which so does the
-    work of a single solve; cfl their CFL steps for the next rung choice;
-    t_cur the time reached, k the level to reach next, and left / 2**e
-    the time left to it in units of grid.dt.
+    Constant lateral data are stacked once per rung for all the columns,
+    and a batch copies its rows once per rung; a column alone reads its own
+    varying data.
     """
+    per_rung = {}  # constant lateral data: the same on every substep of a rung
+    varies = any(c.lateral_varies for c in cols)
 
-    def __init__(self, march, cols, V, cfl, t_cur, k, G=None, left=1, e=0, substeps=0):
-        self.cols, self.V, self.G, self.cfl, self.t_cur, self.k = cols, V, G, cfl, t_cur, k
-        self.bnd = None  # the boundary values that go with V, once a substep has set them
-        self.left, self.e, self.substeps = left, e, substeps
-        self.at = _index([c.index for c in cols])
-        # the columns' levels as a view (levels, nodes[, columns]), where numpy can make one
-        if len(cols) == 1:
-            self.levels = march.levels[cols[0].index]
-        else:
-            self.levels = march.levels[self.at].transpose(1, 2, 0) if isinstance(self.at, slice) else None
-        p = cols[0].problem
-        self.sigma, self.gamma, self.h1 = p.sigma, p.gamma, p.h1
-        self.f_at = _stacked(march.grid, [c.f for c in cols])
-        self.h_at = _stacked(march.grid, [c.h for c in cols])
-        self.lateral_at = _stacked_lateral(cols)
-        # a state column: the interior values, then the boundary layer's
-        self.state = np.empty((march.n_int + len(march.bnd_flat),) + V.shape[1:])
-        self.one_solve = march.grid.dim == 1 or len(cols) == 1
-        self.bounds = [(c.P_user, c.cfl_user) for c in cols]
+    def bind(idx):
+        ats, mine = [cols[i].lateral_at for i in idx], {}
+        if varies:
+            return ats[0] if len(ats) == 1 else lambda t, j: tuple(map(np.stack, zip(*[at(t, j) for at in ats])))
 
-    def take(self, march, idx):
-        """The group of the columns at positions idx, at the same place on the ladder."""
-        return _Group(march, [self.cols[i] for i in idx], _pick(self.V, idx), [self.cfl[i] for i in idx],
-                      self.t_cur, self.k, _pick(self.G, idx), self.left, self.e, self.substeps)
+        def at(t, j):
+            if j not in mine:
+                if j not in per_rung:
+                    per_rung[j] = tuple(map(np.stack, zip(*[c.lateral_at(t, j) for c in cols])))
+                mine[j] = tuple(x[idx] for x in per_rung[j])
+            return mine[j]
+
+        return at
+
+    return bind
 
 
 def _cfl_dt(P, gamma, h1, dx):
     return dx / (gamma * h1 * max(P, 0.0) ** (gamma - 1.0) + CFL_EPS)
+
+
+def _rungs(left, e, cfls, macro_dt) -> list:
+    """The rung j of a fresh substep for each CFL step in cfls: the largest macro_dt / 2**j within the time left, left / 2**e macro steps, and within CFL_SAFETY times the step."""
+    j0 = max(0, e + 1 - left.bit_length())  # the least j with macro_dt / 2**j within the time left
+    rungs = []
+    for limit in cfls:
+        j = j0
+        while math.ldexp(macro_dt, -j) > limit * CFL_SAFETY:
+            j += 1
+        rungs.append(j)
+    return rungs
+
+
+def _key(left, e, j, halvings):
+    """The key of a substep on rung j that starts left / 2**e macro steps before its level: its end, as a fraction and in lowest terms, its rung and its halvings."""
+    if j > e:
+        left, e = left << (j - e), j
+    left -= 1 << (e - j)
+    z = (left & -left).bit_length() - 1 if left else e
+    return left / (1 << e), left >> z, e - z, j, halvings
 
 
 def _index(idx):
@@ -409,31 +389,6 @@ def _index(idx):
     return np.asarray(idx)
 
 
-def _columns(vectors):
-    """The vectors as the columns of a group's array: the vector itself for one column."""
-    return vectors[0] if len(vectors) == 1 else np.stack(vectors, axis=1)
-
-
-def _pick(a, idx):
-    """The columns idx of a group's (n, m) array: a vector for one column."""
-    return a[:, idx[0]] if len(idx) == 1 else a[:, idx]
-
-
-def _column(a, i):
-    """Column i of a group's array, a vector in a group of one column."""
-    return a if a.ndim == 1 else a[:, i]
-
-
-def _rows(a):
-    """A group's (n, m) array as rows, one per column; a vector as one row."""
-    return a[None] if a.ndim == 1 else a.T
-
-
-def _column_max(a) -> list:
-    """The largest entry of each column, a vector being one column."""
-    return [float(a.max())] if a.ndim == 1 else a.max(axis=0).tolist()
-
-
 class _March:
     """What the columns of one march share: the grid's operators, the LU factors, the levels and the pending log."""
 
@@ -441,21 +396,20 @@ class _March:
         self.grid = grid
         self.L, self.B, int_idx, _ = grid.laplacian_ops()
         self.n_int = n_int = len(int_idx)
-        self.int_flat, self.bnd_flat = np.flatnonzero(grid.interior), np.flatnonzero(grid.boundary)
-        self.int_at, self.bnd_at = _index(self.int_flat), _index(self.bnd_flat)
         self.bnd_xs = grid.coords[grid.boundary]
         self.ts = grid.ts.tolist()
         self.eye = sp.identity(n_int, format="csc")
         self.lu = {}
-        # each interior node's face neighbours as rows of a group's state
-        slot = np.empty(grid.active.size, dtype=np.intp)
-        slot[self.int_flat] = np.arange(n_int)
-        slot[self.bnd_flat] = np.arange(n_int, n_int + len(self.bnd_flat))
-        self.neighbours = slot[grid.interior_neighbours()]
+        # A state holds a level of some columns, one column each, in slots: the
+        # interior nodes, the boundary layer's, and one zero row for the inactive ones.
+        self.nodes = np.concatenate([np.flatnonzero(grid.interior), np.flatnonzero(grid.boundary)])
+        self.slot = np.full(grid.active.size, len(self.nodes))
+        self.slot[self.nodes] = np.arange(len(self.nodes))
+        self.neighbours = self.slot[grid.interior_neighbours()]
         # A -inf solve value turns the Godunov magnitude non-finite only at its
         # interior neighbours; an interior node without one needs its own check.
         self.lone = not (self.neighbours < n_int).any(axis=(0, 1)).all()
-        # accepted group substeps whose linear residuals are not formed yet, their solutions and right-hand sides as _rows
+        # accepted batch substeps whose linear residuals are not formed yet, their solutions and right-hand sides as rows
         self.pending = []
         self.levels = None
 
@@ -465,165 +419,150 @@ class _March:
             lus[j] = spla.splu((self.eye - sigma * math.ldexp(self.grid.dt, -j) * self.L).tocsc())
         return lus[j]
 
-    def start(self, cols):
-        """The group of cols at the terminal level."""
-        g = _Group(self, cols, _columns([c.terminal.ravel()[self.int_flat] for c in cols]), None, self.ts[-1], self.grid.spec.nt - 1)
-        g.state[: self.n_int] = g.V
-        g.state[self.n_int :] = _columns([c.terminal.ravel()[self.bnd_flat] for c in cols])
-        g.G = godunov_magnitude_gather(g.V, g.state, self.neighbours, self.grid.dx)
-        g.cfl = [_cfl_dt(max(m, c.P_user), g.gamma, g.h1, self.grid.dx) for c, m in zip(cols, _column_max(g.G))]
-        return g
+    def family(self, cols):
+        """March the columns of one family (shared sigma, gamma and h1) from the terminal level to level 0.
 
-    def regroup(self, done):
-        """The groups that reached one level, merged per (sigma, gamma, h1), at the start of the next macro step."""
-        families = {}
-        for g in done:
-            g.left, g.e, g.substeps = 1, 0, 0
-            families.setdefault((g.sigma, g.gamma, g.h1), []).append(g)
-        if len(families) == len(done):  # nothing to merge
-            return done
-        groups = []
-        for parts in families.values():
-            if len(parts) == 1:
-                g = parts[0]
-            else:
-                cols = [c for p in parts for c in p.cols]
-                cfl = [x for p in parts for x in p.cfl]
-                order = np.argsort([c.index for c in cols])
-                V = np.column_stack([p.V for p in parts])[:, order]
-                G = np.column_stack([p.G for p in parts])[:, order]
-                g = _Group(self, [cols[i] for i in order], V, [cfl[i] for i in order], parts[0].t_cur, parts[0].k, G)
-            groups.append(g)
-        return groups
-
-    def store(self, g, k, V, bnd):
-        """Interior values V and boundary values bnd become level k of g's columns."""
-        if g.levels is None:  # columns that do not follow one another
-            self.levels[g.at[:, None], k, self.int_flat] = V.T
-            self.levels[g.at[:, None], k, self.bnd_flat] = bnd.T
-        else:
-            level = g.levels[k]
-            level[self.int_at] = V
-            level[self.bnd_at] = bnd
-
-    def advance(self, g, retry=None, stop=0):
-        """March group g from level g.k + 1 down to level stop, storing each level.
-
-        A column that fails drops out with its failure.  Where the columns
-        pick different rungs, or the CFL check passes some of them only, g
-        splits: each part marches alone to the end of that macro step, and
-        the parts come back, to be merged, with the next level still to
-        reach; retry = (rung, halvings, hamiltonian) resumes a part whose
-        substep is retried.  Returns the groups that still have levels to
-        reach.
+        The family keeps its interior values V and Godunov magnitudes G with
+        one contiguous row per column, and each column's place on the ladder
+        (left / 2**e macro steps before level k), substeps in the macro step,
+        CFL step and time in lists.  The columns waiting under one key take
+        that substep as one batch, the latest-ending first.  A batch marches
+        on while its columns agree on the next rung and nobody waits for that
+        substep, across levels while it holds every live column; otherwise it
+        hands its columns back.  Columns at level k wait there for the others.
         """
-        grid, dx, macro_dt, n_int, lone, neighbours = self.grid, self.grid.dx, self.grid.dt, self.n_int, self.lone, self.neighbours
-        gamma, sigma, pending = g.gamma, g.sigma, self.pending
-        gh, gm1 = gamma * g.h1, gamma - 1.0
-        lus = self.lu.setdefault(sigma, {})  # LU factors by rung
-        f_at, h_at, lateral_at, state, one_solve, bounds = g.f_at, g.h_at, g.lateral_at, g.state, g.one_solve, g.bounds
-        # g's state lives in locals while it marches, and goes back to g where it splits or stops
-        cols, V, G, bnd, cfl, t_cur, left, e, substeps, k = g.cols, g.V, g.G, g.bnd, g.cfl, g.t_cur, g.left, g.e, g.substeps, g.k
-        done = []
+        grid, neighbours, lone, pending, ts, n_int, slot = self.grid, self.neighbours, self.lone, self.pending, self.ts, self.n_int, self.slot
+        dx, macro_dt, one_solve, n_rows = grid.dx, grid.dt, grid.dim == 1, len(self.nodes) + 1
+        p = cols[0].problem
+        sigma, gamma, gh, gm1 = p.sigma, p.gamma, p.gamma * p.h1, p.gamma - 1.0
+        lus, m = self.lu.setdefault(sigma, {}), len(cols)  # LU factors by rung
+        # the interior nodes' neighbours in a flattened state of b rows
+        neighbours_of = functools.lru_cache(lambda b: neighbours[:, :, None, :] + n_rows * np.arange(b)[:, None])
+        state = np.zeros((m, n_rows))
+        state[:, :-1] = np.stack([c.terminal.ravel()[self.nodes] for c in cols])
+        V = state[:, :n_int]
+        G = godunov_magnitude_gather(V, state, neighbours_of(m), dx)
+        f_of, h_of, lateral_of = _batched(grid, [c.f for c in cols]), _batched(grid, [c.h for c in cols]), _batched_lateral(cols)
+        bounds = [(c.P_user, c.cfl_user) for c in cols]
+        # the next rung is chosen for the larger of the gradient and the column's bound
+        cfl = [u if P > g else _cfl_dt(g, gamma, p.h1, dx) for (P, u), g in zip(bounds, G.max(axis=1).tolist())]
+        left, e, subs, t_cur = [1] * m, [0] * m, [0] * m, [ts[-1]] * m
+        waiting, reached = {}, list(range(m))  # key -> the columns waiting for that substep; the columns at level k
+        k = len(ts) - 1
 
-        while k >= stop:
-            t_target = self.ts[k]
-            while left > 0:
-                if retry is not None:
-                    (j, halvings, hamiltonian), retry = retry, None
-                else:
-                    substeps += 1
-                    if substeps > MAX_SUBSTEPS:
-                        for c in cols:
-                            c.failure = NumericalFailure(
-                                f"CFL subcycle limit exceeded: > {MAX_SUBSTEPS} substeps in one macro step"
-                            )
-                        return done
-                    j0 = 0
-                    while (left << j0) < (1 << e):
-                        j0 += 1
-                    rungs = []
-                    for limit in cfl:
-                        limit *= CFL_SAFETY
-                        j = j0
-                        while math.ldexp(macro_dt, -j) > limit:
-                            j += 1
-                        rungs.append(j)
-                    j = rungs[0]
-                    if rungs.count(j) < len(rungs):
-                        # g splits where it stands; each part takes this substep again, on one rung
-                        g.V, g.G, g.cfl, g.t_cur, g.left, g.e, g.substeps, g.k = V, G, cfl, t_cur, left, e, substeps - 1, k
-                        for r in sorted(set(rungs)):
-                            done += self.advance(g.take(self, [i for i, ri in enumerate(rungs) if ri == r]), stop=k)
-                        return done
-                    hamiltonian = G ** gamma
-                    halvings = 0
-                while True:
-                    dt = math.ldexp(macro_dt, -j)
-                    if j > e:
-                        left, e = left << (j - e), j
-                    left_new = left - (1 << (e - j))
-                    t_new = t_target + (left_new / (1 << e)) * macro_dt
-                    rhs = V + dt * (f_at(t_new) - h_at(t_new) * hamiltonian)
-                    bnd_new, lateral_term = lateral_at(t_new, j)
-                    rhs += lateral_term
-                    lu = lus[j] if j in lus else self.factor(sigma, j)
-                    if one_solve:
-                        sol = lu.solve(rhs)
-                    else:  # in 2D SuperLU's multi-right-hand-side solve rounds differently from single solves
-                        sol = np.stack([lu.solve(rhs[:, i]) for i in range(len(cols))], axis=1)
-                    state[:n_int] = sol
-                    state[n_int:] = bnd_new
-                    G_new = godunov_magnitude_gather(sol, state, neighbours, dx)
-                    g_max = _column_max(G_new)
-                    blown = []
-                    if lone or not all(map(math.isfinite, g_max)):
-                        blown = [
-                            i for i, m in enumerate(g_max)
-                            if (lone or not math.isfinite(m)) and not np.isfinite(_column(sol, i)).all()
-                        ]
-                    cfl_new = [dx / (gh * max(m, 0.0) ** gm1 + CFL_EPS) for m in g_max]  # _cfl_dt, inlined
-                    ok = [dt <= c * (1.0 + 1e-12) for c in cfl_new]
-                    if not blown and False not in ok:
-                        break
-                    if not blown and True not in ok:  # all of g retries one rung down
-                        halvings += 1
-                        if halvings > MAX_HALVINGS:
-                            for i, c in enumerate(cols):
-                                c.failure = self.retry_failure(_column(sol, i), _column(bnd_new, i), g_max[i], t_new)
-                            return done
+        def wait(i, j=None, halvings=0):
+            """Column i waits for its next substep: a fresh one, on the rung its CFL step allows, or a retry on rung j."""
+            if j is None:
+                subs[i] += 1
+                if subs[i] > MAX_SUBSTEPS:
+                    cols[i].failure = NumericalFailure(f"CFL subcycle limit exceeded: > {MAX_SUBSTEPS} substeps in one macro step")
+                    return
+                (j,) = _rungs(left[i], e[i], [cfl[i]], macro_dt)
+            waiting.setdefault(_key(left[i], e[i], j, halvings), []).append(i)
+
+        def hand_back(pos, Vp, Gp, cfl_p, t, lf, ef, steps):
+            """Columns pos stand at t with the values Vp, magnitudes Gp and CFL steps cfl_p, lf / 2**ef before level k."""
+            V[pos], G[pos] = Vp, Gp
+            for i, x in zip(pos, cfl_p):
+                cfl[i], t_cur[i], left[i], e[i] = x, t, lf, ef
+                subs[i] += steps
+
+        def form(idx):
+            """A batch of the columns idx: its size, whether it holds every live column, its columns, where their levels go, their bounds and data."""
+            batch = [cols[i] for i in idx]
+            whole = len(idx) == sum(c.failure is None for c in cols)
+            return len(idx), whole, batch, _index([c.index for c in batch]), [bounds[i] for i in idx], f_of(idx), h_of(idx), lateral_of(idx)
+
+        while waiting or reached:
+            if not waiting:  # every live column stands at level k
+                k -= 1
+                if k < 0:
+                    return
+                for i in reached:
+                    left[i], e[i], subs[i] = 1, 0, 0
+                    wait(i)
+                reached = []
+                continue
+            key = max(waiting)
+            idx, j, halvings = sorted(waiting.pop(key)), key[3], key[4]
+            b, whole, cols_b, at, bounds_b, f_at, h_at, lateral_at = form(idx)
+            V_b, G_b, cfl_b = V[idx], G[idx], [cfl[i] for i in idx]
+            lf, ef, t_from, t_target = left[idx[0]], e[idx[0]], t_cur[idx[0]], ts[k]
+            top, steps = max(subs[i] for i in idx), 0  # the most substeps a column took, and the batch's since
+            state = np.zeros((b, n_rows))
+            hamiltonian = G_b ** gamma
+            while True:
+                dt = math.ldexp(macro_dt, -j)
+                if j > ef:
+                    lf, ef = lf << (j - ef), j
+                lf_new = lf - (1 << (ef - j))
+                t_new = t_target + (lf_new / (1 << ef)) * macro_dt
+                f = f_at(t_new)
+                rhs = h_at(t_new) * hamiltonian  # then V_b + dt * (f - rhs) + the lateral term, in place
+                np.subtract(f, rhs, out=rhs)
+                rhs *= dt
+                rhs += V_b
+                bnd_new, lateral_term = lateral_at(t_new, j)
+                rhs += lateral_term
+                lu = lus[j] if j in lus else self.factor(sigma, j)
+                # in 2D SuperLU's solve of several right-hand sides rounds differently from single solves
+                sol = lu.solve(rhs.T).T if one_solve or b == 1 else np.array([lu.solve(r) for r in rhs])
+                state[:, :n_int] = sol
+                state[:, n_int:-1] = bnd_new
+                G_new = godunov_magnitude_gather(sol, state, neighbours_of(b), dx)
+                g_max = G_new.max(axis=1).tolist()
+                blown = []
+                if lone or not all(map(math.isfinite, g_max)):
+                    blown = [c for c, g in enumerate(g_max) if (lone or not math.isfinite(g)) and not np.isfinite(sol[c]).all()]
+                cfl_new = [dx / (gh * max(g, 0.0) ** gm1 + CFL_EPS) for g in g_max]  # _cfl_dt, inlined
+                ok = [dt <= x * (1.0 + 1e-12) for x in cfl_new]
+                if not blown and True not in ok:  # the whole batch retries one rung down, or fails past MAX_HALVINGS
+                    halvings += 1
+                    if halvings <= MAX_HALVINGS:
                         j += 1
                         continue
-                    # g splits where it stands: the blown columns fail, the passed ones go on, the others retry
-                    g.V, g.G, g.cfl, g.t_cur, g.left, g.e, g.substeps, g.k = V, G, cfl, t_cur, left, e, substeps, k
-                    for i in blown:
-                        cols[i].failure = self.blowup(_column(sol, i), t_new)
-                    acc = [i for i, passed in enumerate(ok) if passed and i not in blown]
-                    rej = [i for i, passed in enumerate(ok) if not passed and i not in blown]
-                    if acc:
-                        ahead = g.take(self, acc)
-                        g_acc = [g_max[i] for i in acc]
-                        pending.append((ahead.cols, t_cur, t_new, sigma * dt, dt, halvings, g_acc, _rows(_pick(sol, acc)), _rows(_pick(rhs, acc))))
-                        ahead.V, ahead.G, ahead.bnd, ahead.t_cur, ahead.left = _pick(sol, acc), _pick(G_new, acc), _pick(bnd_new, acc), t_new, left_new
-                        ahead.cfl = [u if P > m else cfl_new[i] for (P, u), m, i in zip(ahead.bounds, g_acc, acc)]
-                        done += self.advance(ahead, stop=k)
-                    if rej and halvings == MAX_HALVINGS:
-                        for i in rej:
-                            cols[i].failure = self.retry_failure(_column(sol, i), _column(bnd_new, i), g_max[i], t_new)
-                    elif rej:
-                        done += self.advance(g.take(self, rej), (j + 1, halvings + 1, _pick(hamiltonian, rej)), stop=k)
-                    return done
-                pending.append((cols, t_cur, t_new, sigma * dt, dt, halvings, g_max, _rows(sol), _rows(rhs)))
+                if blown or False in ok:  # the batch parts: the blown fail, the rejected retry, the others march on
+                    for c, passed in enumerate(ok):
+                        if c in blown:
+                            cols_b[c].failure = self.blowup(sol[c], t_new)
+                        elif not passed and halvings >= MAX_HALVINGS:
+                            cols_b[c].failure = self.retry_failure(sol[c], state[c, n_int:-1], g_max[c], t_new)
+                        elif not passed:
+                            hand_back([idx[c]], V_b[[c]], G_b[[c]], [cfl_b[c]], t_from, lf, ef, steps)
+                            wait(idx[c], j + 1, halvings + 1)
+                    acc = [c for c, passed in enumerate(ok) if passed and c not in blown]
+                    if not acc:
+                        break
+                    idx, g_max, cfl_new = [idx[c] for c in acc], [g_max[c] for c in acc], [cfl_new[c] for c in acc]
+                    sol, G_new, rhs, state = sol[acc], G_new[acc], rhs[acc], state[acc]
+                    b, whole, cols_b, at, bounds_b, f_at, h_at, lateral_at = form(idx)
+                pending.append((cols_b, t_from, t_new, sigma * dt, dt, halvings, g_max, sol, rhs))
                 if len(pending) >= RESIDUAL_BLOCK:
                     self.log_pending()
-                # the next rung is chosen for the larger of the new gradient and the column's bound
-                cfl = [u if P > m else x for (P, u), m, x in zip(bounds, g_max, cfl_new)]
-                V, G, bnd, t_cur, left = sol, G_new, bnd_new, t_new, left_new
-            self.store(g, k, V, bnd)
-            k -= 1
-            left, e, substeps = 1, 0, 0
-        g.V, g.G, g.bnd, g.cfl, g.t_cur, g.left, g.e, g.substeps, g.k = V, G, bnd, cfl, t_cur, left, e, substeps, k
-        return [g] if k >= 0 else []
+                cfl_b = [u if P > g else x for (P, u), g, x in zip(bounds_b, g_max, cfl_new)]
+                V_b, G_b, t_from, lf = sol, G_new, t_new, lf_new
+                if not lf:  # level k reached
+                    self.levels[at, k] = state.take(slot, axis=1)
+                    if not whole:
+                        hand_back(idx, V_b, G_b, cfl_b, t_from, lf, ef, steps)
+                        reached += idx
+                        break
+                    k -= 1
+                    if k < 0:
+                        break
+                    t_target, lf, ef, top, steps = ts[k], 1, 0, 0, 0
+                    for i in idx:
+                        subs[i] = 0
+                rungs = _rungs(lf, ef, cfl_b, macro_dt)
+                j = rungs[0]
+                if rungs.count(j) < b or top + steps >= MAX_SUBSTEPS or waiting and _key(lf, ef, j, 0) in waiting:
+                    hand_back(idx, V_b, G_b, cfl_b, t_from, lf, ef, steps)
+                    for i in idx:
+                        wait(i)
+                    break
+                steps += 1
+                halvings = 0
+                hamiltonian = G_b ** gamma
 
     def retry_failure(self, sol, bnd, g_max, t):
         """The failure of a column whose substep ended at t with the values sol, bnd still breaking its CFL bound."""

@@ -403,8 +403,15 @@ def maxreg_sweep(
 
     One row per (q, eps, dx); the rows of one grid march together
     (hj.solve_hj_many), each as if alone, and a row whose march fails
-    carries the failure in its status column.
+    carries the failure in its status column.  Every q must be >= 1 and
+    every eps positive (ValueError before any row is built).
     """
+    for q in q_list:
+        if not q >= 1:
+            raise ValueError(f"q must be >= 1, got {q!r}")
+    for eps in eps_list:
+        if not eps > 0:
+            raise ValueError(f"eps must be positive, got {eps!r}")
     rows = []
     for dx in dx_list:
         grid = make_grid(GridSpec(dim, R, dx, T, dx / dt_factor))

@@ -125,6 +125,26 @@ class TestDeclaredParameters:
         assert main(argv) == 2
         assert f"{flag} must be a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve-hj", "--grid", "1,inf,1/8,1,1/16"], "half_width must be positive"),
+            (["solve-hj", "--grid", "1,nan,1/8,1,1/16"], "half_width must be positive"),
+            (["solve-hj", "--grid", "1,1,1/8,inf,1/16"], "horizon must be positive"),
+            (["solve-hj", "--grid", "1,1,1/8,nan,1/16"], "horizon must be positive"),
+            (["liouville-probe", "--R-list", "inf"], "--R-list: entries must be finite numbers, got inf"),
+            (["sweep-maxreg", "--eps-list", "1/4,inf"], "--eps-list: entries must be finite numbers, got inf"),
+            (["sweep-maxreg", "--q-list", "nan"], "--q-list: entries must be finite numbers, got nan"),
+            (["sweep-maxreg", "--q-list", "0"], "q must be >= 1, got 0.0"),
+            (["sweep-maxreg", "--eps-list", "0"], "eps must be positive, got 0.0"),
+        ],
+        ids=["grid-R-inf", "grid-R-nan", "grid-T-inf", "grid-T-nan", "R-list-inf", "eps-list-inf", "q-list-nan",
+             "q-zero", "eps-zero"],
+    )
+    def test_non_finite_size_or_list_entry_exits_2(self, argv, message, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+        assert message in capsys.readouterr().err
+
     def test_non_finite_config_value_exits_2_naming_the_flag(self, tmp_path, capsys):
         cfg = tmp_path / "lab.cfg"
         cfg.write_text("h1=inf\n")

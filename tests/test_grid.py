@@ -48,6 +48,13 @@ class TestMakeGrid:
         with pytest.raises(ValueError, match="dx must be positive"):
             make_grid(GridSpec(1, 1.0, 0.0, 1.0, 0.5))
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_sizes_rejected(self, value):
+        with pytest.raises(ValueError, match="half_width must be positive"):
+            make_grid(GridSpec(1, value, 0.125, 1.0, 0.0625))
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            make_grid(GridSpec(1, 1.0, 0.125, value, 0.0625))
+
     def test_non_integer_ratio_rejected(self):
         with pytest.raises(ValueError, match="half_width/dx"):
             make_grid(GridSpec(1, 1.0, 0.3, 1.0, 0.5))

@@ -666,6 +666,20 @@ class TestSolveMany:
         (3.0, "field", "field", "constant", None, 2.0, 6),
         (3.0, "constant", "nan_late", "constant", 4.0, 1.0, 7),
     ])
+    # columns that march together part within a macro step and take a substep together again before its end:
+    # column 1 leaves for a coarser rung and meets column 2 at t = 0.4609375 ...
+    @example(dim=1, ball=False, dx=0.25, dt=0.25, columns=[
+        (2.5, "field", "constant", "callable", None, 2.0, 12748),
+        (2.5, "field", "field", "constant", None, 1.5, 4765),
+        (2.5, "constant", "field", "callable", None, 1.5, 46485),
+    ])
+    # ... and columns 1 and 2 part at t = 0.2265625 and meet again at t = 0.2109375, beside a blow-up
+    @example(dim=1, ball=False, dx=0.25, dt=0.125, columns=[
+        (3.0, "constant", "nan_late", "constant", None, 2.0, 7749),
+        (3.0, "field", "callable", "callable", None, 1.5, 13864),
+        (3.0, "field", "constant", "constant", None, 1.5, 7252),
+        (3.0, "constant", "callable", "callable", None, 1.5, 60854),
+    ])
     def test_each_column_is_its_solo_march(self, dim, ball, dx, dt, columns):
         g = make_grid(GridSpec(dim, 1.0, dx, 2 * dt, dt, ball_mask=ball))
         problems = [_batch_problem(g, seed, gamma, hk, fk, lk, amp) for gamma, hk, fk, lk, _, amp, seed in columns]
@@ -730,3 +744,26 @@ class TestSolveMany:
         kept, failed = solve_hj_many([calm, calm], g, [None, 40.0])  # the bound forces substeps
         assert str(failed) == "CFL subcycle limit exceeded: > 1 substeps in one macro step"
         assert np.array_equal(kept.u.values, alone.u.values) and kept.log == alone.log
+
+
+class TestNonlinearSweep:
+    def test_rows_are_their_solo_marches(self, monkeypatch):
+        """At ||f||_q = 8 the rows part and meet within most macro steps; each row is still its solo march."""
+        from hjlab import scalelab
+
+        kw = dict(q_list=[1.6, 2.4], eps_list=[1 / 4, 1 / 8, 1 / 16], gamma=3.0, dx_list=[1 / 64], norm_target=8.0)
+        rows = scalelab.maxreg_sweep(**kw)
+        monkeypatch.setattr(scalelab, "solve_hj_many", lambda problems, grid: [solve_hj(p, grid) for p in problems])
+        assert repr(rows) == repr(scalelab.maxreg_sweep(**kw))
+
+
+class TestGradientBounds:
+    @pytest.mark.parametrize("bound", [math.nan, -1.0, math.inf])
+    def test_bad_bound_fails_before_any_factorization(self, bound):
+        g = make_grid(GridSpec(1, 1.0, 0.25, 0.5, 0.25))
+        p = HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=1.0)
+        with pytest.raises(ValueError, match=re.escape(f"gradient bound of problem 1 must be a finite number >= 0, got {bound!r}")) as info:
+            counting_lu(solve_hj_many, [p, p], g, [4.0, bound])
+        assert info.value.lu_calls == 0
+        with pytest.raises(ValueError, match="gradient bound of problem 0"):
+            solve_hj(p, g, gradient_bound=bound)

@@ -24,7 +24,7 @@ from hjlab.scalelab import (
 
 from hjlab.seminorm import nonlinear_space, nonlinear_time, weighted_holder
 
-from conftest import random_field
+from conftest import counting_lu, random_field
 
 
 def aligned_params():
@@ -375,6 +375,13 @@ class TestMaxregSweep:
         rows = maxreg_sweep([2.0], [0.5, 0.25, 0.125], 3.0, [1 / 16], beta_frac=0.0)
         ratios = [r["ratio"] for r in rows]
         assert max(ratios) - min(ratios) < 1e-12
+
+    @pytest.mark.parametrize("q, eps, message", [(0.5, 0.25, "q must be >= 1, got 0.5"), (2.0, 0.0, "eps must be positive, got 0.0"),
+                                                 (2.0, -0.25, "eps must be positive, got -0.25")])
+    def test_bad_q_or_eps_fails_before_any_row(self, q, eps, message):
+        with pytest.raises(ValueError, match=message) as info:
+            counting_lu(maxreg_sweep, [1.6, q], [0.25, eps], 3.0, [1 / 16])
+        assert info.value.lu_calls == 0
 
     def test_row_count_and_columns(self):
         rows = maxreg_sweep([1.6, 2.4], [0.25, 0.125], 3.0, [1 / 16])
