@@ -337,8 +337,10 @@ def _ldiff_samples(n: int, seed: int):
     They do not depend on gamma', so a list of gamma' values draws them once.
     """
     rng = np.random.default_rng(seed)
-    rz = 10.0 ** rng.uniform(-6, 6, n)
-    rx = 10.0 ** rng.uniform(-6, 6, n)
+    rz = rng.uniform(-6, 6, n)
+    np.power(10.0, rz, out=rz)
+    rx = rng.uniform(-6, 6, n)
+    np.power(10.0, rx, out=rx)
     dims = rng.integers(1, 4, n)
     dz = rng.normal(size=(n, 3))
     dxv = rng.normal(size=(n, 3))
@@ -346,11 +348,14 @@ def _ldiff_samples(n: int, seed: int):
         mask = dims == d
         dz[mask, d:] = 0.0
         dxv[mask, d:] = 0.0
-    dz /= np.linalg.norm(dz, axis=1, keepdims=True)
-    dxv /= np.linalg.norm(dxv, axis=1, keepdims=True)
-    zeta = rz[:, None] * dz
-    xi = rx[:, None] * dxv
-    sum_sq = np.sum((zeta + xi) ** 2, axis=1)
+    del dims, mask  # not needed below, and 0.9 MB fewer at the peak of the norms
+    # zeta = rz * dz / |dz| and xi = rx * dxv / |dxv|, then |zeta + xi|^2, in place
+    for v, r in ((dz, rz), (dxv, rx)):
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        v *= r[:, None]
+    dz += dxv
+    dz *= dz
+    sum_sq = np.sum(dz, axis=1)
     for arr in (rz, rx, sum_sq):
         arr.flags.writeable = False
     return rz, rx, sum_sq

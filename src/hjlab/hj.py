@@ -114,7 +114,8 @@ def _interior_sampler(grid: Grid, obj, check=None) -> _Sampler:
     Values are those of evaluate(obj, grid, t) restricted to the interior.
     A constant comes back as a float.  A ScalarField (on grid) takes the
     level pair that bracket gives for t, and blends them unless t is a
-    level.  A callable is evaluated at every call.
+    level.  A callable is evaluated at every call: at the interior nodes
+    alone when there is no check, else at every node.
     check(grid, levels, ts), if given, sees every value that can come back:
     a constant's or a field's once, here, and a callable's at each call.
     """
@@ -123,12 +124,14 @@ def _interior_sampler(grid: Grid, obj, check=None) -> _Sampler:
         if check is not None:
             check(grid, obj.values, grid.ts)
         return _Sampler(_level_blend(grid.ts.tolist(), grid.dt, lambda k: obj.values[k][interior]), levels=obj.values)
+    if callable(obj) and check is None:
+        points = grid.coords[interior]
+        return _Sampler(lambda t: evaluate(obj, None, t, points))
     if callable(obj):
 
         def at(t):
             arr = evaluate(obj, grid, t)
-            if check is not None:
-                check(grid, arr[None], [t])
+            check(grid, arr[None], [t])
             return arr[interior]
 
         return _Sampler(at)
@@ -142,12 +145,17 @@ def _batched(grid: Grid, samplers: list) -> Callable:
     """idx -> t -> the data of the columns idx at the interior nodes, one row per column with the bits of its at(t).
 
     A column alone reads its own sampler.  Constants are one column of
-    values, fields are stacked once per level for all the columns and a
-    batch copies its rows once per level, and other mixes go row by row.
+    values, fields are stacked once per level for all the columns (once per
+    solve when every field's levels share one array) and a batch copies its
+    rows once per level, and other mixes go row by row.
     """
     const = np.array([[np.nan if s.const is None else s.const] for s in samplers])
     fields = all(s.levels is not None for s in samplers)
-    stacked = functools.lru_cache(maxsize=2)(lambda k: np.stack([s.levels[k][grid.interior] for s in samplers]))
+    if fields and all(s.levels.strides[0] == 0 for s in samplers):  # every field's levels share one array
+        once = np.stack([s.levels[0][grid.interior] for s in samplers])
+        stacked = lambda k: once
+    else:
+        stacked = functools.lru_cache(maxsize=2)(lambda k: np.stack([s.levels[k][grid.interior] for s in samplers]))
     n, ts = int(grid.interior.sum()), grid.ts.tolist()
 
     def bind(idx):
@@ -747,12 +755,18 @@ def manufactured_rhs(ms: ManufacturedSolution, gamma: float, sigma: float, h) ->
     The spatial factors are formed once per point set, not once per time.
     """
     spatial = _LastPoints(lambda x: (ms.phi(x), ms.grad_phi(x), ms.lap_phi(x)))
+    h_const = None if callable(h) or isinstance(h, ScalarField) else float(0.0 if h is None else h)
 
     def f(x, t):
         phi, grad_phi, lap_phi = spatial(x)
         psi = ms.psi(t)
-        gmag = np.sqrt(np.sum((grad_phi * psi) ** 2, axis=-1))
-        return -(phi * ms.dpsi(t)) - sigma * (lap_phi * psi) + evaluate(h, None, t, x) * gmag ** gamma
+        grad = grad_phi * psi
+        grad *= grad
+        gsq = grad[..., 0]  # plain adds: the same bits as np.sum over one or two axes, without its overhead
+        for a in range(1, grad.shape[-1]):
+            gsq = gsq + grad[..., a]
+        h_at = h_const if h_const is not None else evaluate(h, None, t, x)
+        return -(phi * ms.dpsi(t)) - sigma * (lap_phi * psi) + h_at * np.sqrt(gsq) ** gamma
 
     return f
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -58,7 +57,7 @@ class SeminormSet:
 class _Nodes:
     """Flattened active nodes of a cylinder, level-major, spatial-lex order."""
 
-    def __init__(self, u: ScalarField, Q: Cylinder | None, alpha=None, gamma=None):
+    def __init__(self, u: ScalarField, Q: Cylinder | None):
         g = u.grid
         if Q is None:
             Q = g.cylinder()
@@ -70,42 +69,45 @@ class _Nodes:
             sel &= (ax >= Q.xmin[a] - tol) & (ax <= Q.xmax[a] + tol)
         if Q.radius is not None:
             sel &= np.sum(g.coords ** 2, axis=-1) < Q.radius ** 2 + tol
-        tsel = (g.ts >= Q.t0 - tol) & (g.ts <= Q.t1 + tol)
-        xs = g.coords[sel]  # (m, dim)
-        levels = np.nonzero(tsel)[0]
-        m, L = len(xs), len(levels)
+        levels = np.flatnonzero((g.ts >= Q.t0 - tol) & (g.ts <= Q.t1 + tol))  # one run of levels
+        self.xs, self.ts = g.coords[sel], g.ts[levels]  # (m, dim) positions, (L,) level times
+        m, L = len(self.xs), len(levels)
         n = m * L
-        self.x = np.tile(xs, (L, 1))
-        self.t = np.repeat(g.ts[levels], m)
-        self.v = u.values[levels][:, sel].reshape(n)
+        self.x = np.tile(self.xs, (L, 1))
+        self.t = np.repeat(self.ts, m)
+        self.v = u.values[levels[0] : levels[-1] + 1][:, sel].reshape(n) if L else np.empty(0)
         self.n = n
         self.m_space = m
         self.n_levels = L
         self.dx, self.dt = g.dx, g.dt
 
-        # distances to the backward parabolic boundary of Q
+    def weight(self, name, alpha=None, gamma=None):
+        """Each node's distance to the backward parabolic boundary of Q, by kind.
+
+        "dist" is ds + sqrt(dtb), "dist_alpha" ds^alpha + dtb^(alpha/gamma),
+        for ds the spatial distance to the rim and dtb the time to t1.  ds is
+        formed per position and dtb per level, so the one node-sized array
+        is the weight itself.
+        """
+        Q, xs = self.Q, self.xs
         if Q.radius is not None:
-            ds = Q.radius - np.sqrt(np.sum(self.x ** 2, axis=-1))
+            ds = Q.radius - np.sqrt(np.sum(xs ** 2, axis=-1))
         else:
-            margins = []
-            for a in range(g.dim):
-                margins.append(self.x[:, a] - Q.xmin[a])
-                margins.append(Q.xmax[a] - self.x[:, a])
-            ds = np.min(np.stack(margins), axis=0)
+            ds = np.full(len(xs), np.inf)
+            for a in range(xs.shape[1]):
+                np.minimum(ds, xs[:, a] - Q.xmin[a], out=ds)
+                np.minimum(ds, Q.xmax[a] - xs[:, a], out=ds)
         ds = np.maximum(ds, 0.0)
-        dtb = np.abs(Q.t1 - self.t)
-        self.dist = ds + np.sqrt(dtb)
-        if alpha is not None and gamma is not None:
-            self.dist_alpha = ds ** alpha + dtb ** (alpha / gamma)
-        else:
-            self.dist_alpha = None
+        dtb = np.abs(Q.t1 - self.ts)
+        if name == "dist":
+            return (ds + np.sqrt(dtb)[:, None]).reshape(self.n)
+        return (ds ** alpha + (dtb ** (alpha / gamma))[:, None]).reshape(self.n)
 
     def spatial_sep(self, i, j):
-        if self.x.shape[1] == 1:
-            return np.abs(self.x[i, 0] - self.x[j, 0])
-        return np.sqrt(
-            (self.x[i, 0] - self.x[j, 0]) ** 2 + (self.x[i, 1] - self.x[j, 1]) ** 2
-        )
+        x = self.x.T  # one coordinate at a time: a 1-D gather is twice as fast as x[i, 0]
+        if len(x) == 1:
+            return np.abs(x[0][i] - x[0][j])
+        return np.sqrt((x[0][i] - x[0][j]) ** 2 + (x[1][i] - x[1][j]) ** 2)
 
 
 # Pair families: every node pair, the pairs on one level, the pairs at one position.
@@ -114,7 +116,7 @@ _ALL_PAIRS, _SAME_LEVEL, _SAME_POSITION = "all pairs", "same level", "same posit
 
 class Member(NamedTuple):
     family: str  # the node pairs the sup runs over
-    weight: str | None  # the _Nodes weight whose minimum over the pair multiplies the quotient
+    weight: str | None  # the _Nodes.weight kind whose minimum over the pair multiplies the quotient
     power: Callable[[float, float], float] | None  # that weight's exponent, from (gamma, c)
 
 
@@ -161,7 +163,10 @@ def _result_from(nodes, best, best_ij, pairs_evaluated):
 _MARGIN = 1.0 + 1e-9
 _LEAF_NODES = 16  # nodes per tile at the deepest depth
 _BLOCK_BATCH = 1 << 14  # parent block pairs refined together
-_PAIR_BATCH = 1 << 18  # node pairs evaluated together
+# Node pairs evaluated together, and about the nodes a leaf summary reads
+# together.  The best value rises after each chunk, so a small chunk prunes
+# sooner, and its dozen index and value arrays stay near 128 KiB each.
+_PAIR_BATCH = 1 << 14
 
 
 def _spatial_order(nodes):
@@ -171,7 +176,7 @@ def _spatial_order(nodes):
     """
     if nodes.x.shape[1] == 1:
         return np.arange(nodes.m_space)
-    xs = nodes.x[: nodes.m_space]
+    xs = nodes.xs
     k = np.rint((xs - xs.min(axis=0)) / nodes.dx).astype(np.int64)
     key = np.zeros(nodes.m_space, dtype=np.int64)
     for bit in range(int(k.max()).bit_length()):
@@ -194,21 +199,94 @@ def _tile_rows(arr, lt, st, fill):
     return pad.reshape((nl * ns, lt * st) + arr.shape[2:])
 
 
+class _PositionMajor:
+    """rank[i]: the places of the nodes i in the same-position family's order, (position, level)."""
+
+    def __init__(self, m, L):
+        self.m, self.L = m, L
+
+    def __getitem__(self, i):
+        return (i % self.m) * self.L + i // self.m
+
+
 class _Tiles:
     """Summary of every tile at one depth of the block hierarchy.
 
-    Tiles of lt levels x st positions, formed by grouping the tiles of a finer
-    summary `base` (the single nodes, or the leaf tiles), so each depth costs
-    its number of tiles, not of nodes.  tmax / tmin are places in the tiled
-    (level, position) order, and ties go to the first, as np.argmax would
-    give over the tile's members.  first / second are the two smallest ranks
-    of the tile, n where there is no such node.
+    Tiles of lt levels x st positions, nl x ns of them; tile (bl, bs) has id
+    bl * ns + bs.  vmax / vmin are the extreme values of a tile and dmax its
+    largest weight (None without one).  tmax / tmin are their places in the
+    tiled (level, position) order, l * m + s for level l and the s-th
+    position of the spatial order, and ties go to the first, as np.argmax
+    would give over the tile's members; imax / imin are the nodes there.
+    first / second are the two smallest ranks of the tile, n where there is
+    no such node.  xlo, xhi (per position tile) and tlo, thi (per level tile)
+    bound its coordinates.
+
+    The leaf summary (no base) reads the node values, and the weights, a
+    few level rows of tiles at a time, so it makes no node-sized array.
+    Every other depth groups the tiles of the finer summary `base`, so it
+    costs its number of tiles, not of nodes.
     """
 
-    def __init__(self, base, lt, st, n):
+    def __init__(self, search, lt, st, base=None):
+        nodes, order = search.nodes, search.order
+        L, m, n = nodes.n_levels, nodes.m_space, nodes.n
         self.lt, self.st = lt, st
-        kl, ks = lt // base.lt, st // base.st
-        self.nl, self.ns = -(-base.nl // kl), -(-base.ns // ks)
+        self.nl, self.ns = -(-L // lt), -(-m // st)
+        if base is None:
+            self._read_nodes(search)
+        else:
+            self._group(base)
+        first_level, first_position = np.arange(0, L, lt), np.arange(0, m, st)
+        xs = nodes.xs[order]
+        self.xlo, self.xhi = np.minimum.reduceat(xs, first_position), np.maximum.reduceat(xs, first_position)
+        self.tlo, self.thi = np.minimum.reduceat(nodes.ts, first_level), np.maximum.reduceat(nodes.ts, first_level)
+        self.imax = self.tmax // m * m + order[self.tmax % m]
+        self.imin = self.tmin // m * m + order[self.tmin % m]
+        # The two smallest ranks: a tile's nodes are its levels x its
+        # positions, and the second is the first level at the second smallest
+        # position or the second level at the smallest, whichever ranks first.
+        second_level = np.where(first_level + 1 < np.minimum(first_level + lt, L), first_level + 1, L)
+        tile_positions = np.sort(_tile_rows(order[None], 1, st, m), axis=1)  # node positions, m padded
+        smallest = tile_positions[:, 0]
+        next_smallest = tile_positions[:, 1] if st > 1 else np.full(self.ns, m)
+
+        def rank(levels, positions):
+            """Ranks of the nodes (level, position) of every tile, n where there is none."""
+            i = levels[:, None] * m + positions
+            r = i if search.rank is None else search.rank[i]
+            return np.where((levels[:, None] < L) & (positions < m), r, n).ravel()
+
+        self.first = rank(first_level, smallest)
+        self.second = np.minimum(rank(first_level, next_smallest), rank(second_level, smallest))
+
+    def _read_nodes(self, search):
+        nodes, order, weight = search.nodes, search.order, search.weight
+        L, m = nodes.n_levels, nodes.m_space
+        lt, st, nl, ns = self.lt, self.st, self.nl, self.ns
+        self.vmax, self.vmin = np.empty(nl * ns), np.empty(nl * ns)
+        self.tmax, self.tmin = np.empty(nl * ns, np.int64), np.empty(nl * ns, np.int64)
+        self.dmax = None if weight is None else np.empty(nl * ns)
+        step = max(1, _PAIR_BATCH // (lt * ns * st))  # level rows of tiles read together
+        for r in range(0, nl, step):
+            levels, tiles = slice(r * lt, (r + step) * lt), slice(r * ns, min(r + step, nl) * ns)
+            bl, bs = np.divmod(np.arange(tiles.start, tiles.stop), ns)
+
+            def read(arr, fill):
+                return _tile_rows(arr.reshape(L, m)[levels][:, order], lt, st, fill)
+
+            def place(at):  # member at of each tile -> its place
+                i, j = np.divmod(at, st)
+                return (bl * lt + i) * m + bs * st + j
+
+            hi, lo = read(nodes.v, -np.inf), read(nodes.v, np.inf)
+            self.vmax[tiles], self.tmax[tiles] = hi.max(axis=1), place(hi.argmax(axis=1))
+            self.vmin[tiles], self.tmin[tiles] = lo.min(axis=1), place(lo.argmin(axis=1))
+            if weight is not None:
+                self.dmax[tiles] = read(weight, -np.inf).max(axis=1)
+
+    def _group(self, base):
+        kl, ks = self.lt // base.lt, self.st // base.st
 
         def rows(arr, fill):
             return _tile_rows(arr.reshape(base.nl, base.ns), kl, ks, fill)
@@ -219,14 +297,6 @@ class _Tiles:
         self.tmax = np.where(vmax == self.vmax[:, None], rows(base.tmax, last), last).min(axis=1)
         self.tmin = np.where(vmin == self.vmin[:, None], rows(base.tmin, last), last).min(axis=1)
         self.dmax = None if base.dmax is None else rows(base.dmax, -np.inf).max(axis=1)
-        # the two smallest ranks of each tile
-        firsts = np.sort(rows(base.first, n), axis=1)
-        self.first = firsts[:, 0]
-        self.second = np.minimum(firsts[:, 1], rows(base.second, n).min(axis=1))
-        self.xlo = _tile_rows(base.xlo[None], 1, ks, np.inf).min(axis=1)
-        self.xhi = _tile_rows(base.xhi[None], 1, ks, -np.inf).max(axis=1)
-        self.tlo = _tile_rows(base.tlo[:, None], kl, 1, np.inf).min(axis=1)
-        self.thi = _tile_rows(base.thi[:, None], kl, 1, -np.inf).max(axis=1)
 
 
 class _BranchAndBound:
@@ -253,13 +323,14 @@ class _BranchAndBound:
     than the family's floor.  Block pairs are refined depth first, highest
     bound first, in batches (so the frontier stays a few batches per depth),
     and at the deepest depth their node pairs are evaluated with _pair_value,
-    exactly as the oracle does.  A block pair is dropped when its bound is
-    below the best value found, or equal to it and its first pair in the
-    family's order comes after the best pair; so the result is the oracle's
-    first strict maximum, value and pair.  That order is lexicographic in the
-    node indices (level-major), except for the same-position family, whose
-    oracle runs position-major: (position, level, level).  Each node has a
-    rank in that order, and pairs compare by (rank_i, rank_j).
+    exactly as the oracle does, _PAIR_BATCH pairs at a time.  A block pair
+    is dropped when its bound is below the best value found, or equal to it
+    and its first pair in the family's order comes after the best pair; so
+    the result is the oracle's first strict maximum, value and pair.  That
+    order is lexicographic in the node indices (level-major), except for the
+    same-position family, whose oracle runs position-major: (position,
+    level, level).  Each node has a rank in that order, and pairs compare by
+    (rank_i, rank_j).
     """
 
     def __init__(self, nodes, family, alpha, weight=None, power=None):
@@ -276,14 +347,9 @@ class _BranchAndBound:
         self.floor = {
             _ALL_PAIRS: 0.0, _SAME_LEVEL: nodes.dx, _SAME_POSITION: np.sqrt(nodes.dt)
         }[family]
-        L, m, n = nodes.n_levels, nodes.m_space, nodes.n
-        order = _spatial_order(nodes)
-        self.idx = np.arange(L)[:, None] * m + order[None, :]
-        if family == _SAME_POSITION:
-            i = np.arange(n)
-            self.rank = (i % m) * L + i // m
-        else:
-            self.rank = None  # the node index itself
+        L, m = nodes.n_levels, nodes.m_space
+        self.order = _spatial_order(nodes)
+        self.rank = _PositionMajor(m, L) if family == _SAME_POSITION else None  # None: the node index
         # the split schedule, root to leaves
         lt = 1 if family == _SAME_LEVEL else 1 << (L - 1).bit_length()
         st = 1 if family == _SAME_POSITION else 1 << (m - 1).bit_length()
@@ -303,26 +369,19 @@ class _BranchAndBound:
                 st //= 2
             self.split_levels.append(split_levels)
             sizes.append((lt, st))
-        tiled = self.idx.reshape(-1)
-        v = nodes.v[tiled]
-        node_tiles = SimpleNamespace(
-            lt=1, st=1, nl=L, ns=m, vmax=v, vmin=v,
-            tmax=np.arange(n), tmin=np.arange(n),
-            dmax=None if weight is None else weight[tiled],
-            first=tiled if self.rank is None else self.rank[tiled],
-            second=np.full(n, n),
-            xlo=nodes.x[order], xhi=nodes.x[order], tlo=nodes.t[::m], thi=nodes.t[::m],
-        )
-        leaf = _Tiles(node_tiles, lt, st, n)
-        self.depths = [_Tiles(leaf, lt, st, n) for lt, st in sizes[:-1]] + [leaf]
-        for T in self.depths:
-            T.imax, T.imin = tiled[T.tmax], tiled[T.tmin]
-        self.leaf_members = self.members(len(self.depths) - 1)
+        leaf = _Tiles(self, lt, st)
+        self.depths = [_Tiles(self, lt, st, leaf) for lt, st in sizes[:-1]] + [leaf]
 
-    def members(self, d):
-        """Node indices of each tile at depth d, -1 padded: (tiles, lt * st)."""
-        T = self.depths[d]
-        return _tile_rows(self.idx, T.lt, T.st, -1)
+    def members(self, d, tiles=None):
+        """Node indices of the tiles (all by default) at depth d, -1 padded: (tiles, lt * st)."""
+        T, L, m = self.depths[d], self.nodes.n_levels, self.nodes.m_space
+        if tiles is None:
+            tiles = np.arange(T.nl * T.ns)
+        bl, bs = np.divmod(tiles, T.ns)
+        levels = bl[:, None, None] * T.lt + np.arange(T.lt)[:, None]
+        positions = bs[:, None, None] * T.st + np.arange(T.st)
+        nodes = levels * m + np.take(self.order, positions, mode="clip")
+        return np.where((levels < L) & (positions < m), nodes, -1).reshape(len(tiles), T.lt * T.st)
 
     def run(self):
         """(sup, argmax pair (i, j) with i < j, node pairs evaluated)."""
@@ -421,8 +480,9 @@ class _BranchAndBound:
                 self._descend(d + 1, ca[ok], cb[ok])
 
     def _leaves(self, a, b, bound, key):
-        members = self.leaf_members
-        width = members.shape[1]
+        d = len(self.depths) - 1
+        T = self.depths[d]
+        width = T.lt * T.st
         # local (p, q) member pairs of a self pair (p < q) and of a cross pair
         own = np.triu_indices(width, 1)
         cross = np.divmod(np.arange(width * width), width)
@@ -432,12 +492,10 @@ class _BranchAndBound:
             alive = self._alive(bound[sl], key[sl])
             pa, pb = a[sl][alive], b[sl][alive]
             same = pa == pb
-            ii = np.concatenate([
-                members[pa[same]][:, own[0]].ravel(), members[pa[~same]][:, cross[0]].ravel()
-            ])
-            jj = np.concatenate([
-                members[pb[same]][:, own[1]].ravel(), members[pb[~same]][:, cross[1]].ravel()
-            ])
+            both = self.members(d, np.concatenate([pa, pb]))
+            ma, mb = both[: len(pa)], both[len(pa) :]
+            ii = np.concatenate([ma[same][:, own[0]].ravel(), ma[~same][:, cross[0]].ravel()])
+            jj = np.concatenate([mb[same][:, own[1]].ravel(), mb[~same][:, cross[1]].ravel()])
             ok = (ii >= 0) & (jj >= 0)  # padding of the last tiles
             self._offer(ii[ok], jj[ok])
 
@@ -463,10 +521,10 @@ def _member(name, u, alpha, gamma, c, Q):
         raise ValueError("alpha must lie in (0, 1] (alpha=1 diagnostic only)")
     if weight == "dist" and (c is None or c < 0):
         raise ValueError("c must be >= 0")
-    nodes = _Nodes(u, Q, alpha=alpha, gamma=gamma)
+    nodes = _Nodes(u, Q)
     if weight is None:
         return nodes, family, None, None
-    return nodes, family, getattr(nodes, weight), power(gamma, c)
+    return nodes, family, nodes.weight(weight, alpha, gamma), power(gamma, c)
 
 
 def member_scan(name, u, alpha, gamma=None, c=None, Q=None):

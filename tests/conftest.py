@@ -334,3 +334,27 @@ def oracle_manufactured_rhs(ms, gamma, sigma, h):
         return -ms.u_t(x, t) - sigma * ms.lap(x, t) + evaluate(h, None, t, x) * gmag ** gamma
 
     return f
+
+
+# -- oracle ldiff samples -------------------------------------------------------------
+# dual._ldiff_samples as it was before it normalized, scaled, added and squared
+# in place: every step a fresh array.  It must give the same bits.
+
+
+def oracle_ldiff_samples(n, seed):
+    rng = np.random.default_rng(seed)
+    rz = 10.0 ** rng.uniform(-6, 6, n)
+    rx = 10.0 ** rng.uniform(-6, 6, n)
+    dims = rng.integers(1, 4, n)
+    dz = rng.normal(size=(n, 3))
+    dxv = rng.normal(size=(n, 3))
+    for d in (1, 2):
+        mask = dims == d
+        dz[mask, d:] = 0.0
+        dxv[mask, d:] = 0.0
+    dz /= np.linalg.norm(dz, axis=1, keepdims=True)
+    dxv /= np.linalg.norm(dxv, axis=1, keepdims=True)
+    zeta = rz[:, None] * dz
+    xi = rx[:, None] * dxv
+    sum_sq = np.sum((zeta + xi) ** 2, axis=1)
+    return rz, rx, sum_sq

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from hjlab.dual import (
     manufactured_pair,
     oscillation_report,
 )
+
+from conftest import oracle_ldiff_samples
 
 
 class TestEll:
@@ -278,3 +282,22 @@ class TestLdiff:
     def test_gamma_conj_domain(self):
         with pytest.raises(ValueError):
             ldiff_constant(2.5, 100, seed=0)
+
+    @pytest.mark.parametrize("n, seed", [(1, 0), (7, 3), (20000, 4), (100000, 0), (100000, 1)])
+    def test_samples_are_the_fresh_array_formula(self, n, seed):
+        _ldiff_samples.cache_clear()
+        got = _ldiff_samples(n, seed)
+        for a, b in zip(got, oracle_ldiff_samples(n, seed)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_samples_are_drawn_in_place(self):
+        """At 100000 samples the draws peak at 10.4 MB; one fresh array per step (the oracle formula) takes 15.3 MB."""
+        _ldiff_samples.cache_clear()
+        tracemalloc.start()
+        try:
+            _ldiff_samples(100000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            _ldiff_samples.cache_clear()
+        assert peak <= 11e6

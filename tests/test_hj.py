@@ -270,6 +270,18 @@ class TestSolver:
         with pytest.raises(NumericalFailure):
             solve_hj(p, g)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_callable_forcing_sees_the_interior_nodes_only(self, dim):
+        g = make_grid(GridSpec(dim, 1.0, 0.25, 0.5, 0.25))
+        seen = []
+
+        def f(x, t):
+            seen.append(x.shape)
+            return np.cos(x[..., 0]) * t
+
+        solve_hj(HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=1.0, f=f), g)
+        assert set(seen) == {(int(g.interior.sum()), dim)}
+
     def test_time_varying_h_within_bounds(self):
         g = make_grid(GridSpec(1, 1.0, 0.125, 0.5, 1 / 32))
         h = lambda x, t: 1.0 + 0.5 * (1 + np.cos(np.pi * x[..., 0]))
@@ -437,6 +449,7 @@ class TestManufacturedRhs:
         ref = oracle_manufactured(name, *args)
         h = lambda x, t: 1.5 + 0.5 * np.sin(x[..., 0] + t)
         f, f_ref = manufactured_rhs(ms, 2.5, 0.75, h), oracle_manufactured_rhs(ref, 2.5, 0.75, h)
+        f_const, f_const_ref = manufactured_rhs(ms, 2.5, 0.75, 1.25), oracle_manufactured_rhs(ref, 2.5, 0.75, 1.25)
         lateral = ms.lateral()
         rng = np.random.default_rng(0)
         grids = [make_grid(GridSpec(1, 1.0, 0.125, 1.0, 0.25)).coords, make_grid(GridSpec(2, 1.0, 0.25, 1.0, 0.25)).coords,
@@ -446,6 +459,7 @@ class TestManufacturedRhs:
                 for member in ("u", "u_t", "grad", "lap"):
                     assert np.array_equal(getattr(ms, member)(x, t), getattr(ref, member)(x, t))
                 assert f(x, t).tobytes() == f_ref(x, t).tobytes()
+                assert f_const(x, t).tobytes() == f_const_ref(x, t).tobytes()
                 assert lateral(x, t).tobytes() == ref.u(x, t).tobytes()
 
 
@@ -687,6 +701,29 @@ class TestSolveMany:
         results = solve_hj_many(problems, g, bounds)
         assert len(results) == len(problems)
         for res, p, bound in zip(results, problems, bounds):
+            assert _same(_outcome(lambda: res), _outcome(oracle_solve_hj, p, g, bound))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_time_constant_fields_are_their_solo_marches(self, dim):
+        """Fields whose levels share one array, as the sweep's forcing, are stacked once and keep their bits.
+
+        Two columns march together; the third, with a gradient bound, takes
+        substeps that end between levels, where the levels are blended.
+        """
+        g = make_grid(GridSpec(dim, 1.0, 0.125, 0.5, 0.125))
+        rng = np.random.default_rng(5)
+        stack = (g.n_levels,) + g.shape
+
+        def steady(values):
+            return ScalarField(g, np.broadcast_to(values, stack))
+
+        problems = [
+            HJProblem(gamma=3.0, sigma=0.75, h0=1.0, h1=2.0, h=steady(rng.uniform(1.0, 2.0, g.shape)),
+                      f=steady(2.0 * rng.normal(size=g.shape)), terminal=lambda x: np.cos(0.5 * np.pi * x[..., 0]))
+            for _ in range(3)
+        ]
+        bounds = [None, None, 4.0]
+        for res, p, bound in zip(solve_hj_many(problems, g, bounds), problems, bounds):
             assert _same(_outcome(lambda: res), _outcome(oracle_solve_hj, p, g, bound))
 
     def test_permuting_the_problems_permutes_the_results(self):

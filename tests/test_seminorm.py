@@ -213,6 +213,26 @@ class TestOracleEquivalence:
                     if family in families:
                         _check_block_bounds(_BranchAndBound(nodes, family, 0.5, weight, power))
 
+    def test_tile_extremes_are_their_first_extreme_members(self):
+        # at every depth, each tile's vmax / vmin / dmax are its members' extremes, and imax / imin the
+        # first member in tile order (level, then spatial order) that holds them, on fields full of ties
+        for spec in (GridSpec(1, 1.0, 1 / 16, 1.0, 1 / 8), GridSpec(2, 1.0, 0.25, 1.0, 0.25, ball_mask=True)):
+            g = make_grid(spec)
+            for seed in range(3):
+                u = _field_of_kind(g, "quantized", seed)
+                for name in ("weighted", "nl_space", "nl_time"):
+                    nodes, family, weight, power = _member(name, u, 0.5, 3.0, 1.0, None)
+                    search = _BranchAndBound(nodes, family, 0.5, weight, power)
+                    for d, T in enumerate(search.depths):
+                        members = search.members(d)
+                        rows = np.arange(len(members))
+                        hi = np.where(members >= 0, nodes.v[members], -np.inf)
+                        lo = np.where(members >= 0, nodes.v[members], np.inf)
+                        assert np.array_equal(T.vmax, hi.max(axis=1)) and np.array_equal(T.vmin, lo.min(axis=1))
+                        assert np.array_equal(T.imax, members[rows, hi.argmax(axis=1)])
+                        assert np.array_equal(T.imin, members[rows, lo.argmin(axis=1)])
+                        assert np.array_equal(T.dmax, np.where(members >= 0, weight[members], -np.inf).max(axis=1))
+
     def test_same_position_ties_go_position_major(self):
         # unweighted time quotients of {0, 1, 2} fields tie across positions and
         # level pairs: the first pair in (position, level, level) order wins
@@ -248,6 +268,29 @@ class TestOracleEquivalence:
         for res in (holder_seminorm(u, 0.5), weighted_holder(u, 0.5, 1.0)):
             assert res.value == 0.0 and res.pair == first
             assert res.pairs_evaluated < nodes.n * (nodes.n - 1) // 2 // 1000
+
+
+class TestWorkingSet:
+    @pytest.mark.parametrize("name", ["space_quotient", "time_quotient"])
+    def test_scan_holds_a_few_node_sized_arrays(self, name):
+        """A 1025-level x 129-position scan peaks near 6 MB of numpy arrays.
+
+        The cylinder is that of a tau = 64 liouville-probe, and the field is
+        the heat-like decay of the probe's solution.  The nodes hold their
+        positions, times and values (3.2 MB); leaf summaries and pair chunks
+        stay small beside them.
+        """
+        g = make_grid(GridSpec(1, 8.0, 1 / 8, 64.0, 1 / 16))
+        u = ScalarField.from_function(g, lambda x, t: np.sin(np.pi * x[..., 0] / 9) * np.exp((np.pi / 9) ** 2 * (t - 64)))
+        assert (g.n_levels, g.shape) == (1025, (129,))
+        tracemalloc.start()
+        try:
+            res = member_scan(name, u, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.value > 0 and res.exact
+        assert peak <= 11e6
 
 
 def _check_block_bounds(search):
