@@ -169,8 +169,8 @@ def legendre_gap_check():
     ps = rng.normal(scale=1.5, size=(100, 1))
     for h, g in ((1.0, 3.0), (1.0, 4.0), (2.0, 3.0)):
         gap = legendre_gap(h, g, ps)
-        check(gap < 1e-6, f"(h={h}, gamma={g}): gap {gap}")
-    return "gap < 1e-6"
+        check(gap <= 1e-12 * h * float(np.max(np.abs(ps))) ** g, f"(h={h}, gamma={g}): gap {gap}")
+    return "gap <= 1e-12 * max h|p|^gamma"
 
 
 def liouville_decay():

@@ -7,7 +7,9 @@ dt, so no transport CFL bound), exact per-face accounting of the diffusive
 boundary loss so that mass(s) + outflux(s) = 1 holds to solver precision at
 every level.  The matrix is factored once per distinct drift level: by
 LAPACK's tridiagonal LU on 1D grids, by SuperLU otherwise.  A drift that is
-not finite somewhere is rejected before the march.
+not finite somewhere is rejected before the march.  solve_fp imports
+scipy's sparse matrices, SuperLU and LAPACK when it is called, so importing
+this module loads numpy alone.
 """
 
 from __future__ import annotations
@@ -15,9 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
 
 from .grid import (
     Grid,
@@ -120,6 +119,10 @@ def solve_fp(problem: FPProblem, grid: Grid) -> FPSolution:
     checks the new level for negative density and clamps it; the boundary
     fluxes, outflux and mass of all levels follow from the stacked densities.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+    from scipy.linalg import lapack
+
     x0 = problem.validate(grid)
     b = _sample_drift(grid, problem.drift)
     interior = grid.interior

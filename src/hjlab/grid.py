@@ -17,6 +17,9 @@ default) and times, linear in time between levels and multilinear in space,
 with one bracketing rule (bracket) that takes a node or level exactly.  A
 field on another grid is resampled when its grid covers the points and
 times asked for, and is a ValueError naming both grids otherwise.
+
+The module runs on numpy alone, except laplacian_ops: it imports
+scipy.sparse the first time a solver asks for the sparse Laplacian.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class NumericalFailure(RuntimeError):
@@ -268,6 +270,8 @@ class Grid:
         diagonal is 2N subtractions of 1/dx^2 in sequence.
         """
         if self._laplacian_ops is None:
+            import scipy.sparse as sp
+
             int_idx = np.argwhere(self.interior)
             bnd_idx = np.argwhere(self.boundary)
             n_int, n_bnd = len(int_idx), len(bnd_idx)

@@ -7,6 +7,9 @@ constants are exact fixed points of the scheme.  The data h and f are read
 as grid.evaluate reads them, at the solve grid's nodes and at each
 substep's time (linear between levels, exact on them); a field h, f or
 terminal datum must live on the solve grid itself.
+
+scipy is loaded by the march, not by importing this module: scipy.sparse
+when a march starts and scipy.sparse.linalg at its first LU factorization.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .grid import (
     Grid,
@@ -401,6 +402,8 @@ class _March:
     """What the columns of one march share: the grid's operators, the LU factors, the levels and the pending log."""
 
     def __init__(self, grid: Grid):
+        import scipy.sparse as sp
+
         self.grid = grid
         self.L, self.B, int_idx, _ = grid.laplacian_ops()
         self.n_int = n_int = len(int_idx)
@@ -422,6 +425,8 @@ class _March:
         self.levels = None
 
     def factor(self, sigma, j):
+        import scipy.sparse.linalg as spla
+
         lus = self.lu.setdefault(sigma, {})
         if j not in lus:
             lus[j] = spla.splu((self.eye - sigma * math.ldexp(self.grid.dt, -j) * self.L).tocsc())
@@ -805,37 +810,22 @@ def linf_error(u: ScalarField, exact: Callable) -> float:
 # -- Legendre-transform gap ----------------------------------------------------------
 
 
-def legendre_gap(h: float, gamma: float, p_samples, grid_points: int = 33, refinements: int = 48):
-    """max_p |sup_q {p.q - ell|q|^gc} - h|p|^gamma|, sup taken numerically.
+def legendre_gap(h: float, gamma: float, p_samples):
+    """max_p |sup_q {p.q - ell|q|^gc} - h|p|^gamma|, the sup in closed form.
 
-    ell = h(gamma-1)/(h*gamma)^gc.  The objective is maximal for q parallel to
-    p, so the search runs over the magnitude t = |q| >= 0 on an iteratively
-    refined grid.
+    ell = h(gamma-1)/(h*gamma)^gc and gc = gamma/(gamma-1).  At |q| = t the
+    objective is largest for q parallel to p, where it is
+    phi(t) = |p|t - ell*t^gc, concave on t >= 0 since gc > 1.  phi'(t*) = 0 at
+    t* = (|p|/(gc*ell))^(1/(gc-1)); with gc*ell = (h*gamma)^(1-gc) and
+    1/(gc-1) = gamma-1 this is t* = h*gamma*|p|^(gamma-1), and
+    phi(t*) = t*(|p| - ell*t*^(gc-1)) = t*|p|(1 - 1/gc) = h|p|^gamma.  The gap
+    is phi evaluated at t* against h|p|^gamma, so it is round-off.
     """
     if h <= 0 or gamma <= 2:
         raise ValueError("need h > 0 and gamma > 2")
     gc = gamma_conjugate(gamma)
     ell = h * (gamma - 1.0) / (h * gamma) ** gc
-
-    def phi(pn, t):
-        return pn * t - ell * t ** gc
-
-    worst = 0.0
-    for p in np.atleast_1d(np.asarray(p_samples, dtype=float)).reshape(len(p_samples), -1):
-        pn = float(np.linalg.norm(p))
-        target = h * pn ** gamma
-        hi = 1.0
-        while phi(pn, 2 * hi) > phi(pn, hi) and hi < 1e30:
-            hi *= 2.0
-        hi *= 2.0
-        lo = 0.0
-        best = 0.0  # q = 0 always admissible
-        for _ in range(refinements):
-            ts = np.linspace(lo, hi, grid_points)
-            vals = phi(pn, ts)
-            kk = int(np.argmax(vals))
-            best = max(best, float(vals[kk]))
-            lo = ts[max(kk - 1, 0)]
-            hi = ts[min(kk + 1, grid_points - 1)]
-        worst = max(worst, abs(best - target))
-    return worst
+    ps = np.asarray(p_samples, dtype=float)
+    pn = np.linalg.norm(ps.reshape(len(ps), -1), axis=1)
+    t = h * gamma * pn ** (gamma - 1.0)
+    return float(np.max(np.abs(pn * t - ell * t ** gc - h * pn ** gamma), initial=0.0))

@@ -16,6 +16,7 @@ from hjlab.grid import (
     make_grid,
 )
 from hjlab import hj
+from hjlab.dual import ell_constant
 from hjlab.hj import (
     HJProblem,
     alpha_zero,
@@ -463,27 +464,50 @@ class TestManufacturedRhs:
                 assert lateral(x, t).tobytes() == ref.u(x, t).tobytes()
 
 
+def legendre_scale(h, g, ps):
+    """h * max |p|^gamma over the rows of ps: the size of the largest sup."""
+    return h * float(np.max(np.linalg.norm(ps, axis=1))) ** g
+
+
 class TestLegendre:
     def test_zero_momentum(self):
-        assert legendre_gap(1.0, 3.0, np.zeros((1, 1))) < 1e-12
+        assert legendre_gap(1.0, 3.0, np.zeros((1, 1))) == 0.0
 
     def test_gap_small_for_sampled_p(self):
         rng = np.random.default_rng(5)
         for h, g in ((1.0, 3.0), (1.0, 4.0), (2.0, 3.0)):
             ps = rng.normal(size=(25, 1))
-            assert legendre_gap(h, g, ps) < 1e-6
+            assert legendre_gap(h, g, ps) <= 1e-12 * legendre_scale(h, g, ps)
 
     def test_unit_p_gamma4(self):
         # h=1, gamma=4: sup is h|p|^4 = 1 at |p| = 1
-        assert legendre_gap(1.0, 4.0, np.array([[1.0]])) < 1e-6
+        assert legendre_gap(1.0, 4.0, np.array([[1.0]])) <= 1e-12
 
     def test_2d_momenta(self):
         rng = np.random.default_rng(6)
         ps = rng.normal(size=(10, 2))
-        assert legendre_gap(2.0, 3.0, ps) < 1e-6
+        assert legendre_gap(2.0, 3.0, ps) <= 1e-12 * legendre_scale(2.0, 3.0, ps)
 
     def test_half_momentum_h2(self):
-        assert legendre_gap(2.0, 3.0, np.array([[0.5]])) < 1e-6
+        ps = np.array([[0.5]])
+        assert legendre_gap(2.0, 3.0, ps) <= 1e-12 * legendre_scale(2.0, 3.0, ps)
+
+    @pytest.mark.parametrize("h, g", [(1.0, 3.0), (1.0, 4.0), (2.0, 3.0), (0.5, 2.5)])
+    def test_no_grid_point_beats_the_closed_form(self, h, g):
+        # q on a dense polar grid around t* = h*gamma*|p|^(gamma-1) in p's direction,
+        # and on a fine radial grid next to t*: none exceeds h|p|^gamma, and the grid reaches it
+        gc, ell = gamma_conjugate(g), ell_constant(h, g)
+        rng = np.random.default_rng(7)
+        for p in rng.normal(scale=1.5, size=(4, 2)):
+            pn = float(np.linalg.norm(p))
+            target, t_star = h * pn ** g, h * g * pn ** (g - 1.0)
+            theta = math.atan2(p[1], p[0]) + np.linspace(-math.pi, math.pi, 361)
+            radii = t_star * np.concatenate((np.linspace(0.0, 3.0, 1001), 1.0 + np.linspace(-1e-3, 1e-3, 1001)))
+            q = radii[:, None, None] * np.stack((np.cos(theta), np.sin(theta)), axis=-1)
+            values = q @ p - ell * np.linalg.norm(q, axis=-1) ** gc
+            assert values.max() <= target * (1.0 + 1e-12)
+            assert values.max() >= target * (1.0 - 1e-9)
+            assert legendre_gap(h, g, p[None]) <= 1e-12 * target
 
 
 class TestDiscreteResidual:

@@ -1,8 +1,14 @@
-"""Module boundaries of hjlab, checked on the source."""
+"""Module boundaries of hjlab, checked on the source, and what a fresh process loads."""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 from collections import Counter
+
+import pytest
 
 import hjlab
 
@@ -85,3 +91,53 @@ def test_every_public_function_and_class_is_named_outside_its_definition():
         and everywhere[node.name] == names_in(node)[node.name]
     ]
     assert sorted(unnamed) == TEST_REFERENCES
+
+
+# Loaded in a fresh interpreter, stage by stage: the scipy modules in sys.modules after
+# importing hjlab, after each command that only reads and scans fields, and after a solve.
+FRESH = """
+import json, sys
+import numpy as np
+import hjlab
+from hjlab.cli import main
+from hjlab.grid import GridSpec, ScalarField, make_grid, write_field_csv
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+stages = {"import": (0, scipy_modules())}
+g = make_grid(GridSpec(1, 1.0, 1 / 16, 1.0, 1 / 16))
+write_field_csv(ScalarField.from_function(g, lambda x, t: np.sin(3 * x[..., 0]) * (1 + t)), "u.csv")
+field = ["--field", "u.csv", "--alpha", "0.5", "--gamma", "3"]
+for argv in (
+    ["ldiff", "--gamma-conj", "1.5", "--samples", "1000", "--out", "ld"],
+    ["seminorm", *field, "--z", "1", "--c", "1", "--out", "sn"],
+    ["blowup", *field, "--kind", "space", "--target", "1,1,0.125,1,0.5", "--out", "bl"],
+    ["solve-hj", "--grid", "1,1,1/8,1,1/32", "--manufactured", "sine", "--out", "hj"],
+):
+    stages[argv[0]] = (main(argv), scipy_modules())
+print(json.dumps(stages))
+"""
+
+
+@pytest.fixture(scope="module")
+def fresh_stages(tmp_path_factory):
+    """{stage: (exit code, scipy modules loaded after it)} of FRESH, run in a new interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(hjlab.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH], cwd=tmp_path_factory.mktemp("fresh"), env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("stage", ["import", "ldiff", "seminorm", "blowup"])
+def test_importing_and_scanning_load_no_scipy(fresh_stages, stage):
+    # scipy is loaded at the first factorization, and these stages factor nothing
+    assert fresh_stages[stage] == [0, []]
+
+
+def test_a_solve_loads_scipy_sparse_linalg(fresh_stages):
+    code, loaded = fresh_stages["solve-hj"]
+    assert code == 0
+    assert "scipy.sparse.linalg" in loaded
