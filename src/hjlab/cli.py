@@ -54,7 +54,7 @@ from .dual import (
     oscillation_report,
 )
 from .scalelab import liouville_probe, maxreg_sweep, normalization_check, worst_pair_selection
-from .seminorm import combine_nonlinear, oracle, seminorm_set
+from .seminorm import combine_nonlinear, node_count, oracle, seminorm_set
 
 
 def parse_number(s: str) -> float:
@@ -282,20 +282,29 @@ def cmd_solve_fp(args, params, chash):
     ]
 
 
-def _sub_cyl(arg: str, dim: int) -> Cylinder | None:
+def _sub_cyl(arg: str, u) -> Cylinder | None:
+    """The --sub-cylinder of the field u: finite entries, ranges low to high, and an active node of u inside."""
     if not arg:
         return None
-    v = parse_list(arg)
-    if dim == 1 and len(v) == 4:
-        return Cylinder(xmin=(v[0],), xmax=(v[1],), t0=v[2], t1=v[3])
-    if dim == 2 and len(v) == 6:
-        return Cylinder(xmin=(v[0], v[2]), xmax=(v[1], v[3]), t0=v[4], t1=v[5])
-    raise ValueError("--sub-cylinder wants xlo,xhi[,ylo,yhi],t0,t1")
+    try:
+        v = parse_list(arg)
+    except ValueError as exc:
+        raise ValueError(f"--sub-cylinder: {exc}") from None
+    if len(v) != 2 * u.grid.dim + 2:
+        raise ValueError("--sub-cylinder wants xlo,xhi[,ylo,yhi],t0,t1")
+    if not all(map(math.isfinite, v)):
+        raise ValueError(f"--sub-cylinder entries must be finite numbers, got {arg!r}")
+    if any(lo > hi for lo, hi in zip(v[::2], v[1::2])):
+        raise ValueError(f"--sub-cylinder ranges must run low to high, got {arg!r}")
+    Q = Cylinder(xmin=tuple(v[:-2:2]), xmax=tuple(v[1:-2:2]), t0=v[-2], t1=v[-1])
+    if not node_count(u, Q):
+        raise ValueError(f"--sub-cylinder {arg!r} holds no active node of the field")
+    return Q
 
 
 def cmd_seminorm(args, params, chash):
     u = read_field_csv(args.field)
-    Q = _sub_cyl(args.sub_cylinder, u.grid.dim)
+    Q = _sub_cyl(args.sub_cylinder, u)
     a, z, g, c = params["alpha"], params["z"], params["gamma"], params["c"]
     fast = None if args.oracle else seminorm_set(u, a, g, z, c, Q)
 

@@ -33,7 +33,6 @@ from .grid import (
 )
 
 CFL_EPS = 1e-12
-CFL_SAFETY = 1.0  # substeps satisfy dt <= CFL_SAFETY * dx / (gamma h1 P^(gamma-1) + CFL_EPS)
 MAX_HALVINGS = 10  # retries one rung down per substep
 MAX_SUBSTEPS = 100000  # substeps per macro step
 RESIDUAL_BLOCK = 32  # accepted batch substeps whose linear residuals one sparse product forms
@@ -147,12 +146,12 @@ def _batched(grid: Grid, samplers: list) -> Callable:
 
     A column alone reads its own sampler.  Constants are one column of
     values, fields are stacked once per level for all the columns (once per
-    solve when every field's levels share one array) and a batch copies its
-    rows once per level, and other mixes go row by row.
+    solve when every field is constant in time) and a batch copies its rows
+    once per level, and other mixes go row by row.
     """
     const = np.array([[np.nan if s.const is None else s.const] for s in samplers])
     fields = all(s.levels is not None for s in samplers)
-    if fields and all(s.levels.strides[0] == 0 for s in samplers):  # every field's levels share one array
+    if fields and all(s.levels.strides[0] == 0 for s in samplers):  # every field is constant in time: its levels are one array
         once = np.stack([s.levels[0][grid.interior] for s in samplers])
         stacked = lambda k: once
     else:
@@ -246,9 +245,9 @@ def solve_hj_many(problems, grid: Grid, gradient_bounds=None) -> list:
     Diffusion is implicit (direct sparse solve per step), the Hamiltonian
     h * (Godunov |Du|)^gamma explicit.  Every substep length is a dyadic
     rung grid.dt / 2**j: the largest rung that fits in what is left of the
-    macro step and satisfies dt <= CFL_SAFETY * dx / (gamma*h1*P^(gamma-1) + eps)
-    for P the larger of the column's current Godunov gradient and its
-    gradient bound.  A step whose realized gradient invalidates its own dt
+    macro step and satisfies dt <= dx / (gamma*h1*P^(gamma-1) + eps) for P
+    the larger of the column's current Godunov gradient and its gradient
+    bound.  A step whose realized gradient invalidates its own dt
     is retried one rung down, at most MAX_HALVINGS times, and a macro step
     may not need more than MAX_SUBSTEPS substeps.  The time left in a macro
     step is kept as an exact dyadic fraction, so round-off never opens an
@@ -263,12 +262,14 @@ def solve_hj_many(problems, grid: Grid, gradient_bounds=None) -> list:
     and equal those of one mat-vec per substep.  A column that fails drops
     out and the others go on.
 
-    Columns with the same sigma, gamma and h1 that take the same substep
-    take it as one batch (_March.family), with one LU solve (in 2D, where
+    Columns with the same sigma, gamma and h1 start each level as one batch
+    (_March.family), which takes a substep with one LU solve (in 2D, where
     SuperLU's multi-right-hand-side solve rounds differently, one per
-    column).  The diffusion matrix is LU-factored once per sigma and rung
-    used.  Every column's values, log and failure are those of its solo
-    march, bit for bit.
+    column).  A batch parts where its columns pick different rungs, pass the
+    CFL check apart or blow up, and its parts meet again at the level.  The
+    diffusion matrix is LU-factored once per sigma and rung used.  Every
+    column's values, log and failure are those of its solo march, bit for
+    bit.
 
     A field h, f or terminal datum must live on grid (ValueError naming both
     GridSpecs otherwise).  Before any factorization, a ValueError names a
@@ -371,24 +372,15 @@ def _cfl_dt(P, gamma, h1, dx):
 
 
 def _rungs(left, e, cfls, macro_dt) -> list:
-    """The rung j of a fresh substep for each CFL step in cfls: the largest macro_dt / 2**j within the time left, left / 2**e macro steps, and within CFL_SAFETY times the step."""
+    """The rung j of a fresh substep for each CFL step in cfls: the largest macro_dt / 2**j within the time left, left / 2**e macro steps, and within the step."""
     j0 = max(0, e + 1 - left.bit_length())  # the least j with macro_dt / 2**j within the time left
     rungs = []
     for limit in cfls:
         j = j0
-        while math.ldexp(macro_dt, -j) > limit * CFL_SAFETY:
+        while math.ldexp(macro_dt, -j) > limit:
             j += 1
         rungs.append(j)
     return rungs
-
-
-def _key(left, e, j, halvings):
-    """The key of a substep on rung j that starts left / 2**e macro steps before its level: its end, as a fraction and in lowest terms, its rung and its halvings."""
-    if j > e:
-        left, e = left << (j - e), j
-    left -= 1 << (e - j)
-    z = (left & -left).bit_length() - 1 if left else e
-    return left / (1 << e), left >> z, e - z, j, halvings
 
 
 def _index(idx):
@@ -435,14 +427,17 @@ class _March:
     def family(self, cols):
         """March the columns of one family (shared sigma, gamma and h1) from the terminal level to level 0.
 
-        The family keeps its interior values V and Godunov magnitudes G with
-        one contiguous row per column, and each column's place on the ladder
-        (left / 2**e macro steps before level k), substeps in the macro step,
-        CFL step and time in lists.  The columns waiting under one key take
-        that substep as one batch, the latest-ending first.  A batch marches
-        on while its columns agree on the next rung and nobody waits for that
-        substep, across levels while it holds every live column; otherwise it
-        hands its columns back.  Columns at level k wait there for the others.
+        The live columns start each level as one batch, which keeps its
+        interior values V and Godunov magnitudes G with one row per column
+        and takes each substep with one LU solve.  A batch parts where its
+        columns pick different rungs, where the CFL check passes only some
+        of them, or where some blow up.  Each part marches alone to the
+        level, and the parts meet there as one batch; a batch that holds
+        every live column goes straight on.  A part is its columns, their V,
+        G and CFL steps, its place left / 2**e macro steps before the level
+        at time t, its substeps in the macro step, and the rung and halvings
+        of its next try (rung None: a fresh substep, on the rung the CFL
+        steps pick).
         """
         grid, neighbours, lone, pending, ts, n_int, slot = self.grid, self.neighbours, self.lone, self.pending, self.ts, self.n_int, self.slot
         dx, macro_dt, one_solve, n_rows = grid.dx, grid.dt, grid.dim == 1, len(self.nodes) + 1
@@ -459,123 +454,104 @@ class _March:
         bounds = [(c.P_user, c.cfl_user) for c in cols]
         # the next rung is chosen for the larger of the gradient and the column's bound
         cfl = [u if P > g else _cfl_dt(g, gamma, p.h1, dx) for (P, u), g in zip(bounds, G.max(axis=1).tolist())]
-        left, e, subs, t_cur = [1] * m, [0] * m, [0] * m, [ts[-1]] * m
-        waiting, reached = {}, list(range(m))  # key -> the columns waiting for that substep; the columns at level k
-        k = len(ts) - 1
 
-        def wait(i, j=None, halvings=0):
-            """Column i waits for its next substep: a fresh one, on the rung its CFL step allows, or a retry on rung j."""
-            if j is None:
-                subs[i] += 1
-                if subs[i] > MAX_SUBSTEPS:
-                    cols[i].failure = NumericalFailure(f"CFL subcycle limit exceeded: > {MAX_SUBSTEPS} substeps in one macro step")
-                    return
-                (j,) = _rungs(left[i], e[i], [cfl[i]], macro_dt)
-            waiting.setdefault(_key(left[i], e[i], j, halvings), []).append(i)
+        @functools.cache
+        def bind(idx):
+            """The columns idx (a tuple), where their levels go, their bounds and their data."""
+            rows = list(idx)
+            batch = [cols[i] for i in rows]
+            return batch, _index([c.index for c in batch]), [bounds[i] for i in rows], f_of(rows), h_of(rows), lateral_of(rows)
 
-        def hand_back(pos, Vp, Gp, cfl_p, t, lf, ef, steps):
-            """Columns pos stand at t with the values Vp, magnitudes Gp and CFL steps cfl_p, lf / 2**ef before level k."""
-            V[pos], G[pos] = Vp, Gp
-            for i, x in zip(pos, cfl_p):
-                cfl[i], t_cur[i], left[i], e[i] = x, t, lf, ef
-                subs[i] += steps
+        def part(idx, V_b, G_b, cfl_b, sel, *place):
+            """The part of the rows sel of a batch's columns, V, G and CFL steps, at place."""
+            return (tuple(idx[c] for c in sel), V_b[sel], G_b[sel], [cfl_b[c] for c in sel], *place)
 
-        def form(idx):
-            """A batch of the columns idx: its size, whether it holds every live column, its columns, where their levels go, their bounds and data."""
-            batch = [cols[i] for i in idx]
-            whole = len(idx) == sum(c.failure is None for c in cols)
-            return len(idx), whole, batch, _index([c.index for c in batch]), [bounds[i] for i in idx], f_of(idx), h_of(idx), lateral_of(idx)
-
-        while waiting or reached:
-            if not waiting:  # every live column stands at level k
-                k -= 1
-                if k < 0:
-                    return
-                for i in reached:
-                    left[i], e[i], subs[i] = 1, 0, 0
-                    wait(i)
-                reached = []
-                continue
-            key = max(waiting)
-            idx, j, halvings = sorted(waiting.pop(key)), key[3], key[4]
-            b, whole, cols_b, at, bounds_b, f_at, h_at, lateral_at = form(idx)
-            V_b, G_b, cfl_b = V[idx], G[idx], [cfl[i] for i in idx]
-            lf, ef, t_from, t_target = left[idx[0]], e[idx[0]], t_cur[idx[0]], ts[k]
-            top, steps = max(subs[i] for i in idx), 0  # the most substeps a column took, and the batch's since
-            state = np.zeros((b, n_rows))
-            hamiltonian = G_b ** gamma
-            while True:
-                dt = math.ldexp(macro_dt, -j)
-                if j > ef:
-                    lf, ef = lf << (j - ef), j
-                lf_new = lf - (1 << (ef - j))
-                t_new = t_target + (lf_new / (1 << ef)) * macro_dt
-                f = f_at(t_new)
-                rhs = h_at(t_new) * hamiltonian  # then V_b + dt * (f - rhs) + the lateral term, in place
-                np.subtract(f, rhs, out=rhs)
-                rhs *= dt
-                rhs += V_b
-                bnd_new, lateral_term = lateral_at(t_new, j)
-                rhs += lateral_term
-                lu = lus[j] if j in lus else self.factor(sigma, j)
-                # in 2D SuperLU's solve of several right-hand sides rounds differently from single solves
-                sol = lu.solve(rhs.T).T if one_solve or b == 1 else np.array([lu.solve(r) for r in rhs])
-                state[:, :n_int] = sol
-                state[:, n_int:-1] = bnd_new
-                G_new = godunov_magnitude_gather(sol, state, neighbours_of(b), dx)
-                g_max = G_new.max(axis=1).tolist()
-                blown = []
-                if lone or not all(map(math.isfinite, g_max)):
-                    blown = [c for c, g in enumerate(g_max) if (lone or not math.isfinite(g)) and not np.isfinite(sol[c]).all()]
-                cfl_new = [dx / (gh * max(g, 0.0) ** gm1 + CFL_EPS) for g in g_max]  # _cfl_dt, inlined
-                ok = [dt <= x * (1.0 + 1e-12) for x in cfl_new]
-                if not blown and True not in ok:  # the whole batch retries one rung down, or fails past MAX_HALVINGS
-                    halvings += 1
-                    if halvings <= MAX_HALVINGS:
+        batch = tuple(range(m)), V, G, cfl
+        for k in range(len(ts) - 2, -1, -1):
+            parts, reached = [(*batch, 1, 0, ts[k + 1], 0, None, 0)], []
+            while parts:
+                idx, V_b, G_b, cfl_b, lf, ef, t_from, subs, j, halvings = parts.pop()
+                cols_b, at, bounds_b, f_at, h_at, lateral_at = bind(idx)
+                b = len(idx)
+                state = np.zeros((b, n_rows))
+                while True:
+                    if j is None:  # a fresh substep
+                        subs += 1
+                        if subs > MAX_SUBSTEPS:
+                            for c in cols_b:
+                                c.failure = NumericalFailure(f"CFL subcycle limit exceeded: > {MAX_SUBSTEPS} substeps in one macro step")
+                            break
+                        rungs = _rungs(lf, ef, cfl_b, macro_dt)
+                        j, halvings = rungs[0], 0
+                        if rungs.count(j) < b:  # the batch parts by rung
+                            for r in dict.fromkeys(rungs):
+                                parts.append(part(idx, V_b, G_b, cfl_b, [c for c, x in enumerate(rungs) if x == r], lf, ef, t_from, subs, r, 0))
+                            break
+                    hamiltonian = G_b ** gamma
+                    while True:  # tries on rung j, then one rung down while the whole batch breaks its CFL bound
+                        dt = math.ldexp(macro_dt, -j)
+                        if j > ef:
+                            lf, ef = lf << (j - ef), j
+                        lf_new = lf - (1 << (ef - j))
+                        t_new = ts[k] + (lf_new / (1 << ef)) * macro_dt
+                        f = f_at(t_new)
+                        rhs = h_at(t_new) * hamiltonian  # then V_b + dt * (f - rhs) + the lateral term, in place
+                        np.subtract(f, rhs, out=rhs)
+                        rhs *= dt
+                        rhs += V_b
+                        bnd_new, lateral_term = lateral_at(t_new, j)
+                        rhs += lateral_term
+                        lu = lus[j] if j in lus else self.factor(sigma, j)
+                        # in 2D SuperLU's solve of several right-hand sides rounds differently from single solves
+                        sol = lu.solve(rhs.T).T if one_solve or b == 1 else np.array([lu.solve(r) for r in rhs])
+                        state[:, :n_int] = sol
+                        state[:, n_int:-1] = bnd_new
+                        G_new = godunov_magnitude_gather(sol, state, neighbours_of(b), dx)
+                        g_max = G_new.max(axis=1).tolist()
+                        blown = []
+                        if lone or not all(map(math.isfinite, g_max)):
+                            blown = [c for c, g in enumerate(g_max) if (lone or not math.isfinite(g)) and not np.isfinite(sol[c]).all()]
+                        cfl_new = [dx / (gh * max(g, 0.0) ** gm1 + CFL_EPS) for g in g_max]  # _cfl_dt, inlined
+                        ok = [dt <= x * (1.0 + 1e-12) for x in cfl_new]
+                        if blown or True in ok or halvings >= MAX_HALVINGS:
+                            break
+                        halvings += 1
                         j += 1
-                        continue
-                if blown or False in ok:  # the batch parts: the blown fail, the rejected retry, the others march on
-                    for c, passed in enumerate(ok):
-                        if c in blown:
-                            cols_b[c].failure = self.blowup(sol[c], t_new)
-                        elif not passed and halvings >= MAX_HALVINGS:
-                            cols_b[c].failure = self.retry_failure(sol[c], state[c, n_int:-1], g_max[c], t_new)
-                        elif not passed:
-                            hand_back([idx[c]], V_b[[c]], G_b[[c]], [cfl_b[c]], t_from, lf, ef, steps)
-                            wait(idx[c], j + 1, halvings + 1)
-                    acc = [c for c, passed in enumerate(ok) if passed and c not in blown]
-                    if not acc:
+                    if blown or False in ok:  # the batch parts: the blown fail, the rejected retry one rung down, the others march on
+                        acc, rejected = [], []
+                        for c, passed in enumerate(ok):
+                            if c in blown:
+                                cols_b[c].failure = self.blowup(sol[c], t_new)
+                            elif passed:
+                                acc.append(c)
+                            elif halvings >= MAX_HALVINGS:
+                                cols_b[c].failure = self.retry_failure(sol[c], state[c, n_int:-1], g_max[c], t_new)
+                            else:
+                                rejected.append(c)
+                        if rejected:
+                            parts.append(part(idx, V_b, G_b, cfl_b, rejected, lf, ef, t_from, subs, j + 1, halvings + 1))
+                        if not acc:
+                            break
+                        idx, g_max, cfl_new = tuple(idx[c] for c in acc), [g_max[c] for c in acc], [cfl_new[c] for c in acc]
+                        sol, G_new, rhs, state, b = sol[acc], G_new[acc], rhs[acc], state[acc], len(acc)
+                        cols_b, at, bounds_b, f_at, h_at, lateral_at = bind(idx)
+                    pending.append((cols_b, t_from, t_new, sigma * dt, dt, halvings, g_max, sol, rhs))
+                    if len(pending) >= RESIDUAL_BLOCK:
+                        self.log_pending()
+                    cfl_b = [u if P > g else x for (P, u), g, x in zip(bounds_b, g_max, cfl_new)]
+                    V_b, G_b, t_from, lf, j = sol, G_new, t_new, lf_new, None
+                    if not lf:  # level k reached
+                        self.levels[at, k] = state.take(slot, axis=1)
+                        reached.append((idx, V_b, G_b, cfl_b))
                         break
-                    idx, g_max, cfl_new = [idx[c] for c in acc], [g_max[c] for c in acc], [cfl_new[c] for c in acc]
-                    sol, G_new, rhs, state = sol[acc], G_new[acc], rhs[acc], state[acc]
-                    b, whole, cols_b, at, bounds_b, f_at, h_at, lateral_at = form(idx)
-                pending.append((cols_b, t_from, t_new, sigma * dt, dt, halvings, g_max, sol, rhs))
-                if len(pending) >= RESIDUAL_BLOCK:
-                    self.log_pending()
-                cfl_b = [u if P > g else x for (P, u), g, x in zip(bounds_b, g_max, cfl_new)]
-                V_b, G_b, t_from, lf = sol, G_new, t_new, lf_new
-                if not lf:  # level k reached
-                    self.levels[at, k] = state.take(slot, axis=1)
-                    if not whole:
-                        hand_back(idx, V_b, G_b, cfl_b, t_from, lf, ef, steps)
-                        reached += idx
-                        break
-                    k -= 1
-                    if k < 0:
-                        break
-                    t_target, lf, ef, top, steps = ts[k], 1, 0, 0, 0
-                    for i in idx:
-                        subs[i] = 0
-                rungs = _rungs(lf, ef, cfl_b, macro_dt)
-                j = rungs[0]
-                if rungs.count(j) < b or top + steps >= MAX_SUBSTEPS or waiting and _key(lf, ef, j, 0) in waiting:
-                    hand_back(idx, V_b, G_b, cfl_b, t_from, lf, ef, steps)
-                    for i in idx:
-                        wait(i)
-                    break
-                steps += 1
-                halvings = 0
-                hamiltonian = G_b ** gamma
+            if len(reached) == 1:
+                batch = reached[0]
+            elif reached:  # the parts meet as one batch, its columns in order
+                idx, V_b, G_b, cfl_b = map(np.concatenate, zip(*reached))
+                order = np.argsort(idx)
+                batch = tuple(idx[order].tolist()), V_b[order], G_b[order], cfl_b[order].tolist()
+            else:
+                return
 
     def retry_failure(self, sol, bnd, g_max, t):
         """The failure of a column whose substep ended at t with the values sol, bnd still breaking its CFL bound."""

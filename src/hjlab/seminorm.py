@@ -527,6 +527,11 @@ def _member(name, u, alpha, gamma, c, Q):
     return nodes, family, nodes.weight(weight, alpha, gamma), power(gamma, c)
 
 
+def node_count(u: ScalarField, Q: Cylinder) -> int:
+    """The number of active space-time nodes of u in Q, as every member selects them."""
+    return _Nodes(u, Q).n
+
+
 def member_scan(name, u, alpha, gamma=None, c=None, Q=None):
     """Exact sup of a member's quotient on Q by branch-and-bound; degenerate when no pair."""
     nodes, family, weight, power = _member(name, u, alpha, gamma, c, Q)

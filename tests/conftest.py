@@ -11,7 +11,7 @@ from scipy.linalg import lapack
 
 from hjlab.acceptance import random_field  # noqa: F401 - shared with the test modules
 from hjlab.grid import Grid, GridSpec, NumericalFailure, ScalarField, evaluate, make_grid
-from hjlab.hj import CFL_EPS, CFL_SAFETY, MAX_HALVINGS, MAX_SUBSTEPS, HJSolution
+from hjlab.hj import CFL_EPS, MAX_HALVINGS, MAX_SUBSTEPS, HJSolution
 
 
 @pytest.fixture
@@ -48,6 +48,25 @@ def counting_lu(solve, *args, **kwargs):
         except Exception as exc:
             exc.lu_calls = len(calls)
             raise
+    return res, len(calls)
+
+
+class _CountedLU:
+    """A SuperLU factor whose solves, each of one right-hand side or a batch of them, are counted in calls."""
+
+    def __init__(self, lu, calls):
+        self.lu, self.calls = lu, calls
+
+    def solve(self, rhs, *args):
+        self.calls.append(rhs.shape)
+        return self.lu.solve(rhs, *args)
+
+
+def counting_lu_solves(solve, *args, **kwargs):
+    """solve(*args, **kwargs) and the number of SuperLU solves it made, a batch of right-hand sides counting once."""
+    calls, real = [], spla.splu
+    with mock.patch.object(spla, "splu", lambda *a, **kw: _CountedLU(real(*a, **kw), calls)):
+        res = solve(*args, **kwargs)
     return res, len(calls)
 
 
@@ -225,7 +244,7 @@ def oracle_solve_hj(problem, grid, gradient_bound=None):
                     f"CFL subcycle limit exceeded: > {MAX_SUBSTEPS} substeps in one macro step"
                 )
             Pmax = max(float(np.max(G[int_mask])), P_user)
-            limit = CFL_SAFETY * cfl_dt(Pmax)
+            limit = cfl_dt(Pmax)
             j = 0
             while left * 2 ** j < 1 or math.ldexp(grid.dt, -j) > limit:
                 j += 1

@@ -315,6 +315,35 @@ class TestCliRuns:
         assert fast == [[r[c] for c in cols] for r in rows("sn_oracle")]
         assert all(r["degenerate"] == "0" for r in rows("sn_sub"))
 
+    @pytest.mark.parametrize(
+        "sub, message",
+        [
+            ("0.5,-0.5,0,1", "ranges must run low to high"),
+            ("0,0.5,0.75,0.25", "ranges must run low to high"),
+            ("nan,1,0,1", "entries must be finite numbers"),
+            ("5,6,0,1", "holds no active node of the field"),
+            ("0,1/0,0,1", "zero denominator in '1/0'"),
+        ],
+        ids=["xlo-above-xhi", "t0-above-t1", "nan", "no-node", "zero-denominator"],
+    )
+    def test_bad_sub_cylinder_exits_2_naming_it(self, sub, message, tmp_path, capsys):
+        out = str(tmp_path / "hj")
+        assert self.run(["solve-hj", "--grid", "1,1,1/4,1,1/4", "--out", out]) == 0
+        argv = ["seminorm", "--field", f"{out}_solution.csv", "--sub-cylinder", sub, "--out", str(tmp_path / "sn")]
+        assert self.run(argv) == 2
+        err = capsys.readouterr().err
+        assert "--sub-cylinder" in err and message in err
+
+    def test_one_node_sub_cylinder_is_degenerate(self, tmp_path):
+        out = str(tmp_path / "hj")
+        assert self.run(["solve-hj", "--grid", "1,1,1/4,1,1/4", "--out", out]) == 0
+        argv = ["seminorm", "--field", f"{out}_solution.csv", "--sub-cylinder", "0,0,0,0", "--out", str(tmp_path / "sn")]
+        assert self.run(argv) == 0
+        lines = (tmp_path / "sn_seminorms.csv").read_text().splitlines()
+        rows = list(csv.DictReader(l for l in lines if not l.startswith("#")))
+        members = [r for r in rows if r["seminorm"] != "nl_combined"]
+        assert len(members) == 4 and all(r["degenerate"] == "1" for r in members)
+
     def test_readme_cli_examples_exit_0(self, tmp_path, monkeypatch):
         # in README order, in one directory: later examples read earlier outputs
         monkeypatch.chdir(tmp_path)

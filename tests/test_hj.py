@@ -36,7 +36,7 @@ from hjlab.hj import (
     time_pair_exponent,
 )
 
-from conftest import counting_lu, oracle_manufactured, oracle_manufactured_rhs, oracle_solve_hj, random_field
+from conftest import counting_lu, counting_lu_solves, oracle_manufactured, oracle_manufactured_rhs, oracle_solve_hj, random_field
 
 
 class TestProblemValidation:
@@ -704,14 +704,14 @@ class TestSolveMany:
         (3.0, "field", "field", "constant", None, 2.0, 6),
         (3.0, "constant", "nan_late", "constant", 4.0, 1.0, 7),
     ])
-    # columns that march together part within a macro step and take a substep together again before its end:
-    # column 1 leaves for a coarser rung and meets column 2 at t = 0.4609375 ...
+    # columns that part within a macro step and later stand at one time on one rung, where they march on
+    # apart until the level: column 1 leaves for a coarser rung and reaches column 2 at t = 0.4609375 ...
     @example(dim=1, ball=False, dx=0.25, dt=0.25, columns=[
         (2.5, "field", "constant", "callable", None, 2.0, 12748),
         (2.5, "field", "field", "constant", None, 1.5, 4765),
         (2.5, "constant", "field", "callable", None, 1.5, 46485),
     ])
-    # ... and columns 1 and 2 part at t = 0.2265625 and meet again at t = 0.2109375, beside a blow-up
+    # ... and columns 1 and 2 part at t = 0.2265625 and stand together again at t = 0.2109375, beside a blow-up
     @example(dim=1, ball=False, dx=0.25, dt=0.125, columns=[
         (3.0, "constant", "nan_late", "constant", None, 2.0, 7749),
         (3.0, "field", "callable", "callable", None, 1.5, 13864),
@@ -808,14 +808,28 @@ class TestSolveMany:
 
 
 class TestNonlinearSweep:
+    SWEEP = dict(q_list=[1.6, 2.4], eps_list=[1 / 4, 1 / 8, 1 / 16], gamma=3.0, dx_list=[1 / 64])
+
     def test_rows_are_their_solo_marches(self, monkeypatch):
-        """At ||f||_q = 8 the rows part and meet within most macro steps; each row is still its solo march."""
+        """At ||f||_q = 8 the rows part within macro steps and meet again at the levels; each row is still its solo march."""
         from hjlab import scalelab
 
-        kw = dict(q_list=[1.6, 2.4], eps_list=[1 / 4, 1 / 8, 1 / 16], gamma=3.0, dx_list=[1 / 64], norm_target=8.0)
+        kw = dict(self.SWEEP, norm_target=8.0)
         rows = scalelab.maxreg_sweep(**kw)
         monkeypatch.setattr(scalelab, "solve_hj_many", lambda problems, grid: [solve_hj(p, grid) for p in problems])
         assert repr(rows) == repr(scalelab.maxreg_sweep(**kw))
+
+    @pytest.mark.parametrize("norm_target, solves", [(1.0, 256), (8.0, 1398)])
+    def test_parts_meet_again_at_each_level(self, norm_target, solves):
+        """The six rows take one batch LU solve per substep they share: one per level at ||f||_q = 1.
+
+        At 8 the rows part within macro steps.  Parts that marched apart to
+        the end of the march would take about 4830 solves there.
+        """
+        from hjlab import scalelab
+
+        _, n_solves = counting_lu_solves(scalelab.maxreg_sweep, **self.SWEEP, norm_target=norm_target)
+        assert n_solves == solves
 
 
 class TestGradientBounds:
