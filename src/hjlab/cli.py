@@ -69,7 +69,11 @@ def parse_number(s: str) -> float:
 
 
 def parse_list(s: str) -> list[float]:
-    return [parse_number(tok) for tok in s.split(",") if tok.strip()]
+    """Comma-separated parse_number tokens; ValueError for an empty list or entry (a doubled, leading or trailing comma)."""
+    toks = s.split(",")
+    if not all(tok.strip() for tok in toks):
+        raise ValueError(f"empty entry in the list {s!r}" if s.strip() else "expected a comma-separated list of numbers")
+    return [parse_number(tok) for tok in toks]
 
 
 def number_list(s: str) -> list[float]:
@@ -78,8 +82,6 @@ def number_list(s: str) -> list[float]:
         vals = parse_list(s)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    if not vals:
-        raise argparse.ArgumentTypeError("expected a comma-separated list of numbers")
     for v in vals:
         if not math.isfinite(v):
             raise argparse.ArgumentTypeError(f"entries must be finite numbers, got {v!r}")
@@ -237,7 +239,10 @@ def _parse_drift(spec: str):
     if spec == "zero":
         return None
     if spec.startswith("uniform:"):
-        return tuple(parse_list(spec.split(":", 1)[1]))
+        try:
+            return tuple(parse_list(spec.split(":", 1)[1]))
+        except ValueError as exc:
+            raise ValueError(f"--drift: {exc}") from None
     if spec.startswith("from-solution:"):
         fname, g, h1 = spec.split(":", 1)[1].split(",")
         return drift_from_solution(read_field_csv(fname), parse_number(h1), parse_number(g))
@@ -333,7 +338,7 @@ def cmd_seminorm(args, params, chash):
             "seminorm": "nl_combined",
             "value": combine_nonlinear(members["nl_space"].value, members["nl_time"].value, z, g),
             "exact": 1,
-            "degenerate": 0,
+            "degenerate": int(members["nl_space"].degenerate and members["nl_time"].degenerate),
             "x": "",
             "t": np.nan,
             "x_bar": "",

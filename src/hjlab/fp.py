@@ -64,7 +64,6 @@ class FPSolution:
     b: VectorField
     sigma: float
     source: np.ndarray
-    source_index: tuple
     mass: np.ndarray  # per level
     outflux: np.ndarray  # cumulative per level
     boundary_flux: np.ndarray  # (levels, n_faces) per-step increments
@@ -216,7 +215,6 @@ def solve_fp(problem: FPProblem, grid: Grid) -> FPSolution:
         b=b,
         sigma=problem.sigma,
         source=x0,
-        source_index=src_idx,
         mass=mass,
         outflux=outflux,
         boundary_flux=bflux,

@@ -3,10 +3,11 @@
 Solves -du/dt - sigma*Lap(u) + h(x,t)|Du|^gamma = f(x,t) on the grid cylinder,
 gamma > 2, marching from the terminal level with implicit diffusion and an
 explicit Godunov Hamiltonian.  The time step adapts to the realized gradient;
-constants are exact fixed points of the scheme.  The data h and f are read
-as grid.evaluate reads them, at the solve grid's nodes and at each
-substep's time (linear between levels, exact on them); a field h, f or
-terminal datum must live on the solve grid itself.
+constants are exact fixed points of the scheme.  The data h, f and the
+lateral values are read on the solve grid's levels, exact on them and
+linear between them: a field as it is (it must live on the solve grid
+itself), and a callable as grid.evaluate gives it at every node and level,
+once per solve.
 
 scipy is loaded by the march, not by importing this module: scipy.sparse
 when a march starts and scipy.sparse.linalg at its first LU factorization.
@@ -76,7 +77,7 @@ def _reject(grid: Grid, levels: np.ndarray, ts, ok: np.ndarray, what: str) -> No
 
 
 def _finite(name: str):
-    """A check for _interior_sampler: ValueError at the first active node where datum name is not finite."""
+    """A check for _sampler: ValueError at the first active node where datum name is not finite."""
 
     def check(grid, levels, ts):
         _reject(grid, levels, ts, np.isfinite(levels), f"{name} is not finite: {name}")
@@ -85,7 +86,7 @@ def _finite(name: str):
 
 
 class _Sampler(NamedTuple):
-    """A datum at the interior nodes: at(t), and a constant's value or a field's levels for stacking."""
+    """A datum on some nodes: at(t), and a constant's value or the datum's levels for stacking."""
 
     at: Callable
     const: float | None = None
@@ -108,55 +109,42 @@ def _level_blend(ts: list, dt: float, level: Callable) -> Callable:
     return at
 
 
-def _interior_sampler(grid: Grid, obj, check=None) -> _Sampler:
-    """obj at the interior nodes, prepared once per solve.
+def _sampler(grid: Grid, obj, check: Callable, nodes: np.ndarray) -> _Sampler:
+    """obj at the nodes (a mask of grid), prepared once per solve.
 
-    Values are those of evaluate(obj, grid, t) restricted to the interior.
-    A constant comes back as a float.  A ScalarField (on grid) takes the
-    level pair that bracket gives for t, and blends them unless t is a
-    level.  A callable is evaluated at every call: at the interior nodes
-    alone when there is no check, else at every node.
-    check(grid, levels, ts), if given, sees every value that can come back:
-    a constant's or a field's once, here, and a callable's at each call.
+    A constant comes back as a float.  A ScalarField (on grid), or a
+    callable evaluated once at every node and level of grid as
+    ScalarField.from_function evaluates it, is read on its levels: at(t)
+    takes the level pair that bracket gives for t, and blends them unless t
+    is a level.  check(grid, levels, ts) sees every value first: a
+    constant's once, the levels of the others all at once.
     """
-    interior = grid.interior
-    if isinstance(obj, ScalarField):
-        if check is not None:
-            check(grid, obj.values, grid.ts)
-        return _Sampler(_level_blend(grid.ts.tolist(), grid.dt, lambda k: obj.values[k][interior]), levels=obj.values)
-    if callable(obj) and check is None:
-        points = grid.coords[interior]
-        return _Sampler(lambda t: evaluate(obj, None, t, points))
-    if callable(obj):
-
-        def at(t):
-            arr = evaluate(obj, grid, t)
-            check(grid, arr[None], [t])
-            return arr[interior]
-
-        return _Sampler(at)
+    if isinstance(obj, ScalarField) or callable(obj):
+        levels = obj.values if isinstance(obj, ScalarField) else evaluate(obj, grid)
+        check(grid, levels, grid.ts)
+        return _Sampler(_level_blend(grid.ts.tolist(), grid.dt, lambda k: levels[k][nodes]), levels=levels)
     c = 0.0 if obj is None else float(obj)
-    if check is not None:
-        check(grid, np.full((1,) + grid.shape, c), grid.ts[:1])
+    check(grid, np.full((1,) + grid.shape, c), grid.ts[:1])
     return _Sampler(lambda t: c, const=c)
 
 
-def _batched(grid: Grid, samplers: list) -> Callable:
-    """idx -> t -> the data of the columns idx at the interior nodes, one row per column with the bits of its at(t).
+def _batched(grid: Grid, samplers: list, nodes: np.ndarray) -> Callable:
+    """idx -> t -> the data of the columns idx at the nodes, one row per column with the bits of its at(t).
 
     A column alone reads its own sampler.  Constants are one column of
-    values, fields are stacked once per level for all the columns (once per
-    solve when every field is constant in time) and a batch copies its rows
-    once per level, and other mixes go row by row.
+    values.  When no column is constant, their levels are stacked once per
+    level for all the columns (once per solve when each is constant in
+    time), and a batch copies its rows once per level; other mixes go row
+    by row.
     """
     const = np.array([[np.nan if s.const is None else s.const] for s in samplers])
-    fields = all(s.levels is not None for s in samplers)
-    if fields and all(s.levels.strides[0] == 0 for s in samplers):  # every field is constant in time: its levels are one array
-        once = np.stack([s.levels[0][grid.interior] for s in samplers])
+    stackable = all(s.levels is not None for s in samplers)
+    if stackable and all(s.levels.strides[0] == 0 for s in samplers):  # each datum is constant in time
+        once = np.stack([s.levels[0][nodes] for s in samplers])
         stacked = lambda k: once
     else:
-        stacked = functools.lru_cache(maxsize=2)(lambda k: np.stack([s.levels[k][grid.interior] for s in samplers]))
-    n, ts = int(grid.interior.sum()), grid.ts.tolist()
+        stacked = functools.lru_cache(maxsize=2)(lambda k: np.stack([s.levels[k][nodes] for s in samplers]))
+    n, ts = int(nodes.sum()), grid.ts.tolist()
 
     def bind(idx):
         ss = [samplers[i] for i in idx]
@@ -164,15 +152,51 @@ def _batched(grid: Grid, samplers: list) -> Callable:
             return ss[0].at
         if all(s.const is not None for s in ss):
             return lambda t, c=const[idx]: c
-        if fields:
+        if stackable:
             return _level_blend(ts, grid.dt, lambda k: stacked(k)[idx])
         return lambda t: np.stack([np.broadcast_to(s.at(t), n) for s in ss])
 
     return bind
 
 
+def _batched_lateral(B, sigma: float, macro_dt: float, samplers: list) -> Callable:
+    """idx -> (bnd, j) -> the lateral term sigma * dt_j * (B @ bnd) of the columns idx on rung j.
+
+    bnd is what _batched gives for the columns' lateral samplers at the
+    substep's end.  Each row has the bits of one column's vector mat-vec.
+    Constant data give their terms once per rung for all the columns, and a
+    batch copies its rows once per rung; varying data give them per
+    substep.
+    """
+
+    @functools.cache
+    def per_rung(j):
+        coef = sigma * math.ldexp(macro_dt, -j)
+        return np.stack([coef * (B @ np.full(B.shape[1], np.nan if s.const is None else s.const)) for s in samplers])
+
+    def bind(idx):
+        if all(samplers[i].const is not None for i in idx):
+            mine = functools.cache(lambda j: per_rung(j)[idx])
+            return lambda bnd, j: mine(j)
+
+        def term(bnd, j):
+            coef = sigma * math.ldexp(macro_dt, -j)
+            return coef * (B @ bnd) if bnd.ndim == 1 else np.stack([coef * (B @ r) for r in bnd])
+
+        return term
+
+    return bind
+
+
 @dataclass
 class HJProblem:
+    """The data of one backward HJ problem.
+
+    h, f and lateral are read on the solve grid's levels, linearly between
+    them; a callable among them is evaluated once per solve, at every node
+    and level, as ScalarField.from_function evaluates it.
+    """
+
     gamma: float
     sigma: float
     h0: float
@@ -180,7 +204,7 @@ class HJProblem:
     h: object = None  # number, callable(x, t) or ScalarField; default h0
     f: object = 0.0  # None (zero), number, callable(x, t) or ScalarField
     terminal: object = 0.0  # constant, callable(x) or ScalarField for u(., T)
-    lateral: object = 0.0  # constant or callable(x, t) on the boundary layer
+    lateral: object = 0.0  # number, callable(x, t) or ScalarField, read on the boundary layer
 
     def __post_init__(self):
         if not self.gamma > 2:
@@ -209,12 +233,6 @@ class HJProblem:
         if callable(self.terminal):
             return np.asarray(self.terminal(grid.coords), dtype=float) * np.ones(grid.shape)
         return evaluate(self.terminal, grid, grid.ts[-1])
-
-    def lateral_values(self, xs: np.ndarray, t: float) -> np.ndarray:
-        """Lateral data at the points xs, shape (n, dim): a grid's boundary layer in C order."""
-        if callable(self.lateral):
-            return np.asarray(self.lateral(xs, float(t)), dtype=float) * np.ones(len(xs))
-        return np.full(len(xs), float(self.lateral))
 
 
 @dataclass
@@ -271,14 +289,14 @@ def solve_hj_many(problems, grid: Grid, gradient_bounds=None) -> list:
     column's values, log and failure are those of its solo march, bit for
     bit.
 
-    A field h, f or terminal datum must live on grid (ValueError naming both
-    GridSpecs otherwise).  Before any factorization, a ValueError names a
-    bad gradient bound and its problem's position, a constant or ScalarField
-    h that leaves [h0, h1], or a terminal level, constant or ScalarField f
-    or constant lateral datum that is not finite (with the value, the first
-    offending node and its time).  A callable h is checked each time it is
-    evaluated, and its ValueError ends the march; a callable f or lateral
-    datum that is not finite shows as a blow-up.
+    A field datum must live on grid (ValueError naming both GridSpecs
+    otherwise).  A callable h, f or lateral datum is evaluated once, at
+    every node and level of grid, as ScalarField.from_function evaluates
+    it, and the march reads it on those levels as it reads a field.  Before
+    any factorization, a ValueError names a bad gradient bound and its
+    problem's position, an h that leaves [h0, h1], or a terminal level, f or
+    lateral datum that is not finite, with the value, the first offending
+    active node (level, then C order) and its time.
     """
     problems = list(problems)
     bounds = [None] * len(problems) if gradient_bounds is None else list(gradient_bounds)
@@ -312,59 +330,21 @@ class _Column:
 
     def __init__(self, index, problem: HJProblem, gradient_bound, march):
         grid = march.grid
-        for datum in (problem.h, problem.f, problem.terminal):
+        for datum in (problem.h, problem.f, problem.terminal, problem.lateral):
             if isinstance(datum, ScalarField) and datum.grid.spec != grid.spec:
                 raise ValueError(f"field lives on {datum.grid.spec}, not on the solve grid {grid.spec}")
         self.index, self.problem = index, problem
-        self.h = _interior_sampler(grid, problem.h, problem.check_h)
-        self.f = _interior_sampler(grid, problem.f, None if callable(problem.f) else _finite("f"))
+        self.h = _sampler(grid, problem.h, problem.check_h, grid.interior)
+        self.f = _sampler(grid, problem.f, _finite("f"), grid.interior)
         self.terminal = np.empty(grid.shape)
         self.terminal[...] = problem.terminal_level(grid)
         _finite("terminal")(grid, self.terminal[None], grid.ts[-1:])
         self.terminal[~grid.active] = 0.0
-        sigma, macro_dt, B, bnd_xs = problem.sigma, grid.dt, march.B, march.bnd_xs
-        self.lateral_varies = varies = callable(problem.lateral)
-        if not varies:
-            _finite("lateral")(grid, np.full((1,) + grid.shape, float(problem.lateral)), grid.ts[:1])
-            bnd_const = problem.lateral_values(bnd_xs, grid.ts[-1])
-
-        def lateral_at(t, j):
-            """The boundary values at t and the lateral term of a substep on rung j."""
-            bnd = problem.lateral_values(bnd_xs, t) if varies else bnd_const
-            return bnd, sigma * math.ldexp(macro_dt, -j) * (B @ bnd)
-
-        self.lateral_at = lateral_at
+        self.lateral = _sampler(grid, problem.lateral, _finite("lateral"), grid.boundary)
         self.P_user = gradient_bound if gradient_bound is not None else 0.0
         self.cfl_user = _cfl_dt(self.P_user, problem.gamma, problem.h1, grid.dx)
         self.log = []
         self.failure = None
-
-
-def _batched_lateral(cols) -> Callable:
-    """idx -> (t, j) -> (boundary values, lateral term) of the columns idx, one row per column with the bits of its lateral_at(t, j).
-
-    Constant lateral data are stacked once per rung for all the columns,
-    and a batch copies its rows once per rung; a column alone reads its own
-    varying data.
-    """
-    per_rung = {}  # constant lateral data: the same on every substep of a rung
-    varies = any(c.lateral_varies for c in cols)
-
-    def bind(idx):
-        ats, mine = [cols[i].lateral_at for i in idx], {}
-        if varies:
-            return ats[0] if len(ats) == 1 else lambda t, j: tuple(map(np.stack, zip(*[at(t, j) for at in ats])))
-
-        def at(t, j):
-            if j not in mine:
-                if j not in per_rung:
-                    per_rung[j] = tuple(map(np.stack, zip(*[c.lateral_at(t, j) for c in cols])))
-                mine[j] = tuple(x[idx] for x in per_rung[j])
-            return mine[j]
-
-        return at
-
-    return bind
 
 
 def _cfl_dt(P, gamma, h1, dx):
@@ -399,7 +379,6 @@ class _March:
         self.grid = grid
         self.L, self.B, int_idx, _ = grid.laplacian_ops()
         self.n_int = n_int = len(int_idx)
-        self.bnd_xs = grid.coords[grid.boundary]
         self.ts = grid.ts.tolist()
         self.eye = sp.identity(n_int, format="csc")
         self.lu = {}
@@ -450,7 +429,9 @@ class _March:
         state[:, :-1] = np.stack([c.terminal.ravel()[self.nodes] for c in cols])
         V = state[:, :n_int]
         G = godunov_magnitude_gather(V, state, neighbours_of(m), dx)
-        f_of, h_of, lateral_of = _batched(grid, [c.f for c in cols]), _batched(grid, [c.h for c in cols]), _batched_lateral(cols)
+        f_of, h_of = _batched(grid, [c.f for c in cols], grid.interior), _batched(grid, [c.h for c in cols], grid.interior)
+        lateral = [c.lateral for c in cols]
+        lateral_of, term_of = _batched(grid, lateral, grid.boundary), _batched_lateral(self.B, sigma, macro_dt, lateral)
         bounds = [(c.P_user, c.cfl_user) for c in cols]
         # the next rung is chosen for the larger of the gradient and the column's bound
         cfl = [u if P > g else _cfl_dt(g, gamma, p.h1, dx) for (P, u), g in zip(bounds, G.max(axis=1).tolist())]
@@ -460,7 +441,7 @@ class _March:
             """The columns idx (a tuple), where their levels go, their bounds and their data."""
             rows = list(idx)
             batch = [cols[i] for i in rows]
-            return batch, _index([c.index for c in batch]), [bounds[i] for i in rows], f_of(rows), h_of(rows), lateral_of(rows)
+            return batch, _index([c.index for c in batch]), [bounds[i] for i in rows], f_of(rows), h_of(rows), lateral_of(rows), term_of(rows)
 
         def part(idx, V_b, G_b, cfl_b, sel, *place):
             """The part of the rows sel of a batch's columns, V, G and CFL steps, at place."""
@@ -471,7 +452,7 @@ class _March:
             parts, reached = [(*batch, 1, 0, ts[k + 1], 0, None, 0)], []
             while parts:
                 idx, V_b, G_b, cfl_b, lf, ef, t_from, subs, j, halvings = parts.pop()
-                cols_b, at, bounds_b, f_at, h_at, lateral_at = bind(idx)
+                cols_b, at, bounds_b, f_at, h_at, lateral_at, term_at = bind(idx)
                 b = len(idx)
                 state = np.zeros((b, n_rows))
                 while True:
@@ -499,8 +480,8 @@ class _March:
                         np.subtract(f, rhs, out=rhs)
                         rhs *= dt
                         rhs += V_b
-                        bnd_new, lateral_term = lateral_at(t_new, j)
-                        rhs += lateral_term
+                        bnd_new = lateral_at(t_new)
+                        rhs += term_at(bnd_new, j)
                         lu = lus[j] if j in lus else self.factor(sigma, j)
                         # in 2D SuperLU's solve of several right-hand sides rounds differently from single solves
                         sol = lu.solve(rhs.T).T if one_solve or b == 1 else np.array([lu.solve(r) for r in rhs])
@@ -534,7 +515,7 @@ class _March:
                             break
                         idx, g_max, cfl_new = tuple(idx[c] for c in acc), [g_max[c] for c in acc], [cfl_new[c] for c in acc]
                         sol, G_new, rhs, state, b = sol[acc], G_new[acc], rhs[acc], state[acc], len(acc)
-                        cols_b, at, bounds_b, f_at, h_at, lateral_at = bind(idx)
+                        cols_b, at, bounds_b, f_at, h_at, lateral_at, term_at = bind(idx)
                     pending.append((cols_b, t_from, t_new, sigma * dt, dt, halvings, g_max, sol, rhs))
                     if len(pending) >= RESIDUAL_BLOCK:
                         self.log_pending()

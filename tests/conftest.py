@@ -179,10 +179,12 @@ def oracle_write_field_csv(u, path_or_buf):
 
 # -- oracle HJ march -------------------------------------------------------------
 # The substep loop of solve_hj as it was before per-solve preparation: every
-# attempt evaluates h, f and the lateral data afresh (through grid.evaluate,
-# and h's bounds are re-checked), the time left is a Fraction, and the
-# Godunov kernel pads with zero-filled one-sided differences.  solve_hj must
-# match it bit for bit.
+# attempt reads h, f and the lateral data afresh through grid.evaluate (and
+# h's bounds are re-checked), the time left is a Fraction, and the Godunov
+# kernel pads with zero-filled one-sided differences.  A callable datum is
+# read as the field ScalarField.from_function makes of it on the solve grid,
+# and f and the lateral data must be finite at every active node and level.
+# solve_hj must match it bit for bit.
 
 
 def oracle_godunov(values, dx):
@@ -223,6 +225,15 @@ def oracle_solve_hj(problem, grid, gradient_bound=None):
     def cfl_dt(P):
         return grid.dx / (problem.gamma * problem.h1 * max(P, 0.0) ** (problem.gamma - 1.0) + CFL_EPS)
 
+    h, f, lateral = (ScalarField.from_function(grid, d) if callable(d) else d for d in (problem.h, problem.f, problem.lateral))
+    for name, datum in (("f", f), ("lateral", lateral)):
+        vals = evaluate(datum, grid)
+        bad = np.argwhere(grid.active & ~np.isfinite(vals))
+        if len(bad):
+            k, *idx = bad[0]
+            x = tuple(grid.coords[tuple(idx)].tolist())
+            raise ValueError(f"{name} is not finite: {name} = {float(vals[tuple(bad[0])])!r} at x={x}, t={float(grid.ts[k])!r}")
+
     nt = grid.spec.nt
     levels = np.zeros((nt + 1,) + grid.shape)
     levels[nt] = problem.terminal_level(grid)
@@ -253,11 +264,11 @@ def oracle_solve_hj(problem, grid, gradient_bound=None):
                 dt = math.ldexp(grid.dt, -j)
                 left_new = left - Fraction(1, 2 ** j)
                 t_new = t_target + float(left_new) * grid.dt
-                h_arr = evaluate(problem.h, grid, t_new)
+                h_arr = evaluate(h, grid, t_new)
                 problem.check_h(grid, h_arr[None], [t_new])
-                f_arr = evaluate(problem.f, grid, t_new)
+                f_arr = evaluate(f, grid, t_new)
                 expl = v[int_mask] + dt * (f_arr[int_mask] - h_arr[int_mask] * G[int_mask] ** problem.gamma)
-                bnd_new = problem.lateral_values(grid.coords[grid.boundary], t_new)
+                bnd_new = evaluate(lateral, grid, t_new)[grid.boundary]
                 rhs = expl + problem.sigma * dt * (B @ bnd_new)
                 sol = factor(j).solve(rhs)
                 if not np.all(np.isfinite(sol)):

@@ -111,9 +111,16 @@ class TestDeclaredParameters:
             (["ldiff", "--gamma-conj", ""], "--gamma-conj"),
             (["liouville-probe", "--R-list", ""], "--R-list"),
             (["verify-duality", "--refinements", "-1"], "--refinements"),
+            (["sweep-maxreg", "--q-list", "1.6,,2.4"], "--q-list: empty entry in the list '1.6,,2.4'"),
+            (["sweep-maxreg", "--q-list", "1.6,2.4,"], "--q-list: empty entry"),
+            (["sweep-maxreg", "--eps-list", ",1/4"], "--eps-list: empty entry"),
+            (["liouville-probe", "--tau-list", "4, ,16"], "--tau-list: empty entry"),
+            (["solve-fp", "--grid", "1,1/4,1/4", "--drift", "uniform:1,"], "--drift: empty entry"),
+            (["solve-fp", "--grid", "1,1/4,1/4", "--drift", "uniform:"], "--drift: expected a comma-separated list"),
         ],
         ids=["solve-hj-dx", "verify-duality-dt", "solve-fp-seed", "empty-gamma-conj", "empty-R-list",
-             "no-levels"],
+             "no-levels", "doubled-comma", "trailing-comma", "leading-comma", "blank-entry", "drift-trailing-comma",
+             "empty-drift"],
     )
     def test_unread_flag_or_empty_list_exits_2(self, argv, named, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path / "x")]) == 2
@@ -323,8 +330,9 @@ class TestCliRuns:
             ("nan,1,0,1", "entries must be finite numbers"),
             ("5,6,0,1", "holds no active node of the field"),
             ("0,1/0,0,1", "zero denominator in '1/0'"),
+            ("0,,0.5,0,1", "empty entry in the list '0,,0.5,0,1'"),
         ],
-        ids=["xlo-above-xhi", "t0-above-t1", "nan", "no-node", "zero-denominator"],
+        ids=["xlo-above-xhi", "t0-above-t1", "nan", "no-node", "zero-denominator", "doubled-comma"],
     )
     def test_bad_sub_cylinder_exits_2_naming_it(self, sub, message, tmp_path, capsys):
         out = str(tmp_path / "hj")
@@ -341,8 +349,13 @@ class TestCliRuns:
         assert self.run(argv) == 0
         lines = (tmp_path / "sn_seminorms.csv").read_text().splitlines()
         rows = list(csv.DictReader(l for l in lines if not l.startswith("#")))
-        members = [r for r in rows if r["seminorm"] != "nl_combined"]
-        assert len(members) == 4 and all(r["degenerate"] == "1" for r in members)
+        assert [r["seminorm"] for r in rows] == ["classical", "weighted", "nl_space", "nl_time", "nl_combined"]
+        assert all(r["degenerate"] == "1" for r in rows)  # nl_combined too: both its parts are
+        argv[argv.index("0,0,0,0")] = "0,1,0,0"  # one level: nl_time alone is degenerate
+        assert self.run(argv) == 0
+        lines = (tmp_path / "sn_seminorms.csv").read_text().splitlines()
+        degenerate = {r["seminorm"]: r["degenerate"] for r in csv.DictReader(l for l in lines if not l.startswith("#"))}
+        assert (degenerate["nl_space"], degenerate["nl_time"], degenerate["nl_combined"]) == ("0", "1", "0")
 
     def test_readme_cli_examples_exit_0(self, tmp_path, monkeypatch):
         # in README order, in one directory: later examples read earlier outputs

@@ -92,26 +92,28 @@ class TestProblemValidation:
         p.h = 2.0 + 1e-10  # within the tolerance 1e-9 * max(1, h1)
         solve_hj(p, g)
 
-    def test_bad_callable_h_fails_where_it_is_evaluated(self):
+    def test_bad_callable_h_fails_before_the_march(self):
         g = make_grid(GridSpec(1, 1.0, 0.25, 1.0, 0.25))
         h = lambda x, t: np.where((x[..., 0] > 0.4) & (t < 0.5), 0.5, 1.0)
         p = HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=1.0, h=h)
-        with pytest.raises(ValueError, match=r"bounds: h = 0\.5 at x=\(0\.5,\), t=0\.25") as info:
+        with pytest.raises(ValueError, match=r"bounds: h = 0\.5 at x=\(0\.5,\), t=0\.0") as info:
             counting_lu(solve_hj, p, g)
-        assert info.value.lu_calls == 1  # the march reached t = 0.25
+        assert info.value.lu_calls == 0  # every level is checked, the first offending one named
 
     @pytest.mark.parametrize(
         "datum, value, at",
         [
             ("f", np.nan, "f = nan at x=(-1.0,), t=0.0"),
             ("f", "field", "f = -inf at x=(-0.375,), t=0.5"),
+            ("f", lambda x, t: np.where((x[..., 0] > 0.3) & (t > 0.4), np.nan, 1.0), "f = nan at x=(0.375,), t=0.5"),
             ("lateral", np.inf, "lateral = inf at x=(-1.0,), t=0.0"),
+            ("lateral", lambda x, t: np.where((x[..., 0] > 0.9) & (t > 0.6), -np.inf, t), "lateral = -inf at x=(1.0,), t=0.75"),
             ("terminal", np.nan, "terminal = nan at x=(-1.0,), t=1.0"),
         ],
     )
     def test_non_finite_data_fail_before_the_march(self, datum, value, at):
         g = make_grid(GridSpec(1, 1.0, 1 / 8, 1.0, 1 / 4))
-        if value == "field":
+        if isinstance(value, str):
             vals = np.zeros((g.n_levels,) + g.shape)
             vals[2, 5] = -np.inf  # one interior node at one interior level
             vals[3, 6] = np.nan  # a later level: not the first
@@ -130,6 +132,8 @@ class TestProblemValidation:
         p = HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=1.0, f=f)
         with pytest.raises(ValueError, match="half_width=2.0.*half_width=1.0"):
             solve_hj(p, g)
+        with pytest.raises(ValueError, match="half_width=2.0.*half_width=1.0"):
+            solve_hj(replace(p, f=0.0, lateral=f), g)  # a lateral field too
 
 
 class TestExponentIdentities:
@@ -245,24 +249,23 @@ class TestSolver:
         )
         assert err < 0.05
 
-    def test_blowup_detected_on_nonfinite_values(self):
+    def test_blowup_detected_on_overflowing_values(self):
+        # finite terminal data whose gradient overflows: the CFL step is 0, and 0 * inf is nan
         g = make_grid(GridSpec(1, 1.0, 0.25, 1.0, 0.25))
-        bomb = lambda x, t: np.where(t < 0.5, np.nan, 0.0) * np.ones_like(x[..., 0])
-        p = HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=1.0, f=bomb, terminal=0.0, lateral=0.0)
-        with pytest.raises(NumericalFailure, match=r"^blow-up detected at \(x=\(-0\.75,\), t=0\.25\)$"):
+        p = HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=1.0, terminal=lambda x: 1e300 * np.cos(0.5 * np.pi * x[..., 0]))
+        with pytest.raises(NumericalFailure, match=r"^blow-up detected at \(x=\(-0\.75,\), t=1\.0\)$"):
             solve_hj(p, g)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_blowup_detected_at_a_lone_interior_node(self, dim):
         # the ball of two steps has one interior node, all of whose face
-        # neighbours are boundary nodes: a -inf there leaves every Godunov
-        # magnitude at 0
+        # neighbours are boundary nodes: finite data whose explicit update
+        # overflows to -inf there leave every Godunov magnitude at 0
         g = make_grid(GridSpec(dim, 1.0, 0.5, 1.0, 0.25, ball_mask=True))
         assert g.interior.sum() == 1
-        sink = lambda x, t: np.where(t < 0.5, -np.inf, 0.0) * np.ones_like(x[..., 0])
-        p = HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=1.0, f=sink)
+        p = HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=1.0, f=-1e308, terminal=-1.7e308)
         at = ", ".join(["0.0"] * dim) + ("," if dim == 1 else "")
-        with pytest.raises(NumericalFailure, match=re.escape(f"blow-up detected at (x=({at}), t=0.25)")):
+        with pytest.raises(NumericalFailure, match=re.escape(f"blow-up detected at (x=({at}), t=0.75)")):
             solve_hj(p, g)
 
     def test_overflowing_rhs_is_a_numerical_failure(self):
@@ -272,16 +275,24 @@ class TestSolver:
             solve_hj(p, g)
 
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_callable_forcing_sees_the_interior_nodes_only(self, dim):
+    def test_callable_data_are_read_once_per_level(self, dim):
+        """A callable h, f or lateral datum sees every node of the grid once per level, however many substeps the march takes."""
         g = make_grid(GridSpec(dim, 1.0, 0.25, 0.5, 0.25))
-        seen = []
+        seen = {"h": [], "f": [], "lateral": []}
 
-        def f(x, t):
-            seen.append(x.shape)
-            return np.cos(x[..., 0]) * t
+        def datum(name, value):
+            def fn(x, t):
+                seen[name].append((x.shape, t))
+                return value(x, t)
 
-        solve_hj(HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=1.0, f=f), g)
-        assert set(seen) == {(int(g.interior.sum()), dim)}
+            return fn
+
+        p = HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=2.0, h=datum("h", lambda x, t: 1.5 + 0 * x[..., 0]),
+                      f=datum("f", lambda x, t: 8.0 * np.cos(x[..., 0]) * t), lateral=datum("lateral", lambda x, t: t))
+        sol = solve_hj(p, g, gradient_bound=4.0)
+        assert len(sol.log) > g.spec.nt  # substeps end between levels
+        for calls in seen.values():
+            assert calls == [(g.coords.shape, t) for t in g.ts.tolist()]
 
     def test_time_varying_h_within_bounds(self):
         g = make_grid(GridSpec(1, 1.0, 0.125, 0.5, 1 / 32))
@@ -573,7 +584,7 @@ class TestMarchMatchesOracle:
         dt=st.sampled_from([0.1, 0.125, 0.25]),
         gamma=st.sampled_from([2.5, 3.0]),
         h_kind=st.sampled_from(["constant", "callable", "field"]),
-        f_kind=st.sampled_from(["constant", "callable", "field", "nan_late"]),
+        f_kind=st.sampled_from(["constant", "callable", "field", "huge_late"]),
         lateral_kind=st.sampled_from(["constant", "callable"]),
         forced=st.booleans(),
         amplitude=st.floats(0.0, 2.0),
@@ -586,8 +597,8 @@ class TestMarchMatchesOracle:
     # 512 substeps, more than two blocks of linear residuals (hj.RESIDUAL_BLOCK)
     @example(dim=1, ball=False, dx=0.125, dt=0.25, gamma=3.0, h_kind="field", f_kind="field",
              lateral_kind="constant", forced=True, amplitude=2.0, seed=2)
-    # blows up at substep 257, after the first block of linear residuals
-    @example(dim=2, ball=False, dx=0.125, dt=0.25, gamma=3.0, h_kind="constant", f_kind="nan_late",
+    # fails at substep 257, after the first block of linear residuals: the forcing's overflow breaks every CFL retry
+    @example(dim=2, ball=False, dx=0.125, dt=0.25, gamma=3.0, h_kind="constant", f_kind="huge_late",
              lateral_kind="callable", forced=True, amplitude=1.0, seed=3)
     def test_bit_for_bit(self, dim, ball, dx, dt, gamma, h_kind, f_kind, lateral_kind, forced, amplitude, seed):
         g = make_grid(GridSpec(dim, 1.0, dx, 2 * dt, dt, ball_mask=ball))
@@ -603,7 +614,7 @@ class TestMarchMatchesOracle:
             "constant": 3.0 * a,
             "callable": lambda x, t: 3.0 * a * np.cos(np.pi * x[..., 0]) + b * t,
             "field": ScalarField(g, 2.0 * rng.normal(size=stack)),
-            "nan_late": lambda x, t: np.where(t < dt, np.nan, 3.0 * a) * np.ones_like(x[..., 0]),
+            "huge_late": lambda x, t: np.where(t < dt, -1e300, 3.0 * a) * np.ones_like(x[..., 0]),
         }[f_kind]
         lateral = {
             "constant": c,
@@ -644,7 +655,7 @@ def _batch_problem(g, seed, gamma, h_kind, f_kind, lateral_kind, amplitude):
         "constant": 3.0 * a,
         "callable": lambda x, t: 3.0 * a * np.cos(np.pi * x[..., 0]) + b * t,
         "field": ScalarField(g, 2.0 * rng.normal(size=stack)),
-        "nan_late": lambda x, t: np.where(t < g.dt, np.nan, 3.0 * a) * np.ones_like(x[..., 0]),
+        "huge_late": lambda x, t: np.where(t < g.dt, -1e300, 3.0 * a) * np.ones_like(x[..., 0]),
     }[f_kind]
     lateral = {"constant": c, "callable": lambda x, t: c + b * t * x[..., 0]}[lateral_kind]
     terminal = lambda x: c + amplitude * np.prod(np.cos(0.5 * np.pi * x), axis=-1)
@@ -681,7 +692,7 @@ class TestSolveMany:
             st.tuples(
                 st.sampled_from([2.5, 3.0]),
                 st.sampled_from(["constant", "callable", "field"]),
-                st.sampled_from(["constant", "callable", "field", "nan_late"]),
+                st.sampled_from(["constant", "callable", "field", "huge_late"]),
                 st.sampled_from(["constant", "callable"]),
                 st.sampled_from([None, 4.0, 8.0]),
                 st.floats(0.0, 2.0),
@@ -691,18 +702,18 @@ class TestSolveMany:
             max_size=5,
         ),
     )
-    # groups that split on their rungs and on the CFL check, with a blow-up among them
+    # groups that split on their rungs and on the CFL check, with a failure among them
     @example(dim=1, ball=False, dx=0.125, dt=0.25, columns=[
         (3.0, "constant", "constant", "constant", None, 2.0, 0),
         (3.0, "constant", "field", "constant", 4.0, 2.0, 1),
         (3.0, "field", "constant", "callable", None, 0.5, 2),
-        (3.0, "callable", "nan_late", "constant", 8.0, 1.0, 3),
+        (3.0, "callable", "huge_late", "constant", 8.0, 1.0, 3),
         (2.5, "constant", "callable", "callable", None, 2.0, 4),
     ])
     @example(dim=2, ball=True, dx=0.125, dt=0.125, columns=[
         (3.0, "field", "field", "callable", None, 2.0, 5),
         (3.0, "field", "field", "constant", None, 2.0, 6),
-        (3.0, "constant", "nan_late", "constant", 4.0, 1.0, 7),
+        (3.0, "constant", "huge_late", "constant", 4.0, 1.0, 7),
     ])
     # columns that part within a macro step and later stand at one time on one rung, where they march on
     # apart until the level: column 1 leaves for a coarser rung and reaches column 2 at t = 0.4609375 ...
@@ -711,9 +722,9 @@ class TestSolveMany:
         (2.5, "field", "field", "constant", None, 1.5, 4765),
         (2.5, "constant", "field", "callable", None, 1.5, 46485),
     ])
-    # ... and columns 1 and 2 part at t = 0.2265625 and stand together again at t = 0.2109375, beside a blow-up
+    # ... and columns 1 and 2 part at t = 0.2265625 and stand together again at t = 0.2109375, beside a failure
     @example(dim=1, ball=False, dx=0.25, dt=0.125, columns=[
-        (3.0, "constant", "nan_late", "constant", None, 2.0, 7749),
+        (3.0, "constant", "huge_late", "constant", None, 2.0, 7749),
         (3.0, "field", "callable", "callable", None, 1.5, 13864),
         (3.0, "field", "constant", "constant", None, 1.5, 7252),
         (3.0, "constant", "callable", "callable", None, 1.5, 60854),
@@ -752,7 +763,7 @@ class TestSolveMany:
 
     def test_permuting_the_problems_permutes_the_results(self):
         g = make_grid(GridSpec(1, 1.0, 0.125, 0.5, 0.25))
-        kinds = [("constant", "field", "constant"), ("callable", "nan_late", "callable"),
+        kinds = [("constant", "field", "constant"), ("callable", "huge_late", "callable"),
                  ("field", "callable", "constant"), ("constant", "constant", "callable")]
         problems = [_batch_problem(g, i, 3.0, *k, 1.5) for i, k in enumerate(kinds)]
         bounds = [None, 4.0, 8.0, None]
@@ -773,6 +784,21 @@ class TestSolveMany:
         solo_rows, solo_lu = counting_lu(scalelab.maxreg_sweep, **kw)
         assert (n_lu, solo_lu) == (1, 6)
         assert repr(rows) == repr(solo_rows)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_a_blow_up_fails_its_column_only(self, dim):
+        """On the one-interior-node ball the three columns share each substep; the overflowing one blows up there."""
+        g = make_grid(GridSpec(dim, 1.0, 0.5, 1.0, 0.25, ball_mask=True))
+        calm = HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=1.0, f=1.0, lateral=lambda x, t: t)
+        bomb = HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=1.0, f=-1e308, terminal=-1.7e308)
+        alone = solve_hj(calm, g)
+        (first, failed, last), n_solves = counting_lu_solves(solve_hj_many, [calm, bomb, calm], g)
+        at = ", ".join(["0.0"] * dim) + ("," if dim == 1 else "")
+        assert str(failed) == f"blow-up detected at (x=({at}), t=0.75)"
+        for res in (first, last):
+            assert np.array_equal(res.u.values, alone.u.values) and res.log == alone.log
+        # one batch solve per substep in 1D; in 2D one per column: three on the first substep, then two
+        assert n_solves == (len(alone.log) if dim == 1 else 2 * len(alone.log) + 1)
 
     def test_data_errors_come_before_any_factorization(self):
         g = make_grid(GridSpec(1, 1.0, 0.25, 0.5, 0.25))
@@ -805,6 +831,45 @@ class TestSolveMany:
         kept, failed = solve_hj_many([calm, calm], g, [None, 40.0])  # the bound forces substeps
         assert str(failed) == "CFL subcycle limit exceeded: > 1 substeps in one macro step"
         assert np.array_equal(kept.u.values, alone.u.values) and kept.log == alone.log
+
+
+class TestCallablesAreFields:
+    """A callable h, f or lateral datum is read as the field ScalarField.from_function makes of it on the solve grid."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        dim=st.sampled_from([1, 2]),
+        ball=st.booleans(),
+        dx=st.sampled_from([0.25, 0.125]),
+        dt=st.sampled_from([0.1, 0.125, 0.25]),
+        name=st.sampled_from(["h", "f", "lateral"]),
+        bound=st.sampled_from([None, 4.0]),
+        others=st.lists(
+            st.tuples(
+                st.sampled_from(["constant", "callable", "field"]),
+                st.sampled_from(["constant", "callable", "field", "huge_late"]),
+                st.sampled_from(["constant", "callable"]),
+            ),
+            max_size=3,
+        ),
+        seed=st.integers(0, 2 ** 16),
+    )
+    def test_bit_identical_solo_and_in_a_batch(self, dim, ball, dx, dt, name, bound, others, seed):
+        g = make_grid(GridSpec(dim, 1.0, dx, 2 * dt, dt, ball_mask=ball))
+        p = _batch_problem(g, seed, 3.0, "callable", "callable", "callable", 1.5)
+        as_field = replace(p, **{name: ScalarField.from_function(g, getattr(p, name))})
+        batch = [_batch_problem(g, seed + 1 + i, 3.0, *kinds, 1.0) for i, kinds in enumerate(others)]
+        at = seed % (len(batch) + 1)
+
+        def in_batch(q):
+            return solve_hj_many(batch[:at] + [q] + batch[at:], g, [4.0] * at + [bound] + [None] * (len(batch) - at))[at]
+
+        for solve in (lambda q: solve_hj(q, g, bound), in_batch):
+            got, want = _outcome(solve, p), _outcome(solve, as_field)
+            if isinstance(want[0], np.ndarray):
+                assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+            else:
+                assert got == want
 
 
 class TestNonlinearSweep:
