@@ -33,7 +33,7 @@ from .hj import (
     HJProblem,
     alpha_zero,
     gamma_conjugate,
-    manufactured_rhs,
+    manufactured_problem,
     solve_hj,
 )
 from .fp import (
@@ -191,24 +191,32 @@ def write_manifest(path, sub, params, chash, outputs, elapsed):
             fh.write(f"output={out}\n")
 
 
-def _grid_from_arg(spec: str) -> GridSpec:
-    vals = spec.split(",")
-    if len(vals) != 5:
-        raise ValueError("--grid wants 'N,R,dx,T,dt'")
-    return GridSpec(
-        dim=int(vals[0]),
-        half_width=parse_number(vals[1]),
-        dx=parse_number(vals[2]),
-        horizon=parse_number(vals[3]),
-        dt=parse_number(vals[4]),
-    )
+def _spec_numbers(flag: str, spec: str, form: str) -> list[float]:
+    """The numbers of a flag's comma-separated spec, one per name in form, the first an integer N.
+
+    A bad list, a wrong count or a non-integer N is a ValueError naming the flag.
+    """
+    try:
+        vals = parse_list(spec)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+    if len(vals) != len(form.split(",")):
+        raise ValueError(f"{flag} wants {form!r}, got {spec!r}")
+    if not (math.isfinite(vals[0]) and vals[0] == int(vals[0])):
+        raise ValueError(f"{flag}: the dimension N must be an integer, got {vals[0]!r}")
+    return vals
+
+
+def _grid_from_arg(flag: str, spec: str, form: str = "N,R,dx,T,dt") -> GridSpec:
+    n, *rest = _spec_numbers(flag, spec, form)
+    return GridSpec(int(n), *rest)
 
 
 # -- subcommands -------------------------------------------------------------------
 
 
 def cmd_solve_hj(args, params, chash):
-    spec = _grid_from_arg(args.grid)
+    spec = _grid_from_arg("--grid", args.grid)
     grid = make_grid(spec)
     g, s = params["gamma"], params["sigma"]
     h0, h1 = params["h0"], params["h1"]
@@ -219,11 +227,8 @@ def cmd_solve_hj(args, params, chash):
         h = h0
     if args.manufactured:
         ms = MANUFACTURED[args.manufactured](spec.horizon)
-        prob = HJProblem(
-            gamma=g, sigma=s, h0=h0, h1=h1, h=h,
-            f=manufactured_rhs(ms, g, s, h),
-            terminal=ms.terminal(spec.horizon), lateral=ms.lateral(),
-        )
+        prob = manufactured_problem(ms, g, s, h0, h1, h)
+        prob.terminal = ms.terminal(spec.horizon)
     elif args.f_file:
         prob = HJProblem(gamma=g, sigma=s, h0=h0, h1=h1, h=h, f=read_field_csv(args.f_file))
     else:
@@ -235,33 +240,36 @@ def cmd_solve_hj(args, params, chash):
     ]
 
 
-def _parse_drift(spec: str):
+def _parse_drift(spec: str, dim: int):
+    """The --drift spec on a grid of dimension dim; a bad spec is a ValueError naming --drift and its form."""
     if spec == "zero":
         return None
-    if spec.startswith("uniform:"):
+    kind, _, rest = spec.partition(":")
+    if kind == "uniform":
         try:
-            return tuple(parse_list(spec.split(":", 1)[1]))
+            v = parse_list(rest)
         except ValueError as exc:
             raise ValueError(f"--drift: {exc}") from None
-    if spec.startswith("from-solution:"):
-        fname, g, h1 = spec.split(":", 1)[1].split(",")
-        return drift_from_solution(read_field_csv(fname), parse_number(h1), parse_number(g))
-    raise ValueError(f"unknown drift spec {spec!r}")
+        if len(v) != dim:
+            raise ValueError(f"--drift uniform: wants {dim} component(s) on a {dim}D grid, got {spec!r}")
+        return tuple(v)
+    if kind == "from-solution":
+        fname, *numbers = rest.split(",")
+        form = f"--drift wants 'from-solution:file,gamma,h1', got {spec!r}"
+        if len(numbers) != 2:
+            raise ValueError(form)
+        try:
+            g, h1 = parse_list(",".join(numbers))
+        except ValueError as exc:
+            raise ValueError(f"{form}: {exc}") from None
+        return drift_from_solution(read_field_csv(fname), h1, g)
+    raise ValueError(f"--drift wants zero, uniform:vx[,vy] or from-solution:file,gamma,h1, got {spec!r}")
 
 
 def cmd_solve_fp(args, params, chash):
-    vals = args.grid.split(",")
-    if len(vals) != 3:
-        raise ValueError("--grid wants 'N,dx,dt' (R, tau from their own flags)")
-    spec = GridSpec(
-        dim=int(vals[0]),
-        half_width=params["R"],
-        dx=parse_number(vals[1]),
-        horizon=params["tau"],
-        dt=parse_number(vals[2]),
-    )
-    grid = make_grid(spec)
-    drift = _parse_drift(args.drift)
+    n, dx, dt = _spec_numbers("--grid", args.grid, "N,dx,dt")
+    grid = make_grid(GridSpec(int(n), params["R"], dx, params["tau"], dt))
+    drift = _parse_drift(args.drift, grid.dim)
     prob = FPProblem(sigma=params["sigma"], R=params["R"], tau=params["tau"], drift=drift, source=args.source)
     sol = solve_fp(prob, grid)
     series = [
@@ -311,7 +319,7 @@ def cmd_seminorm(args, params, chash):
     u = read_field_csv(args.field)
     Q = _sub_cyl(args.sub_cylinder, u)
     a, z, g, c = params["alpha"], params["z"], params["gamma"], params["c"]
-    fast = None if args.oracle else seminorm_set(u, a, g, z, c, Q)
+    fast = None if args.oracle else seminorm_set(u, a, g, c, Q)
 
     def coord(xs):
         return ";".join("%.17g" % v for v in xs)
@@ -389,8 +397,8 @@ def cmd_verify_oscillation(args, params, chash):
     )
     sol = solve_hj(prob, grid)
     rep = oscillation_report(
-        sol.u, None, params["sigma"], params["h0"], params["h1"], g,
-        params["alpha"], params["z"], params["R"], params["tau"], np.array([1.0]),
+        sol.u, params["sigma"], params["h0"], params["h1"], g,
+        params["alpha"], params["z"], params["R"], params["tau"],
     )
     row = asdict(rep)
     row["r2_ok"] = int(rep.r2_ok)
@@ -412,9 +420,9 @@ def cmd_ldiff(args, params, chash):
 def cmd_blowup(args, params, chash):
     from .scalelab import blowup_transform
 
+    tg = _grid_from_arg("--target", args.target, "N,R,dy,S,ds")
     u = read_field_csv(args.field)
     bp = worst_pair_selection(u, args.kind, params["alpha"], params["z"], params["gamma"])
-    tg = _grid_from_arg(args.target)
     res = blowup_transform(u, bp, tg)
     row = {
         "kind": args.kind,

@@ -66,8 +66,7 @@ class FPSolution:
     source: np.ndarray
     mass: np.ndarray  # per level
     outflux: np.ndarray  # cumulative per level
-    boundary_flux: np.ndarray  # (levels, n_faces) per-step increments
-    faces: list
+    boundary_flux: np.ndarray  # (levels, n_faces) per-step increments, faces as in Grid.boundary_face_nodes
 
     @property
     def subcycles(self):
@@ -200,11 +199,10 @@ def solve_fp(problem: FPProblem, grid: Grid) -> FPSolution:
             raise NumericalFailure(f"negative density {low} after FP step {k}: internal scheme bug")
         np.maximum(m_new, 0.0, out=m_new)
 
-    faces = grid.boundary_faces()
     face_int, _ = grid.boundary_face_nodes()
     face_factor = problem.sigma * grid.dt * grid.dx ** (grid.dim - 2)
     flat = levels.reshape(nt + 1, -1)
-    bflux = np.zeros((nt + 1, len(faces)))
+    bflux = np.zeros((nt + 1, len(face_int)))
     bflux[1:] = face_factor * flat[1:, face_int]
     outflux = np.cumsum(bflux.sum(axis=1))  # bflux[0] = 0
     mass = flat.sum(axis=1) * cell
@@ -218,7 +216,6 @@ def solve_fp(problem: FPProblem, grid: Grid) -> FPSolution:
         mass=mass,
         outflux=outflux,
         boundary_flux=bflux,
-        faces=faces,
     )
     if not (sol.conservation_defect <= 1e-8):
         raise NumericalFailure(
@@ -261,17 +258,15 @@ class MomentReport:
     fitted_c: float
 
 
-def moment_alpha(sol: FPSolution, alpha: float, level: int | None = None) -> MomentReport:
-    """integral |x - x0|^alpha m(x, s_level) dx plus its two budget terms."""
+def moment_alpha(sol: FPSolution, alpha: float) -> MomentReport:
+    """integral |x - x0|^alpha m(x, tau) dx plus its two budget terms."""
     if not (0 < alpha < 1):
         raise ValueError("alpha must lie in (0, 1)")
     g = sol.grid
-    k = g.spec.nt if level is None else int(level)
-    s = float(g.ts[k])
     r = np.sqrt(np.sum((g.coords - sol.source) ** 2, axis=-1))
-    moment = space_integral(g, r ** alpha * sol.m.values[k])
+    moment = space_integral(g, r ** alpha * sol.m.values[-1])
     b1 = drift_l1(sol) ** alpha
-    b2 = (sol.sigma * s) ** (alpha / 2.0)
+    b2 = (sol.sigma * sol.tau) ** (alpha / 2.0)
     denom = b1 + b2
     return MomentReport(moment, b1, b2, moment / denom if denom > 0 else 0.0)
 
@@ -300,14 +295,14 @@ def boundary_loss_check(sol: FPSolution, gamma: float) -> BoundaryLossReport:
 # -- reference kernel -----------------------------------------------------------------
 
 
-def interval_kernel(x, x0, R, sigma, t, images=12):
-    """Absorbing heat kernel on (-R, R) by the method of images."""
+def interval_kernel(x, x0, R, sigma, t):
+    """Absorbing heat kernel on (-R, R) by the method of images, 12 on each side."""
     x = np.asarray(x, dtype=float)
 
     def phi(z):
         return np.exp(-z ** 2 / (4 * sigma * t)) / np.sqrt(4 * np.pi * sigma * t)
 
     out = np.zeros_like(x)
-    for n in range(-images, images + 1):
+    for n in range(-12, 13):
         out += phi(x - x0 - 4 * R * n) - phi(x + x0 + 2 * R - 4 * R * n)
     return out

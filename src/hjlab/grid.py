@@ -92,7 +92,9 @@ class Cylinder:
     def dim(self):
         return len(self.xmin)
 
-    def contains(self, x, t, tol=1e-12):
+    def contains(self, x, t):
+        """Whether (x, t) lies in the closed cylinder, up to 1e-12."""
+        tol = 1e-12
         x = np.asarray(x, dtype=float)
         if t < self.t0 - tol or t > self.t1 + tol:
             return False
@@ -249,8 +251,8 @@ class Grid:
     def boundary_face_nodes(self):
         """(inner, outer): flat indices of the interior and boundary ends of each face between the two.
 
-        In the order of boundary_faces: interior node in C order, then axis,
-        then the lower side first.
+        These faces carry the diffusive outflux.  Ordered by interior node in
+        C order, then axis, then the lower side first.
         """
         lo, hi, axis = self.faces
         inner_lo = self.interior.ravel()[lo]
@@ -290,11 +292,6 @@ class Grid:
             B = sp.csr_matrix((np.full(len(inner), inv_dx2), (number[inner], number[outer])), shape=(n_int, n_bnd))
             self._laplacian_ops = (L, B, int_idx, bnd_idx)
         return self._laplacian_ops
-
-    def boundary_faces(self):
-        """Faces (interior node, boundary node) carrying the diffusive outflux, as index tuples."""
-        inner, outer = (np.stack(np.unravel_index(f, self.shape), axis=-1).tolist() for f in self.boundary_face_nodes())
-        return list(zip(map(tuple, inner), map(tuple, outer)))
 
 
 def make_grid(spec: GridSpec) -> Grid:
@@ -472,11 +469,11 @@ def quadrature_weights(grid: Grid, sub: Cylinder | None = None):
     return tw, sw * sel
 
 
-def lq_norm(u: ScalarField, q: float, sub: Cylinder | None = None) -> float:
-    """Space-time L^q norm by node-cell quadrature."""
+def lq_norm(u: ScalarField, q: float) -> float:
+    """Space-time L^q norm over u's grid cylinder by node-cell quadrature."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    return spacetime_integral(u.grid, np.abs(u.values) ** q, sub) ** (1.0 / q)
+    return spacetime_integral(u.grid, np.abs(u.values) ** q) ** (1.0 / q)
 
 
 def spacetime_integral(grid: Grid, level_values, sub: Cylinder | None = None) -> float:
@@ -496,9 +493,9 @@ def spacetime_integral(grid: Grid, level_values, sub: Cylinder | None = None) ->
     return float(np.cumsum(np.concatenate(([0.0], tw[k0:k1] * sums)))[-1])
 
 
-def space_integral(grid: Grid, values: np.ndarray, sub: Cylinder | None = None) -> float:
-    """Spatial integral of one level over the spatial section of sub."""
-    _, sw = quadrature_weights(grid, sub)
+def space_integral(grid: Grid, values: np.ndarray) -> float:
+    """Spatial integral of one level over the grid's spatial domain."""
+    _, sw = quadrature_weights(grid)
     return float(np.sum(values * sw))
 
 

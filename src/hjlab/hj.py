@@ -736,6 +736,10 @@ def manufactured_rhs(ms: ManufacturedSolution, gamma: float, sigma: float, h) ->
 def manufactured_problem(
     ms: ManufacturedSolution, gamma: float, sigma: float, h0: float, h1: float, h=None
 ) -> HJProblem:
+    """The problem ms solves with coefficient h (default h0): its f and lateral data; no terminal data.
+
+    The caller sets `terminal` to ms.terminal(T) for its horizon T.
+    """
     hh = h if h is not None else h0
     return HJProblem(
         gamma=gamma,
@@ -749,8 +753,9 @@ def manufactured_problem(
     )
 
 
-def solve_manufactured(ms, gamma, sigma, grid, h0=1.0, h1=1.0, h=None, gradient_bound=None):
-    p = manufactured_problem(ms, gamma, sigma, h0, h1, h)
+def solve_manufactured(ms, gamma, sigma, grid, gradient_bound=None):
+    """Solve the problem of ms with h = h0 = h1 = 1 and ms's terminal data on grid."""
+    p = manufactured_problem(ms, gamma, sigma, 1.0, 1.0)
     p.terminal = ms.terminal(grid.ts[-1])
     return solve_hj(p, grid, gradient_bound=gradient_bound)
 

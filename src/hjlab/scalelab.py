@@ -24,12 +24,10 @@ from .grid import (
     parabolic_distance,
     sample_field,
     sample_points,
-    spacetime_integral,
 )
 from .hj import (
     HJProblem,
     alpha_zero,
-    critical_q0,
     discrete_residual,
     gamma_conjugate,
     solve_hj,
@@ -94,7 +92,6 @@ class BlowupResult:
     w: ScalarField
     g: ScalarField | None
     params: BlowupParams
-    norm_identity: dict | None  # alpha0 variant: ||g_n||_{q0} identity report
 
 
 def _map_points(params: BlowupParams, ys, s):
@@ -126,27 +123,7 @@ def blowup_transform(
     w_vals = (sample_points(u, xs, ts) / params.M).reshape(stack)
     w = ScalarField(tg, w_vals)
     g = None if f is None else ScalarField(tg, g_factor * evaluate(f, tg, ts, xs.reshape(tg.shape + (tg.dim,))))
-
-    ident = None
-    if params.variant == "alpha0" and g is not None:
-        N = tg.dim
-        q0 = critical_q0(params.gamma, N)
-        gc = gamma_conjugate(params.gamma)
-        g_norm = lq_norm(g, q0)
-        # preimage norm by change of variables on the mapped nodes:
-        # dx dt = r^N * lambda * dy ds
-        jac = params.r ** N * params.time_scale
-        acc = spacetime_integral(tg, np.abs(g.values / g_factor) ** q0)
-        f_norm_pre = (jac * acc) ** (1.0 / q0)
-        pref = params.sigma_n ** (gc * (N + 1) / (N + 2))
-        ident = {
-            "g_norm_q0": g_norm,
-            "f_norm_preimage": f_norm_pre,
-            "sigma_power": pref,
-            "rhs": pref * f_norm_pre,
-            "rel_gap": abs(g_norm - pref * f_norm_pre) / max(g_norm, 1e-300),
-        }
-    return BlowupResult(w=w, g=g, params=params, norm_identity=ident)
+    return BlowupResult(w=w, g=g, params=params)
 
 
 def inverse_blowup_transform(w: ScalarField, params: BlowupParams, u_grid: Grid) -> ScalarField:
@@ -186,8 +163,8 @@ def normalization_check(w: ScalarField, params: BlowupParams) -> float:
 # -- worst-pair selection ------------------------------------------------------------
 
 
-def worst_pair_selection(u: ScalarField, kind: str, alpha: float, z: float, gamma: float, Q=None) -> BlowupParams:
-    """Argmax pair of the requested seminorm turned into ready blow-up data.
+def worst_pair_selection(u: ScalarField, kind: str, alpha: float, z: float, gamma: float) -> BlowupParams:
+    """Argmax pair of the requested seminorm on u's grid cylinder turned into ready blow-up data.
 
     kind "space": same-time pair of the nonlinear space seminorm (zoom alpha0);
     kind "time":  same-position pair of the nonlinear time seminorm, requires
@@ -199,8 +176,7 @@ def worst_pair_selection(u: ScalarField, kind: str, alpha: float, z: float, gamm
     L = quotient/2.
     """
     g = u.grid
-    if Q is None:
-        Q = g.cylinder()
+    Q = g.cylinder()
     a0 = alpha_zero(gamma)
 
     if kind == "space":
@@ -297,10 +273,10 @@ def worst_pair_selection(u: ScalarField, kind: str, alpha: float, z: float, gamm
 # -- Liouville decay probe --------------------------------------------------------------
 
 
-def closed_form_decay_budget(tau: float, alpha: float, gamma: float, c3: float = 1.0) -> float:
+def closed_form_decay_budget(tau: float, alpha: float, gamma: float) -> float:
     """Large-R limit of the space-oscillation budget for the homogeneous case.
 
-    c3 * (((tau^(a/2) + tau^(a0/2) + tau^(a/(g-a(g-1)))) / tau)^(1/g) + tau^-(g'-1)).
+    ((tau^(a/2) + tau^(a0/2) + tau^(a/(g-a(g-1)))) / tau)^(1/g) + tau^-(g'-1).
     Strictly decreasing in tau >= 1 since every exponent involved is < 1.
     """
     a0 = alpha_zero(gamma)
@@ -308,7 +284,7 @@ def closed_form_decay_budget(tau: float, alpha: float, gamma: float, c3: float =
     core = tau ** (alpha / 2.0) + tau ** (a0 / 2.0) + tau ** (
         alpha / (gamma - alpha * (gamma - 1.0))
     )
-    return c3 * ((core / tau) ** (1.0 / gamma) + tau ** (-(gc - 1.0)))
+    return (core / tau) ** (1.0 / gamma) + tau ** (-(gc - 1.0))
 
 
 def liouville_probe(
@@ -345,9 +321,7 @@ def liouville_probe(
                 lateral=0.0,
             )
             sol = solve_hj(prob, grid, gradient_bound=amplitude * np.pi / Rp)
-            rep = oscillation_report(
-                sol.u, None, 1.0, h, h, gamma, alpha, z, R, tau, y0=np.array([1.0])
-            )
+            rep = oscillation_report(sol.u, 1.0, h, h, gamma, alpha, z, R, tau)
             rows.append(
                 {
                     "R": R,
@@ -371,13 +345,12 @@ def liouville_probe(
 # -- maximal-regularity sweep --------------------------------------------------------------
 
 
-def singular_family(q: float, eps: float, dim: int, x_star=0.0, beta_frac: float = 0.95):
-    """Truncated radial power min(|x - x*|^-beta, eps^-beta), beta = frac*(N+2)/q."""
-    beta = beta_frac * (dim + 2) / q
-    x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
+def singular_family(q: float, eps: float, dim: int):
+    """Truncated radial power min(|x|^-beta, eps^-beta), beta = 0.95*(N+2)/q."""
+    beta = 0.95 * (dim + 2) / q
 
     def f(x, t):
-        r = np.sqrt(np.sum((x - x_star) ** 2, axis=-1))
+        r = np.sqrt(np.sum(x ** 2, axis=-1))
         with np.errstate(divide="ignore"):
             vals = np.where(r > 0, r ** (-beta), np.inf)
         return np.minimum(vals, eps ** (-beta))
@@ -390,18 +363,15 @@ def maxreg_sweep(
     eps_list,
     gamma: float,
     dx_list,
-    R: float = 1.0,
-    T: float = 1.0,
-    dt_factor: float = 4.0,
-    Qp: Cylinder | None = None,
-    x_star=0.0,
-    beta_frac: float = 0.95,
     norm_target: float = 1.0,
     dim: int = 1,
 ) -> list[dict]:
     """Ratio table (regularity norms / ||f||_q) across sharpening singularities.
 
-    One row per (q, eps, dx); the rows of one grid march together
+    One row per (q, eps, dx): f is singular_family(q, eps, dim) scaled to
+    ||f||_q = norm_target on the grid [-1, 1]^dim x [0, 1] of step dx and
+    dt = dx/4, and the norms of the solution are taken on the middle cylinder
+    [-1/2, 1/2]^dim x [1/4, 3/4].  The rows of one grid march together
     (hj.solve_hj_many), each as if alone, and a row whose march fails
     carries the failure in its status column.  Every q must be >= 1 and
     every eps positive (ValueError before any row is built).
@@ -412,16 +382,14 @@ def maxreg_sweep(
     for eps in eps_list:
         if not eps > 0:
             raise ValueError(f"eps must be positive, got {eps!r}")
+    sub = Cylinder(xmin=(-0.5,) * dim, xmax=(0.5,) * dim, t0=0.25, t1=0.75)
     rows = []
     for dx in dx_list:
-        grid = make_grid(GridSpec(dim, R, dx, T, dx / dt_factor))
-        sub = Qp or Cylinder(
-            xmin=tuple([-R / 2] * dim), xmax=tuple([R / 2] * dim), t0=T / 4, t1=3 * T / 4
-        )
+        grid = make_grid(GridSpec(dim, 1.0, dx, 1.0, dx / 4.0))
         grid_rows, problems = [], []
         for q in q_list:
             for eps in eps_list:
-                f_raw, beta = singular_family(q, eps, dim, x_star, beta_frac)
+                f_raw, beta = singular_family(q, eps, dim)
                 raw = np.asarray(f_raw(grid.coords, 0.0), dtype=float)  # the same on every level
                 raw[~grid.active] = 0.0
                 stack = (grid.n_levels,) + grid.shape

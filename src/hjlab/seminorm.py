@@ -51,7 +51,6 @@ class SeminormSet:
     weighted: SeminormResult
     nl_space: SeminormResult
     nl_time: SeminormResult
-    nl_combined: float
 
 
 class _Nodes:
@@ -580,17 +579,13 @@ def combine_nonlinear(space_value, time_value, z, gamma):
     return float(max(space_value, (time_value / z) ** (2.0 / gamma)))
 
 
-def seminorm_set(u, alpha, gamma, z, c, Q=None):
-    classical = holder_seminorm(u, alpha, Q)
-    weighted = weighted_holder(u, alpha, c, Q)
-    nl_s = nonlinear_space(u, alpha, gamma, Q)
-    nl_t = nonlinear_time(u, alpha, gamma, Q)
+def seminorm_set(u, alpha, gamma, c, Q=None):
+    """The four members on Q by the fast scans; combine_nonlinear joins the two nonlinear ones."""
     return SeminormSet(
-        classical=classical,
-        weighted=weighted,
-        nl_space=nl_s,
-        nl_time=nl_t,
-        nl_combined=combine_nonlinear(nl_s.value, nl_t.value, z, gamma),
+        classical=holder_seminorm(u, alpha, Q),
+        weighted=weighted_holder(u, alpha, c, Q),
+        nl_space=nonlinear_space(u, alpha, gamma, Q),
+        nl_time=nonlinear_time(u, alpha, gamma, Q),
     )
 
 

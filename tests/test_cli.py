@@ -152,6 +152,43 @@ class TestDeclaredParameters:
         assert main(argv + ["--out", str(tmp_path / "x")]) == 2
         assert message in capsys.readouterr().err
 
+    FP = ["solve-fp", "--grid", "1,1/8,1/64", "--R", "1", "--tau", "1/4"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([*FP, "--drift", "from-solution:x.csv"], "--drift wants 'from-solution:file,gamma,h1'"),
+            ([*FP, "--drift", "from-solution:run_solution.csv,3"], "--drift wants 'from-solution:file,gamma,h1'"),
+            ([*FP, "--drift", "from-solution:x.csv,,1"], "--drift wants 'from-solution:file,gamma,h1', got "
+                                                         "'from-solution:x.csv,,1': empty entry"),
+            ([*FP, "--drift", "uniform:1,2"], "--drift uniform: wants 1 component(s) on a 1D grid"),
+            ([*FP, "--drift", "sideways"], "--drift wants zero, uniform:vx[,vy] or from-solution:file,gamma,h1"),
+            (["blowup", "--target", "1,1,0.125,1"], "--target wants 'N,R,dy,S,ds', got '1,1,0.125,1'"),
+            (["blowup", "--target", "1,1,,1,0.5"], "--target: empty entry in the list '1,1,,1,0.5'"),
+            (["blowup", "--target", "1,1,0.125,one,0.5"], "--target: could not convert string to float: 'one'"),
+            (["blowup", "--target", "1.5,1,0.125,1,0.5"], "--target: the dimension N must be an integer, got 1.5"),
+            (["solve-hj", "--grid", "1,1,1/8,1"], "--grid wants 'N,R,dx,T,dt', got '1,1,1/8,1'"),
+            (["solve-hj", "--grid", "1,1,1/8,,1/8"], "--grid: empty entry in the list '1,1,1/8,,1/8'"),
+            (["solve-hj", "--grid", "1,x,1/8,1,1/8"], "--grid: could not convert string to float: 'x'"),
+            (["solve-hj", "--grid", "1.5,1,1/8,1,1/8"], "--grid: the dimension N must be an integer, got 1.5"),
+            (["solve-fp", "--grid", "1,1/8"], "--grid wants 'N,dx,dt', got '1,1/8'"),
+            (["solve-fp", "--grid", "1,,1/64"], "--grid: empty entry in the list '1,,1/64'"),
+            (["solve-fp", "--grid", "1,a,1/64"], "--grid: could not convert string to float: 'a'"),
+            (["solve-fp", "--grid", "inf,1/8,1/64"], "--grid: the dimension N must be an integer, got inf"),
+        ],
+        ids=["from-solution-file-only", "from-solution-one-number", "from-solution-empty-number", "uniform-too-long",
+             "unknown-drift", "target-four-entries", "target-empty", "target-word", "target-fractional-N",
+             "grid-four-entries", "grid-empty", "grid-word", "grid-fractional-N", "fp-grid-two-entries",
+             "fp-grid-empty", "fp-grid-word", "fp-grid-infinite-N"],
+    )
+    def test_bad_spec_exits_2_naming_the_flag(self, argv, message, tmp_path, capsys):
+        g = make_grid(GridSpec(1, 1.0, 0.125, 1.0, 0.25))
+        write_field_csv(ScalarField.from_function(g, lambda x, t: np.sin(3 * x[..., 0]) * (1 + t)), tmp_path / "u.csv")
+        if argv[0] == "blowup":
+            argv = [*argv, "--field", str(tmp_path / "u.csv"), "--kind", "space", "--alpha", "0.5"]
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+        assert message in capsys.readouterr().err
+
     def test_non_finite_config_value_exits_2_naming_the_flag(self, tmp_path, capsys):
         cfg = tmp_path / "lab.cfg"
         cfg.write_text("h1=inf\n")

@@ -8,7 +8,7 @@ from scipy.linalg import lapack
 from hypothesis import assume, example, given, settings, strategies as st
 
 from hjlab import fp
-from hjlab.grid import GridSpec, NumericalFailure, ScalarField, VectorField, gradient_level, make_grid
+from hjlab.grid import GridSpec, NumericalFailure, ScalarField, VectorField, gradient_level, make_grid, space_integral
 from hjlab.fp import (
     FPProblem,
     boundary_loss_check,
@@ -284,11 +284,12 @@ class TestImplicitTransport:
         sol = solve_fp(FPProblem(sigma=0.4, R=1.0, tau=0.5, drift=b, source=(0.25,) * dim), g)
         cell = g.dx ** dim
         factor = 0.4 * g.dt * g.dx ** (dim - 2)
+        inner, _ = g.boundary_face_nodes()
         mass, outflux = [float(np.sum(sol.m.values[0])) * cell], [0.0]
-        bflux = [np.zeros(len(sol.faces))]
+        bflux = [np.zeros(len(inner))]
         for k in range(1, g.n_levels):
             m = sol.m.values[k]
-            bflux.append(np.array([factor * m[i] for i, _ in sol.faces]))
+            bflux.append(np.array([factor * m.flat[i] for i in inner]))
             outflux.append(outflux[-1] + float(np.sum(bflux[-1])))
             mass.append(float(np.sum(m)) * cell)
         assert np.array_equal(sol.boundary_flux, np.array(bflux))
@@ -446,10 +447,13 @@ class TestKineticEnergy:
 
 
 class TestMomentAlpha:
-    def test_dirac_limit_zero(self):
+    def test_reads_the_density_at_tau(self):
         sol = driftless(1.0, 2.0, 0.5, 0.125, 0.0625)
-        rep = moment_alpha(sol, 0.5, level=0)
-        assert rep.moment == 0.0
+        g = sol.grid
+        r = np.sqrt(np.sum((g.coords - sol.source) ** 2, axis=-1))
+        rep = moment_alpha(sol, 0.5)
+        assert rep.moment == space_integral(g, r ** 0.5 * sol.m.values[-1]) > 0.0
+        assert rep.diffusion_budget == (sol.sigma * 0.5) ** 0.25
 
     def test_gaussian_constant_stable_in_tau(self):
         cs = []

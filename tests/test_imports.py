@@ -93,6 +93,65 @@ def test_every_public_function_and_class_is_named_outside_its_definition():
     assert sorted(unnamed) == TEST_REFERENCES
 
 
+# Defaulted parameters that no call in src/hjlab or hjbench passes, each with the reason it stays an option.
+UNPASSED_DEFAULTS = {
+    "acceptance.random_field(scale)": "a helper that tests seed",
+    "scalelab.blowup_transform(f)": "it feeds the test reference rescaled_residual",
+    "scalelab.maxreg_sweep(dim)": "ROADMAP item 2 runs the sweep at N = 2",
+    "scalelab.maxreg_sweep(norm_target)": "ROADMAP item 2 runs the sweep at larger ||f||_q",
+}
+
+
+def defaulted_parameters(tree):
+    """(qualified name, name, parameter, position in a call or None) of each defaulted parameter of the
+    public functions and of the public methods of public classes; a method's position skips self."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            functions = [(node, node.name, 0)]
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            functions = [
+                (m, f"{node.name}.{m.name}", 0 if any(getattr(d, "id", "") == "staticmethod" for d in m.decorator_list) else 1)
+                for m in node.body
+                if isinstance(m, ast.FunctionDef)
+            ]
+        else:
+            continue
+        for fn, qualified, skip in functions:
+            if fn.name.startswith("_"):
+                continue
+            positional = fn.args.posonlyargs + fn.args.args
+            first = len(positional) - len(fn.args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                yield qualified, fn.name, arg.arg, i - skip
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    yield qualified, fn.name, arg.arg, None
+
+
+def passes(call, param, position):
+    """Whether call sets param: by keyword, by position, or through *args or **kwargs."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg in (None, param) for k in call.keywords):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    # a default that no call overrides is a constant spelled as an option
+    trees = parsed(pathlib.Path(hjlab.__file__).parent)
+    calls = {}
+    for tree in [*trees.values(), *parsed(BENCH).values()]:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute)):
+                calls.setdefault(n.func.id if isinstance(n.func, ast.Name) else n.func.attr, []).append(n)
+    unpassed = [
+        f"{module}.{qualified}({param})"
+        for module, tree in trees.items()
+        for qualified, name, param, position in defaulted_parameters(tree)
+        if not any(passes(call, param, position) for call in calls.get(name, []))
+    ]
+    assert sorted(unpassed) == sorted(UNPASSED_DEFAULTS)
+
+
 # Loaded in a fresh interpreter, stage by stage: the scipy modules in sys.modules after
 # importing hjlab, after each command that only reads and scans fields, and after a solve.
 FRESH = """

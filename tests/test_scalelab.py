@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hjlab.grid import (
     GridSpec,
@@ -8,7 +9,7 @@ from hjlab.grid import (
     parabolic_distance,
     sample_points,
 )
-from hjlab.hj import alpha_zero, manufactured_rhs, solve_manufactured
+from hjlab.hj import alpha_zero, critical_q0, gamma_conjugate, manufactured_rhs, solve_manufactured
 from hjlab.scalelab import (
     BlowupParams,
     blowup_transform,
@@ -95,24 +96,23 @@ class TestBlowupTransform:
         ys = res.w.grid.axes[0]
         np.testing.assert_allclose(res.w.values[0], r ** (1 - a0) * ys, rtol=1e-12)
 
-    def test_norm_identity_constant_f(self):
-        g = make_grid(GridSpec(1, 2.0, 0.125, 2.0, 0.125))
-        u = random_field(g, seed=3)
-        p = aligned_params()
-        res = blowup_transform(u, p, GridSpec(1, 2.0, 0.25, 2.0, 0.25), f=lambda x, t: np.ones(x.shape[:-1]))
-        assert res.norm_identity["rel_gap"] < 1e-12
+    @settings(max_examples=200, deadline=None)
+    @given(
+        gamma=st.floats(2.0, 10.0, exclude_min=True),
+        dim=st.sampled_from([1, 2]),
+        log_r=st.floats(-3.0, 3.0),
+        log_M=st.floats(-3.0, 3.0),
+    )
+    def test_forcing_norm_exponent_identity(self, gamma, dim, log_r, log_M):
+        """The alpha0 zoom's forcing factor r^g/M^g is sigma_n^(g'(N+1)/(N+2)) (r^N lambda)^(1/q0).
 
-    def test_norm_identity_varying_f(self):
-        g = make_grid(GridSpec(1, 2.0, 0.125, 2.0, 0.125))
-        u = random_field(g, seed=4)
-        for M, r in ((0.5, 0.5), (0.25, 0.5), (1.0, 0.5)):
-            p = BlowupParams(basepoint_x=[0.0], basepoint_t=0.0, M=M, r=r, variant="alpha0", gamma=3.0)
-            if p.basepoint_t + p.time_scale * 2.0 > 2.0:
-                continue
-            res = blowup_transform(
-                u, p, GridSpec(1, 2.0, 0.25, 2.0, 0.25), f=lambda x, t: 1.0 + np.sin(x[..., 0]) * np.cos(t)
-            )
-            assert res.norm_identity["rel_gap"] < 1e-12
+        So ||g_n||_{q0} = sigma_n^(g'(N+1)/(N+2)) ||f||_{q0} on the preimage, whatever f is.
+        """
+        r, M = 10.0 ** log_r, 10.0 ** log_M
+        p = BlowupParams(basepoint_x=[0.0] * dim, basepoint_t=0.0, M=M, r=r, variant="alpha0", gamma=gamma)
+        q0, gc = critical_q0(gamma, dim), gamma_conjugate(gamma)
+        rhs = p.sigma_n ** (gc * (dim + 1) / (dim + 2)) * (r ** dim * p.time_scale) ** (1.0 / q0)
+        assert rhs == pytest.approx(r ** gamma / M ** gamma, rel=1e-12)
 
     def test_out_of_range_rejected(self):
         g = make_grid(GridSpec(1, 1.0, 0.125, 1.0, 0.125))
@@ -371,8 +371,8 @@ class TestLiouvilleProbe:
 
 class TestMaxregSweep:
     def test_constant_family_flat_in_eps(self):
-        # beta_frac = 0 degenerates the family to f = c for every eps
-        rows = maxreg_sweep([2.0], [0.5, 0.25, 0.125], 3.0, [1 / 16], beta_frac=0.0)
+        # eps >= 1 truncates the family to f = eps^-beta on the whole grid [-1, 1]
+        rows = maxreg_sweep([2.0], [1.0, 2.0, 4.0], 3.0, [1 / 16])
         ratios = [r["ratio"] for r in rows]
         assert max(ratios) - min(ratios) < 1e-12
 
