@@ -262,6 +262,11 @@ def _parse_drift(spec: str, dim: int):
             g, h1 = parse_list(",".join(numbers))
         except ValueError as exc:
             raise ValueError(f"{form}: {exc}") from None
+        # the rules of --gamma and --h1
+        if not (math.isfinite(g) and g > 2):
+            raise ValueError(f"--drift from-solution: gamma must be finite and exceed 2, got {g!r}")
+        if not (math.isfinite(h1) and h1 > 0):
+            raise ValueError(f"--drift from-solution: h1 must be finite and positive, got {h1!r}")
         return drift_from_solution(read_field_csv(fname), h1, g)
     raise ValueError(f"--drift wants zero, uniform:vx[,vy] or from-solution:file,gamma,h1, got {spec!r}")
 
@@ -269,6 +274,8 @@ def _parse_drift(spec: str, dim: int):
 def cmd_solve_fp(args, params, chash):
     n, dx, dt = _spec_numbers("--grid", args.grid, "N,dx,dt")
     grid = make_grid(GridSpec(int(n), params["R"], dx, params["tau"], dt))
+    if len(args.source) not in (1, grid.dim):
+        raise ValueError(f"--source wants 1{'' if grid.dim == 1 else f' or {grid.dim}'} coordinate(s) on a {grid.dim}D grid, got {len(args.source)}")
     drift = _parse_drift(args.drift, grid.dim)
     prob = FPProblem(sigma=params["sigma"], R=params["R"], tau=params["tau"], drift=drift, source=args.source)
     sol = solve_fp(prob, grid)
@@ -422,6 +429,8 @@ def cmd_blowup(args, params, chash):
 
     tg = _grid_from_arg("--target", args.target, "N,R,dy,S,ds")
     u = read_field_csv(args.field)
+    if tg.dim != u.grid.dim:
+        raise ValueError(f"--target: a {tg.dim}D target grid for a {u.grid.dim}D field")
     bp = worst_pair_selection(u, args.kind, params["alpha"], params["z"], params["gamma"])
     res = blowup_transform(u, bp, tg)
     row = {

@@ -51,7 +51,10 @@ class FPProblem:
             raise ValueError("grid horizon must equal tau")
         if grid.dx > self.R / 8 + 1e-12:
             raise ValueError("grid must resolve the ball: dx <= R/8")
-        x0 = np.atleast_1d(np.asarray(self.source, dtype=float)) * np.ones(grid.dim)
+        x0 = np.atleast_1d(np.asarray(self.source, dtype=float))
+        if x0.shape not in ((1,), (grid.dim,)):
+            raise ValueError(f"source has {x0.size} coordinates on a {grid.dim}D grid")
+        x0 = x0 * np.ones(grid.dim)
         if np.max(np.abs(x0)) > self.R - 2 * grid.dx + 1e-12:
             raise ValueError("source must sit at least 2*dx inside the boundary")
         return x0

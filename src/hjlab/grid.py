@@ -18,8 +18,8 @@ with one bracketing rule (bracket) that takes a node or level exactly.  A
 field on another grid is resampled when its grid covers the points and
 times asked for, and is a ValueError naming both grids otherwise.
 
-The module runs on numpy alone, except laplacian_ops: it imports
-scipy.sparse the first time a solver asks for the sparse Laplacian.
+The module runs on numpy alone, except laplacian_ops and Stencil.csr: they
+import scipy.sparse the first time a solver asks for a sparse matrix.
 """
 
 from __future__ import annotations
@@ -183,7 +183,7 @@ class Grid:
         self.interior = degree.reshape(self.shape) == 2 * spec.dim
         self.boundary = self.active & ~self.interior
 
-        self._laplacian_ops = None
+        self._stencils = self._laplacian_ops = None
 
     # -- basic geometry ----------------------------------------------------
 
@@ -264,21 +264,18 @@ class Grid:
 
     # -- Dirichlet Laplacian machinery --------------------------------------
 
-    def laplacian_ops(self):
-        """(L_int, B, int_flat, bnd_flat): Delta u|int = L_int u_int + B u_bnd.
+    def laplacian_stencils(self):
+        """(L, B) as Stencils, on numpy alone: Delta u|int = L @ u_int + B @ u_bnd.
 
-        Each face between interior nodes gives L its two off-diagonal 1/dx^2,
-        each face from an interior to a boundary node one 1/dx^2 of B; the
-        diagonal is 2N subtractions of 1/dx^2 in sequence.
+        Interior and boundary nodes are numbered in C order.  Each face
+        between interior nodes gives L its two off-diagonal 1/dx^2, each face
+        from an interior to a boundary node one 1/dx^2 of B; the diagonal is
+        2N subtractions of 1/dx^2 in sequence.
         """
-        if self._laplacian_ops is None:
-            import scipy.sparse as sp
-
-            int_idx = np.argwhere(self.interior)
-            bnd_idx = np.argwhere(self.boundary)
-            n_int, n_bnd = len(int_idx), len(bnd_idx)
-            # each interior node's number among the interior, each boundary node's among the boundary
+        if self._stencils is None:
             is_int, is_bnd = self.interior.ravel(), self.boundary.ravel()
+            n_int, n_bnd = int(is_int.sum()), int(is_bnd.sum())
+            # each interior node's number among the interior, each boundary node's among the boundary
             number = np.where(is_int, np.cumsum(is_int), np.cumsum(is_bnd)) - 1
             inv_dx2 = 1.0 / self.dx ** 2
             diag = 0.0
@@ -287,11 +284,60 @@ class Grid:
             lo, hi, _ = self.interior_faces()
             r, c, k = number[lo], number[hi], np.arange(n_int)
             vals = np.concatenate((np.full(2 * len(r), inv_dx2), np.full(n_int, diag)))
-            L = sp.csr_matrix((vals, (np.concatenate((r, c, k)), np.concatenate((c, r, k)))), shape=(n_int, n_int))
+            L = Stencil(np.concatenate((r, c, k)), np.concatenate((c, r, k)), vals, (n_int, n_int))
             inner, outer = self.boundary_face_nodes()
-            B = sp.csr_matrix((np.full(len(inner), inv_dx2), (number[inner], number[outer])), shape=(n_int, n_bnd))
-            self._laplacian_ops = (L, B, int_idx, bnd_idx)
+            B = Stencil(number[inner], number[outer], np.full(len(inner), inv_dx2), (n_int, n_bnd))
+            self._stencils = (L, B)
+        return self._stencils
+
+    def laplacian_ops(self):
+        """(L_int, B, int_idx, bnd_idx): laplacian_stencils as scipy CSR matrices, and the interior and boundary nodes (np.argwhere)."""
+        if self._laplacian_ops is None:
+            L, B = self.laplacian_stencils()
+            self._laplacian_ops = (L.csr(), B.csr(), np.argwhere(self.interior), np.argwhere(self.boundary))
         return self._laplacian_ops
+
+
+class Stencil:
+    """A sparse matrix in numpy: each row's columns and entries in column order, padded with zero entries.
+
+    stencil @ x sums each row from 0, adding its products in column order as
+    scipy's CSR product does, so it has that product's bits; x is one vector
+    or, as for a scipy matrix, several as columns.  A padding entry reads a
+    zero appended to x.
+    """
+
+    def __init__(self, rows, cols, vals, shape):
+        order = np.lexsort((cols, rows))
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        self.shape = shape
+        self.counts = np.bincount(rows, minlength=shape[0])
+        at = np.arange(len(rows)) - (np.cumsum(self.counts) - self.counts)[rows]
+        # [k] holds each row's k-th entry
+        self.cols = np.full((self.counts.max(initial=0), shape[0]), shape[1])
+        self.vals = np.zeros(self.cols.shape)
+        self.cols[at, rows] = cols
+        self.vals[at, rows] = vals
+
+    def __matmul__(self, x):
+        x = np.concatenate((x, np.zeros((1,) + x.shape[1:])))
+        out = np.zeros((self.shape[0],) + x.shape[1:])
+        for c, v in zip(self.cols, self.vals):
+            out += (v if x.ndim == 1 else v[:, None]) * x[c]
+        return out
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros((self.shape[0], self.shape[1] + 1))
+        out[np.arange(self.shape[0]), self.cols] = self.vals
+        return out[:, :-1]
+
+    def csr(self):
+        """The scipy CSR matrix, in canonical format; imports scipy.sparse."""
+        import scipy.sparse as sp
+
+        real = self.cols.T < self.shape[1]
+        indptr = np.concatenate(([0], np.cumsum(self.counts)))
+        return sp.csr_matrix((self.vals.T[real], self.cols.T[real], indptr), shape=self.shape)
 
 
 def make_grid(spec: GridSpec) -> Grid:

@@ -9,8 +9,10 @@ linear between them: a field as it is (it must live on the solve grid
 itself), and a callable as grid.evaluate gives it at every node and level,
 once per solve.
 
-scipy is loaded by the march, not by importing this module: scipy.sparse
-when a march starts and scipy.sparse.linalg at its first LU factorization.
+Each rung's diffusion matrix I - sigma dt L is inverted with numpy when the
+grid's interior has at most DENSE_MAX nodes, and LU-factored by SuperLU
+above that.  scipy is loaded by the march's first SuperLU factorization, not
+by importing this module: a march on a small interior never loads it.
 """
 
 from __future__ import annotations
@@ -37,6 +39,15 @@ CFL_EPS = 1e-12
 MAX_HALVINGS = 10  # retries one rung down per substep
 MAX_SUBSTEPS = 100000  # substeps per macro step
 RESIDUAL_BLOCK = 32  # accepted batch substeps whose linear residuals one sparse product forms
+# Interior nodes up to which a rung's matrix is inverted with numpy, not LU-factored by SuperLU.
+# One thread of a 2-vCPU Xeon VM, numpy 2.4 and scipy 1.17, in us, dense vs SuperLU:
+#   1D, 63 / 127 / 191 / 255 nodes: factor 116 / 614 / 1985 / 3793 vs 174 / 177 / 180 / 223;
+#     solve of one column 1.9 / 5.2 / 6.4 / 9.8 vs 4.9 / 9.3 / 6.8 / 9.2, of six 4.4 / 19.4 / 30.6 / 53.5 vs 6.8 / 9.5 / 12.4 / 14.2;
+#   2D, 121 / 225 nodes: factor 546 / 2770 vs 458 / 494, solve of one column 4.5 / 7.9 vs 12.4 / 12.6.
+# A march solves far more often than it factors (the README 1D solve-hj: 934 solves, 4 factorizations),
+# so one column gains up to 127 nodes and no longer at 191, while six columns lose from 127.  Up to 128
+# nodes the dense solve's relative residual stays below 2e-13; the inverse's memory grows as n^2.
+DENSE_MAX = 128
 
 
 # -- derived exponents ---------------------------------------------------------
@@ -162,11 +173,11 @@ def _batched(grid: Grid, samplers: list, nodes: np.ndarray) -> Callable:
 def _batched_lateral(B, sigma: float, macro_dt: float, samplers: list) -> Callable:
     """idx -> (bnd, j) -> the lateral term sigma * dt_j * (B @ bnd) of the columns idx on rung j.
 
-    bnd is what _batched gives for the columns' lateral samplers at the
-    substep's end.  Each row has the bits of one column's vector mat-vec.
-    Constant data give their terms once per rung for all the columns, and a
-    batch copies its rows once per rung; varying data give them per
-    substep.
+    B is the _March's, and bnd what _batched gives for the columns' lateral
+    samplers at the substep's end.  Each row has the bits of one column's
+    vector product.  Constant data give their terms once per rung for all
+    the columns, and a batch copies its rows once per rung; varying data
+    give them per substep.
     """
 
     @functools.cache
@@ -179,11 +190,7 @@ def _batched_lateral(B, sigma: float, macro_dt: float, samplers: list) -> Callab
             mine = functools.cache(lambda j: per_rung(j)[idx])
             return lambda bnd, j: mine(j)
 
-        def term(bnd, j):
-            coef = sigma * math.ldexp(macro_dt, -j)
-            return coef * (B @ bnd) if bnd.ndim == 1 else np.stack([coef * (B @ r) for r in bnd])
-
-        return term
+        return lambda bnd, j: sigma * math.ldexp(macro_dt, -j) * (B @ bnd.T).T
 
     return bind
 
@@ -260,7 +267,7 @@ def solve_hj_many(problems, grid: Grid, gradient_bounds=None) -> list:
 
     Each problem (a column) is marched as if alone, with its own
     gradient_bounds entry (default None; else a finite number >= 0).
-    Diffusion is implicit (direct sparse solve per step), the Hamiltonian
+    Diffusion is implicit (a direct solve per step), the Hamiltonian
     h * (Godunov |Du|)^gamma explicit.  Every substep length is a dyadic
     rung grid.dt / 2**j: the largest rung that fits in what is left of the
     macro step and satisfies dt <= dx / (gamma*h1*P^(gamma-1) + eps) for P
@@ -271,23 +278,27 @@ def solve_hj_many(problems, grid: Grid, gradient_bounds=None) -> list:
     step is kept as an exact dyadic fraction, so round-off never opens an
     extra rung.
 
-    A substep is the explicit update, one LU solve and one Godunov pass over
-    the interior nodes, gathered from their face neighbours.  A non-finite
-    solve is a NumericalFailure naming the first non-finite node and the
-    time.  Each accepted substep's relative linear residual
+    A substep is the explicit update, one linear solve and one Godunov pass
+    over the interior nodes, gathered from their face neighbours.  The
+    diffusion matrix is factored once per sigma and rung used: inverted
+    with numpy when the interior has at most DENSE_MAX nodes (a solve is
+    one matrix-vector product per column, and scipy is never loaded), and
+    LU-factored by SuperLU above that.  A non-finite solve is a
+    NumericalFailure naming the first non-finite node and the time.  Each
+    accepted substep's relative linear residual
     max|(I - sigma dt L) sol - rhs| / max(1, max|rhs|) is logged; the
-    residuals are formed RESIDUAL_BLOCK batch substeps per sparse product,
-    and equal those of one mat-vec per substep.  A column that fails drops
-    out and the others go on.
+    residuals are formed RESIDUAL_BLOCK batch substeps per sparse product
+    (scipy's CSR, or on a small interior a grid.Stencil with its bits), and
+    equal those of one mat-vec per substep.  A column that fails drops out
+    and the others go on.
 
     Columns with the same sigma, gamma and h1 start each level as one batch
-    (_March.family), which takes a substep with one LU solve (in 2D, where
-    SuperLU's multi-right-hand-side solve rounds differently, one per
-    column).  A batch parts where its columns pick different rungs, pass the
-    CFL check apart or blow up, and its parts meet again at the level.  The
-    diffusion matrix is LU-factored once per sigma and rung used.  Every
-    column's values, log and failure are those of its solo march, bit for
-    bit.
+    (_March.family), which takes a substep with one solve (on the SuperLU
+    path in 2D, where SuperLU's multi-right-hand-side solve rounds
+    differently, one per column).  A batch parts where its columns pick
+    different rungs, pass the CFL check apart or blow up, and its parts meet
+    again at the level.  Every column's values, log and failure are those of
+    its solo march, bit for bit.
 
     A field datum must live on grid (ValueError naming both GridSpecs
     otherwise).  A callable h, f or lateral datum is evaluated once, at
@@ -370,18 +381,32 @@ def _index(idx):
     return np.asarray(idx)
 
 
+class _DenseInverse:
+    """A small matrix's inverse; solve takes right-hand sides as rows, one matrix-vector product each.
+
+    np.matmul runs one GEMV per row, so a row's solution has the same bits
+    alone and in any batch.
+    """
+
+    def __init__(self, A):
+        self.inv = np.linalg.inv(A)
+
+    def solve(self, rows):
+        return np.matmul(self.inv, rows[:, :, None])[:, :, 0]
+
+
 class _March:
-    """What the columns of one march share: the grid's operators, the LU factors, the levels and the pending log."""
+    """What the columns of one march share: the grid's operators, the rung solves, the levels and the pending log."""
 
     def __init__(self, grid: Grid):
-        import scipy.sparse as sp
-
         self.grid = grid
-        self.L, self.B, int_idx, _ = grid.laplacian_ops()
-        self.n_int = n_int = len(int_idx)
+        self.n_int = n_int = int(grid.interior.sum())
+        self.dense = n_int <= DENSE_MAX  # the rung matrices are inverted, not LU-factored
+        # L and B with the bits of scipy's CSR products: numpy Stencils where scipy is never loaded, and
+        # scipy's CSR matrices where SuperLU loads it, since they multiply a block of columns 3-10 times faster
+        self.L, self.B = grid.laplacian_stencils() if self.dense else grid.laplacian_ops()[:2]
         self.ts = grid.ts.tolist()
-        self.eye = sp.identity(n_int, format="csc")
-        self.lu = {}
+        self.solves = {}
         # A state holds a level of some columns, one column each, in slots: the
         # interior nodes, the boundary layer's, and one zero row for the inactive ones.
         self.nodes = np.concatenate([np.flatnonzero(grid.interior), np.flatnonzero(grid.boundary)])
@@ -396,12 +421,26 @@ class _March:
         self.levels = None
 
     def factor(self, sigma, j):
-        import scipy.sparse.linalg as spla
+        """Rung j's solve for sigma: right-hand sides as rows -> their solutions with I - sigma dt_j L as rows.
 
-        lus = self.lu.setdefault(sigma, {})
-        if j not in lus:
-            lus[j] = spla.splu((self.eye - sigma * math.ldexp(self.grid.dt, -j) * self.L).tocsc())
-        return lus[j]
+        The matrix is inverted when the interior has at most DENSE_MAX nodes,
+        and LU-factored by SuperLU above that.
+        """
+        solves = self.solves.setdefault(sigma, {})
+        if j not in solves:
+            c = sigma * math.ldexp(self.grid.dt, -j)
+            if self.dense:
+                solves[j] = _DenseInverse(np.identity(self.n_int) - c * self.L.dense()).solve
+            else:
+                import scipy.sparse as sp
+                import scipy.sparse.linalg as spla
+
+                lu = spla.splu((sp.identity(self.n_int, format="csc") - c * self.L).tocsc())
+                if self.grid.dim == 1:
+                    solves[j] = lambda rows: lu.solve(rows.T).T
+                else:  # SuperLU's solve of several right-hand sides rounds differently from single solves in 2D
+                    solves[j] = lambda rows: lu.solve(rows.T).T if len(rows) == 1 else np.array([lu.solve(r) for r in rows])
+        return solves[j]
 
     def family(self, cols):
         """March the columns of one family (shared sigma, gamma and h1) from the terminal level to level 0.
@@ -419,10 +458,10 @@ class _March:
         steps pick).
         """
         grid, neighbours, lone, pending, ts, n_int, slot = self.grid, self.neighbours, self.lone, self.pending, self.ts, self.n_int, self.slot
-        dx, macro_dt, one_solve, n_rows = grid.dx, grid.dt, grid.dim == 1, len(self.nodes) + 1
+        dx, macro_dt, n_rows = grid.dx, grid.dt, len(self.nodes) + 1
         p = cols[0].problem
         sigma, gamma, gh, gm1 = p.sigma, p.gamma, p.gamma * p.h1, p.gamma - 1.0
-        lus, m = self.lu.setdefault(sigma, {}), len(cols)  # LU factors by rung
+        solves, m = self.solves.setdefault(sigma, {}), len(cols)  # by rung
         # the interior nodes' neighbours in a flattened state of b rows
         neighbours_of = functools.lru_cache(lambda b: neighbours[:, :, None, :] + n_rows * np.arange(b)[:, None])
         state = np.zeros((m, n_rows))
@@ -482,9 +521,7 @@ class _March:
                         rhs += V_b
                         bnd_new = lateral_at(t_new)
                         rhs += term_at(bnd_new, j)
-                        lu = lus[j] if j in lus else self.factor(sigma, j)
-                        # in 2D SuperLU's solve of several right-hand sides rounds differently from single solves
-                        sol = lu.solve(rhs.T).T if one_solve or b == 1 else np.array([lu.solve(r) for r in rhs])
+                        sol = (solves[j] if j in solves else self.factor(sigma, j))(rhs)
                         state[:, :n_int] = sol
                         state[:, n_int:-1] = bnd_new
                         G_new = godunov_magnitude_gather(sol, state, neighbours_of(b), dx)

@@ -113,7 +113,7 @@ def blowup_transform(
     """
     tg = make_grid(target_spec)
     if tg.dim != u.grid.dim:
-        raise ValueError("target grid dimension mismatch")
+        raise ValueError(f"target grid dimension mismatch: a {tg.dim}D target for a {u.grid.dim}D field")
     stack = (tg.n_levels,) + tg.shape
     xs, ts = _map_points(params, tg.coords.reshape(-1, tg.dim), tg.ts)
     if params.variant == "alpha0":

@@ -9,9 +9,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
+from hjlab import hj
 from hjlab.acceptance import random_field  # noqa: F401 - shared with the test modules
 from hjlab.grid import Grid, GridSpec, NumericalFailure, ScalarField, evaluate, make_grid
-from hjlab.hj import CFL_EPS, MAX_HALVINGS, MAX_SUBSTEPS, HJSolution
+from hjlab.hj import CFL_EPS, DENSE_MAX, MAX_HALVINGS, MAX_SUBSTEPS, HJSolution
 
 
 @pytest.fixture
@@ -27,9 +28,10 @@ def grid_1d_fine() -> Grid:
 def counting_lu(solve, *args, **kwargs):
     """solve(*args, **kwargs) and the number of LU factorizations it made.
 
-    Counts SuperLU (scipy.sparse.linalg.splu) and LAPACK tridiagonal
-    (scipy.linalg.lapack.dgttrf) factorizations alike.  An exception from
-    solve propagates with the count as its lu_calls.
+    Counts SuperLU (scipy.sparse.linalg.splu), LAPACK tridiagonal
+    (scipy.linalg.lapack.dgttrf) and the HJ march's dense inverses
+    (hj._DenseInverse) alike.  An exception from solve propagates with the
+    count as its lu_calls.
     """
     calls = []
 
@@ -42,7 +44,7 @@ def counting_lu(solve, *args, **kwargs):
 
     with mock.patch.object(spla, "splu", counted(spla.splu)), mock.patch.object(
         lapack, "dgttrf", counted(lapack.dgttrf)
-    ):
+    ), mock.patch.object(hj, "_DenseInverse", counted(hj._DenseInverse)):
         try:
             res = solve(*args, **kwargs)
         except Exception as exc:
@@ -52,7 +54,7 @@ def counting_lu(solve, *args, **kwargs):
 
 
 class _CountedLU:
-    """A SuperLU factor whose solves, each of one right-hand side or a batch of them, are counted in calls."""
+    """A SuperLU factor or a dense inverse whose solves, each of one right-hand side or a batch of them, are counted in calls."""
 
     def __init__(self, lu, calls):
         self.lu, self.calls = lu, calls
@@ -63,9 +65,13 @@ class _CountedLU:
 
 
 def counting_lu_solves(solve, *args, **kwargs):
-    """solve(*args, **kwargs) and the number of SuperLU solves it made, a batch of right-hand sides counting once."""
-    calls, real = [], spla.splu
-    with mock.patch.object(spla, "splu", lambda *a, **kw: _CountedLU(real(*a, **kw), calls)):
+    """solve(*args, **kwargs) and the number of SuperLU and dense-inverse solves it made, a batch of right-hand sides counting once."""
+    calls = []
+
+    def counted(real):
+        return lambda *a, **kw: _CountedLU(real(*a, **kw), calls)
+
+    with mock.patch.object(spla, "splu", counted(spla.splu)), mock.patch.object(hj, "_DenseInverse", counted(hj._DenseInverse)):
         res = solve(*args, **kwargs)
     return res, len(calls)
 
@@ -181,10 +187,11 @@ def oracle_write_field_csv(u, path_or_buf):
 # The substep loop of solve_hj as it was before per-solve preparation: every
 # attempt reads h, f and the lateral data afresh through grid.evaluate (and
 # h's bounds are re-checked), the time left is a Fraction, and the Godunov
-# kernel pads with zero-filled one-sided differences.  A callable datum is
-# read as the field ScalarField.from_function makes of it on the solve grid,
-# and f and the lateral data must be finite at every active node and level.
-# solve_hj must match it bit for bit.
+# kernel pads with zero-filled one-sided differences.  It picks its solver by
+# the march's rule: a dense inverse up to DENSE_MAX interior nodes, SuperLU
+# above.  A callable datum is read as the field ScalarField.from_function
+# makes of it on the solve grid, and f and the lateral data must be finite at
+# every active node and level.  solve_hj must match it bit for bit.
 
 
 def oracle_godunov(values, dx):
@@ -213,7 +220,11 @@ def oracle_solve_hj(problem, grid, gradient_bound=None):
 
     def factor(j):
         if j not in lu_cache:
-            lu_cache[j] = spla.splu((eye - problem.sigma * math.ldexp(grid.dt, -j) * L).tocsc())
+            A = eye - problem.sigma * math.ldexp(grid.dt, -j) * L
+            if len(int_idx) <= DENSE_MAX:
+                lu_cache[j] = lambda rhs, dense=hj._DenseInverse(A.toarray()): dense.solve(rhs[None])[0]
+            else:
+                lu_cache[j] = spla.splu(A.tocsc()).solve
         return lu_cache[j]
 
     def blowup_at(arr, t):
@@ -270,7 +281,7 @@ def oracle_solve_hj(problem, grid, gradient_bound=None):
                 expl = v[int_mask] + dt * (f_arr[int_mask] - h_arr[int_mask] * G[int_mask] ** problem.gamma)
                 bnd_new = evaluate(lateral, grid, t_new)[grid.boundary]
                 rhs = expl + problem.sigma * dt * (B @ bnd_new)
-                sol = factor(j).solve(rhs)
+                sol = factor(j)(rhs)
                 if not np.all(np.isfinite(sol)):
                     full = np.zeros(grid.shape)
                     full[int_mask] = sol

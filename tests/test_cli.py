@@ -163,6 +163,11 @@ class TestDeclaredParameters:
                                                          "'from-solution:x.csv,,1': empty entry"),
             ([*FP, "--drift", "uniform:1,2"], "--drift uniform: wants 1 component(s) on a 1D grid"),
             ([*FP, "--drift", "sideways"], "--drift wants zero, uniform:vx[,vy] or from-solution:file,gamma,h1"),
+            ([*FP, "--drift", "from-solution:{u},3,-1"], "--drift from-solution: h1 must be finite and positive, got -1.0"),
+            ([*FP, "--drift", "from-solution:{u},1,1"], "--drift from-solution: gamma must be finite and exceed 2, got 1.0"),
+            ([*FP, "--drift", "from-solution:{u},inf,1"], "--drift from-solution: gamma must be finite and exceed 2, got inf"),
+            ([*FP, "--source", "0,0"], "--source wants 1 coordinate(s) on a 1D grid, got 2"),
+            (["blowup", "--target", "2,1,0.125,1,0.5"], "--target: a 2D target grid for a 1D field"),
             (["blowup", "--target", "1,1,0.125,1"], "--target wants 'N,R,dy,S,ds', got '1,1,0.125,1'"),
             (["blowup", "--target", "1,1,,1,0.5"], "--target: empty entry in the list '1,1,,1,0.5'"),
             (["blowup", "--target", "1,1,0.125,one,0.5"], "--target: could not convert string to float: 'one'"),
@@ -177,13 +182,15 @@ class TestDeclaredParameters:
             (["solve-fp", "--grid", "inf,1/8,1/64"], "--grid: the dimension N must be an integer, got inf"),
         ],
         ids=["from-solution-file-only", "from-solution-one-number", "from-solution-empty-number", "uniform-too-long",
-             "unknown-drift", "target-four-entries", "target-empty", "target-word", "target-fractional-N",
+             "unknown-drift", "from-solution-negative-h1", "from-solution-gamma-1", "from-solution-infinite-gamma",
+             "fp-source-too-long", "target-dimension", "target-four-entries", "target-empty", "target-word", "target-fractional-N",
              "grid-four-entries", "grid-empty", "grid-word", "grid-fractional-N", "fp-grid-two-entries",
              "fp-grid-empty", "fp-grid-word", "fp-grid-infinite-N"],
     )
     def test_bad_spec_exits_2_naming_the_flag(self, argv, message, tmp_path, capsys):
         g = make_grid(GridSpec(1, 1.0, 0.125, 1.0, 0.25))
         write_field_csv(ScalarField.from_function(g, lambda x, t: np.sin(3 * x[..., 0]) * (1 + t)), tmp_path / "u.csv")
+        argv = [a.replace("{u}", str(tmp_path / "u.csv")) for a in argv]
         if argv[0] == "blowup":
             argv = [*argv, "--field", str(tmp_path / "u.csv"), "--kind", "space", "--alpha", "0.5"]
         assert main(argv + ["--out", str(tmp_path / "x")]) == 2

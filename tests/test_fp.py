@@ -44,6 +44,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="source"):
             solve_fp(FPProblem(sigma=1.0, R=1.0, tau=1.0, source=0.95), g)
 
+    def test_source_has_one_coordinate_or_one_per_axis(self):
+        g = make_grid(GridSpec(1, 1.0, 0.125, 1.0, 0.25))
+        with pytest.raises(ValueError, match="source has 2 coordinates on a 1D grid"):
+            solve_fp(FPProblem(sigma=1.0, R=1.0, tau=1.0, source=(0.0, 0.0)), g)
+
     def test_drift_field_must_cover_the_fp_grid(self):
         small = make_grid(GridSpec(1, 0.5, 0.125, 1.0, 0.25))
         b = VectorField(small, np.zeros((small.n_levels,) + small.shape + (1,)))

@@ -91,6 +91,28 @@ def test_face_table_gives_the_per_node_lattice(dim, ball, n, dx):
     assert list(zip(inner.tolist(), outer.tolist())) == flat
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2]),
+    ball=st.booleans(),
+    n=st.integers(2, 12),
+    dx=st.one_of(st.sampled_from([0.25, 0.1, 1 / 3]), st.floats(0.01, 2.0)),
+    rows=st.integers(1, 4),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_stencils_have_the_csr_products_bits(dim, ball, n, dx, rows, seed):
+    """L @ x and B @ x on numpy alone: scipy's CSR product, for one vector and for several as columns."""
+    g = make_grid(GridSpec(dim, n * dx, dx, 2 * dx, dx, ball_mask=ball))
+    rng = np.random.default_rng(seed)
+    L_csr, B_csr, _, _ = g.laplacian_ops()
+    for stencil, csr in zip(g.laplacian_stencils(), (L_csr, B_csr)):
+        x = rng.normal(size=(csr.shape[1], rows)) * 10.0 ** rng.uniform(-8, 8, size=(csr.shape[1], rows))
+        assert np.array_equal(stencil @ x[:, 0], csr @ x[:, 0])
+        assert np.array_equal(stencil @ x, csr @ x)
+        assert np.array_equal(stencil @ x, np.stack([csr @ c for c in x.T], axis=1))
+        assert np.array_equal(stencil.dense(), csr.toarray())
+
+
 class TestCalculus:
     def test_gradient_affine_exact(self, grid_1d_fine):
         u = ScalarField.from_function(grid_1d_fine, lambda x, t: 3.0 * x[..., 0])

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hjlab.grid import (
     GridSpec,
@@ -427,6 +427,42 @@ class TestDyadicLadder:
         assert n_lu <= 15
 
 
+class TestDenseInverse:
+    """Rung solves on an interior of at most DENSE_MAX nodes: numpy's inverse, as accurate as SuperLU."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        grid=st.one_of(
+            st.tuples(st.just(1), st.integers(2, 64), st.booleans()),
+            st.tuples(st.just(2), st.integers(2, 7), st.booleans()),
+        ),
+        ratio_exp=st.floats(-2.0, math.log10(6.5e4)),
+        sigma=st.floats(0.1, 1.0),
+        rows=st.integers(1, 6),
+        seed=st.integers(0, 2 ** 16),
+    )
+    @example(grid=(1, 64, False), ratio_exp=math.log10(6.5e4), sigma=1.0, rows=6, seed=0)
+    def test_residual_and_superlu_agree(self, grid, ratio_exp, sigma, rows, seed):
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
+        dim, n, ball = grid
+        dx = 1.0 / n
+        dt = 10.0 ** ratio_exp * dx * dx / sigma  # sigma dt / dx^2 = 10^ratio_exp
+        g = make_grid(GridSpec(dim, 1.0, dx, 2 * dt, dt, ball_mask=ball))
+        n_int = int(g.interior.sum())
+        assume(0 < n_int <= hj.DENSE_MAX)
+        rng = np.random.default_rng(seed)
+        rhs = rng.normal(size=(rows, n_int)) * 10.0 ** rng.uniform(-3, 3)
+        sol = hj._March(g).factor(sigma, 0)(rhs)
+        L = g.laplacian_ops()[0]
+        A = (sp.identity(n_int, format="csc") - sigma * dt * L).tocsc()
+        residual = np.abs(sol - sigma * dt * (L @ sol.T).T - rhs).max(axis=1) / np.maximum(1.0, np.abs(rhs).max(axis=1))
+        assert residual.max() <= 1e-12
+        ref = spla.splu(A).solve(rhs.T).T
+        assert np.abs(sol - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 class TestManufacturedRhs:
     def test_constant_solution_gives_zero(self):
         from hjlab.hj import ms_constant
@@ -797,8 +833,20 @@ class TestSolveMany:
         assert str(failed) == f"blow-up detected at (x=({at}), t=0.75)"
         for res in (first, last):
             assert np.array_equal(res.u.values, alone.u.values) and res.log == alone.log
-        # one batch solve per substep in 1D; in 2D one per column: three on the first substep, then two
-        assert n_solves == (len(alone.log) if dim == 1 else 2 * len(alone.log) + 1)
+        # one batch solve per substep: a one-node interior takes the dense inverse, which solves a batch at once in 2D too
+        assert n_solves == len(alone.log)
+
+    def test_superlu_solves_the_columns_one_by_one_in_2d(self):
+        """Above DENSE_MAX interior nodes a 2D batch takes one SuperLU solve per column; in 1D one per substep."""
+        for dim, dx in ((2, 1 / 8), (1, 1 / 128)):
+            g = make_grid(GridSpec(dim, 1.0, dx, 0.5, 0.25))
+            assert int(g.interior.sum()) > hj.DENSE_MAX
+            p = HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=1.0, terminal=lambda x: 0.5 * np.prod(np.cos(0.5 * np.pi * x), axis=-1))
+            alone = solve_hj(p, g)
+            (first, second), n_solves = counting_lu_solves(solve_hj_many, [p, p], g)
+            for res in (first, second):
+                assert np.array_equal(res.u.values, alone.u.values) and res.log == alone.log
+            assert n_solves == (2 if dim == 2 else 1) * len(alone.log)
 
     def test_data_errors_come_before_any_factorization(self):
         g = make_grid(GridSpec(1, 1.0, 0.25, 0.5, 0.25))

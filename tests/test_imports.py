@@ -153,7 +153,7 @@ def test_every_defaulted_parameter_is_passed_somewhere():
 
 
 # Loaded in a fresh interpreter, stage by stage: the scipy modules in sys.modules after
-# importing hjlab, after each command that only reads and scans fields, and after a solve.
+# importing hjlab and after each command of a stage list (argv[1], JSON {stage: argv}).
 FRESH = """
 import json, sys
 import numpy as np
@@ -167,36 +167,63 @@ def scipy_modules():
 stages = {"import": (0, scipy_modules())}
 g = make_grid(GridSpec(1, 1.0, 1 / 16, 1.0, 1 / 16))
 write_field_csv(ScalarField.from_function(g, lambda x, t: np.sin(3 * x[..., 0]) * (1 + t)), "u.csv")
-field = ["--field", "u.csv", "--alpha", "0.5", "--gamma", "3"]
-for argv in (
-    ["ldiff", "--gamma-conj", "1.5", "--samples", "1000", "--out", "ld"],
-    ["seminorm", *field, "--z", "1", "--c", "1", "--out", "sn"],
-    ["blowup", *field, "--kind", "space", "--target", "1,1,0.125,1,0.5", "--out", "bl"],
-    ["solve-hj", "--grid", "1,1,1/8,1,1/32", "--manufactured", "sine", "--out", "hj"],
-):
-    stages[argv[0]] = (main(argv), scipy_modules())
+g = make_grid(GridSpec(1, 1.0, 1 / 32, 1.0, 1 / 128))
+write_field_csv(ScalarField.from_function(g, lambda x, t: 3 * np.exp(-4 * x[..., 0] ** 2) * t), "f.csv")
+for stage, argv in json.loads(sys.argv[1]).items():
+    stages[stage] = (main(argv), scipy_modules())
 print(json.dumps(stages))
 """
+FIELD = ["--field", "u.csv", "--alpha", "0.5", "--gamma", "3"]
+# Each list runs in its own interpreter, so a stage sees only what the stages before it in its list loaded.
+STAGE_LISTS = [
+    {
+        "ldiff": ["ldiff", "--gamma-conj", "1.5", "--samples", "1000", "--out", "ld"],
+        "seminorm": ["seminorm", *FIELD, "--z", "1", "--c", "1", "--out", "sn"],
+        "blowup": ["blowup", *FIELD, "--kind", "space", "--target", "1,1,0.125,1,0.5", "--out", "bl"],
+        # 127 and 63 interior nodes: dense inverses
+        "solve-hj-1d": ["solve-hj", "--grid", "1,1,1/64,1,1/256", "--manufactured", "sine", "--out", "hj"],
+        "solve-hj-f-file": ["solve-hj", "--grid", "1,1,1/32,1,1/128", "--f-file", "f.csv", "--out", "hjf"],
+        # 961 interior nodes: SuperLU
+        "solve-hj-2d": ["solve-hj", "--grid", "2,1,1/16,1,1/32", "--out", "hj2"],
+    },
+    {"solve-fp": ["solve-fp", "--grid", "1,1/8,1/64", "--source", "0", "--out", "fp"]},
+]
 
 
 @pytest.fixture(scope="module")
 def fresh_stages(tmp_path_factory):
-    """{stage: (exit code, scipy modules loaded after it)} of FRESH, run in a new interpreter."""
+    """{stage: (exit code, scipy modules loaded after it)} of FRESH, run in a new interpreter for each of STAGE_LISTS."""
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(hjlab.__file__).resolve().parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-c", FRESH], cwd=tmp_path_factory.mktemp("fresh"), env=env, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    stages = {}
+    for stage_list in STAGE_LISTS:
+        proc = subprocess.run(
+            [sys.executable, "-c", FRESH, json.dumps(stage_list)],
+            cwd=tmp_path_factory.mktemp("fresh"), env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        stages.update(json.loads(proc.stdout))
+    return stages
 
 
 @pytest.mark.parametrize("stage", ["import", "ldiff", "seminorm", "blowup"])
 def test_importing_and_scanning_load_no_scipy(fresh_stages, stage):
-    # scipy is loaded at the first factorization, and these stages factor nothing
+    # scipy is loaded at the first SuperLU factorization, and these stages factor nothing
     assert fresh_stages[stage] == [0, []]
 
 
-def test_a_solve_loads_scipy_sparse_linalg(fresh_stages):
-    code, loaded = fresh_stages["solve-hj"]
+@pytest.mark.parametrize("stage", ["solve-hj-1d", "solve-hj-f-file"])
+def test_a_small_hj_solve_loads_no_scipy(fresh_stages, stage):
+    # an interior of at most hj.DENSE_MAX nodes: the march inverts its matrices with numpy
+    assert fresh_stages[stage] == [0, []]
+
+
+def test_a_large_hj_solve_loads_scipy_sparse_linalg(fresh_stages):
+    code, loaded = fresh_stages["solve-hj-2d"]
+    assert code == 0
+    assert "scipy.sparse.linalg" in loaded
+
+
+def test_an_fp_solve_loads_scipy(fresh_stages):
+    code, loaded = fresh_stages["solve-fp"]
     assert code == 0
     assert "scipy.sparse.linalg" in loaded
