@@ -10,6 +10,7 @@ row carries the config hash.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import sys
@@ -568,8 +569,12 @@ COMMANDS = {
 # -- entry point ------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """One subparser per COMMANDS entry: --config, --out, its parameters' flags, its options."""
+    """One subparser per COMMANDS entry: --config, --out, its parameters' flags, its options.
+
+    Built once per process: parse_args leaves the parser as it found it.
+    """
     ap = argparse.ArgumentParser(prog="hjlab", description=__doc__)
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="subcommand", required=True)

@@ -6,10 +6,10 @@ implicit upwind drift-and-diffusion solve per level (an M-matrix for every
 dt, so no transport CFL bound), exact per-face accounting of the diffusive
 boundary loss so that mass(s) + outflux(s) = 1 holds to solver precision at
 every level.  The matrix is factored once per distinct drift level: by
-LAPACK's tridiagonal LU on 1D grids, by SuperLU otherwise.  A drift that is
-not finite somewhere is rejected before the march.  solve_fp imports
-scipy's sparse matrices, SuperLU and LAPACK when it is called, so importing
-this module loads numpy alone.
+LAPACK's tridiagonal LU on 1D grids, by its banded LU otherwise.  A drift
+that is not finite somewhere is rejected before the march.  solve_fp imports
+scipy's LAPACK when it is called, so importing this module loads numpy
+alone.
 """
 
 from __future__ import annotations
@@ -115,13 +115,13 @@ def solve_fp(problem: FPProblem, grid: Grid) -> FPSolution:
     so the matrix is an M-matrix for every dt.  The matrix entries of the distinct drift levels
     (a level whose interior drift differs from the previous level's) are
     formed with stacked array operations, _BLOCK levels at a time, and each
-    is LU-factored once: by LAPACK's tridiagonal dgttrf when the matrix is
-    tridiagonal (every 1D grid), by SuperLU otherwise.  The march solves,
-    checks the new level for negative density and clamps it; the boundary
-    fluxes, outflux and mass of all levels follow from the stacked densities.
+    is LU-factored once by LAPACK: by the tridiagonal dgttrf when the matrix
+    is tridiagonal (every 1D grid), otherwise by the banded dgbtrf with as
+    many sub- as superdiagonals as the Laplacian's band (one grid row in
+    2D).  The march solves, checks the new level for negative density and
+    clamps it; the boundary fluxes, outflux and mass of all levels follow
+    from the stacked densities.
     """
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
     from scipy.linalg import lapack
 
     x0 = problem.validate(grid)
@@ -132,26 +132,27 @@ def solve_fp(problem: FPProblem, grid: Grid) -> FPSolution:
     number = np.cumsum(interior.ravel()) - 1  # of each interior node, in C order
     lo, hi = number[flo], number[fhi]
     n_face = len(lo)
-    # the matrix entries: (lo, hi) and (hi, lo) of each face, then the diagonal;
-    # CSC storage takes them column by column, rows ascending
+    # the matrix entries: (lo, hi) and (hi, lo) of each face, then the diagonal
     rows = np.concatenate((lo, hi, np.arange(n_int)))
     cols = np.concatenate((hi, lo, np.arange(n_int)))
-    csc = np.lexsort((rows, cols))
-    by_column = csc[csc < 2 * n_face]  # the off-diagonal entries in CSC order
-    # the diffusion matrix I - sigma*dt*L at the face entries and on the diagonal
-    D = sp.identity(n_int, format="csr") - problem.sigma * grid.dt * grid.laplacian_ops()[0]
-    off_base = np.asarray(D[rows[: 2 * n_face], cols[: 2 * n_face]]).ravel()
-    diag_base = D.diagonal()
+    csc = np.lexsort((rows, cols))  # the entries column by column, rows ascending
+    by_column = csc[csc < 2 * n_face]  # the off-diagonal entries in that order
+    # the diffusion matrix I - sigma*dt*L at these entries, read from L's upper band (L is symmetric, lo < hi)
+    band = grid.laplacian_stencils()[0].upper_band()
+    kd = len(band) - 1
+    face = band[kd + lo - hi, hi]
+    D = (rows == cols) - problem.sigma * grid.dt * np.concatenate((face, face, band[kd]))
+    off_base, diag_base = D[: 2 * n_face], D[2 * n_face :]
 
     # a level factors anew unless its interior drift equals the previous level's
     nt = grid.spec.nt
     new = np.ones(nt, dtype=bool)
     new[1:] = np.any((b.values[1:nt] != b.values[: nt - 1])[:, interior], axis=(1, 2))
     steps = np.flatnonzero(new)
-    tridiagonal = bool(np.all(hi - lo == 1))
-    if not tridiagonal:
-        indptr = np.searchsorted(cols[csc], np.arange(n_int + 1))
-        A = sp.csc_matrix((np.zeros(len(csc)), rows[csc], indptr), shape=(n_int, n_int))
+    tridiagonal = kd == 1
+    if not tridiagonal:  # LAPACK's general band storage, kd sub- and kd superdiagonals and room for the LU's fill
+        ab = np.zeros((3 * kd + 1, n_int))
+        in_band = (2 * kd + rows - cols, cols)
 
     def factorizations():
         """A solve function per distinct drift level, the entries formed _BLOCK levels at a time."""
@@ -179,8 +180,12 @@ def solve_fp(problem: FPProblem, grid: Grid) -> FPSolution:
                     # dgttrs reports only illegal arguments, which f2py's checks exclude
                     yield lambda rhs, lu=lu: lapack.dgttrs(*lu, rhs)[0]
                 else:
-                    A.data[:] = np.concatenate((off_data[i], diag_data[i]))[csc]
-                    yield spla.splu(A).solve
+                    ab[in_band] = np.concatenate((off_data[i], diag_data[i]))
+                    lu, piv, info = lapack.dgbtrf(ab, kd, kd)
+                    if info != 0:
+                        raise NumericalFailure(f"banded LU failed (info={info}) at FP step {k}")
+                    # dgbtrs reports only illegal arguments, which f2py's checks exclude
+                    yield lambda rhs, lu=lu, piv=piv: lapack.dgbtrs(lu, kd, kd, rhs, piv)[0]
 
     cell = grid.dx ** grid.dim
     levels = np.zeros((nt + 1,) + grid.shape)

@@ -331,6 +331,21 @@ class Stencil:
         out[np.arange(self.shape[0]), self.cols] = self.vals
         return out[:, :-1]
 
+    def upper_band(self) -> np.ndarray:
+        """The upper triangle in LAPACK's band storage: out[kd + r - c, c] = self[r, c] for r <= c <= r + kd.
+
+        kd, the widest reach of a row to its right, is len(out) - 1; the
+        diagonal is the last row.  Slots outside the matrix or its entries
+        hold 0.
+        """
+        rows = np.broadcast_to(np.arange(self.shape[0])[None], self.cols.shape)
+        upper = (self.cols >= rows) & (self.cols < self.shape[1])
+        r, c = rows[upper], self.cols[upper]
+        kd = int((c - r).max(initial=0))
+        out = np.zeros((kd + 1, self.shape[1]))
+        out[kd + r - c, c] = self.vals[upper]
+        return out
+
     def csr(self):
         """The scipy CSR matrix, in canonical format; imports scipy.sparse."""
         import scipy.sparse as sp
@@ -482,9 +497,16 @@ def laplacian_level(values: np.ndarray, dx: float, dim: int | None = None) -> np
     return out
 
 
-def time_derivative(u: ScalarField) -> np.ndarray:
-    """Central in time at interior levels, one-sided at the ends."""
-    return np.gradient(u.values, u.grid.dt, axis=0, edge_order=1)
+def time_derivative(u: ScalarField, levels: slice) -> np.ndarray:
+    """du/dt on a run of levels that keeps one level clear of each end: central differences.
+
+    Each is (u[k+1] - u[k-1]) / (2 dt), formed as np.gradient forms it at
+    an inner level, so a level's value does not depend on the run.
+    """
+    k0, k1 = levels.start, levels.stop
+    out = u.values[k0 + 1 : k1 + 1] - u.values[k0 - 1 : k1 - 1]
+    out /= 2.0 * u.grid.dt
+    return out
 
 
 # -- quadrature ---------------------------------------------------------------
@@ -522,21 +544,37 @@ def lq_norm(u: ScalarField, q: float) -> float:
     return spacetime_integral(u.grid, np.abs(u.values) ** q) ** (1.0 / q)
 
 
+def _weighted_run(tw: np.ndarray) -> slice:
+    run = np.flatnonzero(tw)
+    return slice(int(run[0]), int(run[-1]) + 1) if len(run) else slice(0, 0)
+
+
+def quadrature_levels(grid: Grid, sub: Cylinder | None = None) -> slice:
+    """The levels of nonzero time weight over sub: a contiguous run, empty when sub holds no cell."""
+    sub = grid.cylinder() if sub is None else sub
+    return _weighted_run(_cell_weights(grid.ts, grid.dt, sub.t0, sub.t1))
+
+
 def spacetime_integral(grid: Grid, level_values, sub: Cylinder | None = None) -> float:
-    """Integral of a per-level array stack (levels, *shape) over sub.
+    """Integral over sub of a per-level array stack: every level, or only quadrature_levels(grid, sub).
 
     The one quadrature: level k contributes tw[k] * sum(level_values[k] * sw),
     the per-level sums come from one reduction over the levels of nonzero
     weight (a contiguous run), and the contributions are added in level
-    order to a running sum that starts at 0.
+    order to a running sum that starts at 0.  A stack of another length is
+    a ValueError.
     """
     tw, sw = quadrature_weights(grid, sub)
-    run = np.flatnonzero(tw)
-    if len(run) == 0:
+    run = _weighted_run(tw)
+    n = run.stop - run.start
+    if len(level_values) == grid.n_levels:
+        level_values = level_values[run]
+    elif len(level_values) != n:
+        raise ValueError(f"a stack of {len(level_values)} levels: want {grid.n_levels}, or the {n} weighted ones")
+    if n == 0:
         return 0.0
-    k0, k1 = run[0], run[-1] + 1
-    sums = (level_values[k0:k1] * sw).reshape(k1 - k0, -1).sum(axis=1)
-    return float(np.cumsum(np.concatenate(([0.0], tw[k0:k1] * sums)))[-1])
+    sums = (level_values * sw).reshape(n, -1).sum(axis=1)
+    return float(np.cumsum(np.concatenate(([0.0], tw[run] * sums)))[-1])
 
 
 def space_integral(grid: Grid, values: np.ndarray) -> float:

@@ -10,16 +10,17 @@ itself), and a callable as grid.evaluate gives it at every node and level,
 once per solve.
 
 Each rung's diffusion matrix I - sigma dt L is inverted with numpy when the
-grid's interior has at most DENSE_MAX nodes, and LU-factored by SuperLU
-above that.  scipy is loaded by the march's first SuperLU factorization, not
-by importing this module: a march on a small interior never loads it.
+grid's interior has at most DENSE_MAX nodes, and factored by LAPACK's banded
+Cholesky above that (tridiagonal on 1D grids).  scipy is loaded by the
+march's first banded factorization, not by importing this module: a march on
+a small interior never loads it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -39,14 +40,15 @@ CFL_EPS = 1e-12
 MAX_HALVINGS = 10  # retries one rung down per substep
 MAX_SUBSTEPS = 100000  # substeps per macro step
 RESIDUAL_BLOCK = 32  # accepted batch substeps whose linear residuals one sparse product forms
-# Interior nodes up to which a rung's matrix is inverted with numpy, not LU-factored by SuperLU.
-# One thread of a 2-vCPU Xeon VM, numpy 2.4 and scipy 1.17, in us, dense vs SuperLU:
-#   1D, 63 / 127 / 191 / 255 nodes: factor 116 / 614 / 1985 / 3793 vs 174 / 177 / 180 / 223;
-#     solve of one column 1.9 / 5.2 / 6.4 / 9.8 vs 4.9 / 9.3 / 6.8 / 9.2, of six 4.4 / 19.4 / 30.6 / 53.5 vs 6.8 / 9.5 / 12.4 / 14.2;
-#   2D, 121 / 225 nodes: factor 546 / 2770 vs 458 / 494, solve of one column 4.5 / 7.9 vs 12.4 / 12.6.
-# A march solves far more often than it factors (the README 1D solve-hj: 934 solves, 4 factorizations),
-# so one column gains up to 127 nodes and no longer at 191, while six columns lose from 127.  Up to 128
-# nodes the dense solve's relative residual stays below 2e-13; the inverse's memory grows as n^2.
+# Interior nodes up to which a rung's matrix is inverted with numpy, not factored by LAPACK's banded Cholesky.
+# One thread of a 2-vCPU Xeon VM, numpy 2.4 and scipy 1.17, in us, dense vs banded:
+#   1D, 63 / 127 / 191 / 255 nodes: factor 220 / 555 / 1687 / 4280 vs 4.9 / 3.2 / 3.9 / 4.5;
+#     solve of one column 4.4 / 4.2 / 7.1 / 11.7 vs 1.3 / 1.7 / 2.3 / 3.0, of six 5.1 / 16.5 / 33.3 / 62.8 vs 3.3 / 6.2 / 9.1 / 13.7;
+#   2D, 121 / 225 nodes: factor 807 / 3046 vs 25 / 35, solve of one column 5.6 / 8.9 vs 5.2 / 6.2, of six 19.1 / 43.9 vs 22.4 / 34.5.
+# The banded kernel wins everywhere but on six 2D columns at 121 nodes.  The inverse stays because the
+# banded kernel needs scipy.linalg, whose import in a fresh process costs 0.19-0.27 s and 28 MB, more than
+# a whole small solve (the README 1D solve-hj: 934 solves, 4 factorizations).  Up to 128 nodes the dense
+# solve's relative residual stays below 2e-13; the inverse's memory grows as n^2.
 DENSE_MAX = 128
 
 
@@ -242,10 +244,20 @@ class HJProblem:
         return evaluate(self.terminal, grid, grid.ts[-1])
 
 
+LOG_FIELDS = ("t_from", "t_to", "dt", "halvings", "linear_residual", "godunov_max")
+
+
 @dataclass
 class HJSolution:
+    """The levels u of a march, and one tuple of LOG_FIELDS per accepted substep, in march order."""
+
     u: ScalarField
-    log: list = field(default_factory=list)
+    substeps: list
+
+    @property
+    def log(self) -> list:
+        """The substeps as dicts keyed by LOG_FIELDS, built when read."""
+        return [dict(zip(LOG_FIELDS, row)) for row in self.substeps]
 
 
 # -- solver -----------------------------------------------------------------------
@@ -283,9 +295,10 @@ def solve_hj_many(problems, grid: Grid, gradient_bounds=None) -> list:
     diffusion matrix is factored once per sigma and rung used: inverted
     with numpy when the interior has at most DENSE_MAX nodes (a solve is
     one matrix-vector product per column, and scipy is never loaded), and
-    LU-factored by SuperLU above that.  A non-finite solve is a
-    NumericalFailure naming the first non-finite node and the time.  Each
-    accepted substep's relative linear residual
+    factored by LAPACK's banded Cholesky above that (dpttrf on 1D grids,
+    dpbtrf on 2D ones, whose band is one grid row wide).  A non-finite
+    solve is a NumericalFailure naming the first non-finite node and the
+    time.  Each accepted substep's relative linear residual
     max|(I - sigma dt L) sol - rhs| / max(1, max|rhs|) is logged; the
     residuals are formed RESIDUAL_BLOCK batch substeps per sparse product
     (scipy's CSR, or on a small interior a grid.Stencil with its bits), and
@@ -293,12 +306,11 @@ def solve_hj_many(problems, grid: Grid, gradient_bounds=None) -> list:
     and the others go on.
 
     Columns with the same sigma, gamma and h1 start each level as one batch
-    (_March.family), which takes a substep with one solve (on the SuperLU
-    path in 2D, where SuperLU's multi-right-hand-side solve rounds
-    differently, one per column).  A batch parts where its columns pick
-    different rungs, pass the CFL check apart or blow up, and its parts meet
-    again at the level.  Every column's values, log and failure are those of
-    its solo march, bit for bit.
+    (_March.family), which takes a substep with one solve call: both
+    kernels solve each right-hand side on its own.  A batch parts where its
+    columns pick different rungs, pass the CFL check apart or blow up, and
+    its parts meet again at the level.  Every column's values, log and
+    failure are those of its solo march, bit for bit.
 
     A field datum must live on grid (ValueError naming both GridSpecs
     otherwise).  A callable h, f or lateral datum is evaluated once, at
@@ -395,16 +407,46 @@ class _DenseInverse:
         return np.matmul(self.inv, rows[:, :, None])[:, :, 0]
 
 
+class _BandedCholesky:
+    """A symmetric positive definite band matrix factored by LAPACK; solve takes right-hand sides as rows.
+
+    ab is the matrix's upper triangle in LAPACK's band storage (Stencil.upper_band):
+    a tridiagonal matrix (one superdiagonal) goes to dpttrf/dpttrs, a wider
+    band to dpbtrf/dpbtrs.  Both solves handle each right-hand side on its
+    own, so a row's solution has the same bits alone and in any batch.
+    """
+
+    def __init__(self, ab):
+        from scipy.linalg import lapack
+
+        if len(ab) == 2:
+            d, e, info = lapack.dpttrf(ab[1], ab[0, 1:])
+            self.solve_columns = lambda b: lapack.dpttrs(d, e, b)[0]
+        else:
+            c, info = lapack.dpbtrf(ab)
+            self.solve_columns = lambda b: lapack.dpbtrs(c, b)[0]
+        # info > 0 says the matrix is not positive definite, as I - sigma dt L always is
+        if info != 0:
+            raise NumericalFailure(f"banded Cholesky factorization failed (info={info})")
+
+    def solve(self, rows):
+        # rows.T is Fortran-ordered, as LAPACK takes its columns; the solves report only illegal arguments
+        return self.solve_columns(rows.T).T
+
+
 class _March:
     """What the columns of one march share: the grid's operators, the rung solves, the levels and the pending log."""
 
     def __init__(self, grid: Grid):
         self.grid = grid
         self.n_int = n_int = int(grid.interior.sum())
-        self.dense = n_int <= DENSE_MAX  # the rung matrices are inverted, not LU-factored
+        self.dense = n_int <= DENSE_MAX  # the rung matrices are inverted, not factored by LAPACK
+        L, B = grid.laplacian_stencils()
         # L and B with the bits of scipy's CSR products: numpy Stencils where scipy is never loaded, and
-        # scipy's CSR matrices where SuperLU loads it, since they multiply a block of columns 3-10 times faster
-        self.L, self.B = grid.laplacian_stencils() if self.dense else grid.laplacian_ops()[:2]
+        # scipy's CSR matrices where LAPACK loads it, since they multiply a block of columns 3-10 times faster
+        self.L, self.B = (L, B) if self.dense else grid.laplacian_ops()[:2]
+        # the rung matrices' L: dense up to DENSE_MAX nodes, its upper band in LAPACK's storage above
+        self.L_factored = L.dense() if self.dense else L.upper_band()
         self.ts = grid.ts.tolist()
         self.solves = {}
         # A state holds a level of some columns, one column each, in slots: the
@@ -424,22 +466,18 @@ class _March:
         """Rung j's solve for sigma: right-hand sides as rows -> their solutions with I - sigma dt_j L as rows.
 
         The matrix is inverted when the interior has at most DENSE_MAX nodes,
-        and LU-factored by SuperLU above that.
+        and factored by LAPACK's banded Cholesky above that.
         """
         solves = self.solves.setdefault(sigma, {})
         if j not in solves:
             c = sigma * math.ldexp(self.grid.dt, -j)
+            L = self.L_factored
             if self.dense:
-                solves[j] = _DenseInverse(np.identity(self.n_int) - c * self.L.dense()).solve
+                solves[j] = _DenseInverse(np.identity(self.n_int) - c * L).solve
             else:
-                import scipy.sparse as sp
-                import scipy.sparse.linalg as spla
-
-                lu = spla.splu((sp.identity(self.n_int, format="csc") - c * self.L).tocsc())
-                if self.grid.dim == 1:
-                    solves[j] = lambda rows: lu.solve(rows.T).T
-                else:  # SuperLU's solve of several right-hand sides rounds differently from single solves in 2D
-                    solves[j] = lambda rows: lu.solve(rows.T).T if len(rows) == 1 else np.array([lu.solve(r) for r in rows])
+                identity = np.zeros_like(L)
+                identity[-1] = 1.0  # the diagonal's row
+                solves[j] = _BandedCholesky(identity - c * L).solve
         return solves[j]
 
     def family(self, cols):
@@ -447,7 +485,7 @@ class _March:
 
         The live columns start each level as one batch, which keeps its
         interior values V and Godunov magnitudes G with one row per column
-        and takes each substep with one LU solve.  A batch parts where its
+        and takes each substep with one solve call.  A batch parts where its
         columns pick different rungs, where the CFL check passes only some
         of them, or where some blow up.  Each part marches alone to the
         level, and the parts meet there as one batch; a batch that holds
@@ -589,7 +627,7 @@ class _March:
         return NumericalFailure(f"blow-up detected at (x={None if x is None else tuple(x)}, t={t})")
 
     def log_pending(self):
-        """The pending substeps' linear residuals, one sparse product for all, into their columns' logs."""
+        """The pending substeps' linear residuals, one sparse product for all, into their columns' logs as LOG_FIELDS tuples."""
         if not self.pending:
             return
         sols = np.concatenate([p[7] for p in self.pending])
@@ -599,16 +637,7 @@ class _March:
         rows = zip(res, np.abs(rhss).max(axis=1).tolist())
         for cols, t0, t1, _, dt, n, g_max, _, _ in self.pending:
             for c, g, (r, scale) in zip(cols, g_max, rows):
-                c.log.append(
-                    {
-                        "t_from": t0,
-                        "t_to": t1,
-                        "dt": dt,
-                        "halvings": n,
-                        "linear_residual": r / max(1.0, scale),
-                        "godunov_max": g,
-                    }
-                )
+                c.log.append((t0, t1, dt, n, r / max(1.0, scale), g))  # LOG_FIELDS
         self.pending.clear()
 
 

@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .grid import Cylinder, ScalarField, gradient_level, spacetime_integral, time_derivative
+from .grid import Cylinder, ScalarField, gradient_level, quadrature_levels, spacetime_integral, time_derivative
 
 
 @dataclass
@@ -666,10 +666,12 @@ def hessian_frobenius_level(values: np.ndarray, dx: float, dim: int | None = Non
 def w21q_norms(u: ScalarField, q: float, gamma: float, Qp: Cylinder) -> dict:
     """{'dt': ||du/dt||_q, 'hessian': ||D^2 u||_q, 'grad_gamma': || |Du|^g ||_q} on Qp.
 
-    Each integrand is formed on all levels at once by one stacked operator
-    call and integrated by grid.spacetime_integral; the stacks are built one
-    at a time and worked on in place, so at most two field-sized arrays are
-    alive beside u.
+    Each integrand is formed by one stacked operator call on the levels of
+    nonzero weight over Qp (grid.quadrature_levels), every node of each,
+    and integrated by grid.spacetime_integral; du/dt reads one more level on
+    each side.  A level's integrand has the bits it has in a stack of every
+    level.  The stacks are built one at a time and worked on in place, so at
+    most two stack-sized arrays are alive beside u.
     """
     g = u.grid
     full = g.cylinder()
@@ -686,8 +688,11 @@ def w21q_norms(u: ScalarField, q: float, gamma: float, Qp: Cylinder) -> dict:
         stack **= q
         return spacetime_integral(g, stack, Qp) ** (1.0 / q)
 
+    levels = quadrature_levels(g, Qp)
+    values = u.values[levels]
+
     def grad_gamma():
-        grad = gradient_level(u.values, g.dx, g.dim)
+        grad = gradient_level(values, g.dx, g.dim)
         grad *= grad
         mag = np.sum(grad, axis=-1)
         del grad
@@ -696,7 +701,7 @@ def w21q_norms(u: ScalarField, q: float, gamma: float, Qp: Cylinder) -> dict:
         return mag
 
     return {
-        "dt": norm_of(time_derivative(u)),
-        "hessian": norm_of(hessian_frobenius_level(u.values, g.dx, g.dim)),
+        "dt": norm_of(time_derivative(u, levels)),
+        "hessian": norm_of(hessian_frobenius_level(values, g.dx, g.dim)),
         "grad_gamma": norm_of(grad_gamma()),
     }

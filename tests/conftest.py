@@ -6,7 +6,6 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from hjlab import hj
@@ -26,12 +25,12 @@ def grid_1d_fine() -> Grid:
 
 
 def counting_lu(solve, *args, **kwargs):
-    """solve(*args, **kwargs) and the number of LU factorizations it made.
+    """solve(*args, **kwargs) and the number of factorizations it made.
 
-    Counts SuperLU (scipy.sparse.linalg.splu), LAPACK tridiagonal
-    (scipy.linalg.lapack.dgttrf) and the HJ march's dense inverses
-    (hj._DenseInverse) alike.  An exception from solve propagates with the
-    count as its lu_calls.
+    Counts LAPACK's tridiagonal and banded LU (scipy.linalg.lapack.dgttrf,
+    dgbtrf) and the HJ march's dense inverses and banded Cholesky factors
+    (hj._DenseInverse, hj._BandedCholesky) alike.  An exception from solve
+    propagates with the count as its lu_calls.
     """
     calls = []
 
@@ -42,9 +41,11 @@ def counting_lu(solve, *args, **kwargs):
 
         return factor
 
-    with mock.patch.object(spla, "splu", counted(spla.splu)), mock.patch.object(
-        lapack, "dgttrf", counted(lapack.dgttrf)
-    ), mock.patch.object(hj, "_DenseInverse", counted(hj._DenseInverse)):
+    with mock.patch.object(lapack, "dgttrf", counted(lapack.dgttrf)), mock.patch.object(
+        lapack, "dgbtrf", counted(lapack.dgbtrf)
+    ), mock.patch.object(hj, "_DenseInverse", counted(hj._DenseInverse)), mock.patch.object(
+        hj, "_BandedCholesky", counted(hj._BandedCholesky)
+    ):
         try:
             res = solve(*args, **kwargs)
         except Exception as exc:
@@ -53,25 +54,27 @@ def counting_lu(solve, *args, **kwargs):
     return res, len(calls)
 
 
-class _CountedLU:
-    """A SuperLU factor or a dense inverse whose solves, each of one right-hand side or a batch of them, are counted in calls."""
+class _CountedSolves:
+    """An HJ rung factor (dense inverse or banded Cholesky) whose solves, each of one right-hand side or a batch of them, are counted in calls."""
 
-    def __init__(self, lu, calls):
-        self.lu, self.calls = lu, calls
+    def __init__(self, factor, calls):
+        self.factor, self.calls = factor, calls
 
-    def solve(self, rhs, *args):
-        self.calls.append(rhs.shape)
-        return self.lu.solve(rhs, *args)
+    def solve(self, rows):
+        self.calls.append(rows.shape)
+        return self.factor.solve(rows)
 
 
 def counting_lu_solves(solve, *args, **kwargs):
-    """solve(*args, **kwargs) and the number of SuperLU and dense-inverse solves it made, a batch of right-hand sides counting once."""
+    """solve(*args, **kwargs) and the number of HJ rung solves it made, a batch of right-hand sides counting once."""
     calls = []
 
     def counted(real):
-        return lambda *a, **kw: _CountedLU(real(*a, **kw), calls)
+        return lambda *a, **kw: _CountedSolves(real(*a, **kw), calls)
 
-    with mock.patch.object(spla, "splu", counted(spla.splu)), mock.patch.object(hj, "_DenseInverse", counted(hj._DenseInverse)):
+    with mock.patch.object(hj, "_DenseInverse", counted(hj._DenseInverse)), mock.patch.object(
+        hj, "_BandedCholesky", counted(hj._BandedCholesky)
+    ):
         res = solve(*args, **kwargs)
     return res, len(calls)
 
@@ -188,10 +191,12 @@ def oracle_write_field_csv(u, path_or_buf):
 # attempt reads h, f and the lateral data afresh through grid.evaluate (and
 # h's bounds are re-checked), the time left is a Fraction, and the Godunov
 # kernel pads with zero-filled one-sided differences.  It picks its solver by
-# the march's rule: a dense inverse up to DENSE_MAX interior nodes, SuperLU
-# above.  A callable datum is read as the field ScalarField.from_function
-# makes of it on the solve grid, and f and the lateral data must be finite at
-# every active node and level.  solve_hj must match it bit for bit.
+# the march's rule: a dense inverse up to DENSE_MAX interior nodes, banded
+# Cholesky above, on the band it reads off the dense matrix; the log is one
+# tuple of hj.LOG_FIELDS per substep.  A callable datum is read as the field
+# ScalarField.from_function makes of it on the solve grid, and f and the
+# lateral data must be finite at every active node and level.  solve_hj must
+# match it bit for bit.
 
 
 def oracle_godunov(values, dx):
@@ -212,6 +217,15 @@ def oracle_godunov(values, dx):
     return np.sqrt(total)
 
 
+def oracle_upper_band(A):
+    """A symmetric dense matrix's upper triangle in LAPACK's band storage, diagonal by diagonal."""
+    kd = max(j - i for i, j in zip(*np.nonzero(A)))
+    ab = np.zeros((kd + 1, len(A)))
+    for d in range(kd + 1):
+        ab[kd - d, d:] = np.diagonal(A, d)
+    return ab
+
+
 def oracle_solve_hj(problem, grid, gradient_bound=None):
     L, B, int_idx, _ = grid.laplacian_ops()
     int_mask = grid.interior
@@ -220,11 +234,12 @@ def oracle_solve_hj(problem, grid, gradient_bound=None):
 
     def factor(j):
         if j not in lu_cache:
-            A = eye - problem.sigma * math.ldexp(grid.dt, -j) * L
+            A = (eye - problem.sigma * math.ldexp(grid.dt, -j) * L).toarray()
             if len(int_idx) <= DENSE_MAX:
-                lu_cache[j] = lambda rhs, dense=hj._DenseInverse(A.toarray()): dense.solve(rhs[None])[0]
+                kernel = hj._DenseInverse(A)
             else:
-                lu_cache[j] = spla.splu(A.tocsc()).solve
+                kernel = hj._BandedCholesky(oracle_upper_band(A))
+            lu_cache[j] = lambda rhs: kernel.solve(rhs[None])[0]
         return lu_cache[j]
 
     def blowup_at(arr, t):
@@ -303,22 +318,13 @@ def oracle_solve_hj(problem, grid, gradient_bound=None):
                 j += 1
             lin_res = float(np.max(np.abs(sol - problem.sigma * dt * (L @ sol) - rhs)))
             scale = max(1.0, float(np.max(np.abs(rhs))))
-            log.append(
-                {
-                    "t_from": t_cur,
-                    "t_to": t_new,
-                    "dt": dt,
-                    "halvings": halvings,
-                    "linear_residual": lin_res / scale,
-                    "godunov_max": G_new_max,
-                }
-            )
+            log.append((t_cur, t_new, dt, halvings, lin_res / scale, G_new_max))
             v, G = v_new, G_new
             t_cur = t_new
             left = left_new
         levels[k] = v
 
-    return HJSolution(u=ScalarField(grid, levels), log=log)
+    return HJSolution(u=ScalarField(grid, levels), substeps=log)
 
 
 # -- oracle manufactured solutions ---------------------------------------------------

@@ -280,6 +280,31 @@ class TestCliRuns:
         text = (tmp_path / "m_manifest.txt").read_text()
         assert "config_hash=" in text and "seed=" in text and "output=" in text
 
+    def test_one_parser_serves_every_run_of_a_process(self, tmp_path, monkeypatch):
+        # build_parser is built once per process; a run that exits 2 between two runs with other
+        # flags leaves both manifests as fresh processes write them (elapsed time aside)
+        import hjlab
+
+        runs = {
+            "a": ["solve-hj", "--gamma", "4", "--grid", "1,1,1/8,1,1/32", "--out", "a"],
+            "b": ["solve-hj", "--sigma", "1/2", "--grid", "1,1,1/8,1,1/16", "--out", "b"],
+        }
+        (tmp_path / "one").mkdir()
+        (tmp_path / "fresh").mkdir()
+        monkeypatch.chdir(tmp_path / "one")
+        assert build_parser() is build_parser()
+        assert main(runs["a"]) == 0
+        assert main(["solve-hj", "--gamma", "x", "--h1", "2", "--out", "bad"]) == 2
+        assert main(runs["b"]) == 0
+        env = {"PYTHONPATH": str(Path(hjlab.__file__).resolve().parents[1]), "PATH": ""}
+        script = "import sys\nfrom hjlab.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+        for tag, argv in runs.items():
+            proc = subprocess.run([sys.executable, "-c", script, *argv], cwd=tmp_path / "fresh", capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            one, fresh = (manifest(tmp_path / d / f"{tag}_manifest.txt") for d in ("one", "fresh"))
+            assert one.pop("elapsed_s") and fresh.pop("elapsed_s")
+            assert one == fresh
+
     def test_unknown_subcommand_exit_2(self):
         proc = subprocess.run(
             [sys.executable, "-m", "hjlab.cli", "definitely-not-a-command"],

@@ -3,7 +3,6 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -209,12 +208,12 @@ class TestImplicitTransport:
 
         def keep(real):
             def factor(*args):
-                factored.append([arg.copy() for arg in args])  # splu's matrix is refilled per level
+                factored.append([np.copy(arg) for arg in args])  # the band array is refilled per level
                 return real(*args)
 
             return factor
 
-        with mock.patch.object(spla, "splu", keep(spla.splu)), mock.patch.object(lapack, "dgttrf", keep(lapack.dgttrf)):
+        with mock.patch.object(lapack, "dgbtrf", keep(lapack.dgbtrf)), mock.patch.object(lapack, "dgttrf", keep(lapack.dgttrf)):
             solve_fp(FPProblem(sigma=0.6, R=1.0, tau=0.5, drift=b, source=(0.0,) * dim), g)
         L = g.laplacian_ops()[0]
         diffusion = (sp.identity(L.shape[0], format="csc") - 0.6 * g.dt * L).toarray()
@@ -239,24 +238,39 @@ class TestImplicitTransport:
                 want[c, c] -= g.dt * total
             if dim == 1:
                 assert all(np.array_equal(got, np.diag(want, d)) for got, d in zip(args, (-1, 0, 1)))
-            else:
-                assert np.array_equal(args[0].toarray(), want)
+            else:  # LAPACK's band storage: A[i, j] at ab[kl + ku + i - j, j], kl rows above left for the fill
+                ab, kl, ku = args
+                got = np.zeros_like(want)
+                for i, j in np.ndindex(got.shape):
+                    if -ku <= i - j <= kl:
+                        got[i, j] = ab[kl + ku + i - j, j]
+                assert np.array_equal(got, want)
+                assert not ab[:kl].any()
 
     def test_zero_drift_is_the_diffusion_solve(self):
-        # no drift: each level is exactly (I - sigma*dt*L)^{-1} applied to the last
+        # no drift: each level is exactly (I - sigma*dt*L)^{-1} applied to the last, by a banded LU
+        # of the diffusion matrix read off its dense form
         g = make_grid(GridSpec(2, 1.0, 0.125, 0.25, 1 / 16, ball_mask=True))
         sol = solve_fp(FPProblem(sigma=0.7, R=1.0, tau=0.25, source=(0.25, 0.0)), g)
         L = g.laplacian_ops()[0]
-        n = L.shape[0]
-        lu = spla.splu((sp.identity(n, format="csc") - 0.7 * g.dt * L).tocsc())
+        A = (sp.identity(L.shape[0], format="csc") - 0.7 * g.dt * L).toarray()
+        kd = max(j - i for i, j in zip(*np.nonzero(A)))
+        ab = np.zeros((3 * kd + 1, len(A)))
+        for d in range(-kd, kd + 1):  # A[i, j] at ab[2 kd + i - j, j]
+            ab[2 * kd - d, max(d, 0) : len(A) + min(d, 0)] = np.diagonal(A, d)
+        lu, piv, info = lapack.dgbtrf(ab, kd, kd)
+        assert info == 0
         for k in range(g.spec.nt):
             m = sol.m.values[k][g.interior]
-            assert np.array_equal(np.maximum(lu.solve(m), 0.0), sol.m.values[k + 1][g.interior])
+            assert np.array_equal(np.maximum(lapack.dgbtrs(lu, kd, kd, m, piv)[0], 0.0), sol.m.values[k + 1][g.interior])
 
-    def test_zero_drift_1d_is_the_superlu_diffusion_solve(self):
-        # the tridiagonal LAPACK path solves the same matrix as SuperLU, to round-off
-        g = make_grid(GridSpec(1, 1.0, 1 / 32, 0.25, 1 / 16))
-        sol = solve_fp(FPProblem(sigma=0.7, R=1.0, tau=0.25, source=0.25), g)
+    @pytest.mark.parametrize("spec", [GridSpec(1, 1.0, 1 / 32, 0.25, 1 / 16), GridSpec(2, 1.0, 1 / 16, 0.25, 1 / 16)])
+    def test_zero_drift_is_the_superlu_diffusion_solve(self, spec):
+        # the tridiagonal and banded LAPACK paths solve the same matrix as SuperLU, to round-off
+        import scipy.sparse.linalg as spla
+
+        g = make_grid(spec)
+        sol = solve_fp(FPProblem(sigma=0.7, R=1.0, tau=0.25, source=(0.25,) * g.dim), g)
         L = g.laplacian_ops()[0]
         lu = spla.splu((sp.identity(L.shape[0], format="csc") - 0.7 * g.dt * L).tocsc())
         for k in range(g.spec.nt):
@@ -266,7 +280,7 @@ class TestImplicitTransport:
 
     @pytest.mark.parametrize("block", [1, 3])
     @pytest.mark.parametrize("dim,ball", [(1, False), (2, False), (2, True)])
-    def test_tridiagonal_lapack_in_1d_superlu_otherwise(self, dim, ball, block):
+    def test_tridiagonal_lapack_in_1d_banded_otherwise(self, dim, ball, block):
         # matrix entries formed a few levels at a time factor the same matrices
         g = make_grid(GridSpec(dim, 1.0, 0.125, 1.0, 0.125, ball_mask=ball))
         rng = np.random.default_rng(dim + 2 * ball)
@@ -274,11 +288,11 @@ class TestImplicitTransport:
         b.values[3] = b.values[2]  # step 3 reuses step 2's factorization: 7 of 8 distinct
         prob = FPProblem(sigma=0.5, R=1.0, tau=1.0, drift=b, source=(0.0,) * dim)
         ref = solve_fp(prob, g)
-        with mock.patch.object(spla, "splu", wraps=spla.splu) as splu, mock.patch.object(
+        with mock.patch.object(lapack, "dgbtrf", wraps=lapack.dgbtrf) as dgbtrf, mock.patch.object(
             lapack, "dgttrf", wraps=lapack.dgttrf
         ) as dgttrf, mock.patch.object(fp, "_BLOCK", block):
             sol = solve_fp(prob, g)
-        assert (dgttrf.call_count, splu.call_count) == ((7, 0) if dim == 1 else (0, 7))
+        assert (dgttrf.call_count, dgbtrf.call_count) == ((7, 0) if dim == 1 else (0, 7))
         assert np.array_equal(sol.m.values, ref.m.values)
 
     @pytest.mark.parametrize("dim,ball", [(1, False), (2, False), (2, True)])
@@ -301,20 +315,21 @@ class TestImplicitTransport:
         assert np.array_equal(sol.outflux, np.array(outflux))
         assert np.array_equal(sol.mass, np.array(mass))
 
-    def test_failed_tridiagonal_factorization_names_the_step(self):
-        g = make_grid(GridSpec(1, 1.0, 0.125, 0.5, 0.125))
+    @pytest.mark.parametrize("dim, kernel, kind", [(1, "dgttrf", "tridiagonal"), (2, "dgbtrf", "banded")])
+    def test_failed_factorization_names_the_step(self, dim, kernel, kind):
+        g = make_grid(GridSpec(dim, 1.0, 0.125, 0.5, 0.125))
         drift = lambda x, t: np.full(x.shape, 1.0 + (t >= 0.25))  # changes at step 2
 
-        real, calls = lapack.dgttrf, []
+        real, calls = getattr(lapack, kernel), []
 
-        def dgttrf(dl, d, du):  # the second factorization reports a zero pivot
+        def factor(*args):  # the second factorization reports a zero pivot
             calls.append(None)
-            *lu, _ = real(dl, d, du)
+            *lu, _ = real(*args)
             return (*lu, 0 if len(calls) == 1 else 3)
 
-        with mock.patch.object(lapack, "dgttrf", dgttrf):
-            with pytest.raises(NumericalFailure, match=r"^tridiagonal LU failed \(info=3\) at FP step 2$"):
-                solve_fp(FPProblem(sigma=1.0, R=1.0, tau=0.5, drift=drift), g)
+        with mock.patch.object(lapack, kernel, factor):
+            with pytest.raises(NumericalFailure, match=rf"^{kind} LU failed \(info=3\) at FP step 2$"):
+                solve_fp(FPProblem(sigma=1.0, R=1.0, tau=0.5, drift=drift, source=(0.0,) * dim), g)
 
     @pytest.mark.parametrize(
         "bad,match",
@@ -330,10 +345,10 @@ class TestImplicitTransport:
             def solve(self, rhs):
                 return np.full(len(rhs), bad)
 
-        if dim == 1:
+        if dim == 1:  # dgttrs(dl, d, du, du2, ipiv, b)
             target = (lapack, "dgttrs", lambda *a: (BadLU().solve(a[-1]), 0))
-        else:
-            target = (spla, "splu", lambda A: BadLU())
+        else:  # dgbtrs(ab, kl, ku, b, ipiv)
+            target = (lapack, "dgbtrs", lambda *a: (BadLU().solve(a[3]), 0))
         with mock.patch.object(*target):
             with pytest.raises(NumericalFailure, match=match):
                 solve_fp(FPProblem(sigma=1.0, R=1.0, tau=0.5, source=(0.0,) * dim), g)

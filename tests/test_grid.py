@@ -17,6 +17,7 @@ from hjlab.grid import (
     lq_norm,
     make_grid,
     parabolic_distance,
+    quadrature_levels,
     quadrature_weights,
     read_field_csv,
     sample_field,
@@ -429,6 +430,13 @@ class TestStackedOperators:
                     continue
                 acc += w * float(np.sum(vals[k] * sw))
             assert spacetime_integral(g, vals, sub) == acc
+            # a stack of only the weighted levels, as w21q_norms forms it, integrates the same
+            levels = quadrature_levels(g, sub)
+            assert np.array_equal(np.flatnonzero(tw), np.arange(g.n_levels)[levels])
+            assert spacetime_integral(g, vals[levels].copy(), sub) == acc
+            if levels.stop - levels.start not in (0, g.n_levels - 1):
+                with pytest.raises(ValueError, match="levels: want"):
+                    spacetime_integral(g, vals[1:], sub)
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -463,6 +463,41 @@ class TestDenseInverse:
         assert np.abs(sol - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+class TestBandedCholesky:
+    """Rung solves on an interior of more than DENSE_MAX nodes: LAPACK's banded Cholesky, one right-hand side at a time."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        grid=st.one_of(
+            st.tuples(st.just(1), st.integers(65, 256), st.booleans()),
+            st.tuples(st.just(2), st.integers(7, 16), st.booleans()),
+        ),
+        ratio_exp=st.floats(-2.0, math.log10(6.5e4)),
+        sigma=st.floats(0.1, 1.0),
+        seed=st.integers(0, 2 ** 16),
+    )
+    @example(grid=(2, 16, False), ratio_exp=math.log10(6.5e4), sigma=1.0, seed=0)
+    def test_residual_agreement_and_batch_bits(self, grid, ratio_exp, sigma, seed):
+        dim, n, ball = grid
+        dx = 1.0 / n
+        dt = 10.0 ** ratio_exp * dx * dx / sigma  # sigma dt / dx^2 = 10^ratio_exp
+        g = make_grid(GridSpec(dim, 1.0, dx, 2 * dt, dt, ball_mask=ball))
+        n_int = int(g.interior.sum())
+        assume(n_int > hj.DENSE_MAX)
+        rng = np.random.default_rng(seed)
+        rhs = rng.normal(size=(6, n_int)) * 10.0 ** rng.uniform(-3, 3)
+        solve = hj._March(g).factor(sigma, 0)
+        sol = solve(rhs)
+        L = g.laplacian_ops()[0]
+        residual = np.abs(sol - sigma * dt * (L @ sol.T).T - rhs).max(axis=1) / np.maximum(1.0, np.abs(rhs).max(axis=1))
+        assert residual.max() <= 1e-12
+        ref = np.linalg.solve(np.identity(n_int) - sigma * dt * L.toarray(), rhs.T).T
+        assert np.abs(sol - ref).max() <= 1e-12 * np.abs(ref).max()
+        solo = [solve(rhs[i : i + 1])[0] for i in range(6)]
+        for rows in (1, 2, 6):
+            assert all(np.array_equal(got, want) for got, want in zip(solve(rhs[:rows]), solo))
+
+
 class TestManufacturedRhs:
     def test_constant_solution_gives_zero(self):
         from hjlab.hj import ms_constant
@@ -836,17 +871,31 @@ class TestSolveMany:
         # one batch solve per substep: a one-node interior takes the dense inverse, which solves a batch at once in 2D too
         assert n_solves == len(alone.log)
 
-    def test_superlu_solves_the_columns_one_by_one_in_2d(self):
-        """Above DENSE_MAX interior nodes a 2D batch takes one SuperLU solve per column; in 1D one per substep."""
-        for dim, dx in ((2, 1 / 8), (1, 1 / 128)):
-            g = make_grid(GridSpec(dim, 1.0, dx, 0.5, 0.25))
-            assert int(g.interior.sum()) > hj.DENSE_MAX
-            p = HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=1.0, terminal=lambda x: 0.5 * np.prod(np.cos(0.5 * np.pi * x), axis=-1))
-            alone = solve_hj(p, g)
-            (first, second), n_solves = counting_lu_solves(solve_hj_many, [p, p], g)
-            for res in (first, second):
-                assert np.array_equal(res.u.values, alone.u.values) and res.log == alone.log
-            assert n_solves == (2 if dim == 2 else 1) * len(alone.log)
+    @pytest.mark.parametrize("dim, dx, ball", [(1, 1 / 128, False), (2, 1 / 16, False), (2, 1 / 16, True)])
+    def test_a_batch_above_dense_max_takes_one_solve_per_substep(self, dim, dx, ball):
+        """Banded Cholesky solves a batch in one call per substep, and each column is its solo march.
+
+        With a gradient bound, the third column parts from the others within
+        each macro step and meets them again at the levels.
+        """
+        g = make_grid(GridSpec(dim, 1.0, dx, 0.5, 0.25, ball_mask=ball))
+        assert int(g.interior.sum()) > hj.DENSE_MAX
+        problems = [  # a bump, and the bump raised by a constant: the same rungs, other values
+            HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=1.0, lateral=c,
+                      terminal=lambda x, c=c: c + 0.5 * np.prod(np.cos(0.5 * np.pi * x), axis=-1))
+            for c in (0.0, 0.25)
+        ]
+        alone = [solve_hj(p, g) for p in problems]
+        rungs = [[(row["dt"], row["halvings"]) for row in solo.log] for solo in alone]
+        assert rungs[0] == rungs[1] and not np.array_equal(alone[0].u.values, alone[1].u.values)
+        results, n_solves = counting_lu_solves(solve_hj_many, problems, g)
+        for res, solo in zip(results, alone):
+            assert np.array_equal(res.u.values, solo.u.values) and res.log == solo.log
+        assert n_solves == sum(1 + halvings for _, halvings in rungs[0])  # a retry one rung down is a solve too
+        problems.append(problems[0])
+        bounds = [None, None, 4.0]
+        for res, p, bound in zip(solve_hj_many(problems, g, bounds), problems, bounds):
+            assert _same(_outcome(lambda: res), _outcome(oracle_solve_hj, p, g, bound))
 
     def test_data_errors_come_before_any_factorization(self):
         g = make_grid(GridSpec(1, 1.0, 0.25, 0.5, 0.25))

@@ -183,7 +183,7 @@ STAGE_LISTS = [
         # 127 and 63 interior nodes: dense inverses
         "solve-hj-1d": ["solve-hj", "--grid", "1,1,1/64,1,1/256", "--manufactured", "sine", "--out", "hj"],
         "solve-hj-f-file": ["solve-hj", "--grid", "1,1,1/32,1,1/128", "--f-file", "f.csv", "--out", "hjf"],
-        # 961 interior nodes: SuperLU
+        # 961 interior nodes: banded Cholesky
         "solve-hj-2d": ["solve-hj", "--grid", "2,1,1/16,1,1/32", "--out", "hj2"],
     },
     {"solve-fp": ["solve-fp", "--grid", "1,1/8,1/64", "--source", "0", "--out", "fp"]},
@@ -207,7 +207,7 @@ def fresh_stages(tmp_path_factory):
 
 @pytest.mark.parametrize("stage", ["import", "ldiff", "seminorm", "blowup"])
 def test_importing_and_scanning_load_no_scipy(fresh_stages, stage):
-    # scipy is loaded at the first SuperLU factorization, and these stages factor nothing
+    # scipy is loaded at the first LAPACK factorization, and these stages factor nothing
     assert fresh_stages[stage] == [0, []]
 
 
@@ -217,13 +217,15 @@ def test_a_small_hj_solve_loads_no_scipy(fresh_stages, stage):
     assert fresh_stages[stage] == [0, []]
 
 
-def test_a_large_hj_solve_loads_scipy_sparse_linalg(fresh_stages):
+def test_a_large_hj_solve_loads_scipy_linalg_not_sparse_linalg(fresh_stages):
+    # LAPACK's banded Cholesky factors the rungs; scipy's CSR matrices form the lateral terms and residuals
     code, loaded = fresh_stages["solve-hj-2d"]
     assert code == 0
-    assert "scipy.sparse.linalg" in loaded
+    assert "scipy.linalg" in loaded and "scipy.sparse.linalg" not in loaded
 
 
-def test_an_fp_solve_loads_scipy(fresh_stages):
+def test_an_fp_solve_loads_no_scipy_sparse_linalg(fresh_stages):
+    # LAPACK's tridiagonal LU, on matrix entries formed in numpy
     code, loaded = fresh_stages["solve-fp"]
     assert code == 0
-    assert "scipy.sparse.linalg" in loaded
+    assert "scipy.linalg" in loaded and not any(m.startswith("scipy.sparse") for m in loaded)

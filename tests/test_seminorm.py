@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hjlab.cli import main
-from hjlab.grid import Cylinder, GridSpec, ScalarField, make_grid, read_field_csv
+from hjlab.grid import Cylinder, GridSpec, ScalarField, gradient_level, make_grid, read_field_csv, spacetime_integral
 from hjlab.seminorm import (
     _ALL_PAIRS,
     _SAME_LEVEL,
@@ -16,6 +16,7 @@ from hjlab.seminorm import (
     _Nodes,
     _pair_value,
     combine_nonlinear,
+    hessian_frobenius_level,
     holder_seminorm,
     member_scan,
     nonlinear_space,
@@ -399,6 +400,34 @@ class TestW21qNorms:
         finally:
             tracemalloc.stop()
         assert peak <= 2.2 * u.values.nbytes
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        spec=st.sampled_from([GridSpec(1, 1.0, 1 / 16, 1.0, 1 / 32), GridSpec(2, 1.0, 1 / 8, 1.0, 1 / 16),
+                              GridSpec(2, 1.0, 1 / 8, 1.0, 1 / 16, ball_mask=True)]),
+        t0=st.floats(0.125, 0.875),
+        length=st.floats(0.0, 0.875),
+        half=st.floats(0.1, 0.75),
+        q=st.sampled_from([1.2, 2.0, 3.5]),
+        seed=st.integers(0, 2 ** 16),
+    )
+    def test_the_integrands_of_every_level_give_the_same_bits(self, spec, t0, length, half, q, seed):
+        # formed on all levels and integrated over Qp, as before the weighted levels were picked out
+        g = make_grid(spec)
+        u = random_field(g, seed)
+        Qp = Cylinder(xmin=(-half,) * g.dim, xmax=(half,) * g.dim, t0=t0, t1=min(t0 + length, 0.875),
+                      radius=half if spec.ball_mask else None)
+
+        def norm_of(stack):
+            return spacetime_integral(g, np.abs(stack) ** q, Qp) ** (1.0 / q)
+
+        grad = gradient_level(u.values, g.dx, g.dim)
+        want = {
+            "dt": norm_of(np.gradient(u.values, g.dt, axis=0, edge_order=1)),
+            "hessian": norm_of(hessian_frobenius_level(u.values, g.dx, g.dim)),
+            "grad_gamma": norm_of(np.sqrt(np.sum(grad * grad, axis=-1)) ** 3.0),
+        }
+        assert w21q_norms(u, q, 3.0, Qp) == want
 
     def test_margin_enforced(self):
         g = make_grid(GridSpec(1, 1.0, 0.125, 1.0, 0.125))
