@@ -54,7 +54,7 @@ from .dual import (
     manufactured_pair,
     oscillation_report,
 )
-from .scalelab import liouville_probe, maxreg_sweep, normalization_check, worst_pair_selection
+from .scalelab import SweepEntryError, liouville_probe, maxreg_sweep, normalization_check, worst_pair_selection
 from .seminorm import combine_nonlinear, node_count, oracle, seminorm_set
 
 
@@ -463,7 +463,10 @@ def cmd_liouville(args, params, chash):
 
 
 def cmd_sweep(args, params, chash):
-    rows = maxreg_sweep(args.q_list, args.eps_list, params["gamma"], args.dx_list)
+    try:
+        rows = maxreg_sweep(args.q_list, args.eps_list, params["gamma"], args.dx_list)
+    except SweepEntryError as exc:  # checked before any row marches
+        raise ValueError(f"--{exc.arg.replace('_', '-')}: {exc}") from None
     # the rows also carry beta and c_eps
     cols = ["q", "epsilon", "dx", "f_norm", "dt_norm", "hessian_norm", "grad_gamma_norm", "ratio", "status"]
     return [write_rows(f"{args.out}_sweep.csv", rows, chash, cols)]

@@ -5,8 +5,10 @@ Dirac, absorbing lateral boundary.  Conservative finite-volume update: one
 implicit upwind drift-and-diffusion solve per level (an M-matrix for every
 dt, so no transport CFL bound), exact per-face accounting of the diffusive
 boundary loss so that mass(s) + outflux(s) = 1 holds to solver precision at
-every level.  The matrix is factored once per distinct drift level: by
-LAPACK's tridiagonal LU on 1D grids, by its banded LU otherwise.  A drift
+every level.  The matrix entries are formed once per distinct drift level;
+on 1D grids each level is one call of LAPACK's tridiagonal solver, and
+otherwise the matrix is factored once per distinct drift level by its banded
+LU.  A drift
 that is not finite somewhere is rejected before the march.  solve_fp imports
 scipy's LAPACK when it is called, so importing this module loads numpy
 alone.
@@ -114,13 +116,15 @@ def solve_fp(problem: FPProblem, grid: Grid) -> FPSolution:
     non-interior node; its off-diagonals are <= 0 and its columns sum to 0,
     so the matrix is an M-matrix for every dt.  The matrix entries of the distinct drift levels
     (a level whose interior drift differs from the previous level's) are
-    formed with stacked array operations, _BLOCK levels at a time, and each
-    is LU-factored once by LAPACK: by the tridiagonal dgttrf when the matrix
-    is tridiagonal (every 1D grid), otherwise by the banded dgbtrf with as
-    many sub- as superdiagonals as the Laplacian's band (one grid row in
-    2D).  The march solves, checks the new level for negative density and
-    clamps it; the boundary fluxes, outflux and mass of all levels follow
-    from the stacked densities.
+    formed with stacked array operations, _BLOCK levels at a time.  When the
+    matrix is tridiagonal (every 1D grid) each level is solved by one call
+    of LAPACK's dgtsv on its entries: partial pivoting never swaps the rows
+    of an M-matrix, so this is the arithmetic of dgttrf then dgttrs.
+    Otherwise each distinct drift level is LU-factored once by the banded
+    dgbtrf, with as many sub- as superdiagonals as the Laplacian's band (one
+    grid row in 2D).  The march solves, checks the new level for negative
+    density (NaN included) and clamps it; the boundary fluxes, outflux and
+    mass of all levels follow from the stacked densities.
     """
     from scipy.linalg import lapack
 
@@ -154,8 +158,8 @@ def solve_fp(problem: FPProblem, grid: Grid) -> FPSolution:
         ab = np.zeros((3 * kd + 1, n_int))
         in_band = (2 * kd + rows - cols, cols)
 
-    def factorizations():
-        """A solve function per distinct drift level, the entries formed _BLOCK levels at a time."""
+    def systems():
+        """Per distinct drift level its entries (dl, d, du) in 1D, else its banded LU (lu, piv); _BLOCK levels at a time."""
         for start in range(0, len(steps), _BLOCK):
             block = steps[start : start + _BLOCK]
             bd = b.values[block].reshape(len(block), -1, grid.dim)
@@ -174,18 +178,13 @@ def solve_fp(problem: FPProblem, grid: Grid) -> FPSolution:
                 du[:, lo], dl[:, lo] = off_data[:, :n_face], off_data[:, n_face:]
             for i, k in enumerate(block):
                 if tridiagonal:
-                    *lu, info = lapack.dgttrf(dl[i], diag_data[i], du[i])
-                    if info != 0:
-                        raise NumericalFailure(f"tridiagonal LU failed (info={info}) at FP step {k}")
-                    # dgttrs reports only illegal arguments, which f2py's checks exclude
-                    yield lambda rhs, lu=lu: lapack.dgttrs(*lu, rhs)[0]
+                    yield dl[i], diag_data[i], du[i]
                 else:
                     ab[in_band] = np.concatenate((off_data[i], diag_data[i]))
                     lu, piv, info = lapack.dgbtrf(ab, kd, kd)
                     if info != 0:
                         raise NumericalFailure(f"banded LU failed (info={info}) at FP step {k}")
-                    # dgbtrs reports only illegal arguments, which f2py's checks exclude
-                    yield lambda rhs, lu=lu, piv=piv: lapack.dgbtrs(lu, kd, kd, rhs, piv)[0]
+                    yield lu, piv
 
     cell = grid.dx ** grid.dim
     levels = np.zeros((nt + 1,) + grid.shape)
@@ -194,16 +193,20 @@ def solve_fp(problem: FPProblem, grid: Grid) -> FPSolution:
         raise ValueError("source node is not interior")
     levels[0][src_idx] = 1.0 / cell
 
-    factors = factorizations()
+    pending = systems()
     for k in range(nt):
         if new[k]:
-            solve = next(factors)
-        sol = solve(levels[k][interior])
+            system = next(pending)
+        if tridiagonal:
+            *_, sol, info = lapack.dgtsv(*system, levels[k][interior])
+            if info != 0:
+                raise NumericalFailure(f"tridiagonal LU failed (info={info}) at FP step {k}")
+        else:  # dgbtrs reports only illegal arguments, which f2py's checks exclude
+            sol = lapack.dgbtrs(system[0], kd, kd, levels[k][interior], system[1])[0]
         m_new = levels[k + 1]
         m_new[interior] = sol
-        low = float(np.min(sol)) if len(sol) else 0.0
-        scale = max(1.0, float(np.max(np.abs(sol)))) if len(sol) else 1.0
-        if not (low >= -_NEG_TOL * scale):
+        low = float(sol.min())  # not empty: validate leaves the grid interior nodes
+        if not low >= 0.0 and not low >= -_NEG_TOL * max(1.0, float(np.max(np.abs(sol)))):
             raise NumericalFailure(f"negative density {low} after FP step {k}: internal scheme bug")
         np.maximum(m_new, 0.0, out=m_new)
 

@@ -538,10 +538,19 @@ def quadrature_weights(grid: Grid, sub: Cylinder | None = None):
 
 
 def lq_norm(u: ScalarField, q: float) -> float:
-    """Space-time L^q norm over u's grid cylinder by node-cell quadrature."""
+    """Space-time L^q norm over u's grid cylinder by node-cell quadrature.
+
+    A field constant in time (its level axis of stride 0, as np.broadcast_to
+    gives) raises one level to q, and spacetime_integral sums it once.
+    """
     if q < 1:
         raise ValueError("q must be >= 1")
-    return spacetime_integral(u.grid, np.abs(u.values) ** q) ** (1.0 / q)
+    values = u.values
+    if values.strides[0] == 0:
+        powered = np.broadcast_to(np.abs(values[0]) ** q, values.shape)
+    else:
+        powered = np.abs(values) ** q
+    return spacetime_integral(u.grid, powered) ** (1.0 / q)
 
 
 def _weighted_run(tw: np.ndarray) -> slice:
@@ -561,8 +570,10 @@ def spacetime_integral(grid: Grid, level_values, sub: Cylinder | None = None) ->
     The one quadrature: level k contributes tw[k] * sum(level_values[k] * sw),
     the per-level sums come from one reduction over the levels of nonzero
     weight (a contiguous run), and the contributions are added in level
-    order to a running sum that starts at 0.  A stack of another length is
-    a ValueError.
+    order to a running sum that starts at 0.  A stack constant in time (its
+    level axis of stride 0, as np.broadcast_to gives) sums one level, and
+    that sum stands for every weighted level's, with the same bits.  A stack
+    of another length is a ValueError.
     """
     tw, sw = quadrature_weights(grid, sub)
     run = _weighted_run(tw)
@@ -573,7 +584,9 @@ def spacetime_integral(grid: Grid, level_values, sub: Cylinder | None = None) ->
         raise ValueError(f"a stack of {len(level_values)} levels: want {grid.n_levels}, or the {n} weighted ones")
     if n == 0:
         return 0.0
-    sums = (level_values * sw).reshape(n, -1).sum(axis=1)
+    if level_values.strides[0] == 0:
+        level_values = level_values[:1]
+    sums = (level_values * sw).reshape(len(level_values), -1).sum(axis=1)
     return float(np.cumsum(np.concatenate(([0.0], tw[run] * sums)))[-1])
 
 

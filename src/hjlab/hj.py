@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -39,7 +40,11 @@ from .grid import (
 CFL_EPS = 1e-12
 MAX_HALVINGS = 10  # retries one rung down per substep
 MAX_SUBSTEPS = 100000  # substeps per macro step
-RESIDUAL_BLOCK = 32  # accepted batch substeps whose linear residuals one sparse product forms
+# Pending linear residual values (rows times interior nodes) at which one sparse product forms them all; a row
+# is one column's substep, so a block holds about as many values in 1D and 2D and for any batch size.  One thread
+# of a 2-vCPU Xeon VM, numpy 2.4 and scipy 1.17, medians in ms of the README 1D solve-hj / a 2D solve-hj on 961
+# nodes / the README sweep-maxreg: 2^11 values 71.6 / 50.8 / 72.6, 2^13 69.3 / 47.9 / 69.6, 2^15 72.5 / 52.2 / 72.6.
+RESIDUAL_BLOCK = 1 << 13
 # Interior nodes up to which a rung's matrix is inverted with numpy, not factored by LAPACK's banded Cholesky.
 # One thread of a 2-vCPU Xeon VM, numpy 2.4 and scipy 1.17, in us, dense vs banded:
 #   1D, 63 / 127 / 191 / 255 nodes: factor 220 / 555 / 1687 / 4280 vs 4.9 / 3.2 / 3.9 / 4.5;
@@ -130,11 +135,14 @@ def _sampler(grid: Grid, obj, check: Callable, nodes: np.ndarray) -> _Sampler:
     ScalarField.from_function evaluates it, is read on its levels: at(t)
     takes the level pair that bracket gives for t, and blends them unless t
     is a level.  check(grid, levels, ts) sees every value first: a
-    constant's once, the levels of the others all at once.
+    constant's once, the levels of the others all at once, and of a datum
+    constant in time (its level axis of stride 0, as np.broadcast_to gives)
+    level 0 alone, which holds its first offending node.
     """
     if isinstance(obj, ScalarField) or callable(obj):
         levels = obj.values if isinstance(obj, ScalarField) else evaluate(obj, grid)
-        check(grid, levels, grid.ts)
+        n = 1 if levels.strides[0] == 0 else len(levels)
+        check(grid, levels[:n], grid.ts[:n])
         return _Sampler(_level_blend(grid.ts.tolist(), grid.dt, lambda k: levels[k][nodes]), levels=levels)
     c = 0.0 if obj is None else float(obj)
     check(grid, np.full((1,) + grid.shape, c), grid.ts[:1])
@@ -249,7 +257,10 @@ LOG_FIELDS = ("t_from", "t_to", "dt", "halvings", "linear_residual", "godunov_ma
 
 @dataclass
 class HJSolution:
-    """The levels u of a march, and one tuple of LOG_FIELDS per accepted substep, in march order."""
+    """The levels u of a march, and one tuple of LOG_FIELDS per accepted substep, in march order.
+
+    The levels below the march's down_to level are NaN.
+    """
 
     u: ScalarField
     substeps: list
@@ -274,11 +285,15 @@ def solve_hj(problem: HJProblem, grid: Grid, gradient_bound: float | None = None
     return result
 
 
-def solve_hj_many(problems, grid: Grid, gradient_bounds=None) -> list:
+def solve_hj_many(problems, grid: Grid, gradient_bounds=None, down_to: int = 0) -> list:
     """March several problems on one grid: an HJSolution or a NumericalFailure for each.
 
     Each problem (a column) is marched as if alone, with its own
-    gradient_bounds entry (default None; else a finite number >= 0).
+    gradient_bounds entry (default None; else a finite number >= 0), from
+    the terminal level down to level down_to (an int in 0..nt, default 0).
+    The levels below it are NaN, so a norm that reads one is NaN; the
+    marched levels, the log and a failure on the way are those of the march
+    to level 0, bit for bit, and a failure below down_to is never met.
     Diffusion is implicit (a direct solve per step), the Hamiltonian
     h * (Godunov |Du|)^gamma explicit.  Every substep length is a dyadic
     rung grid.dt / 2**j: the largest rung that fits in what is left of the
@@ -300,9 +315,11 @@ def solve_hj_many(problems, grid: Grid, gradient_bounds=None) -> list:
     solve is a NumericalFailure naming the first non-finite node and the
     time.  Each accepted substep's relative linear residual
     max|(I - sigma dt L) sol - rhs| / max(1, max|rhs|) is logged; the
-    residuals are formed RESIDUAL_BLOCK batch substeps per sparse product
-    (scipy's CSR, or on a small interior a grid.Stencil with its bits), and
-    equal those of one mat-vec per substep.  A column that fails drops out
+    residuals are formed by one sparse product (scipy's CSR, or on a small
+    interior a grid.Stencil with its bits) once the pending substeps' rows
+    times the interior nodes reach RESIDUAL_BLOCK values, and a row's
+    residual is its own product row and its own max, as one mat-vec per
+    substep gives it.  A column that fails drops out
     and the others go on.
 
     Columns with the same sigma, gamma and h1 start each level as one batch
@@ -328,10 +345,14 @@ def solve_hj_many(problems, grid: Grid, gradient_bounds=None) -> list:
     for i, b in enumerate(bounds):
         if b is not None and not 0.0 <= b < math.inf:
             raise ValueError(f"gradient bound of problem {i} must be a finite number >= 0, got {b!r}")
+    nt = grid.spec.nt
+    if not 0 <= operator.index(down_to) <= nt:
+        raise ValueError(f"down_to must be a level in 0..{nt}, got {down_to!r}")
     march = _March(grid)
     cols = [_Column(i, p, b, march) for i, p, b in zip(range(len(problems)), problems, bounds)]
-    nt = grid.spec.nt
-    march.levels = np.zeros((len(cols), nt + 1, grid.active.size))
+    # every level from down_to up is written for a column that does not fail
+    march.levels = np.empty((len(cols), nt + 1, grid.active.size))
+    march.levels[:, :down_to] = np.nan
     families = {}
     for c in cols:
         march.levels[c.index, nt] = c.terminal.ravel()
@@ -339,7 +360,7 @@ def solve_hj_many(problems, grid: Grid, gradient_bounds=None) -> list:
     # a blow-up shows as non-finite values, checked after each solve, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
         for family in families.values():
-            march.family(family)
+            march.family(family, down_to)
         march.log_pending()
     shape = (nt + 1,) + grid.shape
     return [
@@ -458,8 +479,9 @@ class _March:
         # A -inf solve value turns the Godunov magnitude non-finite only at its
         # interior neighbours; an interior node without one needs its own check.
         self.lone = not (self.neighbours < n_int).any(axis=(0, 1)).all()
-        # accepted batch substeps whose linear residuals are not formed yet, their solutions and right-hand sides as rows
-        self.pending = []
+        # accepted batch substeps whose linear residuals are not formed yet, their solutions and right-hand sides as
+        # rows, and how many rows they hold
+        self.pending, self.pending_rows = [], 0
         self.levels = None
 
     def factor(self, sigma, j):
@@ -480,8 +502,8 @@ class _March:
                 solves[j] = _BandedCholesky(identity - c * L).solve
         return solves[j]
 
-    def family(self, cols):
-        """March the columns of one family (shared sigma, gamma and h1) from the terminal level to level 0.
+    def family(self, cols, down_to):
+        """March the columns of one family (shared sigma, gamma and h1) from the terminal level to level down_to.
 
         The live columns start each level as one batch, which keeps its
         interior values V and Godunov magnitudes G with one row per column
@@ -525,7 +547,7 @@ class _March:
             return (tuple(idx[c] for c in sel), V_b[sel], G_b[sel], [cfl_b[c] for c in sel], *place)
 
         batch = tuple(range(m)), V, G, cfl
-        for k in range(len(ts) - 2, -1, -1):
+        for k in range(len(ts) - 2, down_to - 1, -1):
             parts, reached = [(*batch, 1, 0, ts[k + 1], 0, None, 0)], []
             while parts:
                 idx, V_b, G_b, cfl_b, lf, ef, t_from, subs, j, halvings = parts.pop()
@@ -592,7 +614,8 @@ class _March:
                         sol, G_new, rhs, state, b = sol[acc], G_new[acc], rhs[acc], state[acc], len(acc)
                         cols_b, at, bounds_b, f_at, h_at, lateral_at, term_at = bind(idx)
                     pending.append((cols_b, t_from, t_new, sigma * dt, dt, halvings, g_max, sol, rhs))
-                    if len(pending) >= RESIDUAL_BLOCK:
+                    self.pending_rows += b
+                    if self.pending_rows * n_int >= RESIDUAL_BLOCK:
                         self.log_pending()
                     cfl_b = [u if P > g else x for (P, u), g, x in zip(bounds_b, g_max, cfl_new)]
                     V_b, G_b, t_from, lf, j = sol, G_new, t_new, lf_new, None
@@ -639,6 +662,7 @@ class _March:
             for c, g, (r, scale) in zip(cols, g_max, rows):
                 c.log.append((t0, t1, dt, n, r / max(1.0, scale), g))  # LOG_FIELDS
         self.pending.clear()
+        self.pending_rows = 0
 
 
 def discrete_residual(u: ScalarField, problem: HJProblem) -> ScalarField:

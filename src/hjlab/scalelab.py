@@ -22,6 +22,7 @@ from .grid import (
     lq_norm,
     make_grid,
     parabolic_distance,
+    quadrature_levels,
     sample_field,
     sample_points,
 )
@@ -34,6 +35,7 @@ from .hj import (
     solve_hj_many,
 )
 from .seminorm import (
+    check_w21q_cylinder,
     nonlinear_space,
     nonlinear_time,
     w21q_norms,
@@ -358,6 +360,38 @@ def singular_family(q: float, eps: float, dim: int):
     return f, beta
 
 
+class SweepEntryError(ValueError):
+    """A bad entry of one of maxreg_sweep's lists; arg names the list: q_list, eps_list or dx_list."""
+
+    def __init__(self, arg: str, message: str):
+        super().__init__(message)
+        self.arg = arg
+
+
+def _sweep_forcing(grid: Grid, q: float, eps: float, norm_target: float):
+    """(beta, c_eps, f) of a sweep row: singular_family(q, eps) scaled to ||f||_q = norm_target, one level for all.
+
+    SweepEntryError when eps gives the family no finite positive norm on
+    grid, or no finite positive scale to norm_target.
+    """
+    f_raw, beta = singular_family(q, eps, grid.dim)
+    stack = (grid.n_levels,) + grid.shape
+    try:
+        with np.errstate(over="ignore"):
+            raw = np.asarray(f_raw(grid.coords, 0.0), dtype=float)  # the same on every level
+            raw[~grid.active] = 0.0
+            c_eps = norm_target / lq_norm(ScalarField(grid, np.broadcast_to(raw, stack)), q)
+    except (OverflowError, ZeroDivisionError):  # eps ** -beta leaves the floats, or the family vanishes
+        c_eps = np.nan
+    if not 0.0 < c_eps < np.inf:
+        raise SweepEntryError(
+            "eps_list",
+            f"eps = {eps!r} gives the q = {q!r} family no finite positive scale to ||f||_q = {norm_target!r}"
+            f" at dx = {grid.dx!r}",
+        )
+    return beta, c_eps, ScalarField(grid, np.broadcast_to(c_eps * raw, stack))
+
+
 def maxreg_sweep(
     q_list,
     eps_list,
@@ -371,36 +405,48 @@ def maxreg_sweep(
     One row per (q, eps, dx): f is singular_family(q, eps, dim) scaled to
     ||f||_q = norm_target on the grid [-1, 1]^dim x [0, 1] of step dx and
     dt = dx/4, and the norms of the solution are taken on the middle cylinder
-    [-1/2, 1/2]^dim x [1/4, 3/4].  The rows of one grid march together
-    (hj.solve_hj_many), each as if alone, and a row whose march fails
-    carries the failure in its status column.  Every q must be >= 1 and
-    every eps positive (ValueError before any row is built).
+    Qp = [-1/2, 1/2]^dim x [1/4, 3/4].  The rows of one grid march together
+    (hj.solve_hj_many), each as if alone, from t = 1 down to the first level
+    w21q_norms reads: the level below Qp's first weighted level
+    (grid.quadrature_levels), where du/dt is central.  A row whose march
+    fails on the way carries the failure in its status column.
+
+    Every row is checked before any march: a SweepEntryError (a ValueError)
+    names the list and the entry when a q is below 1, an eps is not positive
+    or gives its family no finite positive scale to norm_target, or a dx
+    gives no grid or one on which Qp lacks the margins of w21q_norms; a
+    dim other than 1 or 2 or a norm_target that is not finite and positive
+    is a ValueError.
     """
+    if dim not in (1, 2) or not 0.0 < norm_target < np.inf:
+        raise ValueError(f"dim must be 1 or 2 and norm_target finite and positive, got {dim!r} and {norm_target!r}")
     for q in q_list:
         if not q >= 1:
-            raise ValueError(f"q must be >= 1, got {q!r}")
+            raise SweepEntryError("q_list", f"q must be >= 1, got {q!r}")
     for eps in eps_list:
         if not eps > 0:
-            raise ValueError(f"eps must be positive, got {eps!r}")
+            raise SweepEntryError("eps_list", f"eps must be positive, got {eps!r}")
     sub = Cylinder(xmin=(-0.5,) * dim, xmax=(0.5,) * dim, t0=0.25, t1=0.75)
-    rows = []
+    plans = []
     for dx in dx_list:
-        grid = make_grid(GridSpec(dim, 1.0, dx, 1.0, dx / 4.0))
+        try:
+            grid = make_grid(GridSpec(dim, 1.0, dx, 1.0, dx / 4.0))
+            check_w21q_cylinder(grid, sub)
+        except ValueError as exc:
+            raise SweepEntryError("dx_list", f"dx = {dx!r}: {exc}") from None
         grid_rows, problems = [], []
         for q in q_list:
             for eps in eps_list:
-                f_raw, beta = singular_family(q, eps, dim)
-                raw = np.asarray(f_raw(grid.coords, 0.0), dtype=float)  # the same on every level
-                raw[~grid.active] = 0.0
-                stack = (grid.n_levels,) + grid.shape
-                raw_norm = lq_norm(ScalarField(grid, np.broadcast_to(raw, stack)), q)
-                c_eps = norm_target / raw_norm
-                f_field = ScalarField(grid, np.broadcast_to(c_eps * raw, stack))
+                beta, c_eps, f_field = _sweep_forcing(grid, q, eps, norm_target)
                 problems.append(HJProblem(gamma=gamma, sigma=1.0, h0=1.0, h1=1.0, h=1.0, f=f_field))
                 grid_rows.append(
                     {"q": q, "epsilon": eps, "dx": dx, "beta": beta, "c_eps": c_eps, "f_norm": norm_target}
                 )
-        for row, sol in zip(grid_rows, solve_hj_many(problems, grid)):
+        plans.append((grid, grid_rows, problems))
+    rows = []
+    for grid, grid_rows, problems in plans:
+        down_to = quadrature_levels(grid, sub).start - 1
+        for row, sol in zip(grid_rows, solve_hj_many(problems, grid, down_to=down_to)):
             if isinstance(sol, NumericalFailure):
                 row.update(
                     {

@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .grid import Cylinder, ScalarField, gradient_level, quadrature_levels, spacetime_integral, time_derivative
+from .grid import Cylinder, Grid, ScalarField, gradient_level, quadrature_levels, spacetime_integral, time_derivative
 
 
 @dataclass
@@ -663,6 +663,18 @@ def hessian_frobenius_level(values: np.ndarray, dx: float, dim: int | None = Non
     return out
 
 
+def check_w21q_cylinder(g: Grid, Qp: Cylinder) -> None:
+    """ValueError unless Qp keeps the 2-node spatial and 2-level temporal margins from g's cylinder that w21q_norms reads."""
+    full = g.cylinder()
+    margin_x = 2 * g.dx - 1e-12
+    margin_t = 2 * g.dt - 1e-12
+    for a in range(g.dim):
+        if Qp.xmin[a] < full.xmin[a] + margin_x or Qp.xmax[a] > full.xmax[a] - margin_x:
+            raise ValueError("Qp must keep a 2-node spatial margin from the boundary")
+    if Qp.t0 < full.t0 + margin_t or Qp.t1 > full.t1 - margin_t:
+        raise ValueError("Qp must keep a 2-level temporal margin from the boundary")
+
+
 def w21q_norms(u: ScalarField, q: float, gamma: float, Qp: Cylinder) -> dict:
     """{'dt': ||du/dt||_q, 'hessian': ||D^2 u||_q, 'grad_gamma': || |Du|^g ||_q} on Qp.
 
@@ -674,14 +686,7 @@ def w21q_norms(u: ScalarField, q: float, gamma: float, Qp: Cylinder) -> dict:
     most two stack-sized arrays are alive beside u.
     """
     g = u.grid
-    full = g.cylinder()
-    margin_x = 2 * g.dx - 1e-12
-    margin_t = 2 * g.dt - 1e-12
-    for a in range(g.dim):
-        if Qp.xmin[a] < full.xmin[a] + margin_x or Qp.xmax[a] > full.xmax[a] - margin_x:
-            raise ValueError("Qp must keep a 2-node spatial margin from the boundary")
-    if Qp.t0 < full.t0 + margin_t or Qp.t1 > full.t1 - margin_t:
-        raise ValueError("Qp must keep a 2-level temporal margin from the boundary")
+    check_w21q_cylinder(g, Qp)
 
     def norm_of(stack):
         np.abs(stack, out=stack)

@@ -27,8 +27,9 @@ def grid_1d_fine() -> Grid:
 def counting_lu(solve, *args, **kwargs):
     """solve(*args, **kwargs) and the number of factorizations it made.
 
-    Counts LAPACK's tridiagonal and banded LU (scipy.linalg.lapack.dgttrf,
-    dgbtrf) and the HJ march's dense inverses and banded Cholesky factors
+    Counts LAPACK's tridiagonal solves and banded LU (scipy.linalg.lapack.dgtsv,
+    which a 1D FP solve calls once per level, and dgbtrf, once per distinct
+    drift level) and the HJ march's dense inverses and banded Cholesky factors
     (hj._DenseInverse, hj._BandedCholesky) alike.  An exception from solve
     propagates with the count as its lu_calls.
     """
@@ -41,7 +42,7 @@ def counting_lu(solve, *args, **kwargs):
 
         return factor
 
-    with mock.patch.object(lapack, "dgttrf", counted(lapack.dgttrf)), mock.patch.object(
+    with mock.patch.object(lapack, "dgtsv", counted(lapack.dgtsv)), mock.patch.object(
         lapack, "dgbtrf", counted(lapack.dgbtrf)
     ), mock.patch.object(hj, "_DenseInverse", counted(hj._DenseInverse)), mock.patch.object(
         hj, "_BandedCholesky", counted(hj._BandedCholesky)

@@ -12,7 +12,7 @@ import pytest
 from hjlab.cli import PARAMS, build_parser, config_hash, main, parse_number, resolve
 from hjlab.grid import GridSpec, ScalarField, make_grid, write_field_csv
 
-from conftest import random_field
+from conftest import counting_lu, random_field
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -151,6 +151,21 @@ class TestDeclaredParameters:
     def test_non_finite_size_or_list_entry_exits_2(self, argv, message, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path / "x")]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--eps-list", "1/4,1e-200"], "--eps-list: eps = 1e-200 gives the q = 1.6 family no finite positive scale"),
+            (["--eps-list", "1/4,1e300"], "--eps-list: eps = 1e+300 gives the q = 1.6 family no finite positive scale"),
+            (["--dx-list", "1/16,1/2"], "--dx-list: dx = 0.5: Qp must keep a 2-node spatial margin from the boundary"),
+        ],
+        ids=["eps-overflows", "eps-vanishes", "dx-leaves-no-margin"],
+    )
+    def test_sweep_rejects_a_bad_entry_before_any_row_marches(self, argv, message, tmp_path, capsys):
+        rc, n_lu = counting_lu(main, ["sweep-maxreg", *argv, "--out", str(tmp_path / "x")])
+        assert (rc, n_lu) == (2, 0)
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x_sweep.csv").exists()
 
     FP = ["solve-fp", "--grid", "1,1/8,1/64", "--R", "1", "--tau", "1/4"]
 

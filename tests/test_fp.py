@@ -167,9 +167,12 @@ class TestImplicitTransport:
         assert sol.min_density() >= 0.0
         b_int = sol.b.values[:-1, g.interior]
         distinct = 1 + sum(not np.array_equal(b_int[k], b_int[k - 1]) for k in range(1, len(b_int)))
-        assert n_lu == distinct
-        if kind in ("zero", "uniform"):
-            assert n_lu == 1
+        if dim == 1:  # one tridiagonal solve per level
+            assert n_lu == levels
+        else:  # one banded LU per distinct drift level
+            assert n_lu == distinct
+            if kind in ("zero", "uniform"):
+                assert n_lu == 1
 
     @pytest.mark.parametrize("dim,ball", [(1, False), (2, False), (2, True)])
     def test_each_level_solves_the_per_face_scheme(self, dim, ball):
@@ -213,7 +216,7 @@ class TestImplicitTransport:
 
             return factor
 
-        with mock.patch.object(lapack, "dgbtrf", keep(lapack.dgbtrf)), mock.patch.object(lapack, "dgttrf", keep(lapack.dgttrf)):
+        with mock.patch.object(lapack, "dgbtrf", keep(lapack.dgbtrf)), mock.patch.object(lapack, "dgtsv", keep(lapack.dgtsv)):
             solve_fp(FPProblem(sigma=0.6, R=1.0, tau=0.5, drift=b, source=(0.0,) * dim), g)
         L = g.laplacian_ops()[0]
         diffusion = (sp.identity(L.shape[0], format="csc") - 0.6 * g.dt * L).toarray()
@@ -236,8 +239,8 @@ class TestImplicitTransport:
                     want[r, c] += g.dt * u
                     total += u
                 want[c, c] -= g.dt * total
-            if dim == 1:
-                assert all(np.array_equal(got, np.diag(want, d)) for got, d in zip(args, (-1, 0, 1)))
+            if dim == 1:  # dgtsv(dl, d, du, b)
+                assert all(np.array_equal(got, np.diag(want, d)) for got, d in zip(args[:3], (-1, 0, 1)))
             else:  # LAPACK's band storage: A[i, j] at ab[kl + ku + i - j, j], kl rows above left for the fill
                 ab, kl, ku = args
                 got = np.zeros_like(want)
@@ -289,10 +292,11 @@ class TestImplicitTransport:
         prob = FPProblem(sigma=0.5, R=1.0, tau=1.0, drift=b, source=(0.0,) * dim)
         ref = solve_fp(prob, g)
         with mock.patch.object(lapack, "dgbtrf", wraps=lapack.dgbtrf) as dgbtrf, mock.patch.object(
-            lapack, "dgttrf", wraps=lapack.dgttrf
-        ) as dgttrf, mock.patch.object(fp, "_BLOCK", block):
+            lapack, "dgtsv", wraps=lapack.dgtsv
+        ) as dgtsv, mock.patch.object(fp, "_BLOCK", block):
             sol = solve_fp(prob, g)
-        assert (dgttrf.call_count, dgbtrf.call_count) == ((7, 0) if dim == 1 else (0, 7))
+        # 1D: one tridiagonal solve per level; otherwise one banded LU per distinct drift level
+        assert (dgtsv.call_count, dgbtrf.call_count) == ((8, 0) if dim == 1 else (0, 7))
         assert np.array_equal(sol.m.values, ref.m.values)
 
     @pytest.mark.parametrize("dim,ball", [(1, False), (2, False), (2, True)])
@@ -315,17 +319,18 @@ class TestImplicitTransport:
         assert np.array_equal(sol.outflux, np.array(outflux))
         assert np.array_equal(sol.mass, np.array(mass))
 
-    @pytest.mark.parametrize("dim, kernel, kind", [(1, "dgttrf", "tridiagonal"), (2, "dgbtrf", "banded")])
-    def test_failed_factorization_names_the_step(self, dim, kernel, kind):
+    # dgtsv solves each level, dgbtrf factors each distinct drift level
+    @pytest.mark.parametrize("dim, kernel, kind, failing", [(1, "dgtsv", "tridiagonal", 3), (2, "dgbtrf", "banded", 2)])
+    def test_failed_factorization_names_the_step(self, dim, kernel, kind, failing):
         g = make_grid(GridSpec(dim, 1.0, 0.125, 0.5, 0.125))
         drift = lambda x, t: np.full(x.shape, 1.0 + (t >= 0.25))  # changes at step 2
 
         real, calls = getattr(lapack, kernel), []
 
-        def factor(*args):  # the second factorization reports a zero pivot
+        def factor(*args):  # the first factorization of step 2's matrix reports a zero pivot
             calls.append(None)
             *lu, _ = real(*args)
-            return (*lu, 0 if len(calls) == 1 else 3)
+            return (*lu, 3 if len(calls) == failing else 0)
 
         with mock.patch.object(lapack, kernel, factor):
             with pytest.raises(NumericalFailure, match=rf"^{kind} LU failed \(info=3\) at FP step 2$"):
@@ -345,8 +350,8 @@ class TestImplicitTransport:
             def solve(self, rhs):
                 return np.full(len(rhs), bad)
 
-        if dim == 1:  # dgttrs(dl, d, du, du2, ipiv, b)
-            target = (lapack, "dgttrs", lambda *a: (BadLU().solve(a[-1]), 0))
+        if dim == 1:  # dgtsv(dl, d, du, b) -> du2, d, du, x, info
+            target = (lapack, "dgtsv", lambda *a: (*a[:3], BadLU().solve(a[3]), 0))
         else:  # dgbtrs(ab, kl, ku, b, ipiv)
             target = (lapack, "dgbtrs", lambda *a: (BadLU().solve(a[3]), 0))
         with mock.patch.object(*target):

@@ -440,6 +440,31 @@ class TestStackedOperators:
 
     @settings(max_examples=40, deadline=None)
     @given(
+        dim=st.sampled_from([1, 2]),
+        ball=st.booleans(),
+        dx=st.sampled_from([0.25, 0.125, 0.1]),
+        dt=st.sampled_from([0.1, 0.125, 0.25]),
+        q=st.floats(1.0, 6.0),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        window=st.sampled_from([None, (0.25, 0.75), (0.1, 0.1), (0.3, 0.42)]),
+        seed=st.integers(0, 2 ** 16),
+    )
+    def test_a_time_constant_stack_integrates_as_its_copy(self, dim, ball, dx, dt, q, scale, window, seed):
+        """One level broadcast over the levels (stride 0) gives the bits of the materialized stack."""
+        g = make_grid(GridSpec(dim, 1.0, dx, 1.0, dt, ball_mask=ball))
+        level = scale * np.random.default_rng(seed).normal(size=g.shape)
+        level[~g.active] = 0.0
+        stack = np.broadcast_to(level, (g.n_levels,) + g.shape)
+        assert stack.strides[0] == 0
+        copy = stack.copy()
+        assert repr(lq_norm(ScalarField(g, stack), q)) == repr(lq_norm(ScalarField(g, copy), q))
+        sub = None if window is None else Cylinder(xmin=(-0.5,) * dim, xmax=(0.6,) * dim, t0=window[0], t1=window[1])
+        assert repr(spacetime_integral(g, stack, sub)) == repr(spacetime_integral(g, copy, sub))
+        levels = quadrature_levels(g, sub)
+        assert repr(spacetime_integral(g, stack[levels], sub)) == repr(spacetime_integral(g, copy[levels], sub))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
         shape=st.sampled_from([(5,), (33,), (5, 7), (17, 17)]),
         seed=st.integers(0, 2 ** 32 - 1),
         special=st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308]),

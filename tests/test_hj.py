@@ -809,6 +809,89 @@ class TestSolveMany:
         for res, p, bound in zip(results, problems, bounds):
             assert _same(_outcome(lambda: res), _outcome(oracle_solve_hj, p, g, bound))
 
+    @settings(max_examples=20, deadline=None)
+    @given(
+        dim=st.sampled_from([1, 2]),
+        ball=st.booleans(),
+        dx=st.sampled_from([0.25, 0.125]),
+        dt=st.sampled_from([0.0625, 0.125]),
+        stop=st.sampled_from(["0", "1", "nt-1", "nt"]),
+        columns=st.lists(
+            st.tuples(
+                st.sampled_from([2.5, 3.0]),
+                st.sampled_from(["constant", "callable", "field"]),
+                st.sampled_from(["constant", "callable", "field", "huge_late"]),
+                st.sampled_from(["constant", "callable"]),
+                st.sampled_from([None, 4.0, 8.0]),
+                st.floats(0.0, 2.0),
+                st.integers(0, 2 ** 16),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    # huge_late blows up in the last macro step, below every down_to but 0
+    @example(dim=1, ball=False, dx=0.125, dt=0.125, stop="1", columns=[
+        (3.0, "field", "huge_late", "constant", None, 2.0, 1),
+        (3.0, "constant", "field", "callable", 4.0, 2.0, 2),
+    ])
+    def test_a_march_down_to_a_level_is_the_full_march_above_it(self, dim, ball, dx, dt, stop, columns):
+        g = make_grid(GridSpec(dim, 1.0, dx, 4 * dt, dt, ball_mask=ball))
+        nt = g.spec.nt
+        down_to = {"0": 0, "1": 1, "nt-1": nt - 1, "nt": nt}[stop]
+        problems = [_batch_problem(g, seed, gamma, hk, fk, lk, amp) for gamma, hk, fk, lk, _, amp, seed in columns]
+        bounds = [col[4] for col in columns]
+        t_stop = g.ts[down_to]
+        for got, want in zip(solve_hj_many(problems, g, bounds, down_to=down_to), solve_hj_many(problems, g, bounds)):
+            if isinstance(got, NumericalFailure):
+                assert isinstance(want, NumericalFailure) and str(got) == str(want)
+            elif isinstance(want, NumericalFailure):  # met below down_to only
+                assert float(re.search(r"\bt=([-+.e0-9]+)", str(want)).group(1)) < t_stop
+            else:
+                assert got.u.values[down_to:].tobytes() == want.u.values[down_to:].tobytes()
+                assert np.isnan(got.u.values[:down_to]).all()
+                n = len(got.substeps)
+                assert repr(got.substeps) == repr(want.substeps[:n])
+                assert all(row[1] < t_stop for row in want.substeps[n:])  # t_to
+
+    def test_down_to_must_be_a_level(self):
+        g = make_grid(GridSpec(1, 1.0, 0.25, 0.5, 0.25))
+        p = HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=1.0)
+        for bad in (-1, 3):
+            with pytest.raises(ValueError, match=re.escape(f"down_to must be a level in 0..2, got {bad}")):
+                solve_hj_many([p], g, down_to=bad)
+        with pytest.raises(TypeError):
+            solve_hj_many([p], g, down_to=1.0)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_residual_blocks_do_not_change_the_log(self, monkeypatch, dim):
+        """A row's linear residual is its own product row and its own max, whatever the rows formed with it."""
+        g = make_grid(GridSpec(dim, 1.0, 0.125, 0.5, 0.125))
+        problems = [_batch_problem(g, seed, 3.0, "field", "field", "callable", 2.0) for seed in range(3)]
+        bounds = [None, 4.0, 8.0]
+        logs = {}
+        for block in (1, hj.RESIDUAL_BLOCK, 1 << 40):
+            monkeypatch.setattr(hj, "RESIDUAL_BLOCK", block)
+            logs[block] = repr([res.substeps for res in solve_hj_many(problems, g, bounds)])
+        assert len(set(logs.values())) == 1
+
+    @pytest.mark.parametrize("datum, bad", [("f", math.nan), ("h", 3.0)])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_a_time_constant_datum_is_rejected_as_its_copy(self, dim, datum, bad):
+        """Level 0 of a stride-0 datum holds its first offending node, so the message is the materialized datum's."""
+        g = make_grid(GridSpec(dim, 1.0, 0.125, 0.5, 0.125))
+        level = np.ones(g.shape)
+        level[tuple(np.argwhere(g.interior)[[5, 9]].T)] = bad
+        steady = np.broadcast_to(level, (g.n_levels,) + g.shape)
+        messages = []
+        for values in (steady, steady.copy()):
+            p = HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=2.0, **{datum: ScalarField(g, values)})
+            with pytest.raises(ValueError) as info:
+                solve_hj(p, g)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert messages[0].endswith(f"t={float(g.ts[0])!r}")
+
     @pytest.mark.parametrize("dim", [1, 2])
     def test_time_constant_fields_are_their_solo_marches(self, dim):
         """Fields whose levels share one array, as the sweep's forcing, are stacked once and keep their bits.
@@ -851,7 +934,7 @@ class TestSolveMany:
 
         kw = dict(q_list=[1.6, 2.4], eps_list=[1 / 4, 1 / 8, 1 / 16], gamma=3.0, dx_list=[1 / 64])
         rows, n_lu = counting_lu(scalelab.maxreg_sweep, **kw)
-        monkeypatch.setattr(scalelab, "solve_hj_many", lambda problems, grid: [solve_hj(p, grid) for p in problems])
+        monkeypatch.setattr(scalelab, "solve_hj_many", lambda problems, grid, down_to: [solve_hj(p, grid) for p in problems])
         solo_rows, solo_lu = counting_lu(scalelab.maxreg_sweep, **kw)
         assert (n_lu, solo_lu) == (1, 6)
         assert repr(rows) == repr(solo_rows)
@@ -978,20 +1061,40 @@ class TestNonlinearSweep:
 
         kw = dict(self.SWEEP, norm_target=8.0)
         rows = scalelab.maxreg_sweep(**kw)
-        monkeypatch.setattr(scalelab, "solve_hj_many", lambda problems, grid: [solve_hj(p, grid) for p in problems])
+        monkeypatch.setattr(scalelab, "solve_hj_many", lambda problems, grid, down_to: [solve_hj(p, grid) for p in problems])
         assert repr(rows) == repr(scalelab.maxreg_sweep(**kw))
 
-    @pytest.mark.parametrize("norm_target, solves", [(1.0, 256), (8.0, 1398)])
+    @pytest.mark.parametrize("norm_target, solves", [(1.0, 193), (8.0, 1020)])
     def test_parts_meet_again_at_each_level(self, norm_target, solves):
         """The six rows take one batch LU solve per substep they share: one per level at ||f||_q = 1.
 
-        At 8 the rows part within macro steps.  Parts that marched apart to
-        the end of the march would take about 4830 solves there.
+        The march stops at level 63 of 256, the first the norms read, so it
+        takes 193 macro steps.  At 8 the rows part within macro steps.
+        Parts that marched apart to the end of a march to level 0 would take
+        about 4830 solves there.
         """
         from hjlab import scalelab
 
         _, n_solves = counting_lu_solves(scalelab.maxreg_sweep, **self.SWEEP, norm_target=norm_target)
         assert n_solves == solves
+
+
+    @pytest.mark.parametrize("dx_list", [[1 / 64], [0.1, 0.05]], ids=["dyadic", "non-dyadic"])
+    def test_rows_are_those_of_the_march_to_level_0(self, monkeypatch, dx_list):
+        """The march stops at the first level the norms read, and no row changes a bit."""
+        from hjlab import scalelab
+
+        kw = dict(self.SWEEP, dx_list=dx_list, norm_target=8.0)
+        rows = scalelab.maxreg_sweep(**kw)
+        monkeypatch.setattr(scalelab, "solve_hj_many", lambda problems, grid, down_to: solve_hj_many(problems, grid))
+        assert repr(rows) == repr(scalelab.maxreg_sweep(**kw))
+
+    def test_a_failing_row_keeps_its_status(self):
+        from hjlab import scalelab
+
+        (row,) = scalelab.maxreg_sweep([1.6], [1 / 16], 3.0, [1 / 16], norm_target=1e5)
+        assert row["status"] == "failed: CFL retry limit exceeded at node x=(-0.0625;); t=0.9999847412109375"
+        assert math.isnan(row["ratio"])
 
 
 class TestGradientBounds:
