@@ -89,6 +89,17 @@ def number_list(s: str) -> list[float]:
     return vals
 
 
+def finite_number(s: str) -> float:
+    """argparse type of a one-number option: a bad or non-finite number exits 2 naming the flag."""
+    try:
+        v = parse_number(s)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {v!r}")
+    return v
+
+
 class Param(NamedTuple):
     """A run parameter: its default, its parser, and the check on the resolved values."""
 
@@ -323,14 +334,16 @@ def _sub_cyl(arg: str, u) -> Cylinder | None:
     return Q
 
 
+def _coord(xs) -> str:
+    """A point's coordinates as one CSV cell, ;-joined."""
+    return ";".join("%.17g" % v for v in xs)
+
+
 def cmd_seminorm(args, params, chash):
     u = read_field_csv(args.field)
     Q = _sub_cyl(args.sub_cylinder, u)
     a, z, g, c = params["alpha"], params["z"], params["gamma"], params["c"]
     fast = None if args.oracle else seminorm_set(u, a, g, c, Q)
-
-    def coord(xs):
-        return ";".join("%.17g" % v for v in xs)
 
     rows, members = [], {}
     for name in ("classical", "weighted", "nl_space", "nl_time"):
@@ -342,9 +355,9 @@ def cmd_seminorm(args, params, chash):
                 "value": res.value,
                 "exact": int(res.exact),
                 "degenerate": int(res.degenerate),
-                "x": coord(pair[0][0]),
+                "x": _coord(pair[0][0]),
                 "t": pair[0][1],
-                "x_bar": coord(pair[1][0]),
+                "x_bar": _coord(pair[1][0]),
                 "t_bar": pair[1][1],
                 "pairs_evaluated": res.pairs_evaluated,
             }
@@ -436,7 +449,7 @@ def cmd_blowup(args, params, chash):
     res = blowup_transform(u, bp, tg)
     row = {
         "kind": args.kind,
-        "x_bar": bp.basepoint_x[0],
+        "x_bar": _coord(bp.basepoint_x),
         "t_bar": bp.basepoint_t,
         "M": bp.M,
         "r": bp.r,
@@ -529,13 +542,13 @@ COMMANDS = {
     "verify-duality": Command(
         cmd_verify_duality, "duality residual refinement study", ("gamma", "sigma", "h0", "dx", "tau"), (
             ("--refinements", {"type": int, "default": 2}),
-            ("--amplitude", {"type": parse_number, "default": 0.5}),
+            ("--amplitude", {"type": finite_number, "default": 0.5}),
         ),
     ),
     "verify-oscillation": Command(
         cmd_verify_oscillation, "oscillation budgets on a homogeneous solve",
         ("gamma", "R", "dx", "tau", "dt", "sigma", "h0", "h1", "alpha", "z"), (
-            ("--amplitude", {"type": parse_number, "default": 1.0}),
+            ("--amplitude", {"type": finite_number, "default": 1.0}),
         ),
     ),
     "ldiff": Command(
@@ -555,7 +568,7 @@ COMMANDS = {
         cmd_liouville, "decay of the oscillation budget", ("h0", "gamma", "alpha", "dx", "dt", "z"), (
             ("--R-list", {"type": number_list, "default": "8"}),
             ("--tau-list", {"type": number_list, "default": "4,16,64"}),
-            ("--amplitude", {"type": parse_number, "default": 1.0}),
+            ("--amplitude", {"type": finite_number, "default": 1.0}),
         ),
     ),
     "sweep-maxreg": Command(

@@ -71,7 +71,7 @@ def manufactured_pair(A: float, dx: float, gamma: float = 3.0, sigma: float = 1.
     ms = ms_cosine(T, A)
     prob = manufactured_problem(ms, gamma, sigma, h, h)
     prob.terminal = ms.terminal(T)
-    w = solve_hj(prob, make_grid(GridSpec(1, 2.0, dx, T, dx / 4)), gradient_bound=A * np.pi).u
+    w = solve_hj(prob, make_grid(GridSpec(1, 2.0, dx, T, dx / 4)), gradient_bound=abs(A) * np.pi).u
     b = drift_from_solution(w, h, gamma)
     sol = solve_fp(FPProblem(sigma=sigma, R=1.0, tau=T, drift=b, source=0.0), make_grid(GridSpec(1, 1.0, dx, T, dx / 4)))
     return w, prob.f, sol

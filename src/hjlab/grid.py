@@ -8,7 +8,8 @@ boundary layer, the nodes that carry Dirichlet/absorbing values, is the rest
 of the active set (the rim of the box, the stair-step shell of the ball).
 The Dirichlet Laplacian, the boundary faces and the Fokker-Planck transport
 are all read from the table.  Fields are stored one array per time level;
-all operators here are pure functions of field snapshots.
+all operators here are pure functions of field snapshots.  The module runs
+on numpy alone.
 
 Problem data (a coefficient h, a right-hand side f or g, a drift b) are
 None, a number, callable(x, t) or a ScalarField/VectorField, and evaluate()
@@ -17,9 +18,6 @@ default) and times, linear in time between levels and multilinear in space,
 with one bracketing rule (bracket) that takes a node or level exactly.  A
 field on another grid is resampled when its grid covers the points and
 times asked for, and is a ValueError naming both grids otherwise.
-
-The module runs on numpy alone, except laplacian_ops and Stencil.csr: they
-import scipy.sparse the first time a solver asks for a sparse matrix.
 """
 
 from __future__ import annotations
@@ -183,7 +181,7 @@ class Grid:
         self.interior = degree.reshape(self.shape) == 2 * spec.dim
         self.boundary = self.active & ~self.interior
 
-        self._stencils = self._laplacian_ops = None
+        self._stencils = None
 
     # -- basic geometry ----------------------------------------------------
 
@@ -290,41 +288,36 @@ class Grid:
             self._stencils = (L, B)
         return self._stencils
 
-    def laplacian_ops(self):
-        """(L_int, B, int_idx, bnd_idx): laplacian_stencils as scipy CSR matrices, and the interior and boundary nodes (np.argwhere)."""
-        if self._laplacian_ops is None:
-            L, B = self.laplacian_stencils()
-            self._laplacian_ops = (L.csr(), B.csr(), np.argwhere(self.interior), np.argwhere(self.boundary))
-        return self._laplacian_ops
-
 
 class Stencil:
     """A sparse matrix in numpy: each row's columns and entries in column order, padded with zero entries.
 
-    stencil @ x sums each row from 0, adding its products in column order as
-    scipy's CSR product does, so it has that product's bits; x is one vector
-    or, as for a scipy matrix, several as columns.  A padding entry reads a
-    zero appended to x.
+    stencil @ x gathers every row's terms at once and sums them from 0 in
+    column order, as scipy's compressed-sparse-row product adds a row, so it
+    has that product's bits, NaN and infinities included; x is one vector or,
+    as for a scipy matrix, several as columns.  A padding entry reads a zero
+    appended to x.
     """
 
     def __init__(self, rows, cols, vals, shape):
         order = np.lexsort((cols, rows))
         rows, cols, vals = rows[order], cols[order], vals[order]
         self.shape = shape
-        self.counts = np.bincount(rows, minlength=shape[0])
-        at = np.arange(len(rows)) - (np.cumsum(self.counts) - self.counts)[rows]
+        counts = np.bincount(rows, minlength=shape[0])
+        at = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
         # [k] holds each row's k-th entry
-        self.cols = np.full((self.counts.max(initial=0), shape[0]), shape[1])
+        self.cols = np.full((counts.max(initial=0), shape[0]), shape[1])
         self.vals = np.zeros(self.cols.shape)
         self.cols[at, rows] = cols
         self.vals[at, rows] = vals
 
     def __matmul__(self, x):
         x = np.concatenate((x, np.zeros((1,) + x.shape[1:])))
-        out = np.zeros((self.shape[0],) + x.shape[1:])
-        for c, v in zip(self.cols, self.vals):
-            out += (v if x.ndim == 1 else v[:, None]) * x[c]
-        return out
+        terms = x.take(self.cols, axis=0)
+        terms *= self.vals.reshape(self.vals.shape + (1,) * (x.ndim - 1))
+        # from 0, term after term: a row holds at most 2N + 1 < 8 entries, which numpy's reduction adds in
+        # sequence whichever axis it loops over first
+        return np.add.reduce(terms, axis=0, initial=0.0)
 
     def dense(self) -> np.ndarray:
         out = np.zeros((self.shape[0], self.shape[1] + 1))
@@ -345,14 +338,6 @@ class Stencil:
         out = np.zeros((kd + 1, self.shape[1]))
         out[kd + r - c, c] = self.vals[upper]
         return out
-
-    def csr(self):
-        """The scipy CSR matrix, in canonical format; imports scipy.sparse."""
-        import scipy.sparse as sp
-
-        real = self.cols.T < self.shape[1]
-        indptr = np.concatenate(([0], np.cumsum(self.counts)))
-        return sp.csr_matrix((self.vals.T[real], self.cols.T[real], indptr), shape=self.shape)
 
 
 def make_grid(spec: GridSpec) -> Grid:

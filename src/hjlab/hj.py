@@ -13,7 +13,8 @@ Each rung's diffusion matrix I - sigma dt L is inverted with numpy when the
 grid's interior has at most DENSE_MAX nodes, and factored by LAPACK's banded
 Cholesky above that (tridiagonal on 1D grids).  scipy is loaded by the
 march's first banded factorization, not by importing this module: a march on
-a small interior never loads it.
+a small interior never loads it.  Every product with L or B (the lateral
+terms, the linear residuals) is a grid.Stencil product, in numpy.
 """
 
 from __future__ import annotations
@@ -40,10 +41,11 @@ from .grid import (
 CFL_EPS = 1e-12
 MAX_HALVINGS = 10  # retries one rung down per substep
 MAX_SUBSTEPS = 100000  # substeps per macro step
-# Pending linear residual values (rows times interior nodes) at which one sparse product forms them all; a row
+# Pending linear residual values (rows times interior nodes) at which one Stencil product forms them all; a row
 # is one column's substep, so a block holds about as many values in 1D and 2D and for any batch size.  One thread
-# of a 2-vCPU Xeon VM, numpy 2.4 and scipy 1.17, medians in ms of the README 1D solve-hj / a 2D solve-hj on 961
-# nodes / the README sweep-maxreg: 2^11 values 71.6 / 50.8 / 72.6, 2^13 69.3 / 47.9 / 69.6, 2^15 72.5 / 52.2 / 72.6.
+# of a 2-vCPU Xeon VM, numpy 2.4 and scipy 1.17, medians in ms of 15 runs of the README 1D solve-hj / a 2D
+# manufactured solve-hj on 961 nodes / the README sweep-maxreg: 2^11 values 81.7 / 61.4 / 84.2, 2^13 80.5 / 59.3 /
+# 80.0, 2^15 82.4 / 60.6 / 83.3.  A second round put the three within 4% of each other on every command.
 RESIDUAL_BLOCK = 1 << 13
 # Interior nodes up to which a rung's matrix is inverted with numpy, not factored by LAPACK's banded Cholesky.
 # One thread of a 2-vCPU Xeon VM, numpy 2.4 and scipy 1.17, in us, dense vs banded:
@@ -315,8 +317,8 @@ def solve_hj_many(problems, grid: Grid, gradient_bounds=None, down_to: int = 0) 
     solve is a NumericalFailure naming the first non-finite node and the
     time.  Each accepted substep's relative linear residual
     max|(I - sigma dt L) sol - rhs| / max(1, max|rhs|) is logged; the
-    residuals are formed by one sparse product (scipy's CSR, or on a small
-    interior a grid.Stencil with its bits) once the pending substeps' rows
+    residuals are formed by one grid.Stencil product (with the bits of
+    scipy's sparse product) once the pending substeps' rows
     times the interior nodes reach RESIDUAL_BLOCK values, and a row's
     residual is its own product row and its own max, as one mat-vec per
     substep gives it.  A column that fails drops out
@@ -462,12 +464,9 @@ class _March:
         self.grid = grid
         self.n_int = n_int = int(grid.interior.sum())
         self.dense = n_int <= DENSE_MAX  # the rung matrices are inverted, not factored by LAPACK
-        L, B = grid.laplacian_stencils()
-        # L and B with the bits of scipy's CSR products: numpy Stencils where scipy is never loaded, and
-        # scipy's CSR matrices where LAPACK loads it, since they multiply a block of columns 3-10 times faster
-        self.L, self.B = (L, B) if self.dense else grid.laplacian_ops()[:2]
+        self.L, self.B = grid.laplacian_stencils()
         # the rung matrices' L: dense up to DENSE_MAX nodes, its upper band in LAPACK's storage above
-        self.L_factored = L.dense() if self.dense else L.upper_band()
+        self.L_factored = self.L.dense() if self.dense else self.L.upper_band()
         self.ts = grid.ts.tolist()
         self.solves = {}
         # A state holds a level of some columns, one column each, in slots: the
@@ -650,7 +649,7 @@ class _March:
         return NumericalFailure(f"blow-up detected at (x={None if x is None else tuple(x)}, t={t})")
 
     def log_pending(self):
-        """The pending substeps' linear residuals, one sparse product for all, into their columns' logs as LOG_FIELDS tuples."""
+        """The pending substeps' linear residuals, one Stencil product for all, into their columns' logs as LOG_FIELDS tuples."""
         if not self.pending:
             return
         sols = np.concatenate([p[7] for p in self.pending])

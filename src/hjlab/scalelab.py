@@ -322,7 +322,7 @@ def liouville_probe(
                 terminal=lambda x: amplitude * np.sin(np.pi * x[..., 0] / Rp),
                 lateral=0.0,
             )
-            sol = solve_hj(prob, grid, gradient_bound=amplitude * np.pi / Rp)
+            sol = solve_hj(prob, grid, gradient_bound=abs(amplitude) * np.pi / Rp)
             rep = oscillation_report(sol.u, 1.0, h, h, gamma, alpha, z, R, tau)
             rows.append(
                 {

@@ -162,6 +162,13 @@ def oracle_lattice(grid):
     )
 
 
+def stencil_csr(stencil):
+    """A grid.Stencil's entries as a canonical scipy CSR matrix, read off its padded entry rows."""
+    real = stencil.cols.T < stencil.shape[1]
+    indptr = np.concatenate(([0], np.cumsum(real.sum(axis=1))))
+    return sp.csr_matrix((stencil.vals.T[real], stencil.cols.T[real], indptr), shape=stencil.shape)
+
+
 # -- oracle field-CSV writer ------------------------------------------------------
 # write_field_csv as it was before it formatted each coordinate once: every row
 # formatted whole.  write_field_csv must give the same text.
@@ -228,7 +235,8 @@ def oracle_upper_band(A):
 
 
 def oracle_solve_hj(problem, grid, gradient_bound=None):
-    L, B, int_idx, _ = grid.laplacian_ops()
+    lattice = oracle_lattice(grid)
+    L, B, int_idx = lattice.L, lattice.B, lattice.int_idx
     int_mask = grid.interior
     eye = sp.identity(len(int_idx), format="csc")
     lu_cache = {}

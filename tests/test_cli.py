@@ -195,12 +195,17 @@ class TestDeclaredParameters:
             (["solve-fp", "--grid", "1,,1/64"], "--grid: empty entry in the list '1,,1/64'"),
             (["solve-fp", "--grid", "1,a,1/64"], "--grid: could not convert string to float: 'a'"),
             (["solve-fp", "--grid", "inf,1/8,1/64"], "--grid: the dimension N must be an integer, got inf"),
+            (["verify-duality", "--amplitude", "nan"], "argument --amplitude: must be a finite number, got nan"),
+            (["verify-duality", "--amplitude", "1/0"], "argument --amplitude: zero denominator in '1/0'"),
+            (["verify-oscillation", "--amplitude", "inf"], "argument --amplitude: must be a finite number, got inf"),
+            (["liouville-probe", "--amplitude=-inf"], "argument --amplitude: must be a finite number, got -inf"),
         ],
         ids=["from-solution-file-only", "from-solution-one-number", "from-solution-empty-number", "uniform-too-long",
              "unknown-drift", "from-solution-negative-h1", "from-solution-gamma-1", "from-solution-infinite-gamma",
              "fp-source-too-long", "target-dimension", "target-four-entries", "target-empty", "target-word", "target-fractional-N",
              "grid-four-entries", "grid-empty", "grid-word", "grid-fractional-N", "fp-grid-two-entries",
-             "fp-grid-empty", "fp-grid-word", "fp-grid-infinite-N"],
+             "fp-grid-empty", "fp-grid-word", "fp-grid-infinite-N", "duality-amplitude-nan", "duality-amplitude-zero-denominator",
+             "oscillation-amplitude-inf", "liouville-amplitude-minus-inf"],
     )
     def test_bad_spec_exits_2_naming_the_flag(self, argv, message, tmp_path, capsys):
         g = make_grid(GridSpec(1, 1.0, 0.125, 1.0, 0.25))
@@ -479,6 +484,29 @@ class TestCliRuns:
         assert code == 0
         text = (tmp_path / "bl_blowup.csv").read_text()
         assert "normalization" in text
+
+    def test_blowup_writes_every_coordinate_of_a_2d_basepoint(self, tmp_path):
+        assert self.run(["solve-hj", "--grid", "2,1,1/8,1,1/16", "--manufactured", "sine", "--out", str(tmp_path / "s2")]) == 0
+        code = self.run(
+            ["blowup", "--field", str(tmp_path / "s2_solution.csv"), "--kind", "weighted", "--alpha", "0.75",
+             "--target", "2,1,0.25,1,0.5", "--out", str(tmp_path / "bl")]
+        )
+        assert code == 0
+        lines = (tmp_path / "bl_blowup.csv").read_text().splitlines()
+        (row,) = csv.DictReader(l for l in lines if not l.startswith("#"))
+        assert row["x_bar"] == "-0.25;0"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-duality", "--refinements", "0"],
+            ["verify-oscillation", "--R", "4", "--tau", "2", "--dx", "0.25", "--dt", "0.125"],
+            ["liouville-probe", "--R-list", "2", "--tau-list", "1", "--dx", "1/4", "--dt", "1/8"],
+        ],
+        ids=["verify-duality", "verify-oscillation", "liouville-probe"],
+    )
+    def test_negative_amplitude_runs(self, argv, tmp_path):
+        assert self.run([*argv, "--amplitude=-0.5", "--out", str(tmp_path / "neg")]) == 0
 
     def test_verify_oscillation_subcommand(self, tmp_path):
         code = self.run(

@@ -18,7 +18,7 @@ from hjlab.fp import (
     solve_fp,
 )
 
-from conftest import counting_lu, random_field
+from conftest import counting_lu, oracle_lattice, random_field
 
 
 def driftless(sigma, R, tau, dx, dt, dim=1, source=0.0, ball=False):
@@ -218,7 +218,7 @@ class TestImplicitTransport:
 
         with mock.patch.object(lapack, "dgbtrf", keep(lapack.dgbtrf)), mock.patch.object(lapack, "dgtsv", keep(lapack.dgtsv)):
             solve_fp(FPProblem(sigma=0.6, R=1.0, tau=0.5, drift=b, source=(0.0,) * dim), g)
-        L = g.laplacian_ops()[0]
+        L = oracle_lattice(g).L
         diffusion = (sp.identity(L.shape[0], format="csc") - 0.6 * g.dt * L).toarray()
         number = {tuple(idx): n for n, idx in enumerate(np.argwhere(g.interior))}
         assert len(factored) == g.spec.nt  # every level's drift differs from the last
@@ -255,7 +255,7 @@ class TestImplicitTransport:
         # of the diffusion matrix read off its dense form
         g = make_grid(GridSpec(2, 1.0, 0.125, 0.25, 1 / 16, ball_mask=True))
         sol = solve_fp(FPProblem(sigma=0.7, R=1.0, tau=0.25, source=(0.25, 0.0)), g)
-        L = g.laplacian_ops()[0]
+        L = oracle_lattice(g).L
         A = (sp.identity(L.shape[0], format="csc") - 0.7 * g.dt * L).toarray()
         kd = max(j - i for i, j in zip(*np.nonzero(A)))
         ab = np.zeros((3 * kd + 1, len(A)))
@@ -274,7 +274,7 @@ class TestImplicitTransport:
 
         g = make_grid(spec)
         sol = solve_fp(FPProblem(sigma=0.7, R=1.0, tau=0.25, source=(0.25,) * g.dim), g)
-        L = g.laplacian_ops()[0]
+        L = oracle_lattice(g).L
         lu = spla.splu((sp.identity(L.shape[0], format="csc") - 0.7 * g.dt * L).tocsc())
         for k in range(g.spec.nt):
             want = np.maximum(lu.solve(sol.m.values[k][g.interior]), 0.0)

@@ -36,7 +36,7 @@ from hjlab.hj import (
     time_pair_exponent,
 )
 
-from conftest import counting_lu, counting_lu_solves, oracle_manufactured, oracle_manufactured_rhs, oracle_solve_hj, random_field
+from conftest import counting_lu, counting_lu_solves, oracle_lattice, oracle_manufactured, oracle_manufactured_rhs, oracle_solve_hj, random_field
 
 
 class TestProblemValidation:
@@ -455,7 +455,7 @@ class TestDenseInverse:
         rng = np.random.default_rng(seed)
         rhs = rng.normal(size=(rows, n_int)) * 10.0 ** rng.uniform(-3, 3)
         sol = hj._March(g).factor(sigma, 0)(rhs)
-        L = g.laplacian_ops()[0]
+        L = oracle_lattice(g).L
         A = (sp.identity(n_int, format="csc") - sigma * dt * L).tocsc()
         residual = np.abs(sol - sigma * dt * (L @ sol.T).T - rhs).max(axis=1) / np.maximum(1.0, np.abs(rhs).max(axis=1))
         assert residual.max() <= 1e-12
@@ -488,7 +488,7 @@ class TestBandedCholesky:
         rhs = rng.normal(size=(6, n_int)) * 10.0 ** rng.uniform(-3, 3)
         solve = hj._March(g).factor(sigma, 0)
         sol = solve(rhs)
-        L = g.laplacian_ops()[0]
+        L = oracle_lattice(g).L
         residual = np.abs(sol - sigma * dt * (L @ sol.T).T - rhs).max(axis=1) / np.maximum(1.0, np.abs(rhs).max(axis=1))
         assert residual.max() <= 1e-12
         ref = np.linalg.solve(np.identity(n_int) - sigma * dt * L.toarray(), rhs.T).T

@@ -169,8 +169,16 @@ g = make_grid(GridSpec(1, 1.0, 1 / 16, 1.0, 1 / 16))
 write_field_csv(ScalarField.from_function(g, lambda x, t: np.sin(3 * x[..., 0]) * (1 + t)), "u.csv")
 g = make_grid(GridSpec(1, 1.0, 1 / 32, 1.0, 1 / 128))
 write_field_csv(ScalarField.from_function(g, lambda x, t: 3 * np.exp(-4 * x[..., 0] ** 2) * t), "f.csv")
+
+def ball_solve():
+    # the CLI's grids are boxes; a ball's interior of 705 nodes goes to the banded Cholesky
+    from hjlab.hj import HJProblem, solve_hj
+    g = make_grid(GridSpec(2, 1.0, 1 / 16, 1 / 8, 1 / 32, ball_mask=True))
+    solve_hj(HJProblem(gamma=3.0, sigma=1.0, h0=1.0, h1=1.0, terminal=lambda x: np.cos(x[..., 0]), lateral=0.5), g)
+    return 0
+
 for stage, argv in json.loads(sys.argv[1]).items():
-    stages[stage] = (main(argv), scipy_modules())
+    stages[stage] = (main(argv) if argv else ball_solve(), scipy_modules())
 print(json.dumps(stages))
 """
 FIELD = ["--field", "u.csv", "--alpha", "0.5", "--gamma", "3"]
@@ -183,8 +191,10 @@ STAGE_LISTS = [
         # 127 and 63 interior nodes: dense inverses
         "solve-hj-1d": ["solve-hj", "--grid", "1,1,1/64,1,1/256", "--manufactured", "sine", "--out", "hj"],
         "solve-hj-f-file": ["solve-hj", "--grid", "1,1,1/32,1,1/128", "--f-file", "f.csv", "--out", "hjf"],
-        # 961 interior nodes: banded Cholesky
+        # 255, 961 and 705 interior nodes: banded Cholesky
+        "solve-hj-1d-large": ["solve-hj", "--grid", "1,1,1/128,1/4,1/512", "--manufactured", "sine", "--out", "hjl"],
         "solve-hj-2d": ["solve-hj", "--grid", "2,1,1/16,1,1/32", "--out", "hj2"],
+        "solve-hj-2d-ball": None,  # ball_solve
     },
     {"solve-fp": ["solve-fp", "--grid", "1,1/8,1/64", "--source", "0", "--out", "fp"]},
 ]
@@ -217,11 +227,13 @@ def test_a_small_hj_solve_loads_no_scipy(fresh_stages, stage):
     assert fresh_stages[stage] == [0, []]
 
 
-def test_a_large_hj_solve_loads_scipy_linalg_not_sparse_linalg(fresh_stages):
-    # LAPACK's banded Cholesky factors the rungs; scipy's CSR matrices form the lateral terms and residuals
-    code, loaded = fresh_stages["solve-hj-2d"]
-    assert code == 0
-    assert "scipy.linalg" in loaded and "scipy.sparse.linalg" not in loaded
+def test_no_solve_loads_scipy_sparse(fresh_stages):
+    # the face table's Stencils form every lateral term and residual; scipy.linalg's LAPACK factors the large rungs
+    for stage in ["solve-hj-1d", "solve-hj-1d-large", "solve-hj-2d", "solve-hj-2d-ball", "solve-fp"]:
+        code, loaded = fresh_stages[stage]
+        assert code == 0, stage
+        assert not any(m.startswith("scipy.sparse") for m in loaded), stage
+    assert "scipy.linalg" in fresh_stages["solve-hj-1d-large"][1]
 
 
 def test_an_fp_solve_loads_no_scipy_sparse_linalg(fresh_stages):
