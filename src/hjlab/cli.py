@@ -89,6 +89,22 @@ def number_list(s: str) -> list[float]:
     return vals
 
 
+def positive_list(s: str) -> list[float]:
+    """argparse type of a list of sizes: a number_list whose entries must be positive."""
+    vals = number_list(s)
+    for v in vals:
+        if not v > 0:
+            raise argparse.ArgumentTypeError(f"entries must be positive, got {v!r}")
+    return vals
+
+
+def positive_int(s: str) -> int:
+    """argparse type of a count: an integer >= 1, or exit 2 naming the flag."""
+    if not (s.strip().isdecimal() and int(s) >= 1):
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {s!r}")
+    return int(s)
+
+
 def finite_number(s: str) -> float:
     """argparse type of a one-number option: a bad or non-finite number exits 2 naming the flag."""
     try:
@@ -111,18 +127,18 @@ class Param(NamedTuple):
 
 # Every run parameter a subcommand can read, as `--<name>` flag and `<name>=` config key.
 PARAMS = {
-    "gamma": Param(3.0, ok=lambda p: p["gamma"] > 2, rule="gamma must exceed 2"),
-    "sigma": Param(1.0, ok=lambda p: 0 < p["sigma"] <= 1, rule="sigma must lie in (0, 1]"),
-    "h0": Param(1.0, ok=lambda p: p["h0"] > 0, rule="h0 must be positive"),
+    "gamma": Param(3.0, ok=lambda p: p["gamma"] > 2, rule="--gamma must exceed 2"),
+    "sigma": Param(1.0, ok=lambda p: 0 < p["sigma"] <= 1, rule="--sigma must lie in (0, 1]"),
+    "h0": Param(1.0, ok=lambda p: p["h0"] > 0, rule="--h0 must be positive"),
     # every subcommand that reads h1 reads h0 too
-    "h1": Param(1.0, ok=lambda p: p["h1"] >= p["h0"], rule="h1 must be >= h0"),
-    "alpha": Param(0.5, ok=lambda p: 0 < p["alpha"] <= 1, rule="alpha must lie in (0, 1]"),
-    "z": Param(1.0, ok=lambda p: p["z"] > 0, rule="z must be positive"),
-    "c": Param(0.0),
-    "R": Param(1.0),
-    "tau": Param(1.0),
-    "dx": Param(0.125, ok=lambda p: p["dx"] > 0, rule="dx must be positive"),
-    "dt": Param(0.03125, ok=lambda p: p["dt"] > 0, rule="dt must be positive"),
+    "h1": Param(1.0, ok=lambda p: p["h1"] >= p["h0"], rule="--h1 must be >= h0"),
+    "alpha": Param(0.5, ok=lambda p: 0 < p["alpha"] <= 1, rule="--alpha must lie in (0, 1]"),
+    "z": Param(1.0, ok=lambda p: p["z"] > 0, rule="--z must be positive"),
+    "c": Param(0.0, ok=lambda p: p["c"] >= 0, rule="--c must be >= 0"),
+    "R": Param(1.0, ok=lambda p: p["R"] > 0, rule="--R must be positive"),
+    "tau": Param(1.0, ok=lambda p: p["tau"] > 0, rule="--tau must be positive"),
+    "dx": Param(0.125, ok=lambda p: p["dx"] > 0, rule="--dx must be positive"),
+    "dt": Param(0.03125, ok=lambda p: p["dt"] > 0, rule="--dt must be positive"),
     "seed": Param(0, parse=int),
 }
 
@@ -554,7 +570,7 @@ COMMANDS = {
     "ldiff": Command(
         cmd_ldiff, "power-inequality fitted constant", ("seed",), (
             ("--gamma-conj", {"type": number_list, "default": "1.1,1.3,1.5,1.7,1.9"}),
-            ("--samples", {"type": int, "default": 100000}),
+            ("--samples", {"type": positive_int, "default": 100000}),
         ),
     ),
     "blowup": Command(
@@ -566,8 +582,8 @@ COMMANDS = {
     ),
     "liouville-probe": Command(
         cmd_liouville, "decay of the oscillation budget", ("h0", "gamma", "alpha", "dx", "dt", "z"), (
-            ("--R-list", {"type": number_list, "default": "8"}),
-            ("--tau-list", {"type": number_list, "default": "4,16,64"}),
+            ("--R-list", {"type": positive_list, "default": "8"}),
+            ("--tau-list", {"type": positive_list, "default": "4,16,64"}),
             ("--amplitude", {"type": finite_number, "default": 1.0}),
         ),
     ),

@@ -404,50 +404,22 @@ def gradient_level(values: np.ndarray, dx: float, dim: int | None = None) -> np.
     return np.stack(comps, axis=-1)
 
 
-def godunov_magnitude_level(values: np.ndarray, dx: float, dim: int | None = None) -> np.ndarray:
-    """Monotone upwind surrogate of |Du| per node.
-
-    Per axis max(backward-diff^+, -forward-diff^-): the Godunov selection for
-    a convex Hamiltonian increasing in |p| under backward-in-time marching.
-    Edge nodes keep only the one-sided branch that exists.  The last dim
-    axes are space (all axes by default); a leading axis, such as the levels
-    of a field, is carried along.
-    """
-    nd = values.ndim
-    total = None
-    with np.errstate(over="ignore"):  # inf is a valid surrogate while probing CFL
-        for a in range(nd - (nd if dim is None else dim), nd):
-            pre = (slice(None),) * a
-            diff = (values[pre + (slice(1, None),)] - values[pre + (slice(None, -1),)]) / dx
-            back = np.maximum(diff, 0.0)  # backward branch of nodes 1..n-1
-            fwd = np.maximum(-diff, 0.0)  # forward branch of nodes 0..n-2
-            g = np.empty_like(values)
-            np.maximum(back[pre + (slice(None, -1),)], fwd[pre + (slice(1, None),)], out=g[pre + (slice(1, -1),)])
-            g[pre + (0,)] = fwd[pre + (0,)]
-            g[pre + (-1,)] = back[pre + (-1,)]
-            g *= g
-            if total is None:
-                total = g
-            else:
-                total += g
-    return np.sqrt(total, out=total)
-
-
 def godunov_magnitude_gather(centre: np.ndarray, values: np.ndarray, neighbours: np.ndarray, dx: float) -> np.ndarray:
-    """godunov_magnitude_level at chosen nodes, gathered from their face neighbours.
+    """The monotone upwind surrogate of |Du| at chosen nodes, gathered from their face neighbours.
 
-    centre holds the nodes' values; neighbours, shape (dim, 2) + centre.shape,
+    Per axis max(backward-diff^+, -forward-diff^-), the Godunov selection for
+    a convex Hamiltonian increasing in |p| under backward-in-time marching;
+    the axes' squares are summed in axis order and the root taken.  centre
+    holds the nodes' values; neighbours, shape (dim, 2) + centre.shape,
     indexes each node's neighbours below and above along each axis in
-    values, flattened.  centre (k, n) may so hold k fields as rows, read
-    from the rows of a (k, m) values with neighbours offset by m per row,
-    each gathered as if alone.  The arithmetic is that of
-    godunov_magnitude_level node for node, so at the interior nodes
-    (centre = level[grid.interior], values = level.ravel(), neighbours =
-    grid.interior_neighbours()) the two agree bit for bit.  A NaN or an
-    infinity in values gives a non-finite magnitude at the node or at the
-    nodes it neighbours.  Steep or non-finite values make numpy warn of
-    overflow and invalid operations unless the caller silences them, as a
-    march does once for all its substeps.
+    values, flattened: at the interior nodes, centre = level[grid.interior],
+    values = level.ravel() and neighbours = grid.interior_neighbours().
+    centre (k, n) may so hold k fields as rows, read from the rows of a
+    (k, m) values with neighbours offset by m per row, each gathered as if
+    alone.  A NaN or an infinity in values gives a non-finite magnitude at
+    the node or at the nodes it neighbours.  Steep or non-finite values make
+    numpy warn of overflow and invalid operations unless the caller silences
+    them, as a march does once for all its substeps.
     """
     # backward difference and negated forward difference, each at least 0
     diff = centre - values.take(neighbours)
@@ -459,27 +431,6 @@ def godunov_magnitude_gather(centre: np.ndarray, values: np.ndarray, neighbours:
     for a in range(1, len(g)):
         total += g[a]
     return np.sqrt(total, out=total)
-
-
-def laplacian_level(values: np.ndarray, dx: float, dim: int | None = None) -> np.ndarray:
-    """(2N+1)-point stencil at interior nodes; rim entries set to 0.
-
-    The last dim axes are space (all axes by default); a leading axis, such
-    as the levels of a field, is carried along.
-    """
-    nd = values.ndim
-    space = range(nd - (nd if dim is None else dim), nd)
-    inner = (slice(None),) * space.start + (slice(1, -1),) * len(space)
-    out = np.zeros_like(values)
-    acc = np.zeros_like(values[inner])
-    for a in space:
-        sl_p = list(inner)
-        sl_m = list(inner)
-        sl_p[a] = slice(2, None)
-        sl_m[a] = slice(0, -2)
-        acc += values[tuple(sl_p)] - 2.0 * values[inner] + values[tuple(sl_m)]
-    out[inner] = acc / dx ** 2
-    return out
 
 
 def time_derivative(u: ScalarField, levels: slice) -> np.ndarray:
@@ -624,12 +575,14 @@ def sample_points(u: ScalarField, pts, t) -> np.ndarray:
     """Vectorized multilinear sampling of many spatial points.
 
     Coordinates and times are bracketed by bracket(), so nodes and levels
-    give u.values bit for bit.  t is one time (one value per point back) or
-    a 1-D array of times (one row per time back).  With an array of times,
-    pts of shape (len(t), n, dim) gives each time its own n points; row i is
-    then what sampling pts[i] at t[i] alone gives, bit for bit.  A point set
-    that every time shares is then passed flat, as (n, dim).  Points whose
-    last axis is not of length dim raise ValueError.
+    give u.values bit for bit, and a stack constant in time (its level axis
+    of stride 0, as np.broadcast_to gives) is its level at every t.  t is
+    one time (one value per point back) or a 1-D array of times (one row
+    per time back).  With an array of times, pts of shape (len(t), n, dim)
+    gives each time its own n points; row i is then what sampling pts[i] at
+    t[i] alone gives, bit for bit.  A point set that every time shares is
+    then passed flat, as (n, dim).  Points whose last axis is not of length
+    dim raise ValueError.
     """
     g = u.grid
     times = np.asarray(t, dtype=float)
@@ -676,7 +629,7 @@ def sample_points(u: ScalarField, pts, t) -> np.ndarray:
         )
 
     vals = space_interp(kt)
-    rows = np.flatnonzero(ft)  # the times that blend in the level above
+    rows = np.flatnonzero(ft) if u.values.strides[0] else ()  # the times that blend in the level above
     if len(rows):
         fr = ft[rows, None]
         vals[rows] = (1 - fr) * vals[rows] + fr * space_interp(kt[rows] + 1, rows)

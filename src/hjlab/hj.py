@@ -4,10 +4,14 @@ Solves -du/dt - sigma*Lap(u) + h(x,t)|Du|^gamma = f(x,t) on the grid cylinder,
 gamma > 2, marching from the terminal level with implicit diffusion and an
 explicit Godunov Hamiltonian.  The time step adapts to the realized gradient;
 constants are exact fixed points of the scheme.  The data h, f and the
-lateral values are read on the solve grid's levels, exact on them and
-linear between them: a field as it is (it must live on the solve grid
-itself), and a callable as grid.evaluate gives it at every node and level,
-once per solve.
+lateral values are each one stack of the solve grid's levels, read exactly
+on them and linearly between them: a field as it is (it must live on the
+solve grid itself), a callable as grid.evaluate gives it at every node and
+level, once per solve, and a number as a stack constant in time (its level
+axis of stride 0), which is its one level at every t, as
+grid.sample_points reads such a stack.  The Laplacian and the Godunov
+gradient, in the march and in discrete_residual alike, come from the
+grid's face table.
 
 Each rung's diffusion matrix I - sigma dt L is inverted with numpy when the
 grid's interior has at most DENSE_MAX nodes, and factored by LAPACK's banded
@@ -23,7 +27,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -34,8 +38,6 @@ from .grid import (
     bracket,
     evaluate,
     godunov_magnitude_gather,
-    godunov_magnitude_level,
-    laplacian_level,
 )
 
 CFL_EPS = 1e-12
@@ -97,7 +99,7 @@ def _reject(grid: Grid, levels: np.ndarray, ts, ok: np.ndarray, what: str) -> No
 
 
 def _finite(name: str):
-    """A check for _sampler: ValueError at the first active node where datum name is not finite."""
+    """A check for _levels: ValueError at the first active node where datum name is not finite."""
 
     def check(grid, levels, ts):
         _reject(grid, levels, ts, np.isfinite(levels), f"{name} is not finite: {name}")
@@ -105,104 +107,82 @@ def _finite(name: str):
     return check
 
 
-class _Sampler(NamedTuple):
-    """A datum on some nodes: at(t), and a constant's value or the datum's levels for stacking."""
+def _levels(grid: Grid, datum, check: Callable) -> np.ndarray:
+    """datum's level stack on grid, prepared once per solve, shape (levels, *grid.shape).
 
-    at: Callable
-    const: float | None = None
-    levels: np.ndarray | None = None
-
-
-def _level_blend(ts: list, dt: float, level: Callable) -> Callable:
-    """t -> level(k), blended with level(k + 1) as grid.bracket places t on the levels ts unless t is level k.
-
-    level(k) is formed at most once per backward march, which reads levels
-    k and k + 1 with k falling.
+    A ScalarField (on grid) is its values, a callable is evaluated once at
+    every node and level as ScalarField.from_function evaluates it, and a
+    number (None: zero) is broadcast over every node and level, a stack
+    constant in time (its level axis of stride 0) as the sweep's forcing is.
+    check(grid, levels, ts) sees every value first; of a stack constant in
+    time, level 0 alone, which holds its first offending node.
     """
-    level = functools.lru_cache(maxsize=2)(level)
-
-    def at(t):
-        k, f = bracket(ts, t, dt)
-        lo = level(k)
-        return lo if f == 0 else (1 - f) * lo + f * level(k + 1)
-
-    return at
-
-
-def _sampler(grid: Grid, obj, check: Callable, nodes: np.ndarray) -> _Sampler:
-    """obj at the nodes (a mask of grid), prepared once per solve.
-
-    A constant comes back as a float.  A ScalarField (on grid), or a
-    callable evaluated once at every node and level of grid as
-    ScalarField.from_function evaluates it, is read on its levels: at(t)
-    takes the level pair that bracket gives for t, and blends them unless t
-    is a level.  check(grid, levels, ts) sees every value first: a
-    constant's once, the levels of the others all at once, and of a datum
-    constant in time (its level axis of stride 0, as np.broadcast_to gives)
-    level 0 alone, which holds its first offending node.
-    """
-    if isinstance(obj, ScalarField) or callable(obj):
-        levels = obj.values if isinstance(obj, ScalarField) else evaluate(obj, grid)
-        n = 1 if levels.strides[0] == 0 else len(levels)
-        check(grid, levels[:n], grid.ts[:n])
-        return _Sampler(_level_blend(grid.ts.tolist(), grid.dt, lambda k: levels[k][nodes]), levels=levels)
-    c = 0.0 if obj is None else float(obj)
-    check(grid, np.full((1,) + grid.shape, c), grid.ts[:1])
-    return _Sampler(lambda t: c, const=c)
-
-
-def _batched(grid: Grid, samplers: list, nodes: np.ndarray) -> Callable:
-    """idx -> t -> the data of the columns idx at the nodes, one row per column with the bits of its at(t).
-
-    A column alone reads its own sampler.  Constants are one column of
-    values.  When no column is constant, their levels are stacked once per
-    level for all the columns (once per solve when each is constant in
-    time), and a batch copies its rows once per level; other mixes go row
-    by row.
-    """
-    const = np.array([[np.nan if s.const is None else s.const] for s in samplers])
-    stackable = all(s.levels is not None for s in samplers)
-    if stackable and all(s.levels.strides[0] == 0 for s in samplers):  # each datum is constant in time
-        once = np.stack([s.levels[0][nodes] for s in samplers])
-        stacked = lambda k: once
+    if isinstance(datum, ScalarField):
+        levels = datum.values
+    elif callable(datum):
+        levels = evaluate(datum, grid)
     else:
-        stacked = functools.lru_cache(maxsize=2)(lambda k: np.stack([s.levels[k][nodes] for s in samplers]))
-    n, ts = int(nodes.sum()), grid.ts.tolist()
+        levels = np.broadcast_to(0.0 if datum is None else float(datum), (grid.n_levels,) + grid.shape)
+    n = 1 if levels.strides[0] == 0 else len(levels)
+    check(grid, levels[:n], grid.ts[:n])
+    return levels
+
+
+def _batched(grid: Grid, stacks: list, nodes: np.ndarray) -> Callable:
+    """idx -> t -> the data of the columns idx (a list) at the nodes (a mask of grid) at time t, one row per column.
+
+    A row is its stack's level k where grid.bracket puts t on level k, and
+    levels k and k + 1 blended otherwise; a stack constant in time is its
+    level at every t.  When every stack is constant in time, the rows are
+    stacked once per solve.  Otherwise they are stacked once per level for
+    all the columns, gathered when the backward march first reads the level,
+    and a batch of some of the columns copies its rows once per level.
+    """
+    const = np.array([s.strides[0] == 0 for s in stacks])
+    if const.all():
+        once = np.stack([s[0][nodes] for s in stacks])
+        return lambda idx: lambda t, rows=once[idx]: rows
+    stacked = functools.lru_cache(maxsize=2)(lambda k: np.array([s[k][nodes] for s in stacks]))
+    ts = grid.ts.tolist()
 
     def bind(idx):
-        ss = [samplers[i] for i in idx]
-        if len(ss) == 1:
-            return ss[0].at
-        if all(s.const is not None for s in ss):
-            return lambda t, c=const[idx]: c
-        if stackable:
-            return _level_blend(ts, grid.dt, lambda k: stacked(k)[idx])
-        return lambda t: np.stack([np.broadcast_to(s.at(t), n) for s in ss])
+        keep = const[idx]  # the rows constant in time, or None when there are none
+        keep = keep if keep.any() else None
+        # idx ascends, so a batch of every column reads the stacked rows as they are
+        level = stacked if len(idx) == len(stacks) else functools.lru_cache(maxsize=2)(lambda k: stacked(k)[idx])
+
+        def at(t):
+            k, f = bracket(ts, t, grid.dt)
+            lo = level(k)
+            if f == 0:
+                return lo
+            rows = (1 - f) * lo + f * level(k + 1)
+            if keep is not None:
+                rows[keep] = lo[keep]
+            return rows
+
+        return at
 
     return bind
 
 
-def _batched_lateral(B, sigma: float, macro_dt: float, samplers: list) -> Callable:
+def _batched_lateral(B, sigma: float, macro_dt: float, stacks: list, nodes: np.ndarray) -> Callable:
     """idx -> (bnd, j) -> the lateral term sigma * dt_j * (B @ bnd) of the columns idx on rung j.
 
     B is the _March's, and bnd what _batched gives for the columns' lateral
-    samplers at the substep's end.  Each row has the bits of one column's
-    vector product.  Constant data give their terms once per rung for all
-    the columns, and a batch copies its rows once per rung; varying data
-    give them per substep.
+    stacks at the boundary nodes at the substep's end.  Each row has the
+    bits of one column's vector product.  A batch whose stacks are all
+    constant in time forms its terms once per rung; others form them per
+    substep.
     """
-
-    @functools.cache
-    def per_rung(j):
-        coef = sigma * math.ldexp(macro_dt, -j)
-        return np.stack([coef * (B @ np.full(B.shape[1], np.nan if s.const is None else s.const)) for s in samplers])
+    const = np.array([s.strides[0] == 0 for s in stacks])
+    term = lambda bnd, j: sigma * math.ldexp(macro_dt, -j) * (B @ bnd.T).T
 
     def bind(idx):
-        if all(samplers[i].const is not None for i in idx):
-            mine = functools.cache(lambda j: per_rung(j)[idx])
+        if const[idx].all():
+            mine = functools.cache(lambda j, bnd=np.stack([stacks[i][0][nodes] for i in idx]): term(bnd, j))
             return lambda bnd, j: mine(j)
-
-        return lambda bnd, j: sigma * math.ldexp(macro_dt, -j) * (B @ bnd.T).T
+        return term
 
     return bind
 
@@ -213,7 +193,8 @@ class HJProblem:
 
     h, f and lateral are read on the solve grid's levels, linearly between
     them; a callable among them is evaluated once per solve, at every node
-    and level, as ScalarField.from_function evaluates it.
+    and level, as ScalarField.from_function evaluates it, and a number is
+    its level at every t.
     """
 
     gamma: float
@@ -315,7 +296,9 @@ def solve_hj_many(problems, grid: Grid, gradient_bounds=None, down_to: int = 0) 
     factored by LAPACK's banded Cholesky above that (dpttrf on 1D grids,
     dpbtrf on 2D ones, whose band is one grid row wide).  A non-finite
     solve is a NumericalFailure naming the first non-finite node and the
-    time.  Each accepted substep's relative linear residual
+    time, and a substep still breaking its CFL bound after MAX_HALVINGS
+    retries one naming the interior node of the largest Godunov magnitude.
+    Each accepted substep's relative linear residual
     max|(I - sigma dt L) sol - rhs| / max(1, max|rhs|) is logged; the
     residuals are formed by one grid.Stencil product (with the bits of
     scipy's sparse product) once the pending substeps' rows
@@ -334,11 +317,13 @@ def solve_hj_many(problems, grid: Grid, gradient_bounds=None, down_to: int = 0) 
     A field datum must live on grid (ValueError naming both GridSpecs
     otherwise).  A callable h, f or lateral datum is evaluated once, at
     every node and level of grid, as ScalarField.from_function evaluates
-    it, and the march reads it on those levels as it reads a field.  Before
-    any factorization, a ValueError names a bad gradient bound and its
-    problem's position, an h that leaves [h0, h1], or a terminal level, f or
-    lateral datum that is not finite, with the value, the first offending
-    active node (level, then C order) and its time.
+    it, and the march reads it on those levels as it reads a field; a
+    number is read as the stack constant in time that np.broadcast_to
+    makes of it.  Before any factorization, a ValueError names a bad
+    gradient bound and its problem's position, an h that leaves [h0, h1],
+    or a terminal level, f or lateral datum that is not finite, with the
+    value, the first offending active node (level, then C order) and its
+    time.
     """
     problems = list(problems)
     bounds = [None] * len(problems) if gradient_bounds is None else list(gradient_bounds)
@@ -380,13 +365,13 @@ class _Column:
             if isinstance(datum, ScalarField) and datum.grid.spec != grid.spec:
                 raise ValueError(f"field lives on {datum.grid.spec}, not on the solve grid {grid.spec}")
         self.index, self.problem = index, problem
-        self.h = _sampler(grid, problem.h, problem.check_h, grid.interior)
-        self.f = _sampler(grid, problem.f, _finite("f"), grid.interior)
+        self.h = _levels(grid, problem.h, problem.check_h)
+        self.f = _levels(grid, problem.f, _finite("f"))
         self.terminal = np.empty(grid.shape)
         self.terminal[...] = problem.terminal_level(grid)
         _finite("terminal")(grid, self.terminal[None], grid.ts[-1:])
         self.terminal[~grid.active] = 0.0
-        self.lateral = _sampler(grid, problem.lateral, _finite("lateral"), grid.boundary)
+        self.lateral = _levels(grid, problem.lateral, _finite("lateral"))
         self.P_user = gradient_bound if gradient_bound is not None else 0.0
         self.cfl_user = _cfl_dt(self.P_user, problem.gamma, problem.h1, grid.dx)
         self.log = []
@@ -529,7 +514,7 @@ class _March:
         G = godunov_magnitude_gather(V, state, neighbours_of(m), dx)
         f_of, h_of = _batched(grid, [c.f for c in cols], grid.interior), _batched(grid, [c.h for c in cols], grid.interior)
         lateral = [c.lateral for c in cols]
-        lateral_of, term_of = _batched(grid, lateral, grid.boundary), _batched_lateral(self.B, sigma, macro_dt, lateral)
+        lateral_of, term_of = _batched(grid, lateral, grid.boundary), _batched_lateral(self.B, sigma, macro_dt, lateral, grid.boundary)
         bounds = [(c.P_user, c.cfl_user) for c in cols]
         # the next rung is chosen for the larger of the gradient and the column's bound
         cfl = [u if P > g else _cfl_dt(g, gamma, p.h1, dx) for (P, u), g in zip(bounds, G.max(axis=1).tolist())]
@@ -602,7 +587,7 @@ class _March:
                             elif passed:
                                 acc.append(c)
                             elif halvings >= MAX_HALVINGS:
-                                cols_b[c].failure = self.retry_failure(sol[c], state[c, n_int:-1], g_max[c], t_new)
+                                cols_b[c].failure = self.retry_failure(G_new[c], t_new)
                             else:
                                 rejected.append(c)
                         if rejected:
@@ -631,22 +616,20 @@ class _March:
             else:
                 return
 
-    def retry_failure(self, sol, bnd, g_max, t):
-        """The failure of a column whose substep ended at t with the values sol, bnd still breaking its CFL bound."""
-        v = np.zeros(self.grid.shape)
-        v[self.grid.interior] = sol
-        v[self.grid.boundary] = bnd
-        worst = np.argwhere(godunov_magnitude_level(v, self.grid.dx) == g_max)
-        idx = tuple(int(i) for i in worst[0])
-        return NumericalFailure(f"CFL retry limit exceeded at node x={tuple(self.grid.coords[idx].tolist())}, t={t}")
+    def node(self, i):
+        """The coordinates of interior node i (C order) as a tuple."""
+        return tuple(self.grid.coords.reshape(-1, self.grid.dim)[self.nodes[i]].tolist())
+
+    def retry_failure(self, G, t):
+        """The failure of a column whose substep ended at t with the interior Godunov magnitudes G still breaking its CFL bound.
+
+        It names the first interior node (C order) where G is largest.
+        """
+        return NumericalFailure(f"CFL retry limit exceeded at node x={self.node(int(np.argmax(G)))}, t={t}")
 
     def blowup(self, sol, t):
-        full = np.zeros(self.grid.shape)
-        full[self.grid.interior] = sol
-        bad = np.argwhere(~np.isfinite(full))
-        idx = tuple(int(i) for i in bad[0]) if len(bad) else None
-        x = self.grid.coords[idx].tolist() if idx is not None else None
-        return NumericalFailure(f"blow-up detected at (x={None if x is None else tuple(x)}, t={t})")
+        """The failure of a column whose solve gave the interior values sol at t, some not finite: the first such node."""
+        return NumericalFailure(f"blow-up detected at (x={self.node(int(np.argmax(~np.isfinite(sol))))}, t={t})")
 
     def log_pending(self):
         """The pending substeps' linear residuals, one Stencil product for all, into their columns' logs as LOG_FIELDS tuples."""
@@ -671,20 +654,28 @@ def discrete_residual(u: ScalarField, problem: HJProblem) -> ScalarField:
     all levels k < nt at once (the last level is 0); zero when the marching
     needed no substepping, otherwise it carries the splitting/substep
     consistency error.  h is checked against [h0, h1] on every level used.
+    The operators are the march's: the Laplacian L @ u_int + B @ u_bnd of
+    grid.laplacian_stencils, and the Godunov magnitude gathered from the
+    face neighbours.
     """
     g = u.grid
     ts = g.ts[:-1]
     h = evaluate(problem.h, g, ts)
     problem.check_h(g, h, ts)
-    now, after = u.values[:-1], u.values[1:]
+    inner = g.interior.ravel()
+    L, B = g.laplacian_stencils()
+    flat = u.values.reshape(g.n_levels, -1)
+    now, after = flat[:-1], flat[1:]
+    neighbours = g.interior_neighbours()[:, :, None, :] + flat.shape[1] * np.arange(len(after))[:, None]
+    lap = (L @ now[:, inner].T + B @ now[:, g.boundary.ravel()].T).T
     r = (
-        -(after - now) / g.dt
-        - problem.sigma * laplacian_level(now, g.dx, g.dim)
-        + h * godunov_magnitude_level(after, g.dx, g.dim) ** problem.gamma
-        - evaluate(problem.f, g, ts)
+        -(after[:, inner] - now[:, inner]) / g.dt
+        - problem.sigma * lap
+        + h.reshape(len(ts), -1)[:, inner] * godunov_magnitude_gather(after[:, inner], after, neighbours, g.dx) ** problem.gamma
+        - evaluate(problem.f, g, ts).reshape(len(ts), -1)[:, inner]
     )
-    out = np.zeros_like(u.values)
-    out[:-1] = np.where(g.interior, r, 0.0)
+    out = np.zeros(u.values.shape)
+    out[:-1].reshape(len(ts), -1)[:, inner] = r
     return ScalarField(g, out)
 
 
@@ -850,12 +841,9 @@ def solve_manufactured(ms, gamma, sigma, grid, gradient_bound=None):
 
 
 def linf_error(u: ScalarField, exact: Callable) -> float:
+    """max |u - exact| over the active nodes and levels of u's grid, exact(x, t) read as grid.evaluate reads it."""
     g = u.grid
-    err = 0.0
-    for k, t in enumerate(g.ts):
-        ex = np.asarray(exact(g.coords, float(t)), dtype=float)
-        err = max(err, float(np.max(np.abs((u.values[k] - ex)[g.active]))))
-    return err
+    return float(np.max(np.abs(u.values - evaluate(exact, g))[:, g.active]))
 
 
 # -- Legendre-transform gap ----------------------------------------------------------

@@ -203,8 +203,9 @@ def oracle_write_field_csv(u, path_or_buf):
 # Cholesky above, on the band it reads off the dense matrix; the log is one
 # tuple of hj.LOG_FIELDS per substep.  A callable datum is read as the field
 # ScalarField.from_function makes of it on the solve grid, and f and the
-# lateral data must be finite at every active node and level.  solve_hj must
-# match it bit for bit.
+# lateral data must be finite at every active node and level.  A CFL retry
+# failure names the first interior node (C order) of the largest magnitude.
+# solve_hj must match it bit for bit.
 
 
 def oracle_godunov(values, dx):
@@ -319,7 +320,7 @@ def oracle_solve_hj(problem, grid, gradient_bound=None):
                     break
                 halvings += 1
                 if halvings > MAX_HALVINGS:
-                    worst = np.argwhere(G_new == np.max(G_new[int_mask]))
+                    worst = np.argwhere(int_mask & (G_new == np.max(G_new[int_mask])))
                     idx = tuple(int(i) for i in worst[0])
                     raise NumericalFailure(
                         f"CFL retry limit exceeded at node x={tuple(grid.coords[idx].tolist())}, t={t_new}"

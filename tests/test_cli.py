@@ -199,13 +199,20 @@ class TestDeclaredParameters:
             (["verify-duality", "--amplitude", "1/0"], "argument --amplitude: zero denominator in '1/0'"),
             (["verify-oscillation", "--amplitude", "inf"], "argument --amplitude: must be a finite number, got inf"),
             (["liouville-probe", "--amplitude=-inf"], "argument --amplitude: must be a finite number, got -inf"),
+            (["seminorm", "--field", "{u}", "--c", "-1"], "--c must be >= 0"),
+            (["verify-oscillation", "--R", "-1"], "--R must be positive"),
+            (["verify-duality", "--tau", "0"], "--tau must be positive"),
+            (["ldiff", "--samples", "0"], "argument --samples: must be an integer >= 1, got '0'"),
+            (["liouville-probe", "--R-list", "-0.5"], "argument --R-list: entries must be positive, got -0.5"),
+            (["liouville-probe", "--tau-list", "0"], "argument --tau-list: entries must be positive, got 0.0"),
         ],
         ids=["from-solution-file-only", "from-solution-one-number", "from-solution-empty-number", "uniform-too-long",
              "unknown-drift", "from-solution-negative-h1", "from-solution-gamma-1", "from-solution-infinite-gamma",
              "fp-source-too-long", "target-dimension", "target-four-entries", "target-empty", "target-word", "target-fractional-N",
              "grid-four-entries", "grid-empty", "grid-word", "grid-fractional-N", "fp-grid-two-entries",
              "fp-grid-empty", "fp-grid-word", "fp-grid-infinite-N", "duality-amplitude-nan", "duality-amplitude-zero-denominator",
-             "oscillation-amplitude-inf", "liouville-amplitude-minus-inf"],
+             "oscillation-amplitude-inf", "liouville-amplitude-minus-inf", "seminorm-c-negative", "oscillation-R-negative",
+             "duality-tau-zero", "ldiff-samples-zero", "liouville-R-list-negative", "liouville-tau-list-zero"],
     )
     def test_bad_spec_exits_2_naming_the_flag(self, argv, message, tmp_path, capsys):
         g = make_grid(GridSpec(1, 1.0, 0.125, 1.0, 0.25))
@@ -576,7 +583,7 @@ class TestCliRuns:
         # numpy's errors on an empty or negative sample count named neither the flag nor the rule
         argv = ["ldiff", "--gamma-conj", "1.5", "--samples", samples, "--out", str(tmp_path / "ld")]
         assert self.run(argv) == 2
-        assert "samples must be >= 1" in capsys.readouterr().err
+        assert f"argument --samples: must be an integer >= 1, got '{samples}'" in capsys.readouterr().err
 
     def test_f_file_with_nonfinite_row_exits_2(self, tmp_path):
         g = make_grid(GridSpec(1, 1.0, 0.25, 1.0, 0.25))

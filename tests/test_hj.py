@@ -11,8 +11,6 @@ from hjlab.grid import (
     GridSpec,
     NumericalFailure,
     ScalarField,
-    godunov_magnitude_level,
-    laplacian_level,
     make_grid,
 )
 from hjlab import hj
@@ -36,7 +34,7 @@ from hjlab.hj import (
     time_pair_exponent,
 )
 
-from conftest import counting_lu, counting_lu_solves, oracle_lattice, oracle_manufactured, oracle_manufactured_rhs, oracle_solve_hj, random_field
+from conftest import counting_lu, counting_lu_solves, oracle_godunov, oracle_lattice, oracle_manufactured, oracle_manufactured_rhs, oracle_solve_hj, random_field
 
 
 class TestProblemValidation:
@@ -215,6 +213,18 @@ class TestSolver:
         monkeypatch.setattr(hj, "MAX_HALVINGS", 0)
         with pytest.raises(NumericalFailure, match=r"^CFL retry limit exceeded at node x=\(-0\.5,\), t=0\.75$"):
             solve_hj(p, g)
+
+    def test_cfl_retry_limit_on_a_ball_names_an_interior_node(self):
+        """The failure names the interior node of the largest magnitude, not a boundary-layer node that has it too.
+
+        (-0.875, -0.375) is a Dirichlet node: its neighbour (-1, -0.375) lies
+        outside the ball, and no CFL bound is checked there.
+        """
+        g = make_grid(GridSpec(2, 1.0, 1 / 8, 1.0, 1 / 8, ball_mask=True))
+        p = HJProblem(gamma=3.0, sigma=0.75, h0=1.0, h1=2.0, h=1.2, f=lambda x, t: -1e300 * (t < 0.2), terminal=lambda x: 0 * x[..., 0])
+        (failed,) = solve_hj_many([p], g, [4.0])
+        assert str(failed) == "CFL retry limit exceeded at node x=(-0.75, -0.375), t=0.2499990463256836"
+        assert _outcome(oracle_solve_hj, p, g, 4.0) == (NumericalFailure, str(failed))
 
     def test_constants_on_2d_ball(self):
         g = make_grid(GridSpec(2, 1.0, 0.25, 0.5, 0.125, ball_mask=True))
@@ -599,12 +609,14 @@ class TestDiscreteResidual:
         u, f = random_field(g, 51), random_field(g, 52)
         h = lambda x, t: 1.5 + 0.5 * np.sin(3 * x[..., 0] + t)
         p = HJProblem(gamma=2.5, sigma=0.7, h0=1.0, h1=2.0, h=h, f=f)
+        ref = oracle_lattice(g)
         want = np.zeros_like(u.values)
         for k in range(g.spec.nt):
-            lap = laplacian_level(u.values[k], g.dx)
-            G = godunov_magnitude_level(u.values[k + 1], g.dx)
-            r = -(u.values[k + 1] - u.values[k]) / g.dt - p.sigma * lap + h(g.coords, g.ts[k]) * G ** p.gamma - f.values[k]
-            want[k][g.interior] = r[g.interior]
+            now, after = u.values[k], u.values[k + 1]
+            lap = ref.L @ now[ref.interior] + ref.B @ now[ref.boundary]
+            G = oracle_godunov(after, g.dx)[ref.interior]
+            r = (-(after - now) / g.dt)[ref.interior] - p.sigma * lap + h(g.coords, g.ts[k])[ref.interior] * G ** p.gamma - f.values[k][ref.interior]
+            want[k][ref.interior] = r
         got = discrete_residual(u, p).values
         assert got.tobytes() == want.tobytes()
 
@@ -1014,7 +1026,11 @@ class TestSolveMany:
 
 
 class TestCallablesAreFields:
-    """A callable h, f or lateral datum is read as the field ScalarField.from_function makes of it on the solve grid."""
+    """A callable h, f or lateral datum is read as the field ScalarField.from_function makes of it on the solve grid.
+
+    A number is read as the stack constant in time (its level axis of stride
+    0) that np.broadcast_to makes of it.
+    """
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -1033,19 +1049,27 @@ class TestCallablesAreFields:
             max_size=3,
         ),
         seed=st.integers(0, 2 ** 16),
+        number=st.booleans(),
     )
-    def test_bit_identical_solo_and_in_a_batch(self, dim, ball, dx, dt, name, bound, others, seed):
+    # a number h in a batch whose other h varies in time: a substep between levels must not blend it with itself
+    @example(dim=1, ball=False, dx=0.25, dt=0.125, name="h", bound=None, others=[("field", "field", "callable")], seed=19, number=True)
+    def test_bit_identical_solo_and_in_a_batch(self, dim, ball, dx, dt, name, bound, others, seed, number):
         g = make_grid(GridSpec(dim, 1.0, dx, 2 * dt, dt, ball_mask=ball))
         p = _batch_problem(g, seed, 3.0, "callable", "callable", "callable", 1.5)
-        as_field = replace(p, **{name: ScalarField.from_function(g, getattr(p, name))})
+        if not number:
+            as_field = replace(p, **{name: ScalarField.from_function(g, getattr(p, name))})
+        else:  # the number against its stride-0 stack; a full mantissa, which a blend with itself may round
+            number = float(np.random.default_rng(seed).uniform(1.0, 2.0))
+            p = replace(p, **{name: number})
+            as_field = replace(p, **{name: ScalarField(g, np.broadcast_to(number, (g.n_levels,) + g.shape))})
         batch = [_batch_problem(g, seed + 1 + i, 3.0, *kinds, 1.0) for i, kinds in enumerate(others)]
         at = seed % (len(batch) + 1)
 
         def in_batch(q):
             return solve_hj_many(batch[:at] + [q] + batch[at:], g, [4.0] * at + [bound] + [None] * (len(batch) - at))[at]
 
-        for solve in (lambda q: solve_hj(q, g, bound), in_batch):
-            got, want = _outcome(solve, p), _outcome(solve, as_field)
+        want = _outcome(solve_hj, p, g, bound)
+        for got in (_outcome(solve_hj, as_field, g, bound), _outcome(in_batch, p), _outcome(in_batch, as_field)):
             if isinstance(want[0], np.ndarray):
                 assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
             else:

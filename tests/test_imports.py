@@ -97,8 +97,8 @@ def test_every_public_function_and_class_is_named_outside_its_definition():
 UNPASSED_DEFAULTS = {
     "acceptance.random_field(scale)": "a helper that tests seed",
     "scalelab.blowup_transform(f)": "it feeds the test reference rescaled_residual",
-    "scalelab.maxreg_sweep(dim)": "ROADMAP item 2 runs the sweep at N = 2",
-    "scalelab.maxreg_sweep(norm_target)": "ROADMAP item 2 runs the sweep at larger ||f||_q",
+    "scalelab.maxreg_sweep(dim)": "ROADMAP item 1 runs the sweep at N = 2",
+    "scalelab.maxreg_sweep(norm_target)": "ROADMAP item 1 runs the sweep at larger ||f||_q",
 }
 
 
