@@ -443,6 +443,9 @@ def cmd_verify_oscillation(args, params, chash):
 
 
 def cmd_ldiff(args, params, chash):
+    for gc in args.gamma_conj:  # every entry, before the first is sampled
+        if not 1 < gc < 2:
+            raise ValueError(f"--gamma-conj: entries must lie in (1, 2), got {gc!r}")
     rows = []
     for gc in args.gamma_conj:
         c = ldiff_constant(gc, args.samples, params["seed"])

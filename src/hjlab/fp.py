@@ -45,6 +45,9 @@ class FPProblem:
     source: object = 0.0  # point x0, strictly interior
 
     def validate(self, grid: Grid):
+        for name, value in (("sigma", self.sigma), ("R", self.R), ("tau", self.tau)):
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         if abs(grid.spec.half_width - self.R) > 1e-12:

@@ -18,6 +18,10 @@ default) and times, linear in time between levels and multilinear in space,
 with one bracketing rule (bracket) that takes a node or level exactly.  A
 field on another grid is resampled when its grid covers the points and
 times asked for, and is a ValueError naming both grids otherwise.
+
+A Cylinder owns cylinder geometry: which positions and levels it holds and
+each node's distance, of kind "d" or "d_alpha", to its backward parabolic
+boundary; the seminorm scans, the quadrature and parabolic_distance ask it.
 """
 
 from __future__ import annotations
@@ -78,7 +82,12 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class Cylinder:
-    """Axis-aligned space-time cylinder; radius set => spatial ball about 0."""
+    """Axis-aligned space-time cylinder; radius set => spatial ball about 0, cut by the box.
+
+    The one owner of cylinder geometry: which positions xs (shape (..., dim))
+    and times ts it holds, and each node's distance, of kind "d" or
+    "d_alpha", to its backward parabolic boundary.
+    """
 
     xmin: tuple
     xmax: tuple
@@ -90,58 +99,66 @@ class Cylinder:
     def dim(self):
         return len(self.xmin)
 
-    def contains(self, x, t):
-        """Whether (x, t) lies in the closed cylinder, up to 1e-12."""
-        tol = 1e-12
-        x = np.asarray(x, dtype=float)
-        if t < self.t0 - tol or t > self.t1 + tol:
-            return False
-        if self.radius is not None:
-            return float(np.linalg.norm(x)) < self.radius + tol
-        return all(
-            self.xmin[a] - tol <= x[a] <= self.xmax[a] + tol for a in range(self.dim)
-        )
+    def holds(self, xs):
+        """Which positions lie in the cylinder's space: in the box within 1e-12 and, with a radius, |x|^2 < R^2 + 1e-12."""
+        in_box = (xs >= np.subtract(self.xmin, 1e-12)) & (xs <= np.add(self.xmax, 1e-12))
+        return self.in_ball(xs) & np.all(in_box, axis=-1)
 
-    def space_distance(self, x):
-        """Euclidean distance from x to the spatial boundary of the cylinder."""
-        x = np.asarray(x, dtype=float)
+    def in_ball(self, xs):
+        """Which positions satisfy |x|^2 < R^2 + 1e-12; all of them without a radius."""
+        if self.radius is None:
+            return np.ones(xs.shape[:-1], dtype=bool)
+        return np.sum(xs ** 2, axis=-1) < self.radius ** 2 + 1e-12
+
+    def spans(self, ts):
+        """Which times lie in the closed span [t0, t1], within 1e-12."""
+        return (ts >= self.t0 - 1e-12) & (ts <= self.t1 + 1e-12)
+
+    def space_distance(self, xs):
+        """Each position's Euclidean distance to the spatial boundary: the sphere with a radius, else the nearest box face."""
         if self.radius is not None:
-            return self.radius - float(np.linalg.norm(x))
-        side = min(
-            min(x[a] - self.xmin[a], self.xmax[a] - x[a]) for a in range(self.dim)
-        )
-        return side
+            return self.radius - np.sqrt(np.sum(xs ** 2, axis=-1))
+        return np.min(np.minimum(xs - np.asarray(self.xmin), np.asarray(self.xmax) - xs), axis=-1)
+
+    def distance(self, xs, ts, kind, alpha=None, gamma=None):
+        """Distance of the node (ts[k], xs[i]) to the backward parabolic boundary, shape (len(ts), len(xs)).
+
+        kind "d"       : ds + |t1 - t|^(1/2)
+        kind "d_alpha" : ds^alpha + |t1 - t|^(alpha/gamma)
+        for ds = max(space_distance, 0), formed once per position, and
+        |t1 - t| once per level.
+        """
+        ds = np.maximum(self.space_distance(xs), 0.0)
+        dtb = np.abs(self.t1 - ts)
+        if kind == "d":
+            return ds + np.sqrt(dtb)[:, None]
+        if kind == "d_alpha":
+            if alpha is None or gamma is None:
+                raise ValueError("kind d_alpha needs alpha and gamma")
+            return ds ** alpha + (dtb ** (alpha / gamma))[:, None]
+        raise ValueError(f"unknown distance kind {kind!r}")
+
+    def keeps_margins(self, inner, space, time):
+        """(box ok, span ok): whether inner's box keeps space and its span time from this cylinder's on every side, within 1e-12."""
+        space, time = space - 1e-12, time - 1e-12
+        box_ok = np.all(np.add(self.xmin, space) <= inner.xmin) and np.all(inner.xmax <= np.subtract(self.xmax, space))
+        return bool(box_ok), inner.t0 >= self.t0 + time and inner.t1 <= self.t1 - time
 
 
 def centered_cylinder(R, tau, dim=1, ball=False) -> Cylinder:
-    return Cylinder(
-        xmin=tuple([-float(R)] * dim),
-        xmax=tuple([float(R)] * dim),
-        t0=0.0,
-        t1=float(tau),
-        radius=float(R) if ball else None,
-    )
+    R = float(R)
+    return Cylinder(xmin=(-R,) * dim, xmax=(R,) * dim, t0=0.0, t1=float(tau), radius=R if ball else None)
 
 
-def parabolic_distance(point, Q: Cylinder, kind="d", alpha=None, gamma=None):
-    """Distance from (x, t) in Q to the backward parabolic boundary of Q.
-
-    kind "d"       : d(x, dOmega) + |t1 - t|^(1/2)
-    kind "d_alpha" : d(x, dOmega)^alpha + |t1 - t|^(alpha/gamma)
-    """
-    x, t = point
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not Q.contains(x, t):
-        raise ValueError(f"point {tuple(x.tolist())}, t={t} lies outside the cylinder")
-    ds = max(Q.space_distance(x), 0.0)
-    dtb = abs(Q.t1 - t)
-    if kind == "d":
-        return ds + np.sqrt(dtb)
-    if kind == "d_alpha":
-        if alpha is None or gamma is None:
-            raise ValueError("kind d_alpha needs alpha and gamma")
-        return ds ** alpha + dtb ** (alpha / gamma)
-    raise ValueError(f"unknown distance kind {kind!r}")
+def parabolic_distance(points, Q: Cylinder, kind, alpha=None, gamma=None) -> np.ndarray:
+    """Q.distance of kind "d" or "d_alpha" at each point (x, t) of Q; a ValueError names the first that Q does not hold."""
+    xs = np.array([np.atleast_1d(x) for x, _ in points], dtype=float).reshape(len(points), Q.dim)
+    ts = np.array([t for _, t in points], dtype=float)
+    outside = np.flatnonzero(~(Q.holds(xs) & Q.spans(ts)))
+    if len(outside):
+        i = outside[0]
+        raise ValueError(f"point {tuple(xs[i].tolist())}, t={ts[i]} lies outside the cylinder")
+    return np.diagonal(Q.distance(xs, ts, kind, alpha, gamma))
 
 
 class Grid:
@@ -202,8 +219,7 @@ class Grid:
         return self.spec.nt + 1
 
     def cylinder(self) -> Cylinder:
-        R = self.spec.half_width
-        return centered_cylinder(R, self.spec.horizon, self.dim, self.spec.ball_mask)
+        return centered_cylinder(self.spec.half_width, self.spec.horizon, self.dim, self.spec.ball_mask)
 
     def nearest_node(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -457,20 +473,11 @@ def _cell_weights(nodes: np.ndarray, h: float, lo: float, hi: float) -> np.ndarr
 
 def quadrature_weights(grid: Grid, sub: Cylinder | None = None):
     """(time weights, spatial weight array) for node-cell quadrature over sub."""
-    if sub is None:
-        sub = grid.cylinder()
+    sub = grid.cylinder() if sub is None else sub
     tw = _cell_weights(grid.ts, grid.dt, sub.t0, sub.t1)
-    if grid.dim == 1:
-        sw = _cell_weights(grid.axes[0], grid.dx, sub.xmin[0], sub.xmax[0])
-    else:
-        wx = _cell_weights(grid.axes[0], grid.dx, sub.xmin[0], sub.xmax[0])
-        wy = _cell_weights(grid.axes[1], grid.dx, sub.xmin[1], sub.xmax[1])
-        sw = np.outer(wx, wy)
-    sel = grid.active.astype(float).copy()
-    if sub.radius is not None:
-        r2 = np.sum(grid.coords ** 2, axis=-1)
-        sel *= (r2 < sub.radius ** 2 + 1e-12).astype(float)
-    return tw, sw * sel
+    ws = [_cell_weights(ax, grid.dx, lo, hi) for ax, lo, hi in zip(grid.axes, sub.xmin, sub.xmax)]
+    sw = ws[0] if grid.dim == 1 else np.outer(*ws)
+    return tw, sw * (grid.active & sub.in_ball(grid.coords))
 
 
 def lq_norm(u: ScalarField, q: float) -> float:

@@ -186,7 +186,7 @@ def worst_pair_selection(u: ScalarField, kind: str, alpha: float, z: float, gamm
         if res.degenerate or res.value == 0.0:
             raise ValueError("u is constant on Q: no blow-up pair")
         (xa, ta), (xb, tb) = res.pair
-        da = [parabolic_distance(p, Q, "d_alpha", alpha, gamma) for p in res.pair]
+        da = parabolic_distance(res.pair, Q, "d_alpha", alpha, gamma)
         base, other = (0, 1) if da[0] <= da[1] else (1, 0)
         pts = [np.atleast_1d(np.asarray(p[0], dtype=float)) for p in res.pair]
         x_base, x_other = pts[base], pts[other]
@@ -205,7 +205,7 @@ def worst_pair_selection(u: ScalarField, kind: str, alpha: float, z: float, gamm
             variant="alpha0",
             gamma=gamma,
             z=z,
-            d=max(Q.space_distance(x_base), 0.0),
+            d=float(max(Q.space_distance(x_base), 0.0)),
             case="space",
             y0=(x_other - x_base) / r,
             sandwich=(L, quotient, 2.0 * L),
@@ -223,7 +223,7 @@ def worst_pair_selection(u: ScalarField, kind: str, alpha: float, z: float, gamm
         dt_pair = late[1] - early[1]
         M = abs(sample_field(u, x_base, late[1]) - sample_field(u, x_base, early[1])) / z
         r = dt_pair ** (1.0 / gamma) * M ** ((gamma - 1.0) / gamma)
-        da = [parabolic_distance(p, Q, "d_alpha", alpha, gamma) for p in (early, late)]
+        da = parabolic_distance((early, late), Q, "d_alpha", alpha, gamma)
         quotient = min(da) * M / r ** alpha
         L = quotient / 2.0
         return BlowupParams(
@@ -234,7 +234,7 @@ def worst_pair_selection(u: ScalarField, kind: str, alpha: float, z: float, gamm
             variant="alpha0",
             gamma=gamma,
             z=z,
-            d=max(Q.space_distance(x_base), 0.0),
+            d=float(max(Q.space_distance(x_base), 0.0)),
             case="time",
             y0=np.zeros(g.dim),
             sandwich=(L, quotient, 2.0 * L),
@@ -250,7 +250,7 @@ def worst_pair_selection(u: ScalarField, kind: str, alpha: float, z: float, gamm
         early, late = ((xa, ta), (xb, tb)) if ta <= tb else ((xb, tb), (xa, ta))
         x_base = np.atleast_1d(np.asarray(early[0], dtype=float))
         x_other = np.atleast_1d(np.asarray(late[0], dtype=float))
-        dd = [parabolic_distance(p, Q, "d") for p in (early, late)]
+        dd = parabolic_distance((early, late), Q, "d")
         M = abs(sample_field(u, x_other, late[1]) - sample_field(u, x_base, early[1]))
         r = float(np.linalg.norm(x_other - x_base)) + np.sqrt(late[1] - early[1])
         quotient = min(dd) ** (alpha - a0) * M / r ** alpha
@@ -263,7 +263,7 @@ def worst_pair_selection(u: ScalarField, kind: str, alpha: float, z: float, gamm
             variant="alpha",
             gamma=gamma,
             z=z,
-            d=min(dd),
+            d=float(min(dd)),
             y0=(x_other - x_base) / r,
             s0=(late[1] - early[1]) / r ** 2,
             sandwich=(L, quotient, 2.0 * L),

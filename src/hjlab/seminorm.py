@@ -4,10 +4,12 @@ Discrete seminorms: the continuum sup over point pairs is replaced by the sup
 over active grid-node pairs of the same quotient (convergent from below under
 refinement).  Each member is declared once, in MEMBERS: its pair family
 (every node pair, the pairs on one level, or the pairs at one position), its
-weight (none, the distance `dist` or `dist_alpha` to the backward boundary)
-and that weight's exponent.  The members are classical and weighted (all
-pairs), nl_space (one level) and nl_time (one position) of the paper, and
-the plain space_quotient and time_quotient of the oscillation budgets.  One
+weight (none, or the distance of kind `d` or `d_alpha` to the backward
+parabolic boundary) and that weight's exponent.  grid.Cylinder owns the
+geometry: it selects the cylinder's nodes and gives their distances, which
+_Nodes reads.  The members are classical and weighted (all pairs), nl_space
+(one level) and nl_time (one position) of the paper, and the plain
+space_quotient and time_quotient of the oscillation budgets.  One
 pair expression (_pair_value) serves every member: the value difference over
 the family's separation to the alpha, times min(w_i, w_j)^power when
 weighted.
@@ -54,21 +56,20 @@ class SeminormSet:
 
 
 class _Nodes:
-    """Flattened active nodes of a cylinder, level-major, spatial-lex order."""
+    """Flattened active nodes of a cylinder, level-major, spatial-lex order.
+
+    Q (g's whole cylinder for None) selects the nodes.  x and t are node-sized
+    copies of each node's position and level time.  Reading xs[i % m] and
+    ts[i // m] in the pair values instead gives the same bits, but slowed the
+    benchmark's seminorm_scan commands from 61.5-63.8 to 69.5-73.7 ms and
+    liouville-probe from 113-124 to 120-131 ms (medians of 9, 2 vCPUs).
+    """
 
     def __init__(self, u: ScalarField, Q: Cylinder | None):
         g = u.grid
-        if Q is None:
-            Q = g.cylinder()
-        self.Q = Q
-        sel = g.active.copy()
-        tol = 1e-12
-        for a in range(g.dim):
-            ax = g.coords[..., a]
-            sel &= (ax >= Q.xmin[a] - tol) & (ax <= Q.xmax[a] + tol)
-        if Q.radius is not None:
-            sel &= np.sum(g.coords ** 2, axis=-1) < Q.radius ** 2 + tol
-        levels = np.flatnonzero((g.ts >= Q.t0 - tol) & (g.ts <= Q.t1 + tol))  # one run of levels
+        self.Q = g.cylinder() if Q is None else Q
+        sel = g.active & self.Q.holds(g.coords)
+        levels = np.flatnonzero(self.Q.spans(g.ts))  # one run of levels
         self.xs, self.ts = g.coords[sel], g.ts[levels]  # (m, dim) positions, (L,) level times
         m, L = len(self.xs), len(levels)
         n = m * L
@@ -80,27 +81,13 @@ class _Nodes:
         self.n_levels = L
         self.dx, self.dt = g.dx, g.dt
 
-    def weight(self, name, alpha=None, gamma=None):
-        """Each node's distance to the backward parabolic boundary of Q, by kind.
+    def weight(self, kind, alpha=None, gamma=None):
+        """Each node's Q.distance of the kind "d" or "d_alpha" to the backward parabolic boundary, in node order.
 
-        "dist" is ds + sqrt(dtb), "dist_alpha" ds^alpha + dtb^(alpha/gamma),
-        for ds the spatial distance to the rim and dtb the time to t1.  ds is
-        formed per position and dtb per level, so the one node-sized array
-        is the weight itself.
+        Q forms the spatial part once per position and the temporal part once
+        per level, so the one node-sized array is the weight itself.
         """
-        Q, xs = self.Q, self.xs
-        if Q.radius is not None:
-            ds = Q.radius - np.sqrt(np.sum(xs ** 2, axis=-1))
-        else:
-            ds = np.full(len(xs), np.inf)
-            for a in range(xs.shape[1]):
-                np.minimum(ds, xs[:, a] - Q.xmin[a], out=ds)
-                np.minimum(ds, Q.xmax[a] - xs[:, a], out=ds)
-        ds = np.maximum(ds, 0.0)
-        dtb = np.abs(Q.t1 - self.ts)
-        if name == "dist":
-            return (ds + np.sqrt(dtb)[:, None]).reshape(self.n)
-        return (ds ** alpha + (dtb ** (alpha / gamma))[:, None]).reshape(self.n)
+        return self.Q.distance(self.xs, self.ts, kind, alpha, gamma).reshape(self.n)
 
     def spatial_sep(self, i, j):
         x = self.x.T  # one coordinate at a time: a 1-D gather is twice as fast as x[i, 0]
@@ -121,9 +108,9 @@ class Member(NamedTuple):
 
 MEMBERS = {
     "classical": Member(_ALL_PAIRS, None, None),
-    "weighted": Member(_ALL_PAIRS, "dist", lambda gamma, c: c),
-    "nl_space": Member(_SAME_LEVEL, "dist_alpha", lambda gamma, c: 1.0),
-    "nl_time": Member(_SAME_POSITION, "dist_alpha", lambda gamma, c: gamma / 2),
+    "weighted": Member(_ALL_PAIRS, "d", lambda gamma, c: c),
+    "nl_space": Member(_SAME_LEVEL, "d_alpha", lambda gamma, c: 1.0),
+    "nl_time": Member(_SAME_POSITION, "d_alpha", lambda gamma, c: gamma / 2),
     "space_quotient": Member(_SAME_LEVEL, None, None),
     "time_quotient": Member(_SAME_POSITION, None, None),
 }
@@ -511,14 +498,14 @@ def _family_pairs(nodes, family):
 def _member(name, u, alpha, gamma, c, Q):
     """(nodes of Q, pair family, weight array, power) of a member, after its checks."""
     family, weight, power = MEMBERS[name]
-    if weight == "dist_alpha":
+    if weight == "d_alpha":
         if not (0 < alpha < 1):
             raise ValueError("alpha must lie in (0, 1)")
         if gamma is None:
             raise ValueError(f"{name} needs gamma")
     elif not (0 < alpha <= 1):
         raise ValueError("alpha must lie in (0, 1] (alpha=1 diagnostic only)")
-    if weight == "dist" and (c is None or c < 0):
+    if weight == "d" and (c is None or c < 0):
         raise ValueError("c must be >= 0")
     nodes = _Nodes(u, Q)
     if weight is None:
@@ -528,7 +515,8 @@ def _member(name, u, alpha, gamma, c, Q):
 
 def node_count(u: ScalarField, Q: Cylinder) -> int:
     """The number of active space-time nodes of u in Q, as every member selects them."""
-    return _Nodes(u, Q).n
+    g = u.grid
+    return int(np.count_nonzero(g.active & Q.holds(g.coords))) * int(np.count_nonzero(Q.spans(g.ts)))
 
 
 def member_scan(name, u, alpha, gamma=None, c=None, Q=None):
@@ -665,13 +653,10 @@ def hessian_frobenius_level(values: np.ndarray, dx: float, dim: int | None = Non
 
 def check_w21q_cylinder(g: Grid, Qp: Cylinder) -> None:
     """ValueError unless Qp keeps the 2-node spatial and 2-level temporal margins from g's cylinder that w21q_norms reads."""
-    full = g.cylinder()
-    margin_x = 2 * g.dx - 1e-12
-    margin_t = 2 * g.dt - 1e-12
-    for a in range(g.dim):
-        if Qp.xmin[a] < full.xmin[a] + margin_x or Qp.xmax[a] > full.xmax[a] - margin_x:
-            raise ValueError("Qp must keep a 2-node spatial margin from the boundary")
-    if Qp.t0 < full.t0 + margin_t or Qp.t1 > full.t1 - margin_t:
+    box_ok, span_ok = g.cylinder().keeps_margins(Qp, 2 * g.dx, 2 * g.dt)
+    if not box_ok:
+        raise ValueError("Qp must keep a 2-node spatial margin from the boundary")
+    if not span_ok:
         raise ValueError("Qp must keep a 2-level temporal margin from the boundary")
 
 

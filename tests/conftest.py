@@ -415,3 +415,43 @@ def oracle_ldiff_samples(n, seed):
     xi = rx[:, None] * dxv
     sum_sq = np.sum((zeta + xi) ** 2, axis=1)
     return rz, rx, sum_sq
+
+
+# -- oracle cylinder geometry -----------------------------------------------------------
+# grid.Cylinder's selection and distances one point at a time, as Cylinder.contains,
+# Cylinder.space_distance and parabolic_distance gave them before Cylinder was
+# vectorized, with the ball's box test added.  On a box cylinder they must give the
+# same bits; on a ball, np.linalg.norm may round the last bit of |x| differently.
+
+
+def oracle_holds(Q, x, t):
+    """Whether Q holds (x, t): the closed box and span within 1e-12 and, with a radius, |x|^2 < R^2 + 1e-12."""
+    tol = 1e-12
+    x = np.asarray(x, dtype=float)
+    if t < Q.t0 - tol or t > Q.t1 + tol:
+        return False
+    if Q.radius is not None and not float(np.sum(x ** 2)) < Q.radius ** 2 + tol:
+        return False
+    return all(Q.xmin[a] - tol <= x[a] <= Q.xmax[a] + tol for a in range(Q.dim))
+
+
+def oracle_space_distance(Q, x):
+    x = np.asarray(x, dtype=float)
+    if Q.radius is not None:
+        return Q.radius - float(np.linalg.norm(x))
+    return min(min(x[a] - Q.xmin[a], Q.xmax[a] - x[a]) for a in range(Q.dim))
+
+
+def oracle_parabolic_distance(Q, x, t, kind, alpha=None, gamma=None):
+    """ds + |t1 - t|^(1/2) ("d") or ds^alpha + |t1 - t|^(alpha/gamma) ("d_alpha") at one point Q holds.
+
+    ds and |t1 - t| are raised as 0-d arrays: numpy raises an array by its own
+    SIMD loops and a scalar by the C library's pow, and on AVX-512 machines the
+    two differ in the last bit for a few percent of arguments.
+    """
+    assert oracle_holds(Q, x, t)
+    ds = np.asarray(max(oracle_space_distance(Q, x), 0.0))
+    dtb = np.asarray(abs(Q.t1 - t))
+    if kind == "d":
+        return float(ds + np.sqrt(dtb))
+    return float(ds ** alpha + dtb ** (alpha / gamma))

@@ -203,6 +203,8 @@ class TestDeclaredParameters:
             (["verify-oscillation", "--R", "-1"], "--R must be positive"),
             (["verify-duality", "--tau", "0"], "--tau must be positive"),
             (["ldiff", "--samples", "0"], "argument --samples: must be an integer >= 1, got '0'"),
+            (["ldiff", "--gamma-conj", "1.5,2.5"], "--gamma-conj: entries must lie in (1, 2), got 2.5"),
+            (["ldiff", "--gamma-conj", "1,1.5"], "--gamma-conj: entries must lie in (1, 2), got 1.0"),
             (["liouville-probe", "--R-list", "-0.5"], "argument --R-list: entries must be positive, got -0.5"),
             (["liouville-probe", "--tau-list", "0"], "argument --tau-list: entries must be positive, got 0.0"),
         ],
@@ -212,7 +214,7 @@ class TestDeclaredParameters:
              "grid-four-entries", "grid-empty", "grid-word", "grid-fractional-N", "fp-grid-two-entries",
              "fp-grid-empty", "fp-grid-word", "fp-grid-infinite-N", "duality-amplitude-nan", "duality-amplitude-zero-denominator",
              "oscillation-amplitude-inf", "liouville-amplitude-minus-inf", "seminorm-c-negative", "oscillation-R-negative",
-             "duality-tau-zero", "ldiff-samples-zero", "liouville-R-list-negative", "liouville-tau-list-zero"],
+             "duality-tau-zero", "ldiff-samples-zero", "ldiff-gamma-conj-above-2", "ldiff-gamma-conj-1", "liouville-R-list-negative", "liouville-tau-list-zero"],
     )
     def test_bad_spec_exits_2_naming_the_flag(self, argv, message, tmp_path, capsys):
         g = make_grid(GridSpec(1, 1.0, 0.125, 1.0, 0.25))

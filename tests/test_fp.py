@@ -33,6 +33,15 @@ class TestValidation:
             g = make_grid(GridSpec(1, 1.0, 0.125, 1.0, 0.25))
             solve_fp(FPProblem(sigma=0.0, R=1.0, tau=1.0), g)
 
+    @pytest.mark.parametrize("field", ["sigma", "R", "tau"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_number_rejected_naming_it(self, field, bad):
+        # a NaN sigma ended as a negative-density failure; a NaN R or tau passed every check and solved
+        g = make_grid(GridSpec(1, 1.0, 0.125, 1.0, 0.25))
+        prob = FPProblem(**{"sigma": 1.0, "R": 1.0, "tau": 1.0, field: bad})
+        with pytest.raises(ValueError, match=rf"^{field} must be a finite number, got {bad!r}$"):
+            solve_fp(prob, g)
+
     def test_resolution_floor(self):
         g = make_grid(GridSpec(1, 1.0, 0.25, 1.0, 0.25))
         with pytest.raises(ValueError, match="dx <= R/8"):

@@ -23,9 +23,18 @@ from hjlab.grid import (
     spacetime_integral,
     write_field_csv,
 )
-from hjlab.seminorm import hessian_frobenius_level
+from hjlab.seminorm import _Nodes, hessian_frobenius_level, node_count
 
-from conftest import oracle_godunov, oracle_lattice, oracle_write_field_csv, random_field, stencil_csr
+from conftest import (
+    oracle_godunov,
+    oracle_holds,
+    oracle_lattice,
+    oracle_parabolic_distance,
+    oracle_space_distance,
+    oracle_write_field_csv,
+    random_field,
+    stencil_csr,
+)
 
 
 def same_bits(a, b):
@@ -254,24 +263,86 @@ class TestLqNorm:
 class TestParabolicDistance:
     def test_center_of_unit_cylinder(self):
         Q = centered_cylinder(1.0, 1.0, dim=1, ball=True)
-        assert parabolic_distance(([0.0], 0.0), Q, "d") == 2.0
+        assert parabolic_distance([([0.0], 0.0)], Q, "d").tolist() == [2.0]
 
     def test_backward_boundary_zero(self):
         Q = centered_cylinder(1.0, 1.0, dim=1)
-        assert parabolic_distance(([1.0], 1.0), Q, "d") == 0.0
-        assert parabolic_distance(([1.0], 1.0), Q, "d_alpha", alpha=0.5, gamma=3.0) == 0.0
+        assert parabolic_distance([([1.0], 1.0)], Q, "d").tolist() == [0.0]
+        assert parabolic_distance([([1.0], 1.0)], Q, "d_alpha", alpha=0.5, gamma=3.0).tolist() == [0.0]
 
     def test_d_alpha_formula(self):
         Q = centered_cylinder(5.0, 9.0, dim=1)
-        val = parabolic_distance(([1.0], 1.0), Q, "d_alpha", alpha=0.5, gamma=3.0)
+        (val,) = parabolic_distance([([1.0], 1.0)], Q, "d_alpha", alpha=0.5, gamma=3.0)
         assert abs(val - (2.0 + 8.0 ** (1.0 / 6.0))) < 1e-12
+
+    def test_each_point_in_order(self):
+        Q = centered_cylinder(1.0, 1.0, dim=2)
+        points = [((0.0, 0.5), 0.75), ((-0.25, 0.0), 0.0)]
+        assert parabolic_distance(points, Q, "d").tolist() == [0.5 + 0.5, 0.75 + 1.0]
 
     def test_outside_rejected(self):
         Q = centered_cylinder(1.0, 1.0, dim=1)
         with pytest.raises(ValueError, match=r"^point \(2\.0,\), t=0\.5 lies outside the cylinder$"):
-            parabolic_distance(([2.0], 0.5), Q, "d")
+            parabolic_distance([([0.0], 0.5), ([2.0], 0.5)], Q, "d")
         with pytest.raises(ValueError, match=r"^point \(0\.0, -1\.5\), t=0\.5 lies outside the cylinder$"):
-            parabolic_distance((np.array([0.0, -1.5]), 0.5), centered_cylinder(1.0, 1.0, dim=2), "d")
+            parabolic_distance([(np.array([0.0, -1.5]), 0.5)], centered_cylinder(1.0, 1.0, dim=2), "d")
+        with pytest.raises(ValueError, match=r"^point \(0\.0,\), t=1\.5 lies outside the cylinder$"):
+            parabolic_distance([([0.0], 1.5)], Q, "d")
+
+
+# an edge on a coordinate: exactly, within the 1e-12 tolerance either side, just outside it, or between nodes
+_EDGE_OFFSETS = st.one_of(st.sampled_from([0.0, 5e-13, -5e-13, 3e-12, -3e-12]), st.floats(-0.5, 0.5))
+
+
+@st.composite
+def cylinders_on_grids(draw):
+    """A random 1D/2D box or ball grid and a random sub-cylinder of it: a box, or a ball cut by a box."""
+    dim = draw(st.sampled_from([1, 2]))
+    dx = draw(st.sampled_from([0.25, 0.125, 0.1] if dim == 1 else [0.25, 0.2]))
+    dt = draw(st.sampled_from([0.25, 0.1]))
+    g = make_grid(GridSpec(dim, 1.0, dx, 1.0, dt, ball_mask=draw(st.booleans())))
+
+    def span(coords, step, single=False):
+        i, j = sorted(draw(st.tuples(st.integers(0, len(coords) - 1), st.integers(0, len(coords) - 1))))
+        if single:
+            j = i
+        return coords[i] + draw(_EDGE_OFFSETS) * step, coords[j] - draw(_EDGE_OFFSETS) * step
+
+    box = [span(ax, dx) for ax in g.axes]
+    t0, t1 = span(g.ts, dt, single=draw(st.booleans()))
+    node = draw(st.sampled_from(list(g.coords.reshape(-1, dim))))
+    radius = draw(st.one_of(
+        st.none(),
+        st.floats(0.2, 1.5),
+        # a rim on a node, near one as the box edges are, or between nodes
+        _EDGE_OFFSETS.map(lambda off: float(np.sqrt(np.sum(node ** 2))) + off * dx).filter(lambda r: r > 0),
+    ))
+    Q = Cylinder(xmin=tuple(lo for lo, _ in box), xmax=tuple(hi for _, hi in box), t0=t0, t1=t1, radius=radius)
+    return random_field(g, draw(st.integers(0, 2 ** 16))), Q
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=cylinders_on_grids(), alpha=st.floats(0.05, 0.95), gamma=st.floats(2.1, 4.0))
+def test_cylinder_geometry_is_the_per_point_geometry(case, alpha, gamma):
+    # the vectorized selection and distances of grid.Cylinder against oracle_holds and
+    # oracle_parabolic_distance: the same nodes, and on a box the same bits
+    u, Q = case
+    g = u.grid
+    xs, ts = g.coords.reshape(-1, g.dim), g.ts
+    holds = [[oracle_holds(Q, x, t) for x in xs] for t in ts]
+    assert (Q.spans(ts)[:, None] & Q.holds(xs)).tolist() == holds
+    nodes = _Nodes(u, Q)
+    want = [(x, t) for t, row in zip(ts, holds) for x, a, h in zip(xs, g.active.ravel(), row) if a and h]
+    assert node_count(u, Q) == nodes.n == len(want)
+    assert np.array_equal(nodes.x, np.reshape([x for x, _ in want], (-1, g.dim)))
+    assert nodes.t.tolist() == [t for _, t in want]
+    same = np.array_equal if Q.radius is None else lambda a, b: np.allclose(a, b, rtol=1e-15, atol=1e-15)
+    assert same(Q.space_distance(nodes.xs), [oracle_space_distance(Q, x) for x in nodes.xs])
+    for kind in ("d", "d_alpha"):
+        weight = nodes.weight(kind, alpha, gamma)
+        assert same(weight, [oracle_parabolic_distance(Q, x, t, kind, alpha, gamma) for x, t in want])
+        assert np.array_equal(weight, parabolic_distance(want, Q, kind, alpha, gamma))
+        assert np.array_equal(weight, Q.distance(nodes.xs, nodes.ts, kind, alpha, gamma).ravel())
 
 
 class TestSamplingAndIO:

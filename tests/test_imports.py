@@ -78,6 +78,20 @@ def test_each_relative_import_names_what_its_module_defines():
     assert found == []
 
 
+def test_only_grid_reads_a_cylinders_box_or_radius():
+    # grid.Cylinder decides which nodes a cylinder holds and how far they are from its backward
+    # boundary; another module builds one by keyword and asks it
+    modules = {f"hjlab.{n}": t for n, t in parsed(pathlib.Path(hjlab.__file__).parent).items() if n != "grid"}
+    modules.update((f"hjbench.{n}", t) for n, t in parsed(BENCH).items())
+    found = [
+        f"{name}:{n.lineno} reads .{n.attr}"
+        for name, tree in modules.items()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and n.attr in ("xmin", "xmax", "radius")
+    ]
+    assert found == []
+
+
 def test_every_public_function_and_class_is_named_outside_its_definition():
     # code that no module, export or benchmark names is reached only from tests
     trees = parsed(pathlib.Path(hjlab.__file__).parent)

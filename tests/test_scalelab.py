@@ -285,7 +285,8 @@ class TestWorstPairSelection:
             return u.values[(int(round(t / g.dt)),) + idx]
 
         def d_alpha(p, alpha):
-            return parabolic_distance(p, Q, "d_alpha", alpha, gamma)
+            (d,) = parabolic_distance([p], Q, "d_alpha", alpha, gamma)
+            return d
 
         def same(a, b):
             return abs(a - b) <= 1e-12 * abs(b)
@@ -308,7 +309,7 @@ class TestWorstPairSelection:
 
         alpha = 0.8
         early, late = sorted(weighted_holder(u, alpha, alpha - a0, Q).pair, key=lambda e: e[1])
-        d = min(parabolic_distance(e, Q, "d") for e in (early, late))
+        d = min(parabolic_distance((early, late), Q, "d"))
         r = np.linalg.norm(np.subtract(late[0], early[0])) + np.sqrt(late[1] - early[1])
         want = d ** (alpha - a0) * abs(at(late) - at(early)) / r ** alpha
         bp = worst_pair_selection(u, "weighted", alpha, z, gamma)

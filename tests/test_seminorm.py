@@ -512,7 +512,7 @@ def test_every_member_matches_its_oracle_bitwise(case, alpha, gamma, c):
     # pairs test each family's tie rule, position-major for the same-position family
     u, Q = case
     for name, member in MEMBERS.items():
-        if alpha == 1.0 and member.weight == "dist_alpha":  # d_alpha wants alpha < 1
+        if alpha == 1.0 and member.weight == "d_alpha":  # d_alpha wants alpha < 1
             for scan in (member_scan, oracle):
                 with pytest.raises(ValueError, match=r"\(0, 1\)"):
                     scan(name, u, alpha, gamma, c, Q)
