@@ -420,8 +420,10 @@ def oracle_ldiff_samples(n, seed):
 # -- oracle cylinder geometry -----------------------------------------------------------
 # grid.Cylinder's selection and distances one point at a time, as Cylinder.contains,
 # Cylinder.space_distance and parabolic_distance gave them before Cylinder was
-# vectorized, with the ball's box test added.  On a box cylinder they must give the
-# same bits; on a ball, np.linalg.norm may round the last bit of |x| differently.
+# vectorized, with the ball's box test added.  |x| is the square root of the sum of
+# squares, as the ball test reads it: np.linalg.norm forms it by a dot product, which
+# may round the last bit differently, and on the rim d_alpha = ds^alpha turns that
+# one bit of ds into ~1e-8.
 
 
 def oracle_holds(Q, x, t):
@@ -438,7 +440,7 @@ def oracle_holds(Q, x, t):
 def oracle_space_distance(Q, x):
     x = np.asarray(x, dtype=float)
     if Q.radius is not None:
-        return Q.radius - float(np.linalg.norm(x))
+        return Q.radius - float(np.sqrt(np.sum(x ** 2)))
     return min(min(x[a] - Q.xmin[a], Q.xmax[a] - x[a]) for a in range(Q.dim))
 
 
