@@ -41,7 +41,6 @@ from .fp import (
     FPProblem,
     boundary_loss_check,
     drift_from_solution,
-    kinetic_energy,
     moment_alpha,
     solve_fp,
 )
@@ -54,7 +53,7 @@ from .dual import (
     manufactured_pair,
     oscillation_report,
 )
-from .scalelab import SweepEntryError, liouville_probe, maxreg_sweep, normalization_check, worst_pair_selection
+from .scalelab import KINDS, SweepEntryError, liouville_probe, maxreg_sweep, normalization_check, worst_pair_selection
 from .seminorm import combine_nonlinear, node_count, oracle, seminorm_set
 
 
@@ -255,8 +254,7 @@ def cmd_solve_hj(args, params, chash):
         h = h0
     if args.manufactured:
         ms = MANUFACTURED[args.manufactured](spec.horizon)
-        prob = manufactured_problem(ms, g, s, h0, h1, h)
-        prob.terminal = ms.terminal(spec.horizon)
+        prob = manufactured_problem(ms, spec.horizon, g, s, h0, h1, h)
     elif args.f_file:
         prob = HJProblem(gamma=g, sigma=s, h0=h0, h1=h1, h=h, f=read_field_csv(args.f_file))
     else:
@@ -315,7 +313,7 @@ def cmd_solve_fp(args, params, chash):
     mom = moment_alpha(sol, params["alpha"])
     bl = boundary_loss_check(sol, g)
     functionals = {
-        "kinetic": kinetic_energy(sol, g),
+        "kinetic": bl.kinetic,
         "moment": mom.moment,
         "moment_fitted_c": mom.fitted_c,
         "outflux": bl.outflux,
@@ -579,7 +577,7 @@ COMMANDS = {
     "blowup": Command(
         cmd_blowup, "worst-pair selection and rescaling", ("alpha", "z", "gamma"), (
             ("--field", {"required": True}),
-            ("--kind", {"choices": ["space", "time", "weighted"], "required": True}),
+            ("--kind", {"choices": list(KINDS), "required": True}),
             ("--target", {"required": True, "help": "N,R,dy,S,ds target grid"}),
         ),
     ),

@@ -42,9 +42,6 @@ class DualityReport:
     running_cost: float
     terminal: float
     boundary: float
-    ell0: float
-    ell1: float
-    kinetic: float
 
     @property
     def rhs_terms(self) -> dict:
@@ -69,8 +66,7 @@ def manufactured_pair(A: float, dx: float, gamma: float = 3.0, sigma: float = 1.
     Both grids have the step dx and dt = dx/4.
     """
     ms = ms_cosine(T, A)
-    prob = manufactured_problem(ms, gamma, sigma, h, h)
-    prob.terminal = ms.terminal(T)
+    prob = manufactured_problem(ms, T, gamma, sigma, h, h)
     w = solve_hj(prob, make_grid(GridSpec(1, 2.0, dx, T, dx / 4)), gradient_bound=abs(A) * np.pi).u
     b = drift_from_solution(w, h, gamma)
     sol = solve_fp(FPProblem(sigma=sigma, R=1.0, tau=T, drift=b, source=0.0), make_grid(GridSpec(1, 1.0, dx, T, dx / 4)))
@@ -151,9 +147,6 @@ def duality_identity(w: ScalarField, f, sol: FPSolution, h: float, gamma: float)
         running_cost=running,
         terminal=terminal,
         boundary=boundary,
-        ell0=ell,
-        ell1=ell,
-        kinetic=K,
     )
 
 

@@ -267,31 +267,25 @@ def drift_l1(sol: FPSolution) -> float:
 @dataclass
 class MomentReport:
     moment: float
-    drift_budget: float  # (iint |b| m)^alpha
-    diffusion_budget: float  # (sigma*tau)^(alpha/2)
-    fitted_c: float
+    fitted_c: float  # moment over its budget (iint |b| m)^alpha + (sigma*tau)^(alpha/2)
 
 
 def moment_alpha(sol: FPSolution, alpha: float) -> MomentReport:
-    """integral |x - x0|^alpha m(x, tau) dx plus its two budget terms."""
+    """integral |x - x0|^alpha m(x, tau) dx and its fitted constant over the drift and diffusion budgets."""
     if not (0 < alpha < 1):
         raise ValueError("alpha must lie in (0, 1)")
     g = sol.grid
     r = np.sqrt(np.sum((g.coords - sol.source) ** 2, axis=-1))
     moment = space_integral(g, r ** alpha * sol.m.values[-1])
-    b1 = drift_l1(sol) ** alpha
-    b2 = (sol.sigma * sol.tau) ** (alpha / 2.0)
-    denom = b1 + b2
-    return MomentReport(moment, b1, b2, moment / denom if denom > 0 else 0.0)
+    denom = drift_l1(sol) ** alpha + (sol.sigma * sol.tau) ** (alpha / 2.0)
+    return MomentReport(moment, moment / denom if denom > 0 else 0.0)
 
 
 @dataclass
 class BoundaryLossReport:
     outflux: float
-    drift_term: float  # tau^(1/gamma)/R * K^(1/gamma')
-    diffusion_term: float  # sigma*tau/R^2
-    fitted_c: float
-    kinetic: float
+    fitted_c: float  # outflux over tau^(1/gamma)/R * K^(1/gamma') + sigma*tau/R^2
+    kinetic: float  # K, the kinetic_energy the budget reads
 
 
 def boundary_loss_check(sol: FPSolution, gamma: float) -> BoundaryLossReport:
@@ -299,11 +293,9 @@ def boundary_loss_check(sol: FPSolution, gamma: float) -> BoundaryLossReport:
     R = sol.grid.spec.half_width
     tau = sol.tau
     K = kinetic_energy(sol, gamma)
-    t_drift = tau ** (1.0 / gamma) / R * K ** (1.0 / gc)
-    t_diff = sol.sigma * tau / R ** 2
     out = float(sol.outflux[-1])
-    denom = t_drift + t_diff
-    return BoundaryLossReport(out, t_drift, t_diff, out / denom if denom > 0 else 0.0, K)
+    denom = tau ** (1.0 / gamma) / R * K ** (1.0 / gc) + sol.sigma * tau / R ** 2
+    return BoundaryLossReport(out, out / denom if denom > 0 else 0.0, K)
 
 
 # -- reference kernel -----------------------------------------------------------------

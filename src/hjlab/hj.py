@@ -814,12 +814,9 @@ def manufactured_rhs(ms: ManufacturedSolution, gamma: float, sigma: float, h) ->
 
 
 def manufactured_problem(
-    ms: ManufacturedSolution, gamma: float, sigma: float, h0: float, h1: float, h=None
+    ms: ManufacturedSolution, T: float, gamma: float, sigma: float, h0: float, h1: float, h=None
 ) -> HJProblem:
-    """The problem ms solves with coefficient h (default h0): its f and lateral data; no terminal data.
-
-    The caller sets `terminal` to ms.terminal(T) for its horizon T.
-    """
+    """The problem ms solves on the horizon T with coefficient h (default h0): its f, terminal and lateral data."""
     hh = h if h is not None else h0
     return HJProblem(
         gamma=gamma,
@@ -828,15 +825,14 @@ def manufactured_problem(
         h1=h1,
         h=hh,
         f=manufactured_rhs(ms, gamma, sigma, hh),
-        terminal=None,
+        terminal=ms.terminal(T),
         lateral=ms.lateral(),
     )
 
 
 def solve_manufactured(ms, gamma, sigma, grid, gradient_bound=None):
     """Solve the problem of ms with h = h0 = h1 = 1 and ms's terminal data on grid."""
-    p = manufactured_problem(ms, gamma, sigma, 1.0, 1.0)
-    p.terminal = ms.terminal(grid.ts[-1])
+    p = manufactured_problem(ms, grid.ts[-1], gamma, sigma, 1.0, 1.0)
     return solve_hj(p, grid, gradient_bound=gradient_bound)
 
 

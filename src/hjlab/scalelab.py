@@ -4,11 +4,18 @@ Two zoom variants: "alpha0" keeps the transport part of the operator and
 shrinks the viscosity (sigma_n = r^(g-2)/M^(g-1), time scale r^g/M^(g-1));
 "alpha" keeps the linear parabolic scaling (time scale r^2) and carries the
 Hamiltonian factor theta_n = M^(g-1)/r^(g-2).
+
+The blow-up selection kinds are declared once, in KINDS: the seminorm each
+scans, its alpha rule, its sandwich weight, its basepoint rule, M, r, the
+rescaled time s0 of the pair's other endpoint, the reported distance d and
+its zoom.  One path (worst_pair_selection) serves every kind, and one
+formula (normalization_check) reads the rescaled pair of any of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,10 +58,8 @@ class BlowupParams:
     r: float
     variant: str  # "alpha0" or "alpha"
     gamma: float
-    z: float = 1.0
     d: float = 0.0
-    case: str | None = None  # "space" / "time" for the alpha0 variant
-    y0: np.ndarray | None = None
+    y0: np.ndarray | None = None  # the other endpoint of the selected pair in the rescaled frame, (y0, s0)
     s0: float | None = None
     sandwich: tuple | None = None  # (L, weighted quotient, 2L)
 
@@ -152,124 +157,91 @@ def rescaled_residual(w: ScalarField, g: ScalarField, params: BlowupParams, h_sa
 
 
 def normalization_check(w: ScalarField, params: BlowupParams) -> float:
-    """The quotient the point selection drove to 1 (space / alpha cases) or z."""
-    origin = np.zeros(w.grid.dim)
-    w00 = sample_field(w, origin, 0.0)
-    if params.variant == "alpha":
-        return abs(sample_field(w, params.y0, params.s0) - w00)
-    if params.case == "time":
-        return abs(sample_field(w, origin, 1.0) - w00)
-    return abs(sample_field(w, params.y0, 0.0) - w00)
+    """|w(y0, s0) - w(0, 0)|: the rescaled pair's value gap, which the selection drives to 1 (space) or z (time)."""
+    return abs(sample_field(w, params.y0, params.s0) - sample_field(w, np.zeros(w.grid.dim), 0.0))
 
 
 # -- worst-pair selection ------------------------------------------------------------
 
 
+class SelectionKind(NamedTuple):
+    """Everything that differs between blow-up selection kinds; worst_pair_selection reads nothing else."""
+
+    scan: Callable  # (u, alpha, gamma, Q) -> the argmax pair's SeminormResult, through the seminorm's module-level name
+    rule: Callable  # (alpha, alpha0) -> the alpha rule the kind breaks, as its error states it, or None
+    weight: str  # the parabolic_distance kind whose smaller value over the pair weights the sandwich
+    power: Callable  # (alpha, alpha0) -> that weight's exponent
+    nearer_base: bool  # the basepoint is the endpoint of smaller weight distance; else the earlier one
+    per_z: bool  # M = |du| / z; else |du|
+    r: Callable  # (|dx|, dt, M, gamma) -> the zoom's length scale r, for the pair's separation |dx| and time gap dt
+    s0: Callable  # (dt, r) -> the rescaled time of the other endpoint
+    d: Callable  # (Q, x_base, the pair's weight distances) -> the reported distance d
+    variant: str  # the zoom
+
+
+def _room(Q, x_base, dists):
+    """The basepoint's distance to the spatial rim."""
+    return float(max(Q.space_distance(x_base), 0.0))
+
+
+KINDS = {
+    "space": SelectionKind(
+        scan=lambda u, alpha, gamma, Q: nonlinear_space(u, alpha, gamma, Q), rule=lambda alpha, a0: None,
+        weight="d_alpha", power=lambda alpha, a0: 1.0, nearer_base=True, per_z=False,
+        r=lambda dx, dt, M, gamma: dx, s0=lambda dt, r: 0.0, d=_room, variant="alpha0",
+    ),
+    "time": SelectionKind(
+        scan=lambda u, alpha, gamma, Q: nonlinear_time(u, alpha, gamma, Q),
+        rule=lambda alpha, a0: "alpha == alpha0(gamma)" if abs(alpha - a0) > 1e-12 else None,
+        weight="d_alpha", power=lambda alpha, a0: 1.0, nearer_base=False, per_z=True,
+        r=lambda dx, dt, M, gamma: dt ** (1.0 / gamma) * M ** ((gamma - 1.0) / gamma),
+        s0=lambda dt, r: 1.0,  # set, not computed: dt is the zoom's time scale only up to round-off
+        d=_room, variant="alpha0",
+    ),
+    "weighted": SelectionKind(
+        scan=lambda u, alpha, gamma, Q: weighted_holder(u, alpha, alpha - alpha_zero(gamma), Q),
+        rule=lambda alpha, a0: "alpha > alpha0(gamma)" if alpha <= a0 + 1e-14 else None,
+        weight="d", power=lambda alpha, a0: alpha - a0, nearer_base=False, per_z=False,
+        r=lambda dx, dt, M, gamma: dx + np.sqrt(dt), s0=lambda dt, r: dt / r ** 2,
+        d=lambda Q, x_base, dists: float(min(dists)), variant="alpha",
+    ),
+}
+
+
 def worst_pair_selection(u: ScalarField, kind: str, alpha: float, z: float, gamma: float) -> BlowupParams:
-    """Argmax pair of the requested seminorm on u's grid cylinder turned into ready blow-up data.
+    """Argmax pair of the kind's seminorm on u's grid cylinder turned into ready blow-up data.
 
-    kind "space": same-time pair of the nonlinear space seminorm (zoom alpha0);
-    kind "time":  same-position pair of the nonlinear time seminorm, requires
-                  alpha == alpha0(gamma);
-    kind "weighted": pair of the distance-weighted classical seminorm with
-                  c = alpha - alpha0 (zoom alpha, linear space-time scaling).
-    The basepoint is the earlier-time / nearer-boundary endpoint, the sandwich
-    uses the pair's min distance, so L <= quotient <= 2L holds exactly with
-    L = quotient/2.
+    KINDS declares each kind: "space" scans nl_space (zoom alpha0), "time"
+    nl_time with alpha == alpha0(gamma) (zoom alpha0), "weighted" the
+    d-weighted classical seminorm with c = alpha - alpha0 (zoom alpha).  The
+    alpha rule and an unknown kind are rejected before the scan, a constant
+    u after it.  The basepoint is the pair's endpoint nearer the boundary
+    (space) or its earlier endpoint; M = |u(other) - u(base)| (over z for
+    time); y0 = (x_other - x_base)/r and s0 place the other endpoint in the
+    rescaled frame.  The sandwich weight is the pair's smaller distance, so
+    L <= quotient <= 2L holds exactly with L = quotient/2.
     """
-    g = u.grid
-    Q = g.cylinder()
-    a0 = alpha_zero(gamma)
-
-    if kind == "space":
-        res = nonlinear_space(u, alpha, gamma, Q)
-        if res.degenerate or res.value == 0.0:
-            raise ValueError("u is constant on Q: no blow-up pair")
-        (xa, ta), (xb, tb) = res.pair
-        da = parabolic_distance(res.pair, Q, "d_alpha", alpha, gamma)
-        base, other = (0, 1) if da[0] <= da[1] else (1, 0)
-        pts = [np.atleast_1d(np.asarray(p[0], dtype=float)) for p in res.pair]
-        x_base, x_other = pts[base], pts[other]
-        t_base = res.pair[base][1]
-        M = abs(
-            sample_field(u, x_other, res.pair[other][1]) - sample_field(u, x_base, t_base)
-        )
-        r = float(np.linalg.norm(x_other - x_base))
-        quotient = min(da) * M / r ** alpha
-        L = quotient / 2.0
-        return BlowupParams(
-            basepoint_x=x_base,
-            basepoint_t=t_base,
-            M=M,
-            r=r,
-            variant="alpha0",
-            gamma=gamma,
-            z=z,
-            d=float(max(Q.space_distance(x_base), 0.0)),
-            case="space",
-            y0=(x_other - x_base) / r,
-            sandwich=(L, quotient, 2.0 * L),
-        )
-
-    if kind == "time":
-        if abs(alpha - a0) > 1e-12:
-            raise ValueError("time-kind selection requires alpha == alpha0(gamma)")
-        res = nonlinear_time(u, alpha, gamma, Q)
-        if res.degenerate or res.value == 0.0:
-            raise ValueError("u is constant on Q: no blow-up pair")
-        (xa, ta), (xb, tb) = res.pair
-        early, late = ((xa, ta), (xb, tb)) if ta <= tb else ((xb, tb), (xa, ta))
-        x_base = np.atleast_1d(np.asarray(early[0], dtype=float))
-        dt_pair = late[1] - early[1]
-        M = abs(sample_field(u, x_base, late[1]) - sample_field(u, x_base, early[1])) / z
-        r = dt_pair ** (1.0 / gamma) * M ** ((gamma - 1.0) / gamma)
-        da = parabolic_distance((early, late), Q, "d_alpha", alpha, gamma)
-        quotient = min(da) * M / r ** alpha
-        L = quotient / 2.0
-        return BlowupParams(
-            basepoint_x=x_base,
-            basepoint_t=early[1],
-            M=M,
-            r=r,
-            variant="alpha0",
-            gamma=gamma,
-            z=z,
-            d=float(max(Q.space_distance(x_base), 0.0)),
-            case="time",
-            y0=np.zeros(g.dim),
-            sandwich=(L, quotient, 2.0 * L),
-        )
-
-    if kind == "weighted":
-        if alpha <= a0 + 1e-14:
-            raise ValueError("weighted-kind selection requires alpha > alpha0(gamma)")
-        res = weighted_holder(u, alpha, alpha - a0, Q)
-        if res.degenerate or res.value == 0.0:
-            raise ValueError("u is constant on Q: no blow-up pair")
-        (xa, ta), (xb, tb) = res.pair
-        early, late = ((xa, ta), (xb, tb)) if ta <= tb else ((xb, tb), (xa, ta))
-        x_base = np.atleast_1d(np.asarray(early[0], dtype=float))
-        x_other = np.atleast_1d(np.asarray(late[0], dtype=float))
-        dd = parabolic_distance((early, late), Q, "d")
-        M = abs(sample_field(u, x_other, late[1]) - sample_field(u, x_base, early[1]))
-        r = float(np.linalg.norm(x_other - x_base)) + np.sqrt(late[1] - early[1])
-        quotient = min(dd) ** (alpha - a0) * M / r ** alpha
-        L = quotient / 2.0
-        return BlowupParams(
-            basepoint_x=x_base,
-            basepoint_t=early[1],
-            M=M,
-            r=r,
-            variant="alpha",
-            gamma=gamma,
-            z=z,
-            d=float(min(dd)),
-            y0=(x_other - x_base) / r,
-            s0=(late[1] - early[1]) / r ** 2,
-            sandwich=(L, quotient, 2.0 * L),
-        )
-
-    raise ValueError(f"unknown selection kind {kind!r}")
+    if kind not in KINDS:
+        raise ValueError(f"unknown selection kind {kind!r}")
+    K, a0 = KINDS[kind], alpha_zero(gamma)
+    broken = K.rule(alpha, a0)
+    if broken:
+        raise ValueError(f"{kind}-kind selection requires {broken}")
+    Q = u.grid.cylinder()
+    res = K.scan(u, alpha, gamma, Q)
+    if res.degenerate or res.value == 0.0:
+        raise ValueError("u is constant on Q: no blow-up pair")
+    dists = parabolic_distance(res.pair, Q, K.weight, alpha, gamma)
+    key = dists if K.nearer_base else [t for _, t in res.pair]
+    (x_base, t_base), (x_other, t_other) = res.pair if key[0] <= key[1] else res.pair[::-1]
+    x_base, x_other = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (x_base, x_other))
+    M = abs(sample_field(u, x_other, t_other) - sample_field(u, x_base, t_base)) / (z if K.per_z else 1.0)
+    dt = t_other - t_base
+    r = K.r(float(np.linalg.norm(x_other - x_base)), dt, M, gamma)
+    quotient = min(dists) ** K.power(alpha, a0) * M / r ** alpha
+    L = quotient / 2.0
+    return BlowupParams(x_base, t_base, M, r, K.variant, gamma, d=K.d(Q, x_base, dists), y0=(x_other - x_base) / r,
+                        s0=K.s0(dt, r), sandwich=(L, quotient, 2.0 * L))
 
 
 # -- Liouville decay probe --------------------------------------------------------------

@@ -10,8 +10,9 @@ from scipy.linalg import lapack
 
 from hjlab import hj
 from hjlab.acceptance import random_field  # noqa: F401 - shared with the test modules
-from hjlab.grid import Grid, GridSpec, NumericalFailure, ScalarField, evaluate, make_grid
-from hjlab.hj import CFL_EPS, DENSE_MAX, MAX_HALVINGS, MAX_SUBSTEPS, HJSolution
+from hjlab.grid import Grid, GridSpec, NumericalFailure, ScalarField, evaluate, make_grid, parabolic_distance, sample_field
+from hjlab.hj import CFL_EPS, DENSE_MAX, MAX_HALVINGS, MAX_SUBSTEPS, HJSolution, alpha_zero
+from hjlab.seminorm import nonlinear_space, nonlinear_time, weighted_holder
 
 
 @pytest.fixture
@@ -457,3 +458,91 @@ def oracle_parabolic_distance(Q, x, t, kind, alpha=None, gamma=None):
     if kind == "d":
         return float(ds + np.sqrt(dtb))
     return float(ds ** alpha + dtb ** (alpha / gamma))
+
+
+# -- oracle blow-up selection -------------------------------------------------------------
+# worst_pair_selection and normalization_check as they were before the selection kinds
+# were declared once: one branch per kind, the record carrying its kind as case and z,
+# and the normalization branching on variant and case.  The selection must give the
+# same bits in every field, with s0 the rescaled time this normalization read (0 for
+# space, 1 for time), and the normalization the same value.
+
+
+def oracle_worst_pair_selection(u, kind, alpha, z, gamma):
+    """SimpleNamespace of the blow-up record fields, case and z included."""
+    g = u.grid
+    Q = g.cylinder()
+    a0 = alpha_zero(gamma)
+
+    if kind == "space":
+        res = nonlinear_space(u, alpha, gamma, Q)
+        if res.degenerate or res.value == 0.0:
+            raise ValueError("u is constant on Q: no blow-up pair")
+        da = parabolic_distance(res.pair, Q, "d_alpha", alpha, gamma)
+        base, other = (0, 1) if da[0] <= da[1] else (1, 0)
+        pts = [np.atleast_1d(np.asarray(p[0], dtype=float)) for p in res.pair]
+        x_base, x_other = pts[base], pts[other]
+        t_base = res.pair[base][1]
+        M = abs(sample_field(u, x_other, res.pair[other][1]) - sample_field(u, x_base, t_base))
+        r = float(np.linalg.norm(x_other - x_base))
+        quotient = min(da) * M / r ** alpha
+        L = quotient / 2.0
+        return SimpleNamespace(
+            basepoint_x=x_base, basepoint_t=t_base, M=M, r=r, variant="alpha0", gamma=gamma, z=z,
+            d=float(max(Q.space_distance(x_base), 0.0)), case="space", y0=(x_other - x_base) / r, s0=None,
+            sandwich=(L, quotient, 2.0 * L),
+        )
+
+    if kind == "time":
+        if abs(alpha - a0) > 1e-12:
+            raise ValueError("time-kind selection requires alpha == alpha0(gamma)")
+        res = nonlinear_time(u, alpha, gamma, Q)
+        if res.degenerate or res.value == 0.0:
+            raise ValueError("u is constant on Q: no blow-up pair")
+        (xa, ta), (xb, tb) = res.pair
+        early, late = ((xa, ta), (xb, tb)) if ta <= tb else ((xb, tb), (xa, ta))
+        x_base = np.atleast_1d(np.asarray(early[0], dtype=float))
+        dt_pair = late[1] - early[1]
+        M = abs(sample_field(u, x_base, late[1]) - sample_field(u, x_base, early[1])) / z
+        r = dt_pair ** (1.0 / gamma) * M ** ((gamma - 1.0) / gamma)
+        da = parabolic_distance((early, late), Q, "d_alpha", alpha, gamma)
+        quotient = min(da) * M / r ** alpha
+        L = quotient / 2.0
+        return SimpleNamespace(
+            basepoint_x=x_base, basepoint_t=early[1], M=M, r=r, variant="alpha0", gamma=gamma, z=z,
+            d=float(max(Q.space_distance(x_base), 0.0)), case="time", y0=np.zeros(g.dim), s0=None,
+            sandwich=(L, quotient, 2.0 * L),
+        )
+
+    if kind == "weighted":
+        if alpha <= a0 + 1e-14:
+            raise ValueError("weighted-kind selection requires alpha > alpha0(gamma)")
+        res = weighted_holder(u, alpha, alpha - a0, Q)
+        if res.degenerate or res.value == 0.0:
+            raise ValueError("u is constant on Q: no blow-up pair")
+        (xa, ta), (xb, tb) = res.pair
+        early, late = ((xa, ta), (xb, tb)) if ta <= tb else ((xb, tb), (xa, ta))
+        x_base = np.atleast_1d(np.asarray(early[0], dtype=float))
+        x_other = np.atleast_1d(np.asarray(late[0], dtype=float))
+        dd = parabolic_distance((early, late), Q, "d")
+        M = abs(sample_field(u, x_other, late[1]) - sample_field(u, x_base, early[1]))
+        r = float(np.linalg.norm(x_other - x_base)) + np.sqrt(late[1] - early[1])
+        quotient = min(dd) ** (alpha - a0) * M / r ** alpha
+        L = quotient / 2.0
+        return SimpleNamespace(
+            basepoint_x=x_base, basepoint_t=early[1], M=M, r=r, variant="alpha", gamma=gamma, z=z,
+            d=float(min(dd)), case=None, y0=(x_other - x_base) / r, s0=(late[1] - early[1]) / r ** 2,
+            sandwich=(L, quotient, 2.0 * L),
+        )
+
+    raise ValueError(f"unknown selection kind {kind!r}")
+
+
+def oracle_normalization_check(w, params):
+    origin = np.zeros(w.grid.dim)
+    w00 = sample_field(w, origin, 0.0)
+    if params.variant == "alpha":
+        return abs(sample_field(w, params.y0, params.s0) - w00)
+    if params.case == "time":
+        return abs(sample_field(w, origin, 1.0) - w00)
+    return abs(sample_field(w, params.y0, 0.0) - w00)

@@ -11,6 +11,7 @@ import pytest
 
 from hjlab.cli import PARAMS, build_parser, config_hash, main, parse_number, resolve
 from hjlab.grid import GridSpec, ScalarField, make_grid, write_field_csv
+from hjlab.scalelab import KINDS
 
 from conftest import counting_lu, random_field
 
@@ -80,6 +81,15 @@ class TestParseConfig:
             for name, p in subparsers.items()
         }
         assert readme_parameters() == declared
+
+    def test_blowup_kinds_agree_in_the_declaration_the_parser_and_the_readme(self):
+        subparsers = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ).choices
+        (kind,) = [a for a in subparsers["blowup"]._actions if a.dest == "kind"]
+        text = README.read_text()
+        bullet = re.search(r"^- Blow-up selection.*?(?=^- |^#)", text, re.M | re.S).group(0)
+        assert list(KINDS) == list(kind.choices) == re.findall(r"^  - `(\w+)`:", bullet, re.M)
 
 
 class TestDeclaredParameters:

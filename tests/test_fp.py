@@ -487,7 +487,8 @@ class TestMomentAlpha:
         r = np.sqrt(np.sum((g.coords - sol.source) ** 2, axis=-1))
         rep = moment_alpha(sol, 0.5)
         assert rep.moment == space_integral(g, r ** 0.5 * sol.m.values[-1]) > 0.0
-        assert rep.diffusion_budget == (sol.sigma * 0.5) ** 0.25
+        # no drift: the budget is the diffusion term (sigma*tau)^(alpha/2) alone
+        assert rep.fitted_c == rep.moment / (sol.sigma * 0.5) ** 0.25
 
     def test_gaussian_constant_stable_in_tau(self):
         cs = []

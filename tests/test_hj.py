@@ -431,8 +431,7 @@ class TestDyadicLadder:
 
     def test_readme_1d_solve_factors_at_most_15_times(self):
         g = make_grid(GridSpec(1, 1.0, 1 / 64, 1.0, 1 / 256))
-        p = manufactured_problem(ms_sine(1.0), 3.0, 1.0, 1.0, 1.0)
-        p.terminal = ms_sine(1.0).terminal(1.0)
+        p = manufactured_problem(ms_sine(1.0), 1.0, 3.0, 1.0, 1.0, 1.0)
         sol, n_lu = counting_lu(solve_hj, p, g)
         assert n_lu <= 15
 

@@ -25,7 +25,7 @@ from hjlab.scalelab import (
 
 from hjlab.seminorm import nonlinear_space, nonlinear_time, weighted_holder
 
-from conftest import counting_lu, random_field
+from conftest import counting_lu, oracle_normalization_check, oracle_worst_pair_selection, random_field
 
 
 def aligned_params():
@@ -204,7 +204,7 @@ class TestWorstPairSelection:
         a0 = alpha_zero(3.0)
         bp = worst_pair_selection(u, "space", a0, 2.0, 3.0)
         # argmax pair is the spike against its nearest same-time neighbor
-        assert bp.case == "space" and bp.variant == "alpha0"
+        assert bp.variant == "alpha0" and bp.s0 == 0.0
         assert bp.M == 1.0
         assert bp.r == 0.25
         assert bp.basepoint_t == 0.5
@@ -217,7 +217,7 @@ class TestWorstPairSelection:
         a0 = alpha_zero(3.0)
         z = 2.0
         bp = worst_pair_selection(u, "time", a0, z, 3.0)
-        assert bp.case == "time"
+        assert bp.variant == "alpha0" and bp.s0 == 1.0 and np.array_equal(bp.y0, [0.0])
         assert bp.M == 1.0 / z  # |du|/z with |du| = 1
         # r = dt^(1/gamma) M^((gamma-1)/gamma)
         dt_pair = 0.25
@@ -251,7 +251,7 @@ class TestWorstPairSelection:
         u = random_field(g, seed=9)
         p = BlowupParams(
             basepoint_x=[0.0], basepoint_t=0.0, M=1.0, r=1.0, variant="alpha0",
-            gamma=3.0, case="space", y0=np.array([0.5]),
+            gamma=3.0, y0=np.array([0.5]), s0=0.0,
         )
         res = blowup_transform(u, p, g.spec)
         val = normalization_check(res.w, p)
@@ -315,6 +315,51 @@ class TestWorstPairSelection:
         bp = worst_pair_selection(u, "weighted", alpha, z, gamma)
         assert same(bp.sandwich[1], want) and bp.d == d
         assert np.array_equal(bp.basepoint_x, np.atleast_1d(early[0])) and bp.basepoint_t == early[1]
+
+
+@st.composite
+def selection_cases(draw):
+    """A random 1D/2D box or ball field, a kind, gamma, an alpha (mostly one the kind admits) and z."""
+    dim = draw(st.sampled_from([1, 2]))
+    dx = draw(st.sampled_from([0.25, 0.125] if dim == 1 else [0.25, 0.5]))
+    dt = draw(st.sampled_from([0.25, 0.125]))
+    g = make_grid(GridSpec(dim, 1.0, dx, draw(st.sampled_from([0.5, 1.0])), dt, ball_mask=draw(st.booleans())))
+    kind = draw(st.sampled_from(["space", "time", "weighted"]))
+    gamma = draw(st.floats(2.1, 4.0))
+    a0 = alpha_zero(gamma)
+    admitted = {"space": st.floats(0.05, 1.0), "time": st.just(a0), "weighted": st.floats(a0 + 1e-6, 1.0)}[kind]
+    alpha = draw(st.one_of(admitted, admitted, st.floats(0.05, 1.0)))
+    return random_field(g, draw(st.integers(0, 2 ** 16))), kind, alpha, draw(st.floats(0.25, 4.0)), gamma
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=selection_cases(), w_seed=st.integers(0, 2 ** 16))
+def test_selection_is_the_three_branch_selection_bitwise(case, w_seed):
+    # every record field and the normalization against the one-branch-per-kind oracle;
+    # s0 is the rescaled time the oracle's normalization read, 0 (space) or 1 (time)
+    u, kind, alpha, z, gamma = case
+
+    def outcome(select):
+        try:
+            return select(u, kind, alpha, z, gamma)
+        except ValueError as exc:
+            return str(exc)
+
+    bp, ref = outcome(worst_pair_selection), outcome(oracle_worst_pair_selection)
+    if isinstance(ref, str):
+        assert bp == ref
+        return
+    ref_s0 = {"space": 0.0, "time": 1.0}.get(ref.case, ref.s0)
+
+    def bits(v):
+        return np.asarray(v, dtype=float).tobytes()
+
+    for name in ("basepoint_x", "basepoint_t", "M", "r", "gamma", "d", "y0", "sandwich"):
+        assert bits(getattr(bp, name)) == bits(getattr(ref, name)), name
+    assert bp.variant == ref.variant and bits(bp.s0) == bits(ref_s0)
+    # a target grid that covers (y0, s0): |y0| <= 1 per axis and s0 <= 1 for every kind
+    w = random_field(make_grid(GridSpec(u.grid.dim, 1.0, 0.25, 1.0, 0.25)), w_seed)
+    assert bits(normalization_check(w, bp)) == bits(oracle_normalization_check(w, ref))
 
 
 class TestNormalizationByConstruction:
