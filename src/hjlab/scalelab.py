@@ -157,7 +157,12 @@ def rescaled_residual(w: ScalarField, g: ScalarField, params: BlowupParams, h_sa
 
 
 def normalization_check(w: ScalarField, params: BlowupParams) -> float:
-    """|w(y0, s0) - w(0, 0)|: the rescaled pair's value gap, which the selection drives to 1 (space) or z (time)."""
+    """|w(y0, s0) - w(0, 0)|: the rescaled pair's value gap, which the selection drives to 1 (space) or z (time).
+
+    ValueError when params has no y0 or s0, as a record built without a selection has not.
+    """
+    if params.y0 is None or params.s0 is None:
+        raise ValueError("normalization_check needs the rescaled pair: params has no y0 or s0")
     return abs(sample_field(w, params.y0, params.s0) - sample_field(w, np.zeros(w.grid.dim), 0.0))
 
 

@@ -16,15 +16,15 @@ weighted.
 
 Every member is exact: no pair is ever sampled.  member_scan finds its sup
 by one block branch-and-bound (_BranchAndBound): a bound on a pair of node
-blocks covers every node pair between them, so block pairs that cannot reach
-the best value are pruned and only the node pairs of the others are
+blocks covers every node pair between them, and only the node pairs of
+block pairs whose bound is positive and reaches the best value are
 evaluated.  oracle(name, ...) is the naive double loop over the same pairs;
 the two agree bit-for-bit, value and argmax pair, and tests assert exact
 equality.  Ties go to the first pair in the oracle's order: the
 lexicographically first pair (i, j), i < j, in node order (level-major,
 spatial-lex), except for the same-position family (nl_time, time_quotient),
 whose pairs run position-major: the first position, then the first level
-pair (a, b), a < b, at it.
+pair (a, b), a < b, at it.  So a zero sup goes to the family's first pair.
 """
 
 from __future__ import annotations
@@ -131,8 +131,6 @@ def _pair_value(nodes, i, j, family, alpha, weight=None, power=None):
 
 
 def _result_from(nodes, best, best_ij, pairs_evaluated):
-    if best_ij is None:
-        return SeminormResult(0.0, None, degenerate=True, pairs_evaluated=pairs_evaluated)
     i, j = best_ij
     pair = (
         (tuple(nodes.x[i]), float(nodes.t[i])),
@@ -204,9 +202,9 @@ class _Tiles:
     tiled (level, position) order, l * m + s for level l and the s-th
     position of the spatial order, and ties go to the first, as np.argmax
     would give over the tile's members; imax / imin are the nodes there.
-    first / second are the two smallest ranks of the tile, n where there is
-    no such node.  xlo, xhi (per position tile) and tlo, thi (per level tile)
-    bound its coordinates.
+    count is the number of nodes a tile holds, its levels held x its
+    positions held.  xlo, xhi (per position tile) and tlo, thi (per level
+    tile) bound its coordinates.
 
     The leaf summary (no base) reads the node values, and the weights, a
     few level rows of tiles at a time, so it makes no node-sized array.
@@ -216,7 +214,7 @@ class _Tiles:
 
     def __init__(self, search, lt, st, base=None):
         nodes, order = search.nodes, search.order
-        L, m, n = nodes.n_levels, nodes.m_space, nodes.n
+        L, m = nodes.n_levels, nodes.m_space
         self.lt, self.st = lt, st
         self.nl, self.ns = -(-L // lt), -(-m // st)
         if base is None:
@@ -229,22 +227,7 @@ class _Tiles:
         self.tlo, self.thi = np.minimum.reduceat(nodes.ts, first_level), np.maximum.reduceat(nodes.ts, first_level)
         self.imax = self.tmax // m * m + order[self.tmax % m]
         self.imin = self.tmin // m * m + order[self.tmin % m]
-        # The two smallest ranks: a tile's nodes are its levels x its
-        # positions, and the second is the first level at the second smallest
-        # position or the second level at the smallest, whichever ranks first.
-        second_level = np.where(first_level + 1 < np.minimum(first_level + lt, L), first_level + 1, L)
-        tile_positions = np.sort(_tile_rows(order[None], 1, st, m), axis=1)  # node positions, m padded
-        smallest = tile_positions[:, 0]
-        next_smallest = tile_positions[:, 1] if st > 1 else np.full(self.ns, m)
-
-        def rank(levels, positions):
-            """Ranks of the nodes (level, position) of every tile, n where there is none."""
-            i = levels[:, None] * m + positions
-            r = i if search.rank is None else search.rank[i]
-            return np.where((levels[:, None] < L) & (positions < m), r, n).ravel()
-
-        self.first = rank(first_level, smallest)
-        self.second = np.minimum(rank(first_level, next_smallest), rank(second_level, smallest))
+        self.count = np.outer(np.minimum(lt, L - first_level), np.minimum(st, m - first_position)).ravel()
 
     def _read_nodes(self, search):
         nodes, order, weight = search.nodes, search.order, search.weight
@@ -310,20 +293,24 @@ class _BranchAndBound:
     bound first, in batches (so the frontier stays a few batches per depth),
     and at the deepest depth their node pairs are evaluated with _pair_value,
     exactly as the oracle does, _PAIR_BATCH pairs at a time.  A block pair
-    is dropped when its bound is below the best value found, or equal to it
-    and its first pair in the family's order comes after the best pair; so
-    the result is the oracle's first strict maximum, value and pair.  That
-    order is lexicographic in the node indices (level-major), except for the
-    same-position family, whose oracle runs position-major: (position,
-    level, level).  Each node has a rank in that order, and pairs compare by
-    (rank_i, rank_j).
+    is kept while its bound is positive and at least the best value found
+    (bounds carry _MARGIN, so the block pair of a positive sup's first pair
+    stays).  A bound of 0 (constant values or zero weight) means every pair
+    in it has quotient 0, so dropping it changes no result and can only
+    lower pairs_evaluated; with no positive value found, run returns 0 at
+    the family's first pair, (0, 1) for all pairs and one level, (0, m) for
+    one position, since every pair attains it.  Tied evaluated pairs keep
+    the first in the family's order (_offer): lexicographic in the node
+    indices (level-major), except for the same-position family, whose oracle
+    runs position-major, (position, level, level), by _PositionMajor ranks.
+    So the result is the oracle's first strict maximum, value and pair.
     """
 
     def __init__(self, nodes, family, alpha, weight=None, power=None):
         self.nodes, self.family = nodes, family
         self.alpha, self.weight, self.power = alpha, weight, power
         self.best = -np.inf
-        self.best_key = nodes.n * nodes.n  # rank_i * n + rank_j of the best pair
+        self.best_key = nodes.n * nodes.n  # rank_i * n + rank_j of the best pair, for ties in _offer
         self.best_ij = None
         self.evaluated = 0
         # No two distinct nodes of a family are closer than this floor: dx on one
@@ -374,10 +361,14 @@ class _BranchAndBound:
         T = self.depths[0]
         roots = np.arange(T.nl * T.ns)
         self._descend(0, roots, roots)
-        return self.best, self.best_ij, self.evaluated
+        if self.best > 0:
+            return self.best, self.best_ij, self.evaluated
+        # a zero sup is attained by every pair, so the oracle keeps the family's first
+        first = (0, self.nodes.m_space) if self.family == _SAME_POSITION else (0, 1)
+        return 0.0, first, self.evaluated
 
-    def _alive(self, bound, key):
-        return (bound > self.best) | ((bound == self.best) & (key < self.best_key))
+    def _alive(self, bound):
+        return (bound >= self.best) & (bound > 0)
 
     def _bound(self, T, a, b):
         la, sa = np.divmod(a, T.ns)
@@ -397,12 +388,6 @@ class _BranchAndBound:
                 w = np.minimum(T.dmax[a], T.dmax[b]) ** self.power
                 q = np.where(w == 0, 0.0, q * w)  # zero weight: 0 * inf is 0
         return q * _MARGIN
-
-    def _first_key(self, T, a, b):
-        """rank_i * n + rank_j of the first pair, in rank order, between tiles a and b."""
-        lo = np.minimum(T.first[a], T.first[b])
-        hi = np.where(a == b, T.second[a], np.maximum(T.first[a], T.first[b]))
-        return lo * self.nodes.n + hi
 
     def _offer(self, ii, jj):
         """Evaluate the node pairs (ii, jj) and keep the first strict maximum."""
@@ -438,12 +423,11 @@ class _BranchAndBound:
     def _descend(self, d, a, b):
         T = self.depths[d]
         bound = self._bound(T, a, b)
-        key = self._first_key(T, a, b)
-        order = np.lexsort((key, -bound))
-        keep = order[self._alive(bound[order], key[order])]
-        a, b, bound, key = a[keep], b[keep], bound[keep], key[keep]
+        order = np.argsort(-bound, kind="stable")
+        keep = order[self._alive(bound[order])]
+        a, b, bound = a[keep], b[keep], bound[keep]
         if d == len(self.depths) - 1:
-            self._leaves(a, b, bound, key)
+            self._leaves(a, b, bound)
             return
         # the extreme nodes of each block pair give real pairs to raise the best early
         ii = np.concatenate([T.imax[a], T.imax[b]])
@@ -452,7 +436,7 @@ class _BranchAndBound:
         C = self.depths[d + 1]
         for s in range(0, len(a), _BLOCK_BATCH):
             sl = slice(s, s + _BLOCK_BATCH)
-            alive = self._alive(bound[sl], key[sl])
+            alive = self._alive(bound[sl])
             pa, pb = a[sl][alive], b[sl][alive]
             ca = self._children(d, pa)[:, :, None]
             cb = self._children(d, pb)[:, None, :]
@@ -460,12 +444,12 @@ class _BranchAndBound:
             self_pair = (pa == pb)[:, None, None]
             # a self pair splits into two child self pairs and one cross pair;
             # a child self pair of a single node holds no pair
-            ok &= ~self_pair | ((ca <= cb) & ((ca != cb) | (C.second[ca] < self.nodes.n)))
+            ok &= ~self_pair | ((ca <= cb) & ((ca != cb) | (C.count[ca] > 1)))
             ca, cb = np.broadcast_arrays(ca, cb)
             if ok.any():
                 self._descend(d + 1, ca[ok], cb[ok])
 
-    def _leaves(self, a, b, bound, key):
+    def _leaves(self, a, b, bound):
         d = len(self.depths) - 1
         T = self.depths[d]
         width = T.lt * T.st
@@ -475,7 +459,7 @@ class _BranchAndBound:
         step = max(1, _PAIR_BATCH // (width * width))
         for s in range(0, len(a), step):
             sl = slice(s, s + step)
-            alive = self._alive(bound[sl], key[sl])
+            alive = self._alive(bound[sl])
             pa, pb = a[sl][alive], b[sl][alive]
             same = pa == pb
             both = self.members(d, np.concatenate([pa, pb]))
@@ -496,7 +480,7 @@ def _family_pairs(nodes, family):
 
 
 def _member(name, u, alpha, gamma, c, Q):
-    """(nodes of Q, pair family, weight array, power) of a member, after its checks."""
+    """(nodes of Q, pair family, weight array, power) of a member, after its checks; non-finite values fail."""
     family, weight, power = MEMBERS[name]
     if weight == "d_alpha":
         if not (0 < alpha < 1):
@@ -508,6 +492,8 @@ def _member(name, u, alpha, gamma, c, Q):
     if weight == "d" and (c is None or c < 0):
         raise ValueError("c must be >= 0")
     nodes = _Nodes(u, Q)
+    if not np.all(np.isfinite(nodes.v)):
+        raise ValueError("field has non-finite values on the cylinder")
     if weight is None:
         return nodes, family, None, None
     return nodes, family, nodes.weight(weight, alpha, gamma), power(gamma, c)
@@ -524,8 +510,6 @@ def member_scan(name, u, alpha, gamma=None, c=None, Q=None):
     nodes, family, weight, power = _member(name, u, alpha, gamma, c, Q)
     if _family_pairs(nodes, family) == 0:
         return SeminormResult(0.0, None, degenerate=True)
-    if not np.all(np.isfinite(nodes.v)):
-        raise ValueError("field has non-finite values on the cylinder")
     search = _BranchAndBound(nodes, family, alpha, weight, power)
     return _result_from(nodes, *search.run())
 

@@ -241,6 +241,16 @@ class TestDeclaredParameters:
         assert main(["solve-hj", "--config", str(cfg), "--grid", "1,1,1/8,1,1/32", "--out", str(tmp_path / "x")]) == 2
         assert "--h1 must be a finite number, got inf" in capsys.readouterr().err
 
+    def test_config_line_without_equals_exits_2_naming_it(self, tmp_path, capsys):
+        # the comment and the blank line are skipped but counted
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text("# lab\n\ngamma 3\n")
+        assert main(["solve-hj", "--config", str(cfg), "--grid", "1,1,1/8,1,1/32", "--out", str(tmp_path / "x")]) == 2
+        assert "line 3: expected key=value, got 'gamma 3'" in capsys.readouterr().err
+
+    def test_config_comments_and_blank_lines_are_skipped(self):
+        assert resolve("solve-hj", "# lab\n\n   \ngamma=4\n  # sigma=2\n") == resolve("solve-hj", "gamma=4")
+
     def test_unread_config_key_exits_2_naming_key_and_subcommand(self, tmp_path, capsys):
         cfg = tmp_path / "lab.cfg"
         cfg.write_text("dx=1/8\n")
@@ -439,8 +449,11 @@ class TestCliRuns:
             ("5,6,0,1", "holds no active node of the field"),
             ("0,1/0,0,1", "zero denominator in '1/0'"),
             ("0,,0.5,0,1", "empty entry in the list '0,,0.5,0,1'"),
+            ("0,0.5,0", "wants xlo,xhi[,ylo,yhi],t0,t1"),
+            ("0,0.5,0,0.5,0,1", "wants xlo,xhi[,ylo,yhi],t0,t1"),
         ],
-        ids=["xlo-above-xhi", "t0-above-t1", "nan", "no-node", "zero-denominator", "doubled-comma"],
+        ids=["xlo-above-xhi", "t0-above-t1", "nan", "no-node", "zero-denominator", "doubled-comma", "three-entries",
+             "six-entries"],
     )
     def test_bad_sub_cylinder_exits_2_naming_it(self, sub, message, tmp_path, capsys):
         out = str(tmp_path / "hj")

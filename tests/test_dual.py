@@ -284,6 +284,10 @@ class TestLdiff:
         with pytest.raises(ValueError):
             ldiff_constant(2.5, 100, seed=0)
 
+    def test_no_samples_rejected(self):
+        with pytest.raises(ValueError, match="samples must be >= 1, got 0"):
+            ldiff_constant(1.5, 0)
+
     @pytest.mark.parametrize("n, seed", [(1, 0), (7, 3), (20000, 4), (100000, 0), (100000, 1)])
     def test_samples_are_the_fresh_array_formula(self, n, seed):
         _ldiff_samples.cache_clear()

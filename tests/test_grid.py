@@ -475,6 +475,25 @@ def test_csv_reader_rejects_bad_header(grid_1d, header, what):
     assert str(exc.value) == f"bad header {header!r} (expected '# grid: N,R,dx,T,dt,mask'): {what}"
 
 
+@pytest.mark.filterwarnings("ignore:loadtxt")  # numpy warns of the empty table before the reader names a node
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda lines: lines[1:], r"missing '# grid:' header"),
+        (lambda lines: lines[:1], r"no row for node t=0, x=\[-1.0\]"),
+        (lambda lines: lines[:1] + [line + ",7" for line in lines[1:]], r"4 columns per row, expected 3"),
+        (lambda lines: lines[:1] + [line.rsplit(",", 1)[0] for line in lines[1:]], r"2 columns per row, expected 3"),
+    ],
+    ids=["no_header", "no_rows", "extra_column", "missing_column"],
+)
+def test_csv_reader_rejects_a_bad_table(edit, match):
+    g = make_grid(GridSpec(1, 1.0, 0.25, 1.0, 0.5))
+    buf = io.StringIO()
+    write_field_csv(random_field(g, seed=3), buf)
+    with pytest.raises(ValueError, match=match):
+        read_field_csv(io.StringIO("\n".join(edit(buf.getvalue().splitlines())) + "\n"))
+
+
 @pytest.mark.parametrize(
     "dim, pts, shape",
     [(1, [[0.25, 0.75]], (1, 2)), (1, [0.25, 0.75], (2,)), (2, [[0.25]], (1, 1)), (2, [[[0.0, 0.0, 0.0]]], (1, 1, 3))],

@@ -257,6 +257,15 @@ class TestWorstPairSelection:
         val = normalization_check(res.w, p)
         assert np.isfinite(val)
 
+    @pytest.mark.parametrize("missing", [{}, {"y0": np.array([0.5])}, {"s0": 0.0}])
+    def test_normalization_needs_the_rescaled_pair(self, missing):
+        # a record built without a selection has no (y0, s0) to sample
+        g = make_grid(GridSpec(1, 1.0, 0.25, 1.0, 0.25))
+        p = BlowupParams(basepoint_x=[0.0], basepoint_t=0.0, M=1.0, r=0.5, variant="alpha0", gamma=3.0, **missing)
+        w = blowup_transform(random_field(g, seed=9), p, g.spec).w
+        with pytest.raises(ValueError, match="y0 or s0"):
+            normalization_check(w, p)
+
     def test_normalization_check_space(self):
         u, g = self.crafted_space_field()
         a0 = alpha_zero(3.0)

@@ -15,6 +15,7 @@ from hjlab.seminorm import (
     _member,
     _Nodes,
     _pair_value,
+    check_w21q_cylinder,
     combine_nonlinear,
     hessian_frobenius_level,
     holder_seminorm,
@@ -190,8 +191,8 @@ class TestOracleEquivalence:
 
     def test_block_bounds_dominate_pair_values(self):
         # at every depth, each block pair's bound is >= every computed value of
-        # a family pair between its tiles, and its first-pair key is that of its
-        # first family pair, for every scan of each pair family
+        # a family pair between its tiles, and each tile's node count is its
+        # number of members, for every scan of each pair family
         cases = (
             (GridSpec(1, 1.0, 1 / 16, 1.0, 0.25), [(2, k) for k in range(0, 33, 3)],
              (_ALL_PAIRS, _SAME_LEVEL, _SAME_POSITION)),
@@ -250,6 +251,16 @@ class TestOracleEquivalence:
             with pytest.raises(ValueError, match="non-finite"):
                 member_scan(name, u, 0.5, 3.0, 1.0)
 
+    def test_non_finite_field_rejected_by_the_oracle(self):
+        # as by the fast scan: a NaN pair is never skipped, nor an all-NaN field degenerate
+        g = make_grid(GridSpec(1, 1.0, 0.25, 1.0, 0.25))
+        one_nan = random_field(g, seed=3)
+        one_nan.values[2, 4] = np.nan
+        for u in (one_nan, ScalarField.constant(g, np.nan)):
+            for name in MEMBERS:
+                with pytest.raises(ValueError, match="non-finite"):
+                    oracle(name, u, 0.5, 3.0, 1.0)
+
     def test_zero_weight_everywhere(self):
         # both nodes sit on the cylinder's rim at its top level: every weight is 0
         g = make_grid(GridSpec(1, 1.0, 0.25, 1.0, 0.25))
@@ -258,6 +269,16 @@ class TestOracleEquivalence:
         fast, slow = weighted_holder(u, 0.5, 1.0, Q), oracle("weighted", u, 0.5, c=1.0, Q=Q)
         assert fast.value == 0.0 and not fast.degenerate
         assert (fast.value, fast.pair) == (slow.value, slow.pair)
+
+    def test_zero_sup_after_evaluated_pairs_goes_to_the_first_pair(self):
+        # values only on the rim at t = T, where every weight is 0: block bounds are
+        # positive, so pairs are evaluated, but every one of them is 0
+        g = make_grid(GridSpec(1, 1.0, 0.25, 1.0, 0.25))
+        u = _field_of_kind(g, "rim", 3)
+        for name in ("weighted", "nl_space", "nl_time"):
+            fast, slow = member_scan(name, u, 0.5, 3.0, 1.0), oracle(name, u, 0.5, 3.0, 1.0)
+            assert fast.pairs_evaluated > 0
+            assert (fast.value, fast.pair) == (0.0, slow.pair)
 
     def test_constant_field_prunes_without_scanning(self):
         g = make_grid(GridSpec(1, 1.0, 1 / 32, 1.0, 1 / 64))
@@ -293,12 +314,12 @@ class TestWorkingSet:
 
 
 def _check_block_bounds(search):
-    """Every tile pair's bound and first key against its family pairs, at every depth."""
+    """Every tile pair's bound against its family pairs, and every tile's node count, at every depth."""
     nodes = search.nodes
-    m, n = nodes.m_space, nodes.n
-    rank = np.arange(n) if search.rank is None else search.rank
+    m = nodes.m_space
     for d, T in enumerate(search.depths):
         members = search.members(d)
+        assert np.array_equal(T.count, (members >= 0).sum(axis=1))
         a, b = np.triu_indices(len(members))
         # the tiles of one depth share their whole level (position) range or none of it
         if search.family == _SAME_LEVEL:
@@ -314,12 +335,9 @@ def _check_block_bounds(search):
         lo, hi = np.minimum(I, J)[pairs], np.maximum(I, J)[pairs]
         vals = np.full(I.shape, -np.inf)
         vals[pairs] = _pair_value(nodes, lo, hi, search.family, search.alpha, search.weight, search.power)
-        keys = np.full(I.shape, n * n)
-        keys[pairs] = rank[lo] * n + rank[hi]
         held = pairs.any(axis=(1, 2))
         assert held.any()
         assert np.all(vals.max(axis=(1, 2))[held] <= search._bound(T, a, b)[held])
-        assert np.array_equal(keys.min(axis=(1, 2))[held], search._first_key(T, a, b)[held])
 
 
 class TestScalingCovariance:
@@ -435,6 +453,13 @@ class TestW21qNorms:
         with pytest.raises(ValueError, match="margin"):
             w21q_norms(u, 2.0, 3.0, Cylinder(xmin=(-1.0,), xmax=(0.5,), t0=0.25, t1=0.75))
 
+    @pytest.mark.parametrize("t0, t1", [(0.125, 0.75), (0.25, 0.875)])
+    def test_temporal_margin_enforced(self, t0, t1):
+        # the box keeps its 2-node margin; the span comes within one level of t = 0 or t = T
+        g = make_grid(GridSpec(1, 1.0, 0.125, 1.0, 0.125))
+        with pytest.raises(ValueError, match="2-level temporal margin"):
+            check_w21q_cylinder(g, Cylinder(xmin=(-0.5,), xmax=(0.5,), t0=t0, t1=t1))
+
     def test_cross_derivative_2d(self):
         # u = x*y: only the mixed second derivative survives, Frobenius sqrt(2)
         q = 2.0
@@ -470,16 +495,15 @@ def _field_of_kind(g, kind, seed):
 _STEPS_1D = [(1 / 16, 0.5), (0.125, 0.25), (0.25, 0.5), (0.5, 1 / 32)]
 
 
-@st.composite
-def fields_on_subcylinders(draw):
-    """Random 1D/2D field (box or ball) with a random sub-cylinder, small enough for the oracle."""
+def _draw_grid(draw):
+    """A random 1D/2D box or ball grid, small enough for the oracle."""
     dim = draw(st.sampled_from([1, 2]))
     dx, dt = draw(st.sampled_from(_STEPS_1D if dim == 1 else [(0.5, 0.25), (0.5, 0.5)]))
-    g = make_grid(GridSpec(dim, 1.0, dx, 1.0, dt, ball_mask=draw(st.booleans())))
-    kind = draw(st.sampled_from(["normal", "quantized", "constant", "affine", "rim"]))
-    u = _field_of_kind(g, kind, draw(st.integers(0, 2 ** 32 - 1)))
-    if kind == "rim" and draw(st.booleans()):
-        return u, None  # the whole cylinder, whose rim at t = T has weight 0
+    return make_grid(GridSpec(dim, 1.0, dx, 1.0, dt, ball_mask=draw(st.booleans())))
+
+
+def _draw_subcylinder(draw, g):
+    """A random sub-cylinder of g's: each span all nodes or a random range, and maybe a ball."""
 
     def span(coords, step):
         # all nodes, or a random range of them; the ends widened by up to a quarter step
@@ -488,16 +512,33 @@ def fields_on_subcylinders(draw):
             i, j = sorted(draw(st.tuples(st.integers(i, j), st.integers(i, j))))
         return coords[i] - draw(st.floats(0.0, 0.25)) * step, coords[j] + draw(st.floats(0.0, 0.25)) * step
 
-    box = [span(ax, dx) for ax in g.axes]
-    t0, t1 = span(g.ts, dt)
-    Q = Cylinder(
+    box = [span(ax, g.dx) for ax in g.axes]
+    t0, t1 = span(g.ts, g.dt)
+    return Cylinder(
         xmin=tuple(lo for lo, _ in box),
         xmax=tuple(hi for _, hi in box),
         t0=t0,
         t1=t1,
         radius=draw(st.one_of(st.none(), st.floats(0.3, 1.5))),
     )
-    return u, Q
+
+
+@st.composite
+def fields_on_subcylinders(draw):
+    """Random 1D/2D field (box or ball) with a random sub-cylinder, small enough for the oracle."""
+    g = _draw_grid(draw)
+    kind = draw(st.sampled_from(["normal", "quantized", "constant", "affine", "rim"]))
+    u = _field_of_kind(g, kind, draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "rim" and draw(st.booleans()):
+        return u, None  # the whole cylinder, whose rim at t = T has weight 0
+    return u, _draw_subcylinder(draw, g)
+
+
+@st.composite
+def grids_and_subcylinders(draw):
+    """A random grid and sub-cylinder, drawn as fields_on_subcylinders draws them."""
+    g = _draw_grid(draw)
+    return g, _draw_subcylinder(draw, g)
 
 
 @settings(max_examples=60, deadline=None)
@@ -522,3 +563,29 @@ def test_every_member_matches_its_oracle_bitwise(case, alpha, gamma, c):
     # a weight to the power 0 is 1: weighted at c = 0 is classical, value and pair
     classical, weighted = (member_scan(name, u, alpha, c=0.0, Q=Q) for name in ("classical", "weighted"))
     assert (weighted.value, weighted.pair) == (classical.value, classical.pair)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=grids_and_subcylinders(),
+    alpha=st.one_of(st.just(0.5), st.floats(0.05, 0.95)),
+    gamma=st.floats(2.1, 4.0),
+    c=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_a_field_constant_along_the_family_scans_no_pair(case, alpha, gamma, c, seed):
+    # every block pair of such a field bounds 0, so none is refined: the sup is 0 at
+    # the family's first pair, as the oracle keeps it, with no pair evaluated
+    g, Q = case
+    rng = np.random.default_rng(seed)
+    shape = (g.n_levels,) + g.shape
+    constant_along = {
+        _ALL_PAIRS: np.full(shape, rng.normal()),
+        _SAME_LEVEL: np.broadcast_to(rng.normal(size=(g.n_levels,) + (1,) * g.dim), shape).copy(),
+        _SAME_POSITION: np.broadcast_to(rng.normal(size=g.shape), shape).copy(),
+    }
+    for name, member in MEMBERS.items():
+        u = ScalarField(g, constant_along[member.family])
+        fast, slow = member_scan(name, u, alpha, gamma, c, Q), oracle(name, u, alpha, gamma, c, Q)
+        assert (fast.value, fast.pair, fast.degenerate) == (slow.value, slow.pair, slow.degenerate)
+        assert fast.value == 0.0 and fast.pairs_evaluated == 0
